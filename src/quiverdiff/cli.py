@@ -119,11 +119,12 @@ def cmd_hh1(qf, args) -> int:
     if args.oracle:
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
         oracle_dim = len(ops) - hb.inner_matrix.rank()
+    face_formula = len(hb.faces) + len(q.almost_oriented_cycles()) - 1 + 2 * hb.genus
     _emit(
         {
             "quiver": qf.name,
             "dim": hb.dimension,
-            "faceFormula": hb.dimension,
+            "faceFormula": face_formula,
             "happel": happel_dimension(q),
             "oracle": oracle_dim,
             "genus": hb.genus,
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
         qf = quiverfile.load(args.file)
     except OSError as e:
         _fail(f"cannot read {args.file}: {e.strerror or e}")
+        return 2
+    except UnicodeDecodeError as e:
+        _fail(f"cannot read {args.file}: not UTF-8 text (byte {e.start})")
         return 2
     except (ParseError, InvalidRotationError) as e:
         _fail(str(e))

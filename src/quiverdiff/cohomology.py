@@ -361,10 +361,9 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
             )
     if ech.rank != inner_rank + len(operators):
         raise InternalCheckError("rank bookkeeping failed in the HH1 basis")
-    if len(operators) != hh1_dimension(q, rot):
-        raise InternalCheckError(
-            f"{len(operators)} representatives for HH1 of dimension {hh1_dimension(q, rot)}"
-        )
+    dim = hh1_dimension(q, rot)
+    if len(operators) != dim:
+        raise InternalCheckError(f"{len(operators)} representatives for HH1 of dimension {dim}")
     return HH1Basis(
         q, rot, labels, operators, faces, dropped, g, basis, inner, rep_matrix
     )

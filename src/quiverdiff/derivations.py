@@ -94,11 +94,6 @@ class LinearOperator:
         out = self.matrix.mat_vec(vec)
         return AlgebraElement(q, [(paths[i], c) for i, c in enumerate(out) if c])
 
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """self after other."""
-        self._check(other)
-        return LinearOperator(self.quiver, self.matrix * other.matrix)
-
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
         self._check(other)
         return LinearOperator(

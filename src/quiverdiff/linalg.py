@@ -1,10 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Plain Gaussian elimination on Fraction entries, no floating point and
-no pivot heuristics: elimination always scans columns left to right
-and rows top to bottom, so ranks, echelon forms, kernels and
-intersections come out bit-for-bit identical on every run.  Matrices
-at this scale are tiny (tens of rows), so density costs nothing.
+Matrices are dense and immutable, but every elimination runs through
+one kernel, EchelonBasis: a sparse, fully reduced echelon basis on
+Fraction entries, with no floating point and no pivot heuristics.
+rref, rank, kernel, row-space intersection (Zassenhaus), quotient
+complements and LinearSolver are short callers of it.  The reduced
+row echelon form of a row space is unique, so ranks, echelon forms,
+kernels and intersections come out bit-for-bit identical on every
+run, whatever order the rows arrive in.  The sparse rows matter: the
+Zassenhaus block of a report on a 112-arrow grid is 114 x 224 and
+mostly zeros.
 """
 
 from __future__ import annotations
@@ -130,25 +135,12 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        rows = [list(r) for r in self._rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.num_cols):
-            pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            lead = rows[r][c]
-            rows[r] = [x / lead for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return RationalMatrix(rows, self.num_cols), tuple(pivots)
+        ech = EchelonBasis(self.num_cols)
+        for row in self._rows:
+            ech.insert(row)
+        zero = (_ZERO,) * self.num_cols
+        padding = (zero,) * (self.num_rows - ech.rank)
+        return RationalMatrix(ech.rows().rows + padding, self.num_cols), ech.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -186,77 +178,95 @@ def _dot(a, b) -> Fraction:
 class EchelonBasis:
     """Incrementally maintained reduced echelon basis of a row space.
 
-    Rows are kept fully reduced (leading 1, zeros above and below every
-    pivot), so membership tests and coset reduction are one pass.
+    The package's one elimination kernel: rref, intersections,
+    complements and the solver are all built on it.  Rows are stored
+    sparsely (column -> nonzero entry) and kept fully reduced (leading
+    1, zeros above and below every pivot), so membership tests and
+    coset reduction are one pass.  Since pivots are leading entries,
+    the sorted rows are exactly the unique RREF of the span.
     """
 
     def __init__(self, num_cols: int):
         self.num_cols = num_cols
-        self._pivot_rows: dict[int, list[Fraction]] = {}
+        self._pivot_rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivot_rows)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._pivot_rows))
+
+    def _residue(self, vec) -> dict[int, Fraction]:
+        if len(vec) != self.num_cols:
+            raise DimensionMismatchError("vector length does not match column count")
+        v = {j: Fraction(x) for j, x in enumerate(vec) if x}
+        # rows are interreduced, so subtracting one pivot row leaves the
+        # entries of v at every other pivot unchanged: one pass suffices
+        for p in [j for j in v if j in self._pivot_rows]:
+            _axpy(v, -v[p], self._pivot_rows[p])
+        return v
+
     def reduce(self, vec) -> list[Fraction]:
         """Residue of ``vec`` modulo the current row space."""
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.num_cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        for col, row in self._pivot_rows.items():
-            c = v[col]
-            if c:
-                for j in range(self.num_cols):
-                    # rows are interreduced, so one subtraction per pivot suffices
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
+        v = self._residue(vec)
+        return [v.get(j, _ZERO) for j in range(self.num_cols)]
 
     def insert(self, vec) -> bool:
         """Add ``vec`` to the span; returns True when the rank grew."""
-        v = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        v = self._residue(vec)
+        if not v:
             return False
+        pivot = min(v)
         lead = v[pivot]
-        v = [x / lead for x in v]
+        v = {j: x / lead for j, x in v.items()}
         for row in self._pivot_rows.values():
-            c = row[pivot]
-            if c:
-                for j in range(self.num_cols):
-                    if v[j]:
-                        row[j] -= c * v[j]
+            if pivot in row:
+                _axpy(row, -row[pivot], v)
         self._pivot_rows[pivot] = v
         return True
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._residue(vec)
 
     def rows(self) -> RationalMatrix:
-        ordered = [self._pivot_rows[c] for c in sorted(self._pivot_rows)]
-        return RationalMatrix(ordered, self.num_cols)
+        return RationalMatrix(
+            [
+                [self._pivot_rows[p].get(j, _ZERO) for j in range(self.num_cols)]
+                for p in self.pivots
+            ],
+            self.num_cols,
+        )
+
+
+def _axpy(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
+    """target += c * row on sparse rows, dropping entries that cancel."""
+    for j, x in row.items():
+        y = target.get(j, _ZERO) + c * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Echelon basis of rowspace(a) and rowspace(b) intersected.
 
-    Zassenhaus: row reduce the block matrix [[A A], [B 0]]; the right
-    halves of rows whose left half vanished span the intersection.
+    Zassenhaus: row reduce the block matrix [[A A], [B 0]]; the rows
+    whose pivot lies in the right half have a vanishing left half, and
+    their right halves are the RREF of the intersection.
     """
     if a.num_cols != b.num_cols:
         raise DimensionMismatchError("row spaces live in different dimensions")
     n = a.num_cols
-    block = RationalMatrix(
-        [list(r) + list(r) for r in a.rows] + [list(r) + [_ZERO] * n for r in b.rows],
-        2 * n,
-    )
-    reduced, pivots = block.rref()
-    found = [
-        row[n:]
-        for row in reduced.rows[: len(pivots)]
-        if all(x == 0 for x in row[:n])
-    ]
-    return RationalMatrix(found, n).row_space()
+    ech = EchelonBasis(2 * n)
+    for row in a.rows:
+        ech.insert(row + row)
+    for row in b.rows:
+        ech.insert(row + (_ZERO,) * n)
+    found = [row[n:] for p, row in zip(ech.pivots, ech.rows().rows) if p >= n]
+    return RationalMatrix(found, n)
 
 
 def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
@@ -287,51 +297,32 @@ def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
 class LinearSolver:
     """Expresses vectors as combinations of a fixed list of rows.
 
-    Factors the transposed system once, then answers many queries: for
-    a row matrix M and target t, ``solve(t)`` returns x with x M = t,
-    or None when t is outside the row space.  Free coordinates are set
-    to zero, so answers are deterministic; when the rows are linearly
-    independent the answer is the unique one.
+    Reduces the rows once, then answers many queries: for a row matrix
+    M and target t, ``solve(t)`` returns x with x M = t, or None when t
+    is outside the row space.  A row that depends on earlier rows gets
+    coordinate zero, so answers are deterministic; when the rows are
+    linearly independent the answer is the unique one.
     """
 
     def __init__(self, m: RationalMatrix):
         self.num_rows = m.num_rows
         self.num_cols = m.num_cols
-        # eliminate [M^T | I] with pivots restricted to the M^T part
-        a = [list(r) for r in m.transpose().rows]
-        n, k = self.num_cols, self.num_rows
-        t = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(k):
-            pivot_row = next((i for i in range(r, n) if a[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            t[r], t[pivot_row] = t[pivot_row], t[r]
-            lead = a[r][c]
-            a[r] = [x / lead for x in a[r]]
-            t[r] = [x / lead for x in t[r]]
-            for i in range(n):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                    t[i] = [x - f * y for x, y in zip(t[i], t[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        self._pivots = pivots
-        self._transform = t
+        # row i of M is tagged with e_i, so every basis row is [x M | x];
+        # a row in the span of earlier rows is skipped and keeps coordinate 0
+        self._basis = EchelonBasis(m.num_cols + m.num_rows)
+        for i, row in enumerate(m.rows):
+            tag = [_ZERO] * m.num_rows
+            tag[i] = _ONE
+            residue = self._basis.reduce(row + tuple(tag))
+            if any(residue[: m.num_cols]):
+                self._basis.insert(residue)
 
     def solve(self, target) -> Vector | None:
         t = as_vector(target)
         if len(t) != self.num_cols:
             raise DimensionMismatchError("target length does not match column count")
-        y = [_dot(row, t) for row in self._transform]
-        x = [_ZERO] * self.num_rows
-        for i, c in enumerate(self._pivots):
-            x[c] = y[i]
-        if any(y[i] != 0 for i in range(len(self._pivots), self.num_cols)):
+        # reducing [t | 0] leaves [t - x M | -x]
+        residue = self._basis.reduce(t + (_ZERO,) * self.num_rows)
+        if any(residue[: self.num_cols]):
             return None
-        return tuple(x)
+        return tuple(-y for y in residue[self.num_cols :])

@@ -285,6 +285,15 @@ def test_parse_error_is_a_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "latin1.quiver"
+    f.write_bytes(b"vertex u\n# caf\xe9\n")
+    code, out, err = _run(capsys, ["check", str(f)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot read") and err.count("\n") == 1
+
+
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

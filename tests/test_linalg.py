@@ -7,6 +7,8 @@ Core claims:
     - subspace intersection obeys the Grassmann dimension identity
     - quotient_complement returns exactly codim many representatives
     - EchelonBasis insert/contains/reduce are mutually consistent
+    - rref, kernel, intersection and LinearSolver agree with SymPy on
+      matrices with dependent rows
 """
 
 from fractions import Fraction
@@ -34,6 +36,35 @@ def _random_matrix(rng, rows, cols, span=4):
             for _ in range(rows)
         ],
         cols,
+    )
+
+
+def _dependent_matrix(rng, rows, cols, extra):
+    """``rows`` sparse random rows with ``extra`` combinations of them
+    inserted at random positions, so some rows depend on earlier ones."""
+    base = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for _ in range(extra):
+        i, j = rng.randrange(len(base)), rng.randrange(len(base))
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        combo = [x + c * y for x, y in zip(base[i], base[j])]
+        base.insert(rng.randint(0, len(base)), combo)
+    return RationalMatrix(base, cols)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, m):
+    return sympy.Matrix(
+        m.num_rows,
+        m.num_cols,
+        [sympy.Rational(x.numerator, x.denominator) for row in m.rows for x in row],
     )
 
 
@@ -216,6 +247,68 @@ def test_linear_solver_randomized_roundtrip():
         ]
         x = solver.solve(target)
         assert x is not None
+        back = [
+            sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
+            for j in range(m.num_cols)
+        ]
+        assert back == target
+
+
+# -- Differential checks against SymPy ---------------------------------------
+
+def test_rref_and_pivots_match_sympy(sympy):
+    rng = seeded(3110)
+    for _ in range(40):
+        m = _dependent_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), rng.randint(0, 3))
+        reduced, pivots = m.rref()
+        expected, expected_pivots = _to_sympy(sympy, m).rref()
+        assert pivots == expected_pivots
+        assert [list(row) for row in reduced.rows] == [
+            [Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
+            for i in range(expected.rows)
+        ]
+
+
+def test_kernel_dimension_matches_sympy(sympy):
+    rng = seeded(3111)
+    for _ in range(40):
+        m = _dependent_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), rng.randint(0, 3))
+        sm = _to_sympy(sympy, m)
+        assert m.rank() == sm.rank()
+        assert len(m.kernel()) == len(sm.nullspace())
+
+
+def test_intersection_grassmann_identity_against_sympy(sympy):
+    rng = seeded(3112)
+    for _ in range(30):
+        cols = rng.randint(2, 7)
+        a = _dependent_matrix(rng, rng.randint(1, 4), cols, rng.randint(0, 2))
+        b = _dependent_matrix(rng, rng.randint(1, 4), cols, rng.randint(0, 2))
+        sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+        inter = intersect_row_spaces(a, b)
+        assert inter.num_rows == sa.rank() + sb.rank() - sa.col_join(sb).rank()
+        for v in inter.rows:
+            sv = _to_sympy(sympy, RationalMatrix([v], cols))
+            assert sa.col_join(sv).rank() == sa.rank()
+            assert sb.col_join(sv).rank() == sb.rank()
+
+
+def test_linear_solver_zero_on_dependent_later_rows(sympy):
+    rng = seeded(3113)
+    for _ in range(30):
+        m = _dependent_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 3))
+        sm = _to_sympy(sympy, m)
+        dependent = [
+            i for i in range(m.num_rows) if sm[: i + 1, :].rank() == sm[:i, :].rank()
+        ]
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(m.num_rows)]
+        target = [
+            sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
+            for j in range(m.num_cols)
+        ]
+        x = LinearSolver(m).solve(target)
+        assert x is not None
+        assert all(x[i] == 0 for i in dependent)
         back = [
             sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
