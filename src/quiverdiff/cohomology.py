@@ -23,7 +23,7 @@ from .derivations import (
     d_rs,
     inner_subspace,
 )
-from .embedding import FaceCycle, RotationSystem, face_derivation, genus, trace_faces
+from .embedding import FaceCycle, RotationSystem, face_derivation, surface_genus, trace_faces
 from .errors import (
     CyclicQuiverError,
     DisconnectedError,
@@ -153,7 +153,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
-    g = genus(rot)
+    g = surface_genus(q, len(faces))
     c_va = vertex_arrow_matrix(q)
     c_ca = cycle_arrow_matrix(q, faces)
     c_gamma = RationalMatrix.stack(c_va, c_ca)
@@ -218,7 +218,7 @@ def hh1_dimension(q: Quiver, rot: RotationSystem) -> int:
     the path-counting formula."""
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
-    g = genus(rot)
+    g = surface_genus(q, len(faces))
     dim = len(faces) + len(q.almost_oriented_cycles()) - 1 + 2 * g
     happel = happel_dimension(q)
     if dim != happel:
@@ -317,7 +317,7 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
-    g = genus(rot)
+    g = surface_genus(q, len(faces))
     dropped = 0 if outer is None else outer
     if not 0 <= dropped < len(faces):
         raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
@@ -398,7 +398,7 @@ def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
     )
     op = d_rs(q, r, s)
     if face_derivation(q, coeffs).bracket(op) != lam * op:
-        raise InternalCheckError("adjoint eigenvalue identity failed on matrices")
+        raise InternalCheckError("adjoint eigenvalue identity failed on operators")
     return lam
 
 

@@ -10,14 +10,18 @@ replaced by s, which is the closed form of the defining recursion and
 stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
-A brute-force oracle is included: it solves the raw Leibniz linear
-system in the n^2 matrix entries, knowing nothing about the structure
-theory, so its solution space is independent ground truth for the
-canonical basis.
+Operators are stored as the sparse images of the basis paths.  Dense
+|P| x |P| matrices appear only at the edges: the CLI's matrix output,
+the coefficient checker, the matrix brackets of
+verify_bracket_identities, and the flattened rows compared with a
+brute-force oracle.  The oracle solves the raw Leibniz system in the
+n^2 matrix entries, knowing nothing about the structure theory, so its
+solution space is independent ground truth for the canonical basis.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -38,87 +42,87 @@ _ONE = Fraction(1)
 
 
 class LinearOperator:
-    """A linear self-map of kGamma as a matrix over the path basis.
+    """A linear self-map of kGamma, stored as the images of the basis paths.
 
-    Column j holds the image of the j-th canonical basis path.
+    ``images[j]`` is the sparse image of the j-th canonical basis path;
+    ``matrix`` builds the dense matrix (column j = images[j]) on each read.
     """
 
-    __slots__ = ("quiver", "matrix")
+    __slots__ = ("quiver", "images")
 
     def __init__(self, quiver: Quiver, matrix: RationalMatrix):
-        n = len(quiver.paths())
+        paths = quiver.paths()
+        n = len(paths)
         if matrix.num_rows != n or matrix.num_cols != n:
             raise ValueError(f"operator matrix must be {n}x{n}")
         self.quiver = quiver
-        self.matrix = matrix
+        self.images = tuple(
+            AlgebraElement(quiver, [(p, c) for p, c in zip(paths, col) if c])
+            for col in zip(*matrix.rows)
+        )
+
+    @classmethod
+    def _of(cls, quiver: Quiver, images) -> "LinearOperator":
+        op = cls.__new__(cls)
+        op.quiver = quiver
+        op.images = tuple(images)
+        return op
 
     @classmethod
     def zero(cls, quiver: Quiver) -> "LinearOperator":
-        n = len(quiver.paths())
-        return cls(quiver, RationalMatrix.zeros(n, n))
+        return cls._of(quiver, [AlgebraElement.zero(quiver)] * len(quiver.paths()))
 
     @classmethod
     def identity(cls, quiver: Quiver) -> "LinearOperator":
-        return cls(quiver, RationalMatrix.identity(len(quiver.paths())))
+        return cls._of(quiver, [AlgebraElement.from_path(quiver, p) for p in quiver.paths()])
 
     @classmethod
     def from_images(cls, quiver: Quiver, image) -> "LinearOperator":
         """Build an operator from a function basis path -> AlgebraElement."""
-        paths = quiver.paths()
-        n = len(paths)
-        cols = []
-        for p in paths:
-            img = image(p)
-            col = [_ZERO] * n
-            if img is not None:
-                for term, coeff in img.items():
-                    col[quiver.path_index(term)] = coeff
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return cls(quiver, RationalMatrix(rows, n))
+        return cls._of(quiver, [image(p) for p in quiver.paths()])
 
-    def _check(self, other: "LinearOperator") -> None:
+    @property
+    def matrix(self) -> RationalMatrix:
+        paths = self.quiver.paths()
+        rows = [[img.coefficient(p) for img in self.images] for p in paths]
+        return RationalMatrix(rows, len(paths))
+
+    def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
         if self.quiver is not other.quiver and self.quiver != other.quiver:
             raise QuiverMismatchError("operators live over different quivers")
+        return LinearOperator._of(self.quiver, map(combine, self.images, other.images))
 
     def apply(self, a: AlgebraElement | Path) -> AlgebraElement:
         q = self.quiver
         if isinstance(a, Path):
-            a = AlgebraElement.from_path(q, a)
-        elif q is not a.quiver and q != a.quiver:
+            return self.images[q.path_index(a)]
+        if q is not a.quiver and q != a.quiver:
             raise QuiverMismatchError("operator and element live over different quivers")
-        paths = q.paths()
-        vec = [_ZERO] * len(paths)
-        for p, c in a.items():
-            vec[q.path_index(p)] = c
-        out = self.matrix.mat_vec(vec)
-        return AlgebraElement(q, [(paths[i], c) for i, c in enumerate(out) if c])
-
-    def bracket(self, other: "LinearOperator") -> "LinearOperator":
-        self._check(other)
-        return LinearOperator(
-            self.quiver, self.matrix * other.matrix - other.matrix * self.matrix
+        return AlgebraElement(
+            q, [(w, c * x) for p, c in a.items() for w, x in self.apply(p).items()]
         )
 
+    def bracket(self, other: "LinearOperator") -> "LinearOperator":
+        # column j of [A, B] is A(B(p_j)) - B(A(p_j))
+        return self._zip(other, lambda a, b: self.apply(b) - other.apply(a))
+
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check(other)
-        return LinearOperator(self.quiver, self.matrix + other.matrix)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check(other)
-        return LinearOperator(self.quiver, self.matrix - other.matrix)
+        return self._zip(other, operator.sub)
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.quiver, -self.matrix)
+        return LinearOperator._of(self.quiver, [-a for a in self.images])
 
     def __rmul__(self, scalar) -> "LinearOperator":
         if isinstance(scalar, Rational):
-            return LinearOperator(self.quiver, Fraction(scalar) * self.matrix)
+            return LinearOperator._of(self.quiver, [scalar * a for a in self.images])
         return NotImplemented
 
     @property
     def is_zero(self) -> bool:
-        return self.matrix.is_zero
+        return all(a.is_zero for a in self.images)
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.matrix.rows for x in row)
@@ -126,10 +130,10 @@ class LinearOperator:
     def __eq__(self, other):
         if not isinstance(other, LinearOperator):
             return NotImplemented
-        return self.quiver == other.quiver and self.matrix == other.matrix
+        return self.quiver == other.quiver and self.images == other.images
 
     def __repr__(self):
-        return f"LinearOperator({self.matrix.num_rows}x{self.matrix.num_cols})"
+        return f"LinearOperator({len(self.images)}x{len(self.images)})"
 
 
 def bracket(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -170,10 +174,9 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
-    """Matrix form of D_{r,s} over the path basis (acyclic quivers only)."""
+    """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
     if isinstance(r, str):
         r = q.arrow_index(r)
-    q.paths()
     return LinearOperator.from_images(q, lambda p: d_rs_apply(q, r, s, p))
 
 
@@ -368,19 +371,14 @@ class DerivationBasis:
         self.quiver = quiver
         self.labels: tuple[DerivationLabel, ...] = tuple(labels)
         self.operators: tuple[LinearOperator, ...] = tuple(operators)
-        self._flat: RationalMatrix | None = None
 
     def __len__(self) -> int:
         return len(self.operators)
 
     def flat_rows(self) -> RationalMatrix:
         """Basis operators as stacked row vectors of length |P|^2."""
-        if self._flat is None:
-            n = len(self.quiver.paths())
-            self._flat = RationalMatrix(
-                [op.flatten() for op in self.operators], num_cols=n * n
-            )
-        return self._flat
+        n = len(self.quiver.paths())
+        return RationalMatrix([op.flatten() for op in self.operators], num_cols=n * n)
 
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
@@ -394,19 +392,18 @@ class DerivationBasis:
         q = self.quiver
         if op.quiver is not q and op.quiver != q:
             raise QuiverMismatchError("operator lives over a different quiver")
-        idx = q.path_index
-        residual = op.matrix
+        residual = op
         coords = []
         for label, member in zip(self.labels, self.operators):
+            w = label.path
             if label.kind == "inner":
-                w = label.path
-                cell = (idx(w), idx(q.trivial_path(q.path_head(w))))
+                source = q.trivial_path(q.path_head(w))
             else:
-                cell = (idx(label.path), idx(q.arrow_path(label.arrow)))
-            c = residual.entry(*cell)
+                source = q.arrow_path(label.arrow)
+            c = residual.apply(source).coefficient(w)
             coords.append(c)
             if c:
-                residual = residual - c * member.matrix
+                residual = residual - c * member
         return tuple(coords) if residual.is_zero else None
 
     def operator_from_coordinates(self, coords) -> LinearOperator:
@@ -420,6 +417,11 @@ class DerivationBasis:
         return tuple(label.display(self.quiver) for label in self.labels)
 
 
+def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
+    """Every arrow r with every path s parallel to it, in (arrow, path) order."""
+    return [(r, s) for r in range(q.num_arrows) for s in q.parallel_paths(q.arrow_path(r))]
+
+
 def canonical_basis(q: Quiver) -> DerivationBasis:
     """Inner(s) for s acyclic in path order, then EdgePair(r, s) in
     (arrow, path) order; linearly independent and spanning."""
@@ -428,10 +430,9 @@ def canonical_basis(q: Quiver) -> DerivationBasis:
     for s in q.acyclic_paths():
         labels.append(DerivationLabel("inner", None, s))
         operators.append(inner_derivation(q, s))
-    for r in range(q.num_arrows):
-        for s in q.parallel_paths(q.arrow_path(r)):
-            labels.append(DerivationLabel("edge_pair", r, s))
-            operators.append(d_rs(q, r, s))
+    for r, s in _edge_pairs(q):
+        labels.append(DerivationLabel("edge_pair", r, s))
+        operators.append(d_rs(q, r, s))
     return DerivationBasis(q, labels, operators)
 
 
@@ -586,32 +587,29 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
     for all basis path pairs.  edge_edge: [D_{r,s}, D_{p,q}] equals
     D_{p, D_{r,s}(q)} - D_{r, D_{p,q}(s)}, the second slot extended
-    bilinearly, for all edge pairs.
+    bilinearly, for all edge pairs.  The left-hand sides are dense matrix
+    products AB - BA, independent of the sparse LinearOperator.bracket.
     """
     paths = q.paths()
-    inner_ops = [inner_derivation(q, p) for p in paths]
+    inner = [inner_derivation(q, p).matrix for p in paths]
     elems = [AlgebraElement.from_path(q, p) for p in paths]
     inner_inner = True
-    for i, a in enumerate(inner_ops):
-        for j, b in enumerate(inner_ops):
-            if a.bracket(b) != inner_derivation(q, elems[i].commutator(elems[j])):
+    for i, a in enumerate(inner):
+        for j, b in enumerate(inner):
+            rhs = inner_derivation(q, elems[i].commutator(elems[j])).matrix
+            if a * b - b * a != rhs:
                 inner_inner = False
                 break
         if not inner_inner:
             break
-    pairs = []
-    for r in range(q.num_arrows):
-        for s in q.parallel_paths(q.arrow_path(r)):
-            pairs.append((r, s))
+    pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in _edge_pairs(q)]
     edge_edge = True
-    for r, s in pairs:
-        op_rs = d_rs(q, r, s)
-        for p, t in pairs:
-            lhs = op_rs.bracket(d_rs(q, p, t))
+    for r, s, a in pairs:
+        for p, t, b in pairs:
             rhs = d_rs_element(q, p, d_rs_apply(q, r, s, t)) - d_rs_element(
                 q, r, d_rs_apply(q, p, t, s)
             )
-            if lhs != rhs:
+            if a * b - b * a != rhs.matrix:
                 edge_edge = False
                 break
         if not edge_edge:
@@ -627,10 +625,7 @@ def inner_edge_bracket_sign(q: Quiver) -> int | None:
     bracket is not proportional to the predicted inner derivation.
     Returns None when every instance degenerates to zero.
     """
-    edge_ops = []
-    for r in range(q.num_arrows):
-        for s in q.parallel_paths(q.arrow_path(r)):
-            edge_ops.append((r, s, d_rs(q, r, s)))
+    edge_ops = [(r, s, d_rs(q, r, s)) for r, s in _edge_pairs(q)]
     sign = None
     for p in q.acyclic_paths():
         dp = inner_derivation(q, p)

@@ -173,10 +173,14 @@ def trace_faces(rot: RotationSystem) -> tuple[FaceCycle, ...]:
 
 def genus(rot: RotationSystem) -> int:
     """Genus of the embedding surface via Euler's formula."""
-    q = rot.quiver
+    return surface_genus(rot.quiver, len(trace_faces(rot)))
+
+
+def surface_genus(q: Quiver, num_faces: int) -> int:
+    """Genus of a connected quiver's embedding with ``num_faces`` faces."""
     if not q.is_connected():
         raise DisconnectedError("genus is defined for connected quivers only")
-    chi = q.num_vertices - q.num_arrows + len(trace_faces(rot))
+    chi = q.num_vertices - q.num_arrows + num_faces
     if chi % 2:
         raise InternalCheckError(f"odd Euler characteristic {chi}")
     g = (2 - chi) // 2

@@ -108,10 +108,6 @@ class RationalMatrix:
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix([[-a for a in r] for r in self._rows], self.num_cols)
 
-    def __rmul__(self, scalar) -> "RationalMatrix":
-        c = Fraction(scalar)
-        return RationalMatrix([[c * a for a in r] for r in self._rows], self.num_cols)
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.num_cols != other.num_rows:
             raise DimensionMismatchError("inner dimensions do not match")
@@ -125,10 +121,6 @@ class RationalMatrix:
         if len(v) != self.num_cols:
             raise DimensionMismatchError("vector length does not match column count")
         return tuple(_dot(r, v) for r in self._rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self._rows)
 
     # ------------------------------------------------------------------
     # elimination

@@ -99,7 +99,7 @@ def parse(text: str) -> QuiverFile:
         elif keyword == "outer":
             if outer is not None:
                 raise ParseError("duplicate outer directive", line=lineno)
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isascii() or not args[0].isdigit():
                 raise ParseError("outer expects a nonnegative face index", line=lineno)
             outer = int(args[0])
         else:

@@ -285,6 +285,15 @@ def test_parse_error_is_a_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_ascii_outer_index_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "superscript.quiver"
+    f.write_text("vertex v\nouter \u00b2\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["check", str(f)])
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err and err.count("\n") == 1
+
+
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "latin1.quiver"
     f.write_bytes(b"vertex u\n# caf\xe9\n")

@@ -13,6 +13,9 @@ Core claims:
       the longest path, while ad D_{p,p} fixes D_p forever
     - the span splits: inner members form an ideal, edge members a
       subalgebra
+    - the sparse operator arithmetic (bracket, sums, scalars, apply)
+      agrees with dense matrix arithmetic, and coordinates_of rejects
+      every operator that fails the Leibniz rule
 """
 
 import pytest
@@ -41,8 +44,10 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     EMBEDDED_FIXTURES,
     fixture_quiver,
+    rand_frac,
     random_acyclic_quiver,
     random_derivation,
+    random_element,
     seeded,
 )
 
@@ -537,3 +542,56 @@ def test_inner_ideal_and_edge_subalgebra():
                 assert all(c == 0 for c in coords[n_inner:]), name
             else:
                 assert all(c == 0 for c in coords[:n_inner]), name
+
+
+# -- Sparse operators against dense matrices -----------------------------------
+
+_DIFFERENTIAL_FIXTURES = ("a3", "k2", "triangle_tails", "grid2x2", "torus_k4")
+
+
+def test_sparse_arithmetic_matches_dense_matrices():
+    rng = seeded(4106)
+    for name in _DIFFERENTIAL_FIXTURES:
+        q = fixture_quiver(name)
+        basis = canonical_basis(q)
+        for _ in range(4):
+            a, b = _perturbed(rng, q, basis), _perturbed(rng, q, basis)
+            ma, mb = a.matrix, b.matrix
+            c = rand_frac(rng)
+            scaled = RationalMatrix([[c * x for x in row] for row in ma.rows], ma.num_cols)
+            assert a.bracket(b).matrix == ma * mb - mb * ma, name
+            assert (a + b).matrix == ma + mb, name
+            assert (a - b).matrix == ma - mb, name
+            assert (-a).matrix == -ma, name
+            assert (c * a).matrix == scaled, name
+            assert LinearOperator(q, ma) == a, name
+            assert (a - a).is_zero, name
+
+
+def test_sparse_apply_matches_mat_vec():
+    rng = seeded(4107)
+    for name in _DIFFERENTIAL_FIXTURES:
+        q = fixture_quiver(name)
+        basis = canonical_basis(q)
+        for _ in range(4):
+            op = _perturbed(rng, q, basis)
+            elem = random_element(rng, q, size=4)
+            expected = op.matrix.mat_vec([elem.coefficient(p) for p in q.paths()])
+            assert tuple(op.apply(elem).coefficient(p) for p in q.paths()) == expected, name
+
+
+def test_coordinates_of_rejects_perturbed_non_derivations():
+    rng = seeded(4108)
+    for name in _DIFFERENTIAL_FIXTURES:
+        q = fixture_quiver(name)
+        basis = canonical_basis(q)
+        rejected = 0
+        for _ in range(8):
+            op = _perturbed(rng, q, basis)
+            coords = basis.coordinates_of(op)
+            if is_derivation(op):
+                assert basis.operator_from_coordinates(coords) == op, name
+            else:
+                assert coords is None, name
+                rejected += 1
+        assert rejected, name

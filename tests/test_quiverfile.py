@@ -7,12 +7,15 @@ Core claims:
     - a rotation system is synthesized exactly when rotation lines are
       present or the quiver has no arrows
     - the outer directive requires rotation lines and a face index
+    - any text built from directives, names, darts and digits (ASCII or
+      not) parses or raises ParseError / InvalidRotationError, nothing else
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverdiff.errors import InvalidRotationError, ParseError
-from quiverdiff.quiverfile import load, parse, serialize
+from quiverdiff.quiverfile import QuiverFile, load, parse, serialize
 
 from helpers import FIXTURE_DIR, load_fixture
 
@@ -120,6 +123,8 @@ def test_outer_requires_rotation_and_an_index():
         parse("vertex v\nouter -1\n")
     with pytest.raises(ParseError):
         parse("vertex v\nouter first\n")
+    with pytest.raises(ParseError):
+        parse("vertex v\nouter \u00b2\n")  # a digit to str.isdigit, not to int()
     qf = parse("vertex u v\narrow a u v\nrotation u a+\nrotation v a-\nouter 1\n")
     assert qf.outer == 1
 
@@ -127,3 +132,38 @@ def test_outer_requires_rotation_and_an_index():
 def test_load_missing_file():
     with pytest.raises(OSError):
         load(FIXTURE_DIR / "does_not_exist.quiver")
+
+
+# -- Fuzzing -------------------------------------------------------------------
+
+_NAMES = st.sampled_from(("u", "v", "w", "a", "b", "c", "u!", "\u00b2"))
+_DARTS = st.sampled_from(("a+", "a-", "b+", "b-", "c+", "a*", "v+"))
+_INDICES = st.sampled_from(("0", "1", "2", "-1", "07", "\u00b2", "\u0663", "\uff11", "1\u00b2"))
+
+
+def _line(keyword, *args):
+    return " ".join([keyword, *args])
+
+
+# one strategy per directive, so most lines are well formed and later lines
+# still reach the checks that need earlier vertices, arrows or rotations
+_LINES = st.one_of(
+    st.builds(_line, st.just("quiver"), _NAMES),
+    st.lists(_NAMES, max_size=3).map(lambda names: _line("vertex", *names)),
+    st.lists(_NAMES, min_size=2, max_size=4).map(lambda names: _line("arrow", *names)),
+    st.builds(
+        lambda v, darts: _line("rotation", v, *darts), _NAMES, st.lists(_DARTS, max_size=3)
+    ),
+    st.builds(_line, st.just("outer"), _INDICES),
+    st.text(max_size=12),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=10).map("\n".join))
+def test_parse_raises_only_documented_errors(text):
+    try:
+        qf = parse(text)
+    except (ParseError, InvalidRotationError):
+        return
+    assert isinstance(qf, QuiverFile)
