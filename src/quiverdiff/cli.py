@@ -202,6 +202,17 @@ def cmd_derivations(qf, args) -> int:
     return 0
 
 
+def _path_count(text: str) -> int:
+    """argparse type of --max-oracle-paths: a whole number, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a path count cannot be negative: {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverdiff",
@@ -236,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the dimension against the brute-force Leibniz solver",
     )
-    p.add_argument("--max-oracle-paths", type=int, default=60, metavar="N")
+    p.add_argument("--max-oracle-paths", type=_path_count, default=60, metavar="N")
     p.set_defaults(handler=cmd_hh1)
 
     p = sub.add_parser("derivations", help="canonical basis of the derivation algebra")
@@ -251,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-check the Leibniz rule, coefficient conditions, and bracket identities",
     )
-    p.add_argument("--max-oracle-paths", type=int, default=60, metavar="N")
+    p.add_argument("--max-oracle-paths", type=_path_count, default=60, metavar="N")
     p.set_defaults(handler=cmd_derivations)
     return parser
 

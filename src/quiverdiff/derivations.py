@@ -14,7 +14,10 @@ Operators are stored as the sparse images of the basis paths.  Dense
 |P| x |P| matrices appear only at the edges: the CLI's matrix output,
 the coefficient checker, the matrix brackets of
 verify_bracket_identities, and the flattened rows compared with a
-brute-force oracle.  The oracle solves the raw Leibniz system in the
+brute-force oracle.  The matrix brackets are dense RationalMatrix
+products AB - BA, which skip zero entries but never go through the
+sparse LinearOperator.bracket, so they remain an independent reference
+for it.  The oracle solves the raw Leibniz system in the
 n^2 matrix entries, knowing nothing about the structure theory, so its
 solution space is independent ground truth for the canonical basis.
 """
@@ -34,11 +37,10 @@ from .errors import (
     QuiverMismatchError,
     TooLargeError,
 )
-from .linalg import RationalMatrix
+# the dense matrices built here share linalg's zero and one, so comparing
+# them with matrix products is mostly identity checks on the zero cells
+from .linalg import _ONE, _ZERO, RationalMatrix
 from .quiver import Path, Quiver
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LinearOperator:
@@ -83,9 +85,13 @@ class LinearOperator:
 
     @property
     def matrix(self) -> RationalMatrix:
-        paths = self.quiver.paths()
-        rows = [[img.coefficient(p) for img in self.images] for p in paths]
-        return RationalMatrix(rows, len(paths))
+        q = self.quiver
+        n = len(self.images)
+        rows = [[_ZERO] * n for _ in range(n)]
+        for j, img in enumerate(self.images):
+            for p, c in img.items():
+                rows[q.path_index(p)][j] = c
+        return RationalMatrix(rows, n)
 
     def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
         if self.quiver is not other.quiver and self.quiver != other.quiver:
@@ -587,8 +593,10 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
     for all basis path pairs.  edge_edge: [D_{r,s}, D_{p,q}] equals
     D_{p, D_{r,s}(q)} - D_{r, D_{p,q}(s)}, the second slot extended
-    bilinearly, for all edge pairs.  The left-hand sides are dense matrix
-    products AB - BA, independent of the sparse LinearOperator.bracket.
+    bilinearly, for all edge pairs.  The left-hand sides are dense
+    RationalMatrix products AB - BA of the operators' matrices, which walk
+    nonzero entries only and share no code with the sparse
+    LinearOperator.bracket, so they check it independently.
     """
     paths = q.paths()
     inner = [inner_derivation(q, p).matrix for p in paths]

@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense and immutable, but every elimination runs through
-one kernel, EchelonBasis: a sparse, fully reduced echelon basis on
-Fraction entries, with no floating point and no pivot heuristics.
+Matrices are stored dense and immutable, but their arithmetic costs in
+proportion to their nonzeros: a product walks only the nonzero entries
+of each row of A against the nonzero entries of the matching rows of
+B, sums and negations leave zero cells untouched, and entries that are
+already Fractions are shared rather than rebuilt.  Every elimination
+runs through one kernel, EchelonBasis: a sparse, fully reduced echelon
+basis on Fraction entries, with no floating point and no pivot
+heuristics.
 rref, rank, kernel, row-space intersection (Zassenhaus), quotient
 complements and LinearSolver are short callers of it.  The reduced
 row echelon form of a row space is unique, so ranks, echelon forms,
@@ -26,11 +31,17 @@ _ONE = Fraction(1)
 
 
 def as_vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    # entries that are already exact Fractions are shared, not rebuilt
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 class RationalMatrix:
-    """Immutable rational matrix stored row-major."""
+    """Immutable rational matrix stored row-major as tuples of Fractions.
+
+    Entries that are already Fractions are shared, every other entry is
+    converted once.  Products and sums skip zero entries, so the operands
+    of the dense bracket checks, which are mostly zeros, cost little.
+    """
 
     __slots__ = ("num_rows", "num_cols", "_rows")
 
@@ -97,8 +108,10 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.num_rows, self.num_cols) != (other.num_rows, other.num_cols):
             raise DimensionMismatchError("shape mismatch in addition")
+        # a zero cell adds nothing: keep the other cell as it is
         return RationalMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)],
+            [[a + b if a and b else a or b for a, b in zip(r, s)]
+             for r, s in zip(self._rows, other._rows)],
             self.num_cols,
         )
 
@@ -106,15 +119,24 @@ class RationalMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in r] for r in self._rows], self.num_cols)
+        return RationalMatrix([[-a if a else a for a in r] for r in self._rows], self.num_cols)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.num_cols != other.num_rows:
             raise DimensionMismatchError("inner dimensions do not match")
-        cols = other.transpose()._rows
-        return RationalMatrix(
-            [[_dot(r, c) for c in cols] for r in self._rows], other.num_cols
-        )
+        # row i of AB is the sum of A[i,k] * B[k,:] over the nonzero A[i,k],
+        # each against the nonzero entries of row k of B only
+        width = other.num_cols
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other._rows]
+        out = []
+        for r in self._rows:
+            acc = [_ZERO] * width
+            for a, row in zip(r, sparse):
+                if a:
+                    for j, x in row:
+                        acc[j] += a * x
+            out.append(acc)
+        return RationalMatrix(out, width)
 
     def mat_vec(self, vec) -> Vector:
         v = as_vector(vec)

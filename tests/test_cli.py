@@ -303,6 +303,16 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("cannot read") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["hh1", "derivations"])
+def test_negative_oracle_cap_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--oracle", "--max-oracle-paths", "-1", _fixture("k2")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-oracle-paths" in captured.err
+
+
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -8,7 +8,9 @@ Core claims:
     - the canonical basis is independent, spans the oracle's solution
       space, and carries the expected labels
     - bracket identities: [D_p, D_r] = D_{[p,r]}, the edge-edge identity,
-      and a single consistent global sign for [D_p, D_{r,s}]
+      and a single consistent global sign for [D_p, D_{r,s}]; their check
+      runs on A_6 and T_4, and each verdict turns False when only its
+      right-hand side is wrong
     - the inner span of acyclic paths is nilpotent with depth bounded by
       the longest path, while ad D_{p,p} fixes D_p forever
     - the span splits: inner members form an ideal, edge members a
@@ -20,6 +22,7 @@ Core claims:
 
 import pytest
 
+from quiverdiff import derivations
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.derivations import (
     LinearOperator,
@@ -461,6 +464,53 @@ def test_bracket_identities_randomized_quivers():
             continue
         verdict = verify_bracket_identities(q)
         assert verdict == {"inner_inner": True, "edge_edge": True}
+
+
+def _chain(n):
+    vertices = [f"v{i}" for i in range(n)]
+    return Quiver(vertices, [(f"p{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)])
+
+
+def _transitive_tournament(n):
+    vertices = [f"v{i}" for i in range(n)]
+    arrows = [(f"a{i}{j}", vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
+    return Quiver(vertices, arrows)
+
+
+@pytest.mark.parametrize(
+    "q, num_paths", [(_chain(6), 21), (_transitive_tournament(4), 15)], ids=["A6", "T4"]
+)
+def test_bracket_identities_at_baseline_sizes(q, num_paths):
+    assert len(q.paths()) == num_paths
+    assert verify_bracket_identities(q) == {"inner_inner": True, "edge_edge": True}
+
+
+def test_edge_edge_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
+    # adding D_{r,r} to d_rs_element(q, r, -) changes the right-hand side
+    # by D_{p,p} - D_{r,r}, which is nonzero whenever the arrows differ
+    true_d_rs_element = derivations.d_rs_element
+
+    def skewed(q, r, elem):
+        return true_d_rs_element(q, r, elem) + d_rs(q, r, q.arrow_path(r))
+
+    monkeypatch.setattr(derivations, "d_rs_element", skewed)
+    for name in ("a3", "k2", "triangle_tails"):
+        verdict = verify_bracket_identities(fixture_quiver(name))
+        assert verdict == {"inner_inner": True, "edge_edge": False}, name
+
+
+def test_inner_inner_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
+    # only the right-hand side D_{pr - rp} passes an AlgebraElement
+    true_inner_derivation = derivations.inner_derivation
+
+    def doubled(q, a):
+        op = true_inner_derivation(q, a)
+        return 2 * op if isinstance(a, AlgebraElement) else op
+
+    monkeypatch.setattr(derivations, "inner_derivation", doubled)
+    for name in ("a3", "k2", "triangle_tails"):
+        verdict = verify_bracket_identities(fixture_quiver(name))
+        assert verdict == {"inner_inner": False, "edge_edge": True}, name
 
 
 def test_inner_edge_bracket_sign_is_globally_consistent():

@@ -9,8 +9,12 @@ Core claims:
     - EchelonBasis insert/contains/reduce are mutually consistent
     - rref, kernel, intersection and LinearSolver agree with SymPy on
       matrices with dependent rows
+    - products, sums and differences agree with SymPy on sparse and dense
+      matrices of every shape, empty ones included, and store only exact
+      Fraction entries
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -24,7 +28,7 @@ from quiverdiff.linalg import (
     quotient_complement,
 )
 
-from helpers import seeded
+from helpers import rand_frac, seeded
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -324,3 +328,78 @@ def test_matrix_arithmetic_shapes():
         a + b
     with pytest.raises(DimensionMismatchError):
         RationalMatrix.stack(a, b)
+
+
+def test_constructor_stores_only_exact_fractions():
+    m = RationalMatrix([[True, 2, "1/3", 0.5, Fraction(-3, 4)]])
+    assert all(type(x) is Fraction for x in m.row(0))
+    assert m.row(0) == (1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(-3, 4))
+
+
+# -- Arithmetic against SymPy -------------------------------------------------
+
+def _sparse_random(rng, rows, cols, density):
+    """Random rational matrix with about ``density`` nonzero cells, one row
+    and one column of it zeroed when the shape has room for them."""
+    zero_row = rng.randrange(rows) if rows > 1 else None
+    zero_col = rng.randrange(cols) if cols > 1 else None
+    return RationalMatrix(
+        [
+            [rand_frac(rng) if i != zero_row and j != zero_col and rng.random() < density
+             else 0 for j in range(cols)]
+            for i in range(rows)
+        ],
+        cols,
+    )
+
+
+def _from_sympy(sm):
+    return RationalMatrix(
+        [[Fraction(int(x.p), int(x.q)) for x in sm.row(i)] for i in range(sm.rows)],
+        sm.cols,
+    )
+
+
+def _assert_same_matrix(result, expected):
+    rebuilt = RationalMatrix([list(row) for row in result.rows], result.num_cols)
+    for other in (expected, rebuilt):
+        assert result == other
+        assert hash(result) == hash(other)
+    assert all(type(x) is Fraction for row in result.rows for x in row)
+
+
+def test_arithmetic_matches_sympy(sympy):
+    rng = seeded(3114)
+    for trial in range(120):
+        density = (0.1, 0.5, 1.0)[trial % 3]
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        a = _sparse_random(rng, m, k, density)
+        a2 = _sparse_random(rng, m, k, density)
+        b = _sparse_random(rng, k, n, density)
+        sa, sa2, sb = (_to_sympy(sympy, x) for x in (a, a2, b))
+        _assert_same_matrix(a * b, _from_sympy(sa * sb))
+        _assert_same_matrix(a + a2, _from_sympy(sa + sa2))
+        _assert_same_matrix(a - a2, _from_sympy(sa - sa2))
+        _assert_same_matrix(-a, _from_sympy(-sa))
+        _assert_same_matrix(a - a, RationalMatrix.zeros(m, k))
+
+
+def test_products_with_empty_operands():
+    a = RationalMatrix([[1, 2], [3, 4], [5, 6]], 2)
+    assert a * RationalMatrix([[], []], 0) == RationalMatrix([[], [], []], 0)
+    assert RationalMatrix([], 3) * a == RationalMatrix([], 2)
+    empty_inner = RationalMatrix([[], []], 0) * RationalMatrix([], 3)
+    assert empty_inner == RationalMatrix.zeros(2, 3)
+
+
+def test_arithmetic_rejects_mismatched_shapes():
+    rng = seeded(3115)
+    a = _sparse_random(rng, 2, 3, 0.5)
+    for other in (_sparse_random(rng, 3, 2, 0.5), _sparse_random(rng, 2, 4, 0.5)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(DimensionMismatchError):
+                op(a, other)
+    with pytest.raises(DimensionMismatchError):
+        a * a
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix([], 2) * RationalMatrix([], 3)
