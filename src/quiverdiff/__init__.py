@@ -3,116 +3,32 @@ quiver path algebras, in exact rational arithmetic."""
 
 from .algebra import AlgebraElement
 from .cohomology import (
-    CombinatorialReport,
-    HH1Basis,
-    HH1Label,
-    StructureTable,
-    adjoint_eigenvalue,
-    boundary_matrix,
     combinatorial_report,
-    connection_matrix,
-    cycle_arrow_matrix,
     happel_dimension,
     hh1_basis,
-    hh1_dimension,
     hh1_structure,
-    vertex_arrow_matrix,
 )
-from .derivations import (
-    DerivationBasis,
-    DerivationLabel,
-    LinearOperator,
-    bracket,
-    canonical_basis,
-    check_coefficient_conditions,
-    d_rs,
-    d_rs_apply,
-    d_rs_element,
-    derivation_space_oracle,
-    inner_derivation,
-    inner_edge_bracket_sign,
-    inner_subspace,
-    is_derivation,
-    verify_bracket_identities,
-    verify_inner_expansion,
-)
-from .embedding import (
-    FaceCycle,
-    RotationSystem,
-    face_derivation,
-    genus,
-    trace_faces,
-)
-from .errors import (
-    CyclicQuiverError,
-    DisconnectedError,
-    InternalCheckError,
-    InvalidRotationError,
-    NotACycleError,
-    NotAlmostCycleError,
-    NotParallelError,
-    ParseError,
-    QuiverError,
-    QuiverMismatchError,
-    TooLargeError,
-)
-from .linalg import RationalMatrix
-from .quiver import Arrow, Path, Quiver
+from .derivations import canonical_basis, derivation_space_oracle
+from .embedding import RotationSystem, genus, trace_faces
+from .errors import QuiverError
+from .quiver import Path, Quiver
 from .quiverfile import QuiverFile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement",
-    "Arrow",
-    "CombinatorialReport",
-    "CyclicQuiverError",
-    "DerivationBasis",
-    "DerivationLabel",
-    "DisconnectedError",
-    "FaceCycle",
-    "HH1Basis",
-    "HH1Label",
-    "InternalCheckError",
-    "InvalidRotationError",
-    "LinearOperator",
-    "NotACycleError",
-    "NotAlmostCycleError",
-    "NotParallelError",
-    "ParseError",
     "Path",
     "Quiver",
     "QuiverError",
     "QuiverFile",
-    "QuiverMismatchError",
-    "RationalMatrix",
     "RotationSystem",
-    "StructureTable",
-    "TooLargeError",
-    "adjoint_eigenvalue",
-    "boundary_matrix",
-    "bracket",
     "canonical_basis",
-    "check_coefficient_conditions",
     "combinatorial_report",
-    "connection_matrix",
-    "cycle_arrow_matrix",
-    "d_rs",
-    "d_rs_apply",
-    "d_rs_element",
     "derivation_space_oracle",
-    "face_derivation",
     "genus",
     "happel_dimension",
     "hh1_basis",
-    "hh1_dimension",
     "hh1_structure",
-    "inner_derivation",
-    "inner_edge_bracket_sign",
-    "inner_subspace",
-    "is_derivation",
     "trace_faces",
-    "verify_bracket_identities",
-    "verify_inner_expansion",
-    "vertex_arrow_matrix",
 ]

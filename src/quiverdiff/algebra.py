@@ -13,6 +13,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .errors import QuiverMismatchError
+from .linalg import _ZERO
 from .quiver import Path, Quiver
 
 
@@ -125,6 +126,3 @@ class AlgebraElement:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
-
-
-_ZERO = Fraction(0)

@@ -31,16 +31,14 @@ from .errors import (
     NotAlmostCycleError,
 )
 from .linalg import (
-    EchelonBasis,
+    _ONE,
+    _ZERO,
     LinearSolver,
     RationalMatrix,
     intersect_row_spaces,
     quotient_complement,
 )
 from .quiver import Path, Quiver
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _require_connected_acyclic(q: Quiver) -> None:
@@ -250,7 +248,12 @@ class HH1Label:
 
 
 class HH1Basis:
-    """Labeled coset representatives spanning HH1 = Der / Inn."""
+    """Labeled coset representatives spanning HH1 = Der / Inn.
+
+    ``solver`` expresses canonical coordinates over the stacked rows
+    [inner_matrix; representatives]: the first |P| entries of a solution
+    are inner coefficients, the rest are coordinates in HH1.
+    """
 
     def __init__(
         self,
@@ -263,7 +266,7 @@ class HH1Basis:
         genus_: int,
         derivation_basis: DerivationBasis,
         inner_matrix: RationalMatrix,
-        rep_rows: RationalMatrix,
+        solver: LinearSolver,
     ):
         self.quiver = quiver
         self.rotation = rotation
@@ -274,8 +277,7 @@ class HH1Basis:
         self.genus = genus_
         self.derivation_basis = derivation_basis
         self.inner_matrix = inner_matrix
-        self.rep_rows = rep_rows
-        self._solver: LinearSolver | None = None
+        self.solver = solver
 
     @property
     def dimension(self) -> int:
@@ -296,14 +298,10 @@ class HH1Basis:
         coords = self.derivation_basis.coordinates_of(op)
         if coords is None:
             return None
-        if self._solver is None:
-            self._solver = LinearSolver(
-                RationalMatrix.stack(self.rep_rows, self.inner_matrix)
-            )
-        x = self._solver.solve(coords)
+        x = self.solver.solve(coords)
         if x is None:
             return None
-        return x[: len(self.operators)]
+        return x[self.inner_matrix.num_rows :]
 
 
 def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
@@ -312,8 +310,13 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     derivations completing the quotient.
 
     ``outer`` picks the dropped face (default: the first traced face).
-    Independence modulo the inner subspace is verified by exact rank,
-    and the count is cross-checked against both dimension formulas.
+    One tagged elimination of the rows [inner; representatives] checks
+    independence modulo the inner subspace and then serves every coset
+    solve: the solver gives a row that depends on earlier rows the
+    coordinate 0, so representative k is independent of the inner
+    subspace and the representatives before it exactly when solving
+    for its own row returns 1 in its slot.  The count is cross-checked
+    against both dimension formulas.
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
@@ -348,24 +351,20 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
                 f"representative {label.display(q)} falls outside the derivation span"
             )
         rep_rows.append(coords)
-    rep_matrix = RationalMatrix(rep_rows, num_cols=len(basis))
 
-    ech = EchelonBasis(len(basis))
-    for row in inner.rows:
-        ech.insert(row)
-    inner_rank = ech.rank
-    for label, row in zip(labels, rep_rows):
-        if not ech.insert(row):
+    solver = LinearSolver(
+        RationalMatrix.stack(inner, RationalMatrix(rep_rows, num_cols=len(basis)))
+    )
+    for k, (label, row) in enumerate(zip(labels, rep_rows)):
+        if solver.solve(row)[inner.num_rows + k] != 1:
             raise InternalCheckError(
                 f"representative {label.display(q)} is dependent modulo the inner subspace"
             )
-    if ech.rank != inner_rank + len(operators):
-        raise InternalCheckError("rank bookkeeping failed in the HH1 basis")
     dim = hh1_dimension(q, rot)
     if len(operators) != dim:
         raise InternalCheckError(f"{len(operators)} representatives for HH1 of dimension {dim}")
     return HH1Basis(
-        q, rot, labels, operators, faces, dropped, g, basis, inner, rep_matrix
+        q, rot, labels, operators, faces, dropped, g, basis, inner, solver
     )
 
 

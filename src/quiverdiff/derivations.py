@@ -10,7 +10,13 @@ replaced by s, which is the closed form of the defining recursion and
 stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
-Operators are stored as the sparse images of the basis paths.  Dense
+Operators are stored as the sparse images of the basis paths, and the
+constructors fill those images in one pass instead of summing whole
+operators: d_rs_element maps a path to its sum of splices.  The canonical
+coordinates of an operator are read off as single coefficients, the
+coefficient of w in the image of the idempotent at the head of w for
+Inner(w) and the coefficient of s in the image of the arrow r for
+EdgePair(r, s), and accepted only if they rebuild the operator.  Dense
 |P| x |P| matrices appear only at the edges: the CLI's matrix output,
 the coefficient checker, the matrix brackets of
 verify_bracket_identities, and the flattened rows compared with a
@@ -189,16 +195,23 @@ def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
 def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperator:
     """Bilinear extension of d_rs in its second slot.
 
-    Terms of ``elem`` that are not parallel to r contribute nothing.
+    Each basis path maps to the sum of its splices by the terms of
+    ``elem``; terms that are not parallel to r contribute nothing.
     """
     if isinstance(r, str):
         r = q.arrow_index(r)
     arrow = q.arrows[r]
-    out = LinearOperator.zero(q)
-    for s, c in elem.items():
-        if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
-            out = out + c * d_rs(q, r, s)
-    return out
+    terms = [
+        (s, c)
+        for s, c in elem.items()
+        if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head
+    ]
+    return LinearOperator.from_images(
+        q,
+        lambda p: AlgebraElement(
+            q, [(w, c * x) for s, c in terms for w, x in d_rs_apply(q, r, s, p).items()]
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -389,28 +402,28 @@ class DerivationBasis:
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
 
-        The basis is triangular enough to read coordinates off directly:
-        Inner(w) is the only member moving the idempotent at the head of
-        w, and after the inner part is peeled off, EdgePair(r, s) is the
-        only member left contributing s to the image of the arrow r.
-        The remainder is zero exactly when op lies in the span.
+        Each coordinate is one coefficient of op.  Inner(w) is the only
+        member that puts w into the image of the idempotent at the head
+        of w, so its coordinate is the coefficient of w in op(e_head(w)).
+        EdgePair(r, s) is the only member that puts s into the image of
+        the arrow r (an inner derivation D_u sends r to ur - ru, and
+        those paths are parallel to r only when u is a cycle), so its
+        coordinate is the coefficient of s in op(r).  The coordinates
+        read this way rebuild op exactly when op lies in the span.
         """
         q = self.quiver
         if op.quiver is not q and op.quiver != q:
             raise QuiverMismatchError("operator lives over a different quiver")
-        residual = op
         coords = []
-        for label, member in zip(self.labels, self.operators):
+        for label in self.labels:
             w = label.path
             if label.kind == "inner":
                 source = q.trivial_path(q.path_head(w))
             else:
                 source = q.arrow_path(label.arrow)
-            c = residual.apply(source).coefficient(w)
-            coords.append(c)
-            if c:
-                residual = residual - c * member
-        return tuple(coords) if residual.is_zero else None
+            coords.append(op.apply(source).coefficient(w))
+        coords = tuple(coords)
+        return coords if self.operator_from_coordinates(coords) == op else None
 
     def operator_from_coordinates(self, coords) -> LinearOperator:
         out = LinearOperator.zero(self.quiver)
@@ -601,10 +614,13 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     paths = q.paths()
     inner = [inner_derivation(q, p).matrix for p in paths]
     elems = [AlgebraElement.from_path(q, p) for p in paths]
+    # most pairs of paths commute; their right-hand side is one shared zero
+    zero = RationalMatrix.zeros(len(paths), len(paths))
     inner_inner = True
     for i, a in enumerate(inner):
         for j, b in enumerate(inner):
-            rhs = inner_derivation(q, elems[i].commutator(elems[j])).matrix
+            commutator = elems[i].commutator(elems[j])
+            rhs = zero if commutator.is_zero else inner_derivation(q, commutator).matrix
             if a * b - b * a != rhs:
                 inner_inner = False
                 break

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivations import LinearOperator, d_rs
+from .algebra import AlgebraElement
+from .derivations import LinearOperator
 from .errors import DisconnectedError, InternalCheckError, InvalidRotationError
 from .quiver import Quiver
 
@@ -193,14 +194,15 @@ def face_derivation(q: Quiver, face) -> LinearOperator:
     """The signed sum of arrow-rescaling derivations along a face.
 
     Accepts a FaceCycle or a bare coefficient vector over the arrows;
-    coefficient a_k multiplies the derivation fixing arrow k and
-    killing every other arrow.
+    coefficient a_k multiplies the edge derivation D_{k,k}, which
+    multiplies each path by the number of times it runs along arrow k.
+    The sum is therefore diagonal on paths, p -> (sum of a_x over the
+    arrows x of p) p, and is built that way in one pass.
     """
     coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
     if len(coeffs) != q.num_arrows:
         raise ValueError(f"expected {q.num_arrows} face coefficients")
-    out = LinearOperator.zero(q)
-    for k, a in enumerate(coeffs):
-        if a:
-            out = out + Fraction(a) * d_rs(q, k, q.arrow_path(k))
-    return out
+    weights = [Fraction(a) for a in coeffs]
+    return LinearOperator.from_images(
+        q, lambda p: AlgebraElement.from_path(q, p, sum(weights[x] for x in p.arrows))
+    )

@@ -159,11 +159,6 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def row_space(self) -> "RationalMatrix":
-        """Canonical echelon basis of the row space (nonzero rref rows)."""
-        reduced, pivots = self.rref()
-        return RationalMatrix(reduced.rows[: len(pivots)], self.num_cols)
-
     def kernel(self) -> tuple[Vector, ...]:
         """Exact kernel basis, one vector per free column.
 

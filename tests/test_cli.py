@@ -9,9 +9,17 @@ Core claims:
     - hh1 pins dimension, basis labels, brackets, and eigenvalues
     - derivations pins the canonical basis and the verify/oracle blocks
     - semantic failures exit 1, usage and parse failures exit 2
+    - exit code, stdout and stderr of every fixture under check, report,
+      hh1, hh1 --oracle, derivations and derivations --oracle --verify
+      match the digests in cli_golden.json
 """
 
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -330,3 +338,48 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = _run(capsys, argv)
         second = _run(capsys, argv)
         assert first == second
+
+
+# -- Golden bytes ----------------------------------------------------------------------
+
+GOLDEN_FILE = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
+GOLDEN_COMMANDS = (
+    ("check",),
+    ("report",),
+    ("hh1",),
+    ("hh1", "--oracle"),
+    ("derivations",),
+    ("derivations", "--oracle", "--verify"),
+)
+
+
+def _golden_digests():
+    """sha256 of (exit code, stdout, stderr) for every fixture x command."""
+    digests = {}
+    for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.quiver")):
+        for command in GOLDEN_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, _fixture(fixture)])
+            # messages that quote the file name must not depend on the checkout
+            streams = [s.getvalue().replace(str(FIXTURE_DIR), "quivers") for s in (out, err)]
+            blob = json.dumps([code, *streams]).encode("utf-8")
+            digests[" ".join((*command, fixture))] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def test_cli_bytes_match_the_golden_digests():
+    golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    digests = _golden_digests()
+    assert len(digests) == 72
+    assert sorted(digests) == sorted(golden)
+    assert [job for job in golden if digests[job] != golden[job]] == []
+
+
+if __name__ == "__main__":
+    # re-record the golden digests; only for a deliberate change of CLI output:
+    # PYTHONPATH=src python tests/test_cli.py --record
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN_FILE.write_text(
+            json.dumps(_golden_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )

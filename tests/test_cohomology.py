@@ -11,6 +11,8 @@ Core claims:
     - the HH1 basis carries the expected labels, its face representative
       on the double arrow is D_{p1,p1} - D_{p2,p2} up to sign mod inner,
       and the span does not depend on the dropped face
+    - a representative that is dependent modulo the inner subspace (zero,
+      inner, or a copy of another representative) raises, naming it
     - face representatives act on almost-oriented-cycle representatives
       with the pinned integer eigenvalues; on the torus fixture one of
       those eigenvalues is 0
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdiff import cohomology
 from quiverdiff.cohomology import (
     adjoint_eigenvalue,
     boundary_matrix,
@@ -45,6 +48,7 @@ from quiverdiff.embedding import RotationSystem, trace_faces
 from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
+    InternalCheckError,
     NotAlmostCycleError,
 )
 from quiverdiff.linalg import RationalMatrix
@@ -259,6 +263,21 @@ def test_non_derivation_has_no_coset():
     q, rot = fixture_embedded("k2")
     basis = hh1_basis(q, rot)
     assert basis.coset_coordinates(LinearOperator.identity(q)) is None
+
+
+@pytest.mark.parametrize("injected", ["zero", "inner", "al_copy"])
+def test_dependent_representative_raises(monkeypatch, injected):
+    q, rot = fixture_embedded("triangle_tails")
+    basis = hh1_basis(q, rot)
+    assert basis.display_labels() == ("AL(p2,p1p3)", "Face(1)")
+    fake = {
+        "zero": LinearOperator.zero(q),
+        "inner": inner_derivation(q, q.arrow_path(0)),
+        "al_copy": basis.operators[0],
+    }[injected]
+    monkeypatch.setattr(cohomology, "face_derivation", lambda q, face: fake)
+    with pytest.raises(InternalCheckError, match=r"Face\(1\) is dependent"):
+        hh1_basis(q, rot)
 
 
 def test_k2_face_class_is_the_rescaling_difference():

@@ -18,6 +18,9 @@ Core claims:
     - the sparse operator arithmetic (bracket, sums, scalars, apply)
       agrees with dense matrix arithmetic, and coordinates_of rejects
       every operator that fails the Leibniz rule
+    - d_rs_element equals the sum of c * D_{r,s} over the parallel terms
+      c * s of its element, and coordinates read off directly round-trip
+      on the fixtures, T_5 and K_4
 """
 
 import pytest
@@ -237,6 +240,23 @@ def test_d_rs_element_extends_bilinearly():
     assert skewed == d_rs(q, "p1", p2)
 
 
+def test_d_rs_element_is_the_sum_of_d_rs():
+    rng = seeded(4109)
+    for name in ("k2", "k3", "triangle_tails", "grid2x2", "torus_k4"):
+        q = fixture_quiver(name)
+        for r in range(q.num_arrows):
+            parallel = q.parallel_paths(q.arrow_path(r))
+            for _ in range(3):
+                elem = random_element(rng, q, size=3)
+                for s in parallel:
+                    elem = elem + AlgebraElement.from_path(q, s, rand_frac(rng))
+                expected = LinearOperator.zero(q)
+                for s, c in elem.items():
+                    if s in parallel:
+                        expected = expected + c * d_rs(q, r, s)
+                assert d_rs_element(q, r, elem) == expected, name
+
+
 # -- Leibniz test vs coefficient conditions ----------------------------------
 
 def test_is_derivation_rejects_projector():
@@ -347,8 +367,8 @@ def test_canonical_basis_members_are_derivations():
 
 def test_coordinates_roundtrip():
     rng = seeded(4102)
-    for name in ("a3", "k2", "triangle_tails"):
-        q = fixture_quiver(name)
+    quivers = [fixture_quiver(name) for name in ("a3", "k2", "triangle_tails")]
+    for q in quivers + [_transitive_tournament(5), _kronecker(4)]:
         basis = canonical_basis(q)
         for _ in range(5):
             op = random_derivation(rng, q, basis)
@@ -475,6 +495,10 @@ def _transitive_tournament(n):
     vertices = [f"v{i}" for i in range(n)]
     arrows = [(f"a{i}{j}", vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
     return Quiver(vertices, arrows)
+
+
+def _kronecker(m):
+    return Quiver(["v1", "v2"], [(f"p{i}", "v1", "v2") for i in range(1, m + 1)])
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,11 @@ Core claims:
     - genus is 0 for trees and planar fixtures, 1 for the K4 torus
       rotation, and invariant under mirroring
     - face derivations match the pinned signed sums, kill vertices, sum
-      to zero over all faces, and pass the Leibniz test
+      to zero over all faces, and pass the Leibniz test; on every face and
+      on seeded coefficient vectors they equal the sum of a_k * D_{k,k}
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +39,7 @@ from helpers import (
     EMBEDDED_FIXTURES,
     fixture_embedded,
     fixture_quiver,
+    rand_frac,
     random_acyclic_quiver,
     random_rotation,
     seeded,
@@ -287,3 +291,16 @@ def test_face_derivation_accepts_bare_coefficients():
     assert op == d_rs(q, "p1", q.arrow_path("p1")) - d_rs(q, "p2", q.arrow_path("p2"))
     with pytest.raises(ValueError):
         face_derivation(q, (1, -1, 0))
+
+
+def test_face_derivation_is_the_sum_of_edge_derivations():
+    rng = seeded(4110)
+    for name in EMBEDDED_FIXTURES:
+        q, rot = fixture_embedded(name)
+        faces = trace_faces(rot)
+        vectors = [tuple(rand_frac(rng) for _ in range(q.num_arrows)) for _ in range(3)]
+        for face, coeffs in [(f, f.net) for f in faces] + [(v, v) for v in vectors]:
+            expected = LinearOperator.zero(q)
+            for k, a in enumerate(coeffs):
+                expected = expected + Fraction(a) * d_rs(q, k, q.arrow_path(k))
+            assert face_derivation(q, face) == expected, name
