@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cohomology import combinatorial_report, happel_dimension, hh1_structure
 from .derivations import (
@@ -28,13 +27,9 @@ from .linalg import EchelonBasis
 from . import quiverfile
 
 
-def _frac(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _matrix(m) -> list[list[str]]:
-    return [[_frac(x) for x in row] for row in m.rows]
+    # str of a Fraction is the output format: "n", or "n/d" in lowest terms
+    return [[str(x) for x in row] for row in m.rows]
 
 
 def _emit(payload) -> None:
@@ -136,12 +131,12 @@ def cmd_hh1(qf, args) -> int:
                     {
                         "left": labels[i],
                         "right": labels[j],
-                        "coords": [_frac(x) for x in coords],
+                        "coords": [str(x) for x in coords],
                     }
                     for i, j, coords in st.brackets
                 ],
                 "eigenvalues": [
-                    {"al": labels[i], "face": labels[j], "value": _frac(lam)}
+                    {"al": labels[i], "face": labels[j], "value": str(lam)}
                     for i, j, lam in st.eigenvalues
                 ],
                 "verdicts": {

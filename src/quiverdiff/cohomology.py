@@ -166,10 +166,8 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     if disjoint != (rank_stack == rank_va + rank_ca):
         raise InternalCheckError("subspace intersection disagrees with rank count")
 
-    zero_sum = all(
-        sum(c_ca.entry(j, k) for j in range(c_ca.num_rows)) == 0
-        for k in range(q.num_arrows)
-    )
+    # each column of C_ca has at most two nonzeros: sum those only
+    zero_sum = all(sum(x for x in column if x) == 0 for column in zip(*c_ca.rows))
     return CombinatorialReport(
         num_vertices=q.num_vertices,
         num_arrows=q.num_arrows,

@@ -390,6 +390,15 @@ class DerivationBasis:
         self.quiver = quiver
         self.labels: tuple[DerivationLabel, ...] = tuple(labels)
         self.operators: tuple[LinearOperator, ...] = tuple(operators)
+        # where coordinates_of reads each label: (index, w) grouped by source
+        self._reads: dict[Path, list[tuple[int, Path]]] = {}
+        for i, label in enumerate(self.labels):
+            w = label.path
+            if label.kind == "inner":
+                source = quiver.trivial_path(quiver.path_head(w))
+            else:
+                source = quiver.arrow_path(label.arrow)
+            self._reads.setdefault(source, []).append((i, w))
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -409,19 +418,17 @@ class DerivationBasis:
         the arrow r (an inner derivation D_u sends r to ur - ru, and
         those paths are parallel to r only when u is a cycle), so its
         coordinate is the coefficient of s in op(r).  The coordinates
-        read this way rebuild op exactly when op lies in the span.
+        read this way rebuild op exactly when op lies in the span.  There
+        are only |V| + |E| sources, and each image is read once.
         """
         q = self.quiver
         if op.quiver is not q and op.quiver != q:
             raise QuiverMismatchError("operator lives over a different quiver")
-        coords = []
-        for label in self.labels:
-            w = label.path
-            if label.kind == "inner":
-                source = q.trivial_path(q.path_head(w))
-            else:
-                source = q.arrow_path(label.arrow)
-            coords.append(op.apply(source).coefficient(w))
+        coords = [_ZERO] * len(self.labels)
+        for source, reads in self._reads.items():
+            image = op.apply(source)
+            for i, w in reads:
+                coords[i] = image.coefficient(w)
         coords = tuple(coords)
         return coords if self.operator_from_coordinates(coords) == op else None
 

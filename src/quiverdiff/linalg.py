@@ -5,22 +5,25 @@ proportion to their nonzeros: a product walks only the nonzero entries
 of each row of A against the nonzero entries of the matching rows of
 B, sums and negations leave zero cells untouched, and entries that are
 already Fractions are shared rather than rebuilt.  Every elimination
-runs through one kernel, EchelonBasis: a sparse, fully reduced echelon
-basis on Fraction entries, with no floating point and no pivot
-heuristics.
-rref, rank, kernel, row-space intersection (Zassenhaus), quotient
-complements and LinearSolver are short callers of it.  The reduced
-row echelon form of a row space is unique, so ranks, echelon forms,
-kernels and intersections come out bit-for-bit identical on every
-run, whatever order the rows arrive in.  The sparse rows matter: the
-Zassenhaus block of a report on a 112-arrow grid is 114 x 224 and
-mostly zeros.
+runs through one kernel, EchelonBasis: sparse primitive integer rows,
+reduced forward only (fraction-free, as in Bareiss, Math. Comp. 22,
+1968), with no floating point and no pivot heuristics.  rank reads the
+forward pivots; rref, kernel and row-space intersection (Zassenhaus)
+back-substitute once to the reduced row echelon form, and quotient
+complements and LinearSolver need no back-substitution at all.  The
+reduced row echelon form of a row space is unique, so ranks, echelon
+forms, kernels and intersections come out bit-for-bit identical on
+every run, whatever order the rows arrive in.  Forward-only rows
+matter for Zassenhaus: keeping every row fully reduced fills in the
+right half of the block [[A A], [B 0]], which for a report on a
+112-arrow grid is 114 x 224.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
@@ -149,15 +152,19 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        ech = EchelonBasis(self.num_cols)
-        for row in self._rows:
-            ech.insert(row)
+        ech = self._echelon()
         zero = (_ZERO,) * self.num_cols
         padding = (zero,) * (self.num_rows - ech.rank)
         return RationalMatrix(ech.rows().rows + padding, self.num_cols), ech.pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._echelon().rank
+
+    def _echelon(self) -> "EchelonBasis":
+        ech = EchelonBasis(self.num_cols)
+        for row in self._rows:
+            ech.insert(row)
+        return ech
 
     def kernel(self) -> tuple[Vector, ...]:
         """Exact kernel basis, one vector per free column.
@@ -185,19 +192,22 @@ def _dot(a, b) -> Fraction:
 
 
 class EchelonBasis:
-    """Incrementally maintained reduced echelon basis of a row space.
+    """Incrementally maintained echelon basis of a row space.
 
-    The package's one elimination kernel: rref, intersections,
-    complements and the solver are all built on it.  Rows are stored
-    sparsely (column -> nonzero entry) and kept fully reduced (leading
-    1, zeros above and below every pivot), so membership tests and
-    coset reduction are one pass.  Since pivots are leading entries,
-    the sorted rows are exactly the unique RREF of the span.
+    The package's one elimination kernel: rref, rank, intersections,
+    complements and the solver are all built on it.  Each row is stored
+    sparsely (column -> nonzero int) as a primitive integer row: scaled
+    by the lcm of its denominators, divided by its content, with a
+    positive leading entry at its pivot.  A new row is reduced forward
+    only, against the pivots in increasing column order, and stored
+    rows are never touched again, so an insert costs one pass over the
+    pivots it meets and nothing fills in behind it.  ``rows()`` turns
+    the basis into the unique RREF of the span by one back-substitution.
     """
 
     def __init__(self, num_cols: int):
         self.num_cols = num_cols
-        self._pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self._pivot_rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -207,56 +217,104 @@ class EchelonBasis:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivot_rows))
 
-    def _residue(self, vec) -> dict[int, Fraction]:
+    def _checked_row(self, vec) -> dict[int, int]:
         if len(vec) != self.num_cols:
             raise DimensionMismatchError("vector length does not match column count")
-        v = {j: Fraction(x) for j, x in enumerate(vec) if x}
-        # rows are interreduced, so subtracting one pivot row leaves the
-        # entries of v at every other pivot unchanged: one pass suffices
-        for p in [j for j in v if j in self._pivot_rows]:
-            _axpy(v, -v[p], self._pivot_rows[p])
-        return v
+        return _integer_row(enumerate(vec))[0]
 
-    def reduce(self, vec) -> list[Fraction]:
-        """Residue of ``vec`` modulo the current row space."""
-        v = self._residue(vec)
-        return [v.get(j, _ZERO) for j in range(self.num_cols)]
+    def _forward(self, v: dict[int, int]) -> tuple[int | None, int, int]:
+        """Reduce ``v`` in place until its leading column is not a pivot.
+
+        Returns that column (None once v vanishes) and (mul, div) with
+        v after = (mul / div) * v before - (a combination of the rows).
+        A pivot row only has entries at and after its pivot, so each
+        step moves the leading column of v strictly right.
+        """
+        mul = div = 1
+        while v:
+            p = min(v)
+            row = self._pivot_rows.get(p)
+            if row is None:
+                return p, mul, div
+            a, c = _eliminate(v, row, p)
+            mul *= a
+            div *= c
+        return None, mul, div
+
+    def _store(self, pivot: int, v: dict[int, int]) -> None:
+        c = gcd(*v.values())
+        if v[pivot] < 0:
+            c = -c
+        self._pivot_rows[pivot] = {j: x // c for j, x in v.items()} if c != 1 else v
 
     def insert(self, vec) -> bool:
         """Add ``vec`` to the span; returns True when the rank grew."""
-        v = self._residue(vec)
-        if not v:
+        v = self._checked_row(vec)
+        pivot = self._forward(v)[0]
+        if pivot is None:
             return False
-        pivot = min(v)
-        lead = v[pivot]
-        v = {j: x / lead for j, x in v.items()}
-        for row in self._pivot_rows.values():
-            if pivot in row:
-                _axpy(row, -row[pivot], v)
-        self._pivot_rows[pivot] = v
+        self._store(pivot, v)
         return True
 
     def contains(self, vec) -> bool:
-        return not self._residue(vec)
+        return self._forward(self._checked_row(vec))[0] is None
 
     def rows(self) -> RationalMatrix:
-        return RationalMatrix(
-            [
-                [self._pivot_rows[p].get(j, _ZERO) for j in range(self.num_cols)]
-                for p in self.pivots
-            ],
-            self.num_cols,
-        )
+        """The unique reduced row echelon form of the span."""
+        return RationalMatrix(self._reduced(self.pivots), self.num_cols)
+
+    def _reduced(self, pivots) -> list[list[Fraction]]:
+        """RREF rows of the given pivots, by one back-substitution.
+
+        ``pivots`` must hold every pivot after its smallest one: the row
+        of a pivot is cleared, latest pivot first, with the reduced rows
+        of the later pivots only.  A reduced row is zero at every other
+        reduced pivot, so clearing one column leaves the others alone.
+        """
+        done: dict[int, dict[int, int]] = {}
+        out = []
+        for p in sorted(pivots, reverse=True):
+            v = dict(self._pivot_rows[p])
+            for q in [j for j in v if j in done]:
+                _eliminate(v, done[q], q)
+            done[p] = v
+            row = [_ZERO] * self.num_cols
+            for j, x in v.items():
+                row[j] = Fraction(x, v[p])
+            out.append(row)
+        return out[::-1]
 
 
-def _axpy(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
-    """target += c * row on sparse rows, dropping entries that cancel."""
+def _integer_row(entries) -> tuple[dict[int, int], int]:
+    """The sparse int row den * x over the (column, x) pairs, den the
+    lcm of the denominators of the nonzero x."""
+    row = {j: x if type(x) is Fraction else Fraction(x) for j, x in entries if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+
+
+def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> tuple[int, int]:
+    """Clear column ``col`` of ``v`` in place with ``row`` (nonzero there).
+
+    v becomes (a v - b row) / c, a and b coprime and c the content of
+    the result; returns (a, c).  Entries that cancel are dropped.
+    """
+    g = gcd(row[col], v[col])
+    a, b = row[col] // g, v[col] // g
+    if a != 1:
+        for j in v:
+            v[j] *= a
     for j, x in row.items():
-        y = target.get(j, _ZERO) + c * x
+        y = v.get(j, 0) - b * x
         if y:
-            target[j] = y
+            v[j] = y
         else:
-            del target[j]
+            del v[j]
+    c = gcd(*v.values()) if v else 1
+    if c != 1:
+        for j in v:
+            v[j] //= c
+    return a, c
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -264,7 +322,8 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
 
     Zassenhaus: row reduce the block matrix [[A A], [B 0]]; the rows
     whose pivot lies in the right half have a vanishing left half, and
-    their right halves are the RREF of the intersection.
+    their right halves are the RREF of the intersection.  Only those
+    rows are back-substituted.
     """
     if a.num_cols != b.num_cols:
         raise DimensionMismatchError("row spaces live in different dimensions")
@@ -274,8 +333,8 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
         ech.insert(row + row)
     for row in b.rows:
         ech.insert(row + (_ZERO,) * n)
-    found = [row[n:] for p, row in zip(ech.pivots, ech.rows().rows) if p >= n]
-    return RationalMatrix(found, n)
+    found = ech._reduced([p for p in ech.pivots if p >= n])
+    return RationalMatrix([row[n:] for row in found], n)
 
 
 def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
@@ -315,23 +374,28 @@ class LinearSolver:
 
     def __init__(self, m: RationalMatrix):
         self.num_rows = m.num_rows
-        self.num_cols = m.num_cols
-        # row i of M is tagged with e_i, so every basis row is [x M | x];
-        # a row in the span of earlier rows is skipped and keeps coordinate 0
-        self._basis = EchelonBasis(m.num_cols + m.num_rows)
+        self.num_cols = n = m.num_cols
+        # row i of M is tagged with e_i, so every basis row is [y M | y];
+        # a row whose left half vanishes depends on earlier rows: it is
+        # not stored, so its tag is 0 in every basis row and in every x
+        self._basis = EchelonBasis(n + m.num_rows)
         for i, row in enumerate(m.rows):
-            tag = [_ZERO] * m.num_rows
-            tag[i] = _ONE
-            residue = self._basis.reduce(row + tuple(tag))
-            if any(residue[: m.num_cols]):
-                self._basis.insert(residue)
+            v = _integer_row(chain(enumerate(row), ((n + i, _ONE),)))[0]
+            pivot = self._basis._forward(v)[0]
+            if pivot < n:
+                self._basis._store(pivot, v)
 
     def solve(self, target) -> Vector | None:
-        t = as_vector(target)
-        if len(t) != self.num_cols:
+        n = self.num_cols
+        if len(target) != n:
             raise DimensionMismatchError("target length does not match column count")
-        # reducing [t | 0] leaves [t - x M | -x]
-        residue = self._basis.reduce(t + (_ZERO,) * self.num_rows)
-        if any(residue[: self.num_cols]):
+        # forward reduction leaves s [t | 0] - [y M | y]: once the left half
+        # vanishes, y M = s t and x = y / s is read off the nonzero tags
+        v, den = _integer_row(enumerate(target))
+        pivot, mul, div = self._basis._forward(v)
+        if pivot is not None and pivot < n:
             return None
-        return tuple(-y for y in residue[self.num_cols :])
+        x = [_ZERO] * self.num_rows
+        for j, y in v.items():
+            x[j - n] = Fraction(-y * div, mul * den)
+        return tuple(x)

@@ -5,7 +5,10 @@ Core claims:
       hand-computed fixtures and satisfy rank(C_va) = |V|-1,
       rank(C_ca) = rank(B_gamma) = |F|-1
     - |E| - rank(C_gamma) = 2g on every embedded fixture, torus included
-    - the vertex and face subspaces are linearly disjoint
+    - the vertex and face subspaces are linearly disjoint, and a report
+      whose intersection disagrees with the rank count raises
+    - the report reaches the planar 12x12 checkerboard grid with every
+      verdict true
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
     - the HH1 basis carries the expected labels, its face representative
@@ -44,7 +47,7 @@ from quiverdiff.derivations import (
     inner_derivation,
     inner_subspace,
 )
-from quiverdiff.embedding import RotationSystem, trace_faces
+from quiverdiff.embedding import HEAD, TAIL, RotationSystem, dart, trace_faces
 from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
@@ -169,6 +172,55 @@ def test_report_verdicts_hold_everywhere():
         assert rep.spaces_disjoint, name
         assert rep.euler_holds, name
         assert rep.faces_sum_to_zero, name
+
+
+def test_report_cross_check_bites_on_a_nonempty_intersection(monkeypatch):
+    # the rank count says the spaces are disjoint; a meet that is not
+    # empty must make the report refuse rather than pick one answer
+    def nonempty(a, b):
+        return RationalMatrix([[1] + [0] * (a.num_cols - 1)], a.num_cols)
+
+    monkeypatch.setattr(cohomology, "intersect_row_spaces", nonempty)
+    for name in ("k2", "grid2x2", "torus_k4"):
+        q, rot = fixture_embedded(name)
+        with pytest.raises(InternalCheckError, match="intersection disagrees"):
+            combinatorial_report(q, rot)
+
+
+def _checkerboard_grid(k):
+    """k x k grid, every arrow from a vertex with i + j even to one with
+    i + j odd, darts in counter-clockwise order: a planar embedding."""
+    name = "v{}_{}".format
+    vertices = [name(i, j) for i in range(k) for j in range(k)]
+    arrows, around = [], {v: [] for v in vertices}
+    for i in range(k):
+        for j in range(k):
+            # (step, position of the dart at each end in east, north, west, south)
+            for di, dj, pos in ((0, 1, 0), (1, 0, 1)):
+                if i + di == k or j + dj == k:
+                    continue
+                u, w, u_pos, w_pos = name(i, j), name(i + di, j + dj), pos, pos + 2
+                if (i + j) % 2:
+                    u, w, u_pos, w_pos = w, u, w_pos, u_pos
+                a = len(arrows)
+                arrows.append((f"a{a}", u, w))
+                around[u].append((u_pos, dart(a, TAIL)))
+                around[w].append((w_pos, dart(a, HEAD)))
+    q = Quiver(vertices, arrows, name=f"grid{k}")
+    return q, RotationSystem(q, [[d for _, d in sorted(around[v])] for v in vertices])
+
+
+def test_report_reaches_the_planar_12x12_grid():
+    # 144 vertices, 264 arrows, 122 faces: about 60 s with a fully reduced
+    # elimination, well under 2 s with the forward-only one
+    q, rot = _checkerboard_grid(12)
+    rep = combinatorial_report(q, rot)
+    assert (rep.num_vertices, rep.num_arrows, rep.num_faces, rep.genus) == (144, 264, 122, 0)
+    assert (rep.rank_c_va, rep.rank_c_ca) == (143, 121)
+    assert rep.rank_theorems_hold
+    assert rep.spaces_disjoint
+    assert rep.euler_holds
+    assert rep.faces_sum_to_zero
 
 
 def test_report_torus_dimensions():

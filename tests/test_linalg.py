@@ -6,9 +6,12 @@ Core claims:
     - kernel vectors satisfy m v = 0 exactly and span cols - rank dimensions
     - subspace intersection obeys the Grassmann dimension identity
     - quotient_complement returns exactly codim many representatives
-    - EchelonBasis insert/contains/reduce are mutually consistent
+    - EchelonBasis insert/contains are mutually consistent
     - rref, kernel, intersection and LinearSolver agree with SymPy on
       matrices with dependent rows
+    - rref, rank, kernel and LinearSolver.solve agree with SymPy on rows
+      with non-unit denominators and entries past 2**64
+    - the intersection is in RREF and equals the RREF of SymPy's meet
     - products, sums and differences agree with SymPy on sparse and dense
       matrices of every shape, empty ones included, and store only exact
       Fraction entries
@@ -403,3 +406,112 @@ def test_arithmetic_rejects_mismatched_shapes():
         a * a
     with pytest.raises(DimensionMismatchError):
         RationalMatrix([], 2) * RationalMatrix([], 3)
+
+
+# -- Integer elimination on large and fractional entries ---------------------
+
+_BIG = 2**64
+
+
+def _big_entry(rng):
+    """Zero, a small fraction, or a fraction whose numerator and denominator
+    both pass 2**64."""
+    roll = rng.random()
+    if roll < 0.35:
+        return Fraction(0)
+    if roll < 0.6:
+        return rand_frac(rng)
+    return Fraction(rng.randint(-_BIG**2, _BIG**2), rng.randint(_BIG, 3 * _BIG))
+
+
+def _big_dependent_matrix(rng, rows, cols, extra):
+    """Like _dependent_matrix, on _big_entry rows and with large coefficients."""
+    base = [[_big_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(extra):
+        i, j = rng.randrange(len(base)), rng.randrange(len(base))
+        c = Fraction(rng.randint(-_BIG, _BIG), rng.randint(1, _BIG))
+        combo = [x + c * y for x, y in zip(base[i], base[j])]
+        base.insert(rng.randint(0, len(base)), combo)
+    return RationalMatrix(base, cols)
+
+
+def test_rref_rank_kernel_match_sympy_on_large_fractions(sympy):
+    rng = seeded(3116)
+    for _ in range(40):
+        m = _big_dependent_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), rng.randint(0, 3))
+        sm = _to_sympy(sympy, m)
+        reduced, pivots = m.rref()
+        expected, expected_pivots = sm.rref()
+        assert pivots == expected_pivots
+        assert reduced == _from_sympy(expected)
+        assert m.rank() == sm.rank() == len(pivots)
+        # SymPy's nullspace vectors, scaled to a leading 1 as kernel() does
+        expected_kernel = []
+        for v in sm.nullspace():
+            lead = next(x for x in v if x != 0)
+            expected_kernel.append(_from_sympy((v / lead).T).row(0))
+        assert list(m.kernel()) == expected_kernel
+
+
+def test_linear_solver_matches_sympy_on_large_fractions(sympy):
+    rng = seeded(3117)
+    for _ in range(30):
+        m = _big_dependent_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 3))
+        sm = _to_sympy(sympy, m)
+        independent = [
+            i for i in range(m.num_rows) if sm[: i + 1, :].rank() > sm[:i, :].rank()
+        ]
+        coeffs = [_big_entry(rng) for _ in range(m.num_rows)]
+        target = [
+            sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
+            for j in range(m.num_cols)
+        ]
+        solver = LinearSolver(m)
+        x = solver.solve(target)
+        # the coordinates on the independent rows are unique: SymPy's
+        # solution of x_ind M_ind = t, every other coordinate is 0
+        rows = sm.extract(independent, list(range(m.num_cols)))
+        sol, params = rows.T.gauss_jordan_solve(_to_sympy(sympy, RationalMatrix([target])).T)
+        assert params.rows == 0
+        expected = [Fraction(0)] * m.num_rows
+        for i, value in zip(independent, _from_sympy(sol.T).row(0)):
+            expected[i] = value
+        assert list(x) == expected
+        assert all(type(c) is Fraction for c in x)
+        outside = [_big_entry(rng) for _ in range(m.num_cols)]
+        s_out = _to_sympy(sympy, RationalMatrix([outside]))
+        if sm.col_join(s_out).rank() > sm.rank():
+            assert solver.solve(outside) is None
+        else:
+            assert solver.solve(outside) is not None
+
+
+def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
+    rng = seeded(3118)
+    for _ in range(30):
+        cols = rng.randint(2, 8)
+        shared = [[_big_entry(rng) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+        shared[0][rng.randrange(cols)] = _BIG + 1  # the meet contains shared[0] != 0
+
+        def with_shared():
+            # random rows, a multiple of shared[0] and combinations of the shared rows
+            rows = [[_big_entry(rng) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+            rows.append([Fraction(-3, 7) * x for x in shared[0]])
+            for _ in range(rng.randint(0, 2)):
+                c = [rand_frac(rng) for _ in shared]
+                rows.append([sum((ci * r[j] for ci, r in zip(c, shared)), Fraction(0))
+                             for j in range(cols)])
+            rng.shuffle(rows)
+            return RationalMatrix(rows, cols)
+
+        a, b = with_shared(), with_shared()
+        sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+        # u A = w B exactly when (u, w) is in the kernel of [A^T  -B^T]
+        meet = [
+            (v[: a.num_rows, :].T * sa) for v in sympy.Matrix.hstack(sa.T, -sb.T).nullspace()
+        ]
+        expected = _from_sympy(sympy.Matrix.vstack(*meet).rref()[0]).rows if meet else ()
+        inter = intersect_row_spaces(a, b)
+        assert inter.num_rows > 0
+        assert inter.rref()[0] == inter
+        assert inter.rows == tuple(row for row in expected if any(row))
