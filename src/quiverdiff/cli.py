@@ -23,7 +23,7 @@ from .derivations import (
     verify_bracket_identities,
 )
 from .errors import InvalidRotationError, ParseError, QuiverError
-from .linalg import EchelonBasis
+from .linalg import _ZERO, EchelonBasis
 from . import quiverfile
 
 
@@ -113,7 +113,17 @@ def cmd_hh1(qf, args) -> int:
     oracle_dim = None
     if args.oracle:
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        oracle_dim = len(ops) - hb.inner_matrix.rank()
+        oracle_dim = len(ops) - inner_subspace(q, canonical_basis(q)).rank()
+    # most brackets are zero and most coordinates are linalg's shared zero:
+    # skip formatting those (any other zero still formats as "0")
+    zero = (_ZERO,) * hb.dimension
+    zero_text = ["0"] * hb.dimension
+
+    def text(coords):
+        if coords == zero:
+            return zero_text
+        return ["0" if x is _ZERO else str(x) for x in coords]
+
     face_formula = len(hb.faces) + len(q.almost_oriented_cycles()) - 1 + 2 * hb.genus
     _emit(
         {
@@ -131,7 +141,7 @@ def cmd_hh1(qf, args) -> int:
                     {
                         "left": labels[i],
                         "right": labels[j],
-                        "coords": [str(x) for x in coords],
+                        "coords": text(coords),
                     }
                     for i, j, coords in st.brackets
                 ],

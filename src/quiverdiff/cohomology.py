@@ -9,6 +9,15 @@ arrows.  On top of those, this module assembles the quotient HH1 =
 derivations modulo inner derivations: its dimension (counted three
 independent ways), a labeled basis of coset representatives, and the
 bracket structure constants with the face eigenvalues.
+
+HH1 is computed on edge-pair labels, following the semidirect sum
+decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
+Every representative is a sparse combination of EdgePair(r, s) labels;
+brackets follow from [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} -
+D_{r, D_{p,t}(s)} evaluated on single paths, and the quotient by Inn
+is one solve on |E| columns.  No canonical basis, inner subspace or
+operator bracket is built on that path; the face eigenvalues come from
+the net-coefficient formula.
 """
 
 from __future__ import annotations
@@ -16,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivations import (
-    DerivationBasis,
-    LinearOperator,
-    canonical_basis,
-    d_rs,
-    inner_subspace,
-)
+from .derivations import LinearOperator, canonical_coordinates, d_rs, d_rs_apply
 from .embedding import FaceCycle, RotationSystem, face_derivation, surface_genus, trace_faces
 from .errors import (
     CyclicQuiverError,
@@ -248,9 +251,15 @@ class HH1Label:
 class HH1Basis:
     """Labeled coset representatives spanning HH1 = Der / Inn.
 
-    ``solver`` expresses canonical coordinates over the stacked rows
-    [inner_matrix; representatives]: the first |P| entries of a solution
-    are inner coefficients, the rest are coordinates in HH1.
+    In canonical coordinates Inn is spanned by the Inner(w) unit vectors
+    and by the rows of C_va placed on the EdgePair(k, k) block, because
+    D_{e_v} is a signed sum of the D_{k,k}.  The class of a derivation
+    therefore depends only on its EdgePair coordinates: the AL(r, s)
+    coordinates are read off as they are, and the diagonal vector of the
+    EdgePair(k, k) coordinates is solved in k^E modulo the row space of
+    C_va against the Face and Extra rows, a solve on |E| columns.
+    ``edge_pairs[i]`` is representative i as a sparse combination of
+    EdgePair labels, {(r, s): coefficient}.
     """
 
     def __init__(
@@ -259,23 +268,37 @@ class HH1Basis:
         rotation: RotationSystem,
         labels,
         operators,
+        edge_pairs,
         faces,
         dropped_face: int,
         genus_: int,
-        derivation_basis: DerivationBasis,
-        inner_matrix: RationalMatrix,
-        solver: LinearSolver,
     ):
         self.quiver = quiver
         self.rotation = rotation
         self.labels: tuple[HH1Label, ...] = tuple(labels)
         self.operators: tuple[LinearOperator, ...] = tuple(operators)
+        self.edge_pairs: tuple[dict[tuple[int, Path], Fraction], ...] = tuple(edge_pairs)
         self.faces: tuple[FaceCycle, ...] = tuple(faces)
         self.dropped_face = dropped_face
         self.genus = genus_
-        self.derivation_basis = derivation_basis
-        self.inner_matrix = inner_matrix
-        self.solver = solver
+        # one shared tuple for every zero class
+        self._zero = (_ZERO,) * len(self.labels)
+        self._al_slot = {
+            (label.arrow, label.path): i
+            for i, label in enumerate(self.labels)
+            if label.kind == "al"
+        }
+        # [C_va; EdgePair(k, k) rows of the Face and Extra representatives]
+        diagonal_rows = [
+            [pairs.get((k, quiver.arrow_path(k)), _ZERO) for k in range(quiver.num_arrows)]
+            for label, pairs in zip(self.labels, self.edge_pairs)
+            if label.kind != "al"
+        ]
+        self._quotient = LinearSolver(
+            RationalMatrix.stack(
+                vertex_arrow_matrix(quiver), RationalMatrix(diagonal_rows, quiver.num_arrows)
+            )
+        )
 
     @property
     def dimension(self) -> int:
@@ -287,19 +310,44 @@ class HH1Basis:
     def display_labels(self) -> tuple[str, ...]:
         return tuple(label.display(self.quiver) for label in self.labels)
 
+    def class_coordinates(self, pairs) -> tuple[Fraction, ...] | None:
+        """Coordinates in this basis of the class of a derivation whose
+        EdgePair coordinates are ``pairs``; its Inner coordinates do not
+        matter.  None only if the diagonal part is outside the span of
+        C_va and the Face and Extra rows, which a valid basis rules out."""
+        if not pairs:
+            return self._zero
+        out = list(self._zero)
+        diagonal = [_ZERO] * self.quiver.num_arrows
+        for (r, s), c in pairs.items():
+            if s.arrows == (r,):
+                diagonal[r] = c
+            else:
+                out[self._al_slot[r, s]] = c
+        y = self._quotient.solve(diagonal)
+        if y is None:
+            return None
+        out[len(self._al_slot) :] = y[self.quiver.num_vertices :]
+        return tuple(out)
+
     def coset_coordinates(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of the class of ``op`` in this basis.
 
         None when op is not a derivation-span member at all; otherwise
         the unique coefficients modulo the inner subspace.
         """
-        coords = self.derivation_basis.coordinates_of(op)
+        coords = canonical_coordinates(self.quiver, op)
         if coords is None:
             return None
-        x = self.solver.solve(coords)
-        if x is None:
-            return None
-        return x[self.inner_matrix.num_rows :]
+        return self.class_coordinates(_edge_part(coords))
+
+
+def _edge_part(coords) -> dict[tuple[int, Path], Fraction]:
+    return {
+        (label.arrow, label.path): c
+        for label, c in coords.items()
+        if label.kind == "edge_pair"
+    }
 
 
 def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
@@ -308,13 +356,14 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     derivations completing the quotient.
 
     ``outer`` picks the dropped face (default: the first traced face).
-    One tagged elimination of the rows [inner; representatives] checks
-    independence modulo the inner subspace and then serves every coset
-    solve: the solver gives a row that depends on earlier rows the
-    coordinate 0, so representative k is independent of the inner
-    subspace and the representatives before it exactly when solving
-    for its own row returns 1 in its slot.  The count is cross-checked
-    against both dimension formulas.
+    Each representative operator is read back as its canonical
+    coordinates, which must rebuild it (so it lies in the derivation
+    span); its EdgePair part is its entry in ``edge_pairs``.  The
+    representatives are independent modulo Inn exactly when each one's
+    class coordinates are its own unit vector: the class map kills Inn,
+    and a Face or Extra representative that depends on C_va and the rows
+    before it gets coordinate 0 in its own slot.  The count is
+    cross-checked against both dimension formulas.
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
@@ -322,9 +371,6 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     dropped = 0 if outer is None else outer
     if not 0 <= dropped < len(faces):
         raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
-
-    basis = canonical_basis(q)
-    inner = inner_subspace(q, basis)
 
     labels: list[HH1Label] = []
     operators: list[LinearOperator] = []
@@ -341,33 +387,34 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
             labels.append(HH1Label("extra", arrow=k))
             operators.append(d_rs(q, k, q.arrow_path(k)))
 
-    rep_rows = []
+    edge_pairs = []
     for label, op in zip(labels, operators):
-        coords = basis.coordinates_of(op)
+        coords = canonical_coordinates(q, op)
         if coords is None:
             raise InternalCheckError(
                 f"representative {label.display(q)} falls outside the derivation span"
             )
-        rep_rows.append(coords)
+        edge_pairs.append(_edge_part(coords))
 
-    solver = LinearSolver(
-        RationalMatrix.stack(inner, RationalMatrix(rep_rows, num_cols=len(basis)))
-    )
-    for k, (label, row) in enumerate(zip(labels, rep_rows)):
-        if solver.solve(row)[inner.num_rows + k] != 1:
+    hb = HH1Basis(q, rot, labels, operators, edge_pairs, faces, dropped, g)
+    for k, (label, pairs) in enumerate(zip(labels, edge_pairs)):
+        if hb.class_coordinates(pairs) != hb._zero[:k] + (_ONE,) + hb._zero[k + 1 :]:
             raise InternalCheckError(
                 f"representative {label.display(q)} is dependent modulo the inner subspace"
             )
     dim = hh1_dimension(q, rot)
     if len(operators) != dim:
         raise InternalCheckError(f"{len(operators)} representatives for HH1 of dimension {dim}")
-    return HH1Basis(
-        q, rot, labels, operators, faces, dropped, g, basis, inner, solver
-    )
+    return hb
 
 
 # ----------------------------------------------------------------------
 # adjoint action and structure constants
+
+
+def _eigenvalue(coeffs, r: int, s: Path) -> Fraction:
+    # -a_r + sum of a_x over the arrows x of s, with multiplicity
+    return sum((Fraction(coeffs[x]) for x in s.arrows), -Fraction(coeffs[r]))
 
 
 def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
@@ -375,8 +422,9 @@ def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
 
     With a the face's net coefficients, bracketing the face derivation
     against D_{r,s} rescales it by -a_r + sum of a_x over the arrows x
-    of s (with multiplicity).  The identity is verified exactly on
-    matrices before the value is returned.
+    of s (with multiplicity).  Before the value is returned the identity
+    is checked exactly on the sparse operators: the bracket of the face
+    derivation with D_{r,s} must equal lam * D_{r,s}.
     """
     if isinstance(r, str):
         r = q.arrow_index(r)
@@ -390,13 +438,27 @@ def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
             f"({arrow.name}, {q.path_display(s)}) is not an almost oriented cycle"
         )
     coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
-    lam = -Fraction(coeffs[r]) + sum(
-        (Fraction(coeffs[x]) for x in s.arrows), _ZERO
-    )
+    lam = _eigenvalue(coeffs, r, s)
     op = d_rs(q, r, s)
     if face_derivation(q, coeffs).bracket(op) != lam * op:
         raise InternalCheckError("adjoint eigenvalue identity failed on operators")
     return lam
+
+
+def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
+    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
+    [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
+    out: dict[tuple[int, Path], Fraction] = {}
+    for (r, s), c in left.items():
+        for (p, t), d in right.items():
+            # D_{r,s}(t) vanishes unless r runs along t
+            if r in t.arrows:
+                for u, x in d_rs_apply(q, r, s, t).items():
+                    out[p, u] = out.get((p, u), _ZERO) + c * d * x
+            if p in s.arrows:
+                for u, x in d_rs_apply(q, p, t, s).items():
+                    out[r, u] = out.get((r, u), _ZERO) - c * d * x
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -425,9 +487,14 @@ def hh1_structure(
 ) -> StructureTable:
     """Full bracket table of the HH1 basis with face eigenvalues.
 
-    On a planar embedding the face representatives commute with each
-    other and act diagonally on the AL representatives; those two facts
-    are asserted.  Whether AL brackets stay inside the AL span is only
+    Each bracket is computed on the representatives' EdgePair labels by
+    the bracket identity and reduced by class_coordinates; no operator
+    is bracketed.  The eigenvalue of face f on AL(r, s) comes from the
+    net-coefficient formula, so the diagonal-action verdict compares two
+    independent computations: the table entry against the formula.  On
+    a planar embedding the face representatives commute with each other
+    and act diagonally on the AL representatives; those two facts are
+    asserted.  Whether AL brackets stay inside the AL span is only
     reported (it can genuinely fail, e.g. for the double arrow, where
     an AL bracket lands on a face class).
     """
@@ -438,7 +505,7 @@ def hh1_structure(
     table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = hb.coset_coordinates(hb.operators[i].bracket(hb.operators[j]))
+            coords = hb.class_coordinates(_bracket_pairs(q, hb.edge_pairs[i], hb.edge_pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
             brackets.append((i, j, coords))
@@ -447,29 +514,22 @@ def hh1_structure(
     al = [i for i, lab in enumerate(hb.labels) if lab.kind == "al"]
     face = [i for i, lab in enumerate(hb.labels) if lab.kind == "face"]
 
-    faces_commute = all(
-        all(x == 0 for x in table[i, j]) for i in face for j in face if i < j
-    )
+    # AL members come first, so the slots from len(al) on are the face and
+    # extra classes; comparing slices of the shared zero class is cheap
+    # because the tuple comparison skips entries that are the same object
+    zero = hb._zero
+    faces_commute = all(table[i, j] == zero for i in face for j in face if i < j)
     eigenvalues = []
     diagonal = True
     for i in al:
         lab = hb.labels[i]
         for j in face:
-            lam = adjoint_eigenvalue(
-                q, hb.faces[hb.labels[j].face], lab.arrow, lab.path
-            )
+            lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
             eigenvalues.append((i, j, lam))
-            coords = table[i, j] if i < j else tuple(-x for x in table[j, i])
-            expected = tuple(
-                -lam if k == i else _ZERO for k in range(n)
-            )
-            if coords != expected:
+            if table[i, j] != zero[:i] + (-lam,) + zero[i + 1 :]:
                 diagonal = False
     al_closed = all(
-        all(x == 0 for k, x in enumerate(table[i, j]) if k not in al)
-        for i in al
-        for j in al
-        if i < j
+        table[i, j][len(al) :] == zero[len(al) :] for i in al for j in al if i < j
     )
     if enforced and not faces_commute:
         raise InternalCheckError("face representatives do not commute on a planar embedding")

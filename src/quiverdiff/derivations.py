@@ -390,15 +390,7 @@ class DerivationBasis:
         self.quiver = quiver
         self.labels: tuple[DerivationLabel, ...] = tuple(labels)
         self.operators: tuple[LinearOperator, ...] = tuple(operators)
-        # where coordinates_of reads each label: (index, w) grouped by source
-        self._reads: dict[Path, list[tuple[int, Path]]] = {}
-        for i, label in enumerate(self.labels):
-            w = label.path
-            if label.kind == "inner":
-                source = quiver.trivial_path(quiver.path_head(w))
-            else:
-                source = quiver.arrow_path(label.arrow)
-            self._reads.setdefault(source, []).append((i, w))
+        self._index = {label: i for i, label in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -411,26 +403,16 @@ class DerivationBasis:
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
 
-        Each coordinate is one coefficient of op.  Inner(w) is the only
-        member that puts w into the image of the idempotent at the head
-        of w, so its coordinate is the coefficient of w in op(e_head(w)).
-        EdgePair(r, s) is the only member that puts s into the image of
-        the arrow r (an inner derivation D_u sends r to ur - ru, and
-        those paths are parallel to r only when u is a cycle), so its
-        coordinate is the coefficient of s in op(r).  The coordinates
-        read this way rebuild op exactly when op lies in the span.  There
-        are only |V| + |E| sources, and each image is read once.
+        The nonzero ones come from canonical_coordinates; every other
+        coordinate is zero.
         """
-        q = self.quiver
-        if op.quiver is not q and op.quiver != q:
-            raise QuiverMismatchError("operator lives over a different quiver")
+        sparse = canonical_coordinates(self.quiver, op)
+        if sparse is None:
+            return None
         coords = [_ZERO] * len(self.labels)
-        for source, reads in self._reads.items():
-            image = op.apply(source)
-            for i, w in reads:
-                coords[i] = image.coefficient(w)
-        coords = tuple(coords)
-        return coords if self.operator_from_coordinates(coords) == op else None
+        for label, c in sparse.items():
+            coords[self._index[label]] = c
+        return tuple(coords)
 
     def operator_from_coordinates(self, coords) -> LinearOperator:
         out = LinearOperator.zero(self.quiver)
@@ -441,6 +423,52 @@ class DerivationBasis:
 
     def display_labels(self) -> tuple[str, ...]:
         return tuple(label.display(self.quiver) for label in self.labels)
+
+
+def canonical_coordinates(
+    q: Quiver, op: LinearOperator
+) -> dict[DerivationLabel, Fraction] | None:
+    """The nonzero canonical coordinates of ``op`` over ``q``, or None
+    outside the span of the canonical basis.
+
+    Each coordinate is one coefficient of op.  Inner(w) is the only
+    member that puts w into the image of the idempotent at the head of
+    w, so its coordinate is the coefficient of w in op(e_head(w)).
+    EdgePair(r, s) is the only member that puts s into the image of the
+    arrow r (an inner derivation D_u sends r to ur - ru, and those paths
+    are parallel to r only when u is a cycle), so its coordinate is the
+    coefficient of s in op(r).  Only the |V| + |E| generator images are
+    read.  The coordinates rebuild op exactly when op lies in the span;
+    the rebuild sums, at each basis path, the images of the members with
+    a nonzero coordinate, so no basis is built.
+    """
+    if op.quiver is not q and op.quiver != q:
+        raise QuiverMismatchError("operator lives over a different quiver")
+    coords: dict[DerivationLabel, Fraction] = {}
+    for v in range(q.num_vertices):
+        for w, c in op.apply(q.trivial_path(v)).items():
+            if q.path_head(w) == v and q.path_tail(w) != v:
+                coords[DerivationLabel("inner", None, w)] = c
+    for r, arrow in enumerate(q.arrows):
+        for s, c in op.apply(q.arrow_path(r)).items():
+            if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
+                coords[DerivationLabel("edge_pair", r, s)] = c
+
+    def rebuilt(p: Path) -> AlgebraElement:
+        terms = []
+        for label, c in coords.items():
+            w = label.path
+            if label.kind == "inner":
+                left, right = q.concat(w, p), q.concat(p, w)
+                if left is not None:
+                    terms.append((left, c))
+                if right is not None:
+                    terms.append((right, -c))
+            elif label.arrow in p.arrows:
+                terms += [(u, c * x) for u, x in d_rs_apply(q, label.arrow, w, p).items()]
+        return AlgebraElement(q, terms)
+
+    return coords if LinearOperator.from_images(q, rebuilt) == op else None
 
 
 def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:

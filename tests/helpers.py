@@ -1,4 +1,5 @@
-"""Shared test utilities: fixture loading and seeded random generators."""
+"""Shared test utilities: fixture loading, seeded random generators, and
+the operator route to the HH1 structure table as an independent reference."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,10 @@ from pathlib import Path as FsPath
 
 from quiverdiff.quiver import Quiver
 from quiverdiff.algebra import AlgebraElement
-from quiverdiff.derivations import LinearOperator, canonical_basis
-from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart
+from quiverdiff.cohomology import adjoint_eigenvalue, hh1_basis
+from quiverdiff.derivations import LinearOperator, canonical_basis, inner_subspace
+from quiverdiff.linalg import LinearSolver, RationalMatrix
+from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, genus
 from quiverdiff import quiverfile
 
 FIXTURE_DIR = FsPath(__file__).resolve().parent.parent / "quivers"
@@ -57,6 +60,58 @@ def random_acyclic_quiver(rng, max_vertices=5, max_extra=3):
     return Quiver(vertices, arrows, name="random")
 
 
+def sized_acyclic_quiver(rng, num_vertices, num_arrows):
+    """Connected acyclic quiver with exactly the given sizes.
+
+    A backbone tree as in random_acyclic_quiver, then forward chords
+    until there are ``num_arrows`` arrows.
+    """
+    vertices = ["v%d" % i for i in range(num_vertices)]
+    arrows = []
+    for i in range(1, num_vertices):
+        arrows.append(("a%d" % len(arrows), vertices[rng.randrange(i)], vertices[i]))
+    while len(arrows) < num_arrows:
+        i = rng.randrange(num_vertices - 1)
+        j = rng.randrange(i + 1, num_vertices)
+        arrows.append(("a%d" % len(arrows), vertices[i], vertices[j]))
+    return Quiver(vertices, arrows, name="random")
+
+
+def seeded_embedded_quiver(seed, want_genus):
+    """The first quiver with 4-6 vertices and 6-8 arrows (the sizes of the
+    benchmark's hh1 inputs) whose random rotation has genus ``want_genus``
+    (0, or >= 1 for any positive value), drawn from ``seed``."""
+    rng = random.Random(seed)
+    while True:
+        nv = rng.randint(4, 6)
+        q = sized_acyclic_quiver(rng, nv, nv + 2)
+        rot = random_rotation(rng, q)
+        g = genus(rot)
+        if (g == 0) == (want_genus == 0):
+            return q, rot
+
+
+def kronecker(m):
+    """K_m: m parallel arrows p1..pm from v1 to v2, embedded in the plane."""
+    q = Quiver(["v1", "v2"], [("p%d" % i, "v1", "v2") for i in range(1, m + 1)], name="k%d" % m)
+    rot = RotationSystem(
+        q, [[dart(a, TAIL) for a in range(m)], [dart(a, HEAD) for a in reversed(range(m))]]
+    )
+    return q, rot
+
+
+def tournament(n):
+    """T_n: an arrow from v_i to v_j for every i < j, with the canonical rotation."""
+    vertices = ["v%d" % i for i in range(1, n + 1)]
+    arrows = [
+        ("a%d_%d" % (i, j), vertices[i - 1], vertices[j - 1])
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+    q = Quiver(vertices, arrows, name="t%d" % n)
+    return q, RotationSystem.canonical(q)
+
+
 def random_rotation(rng, q):
     orders = []
     for v in range(q.num_vertices):
@@ -90,3 +145,65 @@ def random_derivation(rng, q, basis=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+class ReferenceHH1:
+    """HH1 by the operator route, with none of the edge-pair shortcuts.
+
+    The representatives are the operators of the library's basis.  A class
+    is found by reading an operator's coordinates in the canonical basis
+    (DerivationBasis.coordinates_of) and solving them against the stacked
+    rows [inner_subspace; representative coordinates] on dim Der columns.
+    Brackets are sparse operator brackets, and each eigenvalue comes from
+    adjoint_eigenvalue, which checks its identity on operators.
+    """
+
+    def __init__(self, q, rot, outer=None):
+        self.basis = hb = hh1_basis(q, rot, outer)
+        self.derivations = canonical_basis(q)
+        self.inner = inner_subspace(q, self.derivations)
+        rows = [self.derivations.coordinates_of(op) for op in hb.operators]
+        self.solver = LinearSolver(
+            RationalMatrix.stack(self.inner, RationalMatrix(rows, len(self.derivations)))
+        )
+        # each representative is independent of Inn and the ones before it
+        self.independent = all(
+            self.solver.solve(row)[self.inner.num_rows + k] == 1 for k, row in enumerate(rows)
+        )
+        ops = hb.operators
+        self.brackets = tuple(
+            (i, j, self.coset(ops[i].bracket(ops[j])))
+            for i in range(len(ops))
+            for j in range(i + 1, len(ops))
+        )
+        table = {(i, j): coords for i, j, coords in self.brackets}
+        kinds = [label.kind for label in hb.labels]
+        al = [i for i, kind in enumerate(kinds) if kind == "al"]
+        face = [i for i, kind in enumerate(kinds) if kind == "face"]
+        self.eigenvalues = tuple(
+            (i, j, adjoint_eigenvalue(
+                q, hb.faces[hb.labels[j].face], hb.labels[i].arrow, hb.labels[i].path
+            ))
+            for i in al
+            for j in face
+        )
+        self.faces_commute = all(not any(table[i, j]) for i in face for j in face if i < j)
+        # AL members come before faces, so [b_j, b_i] = -table[i, j]
+        self.face_acts_diagonally = all(
+            table[i, j] == tuple(-lam if k == i else 0 for k in range(len(ops)))
+            for i, j, lam in self.eigenvalues
+        )
+        self.al_brackets_in_al_span = all(
+            not any(x for k, x in enumerate(table[i, j]) if k not in al)
+            for i in al
+            for j in al
+            if i < j
+        )
+
+    def coset(self, op):
+        """HH1 coordinates of op, or None outside the derivation span."""
+        coords = self.derivations.coordinates_of(op)
+        if coords is None:
+            return None
+        x = self.solver.solve(coords)
+        return None if x is None else x[self.inner.num_rows :]

@@ -11,7 +11,8 @@ Core claims:
     - semantic failures exit 1, usage and parse failures exit 2
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
-      match the digests in cli_golden.json
+      match the digests in cli_golden.json, and hh1 on K_6, T_5 and a
+      seeded genus-1 quiver, built by the test, matches pinned digests
 """
 
 import contextlib
@@ -25,7 +26,9 @@ import pytest
 
 from quiverdiff.cli import main
 
-from helpers import FIXTURE_DIR
+from quiverdiff import quiverfile
+
+from helpers import FIXTURE_DIR, kronecker, seeded_embedded_quiver, tournament
 
 
 # -- Helpers ---------------------------------------------------------------
@@ -353,18 +356,46 @@ GOLDEN_COMMANDS = (
 )
 
 
+def _digest(argv, directory):
+    """sha256 of (exit code, stdout, stderr) of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # messages that quote the file name must not depend on the checkout
+    streams = [s.getvalue().replace(str(directory), "quivers") for s in (out, err)]
+    return hashlib.sha256(json.dumps([code, *streams]).encode("utf-8")).hexdigest()
+
+
 def _golden_digests():
-    """sha256 of (exit code, stdout, stderr) for every fixture x command."""
+    """Digests for every fixture x command."""
+    return {
+        " ".join((*command, fixture)): _digest([*command, _fixture(fixture)], FIXTURE_DIR)
+        for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.quiver"))
+        for command in GOLDEN_COMMANDS
+    }
+
+
+# hh1 on quivers the test builds; digests recorded before HH1 was computed
+# from edge-pair labels, so they pin the output of the operator route
+GENERATED_GOLDEN = {
+    "hh1 k6": "86936f0d889cfc0a6971449ae2db00c63976c2a2adfa9366e7a7316cc0d43a50",
+    "hh1 t5": "1267d53a68e05667a977c6d41edb471f3837dfaf7eb363e3f3dc066c95746193",
+    "hh1 genus1_seed0": "7430e4e33722c09d7000be7664ce6b9978c8040cb5df8b733c7ab1c0026f4ab8",
+}
+
+
+def _generated_digests(directory):
+    built = {
+        "k6": kronecker(6),
+        "t5": tournament(5),
+        "genus1_seed0": seeded_embedded_quiver(0, 1),
+    }
     digests = {}
-    for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.quiver")):
-        for command in GOLDEN_COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*command, _fixture(fixture)])
-            # messages that quote the file name must not depend on the checkout
-            streams = [s.getvalue().replace(str(FIXTURE_DIR), "quivers") for s in (out, err)]
-            blob = json.dumps([code, *streams]).encode("utf-8")
-            digests[" ".join((*command, fixture))] = hashlib.sha256(blob).hexdigest()
+    for name, (q, rot) in built.items():
+        path = directory / f"{name}.quiver"
+        qf = quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)
+        path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+        digests[f"hh1 {name}"] = _digest(["hh1", str(path)], directory)
     return digests
 
 
@@ -374,6 +405,10 @@ def test_cli_bytes_match_the_golden_digests():
     assert len(digests) == 72
     assert sorted(digests) == sorted(golden)
     assert [job for job in golden if digests[job] != golden[job]] == []
+
+
+def test_hh1_bytes_on_built_quivers_match_the_golden_digests(tmp_path):
+    assert _generated_digests(tmp_path) == GENERATED_GOLDEN
 
 
 if __name__ == "__main__":

@@ -21,6 +21,14 @@ Core claims:
       those eigenvalues is 0
     - the structure table verdicts: faces commute, faces act diagonally,
       and on the double arrow the AL span is genuinely not closed
+    - the table computed on edge-pair labels (brackets, eigenvalues,
+      verdicts, coset coordinates) equals the operator route of
+      helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
+      genus 0 and >= 1, on K_m for m <= 8 and on T_n for n <= 5
+    - the row space of the inner subspace is spanned by the Inner(w) unit
+      vectors and the rows of C_va on the EdgePair(k, k) block
+    - hh1_structure reaches T_7 and K_14 with the dimensions, verdicts and
+      bracket coordinates of the operator route
 """
 
 from fractions import Fraction
@@ -41,6 +49,7 @@ from quiverdiff.cohomology import (
     vertex_arrow_matrix,
 )
 from quiverdiff.derivations import (
+    DerivationLabel,
     LinearOperator,
     canonical_basis,
     d_rs,
@@ -59,9 +68,15 @@ from quiverdiff.quiver import Quiver
 
 from helpers import (
     EMBEDDED_FIXTURES,
+    ReferenceHH1,
     fixture_embedded,
     fixture_quiver,
+    kronecker,
     load_fixture,
+    random_derivation,
+    seeded,
+    seeded_embedded_quiver,
+    tournament,
 )
 
 HAPPEL_TABLE = {
@@ -332,6 +347,14 @@ def test_dependent_representative_raises(monkeypatch, injected):
         hh1_basis(q, rot)
 
 
+def test_dependent_al_representative_raises(monkeypatch):
+    q, rot = fixture_embedded("k2")
+    first = d_rs(q, "p1", q.arrow_path("p2"))
+    monkeypatch.setattr(cohomology, "d_rs", lambda q, r, s: first)
+    with pytest.raises(InternalCheckError, match=r"AL\(p2,p1\) is dependent"):
+        hh1_basis(q, rot)
+
+
 def test_k2_face_class_is_the_rescaling_difference():
     q, rot = fixture_embedded("k2")
     basis = hh1_basis(q, rot)
@@ -463,3 +486,113 @@ def test_hh1_is_stable_under_arrow_relabeling():
     assert len(st.basis) == 3
     assert {int(lam) for _, _, lam in st.eigenvalues} == {2, -2}
     assert not st.al_brackets_in_al_span
+
+
+# -- Edge-pair labels against the operator route ------------------------------
+
+def _differential_inputs():
+    inputs = [(name, fixture_embedded(name)) for name in EMBEDDED_FIXTURES]
+    inputs += [
+        (f"seed{seed}_genus{g}", seeded_embedded_quiver(seed, g))
+        for seed in range(10)
+        for g in (0, 1)
+    ]
+    inputs += [(f"k{m}", kronecker(m)) for m in range(2, 9)]
+    inputs += [(f"t{n}", tournament(n)) for n in range(2, 6)]
+    return inputs
+
+
+DIFFERENTIAL = _differential_inputs()
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
+def test_structure_table_matches_the_operator_route(embedded):
+    q, rot = embedded
+    st = hh1_structure(q, rot)
+    ref = ReferenceHH1(q, rot)
+    assert ref.independent
+    assert len(ref.derivations) - ref.inner.rank() == len(st.basis)
+    assert st.brackets == ref.brackets
+    assert st.eigenvalues == ref.eigenvalues
+    assert (st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span) == (
+        ref.faces_commute, ref.face_acts_diagonally, ref.al_brackets_in_al_span,
+    )
+    # representatives are the label combinations AL {(r,s): 1},
+    # Face {(k,k): a_k} and Extra {(k,k): 1}
+    hb = st.basis
+    for label, pairs in zip(hb.labels, hb.edge_pairs):
+        if label.kind == "al":
+            assert pairs == {(label.arrow, label.path): 1}
+        elif label.kind == "face":
+            net = hb.faces[label.face].net
+            assert pairs == {(k, q.arrow_path(k)): a for k, a in enumerate(net) if a}
+        else:
+            assert pairs == {(label.arrow, q.arrow_path(label.arrow)): 1}
+
+
+@pytest.mark.parametrize("name", ["k2", "k3", "triangle_tails", "grid2x2", "torus_k4"])
+def test_coset_coordinates_match_the_operator_route(name):
+    q, rot = fixture_embedded(name)
+    ref = ReferenceHH1(q, rot)
+    rng = seeded(7)
+    for _ in range(3):
+        op = random_derivation(rng, q, ref.derivations)
+        assert ref.basis.coset_coordinates(op) == ref.coset(op), name
+    broken = op + LinearOperator.identity(q)
+    assert ref.basis.coset_coordinates(broken) is None
+    assert ref.coset(broken) is None
+
+
+def _row_space(m):
+    return [row for row in m.rref()[0].rows if any(row)]
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
+def test_inner_subspace_is_inner_units_plus_vertex_rows(embedded):
+    q, _ = embedded
+    basis = canonical_basis(q)
+    n = len(basis)
+    rows = [
+        [Fraction(int(j == i)) for j in range(n)]
+        for i, label in enumerate(basis.labels)
+        if label.kind == "inner"
+    ]
+    slot = {label: i for i, label in enumerate(basis.labels)}
+    for vertex_row in vertex_arrow_matrix(q).rows:
+        row = [Fraction(0)] * n
+        for k, c in enumerate(vertex_row):
+            if c:
+                row[slot[DerivationLabel("edge_pair", k, q.arrow_path(k))]] = c
+        rows.append(row)
+    assert _row_space(inner_subspace(q, basis)) == _row_space(RationalMatrix(rows, n))
+
+
+REACH = {
+    # name: (dim, verdicts, {(i, j): {slot: coordinate}}), coordinates
+    # taken from the operator route
+    "t7": (114, (False, True, True, True), {
+        (11, 67): {25: -1}, (72, 101): {72: 1}, (0, 102): {0: -1}, (97, 113): {97: -1},
+    }),
+    "k14": (195, (True, True, True, False), {
+        (18, 79): {k: 1 for k in range(183, 188)},
+        (8, 117): {k: 1 for k in range(182, 191)},
+        (39, 184): {39: 1},
+        (17, 170): {174: 1},
+    }),
+}
+
+
+def test_hh1_structure_reaches_t7_and_k14():
+    for name, (q, rot) in (("t7", tournament(7)), ("k14", kronecker(14))):
+        dim, verdicts, pinned = REACH[name]
+        st = hh1_structure(q, rot)
+        assert len(st.basis) == dim, name
+        assert len(st.brackets) == dim * (dim - 1) // 2, name
+        assert (
+            st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span
+        ) == verdicts, name
+        table = {(i, j): coords for i, j, coords in st.brackets}
+        for key, nonzero in pinned.items():
+            assert {k: x for k, x in enumerate(table[key]) if x} == nonzero, (name, key)
+    labels = st.basis.display_labels()
+    assert (labels[18], labels[79], labels[183]) == ("AL(p2,p7)", "AL(p7,p2)", "Face(2)")
