@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cohomology import combinatorial_report, happel_dimension, hh1_structure
+from .cohomology import _face_formula, combinatorial_report, happel_dimension, hh1_structure
 from .derivations import (
     canonical_basis,
     check_coefficient_conditions,
@@ -124,12 +124,12 @@ def cmd_hh1(qf, args) -> int:
             return zero_text
         return ["0" if x is _ZERO else str(x) for x in coords]
 
-    face_formula = len(hb.faces) + len(q.almost_oriented_cycles()) - 1 + 2 * hb.genus
+    num_al = sum(label.kind == "al" for label in hb.labels)
     _emit(
         {
             "quiver": qf.name,
             "dim": hb.dimension,
-            "faceFormula": face_formula,
+            "faceFormula": _face_formula(len(hb.faces), num_al, hb.genus),
             "happel": happel_dimension(q),
             "oracle": oracle_dim,
             "genus": hb.genus,

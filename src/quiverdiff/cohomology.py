@@ -12,12 +12,13 @@ bracket structure constants with the face eigenvalues.
 
 HH1 is computed on edge-pair labels, following the semidirect sum
 decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
-Every representative is a sparse combination of EdgePair(r, s) labels;
-brackets follow from [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} -
-D_{r, D_{p,t}(s)} evaluated on single paths, and the quotient by Inn
-is one solve on |E| columns.  No canonical basis, inner subspace or
-operator bracket is built on that path; the face eigenvalues come from
-the net-coefficient formula.
+Every representative is a sparse combination of EdgePair(r, s) labels,
+written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
+= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)} evaluated on single paths, and
+the quotient by Inn is one solve on |E| columns.  No operator, canonical
+basis or inner subspace is built on that path; operators appear only in
+HH1Basis.coset_coordinates, adjoint_eigenvalue and the tests.  The face
+eigenvalues come from the net-coefficient formula.
 """
 
 from __future__ import annotations
@@ -212,13 +213,18 @@ def happel_dimension(q: Quiver) -> int:
     return total
 
 
+def _face_formula(num_faces: int, num_al: int, g: int) -> int:
+    """dim HH1 = |F| + |almost oriented cycles| - 1 + 2g."""
+    return num_faces + num_al - 1 + 2 * g
+
+
 def hh1_dimension(q: Quiver, rot: RotationSystem) -> int:
     """|F| + |almost oriented cycles| - 1 + 2g, cross-checked against
     the path-counting formula."""
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
     g = surface_genus(q, len(faces))
-    dim = len(faces) + len(q.almost_oriented_cycles()) - 1 + 2 * g
+    dim = _face_formula(len(faces), len(q.almost_oriented_cycles()), g)
     happel = happel_dimension(q)
     if dim != happel:
         raise InternalCheckError(
@@ -259,24 +265,20 @@ class HH1Basis:
     EdgePair(k, k) coordinates is solved in k^E modulo the row space of
     C_va against the Face and Extra rows, a solve on |E| columns.
     ``edge_pairs[i]`` is representative i as a sparse combination of
-    EdgePair labels, {(r, s): coefficient}.
+    EdgePair labels, {(r, s): coefficient}; no operator is stored.
     """
 
     def __init__(
         self,
         quiver: Quiver,
-        rotation: RotationSystem,
         labels,
-        operators,
         edge_pairs,
         faces,
         dropped_face: int,
         genus_: int,
     ):
         self.quiver = quiver
-        self.rotation = rotation
         self.labels: tuple[HH1Label, ...] = tuple(labels)
-        self.operators: tuple[LinearOperator, ...] = tuple(operators)
         self.edge_pairs: tuple[dict[tuple[int, Path], Fraction], ...] = tuple(edge_pairs)
         self.faces: tuple[FaceCycle, ...] = tuple(faces)
         self.dropped_face = dropped_face
@@ -302,10 +304,10 @@ class HH1Basis:
 
     @property
     def dimension(self) -> int:
-        return len(self.operators)
+        return len(self.labels)
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.labels)
 
     def display_labels(self) -> tuple[str, ...]:
         return tuple(label.display(self.quiver) for label in self.labels)
@@ -339,26 +341,23 @@ class HH1Basis:
         coords = canonical_coordinates(self.quiver, op)
         if coords is None:
             return None
-        return self.class_coordinates(_edge_part(coords))
-
-
-def _edge_part(coords) -> dict[tuple[int, Path], Fraction]:
-    return {
-        (label.arrow, label.path): c
-        for label, c in coords.items()
-        if label.kind == "edge_pair"
-    }
+        pairs = {
+            (label.arrow, label.path): c
+            for label, c in coords.items()
+            if label.kind == "edge_pair"
+        }
+        return self.class_coordinates(pairs)
 
 
 def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
-    """Coset representatives: one operator per almost oriented cycle,
-    one face derivation per face except the dropped one, and 2g edge
-    derivations completing the quotient.
+    """Coset representatives: one AL(r, s) per almost oriented cycle,
+    one face class per face except the dropped one, and 2g edge classes
+    completing the quotient.
 
     ``outer`` picks the dropped face (default: the first traced face).
-    Each representative operator is read back as its canonical
-    coordinates, which must rebuild it (so it lies in the derivation
-    span); its EdgePair part is its entry in ``edge_pairs``.  The
+    Each ``edge_pairs`` entry is written from its label, and no operator
+    is built: AL(r, s) is {(r, s): 1}, Face(f) is {(k, k): a_k} over the
+    face's net coefficients, Extra(k) is {(k, k): 1}.  The
     representatives are independent modulo Inn exactly when each one's
     class coordinates are its own unit vector: the class map kills Inn,
     and a Face or Extra representative that depends on C_va and the rows
@@ -373,38 +372,31 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
         raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
 
     labels: list[HH1Label] = []
-    operators: list[LinearOperator] = []
+    edge_pairs: list[dict[tuple[int, Path], Fraction]] = []
     for r, s in q.almost_oriented_cycles():
         labels.append(HH1Label("al", arrow=r, path=s))
-        operators.append(d_rs(q, r, s))
+        edge_pairs.append({(r, s): _ONE})
     for f, face in enumerate(faces):
         if f != dropped:
             labels.append(HH1Label("face", face=f))
-            operators.append(face_derivation(q, face))
+            edge_pairs.append(
+                {(k, q.arrow_path(k)): Fraction(a) for k, a in enumerate(face.net) if a}
+            )
     if g:
         for vec in quotient_complement(connection_matrix(q, faces)):
             k = next(i for i, x in enumerate(vec) if x)
             labels.append(HH1Label("extra", arrow=k))
-            operators.append(d_rs(q, k, q.arrow_path(k)))
+            edge_pairs.append({(k, q.arrow_path(k)): _ONE})
 
-    edge_pairs = []
-    for label, op in zip(labels, operators):
-        coords = canonical_coordinates(q, op)
-        if coords is None:
-            raise InternalCheckError(
-                f"representative {label.display(q)} falls outside the derivation span"
-            )
-        edge_pairs.append(_edge_part(coords))
-
-    hb = HH1Basis(q, rot, labels, operators, edge_pairs, faces, dropped, g)
+    hb = HH1Basis(q, labels, edge_pairs, faces, dropped, g)
     for k, (label, pairs) in enumerate(zip(labels, edge_pairs)):
         if hb.class_coordinates(pairs) != hb._zero[:k] + (_ONE,) + hb._zero[k + 1 :]:
             raise InternalCheckError(
                 f"representative {label.display(q)} is dependent modulo the inner subspace"
             )
     dim = hh1_dimension(q, rot)
-    if len(operators) != dim:
-        raise InternalCheckError(f"{len(operators)} representatives for HH1 of dimension {dim}")
+    if len(labels) != dim:
+        raise InternalCheckError(f"{len(labels)} representatives for HH1 of dimension {dim}")
     return hb
 
 

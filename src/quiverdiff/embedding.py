@@ -178,7 +178,9 @@ def genus(rot: RotationSystem) -> int:
 
 
 def surface_genus(q: Quiver, num_faces: int) -> int:
-    """Genus of a connected quiver's embedding with ``num_faces`` faces."""
+    """Genus of a nonempty connected quiver's embedding with ``num_faces`` faces."""
+    if not q.num_vertices:
+        raise DisconnectedError("genus is defined for quivers with at least one vertex")
     if not q.is_connected():
         raise DisconnectedError("genus is defined for connected quivers only")
     chi = q.num_vertices - q.num_arrows + num_faces

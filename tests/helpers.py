@@ -1,5 +1,6 @@
-"""Shared test utilities: fixture loading, seeded random generators, and
-the operator route to the HH1 structure table as an independent reference."""
+"""Shared test utilities: fixture loading, seeded random generators, the
+HH1 representatives as operators, and the operator route to the HH1
+structure table as an independent reference."""
 
 import random
 from fractions import Fraction
@@ -8,9 +9,16 @@ from pathlib import Path as FsPath
 from quiverdiff.quiver import Quiver
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.cohomology import adjoint_eigenvalue, hh1_basis
-from quiverdiff.derivations import LinearOperator, canonical_basis, inner_subspace
+from quiverdiff.derivations import (
+    DerivationLabel,
+    LinearOperator,
+    canonical_basis,
+    canonical_coordinates,
+    d_rs,
+    inner_subspace,
+)
 from quiverdiff.linalg import LinearSolver, RationalMatrix
-from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, genus
+from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, face_derivation, genus
 from quiverdiff import quiverfile
 
 FIXTURE_DIR = FsPath(__file__).resolve().parent.parent / "quivers"
@@ -147,10 +155,27 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def representative_operators(q, hb):
+    """Each HH1 representative of ``hb`` as an operator built from its
+    label: D_{r,s} for AL(r, s), the face derivation for Face(f), and
+    D_{k,k} for Extra(k)."""
+    ops = []
+    for label in hb.labels:
+        if label.kind == "al":
+            ops.append(d_rs(q, label.arrow, label.path))
+        elif label.kind == "face":
+            ops.append(face_derivation(q, hb.faces[label.face]))
+        else:
+            ops.append(d_rs(q, label.arrow, q.arrow_path(label.arrow)))
+    return ops
+
+
 class ReferenceHH1:
     """HH1 by the operator route, with none of the edge-pair shortcuts.
 
-    The representatives are the operators of the library's basis.  A class
+    The representatives are operators built from the library's labels
+    (representative_operators).  Each one's canonical coordinates must be
+    exactly the EdgePair combination the library wrote for it.  A class
     is found by reading an operator's coordinates in the canonical basis
     (DerivationBasis.coordinates_of) and solving them against the stacked
     rows [inner_subspace; representative coordinates] on dim Der columns.
@@ -160,9 +185,13 @@ class ReferenceHH1:
 
     def __init__(self, q, rot, outer=None):
         self.basis = hb = hh1_basis(q, rot, outer)
+        ops = representative_operators(q, hb)
+        for label, op, pairs in zip(hb.labels, ops, hb.edge_pairs):
+            expected = {DerivationLabel("edge_pair", r, s): c for (r, s), c in pairs.items()}
+            assert canonical_coordinates(q, op) == expected, label.display(q)
         self.derivations = canonical_basis(q)
         self.inner = inner_subspace(q, self.derivations)
-        rows = [self.derivations.coordinates_of(op) for op in hb.operators]
+        rows = [self.derivations.coordinates_of(op) for op in ops]
         self.solver = LinearSolver(
             RationalMatrix.stack(self.inner, RationalMatrix(rows, len(self.derivations)))
         )
@@ -170,7 +199,6 @@ class ReferenceHH1:
         self.independent = all(
             self.solver.solve(row)[self.inner.num_rows + k] == 1 for k, row in enumerate(rows)
         )
-        ops = hb.operators
         self.brackets = tuple(
             (i, j, self.coset(ops[i].bracket(ops[j])))
             for i in range(len(ops))

@@ -8,7 +8,9 @@ Core claims:
     - report pins the relation matrices and ranks for K2, A3, triangle_tails
     - hh1 pins dimension, basis labels, brackets, and eigenvalues
     - derivations pins the canonical basis and the verify/oracle blocks
-    - semantic failures exit 1, usage and parse failures exit 2
+    - semantic failures exit 1, usage and parse failures exit 2; a file
+      with no vertex line passes check and derivations, and report and
+      hh1 reject it with exit 1 and one line
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
       match the digests in cli_golden.json, and hh1 on K_6, T_5 and a
@@ -280,6 +282,17 @@ def test_report_rejects_disconnected(capsys):
     code, out, err = _run(capsys, ["report", _fixture("disconnected")])
     assert code == 1
     assert err.startswith("DisconnectedError:")
+
+
+def test_report_and_hh1_reject_a_quiver_with_no_vertices(tmp_path, capsys):
+    f = tmp_path / "empty.quiver"
+    f.write_text("# no vertex line\n")
+    for argv in (["report"], ["hh1"], ["hh1", "--outer-face", "3"]):
+        code, out, err = _run(capsys, argv + [str(f)])
+        assert (code, out) == (1, ""), argv
+        assert err == "DisconnectedError: genus is defined for quivers with at least one vertex\n"
+    assert _payload(capsys, ["check", str(f)])["numVertices"] == 0
+    assert _payload(capsys, ["derivations", str(f)])["dim"] == 0
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -14,13 +14,16 @@ Core claims:
     - the HH1 basis carries the expected labels, its face representative
       on the double arrow is D_{p1,p1} - D_{p2,p2} up to sign mod inner,
       and the span does not depend on the dropped face
-    - a representative that is dependent modulo the inner subspace (zero,
-      inner, or a copy of another representative) raises, naming it
+    - a representative that is dependent modulo the inner subspace (a
+      face with a zero net or the net of a vertex derivation, or an
+      almost oriented cycle listed twice) raises, naming it
     - face representatives act on almost-oriented-cycle representatives
       with the pinned integer eigenvalues; on the torus fixture one of
       those eigenvalues is 0
     - the structure table verdicts: faces commute, faces act diagonally,
       and on the double arrow the AL span is genuinely not closed
+    - hh1_structure builds no LinearOperator on the embedded fixtures,
+      K_6 and T_5
     - the table computed on edge-pair labels (brackets, eigenvalues,
       verdicts, coset coordinates) equals the operator route of
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
@@ -31,6 +34,7 @@ Core claims:
       bracket coordinates of the operator route
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -74,6 +78,7 @@ from helpers import (
     kronecker,
     load_fixture,
     random_derivation,
+    representative_operators,
     seeded,
     seeded_embedded_quiver,
     tournament,
@@ -310,7 +315,7 @@ def test_hh1_members_have_unit_cosets():
     for name in ("k2", "triangle_tails", "torus_k4"):
         q, rot = fixture_embedded(name)
         basis = hh1_basis(q, rot)
-        for i, op in enumerate(basis.operators):
+        for i, op in enumerate(representative_operators(q, basis)):
             coords = basis.coset_coordinates(op)
             assert coords is not None, name
             assert [int(c) for c in coords] == [
@@ -332,26 +337,42 @@ def test_non_derivation_has_no_coset():
     assert basis.coset_coordinates(LinearOperator.identity(q)) is None
 
 
+def _with_face_net(monkeypatch, net):
+    """Make trace_faces give face 1 the net coefficients ``net``."""
+    true_trace_faces = cohomology.trace_faces
+
+    def traced(rot):
+        faces = list(true_trace_faces(rot))
+        faces[1] = dataclasses.replace(faces[1], net=tuple(net))
+        return tuple(faces)
+
+    monkeypatch.setattr(cohomology, "trace_faces", traced)
+
+
 @pytest.mark.parametrize("injected", ["zero", "inner", "al_copy"])
 def test_dependent_representative_raises(monkeypatch, injected):
     q, rot = fixture_embedded("triangle_tails")
     basis = hh1_basis(q, rot)
     assert basis.display_labels() == ("AL(p2,p1p3)", "Face(1)")
-    fake = {
-        "zero": LinearOperator.zero(q),
-        "inner": inner_derivation(q, q.arrow_path(0)),
-        "al_copy": basis.operators[0],
-    }[injected]
-    monkeypatch.setattr(cohomology, "face_derivation", lambda q, face: fake)
-    with pytest.raises(InternalCheckError, match=r"Face\(1\) is dependent"):
+    if injected == "zero":
+        _with_face_net(monkeypatch, [0] * q.num_arrows)
+    elif injected == "inner":
+        # the vertex derivation of v1, a signed sum of edge derivations
+        _with_face_net(monkeypatch, [int(x) for x in vertex_arrow_matrix(q).rows[0]])
+    else:
+        pairs = q.almost_oriented_cycles()
+        monkeypatch.setattr(q, "almost_oriented_cycles", lambda: pairs + pairs)
+    label = r"AL\(p2,p1p3\)" if injected == "al_copy" else r"Face\(1\)"
+    with pytest.raises(InternalCheckError, match=label + " is dependent"):
         hh1_basis(q, rot)
 
 
 def test_dependent_al_representative_raises(monkeypatch):
     q, rot = fixture_embedded("k2")
-    first = d_rs(q, "p1", q.arrow_path("p2"))
-    monkeypatch.setattr(cohomology, "d_rs", lambda q, r, s: first)
-    with pytest.raises(InternalCheckError, match=r"AL\(p2,p1\) is dependent"):
+    # AL(p1,p2) listed in place of AL(p2,p1)
+    first, _ = q.almost_oriented_cycles()
+    monkeypatch.setattr(q, "almost_oriented_cycles", lambda: (first, first))
+    with pytest.raises(InternalCheckError, match=r"AL\(p1,p2\) is dependent"):
         hh1_basis(q, rot)
 
 
@@ -377,7 +398,7 @@ def test_span_is_independent_of_dropped_face():
         q, rot = fixture_embedded(name)
         base = hh1_basis(q, rot, outer=0)
         other = hh1_basis(q, rot, outer=1)
-        coords = [base.coset_coordinates(op) for op in other.operators]
+        coords = [base.coset_coordinates(op) for op in representative_operators(q, other)]
         assert all(c is not None for c in coords), name
         m = RationalMatrix([list(c) for c in coords], len(base))
         assert m.rank() == len(base), name
@@ -477,6 +498,17 @@ def test_structure_closed_under_bracket_everywhere():
         st = hh1_structure(q, rot)
         for _, _, coords in st.brackets:
             assert coords is not None, name
+
+
+def test_hh1_structure_builds_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built on the hh1 path")
+
+    for name in ("__init__", "_of", "from_images"):
+        monkeypatch.setattr(LinearOperator, name, refuse)
+    inputs = [fixture_embedded(name) for name in EMBEDDED_FIXTURES]
+    for q, rot in inputs + [kronecker(6), tournament(5)]:
+        assert len(hh1_structure(q, rot).basis) == hh1_dimension(q, rot)
 
 
 def test_hh1_is_stable_under_arrow_relabeling():

@@ -6,7 +6,8 @@ Core claims:
       signed occurrences over all faces cancel
     - the fixture embeddings have the hand-traced face counts and nets
     - genus is 0 for trees and planar fixtures, 1 for the K4 torus
-      rotation, and invariant under mirroring
+      rotation, and invariant under mirroring; a disconnected quiver and
+      the quiver with no vertices have no genus
     - face derivations match the pinned signed sums, kill vertices, sum
       to zero over all faces, and pass the Leibniz test; on every face and
       on seeded coefficient vectors they equal the sum of a_k * D_{k,k}
@@ -244,6 +245,12 @@ def test_mirror_preserves_face_count_and_genus():
 def test_genus_requires_connected():
     q = fixture_quiver("disconnected")
     with pytest.raises(DisconnectedError):
+        genus(RotationSystem.canonical(q))
+
+
+def test_genus_rejects_the_empty_quiver():
+    q = Quiver([], [])
+    with pytest.raises(DisconnectedError, match="at least one vertex"):
         genus(RotationSystem.canonical(q))
 
 
