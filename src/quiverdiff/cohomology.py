@@ -23,7 +23,7 @@ eigenvalues come from the net-coefficient formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .derivations import LinearOperator, canonical_coordinates, d_rs, d_rs_apply
@@ -46,6 +46,9 @@ from .quiver import Path, Quiver
 
 
 def _require_connected_acyclic(q: Quiver) -> None:
+    if not q.num_vertices:
+        # an empty quiver is not connected; name the reason surface_genus gives
+        raise DisconnectedError("genus is defined for quivers with at least one vertex")
     if not q.is_acyclic():
         raise CyclicQuiverError("the quiver contains a directed cycle")
     if not q.is_connected():
@@ -116,35 +119,19 @@ def boundary_matrix(faces) -> RationalMatrix:
 # the combinatorial report
 
 
-@dataclass(frozen=True)
-class CombinatorialReport:
-    """Dimensions, matrices, ranks, and theorem verdicts in one place.
+_REPORT_FIELDS = """num_vertices num_arrows num_faces genus dim_dv dim_de dim_df dim_sum
+    c_va c_ca c_gamma b_gamma rank_c_va rank_c_ca rank_c_gamma rank_b_gamma
+    rank_theorems_hold spaces_disjoint euler_holds faces_sum_to_zero faces"""
+
+
+class CombinatorialReport(namedtuple("CombinatorialReport", _REPORT_FIELDS)):
+    """Dimensions, matrices (c_*, b_gamma), ranks, and theorem verdicts in one place.
 
     Every verdict is recomputable from the stored matrices; none of
     them is assumed in the computation of the others.
     """
 
-    num_vertices: int
-    num_arrows: int
-    num_faces: int
-    genus: int
-    dim_dv: int
-    dim_de: int
-    dim_df: int
-    dim_sum: int
-    c_va: RationalMatrix
-    c_ca: RationalMatrix
-    c_gamma: RationalMatrix
-    b_gamma: RationalMatrix
-    rank_c_va: int
-    rank_c_ca: int
-    rank_c_gamma: int
-    rank_b_gamma: int
-    rank_theorems_hold: bool
-    spaces_disjoint: bool
-    euler_holds: bool
-    faces_sum_to_zero: bool
-    faces: tuple[FaceCycle, ...]
+    __slots__ = ()
 
 
 def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
@@ -237,14 +224,11 @@ def hh1_dimension(q: Quiver, rot: RotationSystem) -> int:
 # the HH1 basis
 
 
-@dataclass(frozen=True)
-class HH1Label:
-    """Tag for a coset representative: AL(r, s), Face(f), or Extra(r)."""
+class HH1Label(namedtuple("HH1Label", "kind arrow path face", defaults=(None, None, None))):
+    """Tag for a coset representative: AL(r, s), Face(f), or Extra(r); kind is
+    "al", "face" or "extra" and the fields it does not use are None."""
 
-    kind: str  # "al" | "face" | "extra"
-    arrow: int | None = None
-    path: Path | None = None
-    face: int | None = None
+    __slots__ = ()
 
     def display(self, q: Quiver) -> str:
         if self.kind == "al":
@@ -453,8 +437,11 @@ def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
     return {key: c for key, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class StructureTable:
+_TABLE_FIELDS = """basis brackets eigenvalues enforced
+    faces_commute face_acts_diagonally al_brackets_in_al_span"""
+
+
+class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
     """Bracket table of the HH1 basis, reduced modulo inner derivations.
 
     brackets holds (i, j, coordinates of [b_i, b_j]) for i < j; the
@@ -465,13 +452,7 @@ class StructureTable:
     always informational.
     """
 
-    basis: HH1Basis
-    brackets: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
-    eigenvalues: tuple[tuple[int, int, Fraction], ...]
-    enforced: bool
-    faces_commute: bool
-    face_acts_diagonally: bool
-    al_brackets_in_al_span: bool
+    __slots__ = ()
 
 
 def hh1_structure(

@@ -31,7 +31,7 @@ solution space is independent ground truth for the canonical basis.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
 
@@ -240,10 +240,7 @@ RULE_PATH_FORCED = "path-image-support"
 RULE_FACTOR = "factorization-consistency"
 
 
-@dataclass(frozen=True)
-class ConditionViolation:
-    rule: str
-    message: str
+ConditionViolation = namedtuple("ConditionViolation", "rule message")
 
 
 def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]:
@@ -369,13 +366,11 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
 # the canonical basis
 
 
-@dataclass(frozen=True)
-class DerivationLabel:
-    """Tag for a canonical basis member: Inner(s) or EdgePair(r, s)."""
+class DerivationLabel(namedtuple("DerivationLabel", "kind arrow path")):
+    """Tag for a canonical basis member: Inner(s) or EdgePair(r, s); kind is
+    "inner" or "edge_pair"."""
 
-    kind: str  # "inner" | "edge_pair"
-    arrow: int | None
-    path: Path
+    __slots__ = ()
 
     def display(self, q: Quiver) -> str:
         if self.kind == "inner":

@@ -13,7 +13,7 @@ drawn leaving its tail vertex) and ``p1-`` the head-end dart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraElement
@@ -130,13 +130,11 @@ class RotationSystem:
         return f"RotationSystem({self.display()})"
 
 
-@dataclass(frozen=True)
-class FaceCycle:
+class FaceCycle(namedtuple("FaceCycle", "darts net")):
     """One face boundary: the exit darts in walk order, plus the net
     traversal count of every arrow (+forward, -backward)."""
 
-    darts: tuple[int, ...]
-    net: tuple[int, ...]
+    __slots__ = ()
 
     def display(self, q: Quiver) -> tuple[str, ...]:
         return tuple(dart_display(q, d) for d in self.darts)

@@ -14,28 +14,47 @@ a first-class value, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CyclicQuiverError
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    tail: int
-    head: int
+Arrow = namedtuple("Arrow", "name tail head")
 
 
-@dataclass(frozen=True)
 class Path:
     """A trivial vertex-path (no arrows) or a composable arrow walk.
 
     ``base`` is the tail vertex index; validity of the arrow chain is
-    checked by the owning quiver, not here.
+    checked by the owning quiver, not here.  Paths are immutable values:
+    they compare and hash by (base, arrows).
     """
 
-    base: int
-    arrows: tuple[int, ...] = ()
+    __slots__ = ("base", "arrows")
+
+    def __init__(self, base: int, arrows: tuple[int, ...] = ()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arrows", arrows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.base == other.base and self.arrows == other.arrows
+
+    def __hash__(self):
+        return hash((self.base, self.arrows))
+
+    def __repr__(self):
+        return f"Path(base={self.base!r}, arrows={self.arrows!r})"
+
+    def __reduce__(self):
+        return Path, (self.base, self.arrows)
 
     @property
     def is_trivial(self) -> bool:
@@ -88,6 +107,7 @@ class Quiver:
         self._in = tuple(tuple(x) for x in into)
         self._paths: tuple[Path, ...] | None = None
         self._path_index: dict[Path, int] | None = None
+        self._parallel: dict[tuple[int, int], tuple[Path, ...]] = {}
 
     # identity is structural; the display name is packaging metadata
     def __eq__(self, other):
@@ -198,8 +218,9 @@ class Quiver:
         return seen == self.num_vertices
 
     def is_connected(self) -> bool:
+        """True when the underlying graph is one component; the empty quiver has none."""
         if self.num_vertices <= 1:
-            return True
+            return self.num_vertices == 1
         seen = {0}
         stack = [0]
         while stack:
@@ -228,6 +249,10 @@ class Quiver:
             collected.sort(key=lambda p: p.key)
             self._paths = tuple(collected)
             self._path_index = {p: i for i, p in enumerate(self._paths)}
+            groups: dict[tuple[int, int], list[Path]] = {}
+            for p in self._paths:
+                groups.setdefault((p.base, self.path_head(p)), []).append(p)
+            self._parallel = {ends: tuple(ps) for ends, ps in groups.items()}
         return self._paths
 
     def path_index(self, path: Path) -> int:
@@ -244,10 +269,8 @@ class Quiver:
 
     def parallel_paths(self, path: Path) -> tuple[Path, ...]:
         """All paths with the same tail and head as ``path`` (itself included)."""
-        t, h = self.path_tail(path), self.path_head(path)
-        return tuple(
-            p for p in self.paths() if p.base == t and self.path_head(p) == h
-        )
+        self.paths()
+        return self._parallel.get((path.base, self.path_head(path)), ())
 
     def almost_oriented_cycles(self) -> tuple[tuple[int, Path], ...]:
         """All pairs (arrow r, path s) with s parallel to r and s != r."""

@@ -23,7 +23,7 @@ system for free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .embedding import RotationSystem, dart_display, dart_from_text
 from .errors import ParseError
@@ -32,12 +32,8 @@ from .quiver import Quiver
 _NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 
-@dataclass(frozen=True)
-class QuiverFile:
-    name: str
-    quiver: Quiver
-    rotation: RotationSystem | None
-    outer: int | None
+# rotation is a RotationSystem or None, outer a face index or None
+QuiverFile = namedtuple("QuiverFile", "name quiver rotation outer")
 
 
 def parse(text: str) -> QuiverFile:

@@ -15,13 +15,17 @@ Core claims:
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
       match the digests in cli_golden.json, and hh1 on K_6, T_5 and a
       seeded genus-1 quiver, built by the test, matches pinned digests
+    - a CLI process imports none of dataclasses, inspect, ast or dis, and
+      ``python -S -m quiverdiff.cli --help`` exits 0
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -292,7 +296,28 @@ def test_report_and_hh1_reject_a_quiver_with_no_vertices(tmp_path, capsys):
         assert (code, out) == (1, ""), argv
         assert err == "DisconnectedError: genus is defined for quivers with at least one vertex\n"
     assert _payload(capsys, ["check", str(f)])["numVertices"] == 0
+    assert _payload(capsys, ["check", str(f)])["connected"] is False
     assert _payload(capsys, ["derivations", str(f)])["dim"] == 0
+
+
+def _bare_python(*args):
+    """Run ``python -S`` on the package sources: no site, no .pth imports."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parent / "src")}
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_start_up_skips_the_introspection_modules():
+    probe = (
+        "import sys, quiverdiff.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    proc = _bare_python("-c", probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    proc = _bare_python("-m", "quiverdiff.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def test_missing_file_is_a_usage_error(capsys):

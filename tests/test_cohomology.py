@@ -28,19 +28,23 @@ Core claims:
       verdicts, coset coordinates) equals the operator route of
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
       genus 0 and >= 1, on K_m for m <= 8 and on T_n for n <= 5
+    - the result records keep their field names, defaults, hashes and
+      reprs, and refuse assignment
     - the row space of the inner subspace is spanned by the Inner(w) unit
       vectors and the rows of C_va on the EdgePair(k, k) block
     - hh1_structure reaches T_7 and K_14 with the dimensions, verdicts and
       bracket coordinates of the operator route
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from quiverdiff import cohomology
 from quiverdiff.cohomology import (
+    CombinatorialReport,
+    HH1Label,
+    StructureTable,
     adjoint_eigenvalue,
     boundary_matrix,
     combinatorial_report,
@@ -53,14 +57,16 @@ from quiverdiff.cohomology import (
     vertex_arrow_matrix,
 )
 from quiverdiff.derivations import (
+    ConditionViolation,
     DerivationLabel,
     LinearOperator,
     canonical_basis,
+    check_coefficient_conditions,
     d_rs,
     inner_derivation,
     inner_subspace,
 )
-from quiverdiff.embedding import HEAD, TAIL, RotationSystem, dart, trace_faces
+from quiverdiff.embedding import HEAD, TAIL, FaceCycle, RotationSystem, dart, trace_faces
 from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
@@ -68,7 +74,8 @@ from quiverdiff.errors import (
     NotAlmostCycleError,
 )
 from quiverdiff.linalg import RationalMatrix
-from quiverdiff.quiver import Quiver
+from quiverdiff.quiver import Arrow, Path, Quiver
+from quiverdiff.quiverfile import QuiverFile
 
 from helpers import (
     EMBEDDED_FIXTURES,
@@ -343,7 +350,7 @@ def _with_face_net(monkeypatch, net):
 
     def traced(rot):
         faces = list(true_trace_faces(rot))
-        faces[1] = dataclasses.replace(faces[1], net=tuple(net))
+        faces[1] = faces[1]._replace(net=tuple(net))
         return tuple(faces)
 
     monkeypatch.setattr(cohomology, "trace_faces", traced)
@@ -628,3 +635,82 @@ def test_hh1_structure_reaches_t7_and_k14():
             assert {k: x for k, x in enumerate(table[key]) if x} == nonzero, (name, key)
     labels = st.basis.display_labels()
     assert (labels[18], labels[79], labels[183]) == ("AL(p2,p7)", "AL(p7,p2)", "Face(2)")
+
+
+# -- Result records ----------------------------------------------------------
+
+def _records():
+    """One record of each kind, as the package builds them on k2."""
+    qf = load_fixture("k2")
+    q, rot = qf.quiver, qf.rotation
+    not_a_derivation = LinearOperator.identity(q)
+    return {
+        Arrow: q.arrows[0],
+        CombinatorialReport: combinatorial_report(q, rot),
+        HH1Label: hh1_basis(q, rot).labels[0],
+        StructureTable: hh1_structure(q, rot),
+        ConditionViolation: check_coefficient_conditions(not_a_derivation)[0],
+        DerivationLabel: canonical_basis(q).labels[-1],
+        FaceCycle: trace_faces(rot)[0],
+        QuiverFile: qf,
+    }
+
+
+RECORD_FIELDS = {
+    Arrow: ("name", "tail", "head"),
+    CombinatorialReport: (
+        "num_vertices", "num_arrows", "num_faces", "genus",
+        "dim_dv", "dim_de", "dim_df", "dim_sum",
+        "c_va", "c_ca", "c_gamma", "b_gamma",
+        "rank_c_va", "rank_c_ca", "rank_c_gamma", "rank_b_gamma",
+        "rank_theorems_hold", "spaces_disjoint", "euler_holds", "faces_sum_to_zero",
+        "faces",
+    ),
+    HH1Label: ("kind", "arrow", "path", "face"),
+    StructureTable: (
+        "basis", "brackets", "eigenvalues", "enforced",
+        "faces_commute", "face_acts_diagonally", "al_brackets_in_al_span",
+    ),
+    ConditionViolation: ("rule", "message"),
+    DerivationLabel: ("kind", "arrow", "path"),
+    FaceCycle: ("darts", "net"),
+    QuiverFile: ("name", "quiver", "rotation", "outer"),
+}
+
+
+def test_records_keep_fields_repr_and_refuse_assignment():
+    records = _records()
+    assert set(records) == set(RECORD_FIELDS)
+    for cls, rec in records.items():
+        fields = RECORD_FIELDS[cls]
+        assert type(rec) is cls and cls._fields == fields, cls
+        values = tuple(getattr(rec, f) for f in fields)
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(rec) == f"{cls.__name__}({shown})", cls
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, f, None)
+        with pytest.raises(AttributeError):
+            rec.unknown_field = None
+
+
+def test_label_records_hash_as_their_field_tuples():
+    records = _records()
+    for cls in (Arrow, HH1Label, ConditionViolation, DerivationLabel, FaceCycle):
+        rec = records[cls]
+        assert hash(rec) == hash(tuple(getattr(rec, f) for f in cls._fields)), cls
+        assert rec == cls(*rec) and {rec: 1}[cls(*rec)] == 1, cls
+
+
+def test_record_defaults_and_keyword_construction():
+    assert HH1Label("face", face=2) == HH1Label("face", None, None, 2)
+    assert HH1Label("extra", 1).path is None and HH1Label("extra", 1).face is None
+    al = HH1Label("al", 0, Path(0, (1,)))
+    assert (al.kind, al.arrow, al.path, al.face) == ("al", 0, Path(0, (1,)), None)
+    q, rot = fixture_embedded("k2")
+    report = combinatorial_report(q, rot)
+    fields = RECORD_FIELDS[CombinatorialReport]
+    rebuilt = CombinatorialReport(**{f: getattr(report, f) for f in reversed(fields)})
+    assert rebuilt == report and rebuilt.genus == 0 and rebuilt.num_faces == 2
+    with pytest.raises(TypeError):
+        CombinatorialReport(num_vertices=2)

@@ -5,9 +5,15 @@ Core claims:
     - the canonical path order is (length, base vertex, arrow sequence)
     - concat implements the delta rule with None as the absorbing zero
     - acyclic paths partition the basis together with the trivial paths
-    - parallelism is reflexive and symmetric
+    - parallelism is reflexive and symmetric, and the grouped lookup
+      equals a full scan of the path list
+    - Path is an immutable value: equality, hash, repr and order are
+      those of (base, arrows); the empty quiver is not connected
     - almost oriented cycle counts match the hand-checked fixtures
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -15,6 +21,7 @@ from quiverdiff.quiver import Path, Quiver
 
 from helpers import (
     EMBEDDED_FIXTURES,
+    FIXTURE_DIR,
     fixture_quiver,
     random_acyclic_quiver,
     seeded,
@@ -47,6 +54,38 @@ def _chain(n):
 
 
 # -- Construction ------------------------------------------------------------
+
+def test_path_is_a_value():
+    p = Path(0, (1, 2))
+    assert p == Path(0, (1, 2))
+    assert p != Path(0, (1,)) and p != Path(1, (1, 2))
+    assert hash(p) == hash((p.base, p.arrows))
+    assert {p: "x"}[Path(0, (1, 2))] == "x"
+    assert repr(Path(0, (1,))) == "Path(base=0, arrows=(1,))"
+    assert repr(Path(3)) == "Path(base=3, arrows=())"
+    assert Path(0, ()) != (0, ())
+    assert Path(0) == Path(0, ())
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_path_fields_cannot_be_assigned():
+    p = Path(0, (1,))
+    for name, value in (("base", 1), ("arrows", ()), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    with pytest.raises(AttributeError):
+        del p.base
+    assert p == Path(0, (1,))
+
+
+def test_sorted_paths_follow_the_key():
+    paths = [Path(1, (2,)), Path(0), Path(0, (3, 1)), Path(2), Path(0, (1,)), Path(1)]
+    assert sorted(paths) == sorted(paths, key=lambda p: p.key)
+    assert sorted(paths) == [
+        Path(0), Path(1), Path(2), Path(0, (1,)), Path(1, (2,)), Path(0, (3, 1)),
+    ]
+
 
 def test_duplicate_vertex_names_rejected():
     with pytest.raises(ValueError):
@@ -177,6 +216,7 @@ def test_acyclic_and_connected_flags():
     assert not fixture_quiver("loop").is_acyclic()
     assert not fixture_quiver("disconnected").is_connected()
     assert fixture_quiver("single_vertex").is_connected()
+    assert not Quiver([], []).is_connected()
 
 
 def test_acyclic_paths_partition():
@@ -197,6 +237,24 @@ def test_parallel_paths_reflexive_and_symmetric():
         assert p in cls
         for r in cls:
             assert p in q.parallel_paths(r)
+
+
+def _scanned_parallel_paths(q, path):
+    t, h = q.path_tail(path), q.path_head(path)
+    return tuple(p for p in q.paths() if p.base == t and q.path_head(p) == h)
+
+
+def test_parallel_paths_equal_a_full_scan():
+    quivers = [
+        fixture_quiver(f.stem) for f in sorted(FIXTURE_DIR.glob("*.quiver"))
+        if fixture_quiver(f.stem).is_acyclic()
+    ]
+    assert len(quivers) == 11
+    rng = seeded(1303)
+    quivers += [random_acyclic_quiver(rng, max_vertices=7, max_extra=6) for _ in range(25)]
+    for q in quivers:
+        for p in q.paths():
+            assert q.parallel_paths(p) == _scanned_parallel_paths(q, p), (q, p)
 
 
 def test_parallel_paths_on_k2():
