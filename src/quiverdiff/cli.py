@@ -3,13 +3,15 @@
 Every command reads one quiver file and writes a single line of
 canonical JSON (sorted keys, no whitespace, rationals as exact
 "num/den" strings) so that identical inputs produce identical bytes.
-Exit codes: 0 success, 1 semantic failure, 2 usage or parse error.
+Exit codes: 0 success, 1 semantic failure, 2 usage or parse error, or
+output that stdout refused (a full disk, a reader that closed the pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import _face_formula, combinatorial_report, happel_dimension, hh1_structure
@@ -28,12 +30,27 @@ from . import quiverfile
 
 
 def _matrix(m) -> list[list[str]]:
-    # str of a Fraction is the output format: "n", or "n/d" in lowest terms
-    return [[str(x) for x in row] for row in m.rows]
+    # str of a Fraction is the output format: "n", or "n/d" in lowest terms;
+    # most cells are linalg's shared zero, written without formatting
+    return [["0" if x is _ZERO else str(x) for x in row] for row in m.rows]
+
+
+class _OutputError(Exception):
+    """stdout refused the output."""
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if sys.stdout is None:
+        raise _OutputError("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        # the interpreter flushes stdout once more on exit: point it at
+        # devnull, so what is still buffered has somewhere to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _OutputError(e.strerror or str(e)) from None
 
 
 def _fail(message: str) -> None:
@@ -177,9 +194,7 @@ def cmd_derivations(qf, args) -> int:
     }
     if args.oracle:
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        ech = EchelonBasis(len(q.paths()) ** 2)
-        for row in basis.flat_rows().rows:
-            ech.insert(row)
+        ech = EchelonBasis.spanning(len(q.paths()) ** 2, basis.flat_rows().rows)
         spans_match = len(ops) == len(basis) and all(
             ech.contains(op.flatten()) for op in ops
         )
@@ -287,6 +302,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(qf, args)
+    except _OutputError as e:
+        _fail(f"cannot write output: {e}")
+        return 2
     except ValueError as e:
         _fail(str(e))
         return 2

@@ -44,6 +44,8 @@ from .linalg import (
 )
 from .quiver import Path, Quiver
 
+_MINUS_ONE = -_ONE
+
 
 def _require_connected_acyclic(q: Quiver) -> None:
     if not q.num_vertices:
@@ -66,23 +68,19 @@ def vertex_arrow_matrix(q: Quiver) -> RationalMatrix:
     enters v, so row v is the signed incidence vector of v.
     """
     _require_connected_acyclic(q)
-    rows = []
-    for v in range(q.num_vertices):
-        row = [_ZERO] * q.num_arrows
-        for k, a in enumerate(q.arrows):
-            if a.tail == v:
-                row[k] += _ONE
-            if a.head == v:
-                row[k] -= _ONE
-        rows.append(row)
+    rows = [[_ZERO] * q.num_arrows for _ in range(q.num_vertices)]
+    # acyclic, so no arrow is a loop and its two ends are distinct rows
+    for k, a in enumerate(q.arrows):
+        rows[a.tail][k] = _ONE
+        rows[a.head][k] = _MINUS_ONE
     return RationalMatrix(rows, q.num_arrows)
 
 
 def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
     """|F| x |E| matrix whose row j is the net sign vector of face j."""
-    return RationalMatrix(
-        [[Fraction(x) for x in f.net] for f in faces], q.num_arrows
-    )
+    # a face walk leaves each dart at most once, so each net count is -1, 0 or 1
+    sign = {-1: _MINUS_ONE, 0: _ZERO, 1: _ONE}
+    return RationalMatrix([[sign[x] for x in f.net] for f in faces], q.num_arrows)
 
 
 def connection_matrix(q: Quiver, faces) -> RationalMatrix:

@@ -409,13 +409,6 @@ class DerivationBasis:
             coords[self._index[label]] = c
         return tuple(coords)
 
-    def operator_from_coordinates(self, coords) -> LinearOperator:
-        out = LinearOperator.zero(self.quiver)
-        for c, op in zip(coords, self.operators):
-            if c:
-                out = out + Fraction(c) * op
-        return out
-
     def display_labels(self) -> tuple[str, ...]:
         return tuple(label.display(self.quiver) for label in self.labels)
 

@@ -113,10 +113,6 @@ class RotationSystem:
     def successor(self, d: int) -> int:
         return self._next[d]
 
-    def mirror(self) -> "RotationSystem":
-        """The same embedding with reversed handedness."""
-        return RotationSystem(self.quiver, [tuple(reversed(o)) for o in self.orders])
-
     def display(self) -> tuple[tuple[str, ...], ...]:
         q = self.quiver
         return tuple(tuple(dart_display(q, d) for d in o) for o in self.orders)

@@ -7,16 +7,18 @@ B, sums and negations leave zero cells untouched, and entries that are
 already Fractions are shared rather than rebuilt.  Every elimination
 runs through one kernel, EchelonBasis: sparse primitive integer rows,
 reduced forward only (fraction-free, as in Bareiss, Math. Comp. 22,
-1968), with no floating point and no pivot heuristics.  rank reads the
-forward pivots; rref, kernel and row-space intersection (Zassenhaus)
-back-substitute once to the reduced row echelon form, and quotient
-complements and LinearSolver need no back-substitution at all.  The
-reduced row echelon form of a row space is unique, so ranks, echelon
-forms, kernels and intersections come out bit-for-bit identical on
-every run, whatever order the rows arrive in.  Forward-only rows
-matter for Zassenhaus: keeping every row fully reduced fills in the
-right half of the block [[A A], [B 0]], which for a report on a
-112-arrow grid is 114 x 224.
+1968), with no floating point.  Rows whose order does not matter go in
+through ``EchelonBasis.spanning``, latest leading column first (a fixed
+row order in the spirit of Markowitz, Management Sci. 3, 1957); caller
+order fills in on the row-major vertex and face rows of a planar grid.
+rank reads the forward pivots; rref, kernel and row-space intersection
+(Zassenhaus) back-substitute once to the reduced row echelon form, and
+quotient complements and LinearSolver need no back-substitution at
+all.  The reduced row echelon form of a row space is unique, so ranks,
+echelon forms, kernels and intersections do not depend on the order
+the rows are inserted in.  Forward-only rows matter for Zassenhaus:
+keeping every row fully reduced fills in the right half of the block
+[[A A], [B 0]], which for a report on a 112-arrow grid is 114 x 224.
 """
 
 from __future__ import annotations
@@ -87,12 +89,6 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.num_rows)] for j in range(self.num_cols)],
-            self.num_rows,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -141,12 +137,6 @@ class RationalMatrix:
             out.append(acc)
         return RationalMatrix(out, width)
 
-    def mat_vec(self, vec) -> Vector:
-        v = as_vector(vec)
-        if len(v) != self.num_cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        return tuple(_dot(r, v) for r in self._rows)
-
     # ------------------------------------------------------------------
     # elimination
 
@@ -161,10 +151,7 @@ class RationalMatrix:
         return self._echelon().rank
 
     def _echelon(self) -> "EchelonBasis":
-        ech = EchelonBasis(self.num_cols)
-        for row in self._rows:
-            ech.insert(row)
-        return ech
+        return EchelonBasis.spanning(self.num_cols, self._rows)
 
     def kernel(self) -> tuple[Vector, ...]:
         """Exact kernel basis, one vector per free column.
@@ -187,10 +174,6 @@ class RationalMatrix:
         return tuple(basis)
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
-
-
 class EchelonBasis:
     """Incrementally maintained echelon basis of a row space.
 
@@ -203,11 +186,32 @@ class EchelonBasis:
     rows are never touched again, so an insert costs one pass over the
     pivots it meets and nothing fills in behind it.  ``rows()`` turns
     the basis into the unique RREF of the span by one back-substitution.
+
+    ``spanning`` builds the basis of a batch of rows whose order does
+    not matter: it inserts them latest leading column first, so every
+    pivot already stored lies at or after the next row's leading
+    column, and a row meets a pivot only when it starts in the same
+    column.  Callers whose answer depends on which rows are kept
+    (LinearSolver, the candidates of quotient_complement) insert one
+    row at a time, in their own order.
     """
 
     def __init__(self, num_cols: int):
         self.num_cols = num_cols
         self._pivot_rows: dict[int, dict[int, int]] = {}
+
+    @classmethod
+    def spanning(cls, num_cols: int, rows) -> "EchelonBasis":
+        """The echelon basis of the span of ``rows``.
+
+        The rows are inserted in decreasing order of leading column; the
+        sort is stable, so rows with the same leading column keep their
+        order, and zero rows go last.
+        """
+        ech = cls(num_cols)
+        for row in sorted(rows, key=_leading_column, reverse=True):
+            ech.insert(row)
+        return ech
 
     @property
     def rank(self) -> int:
@@ -285,6 +289,10 @@ class EchelonBasis:
         return out[::-1]
 
 
+def _leading_column(row) -> int:
+    return next((j for j, x in enumerate(row) if x), -1)
+
+
 def _integer_row(entries) -> tuple[dict[int, int], int]:
     """The sparse int row den * x over the (column, x) pairs, den the
     lcm of the denominators of the nonzero x."""
@@ -328,11 +336,10 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     if a.num_cols != b.num_cols:
         raise DimensionMismatchError("row spaces live in different dimensions")
     n = a.num_cols
-    ech = EchelonBasis(2 * n)
-    for row in a.rows:
-        ech.insert(row + row)
-    for row in b.rows:
-        ech.insert(row + (_ZERO,) * n)
+    padding = (_ZERO,) * n
+    ech = EchelonBasis.spanning(
+        2 * n, [row + row for row in a.rows] + [row + padding for row in b.rows]
+    )
     found = ech._reduced([p for p in ech.pivots if p >= n])
     return RationalMatrix([row[n:] for row in found], n)
 
@@ -341,14 +348,13 @@ def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
     """Representatives completing ``subspace`` to its full ambient space.
 
     Scans the preferred candidates first, then the standard unit
-    vectors, keeping each vector that increases the rank; the result
+    vectors, in that order, keeping each vector that increases the
+    rank of the subspace and the vectors kept so far; the result
     has length (ambient dimension - rank of subspace) and the choice is
     deterministic.
     """
     n = subspace.num_cols
-    ech = EchelonBasis(n)
-    for row in subspace.rows:
-        ech.insert(row)
+    ech = EchelonBasis.spanning(n, subspace.rows)
     units = ([_ONE if j == i else _ZERO for j in range(n)] for i in range(n))
     chosen: list[Vector] = []
     for cand in chain(preferred, units):
@@ -370,6 +376,14 @@ class LinearSolver:
     is outside the row space.  A row that depends on earlier rows gets
     coordinate zero, so answers are deterministic; when the rows are
     linearly independent the answer is the unique one.
+
+    The rows go in one at a time in the caller's order, never through
+    ``EchelonBasis.spanning``: which row of a dependent set gets the
+    zero is part of the answer.  hh1_basis relies on it: it lists the
+    rows of C_va before the representatives, so a representative that
+    lies in their span gets coordinate zero on itself and is caught.
+    In latest-leading-column order that representative could be kept
+    instead, and would solve to its own unit vector.
     """
 
     def __init__(self, m: RationalMatrix):

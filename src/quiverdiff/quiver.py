@@ -171,16 +171,6 @@ class Quiver:
             return path.base
         return self.arrows[path.arrows[-1]].head
 
-    def is_valid_path(self, path: Path) -> bool:
-        if not 0 <= path.base < self.num_vertices:
-            return False
-        at = path.base
-        for i in path.arrows:
-            if not 0 <= i < self.num_arrows or self.arrows[i].tail != at:
-                return False
-            at = self.arrows[i].head
-        return True
-
     def path_display(self, path: Path) -> str:
         if path.is_trivial:
             return self.vertex_names[path.base]
@@ -281,6 +271,3 @@ class Quiver:
                 if s != rp:
                     pairs.append((i, s))
         return tuple(pairs)
-
-    def longest_path_length(self) -> int:
-        return max(len(p) for p in self.paths())

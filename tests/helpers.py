@@ -1,5 +1,6 @@
 """Shared test utilities: fixture loading, seeded random generators, the
-HH1 representatives as operators, and the operator route to the HH1
+planar checkerboard grid, small operations only tests need, the HH1
+representatives as operators, and the operator route to the HH1
 structure table as an independent reference."""
 
 import random
@@ -17,7 +18,7 @@ from quiverdiff.derivations import (
     d_rs,
     inner_subspace,
 )
-from quiverdiff.linalg import LinearSolver, RationalMatrix
+from quiverdiff.linalg import LinearSolver, RationalMatrix, as_vector
 from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, face_derivation, genus
 from quiverdiff import quiverfile
 
@@ -120,6 +121,29 @@ def tournament(n):
     return q, RotationSystem.canonical(q)
 
 
+def checkerboard_grid(k):
+    """k x k grid, every arrow from a vertex with i + j even to one with
+    i + j odd, darts in counter-clockwise order: a planar embedding."""
+    name = "v{}_{}".format
+    vertices = [name(i, j) for i in range(k) for j in range(k)]
+    arrows, around = [], {v: [] for v in vertices}
+    for i in range(k):
+        for j in range(k):
+            # (step, position of the dart at each end in east, north, west, south)
+            for di, dj, pos in ((0, 1, 0), (1, 0, 1)):
+                if i + di == k or j + dj == k:
+                    continue
+                u, w, u_pos, w_pos = name(i, j), name(i + di, j + dj), pos, pos + 2
+                if (i + j) % 2:
+                    u, w, u_pos, w_pos = w, u, w_pos, u_pos
+                a = len(arrows)
+                arrows.append((f"a{a}", u, w))
+                around[u].append((u_pos, dart(a, TAIL)))
+                around[w].append((w_pos, dart(a, HEAD)))
+    q = Quiver(vertices, arrows, name=f"grid{k}")
+    return q, RotationSystem(q, [[d for _, d in sorted(around[v])] for v in vertices])
+
+
 def random_rotation(rng, q):
     orders = []
     for v in range(q.num_vertices):
@@ -153,6 +177,49 @@ def random_derivation(rng, q, basis=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- operations only tests need --------------------------------------------
+
+def mat_vec(m, vec):
+    """The product M v of a RationalMatrix and a column vector."""
+    v = as_vector(vec)
+    assert len(v) == m.num_cols
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.rows)
+
+
+def transpose(m):
+    return RationalMatrix([[row[j] for row in m.rows] for j in range(m.num_cols)], m.num_rows)
+
+
+def operator_from_coordinates(basis, coords):
+    """The combination of the canonical basis operators with the given coefficients."""
+    out = LinearOperator.zero(basis.quiver)
+    for c, op in zip(coords, basis.operators):
+        if c:
+            out = out + Fraction(c) * op
+    return out
+
+
+def is_valid_path(q, path):
+    """Whether ``path`` is a walk along the arrows of ``q`` from its base."""
+    if not 0 <= path.base < q.num_vertices:
+        return False
+    at = path.base
+    for i in path.arrows:
+        if not 0 <= i < q.num_arrows or q.arrows[i].tail != at:
+            return False
+        at = q.arrows[i].head
+    return True
+
+
+def longest_path_length(q):
+    return max(len(p) for p in q.paths())
+
+
+def mirror(rot):
+    """The same embedding with reversed handedness."""
+    return RotationSystem(rot.quiver, [tuple(reversed(o)) for o in rot.orders])
 
 
 def representative_operators(q, hb):

@@ -17,6 +17,9 @@ Core claims:
       seeded genus-1 quiver, built by the test, matches pinned digests
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
+    - output that stdout refuses (a full device, a closed stdout, a reader
+      that closes the pipe early) ends in exit 2 and one stderr line, not a
+      traceback
 """
 
 import contextlib
@@ -34,7 +37,13 @@ from quiverdiff.cli import main
 
 from quiverdiff import quiverfile
 
-from helpers import FIXTURE_DIR, kronecker, seeded_embedded_quiver, tournament
+from helpers import (
+    FIXTURE_DIR,
+    checkerboard_grid,
+    kronecker,
+    seeded_embedded_quiver,
+    tournament,
+)
 
 
 # -- Helpers ---------------------------------------------------------------
@@ -366,6 +375,54 @@ def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _cli_env():
+    env = {**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parent / "src")}
+    # unbuffered, the text layer drops the rest of a short write unseen
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(argv, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "quiverdiff.cli", *argv],
+        env=_cli_env(), stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_one_line_and_exit_2():
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(["check", _fixture("k2")], full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"cannot write output: No space left on device\n"
+
+
+def test_a_closed_stdout_is_one_line_and_exit_2():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "quiverdiff.cli",
+         "check", _fixture("k2")],
+        env=_cli_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"cannot write output: stdout is closed\n"
+
+
+def test_a_reader_closing_the_pipe_early_is_one_line_and_exit_2(tmp_path):
+    # the report is about 2 MB, far more than a pipe buffers, so the CLI is
+    # still writing when the reader goes away
+    q, rot = checkerboard_grid(16)
+    path = tmp_path / "grid16.quiver"
+    qf = quiverfile.QuiverFile(name="grid16", quiver=q, rotation=rot, outer=None)
+    path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+    proc = _cli_process(["report", str(path)], subprocess.PIPE)
+    assert proc.stdout.read(20).startswith(b'{"dimDE":480,')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"cannot write output: Broken pipe\n"
 
 
 # -- Determinism ---------------------------------------------------------------------

@@ -50,6 +50,10 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     EMBEDDED_FIXTURES,
     fixture_quiver,
+    is_valid_path,
+    longest_path_length,
+    mat_vec,
+    operator_from_coordinates,
     rand_frac,
     random_acyclic_quiver,
     random_derivation,
@@ -177,7 +181,7 @@ def test_d_rs_apply_counts_every_occurrence():
     # cyclic quiver where r occurs twice in a longer path
     q2 = Quiver(["u", "v", "w"], [("r", "u", "v"), ("x", "v", "u"), ("y", "v", "w")])
     p = Path(0, (0, 1, 0, 2))  # r x r y
-    assert q2.is_valid_path(p)
+    assert is_valid_path(q2, p)
     assert d_rs_apply(q2, "r", q2.arrow_path("r"), p) == 2 * _elem(q2, p)
     # a longer parallel companion: s = r x r, still u -> v
     s = Path(0, (0, 1, 0))
@@ -374,7 +378,7 @@ def test_coordinates_roundtrip():
             op = random_derivation(rng, q, basis)
             coords = basis.coordinates_of(op)
             assert coords is not None
-            assert basis.operator_from_coordinates(coords) == op
+            assert operator_from_coordinates(basis, coords) == op
 
 
 def test_coordinates_of_non_member_is_none():
@@ -583,12 +587,12 @@ def _lower_central_depth(q):
 def test_acyclic_inner_span_is_nilpotent():
     for name in ("a3", "a4", "k2", "triangle_tails"):
         q = fixture_quiver(name)
-        assert _lower_central_depth(q) <= q.longest_path_length(), name
+        assert _lower_central_depth(q) <= longest_path_length(q), name
 
 
 def test_chain_nilpotency_depth_is_sharp():
     q = fixture_quiver("a4")
-    assert _lower_central_depth(q) == q.longest_path_length() == 3
+    assert _lower_central_depth(q) == longest_path_length(q) == 3
 
 
 def test_arrow_rescaling_fixes_its_inner_derivation():
@@ -650,7 +654,7 @@ def test_sparse_apply_matches_mat_vec():
         for _ in range(4):
             op = _perturbed(rng, q, basis)
             elem = random_element(rng, q, size=4)
-            expected = op.matrix.mat_vec([elem.coefficient(p) for p in q.paths()])
+            expected = mat_vec(op.matrix, [elem.coefficient(p) for p in q.paths()])
             assert tuple(op.apply(elem).coefficient(p) for p in q.paths()) == expected, name
 
 
@@ -664,7 +668,7 @@ def test_coordinates_of_rejects_perturbed_non_derivations():
             op = _perturbed(rng, q, basis)
             coords = basis.coordinates_of(op)
             if is_derivation(op):
-                assert basis.operator_from_coordinates(coords) == op, name
+                assert operator_from_coordinates(basis, coords) == op, name
             else:
                 assert coords is None, name
                 rejected += 1

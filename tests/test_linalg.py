@@ -12,6 +12,11 @@ Core claims:
     - rref, rank, kernel and LinearSolver.solve agree with SymPy on rows
       with non-unit denominators and entries past 2**64
     - the intersection is in RREF and equals the RREF of SymPy's meet
+    - EchelonBasis.spanning inserts latest leading column first, ties in
+      caller order, and seeded row shuffles change none of rank, rref,
+      kernel, the intersection or the length of quotient_complement, on
+      random matrices (against SymPy) and on the C_va, C_ca and B_gamma
+      matrices of checkerboard grids
     - products, sums and differences agree with SymPy on sparse and dense
       matrices of every shape, empty ones included, and store only exact
       Fraction entries
@@ -22,6 +27,8 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdiff.cohomology import boundary_matrix, cycle_arrow_matrix, vertex_arrow_matrix
+from quiverdiff.embedding import trace_faces
 from quiverdiff.errors import DimensionMismatchError
 from quiverdiff.linalg import (
     EchelonBasis,
@@ -31,7 +38,7 @@ from quiverdiff.linalg import (
     quotient_complement,
 )
 
-from helpers import rand_frac, seeded
+from helpers import checkerboard_grid, mat_vec, rand_frac, seeded, transpose
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -88,7 +95,7 @@ def test_rank_equals_transpose_rank_randomized():
     rng = seeded(3101)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_rref_idempotent_and_deterministic():
@@ -131,7 +138,7 @@ def test_kernel_dimension_and_exactness_randomized():
         kern = m.kernel()
         assert len(kern) == m.num_cols - m.rank()
         for v in kern:
-            assert all(x == 0 for x in m.mat_vec(v))
+            assert all(x == 0 for x in mat_vec(m, v))
         if kern:
             assert RationalMatrix(list(kern), m.num_cols).rank() == len(kern)
 
@@ -515,3 +522,72 @@ def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
         assert inter.num_rows > 0
         assert inter.rref()[0] == inter
         assert inter.rows == tuple(row for row in expected if any(row))
+
+
+# -- Row order -----------------------------------------------------------------
+
+def test_spanning_inserts_latest_leading_column_first(monkeypatch):
+    seen = []
+    insert = EchelonBasis.insert
+
+    def recording(self, vec):
+        seen.append(tuple(vec))
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", recording)
+    rows = [(1, 0, 0), (0, 0, 0), (0, 2, 1), (1, 1, 0), (0, 0, 3), (0, 1, 0)]
+    ech = EchelonBasis.spanning(3, rows)
+    assert seen == [(0, 0, 3), (0, 2, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)]
+    assert (ech.rank, ech.pivots) == (3, (0, 1, 2))
+
+
+def _shuffled(rng, m):
+    rows = list(m.rows)
+    rng.shuffle(rows)
+    return RationalMatrix(rows, m.num_cols)
+
+
+def _assert_order_free(rng, m, other, shuffles=3):
+    """rank, rref, kernel, the meet with ``other`` and the complement length
+    of ``m`` are the same for every order of the rows of m and other."""
+    reduced, pivots = m.rref()
+    kernel = m.kernel()
+    meet = intersect_row_spaces(m, other)
+    complement = len(quotient_complement(m))
+    assert complement == m.num_cols - m.rank()
+    for _ in range(shuffles):
+        s, t = _shuffled(rng, m), _shuffled(rng, other)
+        assert s.rank() == m.rank()
+        assert s.rref() == (reduced, pivots)
+        assert s.kernel() == kernel
+        assert intersect_row_spaces(s, t) == meet
+        assert len(quotient_complement(s)) == complement
+    return reduced, pivots, meet
+
+
+def test_row_order_changes_nothing_against_sympy(sympy):
+    rng = seeded(3119)
+    for _ in range(30):
+        cols = rng.randint(1, 7)
+        a = _dependent_matrix(rng, rng.randint(1, 5), cols, rng.randint(0, 3))
+        b = _dependent_matrix(rng, rng.randint(1, 5), cols, rng.randint(0, 3))
+        reduced, pivots, meet = _assert_order_free(rng, a, b)
+        expected, expected_pivots = _to_sympy(sympy, a).rref()
+        assert pivots == expected_pivots
+        assert reduced == _from_sympy(expected)
+        sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+        assert meet.num_rows == sa.rank() + sb.rank() - sa.col_join(sb).rank()
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_row_order_changes_nothing_on_grid_matrices(sympy, k):
+    rng = seeded(3120 + k)
+    q, rot = checkerboard_grid(k)
+    faces = trace_faces(rot)
+    c_va, c_ca = vertex_arrow_matrix(q), cycle_arrow_matrix(q, faces)
+    b_gamma = boundary_matrix(faces)
+    for m, other in ((c_va, c_ca), (c_ca, c_va), (b_gamma, b_gamma)):
+        reduced, pivots, _ = _assert_order_free(rng, m, other)
+        expected, expected_pivots = _to_sympy(sympy, m).rref()
+        assert pivots == expected_pivots
+        assert reduced == _from_sympy(expected)

@@ -23,6 +23,8 @@ from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
     fixture_quiver,
+    is_valid_path,
+    longest_path_length,
     random_acyclic_quiver,
     seeded,
 )
@@ -203,9 +205,9 @@ def test_concat_associative_randomized():
 
 def test_is_valid_path():
     q = fixture_quiver("a3")
-    assert q.is_valid_path(Path(0, (0, 1)))
-    assert not q.is_valid_path(Path(0, (1,)))
-    assert not q.is_valid_path(Path(5))
+    assert is_valid_path(q, Path(0, (0, 1)))
+    assert not is_valid_path(q, Path(0, (1,)))
+    assert not is_valid_path(q, Path(5))
 
 
 # -- Global structure --------------------------------------------------------
@@ -290,10 +292,10 @@ def test_triangle_tails_almost_oriented_cycle_is_the_known_pair():
 
 
 def test_longest_path_length():
-    assert fixture_quiver("a5").longest_path_length() == 4
-    assert fixture_quiver("k2").longest_path_length() == 1
-    assert fixture_quiver("triangle_tails").longest_path_length() == 2
-    assert fixture_quiver("single_vertex").longest_path_length() == 0
+    assert longest_path_length(fixture_quiver("a5")) == 4
+    assert longest_path_length(fixture_quiver("k2")) == 1
+    assert longest_path_length(fixture_quiver("triangle_tails")) == 2
+    assert longest_path_length(fixture_quiver("single_vertex")) == 0
 
 
 def test_chain_path_count_formula():
