@@ -4,7 +4,8 @@ Elements are finite rational linear combinations of paths.  The
 product of two basis paths is their concatenation when the head of the
 first meets the tail of the second and zero otherwise; everything else
 is bilinear extension.  Zero coefficients are pruned eagerly so
-equality is plain structural equality.
+equality is plain structural equality.  Arithmetic results are built
+from nonzero Fractions and stay pruned without a normalising pass.
 """
 
 from __future__ import annotations
@@ -35,12 +36,21 @@ class AlgebraElement:
         self._terms = acc
 
     @classmethod
+    def _of(cls, quiver: Quiver, terms: dict[Path, Fraction]) -> "AlgebraElement":
+        # terms already pruned, every coefficient a nonzero Fraction
+        elem = cls.__new__(cls)
+        elem.quiver = quiver
+        elem._terms = terms
+        return elem
+
+    @classmethod
     def zero(cls, quiver: Quiver) -> "AlgebraElement":
         return cls(quiver)
 
     @classmethod
     def from_path(cls, quiver: Quiver, path: Path, coeff=1) -> "AlgebraElement":
-        return cls(quiver, [(path, coeff)])
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        return cls._of(quiver, {path: c} if c else {})
 
     @classmethod
     def identity(cls, quiver: Quiver) -> "AlgebraElement":
@@ -68,26 +78,32 @@ class AlgebraElement:
         self._check(other)
         acc = dict(self._terms)
         for p, c in other._terms.items():
-            acc[p] = acc.get(p, _ZERO) + c
-        return AlgebraElement(self.quiver, acc)
+            a = acc.get(p)
+            c = c if a is None else a + c
+            if c:
+                acc[p] = c
+            else:
+                del acc[p]
+        return AlgebraElement._of(self.quiver, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.quiver, {p: -c for p, c in self._terms.items()})
+        return AlgebraElement._of(self.quiver, {p: -c for p, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            q = self.quiver
+            concat = self.quiver.concat
             acc: dict[Path, Fraction] = {}
             for p, cp in self._terms.items():
                 for r, cr in other._terms.items():
-                    s = q.concat(p, r)
+                    s = concat(p, r)
                     if s is not None:
-                        acc[s] = acc.get(s, _ZERO) + cp * cr
-            return AlgebraElement(q, acc)
+                        a = acc.get(s)
+                        acc[s] = cp * cr if a is None else a + cp * cr
+            return AlgebraElement._of(self.quiver, {s: c for s, c in acc.items() if c})
         if isinstance(other, Rational):
             return self._scaled(other)
         return NotImplemented
@@ -99,7 +115,8 @@ class AlgebraElement:
 
     def _scaled(self, scalar) -> "AlgebraElement":
         c = Fraction(scalar)
-        return AlgebraElement(self.quiver, {p: c * v for p, v in self._terms.items()})
+        terms = {p: c * v for p, v in self._terms.items()} if c else {}
+        return AlgebraElement._of(self.quiver, terms)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self * other - other * self

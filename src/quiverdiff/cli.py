@@ -41,11 +41,20 @@ class _OutputError(Exception):
 
 def _emit(payload) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if sys.stdout is None:
+    out = sys.stdout
+    if out is None:
         raise _OutputError("stdout is closed")
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if hasattr(out, "buffer"):
+            # unbuffered (python -u), the text layer drops the rest of a
+            # short write unseen: write the bytes until all are taken
+            out.flush()
+            out, data = out.buffer, memoryview(text.encode(out.encoding))
+            while data:
+                data = data[out.write(data):]
+        else:
+            out.write(text)
+        out.flush()
     except OSError as e:
         # the interpreter flushes stdout once more on exit: point it at
         # devnull, so what is still buffered has somewhere to go

@@ -26,6 +26,8 @@ sparse LinearOperator.bracket, so they remain an independent reference
 for it.  The oracle solves the raw Leibniz system in the
 n^2 matrix entries, knowing nothing about the structure theory, so its
 solution space is independent ground truth for the canonical basis.
+It keeps each equation once, as a primitive integer row, and builds
+each solution's operator from its nonzero entries.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 from .algebra import AlgebraElement
@@ -93,11 +96,12 @@ class LinearOperator:
     def matrix(self) -> RationalMatrix:
         q = self.quiver
         n = len(self.images)
-        rows = [[_ZERO] * n for _ in range(n)]
+        # the coefficients of an element are nonzero Fractions already
+        rows = [[] for _ in range(n)]
         for j, img in enumerate(self.images):
-            for p, c in img.items():
-                rows[q.path_index(p)][j] = c
-        return RationalMatrix(rows, n)
+            for p, c in img._terms.items():
+                rows[q.path_index(p)].append((j, c))
+        return RationalMatrix._of(rows, n)
 
     def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
         if self.quiver is not other.quiver and self.quiver != other.quiver:
@@ -501,39 +505,38 @@ def inner_subspace(q: Quiver, basis: DerivationBasis | None = None) -> RationalM
 # brute-force oracle
 
 
-def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperator]:
-    """Solve the raw Leibniz system in the n^2 unknown matrix entries.
-
-    For every basis pair (x, y) and every potential image path w this
-    imposes one linear equation relating the unknowns d[w, xy], d[u, x]
-    (where u y = w) and d[u, y] (where x u = w).  The system is
-    pre-simplified by unit propagation (an equation with one surviving
-    unknown forces it to zero) and the residue is solved by exact
-    elimination.  Nothing here knows about the structure theory.
-    """
+def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
+    """The oracle's equations, as sparse primitive integer rows: sorted
+    (unknown, coefficient) pairs over their gcd, the first one positive,
+    so that equations that are multiples of one another are one row."""
     paths = q.paths()
     n = len(paths)
-    if n > max_paths:
-        raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
     idx = q.path_index
-    rows: set[tuple[tuple[int, Fraction], ...]] = set()
-    for jx, x in enumerate(paths):
-        for jy, y in enumerate(paths):
+    # the nonzero products: left[j] holds (u, index of u p_j), right[j]
+    # holds (u, index of p_j u)
+    left: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    right: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ja, a in enumerate(paths):
+        for jb, b in enumerate(paths):
+            ab = q.concat(a, b)
+            if ab is not None:
+                left[jb].append((ja, idx(ab)))
+                right[ja].append((jb, idx(ab)))
+    product = [dict(r) for r in right]
+    rows: set[tuple[tuple[int, int], ...]] = set()
+    for jx in range(n):
+        for jy in range(n):
             per_w: dict[int, dict[int, int]] = {}
-            for ju, u in enumerate(paths):
-                w = q.concat(u, y)
-                if w is not None:
-                    d = per_w.setdefault(idx(w), {})
-                    key = ju * n + jx
-                    d[key] = d.get(key, 0) + 1
-                w = q.concat(x, u)
-                if w is not None:
-                    d = per_w.setdefault(idx(w), {})
-                    key = ju * n + jy
-                    d[key] = d.get(key, 0) + 1
-            z = q.concat(x, y)
-            if z is not None:
-                jz = idx(z)
+            for ju, w in left[jy]:
+                d = per_w.setdefault(w, {})
+                key = ju * n + jx
+                d[key] = d.get(key, 0) + 1
+            for ju, w in right[jx]:
+                d = per_w.setdefault(w, {})
+                key = ju * n + jy
+                d[key] = d.get(key, 0) + 1
+            jz = product[jx].get(jy)
+            if jz is not None:
                 for wi in range(n):
                     d = per_w.setdefault(wi, {})
                     key = wi * n + jz
@@ -541,11 +544,31 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
             for d in per_w.values():
                 entries = sorted((u, c) for u, c in d.items() if c)
                 if entries:
-                    lead = Fraction(entries[0][1])
-                    rows.add(tuple((u, Fraction(c) / lead) for u, c in entries))
+                    g = gcd(*(c for _, c in entries))
+                    if entries[0][1] < 0:
+                        g = -g
+                    rows.add(tuple((u, c // g) for u, c in entries))
+    return rows
+
+
+def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperator]:
+    """Solve the raw Leibniz system in the n^2 unknown matrix entries.
+
+    For every basis pair (x, y) and every potential image path w this
+    imposes one linear equation relating the unknowns d[w, xy], d[u, x]
+    (where u y = w) and d[u, y] (where x u = w), read off a table of
+    the products of basis paths built once by concatenation.  The
+    system is pre-simplified by unit propagation (an equation with one
+    surviving unknown forces it to zero) and the residue is solved by
+    exact elimination.  Nothing here knows about the structure theory.
+    """
+    paths = q.paths()
+    n = len(paths)
+    if n > max_paths:
+        raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
 
     # unit propagation: single-unknown equations force zeros
-    active = [dict(r) for r in sorted(rows)]
+    active = [dict(r) for r in sorted(_leibniz_rows(q))]
     by_var: dict[int, list[int]] = {}
     for i, row in enumerate(active):
         for u in row:
@@ -566,27 +589,24 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
 
     residual = [row for row in active if len(row) >= 2]
     touched = sorted({u for row in residual for u in row})
-    col = {u: j for j, u in enumerate(touched)}
-    solutions: list[list[Fraction]] = []
+    solutions = []
     if touched:
         matrix = RationalMatrix(
             [[row.get(u, _ZERO) for u in touched] for row in residual], len(touched)
         )
-        for kv in matrix.kernel():
-            full = [_ZERO] * (n * n)
-            for j, u in enumerate(touched):
-                full[u] = kv[j]
-            solutions.append(full)
+        solutions = [zip(touched, kv) for kv in matrix.kernel()]
     touched_set = set(touched)
-    for u in range(n * n):
-        if u not in zeroed and u not in touched_set:
-            full = [_ZERO] * (n * n)
-            full[u] = _ONE
-            solutions.append(full)
-    return [
-        LinearOperator(q, RationalMatrix([full[w * n : (w + 1) * n] for w in range(n)], n))
-        for full in solutions
-    ]
+    solutions += [[(u, _ONE)] for u in range(n * n) if u not in zeroed and u not in touched_set]
+    operators = []
+    for solution in solutions:
+        # the operator straight from the nonzero entries: unknown w n + j
+        # is the coefficient of path w in the image of path j
+        images: list[dict[Path, Fraction]] = [{} for _ in range(n)]
+        for u, x in solution:
+            if x:
+                images[u % n][paths[u // n]] = x
+        operators.append(LinearOperator._of(q, [AlgebraElement._of(q, t) for t in images]))
+    return operators
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are stored dense and immutable, but their arithmetic costs in
-proportion to their nonzeros: a product walks only the nonzero entries
-of each row of A against the nonzero entries of the matching rows of
-B, sums and negations leave zero cells untouched, and entries that are
-already Fractions are shared rather than rebuilt.  Every elimination
+proportion to their nonzeros: each matrix lists the nonzero entries of
+its rows once and keeps the list, a product walks the nonzero entries
+of each row of A against those of the matching rows of B, and sums and
+negations touch only nonzero cells.  Entries that are already Fractions
+are shared; arithmetic results, built from their nonzero entries, skip
+the constructor's conversion pass.  Every elimination
 runs through one kernel, EchelonBasis: sparse primitive integer rows,
 reduced forward only (fraction-free, as in Bareiss, Math. Comp. 22,
 1968), with no floating point.  Rows whose order does not matter go in
@@ -45,10 +47,12 @@ class RationalMatrix:
 
     Entries that are already Fractions are shared, every other entry is
     converted once.  Products and sums skip zero entries, so the operands
-    of the dense bracket checks, which are mostly zeros, cost little.
+    of the dense bracket checks, which are mostly zeros, cost little; the
+    nonzero entries of a matrix are listed once, on first use or by the
+    arithmetic that built it, so an operand of many products is scanned once.
     """
 
-    __slots__ = ("num_rows", "num_cols", "_rows")
+    __slots__ = ("num_rows", "num_cols", "_rows", "_nonzero_rows")
 
     def __init__(self, rows, num_cols: int | None = None):
         data = tuple(as_vector(r) for r in rows)
@@ -62,6 +66,27 @@ class RationalMatrix:
         self.num_rows = len(data)
         self.num_cols = num_cols if num_cols is not None else 0
         self._rows = data
+        self._nonzero_rows = None
+
+    @classmethod
+    def _of(cls, nonzero_rows, num_cols: int) -> "RationalMatrix":
+        # the matrix of the nonzero (column, Fraction) entries, row by row
+        zero = (_ZERO,) * num_cols
+        rows = []
+        for nz in nonzero_rows:
+            row = [_ZERO] * num_cols if nz else zero
+            for j, x in nz:
+                row[j] = x
+            rows.append(tuple(row))
+        m = cls.__new__(cls)
+        m.num_rows, m.num_cols, m._rows = len(rows), num_cols, tuple(rows)
+        m._nonzero_rows = nonzero_rows
+        return m
+
+    def _nonzeros(self) -> list[list[tuple[int, Fraction]]]:
+        if self._nonzero_rows is None:
+            self._nonzero_rows = [[(j, x) for j, x in enumerate(r) if x] for r in self._rows]
+        return self._nonzero_rows
 
     @classmethod
     def zeros(cls, num_rows: int, num_cols: int) -> "RationalMatrix":
@@ -107,10 +132,8 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.num_rows, self.num_cols) != (other.num_rows, other.num_cols):
             raise DimensionMismatchError("shape mismatch in addition")
-        # a zero cell adds nothing: keep the other cell as it is
-        return RationalMatrix(
-            [[a + b if a and b else a or b for a, b in zip(r, s)]
-             for r, s in zip(self._rows, other._rows)],
+        return RationalMatrix._of(
+            [_merged(r, s) for r, s in zip(self._nonzeros(), other._nonzeros())],
             self.num_cols,
         )
 
@@ -118,24 +141,20 @@ class RationalMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a if a else a for a in r] for r in self._rows], self.num_cols)
+        negated = [[(j, -x) for j, x in r] for r in self._nonzeros()]
+        return RationalMatrix._of(negated, self.num_cols)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.num_cols != other.num_rows:
             raise DimensionMismatchError("inner dimensions do not match")
         # row i of AB is the sum of A[i,k] * B[k,:] over the nonzero A[i,k],
         # each against the nonzero entries of row k of B only
-        width = other.num_cols
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other._rows]
-        out = []
-        for r in self._rows:
-            acc = [_ZERO] * width
-            for a, row in zip(r, sparse):
-                if a:
-                    for j, x in row:
-                        acc[j] += a * x
-            out.append(acc)
-        return RationalMatrix(out, width)
+        right = other._nonzeros()
+        return RationalMatrix._of(
+            [_merged((), [(j, a * x) for k, a in r for j, x in right[k]])
+             for r in self._nonzeros()],
+            other.num_cols,
+        )
 
     # ------------------------------------------------------------------
     # elimination
@@ -168,9 +187,12 @@ class RationalMatrix:
             v = [_ZERO] * self.num_cols
             v[free] = _ONE
             for r, c in enumerate(pivots):
-                v[c] = -reduced.entry(r, free)
-            lead = next(x for x in v if x != 0)
-            basis.append(tuple(x / lead for x in v))
+                x = reduced.entry(r, free)
+                if x:
+                    v[c] = -x
+            # zero entries stay linalg's shared zero, undivided
+            lead = next(x for x in v if x)
+            basis.append(tuple(x / lead if x else x for x in v))
         return tuple(basis)
 
 
@@ -287,6 +309,18 @@ class EchelonBasis:
                 row[j] = Fraction(x, v[p])
             out.append(row)
         return out[::-1]
+
+
+def _merged(r, s) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of r + s, two rows of (column, entry) pairs;
+    s may name a column more than once."""
+    if not s:
+        return r
+    acc = dict(r)
+    for j, x in s:
+        y = acc.get(j)
+        acc[j] = x if y is None else y + x
+    return [(j, x) for j, x in acc.items() if x]
 
 
 def _leading_column(row) -> int:

@@ -222,6 +222,92 @@ def mirror(rot):
     return RotationSystem(rot.quiver, [tuple(reversed(o)) for o in rot.orders])
 
 
+def fraction_leibniz_rows(q):
+    """The oracle's Leibniz equations, built the way the oracle built
+    them before it kept integer rows: one row per line, scaled by
+    Fractions to a leading coefficient of 1, with a concat call for
+    every product."""
+    paths = q.paths()
+    n = len(paths)
+    idx = q.path_index
+    rows = set()
+    for jx, x in enumerate(paths):
+        for jy, y in enumerate(paths):
+            per_w = {}
+            for ju, u in enumerate(paths):
+                w = q.concat(u, y)
+                if w is not None:
+                    d = per_w.setdefault(idx(w), {})
+                    key = ju * n + jx
+                    d[key] = d.get(key, 0) + 1
+                w = q.concat(x, u)
+                if w is not None:
+                    d = per_w.setdefault(idx(w), {})
+                    key = ju * n + jy
+                    d[key] = d.get(key, 0) + 1
+            z = q.concat(x, y)
+            if z is not None:
+                jz = idx(z)
+                for wi in range(n):
+                    d = per_w.setdefault(wi, {})
+                    key = wi * n + jz
+                    d[key] = d.get(key, 0) - 1
+            for d in per_w.values():
+                entries = sorted((u, c) for u, c in d.items() if c)
+                if entries:
+                    lead = Fraction(entries[0][1])
+                    rows.add(tuple((u, Fraction(c) / lead) for u, c in entries))
+    return rows
+
+
+def sparse_kernel(rows, num_cols):
+    """A kernel basis of sparse rows [(column, value), ...], one vector
+    per free column, as the rows of a matrix.
+
+    Plain Gauss-Jordan on dicts of Fractions, sharing no code with
+    linalg's elimination: every stored row has a 1 at its pivot and a
+    0 at every other pivot.  The vector of a free column f has a 1 at f
+    and minus the pivot rows' entries at f on the pivots.
+    """
+    pivots = {}
+    for row in rows:
+        v = {u: Fraction(c) for u, c in row if c}
+        for p in [u for u in v if u in pivots]:
+            c = v[p]
+            for u, x in pivots[p].items():
+                y = v.get(u, 0) - c * x
+                if y:
+                    v[u] = y
+                else:
+                    v.pop(u, None)
+        if not v:
+            continue
+        p = min(v)
+        lead = v[p]
+        v = {u: x / lead for u, x in v.items()}
+        for other in pivots.values():
+            c = other.get(p)
+            if c:
+                for u, x in v.items():
+                    y = other.get(u, 0) - c * x
+                    if y:
+                        other[u] = y
+                    else:
+                        other.pop(u, None)
+        pivots[p] = v
+    kernel = []
+    for f in range(num_cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * num_cols
+        vec[f] = Fraction(1)
+        for p, prow in pivots.items():
+            if f in prow:
+                vec[p] = -prow[f]
+        kernel.append(vec)
+    return RationalMatrix(kernel, num_cols)
+
+
 def representative_operators(q, hb):
     """Each HH1 representative of ``hb`` as an operator built from its
     label: D_{r,s} for AL(r, s), the face derivation for Face(f), and

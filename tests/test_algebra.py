@@ -5,6 +5,10 @@ Core claims:
     - multiplication extends the delta rule bilinearly and is associative
     - the commutator is antisymmetric and satisfies the Jacobi identity
     - normalization prunes zero coefficients so equality is structural
+    - sums, differences, negations, products, multiples and commutators of
+      seeded elements, exact cancellation included, equal the element the
+      public constructor builds from a dict-of-Fraction model, and store
+      only nonzero Fraction coefficients
 """
 
 from fractions import Fraction
@@ -125,6 +129,85 @@ def test_jacobi_identity_randomized():
                 + c.commutator(a.commutator(b))
             )
             assert total.is_zero
+
+
+# -- Results against a dict model --------------------------------------------
+
+def _model_sum(*terms):
+    acc = {}
+    for sign, elem in terms:
+        for p, c in elem.items():
+            acc[p] = acc.get(p, Fraction(0)) + sign * c
+    return acc
+
+
+def _model_product(q, a, b):
+    acc = {}
+    for p, cp in a.items():
+        for r, cr in b.items():
+            s = q.concat(p, r)
+            if s is not None:
+                acc[s] = acc.get(s, Fraction(0)) + cp * cr
+    return acc
+
+
+def _cancelling_element(rng, q, paths):
+    """Few terms with coefficients in +-1, +-2, +-1/2, so that sums and
+    products of two such elements often cancel to zero."""
+    return AlgebraElement(
+        q,
+        [(paths[rng.randrange(len(paths))], rng.choice((1, -1, 2, -2, Fraction(1, 2))))
+         for _ in range(rng.randint(0, 4))],
+    )
+
+
+def _assert_is_model(result, q, model):
+    assert result == AlgebraElement(q, model)
+    assert all(type(c) is Fraction and c for _, c in result.items())
+
+
+def _cancelling_products(q):
+    """(r + e, s - rs) for arrows r, s with s leaving the head of r and e
+    the idempotent at the tail of r: the product is rs - rs = 0."""
+    for r in range(q.num_arrows):
+        for s in q.out_arrows(q.arrows[r].head):
+            rp, sp = q.arrow_path(r), q.arrow_path(s)
+            e = q.trivial_path(q.arrows[r].tail)
+            a = AlgebraElement.from_path(q, rp) + AlgebraElement.from_path(q, e)
+            yield a, AlgebraElement.from_path(q, sp) - AlgebraElement.from_path(q, q.concat(rp, sp))
+
+
+def test_arithmetic_matches_a_dict_model():
+    rng = seeded(2107)
+    cancelled_sums = cancelled_products = 0
+    for name in ("a2", "a3", "a5", "k2", "k3", "triangle_tails", "grid2x2", "torus_k4"):
+        q = fixture_quiver(name)
+        paths = q.paths()
+        pairs = [
+            (_cancelling_element(rng, q, paths), _cancelling_element(rng, q, paths))
+            for _ in range(40)
+        ]
+        for a, b in pairs + list(_cancelling_products(q)):
+            scalar = rng.choice((0, 1, -3, Fraction(2, 3), Fraction(-1, 2)))
+            models = (
+                (a + b, _model_sum((1, a), (1, b))),
+                (a - b, _model_sum((1, a), (-1, b))),
+                (a - a, {}),
+                (-a, _model_sum((-1, a))),
+                (a * b, _model_product(q, a, b)),
+                (scalar * a, _model_sum((scalar, a))),
+                (a * scalar, _model_sum((scalar, a))),
+                (a.commutator(b), _model_sum(
+                    (1, AlgebraElement(q, _model_product(q, a, b))),
+                    (-1, AlgebraElement(q, _model_product(q, b, a))),
+                )),
+            )
+            for result, model in models:
+                _assert_is_model(result, q, model)
+            cancelled_sums += any(c == 0 for c in models[0][1].values())
+            cancelled_products += any(c == 0 for c in models[4][1].values())
+    # the draws reach exact cancellation in sums and in products
+    assert cancelled_sums >= 10 and cancelled_products >= 10
 
 
 # -- Normalization and errors ------------------------------------------------

@@ -18,8 +18,8 @@ Core claims:
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
     - output that stdout refuses (a full device, a closed stdout, a reader
-      that closes the pipe early) ends in exit 2 and one stderr line, not a
-      traceback
+      that closes the pipe early, buffered or with PYTHONUNBUFFERED=1) ends
+      in exit 2 and one stderr line, not a traceback
 """
 
 import contextlib
@@ -378,16 +378,13 @@ def test_no_command_is_a_usage_error(capsys):
 
 
 def _cli_env():
-    env = {**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parent / "src")}
-    # unbuffered, the text layer drops the rest of a short write unseen
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
+    return {**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parent / "src")}
 
 
-def _cli_process(argv, stdout):
+def _cli_process(argv, stdout, env=None):
     return subprocess.Popen(
         [sys.executable, "-m", "quiverdiff.cli", *argv],
-        env=_cli_env(), stdout=stdout, stderr=subprocess.PIPE,
+        env=env or _cli_env(), stdout=stdout, stderr=subprocess.PIPE,
     )
 
 
@@ -410,14 +407,30 @@ def test_a_closed_stdout_is_one_line_and_exit_2():
     assert proc.stderr == b"cannot write output: stdout is closed\n"
 
 
-def test_a_reader_closing_the_pipe_early_is_one_line_and_exit_2(tmp_path):
+def _grid16_file(tmp_path):
     # the report is about 2 MB, far more than a pipe buffers, so the CLI is
     # still writing when the reader goes away
     q, rot = checkerboard_grid(16)
     path = tmp_path / "grid16.quiver"
     qf = quiverfile.QuiverFile(name="grid16", quiver=q, rotation=rot, outer=None)
     path.write_text(quiverfile.serialize(qf), encoding="utf-8")
-    proc = _cli_process(["report", str(path)], subprocess.PIPE)
+    return path
+
+
+def test_a_reader_closing_the_pipe_early_is_one_line_and_exit_2(tmp_path):
+    proc = _cli_process(["report", str(_grid16_file(tmp_path))], subprocess.PIPE)
+    assert proc.stdout.read(20).startswith(b'{"dimDE":480,')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"cannot write output: Broken pipe\n"
+
+
+def test_an_unbuffered_stdout_still_sees_the_reader_close_the_pipe(tmp_path):
+    # unbuffered, stdout's text layer sits on a raw file that takes short
+    # writes and drops the rest unseen; the CLI writes the bytes itself
+    env = {**_cli_env(), "PYTHONUNBUFFERED": "1"}
+    proc = _cli_process(["report", str(_grid16_file(tmp_path))], subprocess.PIPE, env)
     assert proc.stdout.read(20).startswith(b'{"dimDE":480,')
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)

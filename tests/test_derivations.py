@@ -7,10 +7,15 @@ Core claims:
       Leibniz test, including on randomized non-derivations
     - the canonical basis is independent, spans the oracle's solution
       space, and carries the expected labels
+    - the oracle's equations are the Fraction rows it used to build, as
+      primitive integer rows, its solution space is their kernel, and
+      its operators equal their dense rebuild, on every acyclic fixture
+      and on seeded quivers of up to 40 paths
     - bracket identities: [D_p, D_r] = D_{[p,r]}, the edge-edge identity,
       and a single consistent global sign for [D_p, D_{r,s}]; their check
       runs on A_6 and T_4, and each verdict turns False when only its
-      right-hand side is wrong
+      right-hand side is wrong; on torus_k4 it makes under 20,000
+      Fraction truth tests, so no operand is rescanned per product
     - the inner span of acyclic paths is nilpotent with depth bounded by
       the longest path, while ad D_{p,p} fixes D_p forever
     - the span splits: inner members form an ideal, edge members a
@@ -22,6 +27,9 @@ Core claims:
       c * s of its element, and coordinates read off directly round-trip
       on the fixtures, T_5 and K_4
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -49,7 +57,9 @@ from quiverdiff.quiver import Path, Quiver
 
 from helpers import (
     EMBEDDED_FIXTURES,
+    FIXTURE_DIR,
     fixture_quiver,
+    fraction_leibniz_rows,
     is_valid_path,
     longest_path_length,
     mat_vec,
@@ -59,6 +69,8 @@ from helpers import (
     random_derivation,
     random_element,
     seeded,
+    sized_acyclic_quiver,
+    sparse_kernel,
 )
 
 
@@ -419,6 +431,57 @@ def test_oracle_path_cap():
         derivation_space_oracle(fixture_quiver("a3"), max_paths=3)
 
 
+@pytest.fixture(scope="module")
+def oracle_quivers():
+    """Every acyclic fixture, then seeded quivers of up to 40 paths."""
+    qs = [fixture_quiver(f.stem) for f in sorted(FIXTURE_DIR.glob("*.quiver"))]
+    qs = [q for q in qs if q.is_acyclic()]
+    fixtures = len(qs)
+    rng = seeded(4309)
+    while len(qs) < fixtures + 8:
+        nv = rng.randint(4, 8)
+        q = sized_acyclic_quiver(rng, nv, nv - 1 + rng.randint(0, 5))
+        if len(q.paths()) <= 40:
+            qs.append(q)
+    assert fixtures == 11 and max(len(q.paths()) for q in qs) >= 35
+    return qs
+
+
+def test_oracle_rows_are_the_fraction_rows_as_primitive_integer_rows(oracle_quivers):
+    for q in oracle_quivers:
+        rows = derivations._leibniz_rows(q)
+        for row in rows:
+            unknowns = [u for u, _ in row]
+            coeffs = [c for _, c in row]
+            assert unknowns == sorted(set(unknowns))
+            assert all(type(c) is int and c for c in coeffs)
+            assert math.gcd(*coeffs) == 1 and coeffs[0] > 0
+        # one integer row per line, and the same lines as the Fraction rows
+        scaled = {tuple((u, Fraction(c, row[0][1])) for u, c in row) for row in rows}
+        assert len(scaled) == len(rows)
+        assert scaled == fraction_leibniz_rows(q)
+
+
+def test_oracle_solution_space_is_the_kernel_of_the_fraction_rows(oracle_quivers):
+    for q in oracle_quivers:
+        n = len(q.paths())
+        oracle = derivation_space_oracle(q)
+        flat = RationalMatrix([op.flatten() for op in oracle], n * n)
+        kernel = sparse_kernel(fraction_leibniz_rows(q), n * n)
+        assert flat.num_rows == kernel.num_rows
+        assert flat.rref() == kernel.rref()
+
+
+def test_oracle_operators_equal_their_dense_rebuild(oracle_quivers):
+    # the oracle builds each operator from its solution's nonzeros; the
+    # public constructor builds it from the dense matrix
+    for q in oracle_quivers:
+        for op in derivation_space_oracle(q):
+            assert op == LinearOperator(q, op.matrix)
+            for image in op.images:
+                assert all(type(c) is Fraction and c for _, c in image.items())
+
+
 # -- Inner subspace ----------------------------------------------------------
 
 def test_inner_subspace_ranks():
@@ -539,6 +602,26 @@ def test_inner_inner_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
     for name in ("a3", "k2", "triangle_tails"):
         verdict = verify_bracket_identities(fixture_quiver(name))
         assert verdict == {"inner_inner": False, "edge_edge": True}, name
+
+
+def test_bracket_check_on_torus_k4_does_not_rescan_its_operands(monkeypatch):
+    # Fraction truth tests in one check: 547,215 when every product, sum
+    # and negation scanned its operands cell by cell, 7,875 with the
+    # nonzero entries listed once per matrix; rescanning either operand
+    # in every product brings it back above 160,000
+    tests = 0
+    true_bool = Fraction.__bool__
+
+    def counting(x):
+        nonlocal tests
+        tests += 1
+        return true_bool(x)
+
+    monkeypatch.setattr(Fraction, "__bool__", counting)
+    verdict = verify_bracket_identities(fixture_quiver("torus_k4"))
+    monkeypatch.undo()
+    assert verdict == {"inner_inner": True, "edge_edge": True}
+    assert 0 < tests < 20_000
 
 
 def test_inner_edge_bracket_sign_is_globally_consistent():

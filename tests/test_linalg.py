@@ -19,7 +19,9 @@ Core claims:
       matrices of checkerboard grids
     - products, sums and differences agree with SymPy on sparse and dense
       matrices of every shape, empty ones included, and store only exact
-      Fraction entries
+      Fraction entries; a matrix reused as an operand of many of them, and
+      the results and negations built from it, give the same answers as
+      fresh copies
 """
 
 import operator
@@ -392,6 +394,34 @@ def test_arithmetic_matches_sympy(sympy):
         _assert_same_matrix(a - a2, _from_sympy(sa - sa2))
         _assert_same_matrix(-a, _from_sympy(-sa))
         _assert_same_matrix(a - a, RationalMatrix.zeros(m, k))
+
+
+def _fresh(m):
+    return RationalMatrix([list(row) for row in m.rows], m.num_cols)
+
+
+def test_reused_operands_match_fresh_copies_and_sympy(sympy):
+    # one matrix, its results and their negations stay operands of many
+    # products, sums and differences: each answer is the one a fresh copy
+    # of the operands gives, and the one SymPy gives
+    rng = seeded(3116)
+    ops = (operator.mul, operator.add, operator.sub)
+    for trial in range(6):
+        n = rng.randint(1, 5)
+        density = (0.1, 0.5, 1.0)[trial % 3]
+        a = _sparse_random(rng, n, n, density)
+        operands = [a, -a, a * a]
+        for _ in range(4):
+            b = _sparse_random(rng, n, n, density)
+            for x in list(operands):
+                for left, right in ((x, b), (b, x), (x, x)):
+                    for op in ops:
+                        result = op(left, right)
+                        _assert_same_matrix(result, op(_fresh(left), _fresh(right)))
+                        expected = op(_to_sympy(sympy, left), _to_sympy(sympy, right))
+                        _assert_same_matrix(result, _from_sympy(expected))
+            operands.append(operands[-1] * b - b)
+        _assert_same_matrix(a * a - operands[2], RationalMatrix.zeros(n, n))
 
 
 def test_products_with_empty_operands():
