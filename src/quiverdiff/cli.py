@@ -30,9 +30,12 @@ from . import quiverfile
 
 
 def _matrix(m) -> list[list[str]]:
-    # str of a Fraction is the output format: "n", or "n/d" in lowest terms;
-    # most cells are linalg's shared zero, written without formatting
-    return [["0" if x is _ZERO else str(x) for x in row] for row in m.rows]
+    # str of a Fraction is the output format: "n", or "n/d" in lowest terms
+    rows = [["0"] * m.num_cols for _ in m._entries]
+    for row, entries in zip(rows, m._entries):
+        for j, x in entries.items():
+            row[j] = str(x)
+    return rows
 
 
 class _OutputError(Exception):
@@ -188,6 +191,8 @@ def cmd_hh1(qf, args) -> int:
 
 def cmd_derivations(qf, args) -> int:
     q = qf.quiver
+    # the oracle refuses a quiver over its cap: ask it before building anything
+    ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths) if args.oracle else None
     basis = canonical_basis(q)
     labels = basis.display_labels()
     inner = inner_subspace(q, basis)
@@ -201,9 +206,8 @@ def cmd_derivations(qf, args) -> int:
             for label, op in zip(labels, basis.operators)
         ],
     }
-    if args.oracle:
-        ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        ech = EchelonBasis.spanning(len(q.paths()) ** 2, basis.flat_rows().rows)
+    if ops is not None:
+        ech = EchelonBasis.spanning(len(q.paths()) ** 2, basis.flat_rows()._entries)
         spans_match = len(ops) == len(basis) and all(
             ech.contains(op.flatten()) for op in ops
         )

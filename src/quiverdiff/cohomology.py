@@ -68,19 +68,20 @@ def vertex_arrow_matrix(q: Quiver) -> RationalMatrix:
     enters v, so row v is the signed incidence vector of v.
     """
     _require_connected_acyclic(q)
-    rows = [[_ZERO] * q.num_arrows for _ in range(q.num_vertices)]
+    rows = [{} for _ in range(q.num_vertices)]
     # acyclic, so no arrow is a loop and its two ends are distinct rows
     for k, a in enumerate(q.arrows):
         rows[a.tail][k] = _ONE
         rows[a.head][k] = _MINUS_ONE
-    return RationalMatrix(rows, q.num_arrows)
+    return RationalMatrix._of(rows, q.num_arrows)
 
 
 def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
     """|F| x |E| matrix whose row j is the net sign vector of face j."""
     # a face walk leaves each dart at most once, so each net count is -1, 0 or 1
-    sign = {-1: _MINUS_ONE, 0: _ZERO, 1: _ONE}
-    return RationalMatrix([[sign[x] for x in f.net] for f in faces], q.num_arrows)
+    sign = {-1: _MINUS_ONE, 1: _ONE}
+    rows = [{k: sign[x] for k, x in enumerate(f.net) if x} for f in faces]
+    return RationalMatrix._of(rows, q.num_arrows)
 
 
 def connection_matrix(q: Quiver, faces) -> RationalMatrix:
@@ -102,15 +103,15 @@ def boundary_matrix(faces) -> RationalMatrix:
     for j, f in enumerate(faces):
         for d in f.darts:
             owner[d] = j
-    rows = [[_ZERO] * len(faces) for _ in faces]
+    rows: list[dict[int, Fraction]] = [{} for _ in faces]
     for k in range(num_arrows):
         j1, j2 = owner[2 * k], owner[2 * k + 1]
         if j1 != j2:
-            rows[j1][j1] += _ONE
-            rows[j2][j2] += _ONE
-            rows[j1][j2] -= _ONE
-            rows[j2][j1] -= _ONE
-    return RationalMatrix(rows, len(faces))
+            # no entry cancels: diagonal ones only grow, cross ones only shrink
+            for i, j in ((j1, j2), (j2, j1)):
+                rows[i][i] = rows[i].get(i, _ZERO) + _ONE
+                rows[i][j] = rows[i].get(j, _ZERO) - _ONE
+    return RationalMatrix._of(rows, len(faces))
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +156,11 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     if disjoint != (rank_stack == rank_va + rank_ca):
         raise InternalCheckError("subspace intersection disagrees with rank count")
 
-    # each column of C_ca has at most two nonzeros: sum those only
-    zero_sum = all(sum(x for x in column if x) == 0 for column in zip(*c_ca.rows))
+    column_sums: dict[int, Fraction] = {}
+    for row in c_ca._entries:
+        for k, x in row.items():
+            column_sums[k] = column_sums.get(k, _ZERO) + x
+    zero_sum = not any(column_sums.values())
     return CombinatorialReport(
         num_vertices=q.num_vertices,
         num_arrows=q.num_arrows,
@@ -272,16 +276,15 @@ class HH1Basis:
             for i, label in enumerate(self.labels)
             if label.kind == "al"
         }
-        # [C_va; EdgePair(k, k) rows of the Face and Extra representatives]
+        # the EdgePair(k, k) rows of the Face and Extra representatives,
+        # solved modulo row(C_va)
         diagonal_rows = [
-            [pairs.get((k, quiver.arrow_path(k)), _ZERO) for k in range(quiver.num_arrows)]
+            {r: c for (r, s), c in pairs.items() if s.arrows == (r,)}
             for label, pairs in zip(self.labels, self.edge_pairs)
             if label.kind != "al"
         ]
         self._quotient = LinearSolver(
-            RationalMatrix.stack(
-                vertex_arrow_matrix(quiver), RationalMatrix(diagonal_rows, quiver.num_arrows)
-            )
+            vertex_arrow_matrix(quiver), RationalMatrix._of(diagonal_rows, quiver.num_arrows)
         )
 
     @property
@@ -311,7 +314,7 @@ class HH1Basis:
         y = self._quotient.solve(diagonal)
         if y is None:
             return None
-        out[len(self._al_slot) :] = y[self.quiver.num_vertices :]
+        out[len(self._al_slot) :] = y
         return tuple(out)
 
     def coset_coordinates(self, op: LinearOperator) -> tuple[Fraction, ...] | None:

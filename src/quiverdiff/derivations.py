@@ -16,18 +16,18 @@ operators: d_rs_element maps a path to its sum of splices.  The canonical
 coordinates of an operator are read off as single coefficients, the
 coefficient of w in the image of the idempotent at the head of w for
 Inner(w) and the coefficient of s in the image of the arrow r for
-EdgePair(r, s), and accepted only if they rebuild the operator.  Dense
-|P| x |P| matrices appear only at the edges: the CLI's matrix output,
-the coefficient checker, the matrix brackets of
-verify_bracket_identities, and the flattened rows compared with a
-brute-force oracle.  The matrix brackets are dense RationalMatrix
-products AB - BA, which skip zero entries but never go through the
-sparse LinearOperator.bracket, so they remain an independent reference
-for it.  The oracle solves the raw Leibniz system in the
-n^2 matrix entries, knowing nothing about the structure theory, so its
-solution space is independent ground truth for the canonical basis.
-It keeps each equation once, as a primitive integer row, and builds
-each solution's operator from its nonzero entries.
+EdgePair(r, s), and accepted only if they rebuild the operator.
+|P| x |P| matrices, which store only their nonzero entries, appear only
+at the edges: the CLI's matrix output, the coefficient checker, the
+matrix brackets of verify_bracket_identities, and the flattened rows
+compared with a brute-force oracle.  The matrix brackets are
+RationalMatrix products AB - BA, which never go through the sparse
+LinearOperator.bracket, so they remain an independent reference for
+it.  The oracle solves the raw Leibniz system in the n^2 matrix
+entries, knowing nothing about the structure theory, so its solution
+space is independent ground truth for the canonical basis.  It keeps
+each equation once, as a primitive integer row, and builds each
+solution's operator from its nonzero entries.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .errors import (
     QuiverMismatchError,
     TooLargeError,
 )
-# the dense matrices built here share linalg's zero and one, so comparing
-# them with matrix products is mostly identity checks on the zero cells
 from .linalg import _ONE, _ZERO, RationalMatrix
 from .quiver import Path, Quiver
 
@@ -56,7 +54,7 @@ class LinearOperator:
     """A linear self-map of kGamma, stored as the images of the basis paths.
 
     ``images[j]`` is the sparse image of the j-th canonical basis path;
-    ``matrix`` builds the dense matrix (column j = images[j]) on each read.
+    ``matrix`` builds the matrix (column j = images[j]) on each read.
     """
 
     __slots__ = ("quiver", "images")
@@ -67,10 +65,11 @@ class LinearOperator:
         if matrix.num_rows != n or matrix.num_cols != n:
             raise ValueError(f"operator matrix must be {n}x{n}")
         self.quiver = quiver
-        self.images = tuple(
-            AlgebraElement(quiver, [(p, c) for p, c in zip(paths, col) if c])
-            for col in zip(*matrix.rows)
-        )
+        images: list[dict[Path, Fraction]] = [{} for _ in range(n)]
+        for w, row in zip(paths, matrix._entries):
+            for j, c in row.items():
+                images[j][w] = c
+        self.images = tuple(AlgebraElement._of(quiver, t) for t in images)
 
     @classmethod
     def _of(cls, quiver: Quiver, images) -> "LinearOperator":
@@ -97,10 +96,10 @@ class LinearOperator:
         q = self.quiver
         n = len(self.images)
         # the coefficients of an element are nonzero Fractions already
-        rows = [[] for _ in range(n)]
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for j, img in enumerate(self.images):
             for p, c in img._terms.items():
-                rows[q.path_index(p)].append((j, c))
+                rows[q.path_index(p)][j] = c
         return RationalMatrix._of(rows, n)
 
     def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
@@ -160,13 +159,26 @@ def bracket(a: LinearOperator, b: LinearOperator) -> LinearOperator:
 # constructors
 
 
+def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Fraction]]:
+    """The terms of D_a(p) = sum of c (wp - pw) over the terms (w, c) of a."""
+    out = []
+    for w, c in terms:
+        left, right = q.concat(w, p), q.concat(p, w)
+        if left is not None:
+            out.append((left, c))
+        if right is not None:
+            out.append((right, -c))
+    return out
+
+
 def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
     """The inner derivation b -> ab - ba."""
     if isinstance(a, Path):
         a = AlgebraElement.from_path(q, a)
-    return LinearOperator.from_images(
-        q, lambda p: a.commutator(AlgebraElement.from_path(q, p))
-    )
+    elif a.quiver is not q and a.quiver != q:
+        raise QuiverMismatchError("element lives over a different quiver")
+    terms = a._terms.items()
+    return LinearOperator.from_images(q, lambda p: AlgebraElement(q, _inner_terms(q, terms, p)))
 
 
 def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
@@ -397,7 +409,12 @@ class DerivationBasis:
     def flat_rows(self) -> RationalMatrix:
         """Basis operators as stacked row vectors of length |P|^2."""
         n = len(self.quiver.paths())
-        return RationalMatrix([op.flatten() for op in self.operators], num_cols=n * n)
+        # entry (w, j) of an operator's matrix goes to column w n + j
+        return RationalMatrix._of(
+            [{w * n + j: c for w, row in enumerate(op.matrix._entries) for j, c in row.items()}
+             for op in self.operators],
+            n * n,
+        )
 
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
@@ -446,18 +463,14 @@ def canonical_coordinates(
             if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
                 coords[DerivationLabel("edge_pair", r, s)] = c
 
+    inner = [(label.path, c) for label, c in coords.items() if label.kind == "inner"]
+    pairs = [(label.arrow, label.path, c) for label, c in coords.items() if label.kind != "inner"]
+
     def rebuilt(p: Path) -> AlgebraElement:
-        terms = []
-        for label, c in coords.items():
-            w = label.path
-            if label.kind == "inner":
-                left, right = q.concat(w, p), q.concat(p, w)
-                if left is not None:
-                    terms.append((left, c))
-                if right is not None:
-                    terms.append((right, -c))
-            elif label.arrow in p.arrows:
-                terms += [(u, c * x) for u, x in d_rs_apply(q, label.arrow, w, p).items()]
+        terms = _inner_terms(q, inner, p)
+        for r, s, c in pairs:
+            if r in p.arrows:
+                terms += [(u, c * x) for u, x in d_rs_apply(q, r, s, p).items()]
         return AlgebraElement(q, terms)
 
     return coords if LinearOperator.from_images(q, rebuilt) == op else None
@@ -591,8 +604,9 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
     touched = sorted({u for row in residual for u in row})
     solutions = []
     if touched:
-        matrix = RationalMatrix(
-            [[row.get(u, _ZERO) for u in touched] for row in residual], len(touched)
+        column = {u: k for k, u in enumerate(touched)}
+        matrix = RationalMatrix._of(
+            [{column[u]: Fraction(c) for u, c in row.items()} for row in residual], len(touched)
         )
         solutions = [zip(touched, kv) for kv in matrix.kernel()]
     touched_set = set(touched)
@@ -649,10 +663,10 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
     for all basis path pairs.  edge_edge: [D_{r,s}, D_{p,q}] equals
     D_{p, D_{r,s}(q)} - D_{r, D_{p,q}(s)}, the second slot extended
-    bilinearly, for all edge pairs.  The left-hand sides are dense
-    RationalMatrix products AB - BA of the operators' matrices, which walk
-    nonzero entries only and share no code with the sparse
-    LinearOperator.bracket, so they check it independently.
+    bilinearly, for all edge pairs.  The left-hand sides are
+    RationalMatrix products AB - BA of the operators' matrices, which
+    share no code with the sparse LinearOperator.bracket, so they check
+    it independently.
     """
     paths = q.paths()
     inner = [inner_derivation(q, p).matrix for p in paths]

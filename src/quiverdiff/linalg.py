@@ -1,26 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored dense and immutable, but their arithmetic costs in
-proportion to their nonzeros: each matrix lists the nonzero entries of
-its rows once and keeps the list, a product walks the nonzero entries
-of each row of A against those of the matching rows of B, and sums and
-negations touch only nonzero cells.  Entries that are already Fractions
-are shared; arithmetic results, built from their nonzero entries, skip
-the constructor's conversion pass.  Every elimination
-runs through one kernel, EchelonBasis: sparse primitive integer rows,
-reduced forward only (fraction-free, as in Bareiss, Math. Comp. 22,
-1968), with no floating point.  Rows whose order does not matter go in
-through ``EchelonBasis.spanning``, latest leading column first (a fixed
-row order in the spirit of Markowitz, Management Sci. 3, 1957); caller
-order fills in on the row-major vertex and face rows of a planar grid.
-rank reads the forward pivots; rref, kernel and row-space intersection
-(Zassenhaus) back-substitute once to the reduced row echelon form, and
-quotient complements and LinearSolver need no back-substitution at
-all.  The reduced row echelon form of a row space is unique, so ranks,
-echelon forms, kernels and intersections do not depend on the order
-the rows are inserted in.  Forward-only rows matter for Zassenhaus:
-keeping every row fully reduced fills in the right half of the block
-[[A A], [B 0]], which for a report on a 112-arrow grid is 114 x 224.
+A matrix stores only its nonzero entries: each row is a dict {column:
+Fraction}, and every routine here reads and writes those rows directly,
+so arithmetic and elimination cost in proportion to the nonzeros.  A
+product walks the nonzero entries of each row of A against those of the
+matching rows of B.  Dense vectors enter through one function,
+``_sparse``; dense tuples are built only when a caller reads ``rows`` or
+``row(i)``.  Every elimination runs through one kernel, EchelonBasis:
+sparse primitive integer rows, reduced forward only (fraction-free, as
+in Bareiss, Math. Comp. 22, 1968), with no floating point.  Rows whose
+order does not matter go in through ``EchelonBasis.spanning``, latest
+leading column first (a fixed row order in the spirit of Markowitz,
+Management Sci. 3, 1957); caller order fills in on the row-major vertex
+and face rows of a planar grid.  rank reads the forward pivots; rref,
+kernel and row-space intersection (Zassenhaus) back-substitute once to
+the reduced row echelon form, and quotient complements and LinearSolver
+need no back-substitution at all.  The reduced row echelon form of a
+row space is unique, so ranks, echelon forms, kernels and intersections
+do not depend on the order the rows are inserted in.  Forward-only rows
+matter for Zassenhaus: keeping every row fully reduced fills in the
+right half of the block [[A A], [B 0]], which for a report on a
+112-arrow grid is 114 x 224.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
+Row = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,59 +43,49 @@ def as_vector(entries) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
-class RationalMatrix:
-    """Immutable rational matrix stored row-major as tuples of Fractions.
+def _sparse(vec, n: int) -> Row:
+    """The nonzero entries of ``vec``, a dense vector of length n, by
+    column: every dense vector enters the linear algebra here."""
+    v = as_vector(vec)
+    if len(v) != n:
+        raise DimensionMismatchError(f"a vector of length {len(v)} in {n} columns")
+    return {j: x for j, x in enumerate(v) if x}
 
-    Entries that are already Fractions are shared, every other entry is
-    converted once.  Products and sums skip zero entries, so the operands
-    of the dense bracket checks, which are mostly zeros, cost little; the
-    nonzero entries of a matrix are listed once, on first use or by the
-    arithmetic that built it, so an operand of many products is scanned once.
+
+class RationalMatrix:
+    """Immutable rational matrix that stores only its nonzero entries.
+
+    Row i is a dict {column: Fraction} of its nonzero entries.  No zero
+    is stored, so two matrices are equal, and hash alike, exactly when
+    their entries are.  The public constructor takes dense rows of
+    anything Fraction accepts; ``rows`` and ``row(i)`` build dense
+    tuples on each read.
     """
 
-    __slots__ = ("num_rows", "num_cols", "_rows", "_nonzero_rows")
+    __slots__ = ("num_rows", "num_cols", "_entries")
 
     def __init__(self, rows, num_cols: int | None = None):
-        data = tuple(as_vector(r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise DimensionMismatchError("ragged rows")
-            if num_cols is not None and num_cols != width:
-                raise DimensionMismatchError("num_cols does not match row width")
-            num_cols = width
-        self.num_rows = len(data)
-        self.num_cols = num_cols if num_cols is not None else 0
-        self._rows = data
-        self._nonzero_rows = None
+        data = [tuple(r) for r in rows]
+        if num_cols is None:
+            num_cols = len(data[0]) if data else 0
+        self.num_rows, self.num_cols = len(data), num_cols
+        self._entries = tuple(_sparse(r, num_cols) for r in data)
 
     @classmethod
-    def _of(cls, nonzero_rows, num_cols: int) -> "RationalMatrix":
-        # the matrix of the nonzero (column, Fraction) entries, row by row
-        zero = (_ZERO,) * num_cols
-        rows = []
-        for nz in nonzero_rows:
-            row = [_ZERO] * num_cols if nz else zero
-            for j, x in nz:
-                row[j] = x
-            rows.append(tuple(row))
+    def _of(cls, rows, num_cols: int) -> "RationalMatrix":
+        # rows: one dict of nonzero Fraction entries per row, never mutated
         m = cls.__new__(cls)
-        m.num_rows, m.num_cols, m._rows = len(rows), num_cols, tuple(rows)
-        m._nonzero_rows = nonzero_rows
+        m._entries = tuple(rows)
+        m.num_rows, m.num_cols = len(m._entries), num_cols
         return m
-
-    def _nonzeros(self) -> list[list[tuple[int, Fraction]]]:
-        if self._nonzero_rows is None:
-            self._nonzero_rows = [[(j, x) for j, x in enumerate(r) if x] for r in self._rows]
-        return self._nonzero_rows
 
     @classmethod
     def zeros(cls, num_rows: int, num_cols: int) -> "RationalMatrix":
-        return cls([[_ZERO] * num_cols for _ in range(num_rows)], num_cols)
+        return cls._of([{} for _ in range(num_rows)], num_cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
+        return cls._of([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def stack(cls, *matrices: "RationalMatrix") -> "RationalMatrix":
@@ -102,17 +93,22 @@ class RationalMatrix:
         if len(widths) > 1:
             raise DimensionMismatchError("stacked matrices must share a column count")
         width = widths.pop() if widths else 0
-        return cls([r for m in matrices for r in m._rows], width)
+        return cls._of([r for m in matrices for r in m._entries], width)
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        return self._rows
+        return tuple(map(self.row, range(self.num_rows)))
 
     def row(self, i: int) -> Vector:
-        return self._rows[i]
+        out = [_ZERO] * self.num_cols
+        for j, x in self._entries[i].items():
+            out[j] = x
+        return tuple(out)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        if not 0 <= j < self.num_cols:
+            raise IndexError(f"column {j} outside 0..{self.num_cols - 1}")
+        return self._entries[i].get(j, _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -120,11 +116,12 @@ class RationalMatrix:
         return (
             self.num_rows == other.num_rows
             and self.num_cols == other.num_cols
-            and self._rows == other._rows
+            and self._entries == other._entries
         )
 
     def __hash__(self):
-        return hash((self.num_rows, self.num_cols, self._rows))
+        rows = tuple(frozenset(r.items()) for r in self._entries)
+        return hash((self.num_rows, self.num_cols, rows))
 
     def __repr__(self):
         return f"RationalMatrix({self.num_rows}x{self.num_cols})"
@@ -132,29 +129,29 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.num_rows, self.num_cols) != (other.num_rows, other.num_cols):
             raise DimensionMismatchError("shape mismatch in addition")
-        return RationalMatrix._of(
-            [_merged(r, s) for r, s in zip(self._nonzeros(), other._nonzeros())],
-            self.num_cols,
-        )
+        return RationalMatrix._of(map(_merged, self._entries, other._entries), self.num_cols)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        negated = [[(j, -x) for j, x in r] for r in self._nonzeros()]
+        negated = [{j: -x for j, x in r.items()} for r in self._entries]
         return RationalMatrix._of(negated, self.num_cols)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.num_cols != other.num_rows:
             raise DimensionMismatchError("inner dimensions do not match")
-        # row i of AB is the sum of A[i,k] * B[k,:] over the nonzero A[i,k],
-        # each against the nonzero entries of row k of B only
-        right = other._nonzeros()
-        return RationalMatrix._of(
-            [_merged((), [(j, a * x) for k, a in r for j, x in right[k]])
-             for r in self._nonzeros()],
-            other.num_cols,
-        )
+        # row i of AB is the sum of A[i,k] * B[k,:] over the nonzero A[i,k]
+        right = other._entries
+        rows = []
+        for r in self._entries:
+            acc: Row = {}
+            for k, a in r.items():
+                for j, x in right[k].items():
+                    y = acc.get(j)
+                    acc[j] = a * x if y is None else y + a * x
+            rows.append({j: x for j, x in acc.items() if x})
+        return RationalMatrix._of(rows, other.num_cols)
 
     # ------------------------------------------------------------------
     # elimination
@@ -162,15 +159,14 @@ class RationalMatrix:
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         ech = self._echelon()
-        zero = (_ZERO,) * self.num_cols
-        padding = (zero,) * (self.num_rows - ech.rank)
-        return RationalMatrix(ech.rows().rows + padding, self.num_cols), ech.pivots
+        padding = [{} for _ in range(self.num_rows - ech.rank)]
+        return RationalMatrix._of(ech._reduced(ech.pivots) + padding, self.num_cols), ech.pivots
 
     def rank(self) -> int:
         return self._echelon().rank
 
     def _echelon(self) -> "EchelonBasis":
-        return EchelonBasis.spanning(self.num_cols, self._rows)
+        return EchelonBasis.spanning(self.num_cols, self._entries)
 
     def kernel(self) -> tuple[Vector, ...]:
         """Exact kernel basis, one vector per free column.
@@ -179,21 +175,19 @@ class RationalMatrix:
         makes the basis canonical.
         """
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.num_cols):
-            if free in pivot_set:
-                continue
-            v = [_ZERO] * self.num_cols
-            v[free] = _ONE
-            for r, c in enumerate(pivots):
-                x = reduced.entry(r, free)
-                if x:
-                    v[c] = -x
-            # zero entries stay linalg's shared zero, undivided
-            lead = next(x for x in v if x)
-            basis.append(tuple(x / lead if x else x for x in v))
-        return tuple(basis)
+        free = sorted(set(range(self.num_cols)).difference(pivots))
+        vectors: dict[int, Row] = {j: {j: _ONE} for j in free}
+        # a reduced row is zero at every other pivot, so each of its other
+        # entries sits in a free column, whose vector it gives at the pivot
+        for c, row in zip(pivots, reduced._entries):
+            for j, x in row.items():
+                if j != c:
+                    vectors[j][c] = -x
+        scaled = []
+        for v in vectors.values():
+            lead = v[min(v)]
+            scaled.append({j: x / lead for j, x in v.items()})
+        return RationalMatrix._of(scaled, self.num_cols).rows
 
 
 class EchelonBasis:
@@ -209,8 +203,9 @@ class EchelonBasis:
     pivots it meets and nothing fills in behind it.  ``rows()`` turns
     the basis into the unique RREF of the span by one back-substitution.
 
-    ``spanning`` builds the basis of a batch of rows whose order does
-    not matter: it inserts them latest leading column first, so every
+    ``insert`` and ``contains`` take dense vectors.  ``spanning`` builds
+    the basis of a batch of sparse matrix rows whose order does not
+    matter: it inserts them latest leading column first, so every
     pivot already stored lies at or after the next row's leading
     column, and a row meets a pivot only when it starts in the same
     column.  Callers whose answer depends on which rows are kept
@@ -224,15 +219,16 @@ class EchelonBasis:
 
     @classmethod
     def spanning(cls, num_cols: int, rows) -> "EchelonBasis":
-        """The echelon basis of the span of ``rows``.
+        """The echelon basis of the span of ``rows``, each a dict of its
+        nonzero entries by column, as a RationalMatrix stores it.
 
         The rows are inserted in decreasing order of leading column; the
         sort is stable, so rows with the same leading column keep their
         order, and zero rows go last.
         """
         ech = cls(num_cols)
-        for row in sorted(rows, key=_leading_column, reverse=True):
-            ech.insert(row)
+        for row in sorted(rows, key=lambda row: min(row, default=-1), reverse=True):
+            ech._insert(row)
         return ech
 
     @property
@@ -242,11 +238,6 @@ class EchelonBasis:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivot_rows))
-
-    def _checked_row(self, vec) -> dict[int, int]:
-        if len(vec) != self.num_cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        return _integer_row(enumerate(vec))[0]
 
     def _forward(self, v: dict[int, int]) -> tuple[int | None, int, int]:
         """Reduce ``v`` in place until its leading column is not a pivot.
@@ -273,23 +264,26 @@ class EchelonBasis:
             c = -c
         self._pivot_rows[pivot] = {j: x // c for j, x in v.items()} if c != 1 else v
 
-    def insert(self, vec) -> bool:
-        """Add ``vec`` to the span; returns True when the rank grew."""
-        v = self._checked_row(vec)
+    def _insert(self, row: Row) -> bool:
+        v = _integer_row(row)[0]
         pivot = self._forward(v)[0]
         if pivot is None:
             return False
         self._store(pivot, v)
         return True
 
+    def insert(self, vec) -> bool:
+        """Add ``vec`` to the span; returns True when the rank grew."""
+        return self._insert(_sparse(vec, self.num_cols))
+
     def contains(self, vec) -> bool:
-        return self._forward(self._checked_row(vec))[0] is None
+        return self._forward(_integer_row(_sparse(vec, self.num_cols))[0])[0] is None
 
     def rows(self) -> RationalMatrix:
         """The unique reduced row echelon form of the span."""
-        return RationalMatrix(self._reduced(self.pivots), self.num_cols)
+        return RationalMatrix._of(self._reduced(self.pivots), self.num_cols)
 
-    def _reduced(self, pivots) -> list[list[Fraction]]:
+    def _reduced(self, pivots) -> list[Row]:
         """RREF rows of the given pivots, by one back-substitution.
 
         ``pivots`` must hold every pivot after its smallest one: the row
@@ -304,33 +298,27 @@ class EchelonBasis:
             for q in [j for j in v if j in done]:
                 _eliminate(v, done[q], q)
             done[p] = v
-            row = [_ZERO] * self.num_cols
-            for j, x in v.items():
-                row[j] = Fraction(x, v[p])
-            out.append(row)
+            out.append({j: Fraction(x, v[p]) for j, x in v.items()})
         return out[::-1]
 
 
-def _merged(r, s) -> list[tuple[int, Fraction]]:
-    """The nonzero entries of r + s, two rows of (column, entry) pairs;
-    s may name a column more than once."""
+def _merged(r: Row, s: Row) -> Row:
+    """The nonzero entries of r + s."""
     if not s:
         return r
     acc = dict(r)
-    for j, x in s:
+    for j, x in s.items():
         y = acc.get(j)
-        acc[j] = x if y is None else y + x
-    return [(j, x) for j, x in acc.items() if x]
+        x = x if y is None else y + x
+        if x:
+            acc[j] = x
+        else:
+            del acc[j]
+    return acc
 
 
-def _leading_column(row) -> int:
-    return next((j for j, x in enumerate(row) if x), -1)
-
-
-def _integer_row(entries) -> tuple[dict[int, int], int]:
-    """The sparse int row den * x over the (column, x) pairs, den the
-    lcm of the denominators of the nonzero x."""
-    row = {j: x if type(x) is Fraction else Fraction(x) for j, x in entries if x}
+def _integer_row(row: Row) -> tuple[dict[int, int], int]:
+    """The int row den * row, den the lcm of its denominators."""
     den = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
 
@@ -370,12 +358,11 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     if a.num_cols != b.num_cols:
         raise DimensionMismatchError("row spaces live in different dimensions")
     n = a.num_cols
-    padding = (_ZERO,) * n
-    ech = EchelonBasis.spanning(
-        2 * n, [row + row for row in a.rows] + [row + padding for row in b.rows]
-    )
+    # the right half of [A A] is each row of A shifted n columns on
+    doubled = [{**row, **{j + n: x for j, x in row.items()}} for row in a._entries]
+    ech = EchelonBasis.spanning(2 * n, doubled + list(b._entries))
     found = ech._reduced([p for p in ech.pivots if p >= n])
-    return RationalMatrix([row[n:] for row in found], n)
+    return RationalMatrix._of([{j - n: x for j, x in row.items()} for row in found], n)
 
 
 def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
@@ -388,58 +375,49 @@ def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
     deterministic.
     """
     n = subspace.num_cols
-    ech = EchelonBasis.spanning(n, subspace.rows)
+    ech = EchelonBasis.spanning(n, subspace._entries)
     units = ([_ONE if j == i else _ZERO for j in range(n)] for i in range(n))
     chosen: list[Vector] = []
     for cand in chain(preferred, units):
         if ech.rank == n:
             break
         v = as_vector(cand)
-        if len(v) != n:
-            raise DimensionMismatchError("candidate length does not match ambient dimension")
         if ech.insert(v):
             chosen.append(v)
     return chosen
 
 
 class LinearSolver:
-    """Expresses vectors as combinations of a fixed list of rows.
+    """Expresses vectors as combinations of fixed rows modulo a subspace.
 
-    Reduces the rows once, then answers many queries: for a row matrix
-    M and target t, ``solve(t)`` returns x with x M = t, or None when t
-    is outside the row space.  A row that depends on earlier rows gets
-    coordinate zero, so answers are deterministic; when the rows are
-    linearly independent the answer is the unique one.
-
-    The rows go in one at a time in the caller's order, never through
-    ``EchelonBasis.spanning``: which row of a dependent set gets the
-    zero is part of the answer.  hh1_basis relies on it: it lists the
-    rows of C_va before the representatives, so a representative that
-    lies in their span gets coordinate zero on itself and is caught.
-    In latest-leading-column order that representative could be kept
-    instead, and would solve to its own unit vector.
+    Reduces once, then answers many queries: for a row matrix M, the row
+    space S of ``modulo`` and a target t, ``solve(t)`` returns x with
+    t - x M in S, or None when t is outside S + row(M).  S goes in
+    through ``EchelonBasis.spanning``, the rows of M one at a time in
+    caller order, so a row of M that depends on S or on earlier rows gets
+    coordinate zero; rows independent modulo S give the unique x.
     """
 
-    def __init__(self, m: RationalMatrix):
+    def __init__(self, modulo: RationalMatrix, m: RationalMatrix):
+        if modulo.num_cols != m.num_cols:
+            raise DimensionMismatchError("subspace and rows have different column counts")
         self.num_rows = m.num_rows
         self.num_cols = n = m.num_cols
-        # row i of M is tagged with e_i, so every basis row is [y M | y];
-        # a row whose left half vanishes depends on earlier rows: it is
-        # not stored, so its tag is 0 in every basis row and in every x
-        self._basis = EchelonBasis(n + m.num_rows)
-        for i, row in enumerate(m.rows):
-            v = _integer_row(chain(enumerate(row), ((n + i, _ONE),)))[0]
+        # the rows of S go in untagged; row i of M is tagged with e_i, so
+        # every basis row is [y M + z | y] with z in S; a row whose left
+        # half vanishes is not stored, so its tag is 0 in every x
+        self._basis = EchelonBasis.spanning(n + m.num_rows, modulo._entries)
+        for i, row in enumerate(m._entries):
+            v = _integer_row({**row, n + i: _ONE})[0]
             pivot = self._basis._forward(v)[0]
             if pivot < n:
                 self._basis._store(pivot, v)
 
     def solve(self, target) -> Vector | None:
         n = self.num_cols
-        if len(target) != n:
-            raise DimensionMismatchError("target length does not match column count")
-        # forward reduction leaves s [t | 0] - [y M | y]: once the left half
-        # vanishes, y M = s t and x = y / s is read off the nonzero tags
-        v, den = _integer_row(enumerate(target))
+        # forward reduction leaves s [t | 0] - [y M + z | y]: once the left
+        # half vanishes, y M + z = s t and x = y / s is read off the tags
+        v, den = _integer_row(_sparse(target, n))
         pivot, mul, div = self._basis._forward(v)
         if pivot is not None and pivot < n:
             return None

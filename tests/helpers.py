@@ -330,8 +330,8 @@ class ReferenceHH1:
     (representative_operators).  Each one's canonical coordinates must be
     exactly the EdgePair combination the library wrote for it.  A class
     is found by reading an operator's coordinates in the canonical basis
-    (DerivationBasis.coordinates_of) and solving them against the stacked
-    rows [inner_subspace; representative coordinates] on dim Der columns.
+    (DerivationBasis.coordinates_of) and solving them against the
+    representatives' coordinates modulo inner_subspace, on dim Der columns.
     Brackets are sparse operator brackets, and each eigenvalue comes from
     adjoint_eigenvalue, which checks its identity on operators.
     """
@@ -345,13 +345,9 @@ class ReferenceHH1:
         self.derivations = canonical_basis(q)
         self.inner = inner_subspace(q, self.derivations)
         rows = [self.derivations.coordinates_of(op) for op in ops]
-        self.solver = LinearSolver(
-            RationalMatrix.stack(self.inner, RationalMatrix(rows, len(self.derivations)))
-        )
+        self.solver = LinearSolver(self.inner, RationalMatrix(rows, len(self.derivations)))
         # each representative is independent of Inn and the ones before it
-        self.independent = all(
-            self.solver.solve(row)[self.inner.num_rows + k] == 1 for k, row in enumerate(rows)
-        )
+        self.independent = all(self.solver.solve(row)[k] == 1 for k, row in enumerate(rows))
         self.brackets = tuple(
             (i, j, self.coset(ops[i].bracket(ops[j])))
             for i in range(len(ops))
@@ -386,5 +382,4 @@ class ReferenceHH1:
         coords = self.derivations.coordinates_of(op)
         if coords is None:
             return None
-        x = self.solver.solve(coords)
-        return None if x is None else x[self.inner.num_rows :]
+        return self.solver.solve(coords)

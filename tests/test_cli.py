@@ -8,6 +8,8 @@ Core claims:
     - report pins the relation matrices and ranks for K2, A3, triangle_tails
     - hh1 pins dimension, basis labels, brackets, and eigenvalues
     - derivations pins the canonical basis and the verify/oracle blocks
+    - derivations --oracle on a quiver over the oracle cap exits 1 before
+      it builds the canonical basis
     - semantic failures exit 1, usage and parse failures exit 2; a file
       with no vertex line passes check and derivations, and report and
       hh1 reject it with exit 1 and one line
@@ -35,7 +37,7 @@ import pytest
 
 from quiverdiff.cli import main
 
-from quiverdiff import quiverfile
+from quiverdiff import cli, quiverfile
 
 from helpers import (
     FIXTURE_DIR,
@@ -260,6 +262,21 @@ def test_derivations_single_vertex(capsys):
 def test_derivations_oracle_block(capsys):
     payload = _payload(capsys, ["derivations", "--oracle", _fixture("k2")])
     assert payload["oracle"] == {"dim": 6, "spansMatch": True}
+
+
+def test_derivations_oracle_over_the_cap_fails_before_the_basis(tmp_path, capsys, monkeypatch):
+    q, rot = tournament(7)  # 127 paths, over the default cap of 60
+    path = tmp_path / "t7.quiver"
+    qf = quiverfile.QuiverFile(name="t7", quiver=q, rotation=rot, outer=None)
+    path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+
+    def unreachable(q):
+        raise AssertionError("canonical_basis called for a quiver the oracle refuses")
+
+    monkeypatch.setattr(cli, "canonical_basis", unreachable)
+    code, out, err = _run(capsys, ["derivations", "--oracle", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "TooLargeError: 127 paths exceed the oracle cap of 60\n"
 
 
 def test_derivations_verify_block(capsys):

@@ -9,6 +9,8 @@ Core claims:
     - EchelonBasis insert/contains are mutually consistent
     - rref, kernel, intersection and LinearSolver agree with SymPy on
       matrices with dependent rows
+    - LinearSolver solves modulo a subspace, and a row that depends on it
+      or on earlier rows gets coordinate 0
     - rref, rank, kernel and LinearSolver.solve agree with SymPy on rows
       with non-unit denominators and entries past 2**64
     - the intersection is in RREF and equals the RREF of SymPy's meet
@@ -19,12 +21,17 @@ Core claims:
       matrices of checkerboard grids
     - products, sums and differences agree with SymPy on sparse and dense
       matrices of every shape, empty ones included, and store only exact
-      Fraction entries; a matrix reused as an operand of many of them, and
-      the results and negations built from it, give the same answers as
-      fresh copies
+      Fraction entries; each result equals, and hashes like, the matrix
+      built from its dense rows, zeros written out or not; a matrix reused
+      as an operand of many of them, and the results and negations built
+      from it, give the same answers as fresh copies
+    - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
+      its rank and its square stay under 8 MiB; entry() rejects a column
+      outside the matrix
 """
 
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -241,7 +248,7 @@ def test_echelon_basis_rejects_dependent_vectors():
 def test_linear_solver_expresses_row_combinations():
     # solve(t) returns x with x * M = t, or None outside the row space
     m = RationalMatrix([[1, 1, 0], [0, 1, 1]], 3)
-    solver = LinearSolver(m)
+    solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
     x = solver.solve((2, 5, 3))
     assert x is not None
     combo = [
@@ -251,11 +258,23 @@ def test_linear_solver_expresses_row_combinations():
     assert solver.solve((1, 0, 1)) is None
 
 
+def test_linear_solver_solves_modulo_a_subspace():
+    # x with t - x M in S; rows of M in S, or in S + the rows before
+    # them, get coordinate 0
+    s = RationalMatrix([[1, 1, 0]], 3)
+    m = RationalMatrix([[2, 2, 0], [0, 1, 0], [1, 0, 0]], 3)
+    solver = LinearSolver(s, m)
+    assert solver.solve((0, 3, 0)) == (0, 3, 0)
+    assert solver.solve((5, 5, 0)) == (0, 0, 0)
+    assert solver.solve((1, 0, 0)) == (0, -1, 0)
+    assert solver.solve((0, 0, 1)) is None
+
+
 def test_linear_solver_randomized_roundtrip():
     rng = seeded(3109)
     for _ in range(10):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        solver = LinearSolver(m)
+        solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(m.num_rows)]
         target = [
             sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
@@ -322,7 +341,7 @@ def test_linear_solver_zero_on_dependent_later_rows(sympy):
             sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
-        x = LinearSolver(m).solve(target)
+        x = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m).solve(target)
         assert x is not None
         assert all(x[i] == 0 for i in dependent)
         back = [
@@ -346,6 +365,28 @@ def test_constructor_stores_only_exact_fractions():
     m = RationalMatrix([[True, 2, "1/3", 0.5, Fraction(-3, 4)]])
     assert all(type(x) is Fraction for x in m.row(0))
     assert m.row(0) == (1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(-3, 4))
+
+
+def test_entry_rejects_a_column_outside_the_matrix():
+    m = RationalMatrix([[1, 0, 2], [0, 0, 0]], 3)
+    assert [m.entry(1, j) for j in range(3)] == [0, 0, 0]
+    for j in (-1, 3, 7):
+        with pytest.raises(IndexError):
+            m.entry(0, j)
+
+
+def test_identity_2000_rank_and_square_stay_small():
+    # nonzero entries only: a dense 2000 x 2000 grid of Fractions would
+    # take tens of MiB before any arithmetic
+    tracemalloc.start()
+    try:
+        m = RationalMatrix.identity(2000)
+        assert m.rank() == 2000
+        assert m * m == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # -- Arithmetic against SymPy -------------------------------------------------
@@ -374,7 +415,11 @@ def _from_sympy(sm):
 
 def _assert_same_matrix(result, expected):
     rebuilt = RationalMatrix([list(row) for row in result.rows], result.num_cols)
-    for other in (expected, rebuilt):
+    # dense rows whose zeros are spelled out as fresh Fraction(0)s
+    spelled_out = RationalMatrix(
+        [[x if x else Fraction(0) for x in row] for row in result.rows], result.num_cols
+    )
+    for other in (expected, rebuilt, spelled_out):
         assert result == other
         assert hash(result) == hash(other)
     assert all(type(x) is Fraction for row in result.rows for x in row)
@@ -503,7 +548,7 @@ def test_linear_solver_matches_sympy_on_large_fractions(sympy):
             sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
-        solver = LinearSolver(m)
+        solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
         x = solver.solve(target)
         # the coordinates on the independent rows are unique: SymPy's
         # solution of x_ind M_ind = t, every other coordinate is 0
@@ -558,16 +603,16 @@ def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
 
 def test_spanning_inserts_latest_leading_column_first(monkeypatch):
     seen = []
-    insert = EchelonBasis.insert
+    insert = EchelonBasis._insert
 
-    def recording(self, vec):
-        seen.append(tuple(vec))
-        return insert(self, vec)
+    def recording(self, row):
+        seen.append(row)
+        return insert(self, row)
 
-    monkeypatch.setattr(EchelonBasis, "insert", recording)
-    rows = [(1, 0, 0), (0, 0, 0), (0, 2, 1), (1, 1, 0), (0, 0, 3), (0, 1, 0)]
+    monkeypatch.setattr(EchelonBasis, "_insert", recording)
+    rows = [{0: 1}, {}, {1: 2, 2: 1}, {0: 1, 1: 1}, {2: 3}, {1: 1}]
     ech = EchelonBasis.spanning(3, rows)
-    assert seen == [(0, 0, 3), (0, 2, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)]
+    assert seen == [{2: 3}, {1: 2, 2: 1}, {1: 1}, {0: 1}, {0: 1, 1: 1}, {}]
     assert (ech.rank, ech.pivots) == (3, (0, 1, 2))
 
 
