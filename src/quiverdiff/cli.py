@@ -14,7 +14,13 @@ import json
 import os
 import sys
 
-from .cohomology import _face_formula, combinatorial_report, happel_dimension, hh1_structure
+from .cohomology import (
+    _face_formula,
+    _require_connected_acyclic,
+    combinatorial_report,
+    happel_dimension,
+    hh1_structure,
+)
 from .derivations import (
     canonical_basis,
     check_coefficient_conditions,
@@ -136,13 +142,16 @@ def cmd_hh1(qf, args) -> int:
     q = qf.quiver
     rot = _require_rotation(qf)
     outer = args.outer_face if args.outer_face is not None else qf.outer
+    oracle_dim = None
+    if args.oracle:
+        # the oracle refuses a quiver over its cap: ask it before the table,
+        # once the quiver has passed the checks hh1_structure makes first
+        _require_connected_acyclic(q)
+        ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
+        oracle_dim = len(ops) - inner_subspace(q, canonical_basis(q)).rank()
     st = hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
-    oracle_dim = None
-    if args.oracle:
-        ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        oracle_dim = len(ops) - inner_subspace(q, canonical_basis(q)).rank()
     # most brackets are zero and most coordinates are linalg's shared zero:
     # skip formatting those (any other zero still formats as "0")
     zero = (_ZERO,) * hb.dimension

@@ -14,11 +14,12 @@ HH1 is computed on edge-pair labels, following the semidirect sum
 decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
 Every representative is a sparse combination of EdgePair(r, s) labels,
 written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
-= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)} evaluated on single paths, and
-the quotient by Inn is one solve on |E| columns.  No operator, canonical
-basis or inner subspace is built on that path; operators appear only in
-HH1Basis.coset_coordinates, adjoint_eigenvalue and the tests.  The face
-eigenvalues come from the net-coefficient formula.
+= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths, and
+the quotient by Inn is one solve on |E| columns.  No operator, algebra
+element, canonical basis or inner subspace is built on that path;
+operators appear only in HH1Basis.coset_coordinates, adjoint_eigenvalue
+and the tests.  The face eigenvalues come from the net-coefficient
+formula.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .derivations import LinearOperator, canonical_coordinates, d_rs, d_rs_apply
+from .derivations import LinearOperator, _splices, canonical_coordinates, d_rs
 from .embedding import FaceCycle, RotationSystem, face_derivation, surface_genus, trace_faces
 from .errors import (
     CyclicQuiverError,
@@ -430,11 +431,11 @@ def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
         for (p, t), d in right.items():
             # D_{r,s}(t) vanishes unless r runs along t
             if r in t.arrows:
-                for u, x in d_rs_apply(q, r, s, t).items():
-                    out[p, u] = out.get((p, u), _ZERO) + c * d * x
+                for u in _splices(r, s, t):
+                    out[p, u] = out.get((p, u), _ZERO) + c * d
             if p in s.arrows:
-                for u, x in d_rs_apply(q, p, t, s).items():
-                    out[r, u] = out.get((r, u), _ZERO) - c * d * x
+                for u in _splices(p, t, s):
+                    out[r, u] = out.get((r, u), _ZERO) - c * d
     return {key: c for key, c in out.items() if c}
 
 

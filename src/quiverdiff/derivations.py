@@ -12,7 +12,10 @@ individual paths.
 
 Operators are stored as the sparse images of the basis paths, and the
 constructors fill those images in one pass instead of summing whole
-operators: d_rs_element maps a path to its sum of splices.  The canonical
+operators.  D_a on a single path is _inner_terms, and D_{r,s} on a
+single path is _splices, the list of its splices; d_rs_apply is the
+checked public form of the latter, while d_rs_element, the rebuild in
+canonical_coordinates and the HH1 brackets call _splices directly.  The canonical
 coordinates of an operator are read off as single coefficients, the
 coefficient of w in the image of the idempotent at the head of w for
 Inner(w) and the coefficient of s in the image of the arrow r for
@@ -114,7 +117,7 @@ class LinearOperator:
         if q is not a.quiver and q != a.quiver:
             raise QuiverMismatchError("operator and element live over different quivers")
         return AlgebraElement(
-            q, [(w, c * x) for p, c in a.items() for w, x in self.apply(p).items()]
+            q, [(w, c * x) for p, c in a._terms.items() for w, x in self.apply(p)._terms.items()]
         )
 
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
@@ -151,10 +154,6 @@ class LinearOperator:
         return f"LinearOperator({len(self.images)}x{len(self.images)})"
 
 
-def bracket(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    return a.bracket(b)
-
-
 # ----------------------------------------------------------------------
 # constructors
 
@@ -181,6 +180,13 @@ def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
     return LinearOperator.from_images(q, lambda p: AlgebraElement(q, _inner_terms(q, terms, p)))
 
 
+def _splices(r: int, s: Path, p: Path) -> list[Path]:
+    """The paths got from p by replacing one occurrence of the arrow r with
+    the path s parallel to r, once per occurrence: D_{r,s}(p) is their sum."""
+    a = p.arrows
+    return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
+
+
 def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
     """Apply D_{r,s} to a single path: replace one occurrence of r by s.
 
@@ -194,11 +200,7 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
         raise NotParallelError(
             f"path {q.path_display(s)} is not parallel to arrow {arrow.name}"
         )
-    terms = []
-    for i, a in enumerate(p.arrows):
-        if a == r:
-            terms.append((Path(p.base, p.arrows[:i] + s.arrows + p.arrows[i + 1 :]), 1))
-    return AlgebraElement(q, terms)
+    return AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
@@ -219,14 +221,11 @@ def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperato
     arrow = q.arrows[r]
     terms = [
         (s, c)
-        for s, c in elem.items()
+        for s, c in elem._terms.items()
         if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head
     ]
     return LinearOperator.from_images(
-        q,
-        lambda p: AlgebraElement(
-            q, [(w, c * x) for s, c in terms for w, x in d_rs_apply(q, r, s, p).items()]
-        ),
+        q, lambda p: AlgebraElement(q, [(u, c) for s, c in terms for u in _splices(r, s, p)])
     )
 
 
@@ -455,11 +454,11 @@ def canonical_coordinates(
         raise QuiverMismatchError("operator lives over a different quiver")
     coords: dict[DerivationLabel, Fraction] = {}
     for v in range(q.num_vertices):
-        for w, c in op.apply(q.trivial_path(v)).items():
+        for w, c in op.apply(q.trivial_path(v))._terms.items():
             if q.path_head(w) == v and q.path_tail(w) != v:
                 coords[DerivationLabel("inner", None, w)] = c
     for r, arrow in enumerate(q.arrows):
-        for s, c in op.apply(q.arrow_path(r)).items():
+        for s, c in op.apply(q.arrow_path(r))._terms.items():
             if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
                 coords[DerivationLabel("edge_pair", r, s)] = c
 
@@ -470,7 +469,7 @@ def canonical_coordinates(
         terms = _inner_terms(q, inner, p)
         for r, s, c in pairs:
             if r in p.arrows:
-                terms += [(u, c * x) for u, x in d_rs_apply(q, r, s, p).items()]
+                terms += [(u, c) for u in _splices(r, s, p)]
         return AlgebraElement(q, terms)
 
     return coords if LinearOperator.from_images(q, rebuilt) == op else None
@@ -575,10 +574,11 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
     surviving unknown forces it to zero) and the residue is solved by
     exact elimination.  Nothing here knows about the structure theory.
     """
-    paths = q.paths()
-    n = len(paths)
+    # count the paths before enumerating them: T_40 has 2^40 - 1
+    n = sum(map(sum, q.path_counts()))
     if n > max_paths:
         raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
+    paths = q.paths()
 
     # unit propagation: single-unknown equations force zeros
     active = [dict(r) for r in sorted(_leibniz_rows(q))]

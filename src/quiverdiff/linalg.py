@@ -26,7 +26,6 @@ right half of the block [[A A], [B 0]], which for a report on a
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError
@@ -106,6 +105,8 @@ class RationalMatrix:
         return tuple(out)
 
     def entry(self, i: int, j: int) -> Fraction:
+        if not 0 <= i < self.num_rows:
+            raise IndexError(f"row {i} outside 0..{self.num_rows - 1}")
         if not 0 <= j < self.num_cols:
             raise IndexError(f"column {j} outside 0..{self.num_cols - 1}")
         return self._entries[i].get(j, _ZERO)
@@ -365,23 +366,21 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     return RationalMatrix._of([{j - n: x for j, x in row.items()} for row in found], n)
 
 
-def quotient_complement(subspace: RationalMatrix, preferred=()) -> list[Vector]:
+def quotient_complement(subspace: RationalMatrix) -> list[Vector]:
     """Representatives completing ``subspace`` to its full ambient space.
 
-    Scans the preferred candidates first, then the standard unit
-    vectors, in that order, keeping each vector that increases the
-    rank of the subspace and the vectors kept so far; the result
-    has length (ambient dimension - rank of subspace) and the choice is
-    deterministic.
+    Scans the standard unit vectors in order, keeping each one that
+    increases the rank of the subspace and the vectors kept so far; the
+    result has length (ambient dimension - rank of subspace) and the
+    choice is deterministic.
     """
     n = subspace.num_cols
     ech = EchelonBasis.spanning(n, subspace._entries)
-    units = ([_ONE if j == i else _ZERO for j in range(n)] for i in range(n))
     chosen: list[Vector] = []
-    for cand in chain(preferred, units):
+    for i in range(n):
         if ech.rank == n:
             break
-        v = as_vector(cand)
+        v = tuple(_ONE if j == i else _ZERO for j in range(n))
         if ech.insert(v):
             chosen.append(v)
     return chosen

@@ -191,21 +191,26 @@ class Quiver:
     # ------------------------------------------------------------------
     # global structure
 
-    def is_acyclic(self) -> bool:
+    def _topological_order(self) -> list[int]:
+        """The vertices, each after the tails of its incoming arrows; those
+        on or after a directed cycle are left out."""
         indegree = [0] * self.num_vertices
         for a in self.arrows:
             indegree[a.head] += 1
         stack = [v for v in range(self.num_vertices) if indegree[v] == 0]
-        seen = 0
+        order = []
         while stack:
             v = stack.pop()
-            seen += 1
+            order.append(v)
             for i in self._out[v]:
                 h = self.arrows[i].head
                 indegree[h] -= 1
                 if indegree[h] == 0:
                     stack.append(h)
-        return seen == self.num_vertices
+        return order
+
+    def is_acyclic(self) -> bool:
+        return len(self._topological_order()) == self.num_vertices
 
     def is_connected(self) -> bool:
         """True when the underlying graph is one component; the empty quiver has none."""
@@ -221,6 +226,22 @@ class Quiver:
                         seen.add(w)
                         stack.append(w)
         return len(seen) == self.num_vertices
+
+    def path_counts(self) -> list[list[int]]:
+        """counts[u][v] is the number of paths from u to v, the trivial path
+        included when u == v, found without enumerating any path: a DP in
+        reverse topological order with exact ints, O(|V| |E|)."""
+        order = self._topological_order()
+        if len(order) != self.num_vertices:
+            raise CyclicQuiverError("path enumeration requires an acyclic quiver")
+        counts = [[0] * self.num_vertices for _ in self.vertex_names]
+        for u in reversed(order):
+            row = counts[u]
+            row[u] = 1
+            for i in self._out[u]:
+                for v, c in enumerate(counts[self.arrows[i].head]):
+                    row[v] += c
+        return counts
 
     def paths(self) -> tuple[Path, ...]:
         """Every path of the quiver in the canonical basis order."""

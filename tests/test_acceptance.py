@@ -45,7 +45,6 @@ from quiverdiff.cohomology import (
 )
 from quiverdiff.derivations import (
     LinearOperator,
-    bracket,
     canonical_basis,
     check_coefficient_conditions,
     d_rs,
@@ -100,7 +99,7 @@ def _lower_central_depth(q):
         nxt = []
         for g in gens:
             for c in current:
-                b = bracket(g, c)
+                b = g.bracket(c)
                 if not b.is_zero and ech.insert(b.flatten()):
                     nxt.append(b)
         if not nxt:
@@ -282,7 +281,7 @@ def test_property_sweep():
         for k in range(q.num_arrows):
             dp = inner_derivation(q, q.arrow_path(k))
             dpp = d_rs(q, k, q.arrow_path(k))
-            assert bracket(dpp, dp) == dp
+            assert dpp.bracket(dp) == dp
 
         pool = []
         for name in ("a3", "a4", "k2", "k3"):

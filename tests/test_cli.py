@@ -8,8 +8,9 @@ Core claims:
     - report pins the relation matrices and ranks for K2, A3, triangle_tails
     - hh1 pins dimension, basis labels, brackets, and eigenvalues
     - derivations pins the canonical basis and the verify/oracle blocks
-    - derivations --oracle on a quiver over the oracle cap exits 1 before
-      it builds the canonical basis
+    - derivations --oracle and hh1 --oracle on a quiver over the oracle
+      cap (T_7, T_40) exit 1 before they enumerate a path, build the
+      canonical basis or the bracket table
     - semantic failures exit 1, usage and parse failures exit 2; a file
       with no vertex line passes check and derivations, and report and
       hh1 reject it with exit 1 and one line
@@ -38,6 +39,7 @@ import pytest
 from quiverdiff.cli import main
 
 from quiverdiff import cli, quiverfile
+from quiverdiff.quiver import Quiver
 
 from helpers import (
     FIXTURE_DIR,
@@ -264,19 +266,30 @@ def test_derivations_oracle_block(capsys):
     assert payload["oracle"] == {"dim": 6, "spansMatch": True}
 
 
-def test_derivations_oracle_over_the_cap_fails_before_the_basis(tmp_path, capsys, monkeypatch):
-    q, rot = tournament(7)  # 127 paths, over the default cap of 60
-    path = tmp_path / "t7.quiver"
-    qf = quiverfile.QuiverFile(name="t7", quiver=q, rotation=rot, outer=None)
+def _tournament_file(tmp_path, n):
+    q, rot = tournament(n)
+    path = tmp_path / f"t{n}.quiver"
+    qf = quiverfile.QuiverFile(name=f"t{n}", quiver=q, rotation=rot, outer=None)
     path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+    return str(path)
 
-    def unreachable(q):
-        raise AssertionError("canonical_basis called for a quiver the oracle refuses")
 
+def test_derivations_oracle_over_the_cap_fails_before_the_basis(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("work done for a quiver the oracle refuses")
+
+    # the oracle counts the paths before it enumerates any, and hh1 asks
+    # it before building the bracket table
     monkeypatch.setattr(cli, "canonical_basis", unreachable)
-    code, out, err = _run(capsys, ["derivations", "--oracle", str(path)])
-    assert (code, out) == (1, "")
-    assert err == "TooLargeError: 127 paths exceed the oracle cap of 60\n"
+    monkeypatch.setattr(cli, "hh1_structure", unreachable)
+    monkeypatch.setattr(Quiver, "paths", unreachable)
+    # T_n has 2^n - 1 paths, over the default cap of 60
+    for n in (7, 40):
+        path = _tournament_file(tmp_path, n)
+        for command in ("derivations", "hh1"):
+            code, out, err = _run(capsys, [command, "--oracle", path])
+            assert (code, out) == (1, ""), command
+            assert err == f"TooLargeError: {2**n - 1} paths exceed the oracle cap of 60\n", command
 
 
 def test_derivations_verify_block(capsys):

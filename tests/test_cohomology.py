@@ -23,8 +23,8 @@ Core claims:
       those eigenvalues is 0
     - the structure table verdicts: faces commute, faces act diagonally,
       and on the double arrow the AL span is genuinely not closed
-    - hh1_structure builds no LinearOperator on the embedded fixtures,
-      K_6 and T_5
+    - hh1_structure builds no LinearOperator and no AlgebraElement on the
+      embedded fixtures, K_6 and T_5
     - the table computed on edge-pair labels (brackets, eigenvalues,
       verdicts, coset coordinates) equals the operator route of
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
@@ -42,6 +42,7 @@ from fractions import Fraction
 import pytest
 
 from quiverdiff import cohomology
+from quiverdiff.algebra import AlgebraElement
 from quiverdiff.cohomology import (
     CombinatorialReport,
     HH1Label,
@@ -505,12 +506,15 @@ def test_structure_closed_under_bracket_everywhere():
             assert coords is not None, name
 
 
-def test_hh1_structure_builds_no_operator(monkeypatch):
+def test_hh1_structure_builds_no_operator_or_element(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an operator was built on the hh1 path")
+        raise AssertionError("an operator or an algebra element was built on the hh1 path")
 
     for name in ("__init__", "_of", "from_images"):
         monkeypatch.setattr(LinearOperator, name, refuse)
+    # brackets are spliced on single paths, so not even an element is built
+    for name in ("__init__", "_of"):
+        monkeypatch.setattr(AlgebraElement, name, refuse)
     inputs = [fixture_embedded(name) for name in EMBEDDED_FIXTURES]
     for q, rot in inputs + [kronecker(6), tournament(5)]:
         assert len(hh1_structure(q, rot).basis) == hh1_dimension(q, rot)

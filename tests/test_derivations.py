@@ -26,6 +26,8 @@ Core claims:
     - d_rs_element equals the sum of c * D_{r,s} over the parallel terms
       c * s of its element, and coordinates read off directly round-trip
       on the fixtures, T_5 and K_4
+    - inner_subspace reads no element's sorted items() on the acyclic
+      fixtures
 """
 
 import math
@@ -37,7 +39,6 @@ from quiverdiff import derivations
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.derivations import (
     LinearOperator,
-    bracket,
     canonical_basis,
     check_coefficient_conditions,
     d_rs,
@@ -496,6 +497,18 @@ def test_inner_rank_is_path_count_minus_one():
         assert inner_subspace(q).rank() == len(q.paths()) - 1, name
 
 
+def test_inner_subspace_reads_no_sorted_terms(monkeypatch):
+    # the coordinate reads and the rebuild sum terms in storage order;
+    # the sorted items() is for public readers
+    def refuse(self):
+        raise AssertionError("AlgebraElement.items() read by inner_subspace")
+
+    monkeypatch.setattr(AlgebraElement, "items", refuse)
+    for name in EMBEDDED_FIXTURES + ("single_vertex", "disconnected"):
+        q = fixture_quiver(name)
+        assert inner_subspace(q).num_rows == len(q.paths()), name
+
+
 # -- Cyclic-quiver expansion of inner derivations ----------------------------
 
 def test_inner_expansion_on_loop():
@@ -526,14 +539,14 @@ def test_bracket_of_inner_derivations_pinned():
     d1 = inner_derivation(q, q.arrow_path("p1"))
     d2 = inner_derivation(q, q.arrow_path("p2"))
     p1p2 = q.concat(q.arrow_path("p1"), q.arrow_path("p2"))
-    assert bracket(d1, d2) == inner_derivation(q, p1p2)
-    assert bracket(d1, d1).is_zero
+    assert d1.bracket(d2) == inner_derivation(q, p1p2)
+    assert d1.bracket(d1).is_zero
 
 
 def test_edge_edge_bracket_pinned():
     q = fixture_quiver("k2")
     p1, p2 = q.arrow_path("p1"), q.arrow_path("p2")
-    lhs = bracket(d_rs(q, "p1", p2), d_rs(q, "p2", p1))
+    lhs = d_rs(q, "p1", p2).bracket(d_rs(q, "p2", p1))
     assert lhs == d_rs(q, "p2", p2) - d_rs(q, "p1", p1)
 
 
@@ -639,7 +652,7 @@ def test_brackets_of_derivations_are_derivations():
     for _ in range(10):
         a = random_derivation(rng, q, basis)
         b = random_derivation(rng, q, basis)
-        assert is_derivation(bracket(a, b))
+        assert is_derivation(a.bracket(b))
 
 
 # -- Nilpotency and the semidirect split --------------------------------------
@@ -657,7 +670,7 @@ def _lower_central_depth(q):
         nxt = []
         for g in gens:
             for c in current:
-                b = bracket(g, c)
+                b = g.bracket(c)
                 if not b.is_zero and ech.insert(b.flatten()):
                     nxt.append(b)
         if not nxt:
@@ -684,7 +697,7 @@ def test_arrow_rescaling_fixes_its_inner_derivation():
         q = fixture_quiver(name)
         for r in range(q.num_arrows):
             p = q.arrow_path(r)
-            assert bracket(d_rs(q, r, p), inner_derivation(q, p)) == inner_derivation(q, p), name
+            assert d_rs(q, r, p).bracket(inner_derivation(q, p)) == inner_derivation(q, p), name
 
 
 def test_inner_ideal_and_edge_subalgebra():
@@ -697,7 +710,7 @@ def test_inner_ideal_and_edge_subalgebra():
         for _ in range(10):
             i = rng.randrange(len(ops))
             j = rng.randrange(len(ops))
-            coords = basis.coordinates_of(bracket(ops[i], ops[j]))
+            coords = basis.coordinates_of(ops[i].bracket(ops[j]))
             assert coords is not None, name
             if i < n_inner or j < n_inner:
                 assert all(c == 0 for c in coords[n_inner:]), name

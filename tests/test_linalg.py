@@ -203,13 +203,6 @@ def test_quotient_complement_examples():
     assert RationalMatrix(comp, 2).rank() == 2
 
 
-def test_quotient_complement_prefers_candidates():
-    sub = RationalMatrix([[1, 0, 0]], 3)
-    preferred = [(0, 2, 0), (0, 0, 5), (0, 1, 0)]
-    comp = quotient_complement(sub, preferred)
-    assert comp == [(0, 2, 0), (0, 0, 5)]
-
-
 def test_quotient_complement_length_is_codimension():
     rng = seeded(3107)
     for _ in range(10):
@@ -370,9 +363,10 @@ def test_constructor_stores_only_exact_fractions():
 def test_entry_rejects_a_column_outside_the_matrix():
     m = RationalMatrix([[1, 0, 2], [0, 0, 0]], 3)
     assert [m.entry(1, j) for j in range(3)] == [0, 0, 0]
-    for j in (-1, 3, 7):
+    # rows too: -1 must not read the last row
+    for i, j in ((0, -1), (0, 3), (0, 7), (-1, 0), (2, 0), (5, 1)):
         with pytest.raises(IndexError):
-            m.entry(0, j)
+            m.entry(i, j)
 
 
 def test_identity_2000_rank_and_square_stay_small():

@@ -1,7 +1,9 @@
 """Quiver structure and path enumeration.
 
 Core claims:
-    - path counts agree with an independent adjacency-power walk count
+    - path counts agree with an independent adjacency-power walk count,
+      and the DP's per-pair counts with the enumerated paths, on every
+      acyclic fixture and on seeded quivers
     - the canonical path order is (length, base vertex, arrow sequence)
     - concat implements the delta rule with None as the absorbing zero
     - acyclic paths partition the basis together with the trivial paths
@@ -14,6 +16,7 @@ Core claims:
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -171,6 +174,22 @@ def test_paths_requires_acyclic():
     q = fixture_quiver("loop")
     with pytest.raises(CyclicQuiverError):
         q.paths()
+    with pytest.raises(CyclicQuiverError, match="path enumeration requires an acyclic quiver"):
+        q.path_counts()
+
+
+def test_path_counts_equal_enumeration():
+    # counts[u][v] against the enumerated paths grouped by their ends
+    rng = seeded(1409)
+    names = EMBEDDED_FIXTURES + ("single_vertex", "disconnected")
+    quivers = [fixture_quiver(name) for name in names] + [_chain(12)]
+    quivers += [random_acyclic_quiver(rng) for _ in range(25)]
+    for q in quivers:
+        counts = q.path_counts()
+        assert sum(map(sum, counts)) == len(q.paths())
+        ends = Counter((p.base, q.path_head(p)) for p in q.paths())
+        n = q.num_vertices
+        assert {(u, v): counts[u][v] for u in range(n) for v in range(n) if counts[u][v]} == ends
 
 
 # -- Concatenation -----------------------------------------------------------
