@@ -148,7 +148,7 @@ def cmd_hh1(qf, args) -> int:
         # once the quiver has passed the checks hh1_structure makes first
         _require_connected_acyclic(q)
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        oracle_dim = len(ops) - inner_subspace(q, canonical_basis(q)).rank()
+        oracle_dim = len(ops) - inner_subspace(q).rank()
     st = hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
@@ -204,11 +204,10 @@ def cmd_derivations(qf, args) -> int:
     ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths) if args.oracle else None
     basis = canonical_basis(q)
     labels = basis.display_labels()
-    inner = inner_subspace(q, basis)
     payload = {
         "quiver": qf.name,
         "dim": len(basis),
-        "innerRank": inner.rank(),
+        "innerRank": inner_subspace(q).rank(),
         "labels": list(labels),
         "basis": [
             {"label": label, "matrix": _matrix(op.matrix)}

@@ -196,11 +196,9 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
 
 
 def happel_dimension(q: Quiver) -> int:
-    """1 - |V| + sum over arrows a of #paths parallel to a."""
-    total = 1 - q.num_vertices
-    for k in range(q.num_arrows):
-        total += len(q.parallel_paths(q.arrow_path(k)))
-    return total
+    """1 - |V| + sum over arrows a of #paths parallel to a, from the path counts."""
+    counts = q.path_counts()
+    return 1 - q.num_vertices + sum(counts[a.tail][a.head] for a in q.arrows)
 
 
 def _face_formula(num_faces: int, num_al: int, g: int) -> int:

@@ -19,7 +19,8 @@ canonical_coordinates and the HH1 brackets call _splices directly.  The canonica
 coordinates of an operator are read off as single coefficients, the
 coefficient of w in the image of the idempotent at the head of w for
 Inner(w) and the coefficient of s in the image of the arrow r for
-EdgePair(r, s), and accepted only if they rebuild the operator.
+EdgePair(r, s), and accepted only if they rebuild the operator.  The
+inner subspace is written from its closed form and builds no operator.
 |P| x |P| matrices, which store only their nonzero entries, appear only
 at the edges: the CLI's matrix output, the coefficient checker, the
 matrix brackets of verify_bracket_identities, and the flattened rows
@@ -494,23 +495,21 @@ def canonical_basis(q: Quiver) -> DerivationBasis:
     return DerivationBasis(q, labels, operators)
 
 
-def inner_subspace(q: Quiver, basis: DerivationBasis | None = None) -> RationalMatrix:
-    """Coordinates of every D_p (p a basis path) in the canonical basis.
-
-    The row space is the inner subspace; for a connected acyclic quiver
-    its rank is |P| - 1 because the kernel of p -> D_p is the center k.
+def inner_subspace(q: Quiver) -> RationalMatrix:
+    """Coordinates of every D_p (p a basis path) in the canonical basis,
+    written from the quiver with no operator built: D_{e_v} is row v of
+    C_va on the EdgePair(k, k) block (+1 for each arrow k leaving v, -1
+    for each arrow entering v), and D_p of a nontrivial path is the
+    member Inner(p), column path_index(p) - |V|.  For a connected acyclic
+    quiver the rank is |P| - 1: the kernel of p -> D_p is the center k.
     """
-    if basis is None:
-        basis = canonical_basis(q)
-    rows = []
-    for p in q.paths():
-        coords = basis.coordinates_of(inner_derivation(q, p))
-        if coords is None:
-            raise InternalCheckError(
-                f"inner derivation of {q.path_display(p)} falls outside the canonical span"
-            )
-        rows.append(coords)
-    return RationalMatrix(rows, num_cols=len(basis))
+    num_inner = len(q.paths()) - q.num_vertices
+    pairs = _edge_pairs(q)
+    diagonal = {r: num_inner + i for i, (r, s) in enumerate(pairs) if s.arrows == (r,)}
+    rows = [{} for _ in range(q.num_vertices)] + [{i: _ONE} for i in range(num_inner)]
+    for k, a in enumerate(q.arrows):  # acyclic, so the tail and head rows differ
+        rows[a.tail][diagonal[k]], rows[a.head][diagonal[k]] = _ONE, -_ONE
+    return RationalMatrix._of(rows, num_inner + len(pairs))
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,8 @@ class RationalMatrix:
         return tuple(map(self.row, range(self.num_rows)))
 
     def row(self, i: int) -> Vector:
+        if not 0 <= i < self.num_rows:
+            raise IndexError(f"row {i} outside 0..{self.num_rows - 1}")
         out = [_ZERO] * self.num_cols
         for j, x in self._entries[i].items():
             out[j] = x

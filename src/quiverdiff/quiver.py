@@ -285,10 +285,7 @@ class Quiver:
 
     def almost_oriented_cycles(self) -> tuple[tuple[int, Path], ...]:
         """All pairs (arrow r, path s) with s parallel to r and s != r."""
-        pairs = []
-        for i in range(self.num_arrows):
-            rp = self.arrow_path(i)
-            for s in self.parallel_paths(rp):
-                if s != rp:
-                    pairs.append((i, s))
-        return tuple(pairs)
+        return tuple(
+            (i, s) for i in range(self.num_arrows)
+            for s in self.parallel_paths(self.arrow_path(i)) if s.arrows != (i,)
+        )

@@ -97,7 +97,10 @@ def parse(text: str) -> QuiverFile:
                 raise ParseError("duplicate outer directive", line=lineno)
             if len(args) != 1 or not args[0].isascii() or not args[0].isdigit():
                 raise ParseError("outer expects a nonnegative face index", line=lineno)
-            outer = int(args[0])
+            try:
+                outer = int(args[0])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("outer face index has too many digits", line=lineno) from None
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 

@@ -1,7 +1,7 @@
 """Shared test utilities: fixture loading, seeded random generators, the
 planar checkerboard grid, small operations only tests need, the HH1
-representatives as operators, and the operator route to the HH1
-structure table as an independent reference."""
+representatives as operators, and the operator routes to the inner
+subspace and to the HH1 structure table as independent references."""
 
 import random
 from fractions import Fraction
@@ -16,7 +16,7 @@ from quiverdiff.derivations import (
     canonical_basis,
     canonical_coordinates,
     d_rs,
-    inner_subspace,
+    inner_derivation,
 )
 from quiverdiff.linalg import LinearSolver, RationalMatrix, as_vector
 from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, face_derivation, genus
@@ -98,6 +98,13 @@ def seeded_embedded_quiver(seed, want_genus):
         g = genus(rot)
         if (g == 0) == (want_genus == 0):
             return q, rot
+
+
+def chain(n):
+    """A_n: the arrows p1..p(n-1) from v_i to v_(i+1)."""
+    vertices = ["v%d" % i for i in range(1, n + 1)]
+    arrows = [("p%d" % i, vertices[i - 1], vertices[i]) for i in range(1, n)]
+    return Quiver(vertices, arrows, name="a%d" % n)
 
 
 def kronecker(m):
@@ -308,6 +315,21 @@ def sparse_kernel(rows, num_cols):
     return RationalMatrix(kernel, num_cols)
 
 
+def operator_inner_subspace(q, basis):
+    """The inner subspace by the operator route: the coordinates in
+    ``basis``, the canonical basis of q, of the operator D_p of every
+    basis path p, read by DerivationBasis.coordinates_of."""
+    rows = []
+    for p in q.paths():
+        coords = basis.coordinates_of(inner_derivation(q, p))
+        if coords is None:
+            raise AssertionError(
+                f"inner derivation of {q.path_display(p)} falls outside the canonical span"
+            )
+        rows.append(coords)
+    return RationalMatrix(rows, num_cols=len(basis))
+
+
 def representative_operators(q, hb):
     """Each HH1 representative of ``hb`` as an operator built from its
     label: D_{r,s} for AL(r, s), the face derivation for Face(f), and
@@ -331,7 +353,8 @@ class ReferenceHH1:
     exactly the EdgePair combination the library wrote for it.  A class
     is found by reading an operator's coordinates in the canonical basis
     (DerivationBasis.coordinates_of) and solving them against the
-    representatives' coordinates modulo inner_subspace, on dim Der columns.
+    representatives' coordinates modulo operator_inner_subspace, on dim Der
+    columns.
     Brackets are sparse operator brackets, and each eigenvalue comes from
     adjoint_eigenvalue, which checks its identity on operators.
     """
@@ -343,7 +366,7 @@ class ReferenceHH1:
             expected = {DerivationLabel("edge_pair", r, s): c for (r, s), c in pairs.items()}
             assert canonical_coordinates(q, op) == expected, label.display(q)
         self.derivations = canonical_basis(q)
-        self.inner = inner_subspace(q, self.derivations)
+        self.inner = operator_inner_subspace(q, self.derivations)
         rows = [self.derivations.coordinates_of(op) for op in ops]
         self.solver = LinearSolver(self.inner, RationalMatrix(rows, len(self.derivations)))
         # each representative is independent of Inn and the ones before it

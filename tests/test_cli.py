@@ -13,7 +13,10 @@ Core claims:
       canonical basis or the bracket table
     - semantic failures exit 1, usage and parse failures exit 2; a file
       with no vertex line passes check and derivations, and report and
-      hh1 reject it with exit 1 and one line
+      hh1 reject it with exit 1 and one line; an outer index that is not
+      an ASCII number or has more digits than int() converts is exit 2
+      and one line under check, report and hh1
+    - hh1 --oracle builds no canonical basis
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
       match the digests in cli_golden.json, and hh1 on K_6, T_5 and a
@@ -188,7 +191,12 @@ def test_hh1_triangle_tails(capsys):
     assert entry["coords"] == ["3", "0"]
 
 
-def test_hh1_k2_with_oracle(capsys):
+def test_hh1_k2_with_oracle(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("hh1 --oracle built the canonical basis")
+
+    # the inner rank is read from its closed form, not from a basis
+    monkeypatch.setattr(cli, "canonical_basis", unreachable)
     payload = _payload(capsys, ["hh1", "--oracle", _fixture("k2")])
     assert payload["dim"] == 3
     assert payload["oracle"] == 3
@@ -374,12 +382,15 @@ def test_parse_error_is_a_usage_error(tmp_path, capsys):
 
 
 def test_non_ascii_outer_index_is_a_usage_error(tmp_path, capsys):
-    f = tmp_path / "superscript.quiver"
-    f.write_text("vertex v\nouter \u00b2\n", encoding="utf-8")
-    code, out, err = _run(capsys, ["check", str(f)])
-    assert code == 2
-    assert out == ""
-    assert "line 2" in err and err.count("\n") == 1
+    f = tmp_path / "outer.quiver"
+    # a digit to str.isdigit but not to int(), and more digits than int() converts
+    for index in ("\u00b2", "1" * 5000):
+        f.write_text(f"vertex v\nouter {index}\n", encoding="utf-8")
+        for command in ("check", "report", "hh1"):
+            code, out, err = _run(capsys, [command, str(f)])
+            assert code == 2
+            assert out == ""
+            assert "line 2" in err and err.count("\n") == 1
 
 
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ Core claims:
       elimination steps (caller row order touched about 1.2 million)
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
+    - Happel's count reads the path counts: on T_40 it enumerates no path
     - the HH1 basis carries the expected labels, its face representative
       on the double arrow is D_{p1,p1} - D_{p2,p2} up to sign mod inner,
       and the span does not depend on the dropped face
@@ -31,8 +32,10 @@ Core claims:
       genus 0 and >= 1, on K_m for m <= 8 and on T_n for n <= 5
     - the result records keep their field names, defaults, hashes and
       reprs, and refuse assignment
-    - the row space of the inner subspace is spanned by the Inner(w) unit
-      vectors and the rows of C_va on the EdgePair(k, k) block
+    - the inner subspace, the Inner(w) unit vectors and the rows of C_va
+      on the EdgePair(k, k) block, equals the coordinates of the
+      operators D_p exactly on the differential inputs above, the
+      disconnected, single-vertex and empty quivers, T_6 and A_n
     - hh1_structure reaches T_7 and K_14 with the dimensions, verdicts and
       bracket coordinates of the operator route
 """
@@ -83,11 +86,13 @@ from quiverdiff.quiverfile import QuiverFile
 from helpers import (
     EMBEDDED_FIXTURES,
     ReferenceHH1,
+    chain,
     checkerboard_grid,
     fixture_embedded,
     fixture_quiver,
     kronecker,
     load_fixture,
+    operator_inner_subspace,
     random_derivation,
     representative_operators,
     seeded,
@@ -271,6 +276,15 @@ def test_report_rejects_cyclic_and_disconnected():
 def test_happel_dimension_table():
     for name, dim in HAPPEL_TABLE.items():
         assert happel_dimension(fixture_quiver(name)) == dim, name
+
+
+def test_happel_dimension_enumerates_no_path(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("happel_dimension enumerated the paths")
+
+    # T_40 has 2^40 - 1 paths; each of its 780 arrows a_ij has 2^(j-i-1) parallel paths
+    monkeypatch.setattr(Quiver, "paths", unreachable)
+    assert happel_dimension(tournament(40)[0]) == 2**40 - 80
 
 
 def test_hh1_dimension_agrees_with_happel():
@@ -584,28 +598,17 @@ def test_coset_coordinates_match_the_operator_route(name):
     assert ref.coset(broken) is None
 
 
-def _row_space(m):
-    return [row for row in m.rref()[0].rows if any(row)]
+INNER_INPUTS = [(name, q) for name, (q, _) in DIFFERENTIAL]
+INNER_INPUTS += [(name, fixture_quiver(name)) for name in ("disconnected", "single_vertex")]
+INNER_INPUTS += [("empty", Quiver([], [])), ("t6", tournament(6)[0])]
+INNER_INPUTS += [(f"a{n}", chain(n)) for n in (1, 6, 9, 12)]
 
 
-@pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
-def test_inner_subspace_is_inner_units_plus_vertex_rows(embedded):
-    q, _ = embedded
-    basis = canonical_basis(q)
-    n = len(basis)
-    rows = [
-        [Fraction(int(j == i)) for j in range(n)]
-        for i, label in enumerate(basis.labels)
-        if label.kind == "inner"
-    ]
-    slot = {label: i for i, label in enumerate(basis.labels)}
-    for vertex_row in vertex_arrow_matrix(q).rows:
-        row = [Fraction(0)] * n
-        for k, c in enumerate(vertex_row):
-            if c:
-                row[slot[DerivationLabel("edge_pair", k, q.arrow_path(k))]] = c
-        rows.append(row)
-    assert _row_space(inner_subspace(q, basis)) == _row_space(RationalMatrix(rows, n))
+@pytest.mark.parametrize("q", [q for _, q in INNER_INPUTS], ids=[n for n, _ in INNER_INPUTS])
+def test_inner_subspace_is_inner_units_plus_vertex_rows(q):
+    # the closed form equals, entry for entry, the coordinates of the
+    # operators D_p: a sign flip of the vertex rows keeps every rank
+    assert inner_subspace(q) == operator_inner_subspace(q, canonical_basis(q))
 
 
 REACH = {

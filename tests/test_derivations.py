@@ -26,8 +26,8 @@ Core claims:
     - d_rs_element equals the sum of c * D_{r,s} over the parallel terms
       c * s of its element, and coordinates read off directly round-trip
       on the fixtures, T_5 and K_4
-    - inner_subspace reads no element's sorted items() on the acyclic
-      fixtures
+    - inner_subspace builds no operator and no algebra element on the
+      acyclic fixtures
 """
 
 import math
@@ -59,6 +59,7 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
+    chain,
     fixture_quiver,
     fraction_leibniz_rows,
     is_valid_path,
@@ -497,13 +498,15 @@ def test_inner_rank_is_path_count_minus_one():
         assert inner_subspace(q).rank() == len(q.paths()) - 1, name
 
 
-def test_inner_subspace_reads_no_sorted_terms(monkeypatch):
-    # the coordinate reads and the rebuild sum terms in storage order;
-    # the sorted items() is for public readers
-    def refuse(self):
-        raise AssertionError("AlgebraElement.items() read by inner_subspace")
+def test_inner_subspace_builds_no_operator_or_element(monkeypatch):
+    # the rows are written from the quiver: no D_p is built or read back
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator or an algebra element was built by inner_subspace")
 
-    monkeypatch.setattr(AlgebraElement, "items", refuse)
+    for name in ("__init__", "_of", "from_images"):
+        monkeypatch.setattr(LinearOperator, name, refuse)
+    for name in ("__init__", "_of", "items"):
+        monkeypatch.setattr(AlgebraElement, name, refuse)
     for name in EMBEDDED_FIXTURES + ("single_vertex", "disconnected"):
         q = fixture_quiver(name)
         assert inner_subspace(q).num_rows == len(q.paths()), name
@@ -566,11 +569,6 @@ def test_bracket_identities_randomized_quivers():
         assert verdict == {"inner_inner": True, "edge_edge": True}
 
 
-def _chain(n):
-    vertices = [f"v{i}" for i in range(n)]
-    return Quiver(vertices, [(f"p{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)])
-
-
 def _transitive_tournament(n):
     vertices = [f"v{i}" for i in range(n)]
     arrows = [(f"a{i}{j}", vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
@@ -582,7 +580,7 @@ def _kronecker(m):
 
 
 @pytest.mark.parametrize(
-    "q, num_paths", [(_chain(6), 21), (_transitive_tournament(4), 15)], ids=["A6", "T4"]
+    "q, num_paths", [(chain(6), 21), (_transitive_tournament(4), 15)], ids=["A6", "T4"]
 )
 def test_bracket_identities_at_baseline_sizes(q, num_paths):
     assert len(q.paths()) == num_paths

@@ -26,8 +26,8 @@ Core claims:
       as an operand of many of them, and the results and negations built
       from it, give the same answers as fresh copies
     - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
-      its rank and its square stay under 8 MiB; entry() rejects a column
-      outside the matrix
+      its rank and its square stay under 8 MiB; entry() rejects a row or
+      a column outside the matrix, and row() a row
 """
 
 import operator
@@ -367,6 +367,9 @@ def test_entry_rejects_a_column_outside_the_matrix():
     for i, j in ((0, -1), (0, 3), (0, 7), (-1, 0), (2, 0), (5, 1)):
         with pytest.raises(IndexError):
             m.entry(i, j)
+    for i in (-1, 2, 5):
+        with pytest.raises(IndexError):
+            m.row(i)
 
 
 def test_identity_2000_rank_and_square_stay_small():

@@ -25,6 +25,7 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
+    chain,
     fixture_quiver,
     is_valid_path,
     longest_path_length,
@@ -50,12 +51,6 @@ def _walk_count(q):
             for i in range(n)
         ]
     return total
-
-
-def _chain(n):
-    vertices = ["v%d" % i for i in range(1, n + 1)]
-    arrows = [("p%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(1, n)]
-    return Quiver(vertices, arrows)
 
 
 # -- Construction ------------------------------------------------------------
@@ -182,7 +177,7 @@ def test_path_counts_equal_enumeration():
     # counts[u][v] against the enumerated paths grouped by their ends
     rng = seeded(1409)
     names = EMBEDDED_FIXTURES + ("single_vertex", "disconnected")
-    quivers = [fixture_quiver(name) for name in names] + [_chain(12)]
+    quivers = [fixture_quiver(name) for name in names] + [chain(12)]
     quivers += [random_acyclic_quiver(rng) for _ in range(25)]
     for q in quivers:
         counts = q.path_counts()
@@ -320,5 +315,5 @@ def test_longest_path_length():
 def test_chain_path_count_formula():
     # chain on n vertices has n + (n choose 2) paths
     for n in range(2, 7):
-        q = _chain(n)
+        q = chain(n)
         assert len(q.paths()) == n + n * (n - 1) // 2

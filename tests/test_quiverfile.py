@@ -6,7 +6,8 @@ Core claims:
     - every malformed construct raises ParseError with its line number
     - a rotation system is synthesized exactly when rotation lines are
       present or the quiver has no arrows
-    - the outer directive requires rotation lines and a face index
+    - the outer directive requires rotation lines and a face index; an
+      index with more digits than int() converts is a ParseError
     - any text built from directives, names, darts and digits (ASCII or
       not) parses or raises ParseError / InvalidRotationError, nothing else
 """
@@ -125,6 +126,8 @@ def test_outer_requires_rotation_and_an_index():
         parse("vertex v\nouter first\n")
     with pytest.raises(ParseError):
         parse("vertex v\nouter \u00b2\n")  # a digit to str.isdigit, not to int()
+    with pytest.raises(ParseError, match="line 2"):
+        parse("vertex v\nouter " + "1" * 5000 + "\n")  # past int()'s digit limit
     qf = parse("vertex u v\narrow a u v\nrotation u a+\nrotation v a-\nouter 1\n")
     assert qf.outer == 1
 
