@@ -3,8 +3,9 @@
 Every command reads one quiver file and writes a single line of
 canonical JSON (sorted keys, no whitespace, rationals as exact
 "num/den" strings) so that identical inputs produce identical bytes.
-Exit codes: 0 success, 1 semantic failure, 2 usage or parse error, or
-output that stdout refused (a full disk, a reader that closed the pipe).
+Exit codes: 0 success, 1 semantic failure or an input too large for the
+memory at hand, 2 usage or parse error, or output that stdout refused (a
+full disk, a reader that closed the pipe).
 """
 
 from __future__ import annotations
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
         return 2
     except QuiverError as e:
         _fail(f"{type(e).__name__}: {e}")
+        return 1
+    except MemoryError:
+        _fail("MemoryError: out of memory")
         return 1
 
 

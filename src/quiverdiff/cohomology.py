@@ -248,7 +248,8 @@ class HH1Basis:
     therefore depends only on its EdgePair coordinates: the AL(r, s)
     coordinates are read off as they are, and the diagonal vector of the
     EdgePair(k, k) coordinates is solved in k^E modulo the row space of
-    C_va against the Face and Extra rows, a solve on |E| columns.
+    C_va against the Face and Extra rows, a solve on |E| columns.  Those
+    rows are independent modulo row(C_va), which hh1_basis checks.
     ``edge_pairs[i]`` is representative i as a sparse combination of
     EdgePair labels, {(r, s): coefficient}; no operator is stored.
     """
@@ -342,11 +343,10 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     Each ``edge_pairs`` entry is written from its label, and no operator
     is built: AL(r, s) is {(r, s): 1}, Face(f) is {(k, k): a_k} over the
     face's net coefficients, Extra(k) is {(k, k): 1}.  The
-    representatives are independent modulo Inn exactly when each one's
-    class coordinates are its own unit vector: the class map kills Inn,
-    and a Face or Extra representative that depends on C_va and the rows
-    before it gets coordinate 0 in its own slot.  The count is
-    cross-checked against both dimension formulas.
+    representatives are independent modulo Inn exactly when no AL pair is
+    listed twice and no Face or Extra diagonal row depends on row(C_va)
+    and the rows before it; the first representative that breaks this is
+    named.  The count is cross-checked against both dimension formulas.
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
@@ -355,11 +355,9 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     if not 0 <= dropped < len(faces):
         raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
 
-    labels: list[HH1Label] = []
-    edge_pairs: list[dict[tuple[int, Path], Fraction]] = []
-    for r, s in q.almost_oriented_cycles():
-        labels.append(HH1Label("al", arrow=r, path=s))
-        edge_pairs.append({(r, s): _ONE})
+    cycles = q.almost_oriented_cycles()
+    labels = [HH1Label("al", arrow=r, path=s) for r, s in cycles]
+    edge_pairs: list[dict[tuple[int, Path], Fraction]] = [{pair: _ONE} for pair in cycles]
     for f, face in enumerate(faces):
         if f != dropped:
             labels.append(HH1Label("face", face=f))
@@ -373,11 +371,12 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
             edge_pairs.append({(k, q.arrow_path(k)): _ONE})
 
     hb = HH1Basis(q, labels, edge_pairs, faces, dropped, g)
-    for k, (label, pairs) in enumerate(zip(labels, edge_pairs)):
-        if hb.class_coordinates(pairs) != hb._zero[:k] + (_ONE,) + hb._zero[k + 1 :]:
-            raise InternalCheckError(
-                f"representative {label.display(q)} is dependent modulo the inner subspace"
-            )
+    first_seen: dict[tuple[int, Path], int] = {}
+    dependent = [k for k, pair in enumerate(cycles) if first_seen.setdefault(pair, k) != k]
+    dependent += [len(cycles) + i for i in hb._quotient.dependent]
+    if dependent:
+        name = labels[dependent[0]].display(q)
+        raise InternalCheckError(f"representative {name} is dependent modulo the inner subspace")
     dim = hh1_dimension(q, rot)
     if len(labels) != dim:
         raise InternalCheckError(f"{len(labels)} representatives for HH1 of dimension {dim}")

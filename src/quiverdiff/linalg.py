@@ -8,8 +8,8 @@ matching rows of B.  Dense vectors enter through one function,
 ``_sparse``; dense tuples are built only when a caller reads ``rows`` or
 ``row(i)``.  Every elimination runs through one kernel, EchelonBasis:
 sparse primitive integer rows, reduced forward only (fraction-free, as
-in Bareiss, Math. Comp. 22, 1968), with no floating point.  Rows whose
-order does not matter go in through ``EchelonBasis.spanning``, latest
+in Bareiss, Math. Comp. 22, 1968), with no floating point.  Batches of
+rows, LinearSolver's tagged ones too, go in through ``spanning``, latest
 leading column first (a fixed row order in the spirit of Markowitz,
 Management Sci. 3, 1957); caller order fills in on the row-major vertex
 and face rows of a planar grid.  rank reads the forward pivots; rref,
@@ -207,13 +207,12 @@ class EchelonBasis:
     the basis into the unique RREF of the span by one back-substitution.
 
     ``insert`` and ``contains`` take dense vectors.  ``spanning`` builds
-    the basis of a batch of sparse matrix rows whose order does not
-    matter: it inserts them latest leading column first, so every
-    pivot already stored lies at or after the next row's leading
-    column, and a row meets a pivot only when it starts in the same
-    column.  Callers whose answer depends on which rows are kept
-    (LinearSolver, the candidates of quotient_complement) insert one
-    row at a time, in their own order.
+    the basis of a batch of sparse matrix rows: it inserts them latest
+    leading column first, so every pivot already stored lies at or
+    after the next row's leading column, and a row meets a pivot only
+    when it starts in the same column.  The only caller whose answer
+    depends on which rows are kept, quotient_complement, inserts its
+    candidates one at a time, in its own order.
     """
 
     def __init__(self, num_cols: int):
@@ -261,18 +260,15 @@ class EchelonBasis:
             div *= c
         return None, mul, div
 
-    def _store(self, pivot: int, v: dict[int, int]) -> None:
-        c = gcd(*v.values())
-        if v[pivot] < 0:
-            c = -c
-        self._pivot_rows[pivot] = {j: x // c for j, x in v.items()} if c != 1 else v
-
     def _insert(self, row: Row) -> bool:
         v = _integer_row(row)[0]
         pivot = self._forward(v)[0]
         if pivot is None:
             return False
-        self._store(pivot, v)
+        c = gcd(*v.values())
+        if v[pivot] < 0:
+            c = -c
+        self._pivot_rows[pivot] = {j: x // c for j, x in v.items()} if c != 1 else v
         return True
 
     def insert(self, vec) -> bool:
@@ -392,37 +388,34 @@ class LinearSolver:
     """Expresses vectors as combinations of fixed rows modulo a subspace.
 
     Reduces once, then answers many queries: for a row matrix M, the row
-    space S of ``modulo`` and a target t, ``solve(t)`` returns x with
-    t - x M in S, or None when t is outside S + row(M).  S goes in
-    through ``EchelonBasis.spanning``, the rows of M one at a time in
-    caller order, so a row of M that depends on S or on earlier rows gets
-    coordinate zero; rows independent modulo S give the unique x.
+    space S of ``modulo`` and a target t, ``solve(t)`` returns some x with
+    t - x M in S, or None when t is outside S + row(M).  ``dependent``
+    lists, in increasing order, the rows of M that lie in S plus the
+    span of the rows before them; x is unique exactly when it is empty.
     """
 
     def __init__(self, modulo: RationalMatrix, m: RationalMatrix):
         if modulo.num_cols != m.num_cols:
             raise DimensionMismatchError("subspace and rows have different column counts")
-        self.num_rows = m.num_rows
+        self.num_rows = k = m.num_rows
         self.num_cols = n = m.num_cols
-        # the rows of S go in untagged; row i of M is tagged with e_i, so
-        # every basis row is [y M + z | y] with z in S; a row whose left
-        # half vanishes is not stored, so its tag is 0 in every x
-        self._basis = EchelonBasis.spanning(n + m.num_rows, modulo._entries)
-        for i, row in enumerate(m._entries):
-            v = _integer_row({**row, n + i: _ONE})[0]
-            pivot = self._basis._forward(v)[0]
-            if pivot < n:
-                self._basis._store(pivot, v)
+        # row i of M is tagged at column n + k - 1 - i, so a basis row is
+        # [y M + z | y reversed], z in S; row i's tag is a pivot exactly when
+        # some y with y_i != 0 and no later entry has y M + z = 0, that is
+        # when row i depends on S and the rows before it, in any row order
+        tagged = [{**row, n + k - 1 - i: _ONE} for i, row in enumerate(m._entries)]
+        self._basis = EchelonBasis.spanning(n + k, list(modulo._entries) + tagged)
+        self.dependent = tuple(sorted(n + k - 1 - p for p in self._basis.pivots if p >= n))
 
     def solve(self, target) -> Vector | None:
-        n = self.num_cols
-        # forward reduction leaves s [t | 0] - [y M + z | y]: once the left
-        # half vanishes, y M + z = s t and x = y / s is read off the tags
+        n, k = self.num_cols, self.num_rows
+        # forward reduction leaves s [t | 0] - [y M + z | y reversed]; once
+        # its left half vanishes, y M + z = s t and x = y / s
         v, den = _integer_row(_sparse(target, n))
         pivot, mul, div = self._basis._forward(v)
         if pivot is not None and pivot < n:
             return None
-        x = [_ZERO] * self.num_rows
+        x = [_ZERO] * k
         for j, y in v.items():
-            x[j - n] = Fraction(-y * div, mul * den)
+            x[n + k - 1 - j] = Fraction(-y * div, mul * den)
         return tuple(x)

@@ -367,10 +367,14 @@ class ReferenceHH1:
             assert canonical_coordinates(q, op) == expected, label.display(q)
         self.derivations = canonical_basis(q)
         self.inner = operator_inner_subspace(q, self.derivations)
-        rows = [self.derivations.coordinates_of(op) for op in ops]
-        self.solver = LinearSolver(self.inner, RationalMatrix(rows, len(self.derivations)))
-        # each representative is independent of Inn and the ones before it
-        self.independent = all(self.solver.solve(row)[k] == 1 for k, row in enumerate(rows))
+        reps = RationalMatrix(
+            [self.derivations.coordinates_of(op) for op in ops], len(self.derivations)
+        )
+        self.solver = LinearSolver(self.inner, reps)
+        # a rank count, so the check does not rest on the solver it feeds
+        self.independent = (
+            RationalMatrix.stack(self.inner, reps).rank() == self.inner.rank() + len(ops)
+        )
         self.brackets = tuple(
             (i, j, self.coset(ops[i].bracket(ops[j])))
             for i in range(len(ops))

@@ -11,7 +11,8 @@ Core claims:
     - derivations --oracle and hh1 --oracle on a quiver over the oracle
       cap (T_7, T_40) exit 1 before they enumerate a path, build the
       canonical basis or the bracket table
-    - semantic failures exit 1, usage and parse failures exit 2; a file
+    - semantic failures exit 1, usage and parse failures exit 2; running
+      out of memory in a command is exit 1 and one line; a file
       with no vertex line passes check and derivations, and report and
       hh1 reject it with exit 1 and one line; an outer index that is not
       an ASCII number or has more digits than int() converts is exit 2
@@ -280,6 +281,15 @@ def _tournament_file(tmp_path, n):
     qf = quiverfile.QuiverFile(name=f"t{n}", quiver=q, rotation=rot, outer=None)
     path.write_text(quiverfile.serialize(qf), encoding="utf-8")
     return str(path)
+
+
+def test_running_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "canonical_basis", exhausted)
+    code, out, err = _run(capsys, ["derivations", _fixture("k2")])
+    assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
 
 
 def test_derivations_oracle_over_the_cap_fails_before_the_basis(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,9 @@ Core claims:
       and the span does not depend on the dropped face
     - a representative that is dependent modulo the inner subspace (a
       face with a zero net or the net of a vertex derivation, or an
-      almost oriented cycle listed twice) raises, naming it
+      almost oriented cycle listed twice) raises, naming it; with a face's
+      net copied onto another on the planar 3x3 grid, the later of the
+      two is named
     - face representatives act on almost-oriented-cycle representatives
       with the pinned integer eigenvalues; on the torus fixture one of
       those eigenvalues is 0
@@ -29,7 +31,8 @@ Core claims:
     - the table computed on edge-pair labels (brackets, eigenvalues,
       verdicts, coset coordinates) equals the operator route of
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
-      genus 0 and >= 1, on K_m for m <= 8 and on T_n for n <= 5
+      genus 0 and >= 1, on K_m for m <= 8, on T_n for n <= 5 and on the
+      3x3 and 4x4 checkerboard grids, planar and with seeded rotations
     - the result records keep their field names, defaults, hashes and
       reprs, and refuse assignment
     - the inner subspace, the Inner(w) unit vectors and the rows of C_va
@@ -37,7 +40,8 @@ Core claims:
       operators D_p exactly on the differential inputs above, the
       disconnected, single-vertex and empty quivers, T_6 and A_n
     - hh1_structure reaches T_7 and K_14 with the dimensions, verdicts and
-      bracket coordinates of the operator route
+      bracket coordinates of the operator route, and the planar 16x16 grid
+      with dimension 225, every verdict true and every bracket zero
 """
 
 from fractions import Fraction
@@ -94,6 +98,7 @@ from helpers import (
     load_fixture,
     operator_inner_subspace,
     random_derivation,
+    random_rotation,
     representative_operators,
     seeded,
     seeded_embedded_quiver,
@@ -357,13 +362,13 @@ def test_non_derivation_has_no_coset():
     assert basis.coset_coordinates(LinearOperator.identity(q)) is None
 
 
-def _with_face_net(monkeypatch, net):
-    """Make trace_faces give face 1 the net coefficients ``net``."""
+def _with_face_net(monkeypatch, net, face=1):
+    """Make trace_faces give ``face`` the net coefficients ``net``."""
     true_trace_faces = cohomology.trace_faces
 
     def traced(rot):
         faces = list(true_trace_faces(rot))
-        faces[1] = faces[1]._replace(net=tuple(net))
+        faces[face] = faces[face]._replace(net=tuple(net))
         return tuple(faces)
 
     monkeypatch.setattr(cohomology, "trace_faces", traced)
@@ -384,6 +389,16 @@ def test_dependent_representative_raises(monkeypatch, injected):
         monkeypatch.setattr(q, "almost_oriented_cycles", lambda: pairs + pairs)
     label = r"AL\(p2,p1p3\)" if injected == "al_copy" else r"Face\(1\)"
     with pytest.raises(InternalCheckError, match=label + " is dependent"):
+        hh1_basis(q, rot)
+
+
+@pytest.mark.parametrize("copied, onto, named", [(2, 3, 3), (1, 4, 4), (3, 2, 3)])
+def test_a_copied_face_net_names_the_later_face(monkeypatch, copied, onto, named):
+    q, rot = checkerboard_grid(3)
+    labels = hh1_basis(q, rot).display_labels()
+    assert labels == ("Face(1)", "Face(2)", "Face(3)", "Face(4)")
+    _with_face_net(monkeypatch, trace_faces(rot)[copied].net, face=onto)
+    with pytest.raises(InternalCheckError, match=rf"Face\({named}\) is dependent"):
         hh1_basis(q, rot)
 
 
@@ -554,6 +569,10 @@ def _differential_inputs():
     ]
     inputs += [(f"k{m}", kronecker(m)) for m in range(2, 9)]
     inputs += [(f"t{n}", tournament(n)) for n in range(2, 6)]
+    for k in (3, 4):
+        q, rot = checkerboard_grid(k)
+        inputs.append((f"grid{k}", (q, rot)))
+        inputs.append((f"grid{k}_rotated", (q, random_rotation(seeded(k), q))))
     return inputs
 
 
@@ -623,23 +642,38 @@ REACH = {
         (39, 184): {39: 1},
         (17, 170): {174: 1},
     }),
+    # faces only, and faces commute
+    "grid16": (225, (True, True, True, True), {}),
 }
 
 
+def _reach(name, q, rot):
+    """hh1_structure on ``name``, checked against its REACH entry."""
+    dim, verdicts, pinned = REACH[name]
+    st = hh1_structure(q, rot)
+    assert len(st.basis) == dim, name
+    assert len(st.brackets) == dim * (dim - 1) // 2, name
+    assert (
+        st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span
+    ) == verdicts, name
+    table = {(i, j): coords for i, j, coords in st.brackets}
+    for key, nonzero in pinned.items():
+        assert {k: x for k, x in enumerate(table[key]) if x} == nonzero, (name, key)
+    return st
+
+
 def test_hh1_structure_reaches_t7_and_k14():
-    for name, (q, rot) in (("t7", tournament(7)), ("k14", kronecker(14))):
-        dim, verdicts, pinned = REACH[name]
-        st = hh1_structure(q, rot)
-        assert len(st.basis) == dim, name
-        assert len(st.brackets) == dim * (dim - 1) // 2, name
-        assert (
-            st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span
-        ) == verdicts, name
-        table = {(i, j): coords for i, j, coords in st.brackets}
-        for key, nonzero in pinned.items():
-            assert {k: x for k, x in enumerate(table[key]) if x} == nonzero, (name, key)
+    _reach("t7", *tournament(7))
+    st = _reach("k14", *kronecker(14))
     labels = st.basis.display_labels()
     assert (labels[18], labels[79], labels[183]) == ("AL(p2,p7)", "AL(p7,p2)", "Face(2)")
+
+
+def test_hh1_structure_reaches_the_planar_16x16_grid():
+    # about 0.2 s; inserting the face rows of the class solver in caller
+    # order took 2.2 s
+    st = _reach("grid16", *checkerboard_grid(16))
+    assert all(not any(coords) for _, _, coords in st.brackets)
 
 
 # -- Result records ----------------------------------------------------------

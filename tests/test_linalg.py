@@ -9,8 +9,11 @@ Core claims:
     - EchelonBasis insert/contains are mutually consistent
     - rref, kernel, intersection and LinearSolver agree with SymPy on
       matrices with dependent rows
-    - LinearSolver solves modulo a subspace, and a row that depends on it
-      or on earlier rows gets coordinate 0
+    - LinearSolver solves modulo a subspace: its dependent rows are
+      SymPy's caller-order dependent rows (prefix ranks), with and without
+      a subspace; every x it returns has t - x M in the subspace, x is
+      SymPy's unique solution when no row is dependent, and a target
+      outside the subspace plus row(M) gives None
     - rref, rank, kernel and LinearSolver.solve agree with SymPy on rows
       with non-unit denominators and entries past 2**64
     - the intersection is in RREF and equals the RREF of SymPy's meet
@@ -214,6 +217,55 @@ def test_quotient_complement_length_is_codimension():
         assert combined.rank() == cols
 
 
+def _solver_case(rng, row, num_s, num_m, cols, coefficient):
+    """S of ``num_s`` rows and M of ``num_m`` rows, each ``row(cols)``,
+    plus up to three rows of M placed at random positions, each a
+    combination of two rows drawn from S and the rows of M before it."""
+    s = [row(cols) for _ in range(num_s)]
+    m = [row(cols) for _ in range(num_m)]
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(m))
+        pool = s + m[:at]
+        if pool:
+            a, b = rng.choice(pool), rng.choice(pool)
+            c = coefficient(rng)
+            m.insert(at, [x + c * y for x, y in zip(a, b)])
+    return RationalMatrix(s, cols), RationalMatrix(m, cols)
+
+
+def _assert_solves_modulo(sympy, s, m, target, x):
+    """x is a solution: t - x M lies in the row space of s."""
+    assert x is not None and len(x) == m.num_rows
+    assert all(type(c) is Fraction for c in x)
+    residual = [t - sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
+                for j, t in enumerate(target)]
+    ss = _to_sympy(sympy, s)
+    assert ss.col_join(_to_sympy(sympy, RationalMatrix([residual]))).rank() == ss.rank()
+
+
+def _assert_solver_contract(sympy, rng, s, m, entry):
+    """LinearSolver(s, m) against SymPy: ``dependent`` is the set of rows of
+    M whose prefix of [S; M] does not grow in rank; a target in S + row(M)
+    is solved, uniquely when no row is dependent; any other gives None."""
+    stacked = _to_sympy(sympy, RationalMatrix.stack(s, m))
+    ranks = [stacked[: s.num_rows + i, :].rank() for i in range(m.num_rows + 1)]
+    solver = LinearSolver(s, m)
+    assert solver.dependent == tuple(i for i in range(m.num_rows) if ranks[i + 1] == ranks[i])
+    coeffs = [entry(rng) for _ in range(stacked.rows)]
+    target = [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*s.rows, *m.rows)]
+    x = solver.solve(target)
+    _assert_solves_modulo(sympy, s, m, target, x)
+    if not solver.dependent:
+        # z S + x M = t has a unique x part; the free parameters, there
+        # when S has dependent rows, only move z
+        sol, params = stacked.T.gauss_jordan_solve(_to_sympy(sympy, RationalMatrix([target])).T)
+        sol = sol.subs({p: 0 for p in params})
+        assert list(x) == list(_from_sympy(sol[s.num_rows :, :].T).row(0))
+    outside = [entry(rng) for _ in range(m.num_cols)]
+    grows = stacked.col_join(_to_sympy(sympy, RationalMatrix([outside]))).rank() > ranks[-1]
+    assert (solver.solve(outside) is None) == grows
+
+
 # -- EchelonBasis and LinearSolver -------------------------------------------
 
 def test_echelon_basis_insert_and_contains():
@@ -251,16 +303,23 @@ def test_linear_solver_expresses_row_combinations():
     assert solver.solve((1, 0, 1)) is None
 
 
-def test_linear_solver_solves_modulo_a_subspace():
-    # x with t - x M in S; rows of M in S, or in S + the rows before
-    # them, get coordinate 0
+def test_linear_solver_solves_modulo_a_subspace(sympy):
+    # row 0 of M lies in S and row 2 in S + row 1: some x with t - x M in
+    # S, and the unique one once the dependent rows are gone
     s = RationalMatrix([[1, 1, 0]], 3)
     m = RationalMatrix([[2, 2, 0], [0, 1, 0], [1, 0, 0]], 3)
     solver = LinearSolver(s, m)
-    assert solver.solve((0, 3, 0)) == (0, 3, 0)
-    assert solver.solve((5, 5, 0)) == (0, 0, 0)
-    assert solver.solve((1, 0, 0)) == (0, -1, 0)
+    assert solver.dependent == (0, 2)
+    for target in ((0, 3, 0), (5, 5, 0), (1, 0, 0)):
+        _assert_solves_modulo(sympy, s, m, target, solver.solve(target))
     assert solver.solve((0, 0, 1)) is None
+    solver = LinearSolver(s, RationalMatrix([[0, 1, 0]], 3))
+    assert solver.dependent == ()
+    assert solver.solve((0, 3, 0)) == (3,)
+    assert solver.solve((5, 5, 0)) == (0,)
+    assert solver.solve((1, 0, 0)) == (-1,)
+    assert solver.solve((0, 0, 1)) is None
+    _assert_solver_contract(sympy, seeded(3112), s, m, rand_frac)
 
 
 def test_linear_solver_randomized_roundtrip():
@@ -321,27 +380,16 @@ def test_intersection_grassmann_identity_against_sympy(sympy):
             assert sb.col_join(sv).rank() == sb.rank()
 
 
-def test_linear_solver_zero_on_dependent_later_rows(sympy):
+def test_linear_solver_flags_dependent_later_rows(sympy):
     rng = seeded(3113)
+
+    def row(cols):
+        return [rand_frac(rng) if rng.random() < 0.6 else 0 for _ in range(cols)]
+
     for _ in range(30):
-        m = _dependent_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 3))
-        sm = _to_sympy(sympy, m)
-        dependent = [
-            i for i in range(m.num_rows) if sm[: i + 1, :].rank() == sm[:i, :].rank()
-        ]
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(m.num_rows)]
-        target = [
-            sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
-            for j in range(m.num_cols)
-        ]
-        x = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m).solve(target)
-        assert x is not None
-        assert all(x[i] == 0 for i in dependent)
-        back = [
-            sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
-            for j in range(m.num_cols)
-        ]
-        assert back == target
+        for num_s in (0, rng.randint(1, 3)):
+            s, m = _solver_case(rng, row, num_s, rng.randint(1, 4), rng.randint(1, 6), rand_frac)
+            _assert_solver_contract(sympy, rng, s, m, rand_frac)
 
 
 def test_matrix_arithmetic_shapes():
@@ -534,35 +582,14 @@ def test_rref_rank_kernel_match_sympy_on_large_fractions(sympy):
 
 def test_linear_solver_matches_sympy_on_large_fractions(sympy):
     rng = seeded(3117)
+
+    def row(cols):
+        return [_big_entry(rng) for _ in range(cols)]
+
     for _ in range(30):
-        m = _big_dependent_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 3))
-        sm = _to_sympy(sympy, m)
-        independent = [
-            i for i in range(m.num_rows) if sm[: i + 1, :].rank() > sm[:i, :].rank()
-        ]
-        coeffs = [_big_entry(rng) for _ in range(m.num_rows)]
-        target = [
-            sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
-            for j in range(m.num_cols)
-        ]
-        solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
-        x = solver.solve(target)
-        # the coordinates on the independent rows are unique: SymPy's
-        # solution of x_ind M_ind = t, every other coordinate is 0
-        rows = sm.extract(independent, list(range(m.num_cols)))
-        sol, params = rows.T.gauss_jordan_solve(_to_sympy(sympy, RationalMatrix([target])).T)
-        assert params.rows == 0
-        expected = [Fraction(0)] * m.num_rows
-        for i, value in zip(independent, _from_sympy(sol.T).row(0)):
-            expected[i] = value
-        assert list(x) == expected
-        assert all(type(c) is Fraction for c in x)
-        outside = [_big_entry(rng) for _ in range(m.num_cols)]
-        s_out = _to_sympy(sympy, RationalMatrix([outside]))
-        if sm.col_join(s_out).rank() > sm.rank():
-            assert solver.solve(outside) is None
-        else:
-            assert solver.solve(outside) is not None
+        for num_s in (0, rng.randint(1, 3)):
+            s, m = _solver_case(rng, row, num_s, rng.randint(1, 4), rng.randint(1, 6), _big_entry)
+            _assert_solver_contract(sympy, rng, s, m, _big_entry)
 
 
 def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
