@@ -249,6 +249,12 @@ def _path_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # more digits than int() converts
+            raise argparse.ArgumentTypeError(
+                f"a path count has too many digits ({len(digits)})"
+            ) from None
         raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"a path count cannot be negative: {text}")

@@ -17,9 +17,8 @@ written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
 = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths, and
 the quotient by Inn is one solve on |E| columns.  No operator, algebra
 element, canonical basis or inner subspace is built on that path;
-operators appear only in HH1Basis.coset_coordinates, adjoint_eigenvalue
-and the tests.  The face eigenvalues come from the net-coefficient
-formula.
+operators appear only in HH1Basis.coset_coordinates and the tests.
+The face eigenvalues come from the net-coefficient formula.
 """
 
 from __future__ import annotations
@@ -27,22 +26,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .derivations import LinearOperator, _splices, canonical_coordinates, d_rs
-from .embedding import FaceCycle, RotationSystem, face_derivation, surface_genus, trace_faces
-from .errors import (
-    CyclicQuiverError,
-    DisconnectedError,
-    InternalCheckError,
-    NotAlmostCycleError,
-)
-from .linalg import (
-    _ONE,
-    _ZERO,
-    LinearSolver,
-    RationalMatrix,
-    intersect_row_spaces,
-    quotient_complement,
-)
+from .derivations import LinearOperator, _splices, canonical_coordinates
+from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
+from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
+from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, intersect_row_spaces
 from .quiver import Path, Quiver
 
 _MINUS_ONE = -_ONE
@@ -342,11 +329,15 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     ``outer`` picks the dropped face (default: the first traced face).
     Each ``edge_pairs`` entry is written from its label, and no operator
     is built: AL(r, s) is {(r, s): 1}, Face(f) is {(k, k): a_k} over the
-    face's net coefficients, Extra(k) is {(k, k): 1}.  The
-    representatives are independent modulo Inn exactly when no AL pair is
-    listed twice and no Face or Extra diagonal row depends on row(C_va)
-    and the rows before it; the first representative that breaks this is
-    named.  The count is cross-checked against both dimension formulas.
+    face's net coefficients, Extra(k) is {(k, k): 1}.  The 2g arrows k
+    of the Extra classes are those whose unit vector e_k is not in
+    row(C_gamma) plus the span of e_j for j < k: the rows of the identity
+    that a LinearSolver modulo C_gamma does not list as dependent, in
+    increasing k.  The representatives are independent modulo Inn
+    exactly when no AL pair is listed twice and no Face or Extra diagonal
+    row depends on row(C_va) and the rows before it; the first
+    representative that breaks this is named.  The count is
+    cross-checked against both dimension formulas.
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
@@ -365,10 +356,12 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
                 {(k, q.arrow_path(k)): Fraction(a) for k, a in enumerate(face.net) if a}
             )
     if g:
-        for vec in quotient_complement(connection_matrix(q, faces)):
-            k = next(i for i, x in enumerate(vec) if x)
-            labels.append(HH1Label("extra", arrow=k))
-            edge_pairs.append({(k, q.arrow_path(k)): _ONE})
+        unit = RationalMatrix.identity(q.num_arrows)
+        covered = set(LinearSolver(connection_matrix(q, faces), unit).dependent)
+        for k in range(q.num_arrows):
+            if k not in covered:
+                labels.append(HH1Label("extra", arrow=k))
+                edge_pairs.append({(k, q.arrow_path(k)): _ONE})
 
     hb = HH1Basis(q, labels, edge_pairs, faces, dropped, g)
     first_seen: dict[tuple[int, Path], int] = {}
@@ -390,34 +383,6 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
 def _eigenvalue(coeffs, r: int, s: Path) -> Fraction:
     # -a_r + sum of a_x over the arrows x of s, with multiplicity
     return sum((Fraction(coeffs[x]) for x in s.arrows), -Fraction(coeffs[r]))
-
-
-def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
-    """Eigenvalue of the face's adjoint action on the operator of (r, s).
-
-    With a the face's net coefficients, bracketing the face derivation
-    against D_{r,s} rescales it by -a_r + sum of a_x over the arrows x
-    of s (with multiplicity).  Before the value is returned the identity
-    is checked exactly on the sparse operators: the bracket of the face
-    derivation with D_{r,s} must equal lam * D_{r,s}.
-    """
-    if isinstance(r, str):
-        r = q.arrow_index(r)
-    arrow = q.arrows[r]
-    if (
-        s == q.arrow_path(r)
-        or q.path_tail(s) != arrow.tail
-        or q.path_head(s) != arrow.head
-    ):
-        raise NotAlmostCycleError(
-            f"({arrow.name}, {q.path_display(s)}) is not an almost oriented cycle"
-        )
-    coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
-    lam = _eigenvalue(coeffs, r, s)
-    op = d_rs(q, r, s)
-    if face_derivation(q, coeffs).bracket(op) != lam * op:
-        raise InternalCheckError("adjoint eigenvalue identity failed on operators")
-    return lam
 
 
 def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:

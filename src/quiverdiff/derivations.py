@@ -59,21 +59,12 @@ class LinearOperator:
 
     ``images[j]`` is the sparse image of the j-th canonical basis path;
     ``matrix`` builds the matrix (column j = images[j]) on each read.
+    Build one with ``from_images`` (a function basis path ->
+    AlgebraElement), ``zero`` or ``identity``; sums, scalar multiples and
+    brackets of operators are operators again.
     """
 
     __slots__ = ("quiver", "images")
-
-    def __init__(self, quiver: Quiver, matrix: RationalMatrix):
-        paths = quiver.paths()
-        n = len(paths)
-        if matrix.num_rows != n or matrix.num_cols != n:
-            raise ValueError(f"operator matrix must be {n}x{n}")
-        self.quiver = quiver
-        images: list[dict[Path, Fraction]] = [{} for _ in range(n)]
-        for w, row in zip(paths, matrix._entries):
-            for j, c in row.items():
-                images[j][w] = c
-        self.images = tuple(AlgebraElement._of(quiver, t) for t in images)
 
     @classmethod
     def _of(cls, quiver: Quiver, images) -> "LinearOperator":

@@ -14,13 +14,13 @@ leading column first (a fixed row order in the spirit of Markowitz,
 Management Sci. 3, 1957); caller order fills in on the row-major vertex
 and face rows of a planar grid.  rank reads the forward pivots; rref,
 kernel and row-space intersection (Zassenhaus) back-substitute once to
-the reduced row echelon form, and quotient complements and LinearSolver
-need no back-substitution at all.  The reduced row echelon form of a
-row space is unique, so ranks, echelon forms, kernels and intersections
-do not depend on the order the rows are inserted in.  Forward-only rows
-matter for Zassenhaus: keeping every row fully reduced fills in the
-right half of the block [[A A], [B 0]], which for a report on a
-112-arrow grid is 114 x 224.
+the reduced row echelon form, and LinearSolver needs no back-substitution
+at all.  The reduced row echelon form of a row space is unique, so
+ranks, echelon forms, kernels and intersections do not depend on the
+order the rows are inserted in.  Forward-only rows matter for
+Zassenhaus: keeping every row fully reduced fills in the right half of
+the block [[A A], [B 0]], which for a report on a 112-arrow grid is
+114 x 224.
 """
 
 from __future__ import annotations
@@ -196,23 +196,22 @@ class RationalMatrix:
 class EchelonBasis:
     """Incrementally maintained echelon basis of a row space.
 
-    The package's one elimination kernel: rref, rank, intersections,
-    complements and the solver are all built on it.  Each row is stored
-    sparsely (column -> nonzero int) as a primitive integer row: scaled
-    by the lcm of its denominators, divided by its content, with a
-    positive leading entry at its pivot.  A new row is reduced forward
-    only, against the pivots in increasing column order, and stored
-    rows are never touched again, so an insert costs one pass over the
-    pivots it meets and nothing fills in behind it.  ``rows()`` turns
-    the basis into the unique RREF of the span by one back-substitution.
+    The package's one elimination kernel: rref, rank, intersections and
+    the solver are all built on it.  Each row is stored sparsely
+    (column -> nonzero int) as a primitive integer row: scaled by the
+    lcm of its denominators, divided by its content, with a positive
+    leading entry at its pivot.  A new row is reduced forward only,
+    against the pivots in increasing column order, and stored rows are
+    never touched again, so an insert costs one pass over the pivots it
+    meets and nothing fills in behind it.  ``rows()`` turns the basis
+    into the unique RREF of the span by one back-substitution.
 
     ``insert`` and ``contains`` take dense vectors.  ``spanning`` builds
     the basis of a batch of sparse matrix rows: it inserts them latest
     leading column first, so every pivot already stored lies at or
     after the next row's leading column, and a row meets a pivot only
-    when it starts in the same column.  The only caller whose answer
-    depends on which rows are kept, quotient_complement, inserts its
-    candidates one at a time, in its own order.
+    when it starts in the same column.  Every basis the package builds
+    goes through ``spanning``.
     """
 
     def __init__(self, num_cols: int):
@@ -362,26 +361,6 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     ech = EchelonBasis.spanning(2 * n, doubled + list(b._entries))
     found = ech._reduced([p for p in ech.pivots if p >= n])
     return RationalMatrix._of([{j - n: x for j, x in row.items()} for row in found], n)
-
-
-def quotient_complement(subspace: RationalMatrix) -> list[Vector]:
-    """Representatives completing ``subspace`` to its full ambient space.
-
-    Scans the standard unit vectors in order, keeping each one that
-    increases the rank of the subspace and the vectors kept so far; the
-    result has length (ambient dimension - rank of subspace) and the
-    choice is deterministic.
-    """
-    n = subspace.num_cols
-    ech = EchelonBasis.spanning(n, subspace._entries)
-    chosen: list[Vector] = []
-    for i in range(n):
-        if ech.rank == n:
-            break
-        v = tuple(_ONE if j == i else _ZERO for j in range(n))
-        if ech.insert(v):
-            chosen.append(v)
-    return chosen
 
 
 class LinearSolver:

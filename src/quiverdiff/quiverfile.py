@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .embedding import RotationSystem, dart_display, dart_from_text
+from .embedding import RotationSystem, dart_from_text
 from .errors import ParseError
 from .quiver import Quiver
 
@@ -131,23 +131,3 @@ def _check_name(token: str, lineno: int) -> None:
 def load(path) -> QuiverFile:
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def serialize(qf: QuiverFile) -> str:
-    """Canonical text for a QuiverFile; parse(serialize(x)) == x."""
-    q = qf.quiver
-    lines = []
-    if qf.name:
-        lines.append(f"quiver {qf.name}")
-    if q.num_vertices:
-        lines.append("vertex " + " ".join(q.vertex_names))
-    for a in q.arrows:
-        lines.append(f"arrow {a.name} {q.vertex_names[a.tail]} {q.vertex_names[a.head]}")
-    if qf.rotation is not None:
-        for v, order in enumerate(qf.rotation.orders):
-            parts = ["rotation", q.vertex_names[v]]
-            parts += [dart_display(q, d) for d in order]
-            lines.append(" ".join(parts))
-    if qf.outer is not None:
-        lines.append(f"outer {qf.outer}")
-    return "\n".join(lines) + "\n"

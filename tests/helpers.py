@@ -1,15 +1,18 @@
 """Shared test utilities: fixture loading, seeded random generators, the
-planar checkerboard grid, small operations only tests need, the HH1
-representatives as operators, and the operator routes to the inner
-subspace and to the HH1 structure table as independent references."""
+planar checkerboard grid, small operations only tests need, the library
+functions that only tests call (quiver file text, the dense operator
+constructor, the checked adjoint eigenvalue and the greedy quotient
+complement), the HH1 representatives as operators, and the operator
+routes to the inner subspace and to the HH1 structure table as
+independent references."""
 
 import random
 from fractions import Fraction
 from pathlib import Path as FsPath
 
-from quiverdiff.quiver import Quiver
+from quiverdiff.quiver import Path, Quiver
 from quiverdiff.algebra import AlgebraElement
-from quiverdiff.cohomology import adjoint_eigenvalue, hh1_basis
+from quiverdiff.cohomology import _eigenvalue, hh1_basis
 from quiverdiff.derivations import (
     DerivationLabel,
     LinearOperator,
@@ -18,9 +21,28 @@ from quiverdiff.derivations import (
     d_rs,
     inner_derivation,
 )
-from quiverdiff.linalg import LinearSolver, RationalMatrix, as_vector
-from quiverdiff.embedding import TAIL, HEAD, RotationSystem, dart, face_derivation, genus
+from quiverdiff.errors import InternalCheckError, NotAlmostCycleError
+from quiverdiff.linalg import (
+    _ONE,
+    _ZERO,
+    EchelonBasis,
+    LinearSolver,
+    RationalMatrix,
+    Vector,
+    as_vector,
+)
+from quiverdiff.embedding import (
+    TAIL,
+    HEAD,
+    FaceCycle,
+    RotationSystem,
+    dart,
+    dart_display,
+    face_derivation,
+    genus,
+)
 from quiverdiff import quiverfile
+from quiverdiff.quiverfile import QuiverFile
 
 FIXTURE_DIR = FsPath(__file__).resolve().parent.parent / "quivers"
 
@@ -184,6 +206,90 @@ def random_derivation(rng, q, basis=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- library functions that only tests call --------------------------------
+
+def serialize(qf: QuiverFile) -> str:
+    """Canonical text for a QuiverFile; parse(serialize(x)) == x."""
+    q = qf.quiver
+    lines = []
+    if qf.name:
+        lines.append(f"quiver {qf.name}")
+    if q.num_vertices:
+        lines.append("vertex " + " ".join(q.vertex_names))
+    for a in q.arrows:
+        lines.append(f"arrow {a.name} {q.vertex_names[a.tail]} {q.vertex_names[a.head]}")
+    if qf.rotation is not None:
+        for v, order in enumerate(qf.rotation.orders):
+            parts = ["rotation", q.vertex_names[v]]
+            parts += [dart_display(q, d) for d in order]
+            lines.append(" ".join(parts))
+    if qf.outer is not None:
+        lines.append(f"outer {qf.outer}")
+    return "\n".join(lines) + "\n"
+
+
+def operator_from_matrix(quiver, matrix):
+    """The operator whose matrix is ``matrix``: column j is the image of
+    the j-th basis path, read from its nonzero entries."""
+    paths = quiver.paths()
+    n = len(paths)
+    if matrix.num_rows != n or matrix.num_cols != n:
+        raise ValueError(f"operator matrix must be {n}x{n}")
+    images = [{} for _ in range(n)]
+    for w, row in zip(paths, matrix._entries):
+        for j, c in row.items():
+            images[j][w] = c
+    return LinearOperator._of(quiver, [AlgebraElement._of(quiver, t) for t in images])
+
+
+def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
+    """Eigenvalue of the face's adjoint action on the operator of (r, s).
+
+    With a the face's net coefficients, bracketing the face derivation
+    against D_{r,s} rescales it by -a_r + sum of a_x over the arrows x
+    of s (with multiplicity).  Before the value is returned the identity
+    is checked exactly on the sparse operators: the bracket of the face
+    derivation with D_{r,s} must equal lam * D_{r,s}.
+    """
+    if isinstance(r, str):
+        r = q.arrow_index(r)
+    arrow = q.arrows[r]
+    if (
+        s == q.arrow_path(r)
+        or q.path_tail(s) != arrow.tail
+        or q.path_head(s) != arrow.head
+    ):
+        raise NotAlmostCycleError(
+            f"({arrow.name}, {q.path_display(s)}) is not an almost oriented cycle"
+        )
+    coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
+    lam = _eigenvalue(coeffs, r, s)
+    op = d_rs(q, r, s)
+    if face_derivation(q, coeffs).bracket(op) != lam * op:
+        raise InternalCheckError("adjoint eigenvalue identity failed on operators")
+    return lam
+
+
+def quotient_complement(subspace: RationalMatrix) -> list[Vector]:
+    """Representatives completing ``subspace`` to its full ambient space.
+
+    Scans the standard unit vectors in order, keeping each one that
+    increases the rank of the subspace and the vectors kept so far; the
+    result has length (ambient dimension - rank of subspace) and the
+    choice is deterministic.
+    """
+    n = subspace.num_cols
+    ech = EchelonBasis.spanning(n, subspace._entries)
+    chosen: list[Vector] = []
+    for i in range(n):
+        if ech.rank == n:
+            break
+        v = tuple(_ONE if j == i else _ZERO for j in range(n))
+        if ech.insert(v):
+            chosen.append(v)
+    return chosen
 
 
 # -- operations only tests need --------------------------------------------

@@ -38,7 +38,6 @@ from fractions import Fraction
 
 from quiverdiff.cli import main as cli_main
 from quiverdiff.cohomology import (
-    adjoint_eigenvalue,
     combinatorial_report,
     happel_dimension,
     hh1_basis,
@@ -60,9 +59,11 @@ from quiverdiff.linalg import EchelonBasis, RationalMatrix
 from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
+    adjoint_eigenvalue,
     fixture_embedded,
     fixture_quiver,
     longest_path_length,
+    operator_from_matrix,
     random_acyclic_quiver,
     random_derivation,
     seeded,
@@ -118,7 +119,7 @@ def _perturbed(rng, q, basis):
         bump = RationalMatrix(
             [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)], n
         )
-        op = op + LinearOperator(q, bump)
+        op = op + operator_from_matrix(q, bump)
     return op
 
 

@@ -16,7 +16,9 @@ Core claims:
       with no vertex line passes check and derivations, and report and
       hh1 reject it with exit 1 and one line; an outer index that is not
       an ASCII number or has more digits than int() converts is exit 2
-      and one line under check, report and hh1
+      and one line under check, report and hh1; a --max-oracle-paths
+      value that is negative, not a number or longer than int() converts
+      is exit 2 with a message that names which
     - hh1 --oracle builds no canonical basis
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
@@ -50,6 +52,7 @@ from helpers import (
     checkerboard_grid,
     kronecker,
     seeded_embedded_quiver,
+    serialize,
     tournament,
 )
 
@@ -279,7 +282,7 @@ def _tournament_file(tmp_path, n):
     q, rot = tournament(n)
     path = tmp_path / f"t{n}.quiver"
     qf = quiverfile.QuiverFile(name=f"t{n}", quiver=q, rotation=rot, outer=None)
-    path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+    path.write_text(serialize(qf), encoding="utf-8")
     return str(path)
 
 
@@ -422,6 +425,27 @@ def test_negative_oracle_cap_is_a_usage_error(capsys, command):
     assert "--max-oracle-paths" in captured.err
 
 
+@pytest.mark.parametrize("command", ["hh1", "derivations"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-3", "a path count cannot be negative: -3"),
+        ("ten", "not a whole number: 'ten'"),
+        ("7" * 5000, "a path count has too many digits (5000)"),
+    ],
+    ids=["negative", "not-a-number", "5000-digits"],
+)
+def test_oracle_cap_messages(capsys, command, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--oracle", "--max-oracle-paths", value, _fixture("k2")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --max-oracle-paths: {message}"
+    )
+
+
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -464,7 +488,7 @@ def _grid16_file(tmp_path):
     q, rot = checkerboard_grid(16)
     path = tmp_path / "grid16.quiver"
     qf = quiverfile.QuiverFile(name="grid16", quiver=q, rotation=rot, outer=None)
-    path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+    path.write_text(serialize(qf), encoding="utf-8")
     return path
 
 
@@ -553,7 +577,7 @@ def _generated_digests(directory):
     for name, (q, rot) in built.items():
         path = directory / f"{name}.quiver"
         qf = quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)
-        path.write_text(quiverfile.serialize(qf), encoding="utf-8")
+        path.write_text(serialize(qf), encoding="utf-8")
         digests[f"hh1 {name}"] = _digest(["hh1", str(path)], directory)
     return digests
 

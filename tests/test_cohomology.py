@@ -33,6 +33,10 @@ Core claims:
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
       genus 0 and >= 1, on K_m for m <= 8, on T_n for n <= 5 and on the
       3x3 and 4x4 checkerboard grids, planar and with seeded rotations
+    - the Extra(k) labels are the first nonzero index of each vector of
+      the greedy unit-vector complement of row(C_gamma)
+      (helpers.quotient_complement) on torus_k4, T_4 to T_8, 120 seeded
+      quivers of genus >= 1 and seeded rotations of the 3x3 and 4x4 grids
     - the result records keep their field names, defaults, hashes and
       reprs, and refuse assignment
     - the inner subspace, the Inner(w) unit vectors and the rows of C_va
@@ -54,7 +58,6 @@ from quiverdiff.cohomology import (
     CombinatorialReport,
     HH1Label,
     StructureTable,
-    adjoint_eigenvalue,
     boundary_matrix,
     combinatorial_report,
     connection_matrix,
@@ -90,6 +93,7 @@ from quiverdiff.quiverfile import QuiverFile
 from helpers import (
     EMBEDDED_FIXTURES,
     ReferenceHH1,
+    adjoint_eigenvalue,
     chain,
     checkerboard_grid,
     fixture_embedded,
@@ -97,6 +101,7 @@ from helpers import (
     kronecker,
     load_fixture,
     operator_inner_subspace,
+    quotient_complement,
     random_derivation,
     random_rotation,
     representative_operators,
@@ -615,6 +620,21 @@ def test_coset_coordinates_match_the_operator_route(name):
     broken = op + LinearOperator.identity(q)
     assert ref.basis.coset_coordinates(broken) is None
     assert ref.coset(broken) is None
+
+
+def test_extra_labels_are_the_greedy_unit_complement():
+    inputs = [("torus_k4", fixture_embedded("torus_k4"))]
+    inputs += [(f"t{n}", tournament(n)) for n in range(4, 9)]
+    inputs += [(f"seed{seed}", seeded_embedded_quiver(seed, 1)) for seed in range(120)]
+    for k in (3, 4):
+        q, _ = checkerboard_grid(k)
+        inputs += [(f"grid{k}_{i}", (q, random_rotation(seeded(100 * k + i), q))) for i in range(3)]
+    for name, (q, rot) in inputs:
+        hb = hh1_basis(q, rot)
+        extra = [label.arrow for label in hb.labels if label.kind == "extra"]
+        complement = quotient_complement(connection_matrix(q, hb.faces))
+        assert extra == [next(k for k, x in enumerate(v) if x) for v in complement], name
+        assert len(extra) == 2 * hb.genus, name
 
 
 INNER_INPUTS = [(name, q) for name, (q, _) in DIFFERENTIAL]

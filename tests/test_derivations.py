@@ -66,6 +66,7 @@ from helpers import (
     longest_path_length,
     mat_vec,
     operator_from_coordinates,
+    operator_from_matrix,
     rand_frac,
     random_acyclic_quiver,
     random_derivation,
@@ -105,7 +106,7 @@ def _perturbed(rng, q, basis):
         bump = RationalMatrix(
             [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)], n
         )
-        op = op + LinearOperator(q, bump)
+        op = op + operator_from_matrix(q, bump)
     return op
 
 
@@ -479,7 +480,7 @@ def test_oracle_operators_equal_their_dense_rebuild(oracle_quivers):
     # public constructor builds it from the dense matrix
     for q in oracle_quivers:
         for op in derivation_space_oracle(q):
-            assert op == LinearOperator(q, op.matrix)
+            assert op == operator_from_matrix(q, op.matrix)
             for image in op.images:
                 assert all(type(c) is Fraction and c for _, c in image.items())
 
@@ -736,7 +737,7 @@ def test_sparse_arithmetic_matches_dense_matrices():
             assert (a - b).matrix == ma - mb, name
             assert (-a).matrix == -ma, name
             assert (c * a).matrix == scaled, name
-            assert LinearOperator(q, ma) == a, name
+            assert operator_from_matrix(q, ma) == a, name
             assert (a - a).is_zero, name
 
 

@@ -5,7 +5,9 @@ Core claims:
     - rank(m) = rank(transpose(m))
     - kernel vectors satisfy m v = 0 exactly and span cols - rank dimensions
     - subspace intersection obeys the Grassmann dimension identity
-    - quotient_complement returns exactly codim many representatives
+    - the unit vectors that LinearSolver(S, identity) does not list as
+      dependent complete row(S): codim many, and S stacked with them has
+      full rank
     - EchelonBasis insert/contains are mutually consistent
     - rref, kernel, intersection and LinearSolver agree with SymPy on
       matrices with dependent rows
@@ -19,7 +21,7 @@ Core claims:
     - the intersection is in RREF and equals the RREF of SymPy's meet
     - EchelonBasis.spanning inserts latest leading column first, ties in
       caller order, and seeded row shuffles change none of rank, rref,
-      kernel, the intersection or the length of quotient_complement, on
+      kernel, the intersection or the length of that complement, on
       random matrices (against SymPy) and on the C_va, C_ca and B_gamma
       matrices of checkerboard grids
     - products, sums and differences agree with SymPy on sparse and dense
@@ -47,7 +49,6 @@ from quiverdiff.linalg import (
     LinearSolver,
     RationalMatrix,
     intersect_row_spaces,
-    quotient_complement,
 )
 
 from helpers import checkerboard_grid, mat_vec, rand_frac, seeded, transpose
@@ -197,13 +198,27 @@ def test_intersection_column_mismatch():
         intersect_row_spaces(RationalMatrix([[1]], 1), RationalMatrix([[1, 0]], 2))
 
 
+def _complement_length(s):
+    """How many unit vectors e_k are not dependent in LinearSolver(S,
+    identity), that is not in row(S) plus the span of e_j for j < k; asserts
+    that they complete row(S): codim many, and S stacked over them has full
+    rank."""
+    n = s.num_cols
+    dependent = LinearSolver(s, RationalMatrix.identity(n)).dependent
+    units = RationalMatrix._of([{k: Fraction(1)} for k in range(n) if k not in dependent], n)
+    assert units.num_rows == n - s.rank()
+    assert RationalMatrix.stack(s, units).rank() == n
+    return units.num_rows
+
+
 def test_quotient_complement_examples():
-    full = RationalMatrix.identity(3)
-    assert quotient_complement(full) == []
-    zero = RationalMatrix.zeros(1, 2)
-    comp = quotient_complement(zero)
-    assert len(comp) == 2
-    assert RationalMatrix(comp, 2).rank() == 2
+    assert _complement_length(RationalMatrix.identity(3)) == 0
+    assert _complement_length(RationalMatrix.zeros(1, 2)) == 2
+    assert _complement_length(RationalMatrix([[1, 1, 0]], 3)) == 2
+    # e_1 = (1, 1, 0) - e_0 is the one unit vector left out
+    solver = LinearSolver(RationalMatrix([[1, 1, 0]], 3), RationalMatrix.identity(3))
+    assert solver.dependent == (1,)
+    assert _complement_length(RationalMatrix([[0, 0, 5], [2, 0, 1]], 3)) == 1
 
 
 def test_quotient_complement_length_is_codimension():
@@ -211,10 +226,7 @@ def test_quotient_complement_length_is_codimension():
     for _ in range(10):
         cols = rng.randint(1, 5)
         sub = _random_matrix(rng, rng.randint(0, 3), cols)
-        comp = quotient_complement(sub)
-        assert len(comp) == cols - sub.rank()
-        combined = RationalMatrix.stack(sub, RationalMatrix(list(comp), cols)) if comp else sub
-        assert combined.rank() == cols
+        assert _complement_length(sub) == cols - sub.rank()
 
 
 def _solver_case(rng, row, num_s, num_m, cols, coefficient):
@@ -652,15 +664,14 @@ def _assert_order_free(rng, m, other, shuffles=3):
     reduced, pivots = m.rref()
     kernel = m.kernel()
     meet = intersect_row_spaces(m, other)
-    complement = len(quotient_complement(m))
-    assert complement == m.num_cols - m.rank()
+    complement = _complement_length(m)
     for _ in range(shuffles):
         s, t = _shuffled(rng, m), _shuffled(rng, other)
         assert s.rank() == m.rank()
         assert s.rref() == (reduced, pivots)
         assert s.kernel() == kernel
         assert intersect_row_spaces(s, t) == meet
-        assert len(quotient_complement(s)) == complement
+        assert _complement_length(s) == complement
     return reduced, pivots, meet
 
 

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverdiff.errors import InvalidRotationError, ParseError
-from quiverdiff.quiverfile import QuiverFile, load, parse, serialize
+from quiverdiff.quiverfile import QuiverFile, load, parse
 
-from helpers import FIXTURE_DIR, load_fixture
+from helpers import FIXTURE_DIR, load_fixture, serialize
 
 
 # -- Round trips ---------------------------------------------------------------
