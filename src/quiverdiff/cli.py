@@ -11,6 +11,7 @@ full disk, a reader that closed the pipe).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -261,6 +262,7 @@ def _path_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverdiff",

@@ -193,11 +193,10 @@ def _face_formula(num_faces: int, num_al: int, g: int) -> int:
     return num_faces + num_al - 1 + 2 * g
 
 
-def hh1_dimension(q: Quiver, rot: RotationSystem) -> int:
-    """|F| + |almost oriented cycles| - 1 + 2g, cross-checked against
-    the path-counting formula."""
+def hh1_dimension(q: Quiver, faces) -> int:
+    """|F| + |almost oriented cycles| - 1 + 2g over the traced ``faces``,
+    cross-checked against the path-counting formula."""
     _require_connected_acyclic(q)
-    faces = trace_faces(rot)
     g = surface_genus(q, len(faces))
     dim = _face_formula(len(faces), len(q.almost_oriented_cycles()), g)
     happel = happel_dimension(q)
@@ -235,8 +234,8 @@ class HH1Basis:
     therefore depends only on its EdgePair coordinates: the AL(r, s)
     coordinates are read off as they are, and the diagonal vector of the
     EdgePair(k, k) coordinates is solved in k^E modulo the row space of
-    C_va against the Face and Extra rows, a solve on |E| columns.  Those
-    rows are independent modulo row(C_va), which hh1_basis checks.
+    C_va against the Face and Extra rows, a solve on |E| columns, by the
+    ``quotient`` LinearSolver that hh1_basis built from them and checked.
     ``edge_pairs[i]`` is representative i as a sparse combination of
     EdgePair labels, {(r, s): coefficient}; no operator is stored.
     """
@@ -246,6 +245,7 @@ class HH1Basis:
         quiver: Quiver,
         labels,
         edge_pairs,
+        quotient: LinearSolver,
         faces,
         dropped_face: int,
         genus_: int,
@@ -263,16 +263,7 @@ class HH1Basis:
             for i, label in enumerate(self.labels)
             if label.kind == "al"
         }
-        # the EdgePair(k, k) rows of the Face and Extra representatives,
-        # solved modulo row(C_va)
-        diagonal_rows = [
-            {r: c for (r, s), c in pairs.items() if s.arrows == (r,)}
-            for label, pairs in zip(self.labels, self.edge_pairs)
-            if label.kind != "al"
-        ]
-        self._quotient = LinearSolver(
-            vertex_arrow_matrix(quiver), RationalMatrix._of(diagonal_rows, quiver.num_arrows)
-        )
+        self._quotient = quotient  # over the Face and Extra rows, in label order
 
     @property
     def dimension(self) -> int:
@@ -327,17 +318,16 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     completing the quotient.
 
     ``outer`` picks the dropped face (default: the first traced face).
-    Each ``edge_pairs`` entry is written from its label, and no operator
-    is built: AL(r, s) is {(r, s): 1}, Face(f) is {(k, k): a_k} over the
-    face's net coefficients, Extra(k) is {(k, k): 1}.  The 2g arrows k
-    of the Extra classes are those whose unit vector e_k is not in
-    row(C_gamma) plus the span of e_j for j < k: the rows of the identity
-    that a LinearSolver modulo C_gamma does not list as dependent, in
-    increasing k.  The representatives are independent modulo Inn
-    exactly when no AL pair is listed twice and no Face or Extra diagonal
-    row depends on row(C_va) and the rows before it; the first
-    representative that breaks this is named.  The count is
-    cross-checked against both dimension formulas.
+    No operator is built.  AL(r, s) is {(r, s): 1}; the Face and Extra
+    classes are rows in k^E, read as EdgePair(k, k) coefficients: Face(f)
+    is row f of C_ca, and Extra(k) is the unit row e_k for each k whose
+    e_k is not in row(C_gamma) plus the span of e_j for j < k, in
+    increasing k.  One LinearSolver modulo row(C_va) holds those rows and
+    goes to HH1Basis.  The representatives are independent modulo Inn
+    exactly when no AL pair is listed twice and that solver lists no row
+    as dependent; the first representative that breaks this is named.
+    The count is cross-checked against both dimension formulas on the
+    faces traced here.
     """
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
@@ -347,33 +337,32 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
         raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
 
     cycles = q.almost_oriented_cycles()
+    c_va = vertex_arrow_matrix(q)
+    c_ca = cycle_arrow_matrix(q, faces)
     labels = [HH1Label("al", arrow=r, path=s) for r, s in cycles]
-    edge_pairs: list[dict[tuple[int, Path], Fraction]] = [{pair: _ONE} for pair in cycles]
-    for f, face in enumerate(faces):
-        if f != dropped:
-            labels.append(HH1Label("face", face=f))
-            edge_pairs.append(
-                {(k, q.arrow_path(k)): Fraction(a) for k, a in enumerate(face.net) if a}
-            )
+    labels += [HH1Label("face", face=f) for f in range(len(faces)) if f != dropped]
+    rows = [row for f, row in enumerate(c_ca._entries) if f != dropped]
     if g:
         unit = RationalMatrix.identity(q.num_arrows)
-        covered = set(LinearSolver(connection_matrix(q, faces), unit).dependent)
+        covered = set(LinearSolver(RationalMatrix.stack(c_va, c_ca), unit).dependent)
         for k in range(q.num_arrows):
             if k not in covered:
                 labels.append(HH1Label("extra", arrow=k))
-                edge_pairs.append({(k, q.arrow_path(k)): _ONE})
+                rows.append({k: _ONE})
+    quotient = LinearSolver(c_va, RationalMatrix._of(rows, q.num_arrows))
 
-    hb = HH1Basis(q, labels, edge_pairs, faces, dropped, g)
     first_seen: dict[tuple[int, Path], int] = {}
     dependent = [k for k, pair in enumerate(cycles) if first_seen.setdefault(pair, k) != k]
-    dependent += [len(cycles) + i for i in hb._quotient.dependent]
+    dependent += [len(cycles) + i for i in quotient.dependent]
     if dependent:
         name = labels[dependent[0]].display(q)
         raise InternalCheckError(f"representative {name} is dependent modulo the inner subspace")
-    dim = hh1_dimension(q, rot)
+    dim = hh1_dimension(q, faces)
     if len(labels) != dim:
         raise InternalCheckError(f"{len(labels)} representatives for HH1 of dimension {dim}")
-    return hb
+    edge_pairs = [{pair: _ONE} for pair in cycles]
+    edge_pairs += [{(k, q.arrow_path(k)): c for k, c in row.items()} for row in rows]
+    return HH1Basis(q, labels, edge_pairs, quotient, faces, dropped, g)
 
 
 # ----------------------------------------------------------------------
@@ -438,14 +427,12 @@ def hh1_structure(
     hb = hh1_basis(q, rot, outer)
     enforced = hb.genus == 0
     n = len(hb)
-    brackets = []
     table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             coords = hb.class_coordinates(_bracket_pairs(q, hb.edge_pairs[i], hb.edge_pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
-            brackets.append((i, j, coords))
             table[i, j] = coords
 
     al = [i for i, lab in enumerate(hb.labels) if lab.kind == "al"]
@@ -474,7 +461,7 @@ def hh1_structure(
         raise InternalCheckError("face action is not diagonal on a planar embedding")
     return StructureTable(
         basis=hb,
-        brackets=tuple(brackets),
+        brackets=tuple((i, j, coords) for (i, j), coords in table.items()),
         eigenvalues=tuple(eigenvalues),
         enforced=enforced,
         faces_commute=faces_commute,

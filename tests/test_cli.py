@@ -26,6 +26,10 @@ Core claims:
       seeded genus-1 quiver, built by the test, matches pinned digests
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
+    - the argument parser is built once per process, and a usage error
+      between two runs changes neither run's bytes
+    - one hh1 job traces its faces, builds C_va and calls hh1_dimension
+      once each
     - output that stdout refuses (a full device, a closed stdout, a reader
       that closes the pipe early, buffered or with PYTHONUNBUFFERED=1) ends
       in exit 2 and one stderr line, not a traceback
@@ -44,7 +48,7 @@ import pytest
 
 from quiverdiff.cli import main
 
-from quiverdiff import cli, quiverfile
+from quiverdiff import cli, cohomology, quiverfile
 from quiverdiff.quiver import Quiver
 
 from helpers import (
@@ -450,6 +454,30 @@ def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["hh1", _fixture("k2")]
+    first = _run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["hh1", "--outer-face", "x", _fixture("k2")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert first[0] == 0
+    assert _run(capsys, argv) == first
+
+
+@pytest.mark.parametrize("name", ["torus_k4", "k2"])
+def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, name):
+    calls = dict.fromkeys(("trace_faces", "vertex_arrow_matrix", "hh1_dimension"), 0)
+    for fn in calls:
+        def counted(*args, _fn=fn, _orig=getattr(cohomology, fn)):
+            calls[_fn] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cohomology, fn, counted)
+    assert _run(capsys, ["hh1", _fixture(name)])[0] == 0
+    assert calls == {"trace_faces": 1, "vertex_arrow_matrix": 1, "hh1_dimension": 1}
 
 
 def _cli_env():
