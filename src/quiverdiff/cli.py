@@ -33,16 +33,20 @@ from .derivations import (
     verify_bracket_identities,
 )
 from .errors import InvalidRotationError, ParseError, QuiverError
-from .linalg import _ZERO, EchelonBasis
+from .linalg import EchelonBasis, RationalMatrix
 from . import quiverfile
 
 
 def _matrix(m) -> list[list[str]]:
-    # str of a Fraction is the output format: "n", or "n/d" in lowest terms
-    rows = [["0"] * m.num_cols for _ in m._entries]
-    for row, entries in zip(rows, m._entries):
+    # the sparse rows written out dense, every all-zero row as one shared
+    # list; str of a Fraction is the output format: "n", or "n/d" in lowest terms
+    zero = ["0"] * m.num_cols
+    rows = []
+    for entries in m._entries:
+        row = zero.copy() if entries else zero
         for j, x in entries.items():
             row[j] = str(x)
+        rows.append(row)
     return rows
 
 
@@ -154,16 +158,7 @@ def cmd_hh1(qf, args) -> int:
     st = hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
-    # most brackets are zero and most coordinates are linalg's shared zero:
-    # skip formatting those (any other zero still formats as "0")
-    zero = (_ZERO,) * hb.dimension
-    zero_text = ["0"] * hb.dimension
-
-    def text(coords):
-        if coords == zero:
-            return zero_text
-        return ["0" if x is _ZERO else str(x) for x in coords]
-
+    coords = _matrix(RationalMatrix._of((row for _, _, row in st.brackets), hb.dimension))
     num_al = sum(label.kind == "al" for label in hb.labels)
     _emit(
         {
@@ -178,12 +173,8 @@ def cmd_hh1(qf, args) -> int:
             "structure": {
                 "enforced": st.enforced,
                 "brackets": [
-                    {
-                        "left": labels[i],
-                        "right": labels[j],
-                        "coords": text(coords),
-                    }
-                    for i, j, coords in st.brackets
+                    {"left": labels[i], "right": labels[j], "coords": text}
+                    for (i, j, _), text in zip(st.brackets, coords)
                 ],
                 "eigenvalues": [
                     {"al": labels[i], "face": labels[j], "value": str(lam)}
@@ -330,6 +321,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidRotationError) as e:
         _fail(str(e))
         return 2
+    except MemoryError:
+        _fail("MemoryError: out of memory")
+        return 1
     try:
         return args.handler(qf, args)
     except _OutputError as e:

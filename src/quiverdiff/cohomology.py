@@ -15,10 +15,12 @@ decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
 Every representative is a sparse combination of EdgePair(r, s) labels,
 written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
 = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths, and
-the quotient by Inn is one solve on |E| columns.  No operator, algebra
-element, canonical basis or inner subspace is built on that path;
-operators appear only in HH1Basis.coset_coordinates and the tests.
-The face eigenvalues come from the net-coefficient formula.
+the quotient by Inn is one solve on |E| columns.  A class is a sparse
+row {slot: Fraction} of its nonzero coordinates, as a RationalMatrix
+stores a row, so the zero structure constants cost nothing.  No
+operator, algebra element, canonical basis or inner subspace is built
+on that path; operators appear only in HH1Basis.coset_coordinates and
+the tests.  The face eigenvalues come from the net-coefficient formula.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .derivations import LinearOperator, _splices, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
-from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, intersect_row_spaces
+from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, Row, intersect_row_spaces
 from .quiver import Path, Quiver
 
 _MINUS_ONE = -_ONE
@@ -70,11 +72,6 @@ def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
     sign = {-1: _MINUS_ONE, 1: _ONE}
     rows = [{k: sign[x] for k, x in enumerate(f.net) if x} for f in faces]
     return RationalMatrix._of(rows, q.num_arrows)
-
-
-def connection_matrix(q: Quiver, faces) -> RationalMatrix:
-    """Vertex rows stacked over face rows."""
-    return RationalMatrix.stack(vertex_arrow_matrix(q), cycle_arrow_matrix(q, faces))
 
 
 def boundary_matrix(faces) -> RationalMatrix:
@@ -256,8 +253,6 @@ class HH1Basis:
         self.faces: tuple[FaceCycle, ...] = tuple(faces)
         self.dropped_face = dropped_face
         self.genus = genus_
-        # one shared tuple for every zero class
-        self._zero = (_ZERO,) * len(self.labels)
         self._al_slot = {
             (label.arrow, label.path): i
             for i, label in enumerate(self.labels)
@@ -275,28 +270,31 @@ class HH1Basis:
     def display_labels(self) -> tuple[str, ...]:
         return tuple(label.display(self.quiver) for label in self.labels)
 
-    def class_coordinates(self, pairs) -> tuple[Fraction, ...] | None:
-        """Coordinates in this basis of the class of a derivation whose
-        EdgePair coordinates are ``pairs``; its Inner coordinates do not
-        matter.  None only if the diagonal part is outside the span of
-        C_va and the Face and Extra rows, which a valid basis rules out."""
-        if not pairs:
-            return self._zero
-        out = list(self._zero)
-        diagonal = [_ZERO] * self.quiver.num_arrows
+    def class_coordinates(self, pairs) -> Row | None:
+        """The class of a derivation whose nonzero EdgePair coordinates
+        are ``pairs`` (its Inner ones do not matter), as a sparse row
+        {slot: Fraction} of its coordinates in this basis; no solve runs
+        without a diagonal part.  None only if that part is outside the
+        span of C_va and the Face and Extra rows, which a valid basis
+        rules out."""
+        out: Row = {}
+        diagonal: Row = {}
         for (r, s), c in pairs.items():
             if s.arrows == (r,):
                 diagonal[r] = c
             else:
                 out[self._al_slot[r, s]] = c
-        y = self._quotient.solve(diagonal)
-        if y is None:
-            return None
-        out[len(self._al_slot) :] = y
-        return tuple(out)
+        if diagonal:
+            y = self._quotient.solve(diagonal)
+            if y is None:
+                return None
+            num_al = len(self._al_slot)
+            out.update((num_al + i, x) for i, x in y.items())
+        return out
 
-    def coset_coordinates(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
-        """Coordinates of the class of ``op`` in this basis.
+    def coset_coordinates(self, op: LinearOperator) -> Row | None:
+        """Coordinates of the class of ``op`` in this basis, as the
+        sparse row class_coordinates gives.
 
         None when op is not a derivation-span member at all; otherwise
         the unique coefficients modulo the inner subspace.
@@ -397,7 +395,8 @@ _TABLE_FIELDS = """basis brackets eigenvalues enforced
 class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
     """Bracket table of the HH1 basis, reduced modulo inner derivations.
 
-    brackets holds (i, j, coordinates of [b_i, b_j]) for i < j; the
+    brackets holds (i, j, coordinates of [b_i, b_j]) for i < j, the
+    coordinates a sparse row {slot: Fraction} of the nonzero ones; the
     eigenvalues entries (i, j, lam) record the adjoint action of face
     b_j on AL member b_i, i.e. [b_j, b_i] = lam * b_i mod Inn.  When
     ``enforced`` is true (planar embedding) the face-commutation and
@@ -427,7 +426,7 @@ def hh1_structure(
     hb = hh1_basis(q, rot, outer)
     enforced = hb.genus == 0
     n = len(hb)
-    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    table: dict[tuple[int, int], Row] = {}
     for i in range(n):
         for j in range(i + 1, n):
             coords = hb.class_coordinates(_bracket_pairs(q, hb.edge_pairs[i], hb.edge_pairs[j]))
@@ -439,10 +438,8 @@ def hh1_structure(
     face = [i for i, lab in enumerate(hb.labels) if lab.kind == "face"]
 
     # AL members come first, so the slots from len(al) on are the face and
-    # extra classes; comparing slices of the shared zero class is cheap
-    # because the tuple comparison skips entries that are the same object
-    zero = hb._zero
-    faces_commute = all(table[i, j] == zero for i in face for j in face if i < j)
+    # extra classes
+    faces_commute = not any(table[i, j] for i in face for j in face if i < j)
     eigenvalues = []
     diagonal = True
     for i in al:
@@ -450,11 +447,9 @@ def hh1_structure(
         for j in face:
             lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
             eigenvalues.append((i, j, lam))
-            if table[i, j] != zero[:i] + (-lam,) + zero[i + 1 :]:
+            if table[i, j] != ({i: -lam} if lam else {}):
                 diagonal = False
-    al_closed = all(
-        table[i, j][len(al) :] == zero[len(al) :] for i in al for j in al if i < j
-    )
+    al_closed = all(max(table[i, j], default=0) < len(al) for i in al for j in al if i < j)
     if enforced and not faces_commute:
         raise InternalCheckError("face representatives do not commute on a planar embedding")
     if enforced and not diagonal:

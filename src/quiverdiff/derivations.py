@@ -598,7 +598,7 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
         matrix = RationalMatrix._of(
             [{column[u]: Fraction(c) for u, c in row.items()} for row in residual], len(touched)
         )
-        solutions = [zip(touched, kv) for kv in matrix.kernel()]
+        solutions = [[(touched[k], x) for k, x in row.items()] for row in matrix.kernel()._entries]
     touched_set = set(touched)
     solutions += [[(u, _ONE)] for u in range(n * n) if u not in zeroed and u not in touched_set]
     operators = []
@@ -607,8 +607,7 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
         # is the coefficient of path w in the image of path j
         images: list[dict[Path, Fraction]] = [{} for _ in range(n)]
         for u, x in solution:
-            if x:
-                images[u % n][paths[u // n]] = x
+            images[u % n][paths[u // n]] = x
         operators.append(LinearOperator._of(q, [AlgebraElement._of(q, t) for t in images]))
     return operators
 

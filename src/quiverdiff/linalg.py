@@ -4,9 +4,10 @@ A matrix stores only its nonzero entries: each row is a dict {column:
 Fraction}, and every routine here reads and writes those rows directly,
 so arithmetic and elimination cost in proportion to the nonzeros.  A
 product walks the nonzero entries of each row of A against those of the
-matching rows of B.  Dense vectors enter through one function,
-``_sparse``; dense tuples are built only when a caller reads ``rows`` or
-``row(i)``.  Every elimination runs through one kernel, EchelonBasis:
+matching rows of B.  kernel() and LinearSolver answer in those sparse
+rows too.  Dense vectors enter through one function, ``_sparse``; dense
+tuples are built only for ``rows`` and ``row(i)``.  Every elimination
+runs through one kernel, EchelonBasis:
 sparse primitive integer rows, reduced forward only (fraction-free, as
 in Bareiss, Math. Comp. 22, 1968), with no floating point.  Batches of
 rows, LinearSolver's tagged ones too, go in through ``spanning``, latest
@@ -171,11 +172,12 @@ class RationalMatrix:
     def _echelon(self) -> "EchelonBasis":
         return EchelonBasis.spanning(self.num_cols, self._entries)
 
-    def kernel(self) -> tuple[Vector, ...]:
-        """Exact kernel basis, one vector per free column.
+    def kernel(self) -> "RationalMatrix":
+        """Exact kernel basis as the rows of a matrix, one row per free
+        column in increasing order.
 
-        Each vector is scaled so its first nonzero entry is 1, which
-        makes the basis canonical.
+        Each row is scaled so its first nonzero entry is 1, which makes
+        the basis canonical.
         """
         reduced, pivots = self.rref()
         free = sorted(set(range(self.num_cols)).difference(pivots))
@@ -190,7 +192,7 @@ class RationalMatrix:
         for v in vectors.values():
             lead = v[min(v)]
             scaled.append({j: x / lead for j, x in v.items()})
-        return RationalMatrix._of(scaled, self.num_cols).rows
+        return RationalMatrix._of(scaled, self.num_cols)
 
 
 class EchelonBasis:
@@ -368,7 +370,9 @@ class LinearSolver:
 
     Reduces once, then answers many queries: for a row matrix M, the row
     space S of ``modulo`` and a target t, ``solve(t)`` returns some x with
-    t - x M in S, or None when t is outside S + row(M).  ``dependent``
+    t - x M in S, or None when t is outside S + row(M).  Both are sparse
+    rows, as a RationalMatrix stores them: t is {column: Fraction} and x
+    is {row index of M: Fraction}, nonzero entries only.  ``dependent``
     lists, in increasing order, the rows of M that lie in S plus the
     span of the rows before them; x is unique exactly when it is empty.
     """
@@ -386,15 +390,14 @@ class LinearSolver:
         self._basis = EchelonBasis.spanning(n + k, list(modulo._entries) + tagged)
         self.dependent = tuple(sorted(n + k - 1 - p for p in self._basis.pivots if p >= n))
 
-    def solve(self, target) -> Vector | None:
+    def solve(self, target: Row) -> Row | None:
         n, k = self.num_cols, self.num_rows
+        if target and not 0 <= min(target) <= max(target) < n:
+            raise DimensionMismatchError(f"a target with columns outside 0..{n - 1}")
         # forward reduction leaves s [t | 0] - [y M + z | y reversed]; once
         # its left half vanishes, y M + z = s t and x = y / s
-        v, den = _integer_row(_sparse(target, n))
+        v, den = _integer_row(target)
         pivot, mul, div = self._basis._forward(v)
         if pivot is not None and pivot < n:
             return None
-        x = [_ZERO] * k
-        for j, y in v.items():
-            x[n + k - 1 - j] = Fraction(-y * div, mul * den)
-        return tuple(x)
+        return {n + k - 1 - j: Fraction(-y * div, mul * den) for j, y in v.items()}

@@ -1,10 +1,10 @@
 """Shared test utilities: fixture loading, seeded random generators, the
-planar checkerboard grid, small operations only tests need, the library
-functions that only tests call (quiver file text, the dense operator
-constructor, the checked adjoint eigenvalue and the greedy quotient
-complement), the HH1 representatives as operators, and the operator
-routes to the inner subspace and to the HH1 structure table as
-independent references."""
+planar checkerboard grid, small operations only tests need (sparse rows
+among them), the library functions that only tests call (quiver file
+text, the dense operator constructor, the checked adjoint eigenvalue,
+the stacked connection matrix and the greedy quotient complement), the
+HH1 representatives as operators, and the operator routes to the inner
+subspace and to the HH1 structure table as independent references."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,12 @@ from pathlib import Path as FsPath
 
 from quiverdiff.quiver import Path, Quiver
 from quiverdiff.algebra import AlgebraElement
-from quiverdiff.cohomology import _eigenvalue, hh1_basis
+from quiverdiff.cohomology import (
+    _eigenvalue,
+    cycle_arrow_matrix,
+    hh1_basis,
+    vertex_arrow_matrix,
+)
 from quiverdiff.derivations import (
     DerivationLabel,
     LinearOperator,
@@ -272,6 +277,11 @@ def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
     return lam
 
 
+def connection_matrix(q: Quiver, faces) -> RationalMatrix:
+    """Vertex rows stacked over face rows."""
+    return RationalMatrix.stack(vertex_arrow_matrix(q), cycle_arrow_matrix(q, faces))
+
+
 def quotient_complement(subspace: RationalMatrix) -> list[Vector]:
     """Representatives completing ``subspace`` to its full ambient space.
 
@@ -303,6 +313,26 @@ def mat_vec(m, vec):
 
 def transpose(m):
     return RationalMatrix([[row[j] for row in m.rows] for j in range(m.num_cols)], m.num_rows)
+
+
+def sparse_row(vec):
+    """The nonzero entries of a dense vector, as a sparse row {index: Fraction}."""
+    return {j: Fraction(x) for j, x in enumerate(vec) if x}
+
+
+def dense_row(row, n):
+    """The sparse row {index: value} as a dense tuple of n Fractions."""
+    out = [Fraction(0)] * n
+    for j, x in row.items():
+        out[j] = Fraction(x)
+    return tuple(out)
+
+
+def assert_sparse_row(row, n):
+    """The sparse-row contract: exact Fraction entries, no stored zero, and
+    every index in 0..n-1."""
+    assert all(type(x) is Fraction and x for x in row.values()), row
+    assert all(type(j) is int and 0 <= j < n for j in row), (row, n)
 
 
 def operator_from_coordinates(basis, coords):
@@ -486,7 +516,8 @@ class ReferenceHH1:
             for i in range(len(ops))
             for j in range(i + 1, len(ops))
         )
-        table = {(i, j): coords for i, j, coords in self.brackets}
+        # the verdicts below read dense coordinates
+        table = {(i, j): dense_row(coords, len(ops)) for i, j, coords in self.brackets}
         kinds = [label.kind for label in hb.labels]
         al = [i for i, kind in enumerate(kinds) if kind == "al"]
         face = [i for i, kind in enumerate(kinds) if kind == "face"]
@@ -511,8 +542,9 @@ class ReferenceHH1:
         )
 
     def coset(self, op):
-        """HH1 coordinates of op, or None outside the derivation span."""
+        """HH1 coordinates of op as a sparse row, or None outside the
+        derivation span."""
         coords = self.derivations.coordinates_of(op)
         if coords is None:
             return None
-        return self.solver.solve(coords)
+        return self.solver.solve(sparse_row(coords))

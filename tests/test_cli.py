@@ -12,7 +12,8 @@ Core claims:
       cap (T_7, T_40) exit 1 before they enumerate a path, build the
       canonical basis or the bracket table
     - semantic failures exit 1, usage and parse failures exit 2; running
-      out of memory in a command is exit 1 and one line; a file
+      out of memory in a command or while the file is read is exit 1 and
+      one line; a file
       with no vertex line passes check and derivations, and report and
       hh1 reject it with exit 1 and one line; an outer index that is not
       an ASCII number or has more digits than int() converts is exit 2
@@ -22,8 +23,9 @@ Core claims:
     - hh1 --oracle builds no canonical basis
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
-      match the digests in cli_golden.json, and hh1 on K_6, T_5 and a
-      seeded genus-1 quiver, built by the test, matches pinned digests
+      match the digests in cli_golden.json; hh1 on K_6, T_5, a seeded
+      genus-1 quiver and the 4x4 checkerboard grid, report on that grid
+      and derivations on T_5, built by the test, match pinned digests
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
     - the argument parser is built once per process, and a usage error
@@ -296,6 +298,18 @@ def test_running_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "canonical_basis", exhausted)
     code, out, err = _run(capsys, ["derivations", _fixture("k2")])
+    assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
+
+
+@pytest.mark.parametrize("command", ["check", "report", "hh1", "derivations"])
+def test_running_out_of_memory_while_reading_is_one_line_and_exit_1(capsys, monkeypatch, command):
+    # a file too large for the memory at hand fails in quiverfile.load, at
+    # the read, before any command runs
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(quiverfile, "load", exhausted)
+    code, out, err = _run(capsys, [command, _fixture("k2")])
     assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
 
 
@@ -586,27 +600,34 @@ def _golden_digests():
     }
 
 
-# hh1 on quivers the test builds; digests recorded before HH1 was computed
-# from edge-pair labels, so they pin the output of the operator route
+# "command quiver" runs on quivers the test builds.  The first three were
+# recorded before HH1 was computed from edge-pair labels, so they pin the
+# output of the operator route; the last three were recorded while brackets
+# and matrices were still formatted from dense tuples, and pin long runs of
+# zero rows beyond the fixtures
 GENERATED_GOLDEN = {
     "hh1 k6": "86936f0d889cfc0a6971449ae2db00c63976c2a2adfa9366e7a7316cc0d43a50",
     "hh1 t5": "1267d53a68e05667a977c6d41edb471f3837dfaf7eb363e3f3dc066c95746193",
     "hh1 genus1_seed0": "7430e4e33722c09d7000be7664ce6b9978c8040cb5df8b733c7ab1c0026f4ab8",
+    "derivations t5": "c60fb3289e5ba37ae69a7d9080f799590a859b1f0e380c4226aa5209408500bf",
+    "hh1 grid4": "353805635aa6004aefe95d3fed77ff1d13729a450044c87add1ac4d561f91ed5",
+    "report grid4": "417c736df5d91227c5ea7e443605564eb9abef24bde58ab0c2bb3271c8b16efa",
 }
-
 
 def _generated_digests(directory):
     built = {
         "k6": kronecker(6),
         "t5": tournament(5),
         "genus1_seed0": seeded_embedded_quiver(0, 1),
+        "grid4": checkerboard_grid(4),
     }
-    digests = {}
     for name, (q, rot) in built.items():
-        path = directory / f"{name}.quiver"
         qf = quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)
-        path.write_text(serialize(qf), encoding="utf-8")
-        digests[f"hh1 {name}"] = _digest(["hh1", str(path)], directory)
+        (directory / f"{name}.quiver").write_text(serialize(qf), encoding="utf-8")
+    digests = {}
+    for job in GENERATED_GOLDEN:
+        command, name = job.split()
+        digests[job] = _digest([command, str(directory / f"{name}.quiver")], directory)
     return digests
 
 

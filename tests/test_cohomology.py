@@ -33,6 +33,10 @@ Core claims:
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
       genus 0 and >= 1, on K_m for m <= 8, on T_n for n <= 5 and on the
       3x3 and 4x4 checkerboard grids, planar and with seeded rotations
+    - every HH1 class is a sparse row, exact Fractions with no stored zero
+      and every slot in range: the bracket rows and class_coordinates of
+      each representative, alone and with an AL class and an inner
+      derivation added, on the differential inputs above
     - the Extra(k) labels are the first nonzero index of each vector of
       the greedy unit-vector complement of row(C_gamma)
       (helpers.quotient_complement) on torus_k4, T_4 to T_8, 120 seeded
@@ -60,7 +64,6 @@ from quiverdiff.cohomology import (
     StructureTable,
     boundary_matrix,
     combinatorial_report,
-    connection_matrix,
     cycle_arrow_matrix,
     happel_dimension,
     hh1_basis,
@@ -94,8 +97,11 @@ from helpers import (
     EMBEDDED_FIXTURES,
     ReferenceHH1,
     adjoint_eigenvalue,
+    assert_sparse_row,
     chain,
     checkerboard_grid,
+    connection_matrix,
+    dense_row,
     fixture_embedded,
     fixture_quiver,
     kronecker,
@@ -348,9 +354,7 @@ def test_hh1_members_have_unit_cosets():
         for i, op in enumerate(representative_operators(q, basis)):
             coords = basis.coset_coordinates(op)
             assert coords is not None, name
-            assert [int(c) for c in coords] == [
-                1 if j == i else 0 for j in range(len(basis))
-            ], name
+            assert coords == {i: 1}, name
 
 
 def test_inner_derivations_have_zero_coset():
@@ -358,7 +362,7 @@ def test_inner_derivations_have_zero_coset():
     basis = hh1_basis(q, rot)
     for p in q.paths():
         coords = basis.coset_coordinates(inner_derivation(q, p))
-        assert coords == (0, 0, 0)
+        assert coords == {}
 
 
 def test_non_derivation_has_no_coset():
@@ -421,7 +425,7 @@ def test_k2_face_class_is_the_rescaling_difference():
     basis = hh1_basis(q, rot)
     diff = d_rs(q, "p1", q.arrow_path("p1")) - d_rs(q, "p2", q.arrow_path("p2"))
     coords = basis.coset_coordinates(diff)
-    assert coords in ((0, 0, 1), (0, 0, -1))
+    assert coords in ({2: 1}, {2: -1})
 
 
 def test_outer_face_override_and_range_check():
@@ -440,7 +444,7 @@ def test_span_is_independent_of_dropped_face():
         other = hh1_basis(q, rot, outer=1)
         coords = [base.coset_coordinates(op) for op in representative_operators(q, other)]
         assert all(c is not None for c in coords), name
-        m = RationalMatrix([list(c) for c in coords], len(base))
+        m = RationalMatrix([dense_row(c, len(base)) for c in coords], len(base))
         assert m.rank() == len(base), name
 
 
@@ -499,7 +503,7 @@ def test_structure_k2():
     assert st.face_acts_diagonally
     assert not st.al_brackets_in_al_span  # the AL bracket lands on the face class
     table = {(i, j): coords for i, j, coords in st.brackets}
-    assert table[(0, 1)] == (0, 0, 1)
+    assert table[(0, 1)] == {2: 1}
     assert {(i, j, int(lam)) for i, j, lam in st.eigenvalues} == {
         (0, 2, 2), (1, 2, -2),
     }
@@ -511,7 +515,7 @@ def test_structure_triangle_tails():
     assert st.enforced
     assert st.eigenvalues == ((0, 1, Fraction(-3)),)
     table = {(i, j): coords for i, j, coords in st.brackets}
-    assert table[(0, 1)] == (3, 0)
+    assert table[(0, 1)] == {0: 3}
     assert st.faces_commute and st.face_acts_diagonally and st.al_brackets_in_al_span
 
 
@@ -609,6 +613,32 @@ def test_structure_table_matches_the_operator_route(embedded):
             assert pairs == {(label.arrow, q.arrow_path(label.arrow)): 1}
 
 
+@pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
+def test_classes_are_sparse_rows(embedded):
+    # exact Fractions, no stored zero, every slot in range
+    q, rot = embedded
+    st = hh1_structure(q, rot)
+    hb = st.basis
+    for _, _, coords in st.brackets:
+        assert_sparse_row(coords, len(hb))
+    assert hb.class_coordinates({}) == {}
+    for i, pairs in enumerate(hb.edge_pairs):
+        coords = hb.class_coordinates(pairs)
+        assert_sparse_row(coords, len(hb))
+        assert coords == {i: 1}
+    # a Face or Extra class with an AL class and the vertex derivation of
+    # vertex 0, an inner one, added
+    al = [pairs for label, pairs in zip(hb.labels, hb.edge_pairs) if label.kind == "al"]
+    inner = {(k, q.arrow_path(k)): x for k, x in enumerate(vertex_arrow_matrix(q).row(0)) if x}
+    for i in range(len(al), len(hb)):
+        pairs = {**hb.edge_pairs[i], **(al[0] if al else {})}
+        for key, x in inner.items():
+            pairs[key] = pairs.get(key, 0) + x
+        coords = hb.class_coordinates({key: x for key, x in pairs.items() if x})
+        assert_sparse_row(coords, len(hb))
+        assert coords == ({0: 1, i: 1} if al else {i: 1})
+
+
 @pytest.mark.parametrize("name", ["k2", "k3", "triangle_tails", "grid2x2", "torus_k4"])
 def test_coset_coordinates_match_the_operator_route(name):
     q, rot = fixture_embedded(name)
@@ -678,7 +708,7 @@ def _reach(name, q, rot):
     ) == verdicts, name
     table = {(i, j): coords for i, j, coords in st.brackets}
     for key, nonzero in pinned.items():
-        assert {k: x for k, x in enumerate(table[key]) if x} == nonzero, (name, key)
+        assert table[key] == nonzero, (name, key)
     return st
 
 

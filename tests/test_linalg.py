@@ -30,6 +30,10 @@ Core claims:
       built from its dense rows, zeros written out or not; a matrix reused
       as an operand of many of them, and the results and negations built
       from it, give the same answers as fresh copies
+    - kernel() answers with a RationalMatrix, and LinearSolver.solve
+      takes and answers with sparse rows: exact Fractions, no stored zero,
+      every index in range, on the seeded matrices of the SymPy checks;
+      solve rejects a target column outside its matrix
     - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
       its rank and its square stay under 8 MiB; entry() rejects a row or
       a column outside the matrix, and row() a row
@@ -51,7 +55,16 @@ from quiverdiff.linalg import (
     intersect_row_spaces,
 )
 
-from helpers import checkerboard_grid, mat_vec, rand_frac, seeded, transpose
+from helpers import (
+    assert_sparse_row,
+    checkerboard_grid,
+    dense_row,
+    mat_vec,
+    rand_frac,
+    seeded,
+    sparse_row,
+    transpose,
+)
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -137,10 +150,10 @@ def test_rref_pivots_are_unit_columns():
 # -- Kernel ------------------------------------------------------------------
 
 def test_kernel_examples():
-    assert RationalMatrix.identity(3).kernel() == ()
-    (v,) = RationalMatrix([[1, 1]], 2).kernel()
+    assert RationalMatrix.identity(3).kernel() == RationalMatrix.zeros(0, 3)
+    (v,) = RationalMatrix([[1, 1]], 2).kernel().rows
     assert v == (1, -1) or v == (Fraction(1), Fraction(-1))
-    (w,) = RationalMatrix([[2, -2], [-2, 2]], 2).kernel()
+    (w,) = RationalMatrix([[2, -2], [-2, 2]], 2).kernel().rows
     assert w[0] == w[1] != 0
 
 
@@ -148,7 +161,7 @@ def test_kernel_dimension_and_exactness_randomized():
     rng = seeded(3104)
     for _ in range(20):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        kern = m.kernel()
+        kern = m.kernel().rows
         assert len(kern) == m.num_cols - m.rank()
         for v in kern:
             assert all(x == 0 for x in mat_vec(m, v))
@@ -245,6 +258,16 @@ def _solver_case(rng, row, num_s, num_m, cols, coefficient):
     return RationalMatrix(s, cols), RationalMatrix(m, cols)
 
 
+def _solve(solver, target):
+    """solver.solve on the dense vector ``target``, its sparse answer
+    checked against the sparse-row contract and written out dense."""
+    x = solver.solve(sparse_row(target))
+    if x is None:
+        return None
+    assert_sparse_row(x, solver.num_rows)
+    return dense_row(x, solver.num_rows)
+
+
 def _assert_solves_modulo(sympy, s, m, target, x):
     """x is a solution: t - x M lies in the row space of s."""
     assert x is not None and len(x) == m.num_rows
@@ -265,7 +288,7 @@ def _assert_solver_contract(sympy, rng, s, m, entry):
     assert solver.dependent == tuple(i for i in range(m.num_rows) if ranks[i + 1] == ranks[i])
     coeffs = [entry(rng) for _ in range(stacked.rows)]
     target = [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*s.rows, *m.rows)]
-    x = solver.solve(target)
+    x = _solve(solver, target)
     _assert_solves_modulo(sympy, s, m, target, x)
     if not solver.dependent:
         # z S + x M = t has a unique x part; the free parameters, there
@@ -275,7 +298,7 @@ def _assert_solver_contract(sympy, rng, s, m, entry):
         assert list(x) == list(_from_sympy(sol[s.num_rows :, :].T).row(0))
     outside = [entry(rng) for _ in range(m.num_cols)]
     grows = stacked.col_join(_to_sympy(sympy, RationalMatrix([outside]))).rank() > ranks[-1]
-    assert (solver.solve(outside) is None) == grows
+    assert (_solve(solver, outside) is None) == grows
 
 
 # -- EchelonBasis and LinearSolver -------------------------------------------
@@ -306,13 +329,13 @@ def test_linear_solver_expresses_row_combinations():
     # solve(t) returns x with x * M = t, or None outside the row space
     m = RationalMatrix([[1, 1, 0], [0, 1, 1]], 3)
     solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
-    x = solver.solve((2, 5, 3))
+    x = _solve(solver, (2, 5, 3))
     assert x is not None
     combo = [
         sum(x[i] * m.entry(i, j) for i in range(2)) for j in range(3)
     ]
     assert combo == [2, 5, 3]
-    assert solver.solve((1, 0, 1)) is None
+    assert _solve(solver, (1, 0, 1)) is None
 
 
 def test_linear_solver_solves_modulo_a_subspace(sympy):
@@ -323,14 +346,14 @@ def test_linear_solver_solves_modulo_a_subspace(sympy):
     solver = LinearSolver(s, m)
     assert solver.dependent == (0, 2)
     for target in ((0, 3, 0), (5, 5, 0), (1, 0, 0)):
-        _assert_solves_modulo(sympy, s, m, target, solver.solve(target))
-    assert solver.solve((0, 0, 1)) is None
+        _assert_solves_modulo(sympy, s, m, target, _solve(solver, target))
+    assert solver.solve({2: Fraction(1)}) is None
     solver = LinearSolver(s, RationalMatrix([[0, 1, 0]], 3))
     assert solver.dependent == ()
-    assert solver.solve((0, 3, 0)) == (3,)
-    assert solver.solve((5, 5, 0)) == (0,)
-    assert solver.solve((1, 0, 0)) == (-1,)
-    assert solver.solve((0, 0, 1)) is None
+    assert solver.solve({1: Fraction(3)}) == {0: 3}
+    assert solver.solve({0: Fraction(5), 1: Fraction(5)}) == {}
+    assert solver.solve({0: Fraction(1)}) == {0: -1}
+    assert solver.solve({2: Fraction(1)}) is None
     _assert_solver_contract(sympy, seeded(3112), s, m, rand_frac)
 
 
@@ -344,13 +367,21 @@ def test_linear_solver_randomized_roundtrip():
             sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
-        x = solver.solve(target)
+        x = _solve(solver, target)
         assert x is not None
         back = [
             sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
         assert back == target
+
+
+def test_linear_solver_rejects_a_target_outside_its_columns():
+    solver = LinearSolver(RationalMatrix.zeros(0, 2), RationalMatrix.identity(2))
+    assert solver.solve({}) == {}
+    for target in ({2: Fraction(1)}, {-1: Fraction(1)}):
+        with pytest.raises(DimensionMismatchError):
+            solver.solve(target)
 
 
 # -- Differential checks against SymPy ---------------------------------------
@@ -374,7 +405,7 @@ def test_kernel_dimension_matches_sympy(sympy):
         m = _dependent_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), rng.randint(0, 3))
         sm = _to_sympy(sympy, m)
         assert m.rank() == sm.rank()
-        assert len(m.kernel()) == len(sm.nullspace())
+        assert m.kernel().num_rows == len(sm.nullspace())
 
 
 def test_intersection_grassmann_identity_against_sympy(sympy):
@@ -589,7 +620,7 @@ def test_rref_rank_kernel_match_sympy_on_large_fractions(sympy):
         for v in sm.nullspace():
             lead = next(x for x in v if x != 0)
             expected_kernel.append(_from_sympy((v / lead).T).row(0))
-        assert list(m.kernel()) == expected_kernel
+        assert list(m.kernel().rows) == expected_kernel
 
 
 def test_linear_solver_matches_sympy_on_large_fractions(sympy):
@@ -633,6 +664,29 @@ def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
         assert inter.num_rows > 0
         assert inter.rref()[0] == inter
         assert inter.rows == tuple(row for row in expected if any(row))
+
+
+# -- The sparse-row contract ---------------------------------------------------
+
+@pytest.mark.parametrize("seed, build", [(3111, _dependent_matrix), (3116, _big_dependent_matrix)])
+def test_kernel_and_solve_answer_in_sparse_rows(seed, build):
+    # exact Fractions, no stored zero, every index in range, on the seeded
+    # matrices of the SymPy kernel checks
+    rng = seeded(seed)
+    for _ in range(40):
+        m = build(rng, rng.randint(1, 5), rng.randint(1, 7), rng.randint(0, 3))
+        kern = m.kernel()
+        assert isinstance(kern, RationalMatrix)
+        assert (kern.num_rows, kern.num_cols) == (m.num_cols - m.rank(), m.num_cols)
+        for row in kern._entries:
+            assert_sparse_row(row, m.num_cols)
+            assert row[min(row)] == 1
+        solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
+        for i in range(m.num_rows):
+            x = solver.solve(sparse_row(m.row(i)))
+            assert x is not None
+            assert_sparse_row(x, m.num_rows)
+            assert mat_vec(transpose(m), dense_row(x, m.num_rows)) == m.row(i)
 
 
 # -- Row order -----------------------------------------------------------------
