@@ -21,17 +21,18 @@ coefficient of w in the image of the idempotent at the head of w for
 Inner(w) and the coefficient of s in the image of the arrow r for
 EdgePair(r, s), and accepted only if they rebuild the operator.  The
 inner subspace is written from its closed form and builds no operator.
-|P| x |P| matrices, which store only their nonzero entries, appear only
-at the edges: the CLI's matrix output, the coefficient checker, the
-matrix brackets of verify_bracket_identities, and the flattened rows
-compared with a brute-force oracle.  The matrix brackets are
-RationalMatrix products AB - BA, which never go through the sparse
-LinearOperator.bracket, so they remain an independent reference for
-it.  The oracle solves the raw Leibniz system in the n^2 matrix
-entries, knowing nothing about the structure theory, so its solution
-space is independent ground truth for the canonical basis.  It keeps
-each equation once, as a primitive integer row, and builds each
-solution's operator from its nonzero entries.
+|P| x |P| matrices, which store only their nonzero entries, appear only at
+the edges: the CLI's matrix output, the matrix brackets of
+verify_bracket_identities, and the flattened rows compared with a
+brute-force oracle.  The Leibniz and coefficient checks read each image
+as a {path index: coefficient} row and every product of basis paths off
+one table, q.products().  The matrix brackets are RationalMatrix products
+AB - BA, which never go through the sparse LinearOperator.bracket, so
+they remain an independent reference for it.  The oracle solves the raw
+Leibniz system in the n^2 matrix entries, knowing nothing about the
+structure theory, so its solution space is independent ground truth for
+the canonical basis.  It keeps each equation once, as a primitive
+integer row, and builds each solution's operator from its nonzero entries.
 """
 
 from __future__ import annotations
@@ -108,9 +109,11 @@ class LinearOperator:
             return self.images[q.path_index(a)]
         if q is not a.quiver and q != a.quiver:
             raise QuiverMismatchError("operator and element live over different quivers")
-        return AlgebraElement(
-            q, [(w, c * x) for p, c in a._terms.items() for w, x in self.apply(p)._terms.items()]
-        )
+        acc: dict[Path, Fraction] = {}
+        for p, c in a._terms.items():
+            for w, x in self.images[q.path_index(p)]._terms.items():
+                acc[w] = acc.get(w, _ZERO) + c * x
+        return AlgebraElement._of(q, {w: c for w, c in acc.items() if c})
 
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
         # column j of [A, B] is A(B(p_j)) - B(A(p_j))
@@ -225,18 +228,43 @@ def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperato
 # derivation tests
 
 
+def _indexed_images(op: LinearOperator) -> list[dict[int, Fraction]]:
+    """The image of each basis path as {path index: nonzero coefficient}."""
+    idx = op.quiver.path_index
+    return [{idx(w): c for w, c in img._terms.items()} for img in op.images]
+
+
+def _product_sum(products, left: dict, j: int, i: int, right: dict) -> dict[int, Fraction]:
+    """left p_j + p_i right as a {path index: coefficient} row, left and
+    right such rows too, each product of basis paths read off ``products``
+    (q.products()); coefficients that cancel stay as zeros."""
+    acc: dict[int, Fraction] = {}
+    for w, c in left.items():
+        k = products[w].get(j)
+        if k is not None:
+            acc[k] = acc.get(k, _ZERO) + c
+    row = products[i]
+    for w, c in right.items():
+        k = row.get(w)
+        if k is not None:
+            acc[k] = acc.get(k, _ZERO) + c
+    return acc
+
+
 def is_derivation(op: LinearOperator) -> bool:
-    """Leibniz rule on all basis pairs, zero products included."""
-    q = op.quiver
-    paths = q.paths()
-    elems = [AlgebraElement.from_path(q, p) for p in paths]
-    images = [op.apply(p) for p in paths]
-    zero = AlgebraElement.zero(q)
-    for i, x in enumerate(paths):
-        for j, y in enumerate(paths):
-            xy = q.concat(x, y)
-            lhs = op.apply(xy) if xy is not None else zero
-            if lhs != images[i] * elems[j] + elems[i] * images[j]:
+    """Leibniz rule on all basis pairs, zero products included.
+
+    For every pair (p_i, p_j), D(p_i p_j) and D(p_i) p_j + p_i D(p_j)
+    are compared as {path index: coefficient} rows, every product of
+    two basis paths read off q.products(); no element is multiplied.
+    """
+    products = op.quiver.products()
+    images = _indexed_images(op)
+    for i, image in enumerate(images):
+        for j, other in enumerate(images):
+            k = products[i].get(j)
+            rhs = _product_sum(products, image, j, i, other)
+            if (images[k] if k is not None else {}) != {w: c for w, c in rhs.items() if c}:
                 return False
     return True
 
@@ -259,42 +287,40 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     tail sum to zero; the image of a nontrivial path p consists of the
     terms forced by the vertex images (q.p and p.q) plus free terms
     parallel to p; and for every factorization p = p1 p2 the parallel
-    coefficients are consistent with those of the factors.  The list is
-    empty exactly when the operator is a derivation.
+    coefficients are consistent with those of the factors.  Images are
+    read as {path index: coefficient} rows and products of basis paths
+    off q.products(); no matrix is built.  The list is empty exactly
+    when the operator is a derivation.
     """
     q = op.quiver
     paths = q.paths()
-    m = op.matrix
     idx = q.path_index
+    products = q.products()
+    images = _indexed_images(op)
     violations = []
     disp = q.path_display
 
-    trivial = [p for p in paths if p.is_trivial]
-    nontrivial = [p for p in paths if not p.is_trivial]
-    acyclic = [p for p in nontrivial if q.path_head(p) != q.path_tail(p)]
-
     # images of vertex idempotents live on acyclic paths touching the vertex
-    for v in trivial:
-        col = idx(v)
-        for w in paths:
-            c = m.entry(idx(w), col)
-            if c == 0:
-                continue
+    for v in (p for p in paths if p.is_trivial):
+        image = images[idx(v)]
+        for wi in sorted(image):
+            w = paths[wi]
             touches = q.path_tail(w) == v.base or q.path_head(w) == v.base
             if w.is_trivial or q.path_head(w) == q.path_tail(w) or not touches:
                 violations.append(
                     ConditionViolation(
                         RULE_VERTEX_SUPPORT,
-                        f"D({disp(v)}) has coefficient {c} on {disp(w)}",
+                        f"D({disp(v)}) has coefficient {image[wi]} on {disp(w)}",
                     )
                 )
 
     # for each acyclic path, the coefficients in the head and tail
     # vertex images must cancel
-    for w in acyclic:
-        total = m.entry(idx(w), idx(Path(q.path_tail(w)))) + m.entry(
-            idx(w), idx(Path(q.path_head(w)))
-        )
+    for wi, w in enumerate(paths):
+        if w.is_trivial or q.path_head(w) == q.path_tail(w):
+            continue
+        t, h = idx(Path(q.path_tail(w))), idx(Path(q.path_head(w)))
+        total = images[t].get(wi, _ZERO) + images[h].get(wi, _ZERO)
         if total != 0:
             violations.append(
                 ConditionViolation(
@@ -305,28 +331,19 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
 
     # image of a nontrivial path: forced prefix/suffix terms plus free
     # parallel terms, nothing else
-    for p in nontrivial:
-        col = idx(p)
+    for pi, p in enumerate(paths):
+        if p.is_trivial:
+            continue
         tail, head = q.path_tail(p), q.path_head(p)
-        forced: dict[int, Fraction] = {}
-        for w in acyclic:
-            if q.path_head(w) == tail:
-                forced_path = q.concat(w, p)
-                c = m.entry(idx(w), idx(Path(tail)))
-                if forced_path is not None:
-                    k = idx(forced_path)
-                    forced[k] = forced.get(k, _ZERO) + c
-            if q.path_tail(w) == head:
-                forced_path = q.concat(p, w)
-                c = m.entry(idx(w), idx(Path(head)))
-                if forced_path is not None:
-                    k = idx(forced_path)
-                    forced[k] = forced.get(k, _ZERO) + c
-        for w in paths:
+        # the terms w p and p w of the vertex images; on an acyclic quiver
+        # every such w is acyclic but e_tail and e_head, which give p: parallel
+        forced = _product_sum(products, images[idx(Path(tail))], pi, pi, images[idx(Path(head))])
+        image = images[pi]
+        for wi in sorted(image.keys() | forced.keys()):
+            w = paths[wi]
             if q.path_tail(w) == tail and q.path_head(w) == head:
                 continue  # parallel coefficients are free here
-            actual = m.entry(idx(w), col)
-            expected = forced.get(idx(w), _ZERO)
+            actual, expected = image.get(wi, _ZERO), forced.get(wi, _ZERO)
             if actual != expected:
                 violations.append(
                     ConditionViolation(
@@ -337,27 +354,18 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
                 )
 
     # factorization consistency across every split p = p1 p2
-    for p in nontrivial:
+    for pi, p in enumerate(paths):
         if len(p) < 2:
             continue
-        col = idx(p)
+        parallel = [(idx(w), w) for w in q.parallel_paths(p)]
         for k in range(1, len(p)):
             p1 = Path(p.base, p.arrows[:k])
             p2 = Path(q.path_head(p1), p.arrows[k:])
             c1, c2 = idx(p1), idx(p2)
-            for w in q.parallel_paths(p):
-                starts = len(w) >= k and w.arrows[:k] == p1.arrows
-                ends = len(w) >= len(p) - k and (
-                    w.arrows[len(w) - (len(p) - k) :] == p2.arrows
-                )
-                expected = _ZERO
-                if ends:
-                    w1 = Path(w.base, w.arrows[: len(w) - (len(p) - k)])
-                    expected += m.entry(idx(w1), c1)
-                if starts:
-                    w2 = Path(q.path_head(p1), w.arrows[k:])
-                    expected += m.entry(idx(w2), c2)
-                actual = m.entry(idx(w), col)
+            # the terms w1 p2 of D(p1) p2 and p1 w2 of p1 D(p2)
+            split = _product_sum(products, images[c1], c2, c1, images[c2])
+            for wi, w in parallel:
+                actual, expected = images[pi].get(wi, _ZERO), split.get(wi, _ZERO)
                 if actual != expected:
                     violations.append(
                         ConditionViolation(
@@ -511,20 +519,14 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
     """The oracle's equations, as sparse primitive integer rows: sorted
     (unknown, coefficient) pairs over their gcd, the first one positive,
     so that equations that are multiples of one another are one row."""
-    paths = q.paths()
-    n = len(paths)
-    idx = q.path_index
-    # the nonzero products: left[j] holds (u, index of u p_j), right[j]
-    # holds (u, index of p_j u)
+    product = q.products()
+    n = len(product)
+    # the nonzero products: left[j] holds (u, index of u p_j), product[j]
+    # maps u to the index of p_j u
     left: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    right: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ja, a in enumerate(paths):
-        for jb, b in enumerate(paths):
-            ab = q.concat(a, b)
-            if ab is not None:
-                left[jb].append((ja, idx(ab)))
-                right[ja].append((jb, idx(ab)))
-    product = [dict(r) for r in right]
+    for ja, row in enumerate(product):
+        for jb, jab in row.items():
+            left[jb].append((ja, jab))
     rows: set[tuple[tuple[int, int], ...]] = set()
     for jx in range(n):
         for jy in range(n):
@@ -533,7 +535,7 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
                 d = per_w.setdefault(w, {})
                 key = ju * n + jx
                 d[key] = d.get(key, 0) + 1
-            for ju, w in right[jx]:
+            for ju, w in product[jx].items():
                 d = per_w.setdefault(w, {})
                 key = ju * n + jy
                 d[key] = d.get(key, 0) + 1

@@ -395,8 +395,9 @@ class LinearSolver:
         if target and not 0 <= min(target) <= max(target) < n:
             raise DimensionMismatchError(f"a target with columns outside 0..{n - 1}")
         # forward reduction leaves s [t | 0] - [y M + z | y reversed]; once
-        # its left half vanishes, y M + z = s t and x = y / s
-        v, den = _integer_row(target)
+        # its left half vanishes, y M + z = s t and x = y / s.  A stored
+        # zero is dropped first: it would pass for the leading entry
+        v, den = _integer_row({j: x for j, x in target.items() if x})
         pivot, mul, div = self._basis._forward(v)
         if pivot is not None and pivot < n:
             return None

@@ -108,6 +108,7 @@ class Quiver:
         self._paths: tuple[Path, ...] | None = None
         self._path_index: dict[Path, int] | None = None
         self._parallel: dict[tuple[int, int], tuple[Path, ...]] = {}
+        self._products: tuple[dict[int, int], ...] | None = None
 
     # identity is structural; the display name is packaging metadata
     def __eq__(self, other):
@@ -273,6 +274,22 @@ class Quiver:
             return self._path_index[path]
         except KeyError:
             raise ValueError(f"path {path!r} does not belong to this quiver") from None
+
+    def products(self) -> tuple[dict[int, int], ...]:
+        """The nonzero products of basis paths, built once by concatenation:
+        ``products()[i]`` maps j to the index of p_i p_j whenever the head
+        of p_i is the tail of p_j, in increasing j.  Shared; do not mutate."""
+        if self._products is None:
+            paths = self.paths()
+            starting: list[list[int]] = [[] for _ in self.vertex_names]
+            for j, p in enumerate(paths):
+                starting[p.base].append(j)
+            index = self._path_index
+            self._products = tuple(
+                {j: index[self.concat(p, paths[j])] for j in starting[self.path_head(p)]}
+                for p in paths
+            )
+        return self._products
 
     def acyclic_paths(self) -> tuple[Path, ...]:
         """All paths p with h(p) != t(p), in canonical order."""

@@ -3,8 +3,9 @@ planar checkerboard grid, small operations only tests need (sparse rows
 among them), the library functions that only tests call (quiver file
 text, the dense operator constructor, the checked adjoint eigenvalue,
 the stacked connection matrix and the greedy quotient complement), the
-HH1 representatives as operators, and the operator routes to the inner
-subspace and to the HH1 structure table as independent references."""
+HH1 representatives as operators, the operator routes to the inner
+subspace and to the HH1 structure table, and the per-pair Leibniz and
+coefficient checks, all as independent references."""
 
 import random
 from fractions import Fraction
@@ -19,6 +20,11 @@ from quiverdiff.cohomology import (
     vertex_arrow_matrix,
 )
 from quiverdiff.derivations import (
+    RULE_FACTOR,
+    RULE_PATH_FORCED,
+    RULE_VERTEX_PAIR,
+    RULE_VERTEX_SUPPORT,
+    ConditionViolation,
     DerivationLabel,
     LinearOperator,
     canonical_basis,
@@ -548,3 +554,143 @@ class ReferenceHH1:
         if coords is None:
             return None
         return self.solver.solve(sparse_row(coords))
+
+
+# -- the per-pair derivation checks, as they were before q.products() --------
+# Kept verbatim as references for is_derivation and
+# check_coefficient_conditions: an AlgebraElement product per basis pair,
+# and op.matrix read cell by cell.
+
+def reference_is_derivation(op: LinearOperator) -> bool:
+    """Leibniz rule on all basis pairs, zero products included."""
+    q = op.quiver
+    paths = q.paths()
+    elems = [AlgebraElement.from_path(q, p) for p in paths]
+    images = [op.apply(p) for p in paths]
+    zero = AlgebraElement.zero(q)
+    for i, x in enumerate(paths):
+        for j, y in enumerate(paths):
+            xy = q.concat(x, y)
+            lhs = op.apply(xy) if xy is not None else zero
+            if lhs != images[i] * elems[j] + elems[i] * images[j]:
+                return False
+    return True
+
+
+def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]:
+    """Structured derivation conditions on the coefficient level.
+
+    Checks, coefficient by coefficient, the four families equivalent to
+    the Leibniz rule: the image of a vertex idempotent is supported on
+    acyclic paths through that vertex; those coefficients at head and
+    tail sum to zero; the image of a nontrivial path p consists of the
+    terms forced by the vertex images (q.p and p.q) plus free terms
+    parallel to p; and for every factorization p = p1 p2 the parallel
+    coefficients are consistent with those of the factors.  The list is
+    empty exactly when the operator is a derivation.
+    """
+    q = op.quiver
+    paths = q.paths()
+    m = op.matrix
+    idx = q.path_index
+    violations = []
+    disp = q.path_display
+
+    trivial = [p for p in paths if p.is_trivial]
+    nontrivial = [p for p in paths if not p.is_trivial]
+    acyclic = [p for p in nontrivial if q.path_head(p) != q.path_tail(p)]
+
+    # images of vertex idempotents live on acyclic paths touching the vertex
+    for v in trivial:
+        col = idx(v)
+        for w in paths:
+            c = m.entry(idx(w), col)
+            if c == 0:
+                continue
+            touches = q.path_tail(w) == v.base or q.path_head(w) == v.base
+            if w.is_trivial or q.path_head(w) == q.path_tail(w) or not touches:
+                violations.append(
+                    ConditionViolation(
+                        RULE_VERTEX_SUPPORT,
+                        f"D({disp(v)}) has coefficient {c} on {disp(w)}",
+                    )
+                )
+
+    # for each acyclic path, the coefficients in the head and tail
+    # vertex images must cancel
+    for w in acyclic:
+        total = m.entry(idx(w), idx(Path(q.path_tail(w)))) + m.entry(
+            idx(w), idx(Path(q.path_head(w)))
+        )
+        if total != 0:
+            violations.append(
+                ConditionViolation(
+                    RULE_VERTEX_PAIR,
+                    f"coefficients of {disp(w)} at its endpoints sum to {total}",
+                )
+            )
+
+    # image of a nontrivial path: forced prefix/suffix terms plus free
+    # parallel terms, nothing else
+    for p in nontrivial:
+        col = idx(p)
+        tail, head = q.path_tail(p), q.path_head(p)
+        forced: dict[int, Fraction] = {}
+        for w in acyclic:
+            if q.path_head(w) == tail:
+                forced_path = q.concat(w, p)
+                c = m.entry(idx(w), idx(Path(tail)))
+                if forced_path is not None:
+                    k = idx(forced_path)
+                    forced[k] = forced.get(k, _ZERO) + c
+            if q.path_tail(w) == head:
+                forced_path = q.concat(p, w)
+                c = m.entry(idx(w), idx(Path(head)))
+                if forced_path is not None:
+                    k = idx(forced_path)
+                    forced[k] = forced.get(k, _ZERO) + c
+        for w in paths:
+            if q.path_tail(w) == tail and q.path_head(w) == head:
+                continue  # parallel coefficients are free here
+            actual = m.entry(idx(w), col)
+            expected = forced.get(idx(w), _ZERO)
+            if actual != expected:
+                violations.append(
+                    ConditionViolation(
+                        RULE_PATH_FORCED,
+                        f"D({disp(p)}) has coefficient {actual} on {disp(w)},"
+                        f" the vertex images force {expected}",
+                    )
+                )
+
+    # factorization consistency across every split p = p1 p2
+    for p in nontrivial:
+        if len(p) < 2:
+            continue
+        col = idx(p)
+        for k in range(1, len(p)):
+            p1 = Path(p.base, p.arrows[:k])
+            p2 = Path(q.path_head(p1), p.arrows[k:])
+            c1, c2 = idx(p1), idx(p2)
+            for w in q.parallel_paths(p):
+                starts = len(w) >= k and w.arrows[:k] == p1.arrows
+                ends = len(w) >= len(p) - k and (
+                    w.arrows[len(w) - (len(p) - k) :] == p2.arrows
+                )
+                expected = _ZERO
+                if ends:
+                    w1 = Path(w.base, w.arrows[: len(w) - (len(p) - k)])
+                    expected += m.entry(idx(w1), c1)
+                if starts:
+                    w2 = Path(q.path_head(p1), w.arrows[k:])
+                    expected += m.entry(idx(w2), c2)
+                actual = m.entry(idx(w), col)
+                if actual != expected:
+                    violations.append(
+                        ConditionViolation(
+                            RULE_FACTOR,
+                            f"coefficient of {disp(w)} in D({disp(p)}) is {actual}"
+                            f" but the split {disp(p1)}|{disp(p2)} forces {expected}",
+                        )
+                    )
+    return violations

@@ -5,6 +5,13 @@ Core claims:
       hand-computed examples, and D_{r,s} agrees with its recursion form
     - the coefficient-condition checker agrees exactly with the direct
       Leibniz test, including on randomized non-derivations
+    - q.products() is a full concat scan over every pair of basis paths,
+      and the Leibniz and coefficient checks read off it give the same
+      verdicts and the same violations, in order, as the per-pair
+      references on the acyclic fixtures and 30 seeded quivers, for the
+      basis members, the oracle solutions and seeded perturbations; on
+      torus_k4 they multiply no element, build no operator matrix and
+      make no more than |P|^2 concatenations
     - the canonical basis is independent, spans the oracle's solution
       space, and carries the expected labels
     - the oracle's equations are the Fraction rows it used to build, as
@@ -71,6 +78,8 @@ from helpers import (
     random_acyclic_quiver,
     random_derivation,
     random_element,
+    reference_coefficient_conditions,
+    reference_is_derivation,
     seeded,
     sized_acyclic_quiver,
     sparse_kernel,
@@ -342,6 +351,93 @@ def test_condition_checker_matches_leibniz_randomized():
         for _ in range(25):
             op = _perturbed(rng, q, basis)
             assert (check_coefficient_conditions(op) == []) == is_derivation(op), name
+
+
+# -- The basis-product table against the per-pair checks ---------------------
+
+_BUMPS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3))
+
+
+@pytest.fixture(scope="module")
+def product_quivers():
+    """Every acyclic fixture, then 30 seeded random acyclic quivers."""
+    qs = [fixture_quiver(f.stem) for f in sorted(FIXTURE_DIR.glob("*.quiver"))]
+    qs = [q for q in qs if q.is_acyclic()]
+    rng = seeded(4120)
+    return qs + [random_acyclic_quiver(rng) for _ in range(30)]
+
+
+def _bumped(rng, q, op):
+    """op with 1-3 terms c w added to the images of random basis paths,
+    c one of +-1, 2 and 1/3."""
+    paths = q.paths()
+    images = list(op.images)
+    for _ in range(rng.randint(1, 3)):
+        j, w = rng.randrange(len(paths)), paths[rng.randrange(len(paths))]
+        images[j] = images[j] + AlgebraElement.from_path(q, w, rng.choice(_BUMPS))
+    return LinearOperator._of(q, images)
+
+
+def test_products_equal_a_full_concat_scan(product_quivers):
+    for q in product_quivers:
+        paths = q.paths()
+        scan = tuple(
+            {j: q.path_index(ab) for j, ab in enumerate(q.concat(a, b) for b in paths)
+             if ab is not None}
+            for a in paths
+        )
+        assert q.products() == scan, q
+        assert all(list(row) == sorted(row) for row in q.products()), q
+        assert q.products() is q.products(), q
+
+
+def test_checks_match_the_per_pair_references(product_quivers):
+    rng = seeded(4121)
+    rules = set()
+    for q in product_quivers:
+        basis = canonical_basis(q)
+        ops = list(basis.operators) + derivation_space_oracle(q)
+        ops += [_bumped(rng, q, op) for op in basis.operators for _ in range(2)]
+        for op in ops:
+            verdict, violations = is_derivation(op), check_coefficient_conditions(op)
+            assert verdict == reference_is_derivation(op), q
+            assert violations == reference_coefficient_conditions(op), q
+            assert verdict == (not violations), q
+            rules.update(v.rule for v in violations)
+    # the perturbations reach every family of conditions
+    assert rules == {
+        derivations.RULE_VERTEX_SUPPORT,
+        derivations.RULE_VERTEX_PAIR,
+        derivations.RULE_PATH_FORCED,
+        derivations.RULE_FACTOR,
+    }
+
+
+def test_derivation_checks_multiply_no_element_and_build_no_matrix(monkeypatch):
+    # the basis products come from one table: at most |P|^2 concatenations
+    # build it, and no AlgebraElement product or operator matrix is formed
+    q = fixture_quiver("torus_k4")
+    ops = canonical_basis(q).operators
+    counts = {"mul": 0, "concat": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    def refuse(self):
+        raise AssertionError("an operator matrix was built by a derivation check")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted("mul", AlgebraElement.__mul__))
+    monkeypatch.setattr(Quiver, "concat", counted("concat", Quiver.concat))
+    monkeypatch.setattr(LinearOperator, "matrix", property(refuse))
+    assert all([is_derivation(op) for op in ops])
+    assert counts["mul"] == 0
+    assert 0 < counts["concat"] <= len(q.paths()) ** 2
+    built = counts["concat"]
+    assert not any(check_coefficient_conditions(op) for op in ops)
+    assert counts == {"mul": 0, "concat": built}
 
 
 # -- Canonical basis ---------------------------------------------------------

@@ -33,7 +33,8 @@ Core claims:
     - kernel() answers with a RationalMatrix, and LinearSolver.solve
       takes and answers with sparse rows: exact Fractions, no stored zero,
       every index in range, on the seeded matrices of the SymPy checks;
-      solve rejects a target column outside its matrix
+      solve rejects a target column outside its matrix, a zero entry's
+      too, and answers for a target that stores zeros as for one without
     - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
       its rank and its square stay under 8 MiB; entry() rejects a row or
       a column outside the matrix, and row() a row
@@ -380,6 +381,22 @@ def test_linear_solver_rejects_a_target_outside_its_columns():
     solver = LinearSolver(RationalMatrix.zeros(0, 2), RationalMatrix.identity(2))
     assert solver.solve({}) == {}
     for target in ({2: Fraction(1)}, {-1: Fraction(1)}):
+        with pytest.raises(DimensionMismatchError):
+            solver.solve(target)
+
+
+def test_linear_solver_ignores_stored_zeros_in_a_target():
+    # a stored zero at a non-pivot column is not a leading entry: the
+    # answer is the one for the target without it
+    solver = LinearSolver(RationalMatrix.zeros(0, 3), RationalMatrix([[0, 1, 0]], 3))
+    assert solver.solve({1: Fraction(3)}) == {0: 3}
+    assert solver.solve({0: Fraction(0), 1: Fraction(3)}) == {0: 3}
+    assert solver.solve({1: Fraction(3), 2: Fraction(0)}) == {0: 3}
+    assert solver.solve({0: Fraction(0)}) == {}
+    assert solver.solve({0: Fraction(0), 2: Fraction(1)}) is None
+    # a zero entry still names its column, and a column outside 0..n-1 is
+    # a dimension error whatever its value
+    for target in ({3: Fraction(0)}, {-1: Fraction(0), 1: Fraction(3)}):
         with pytest.raises(DimensionMismatchError):
             solver.solve(target)
 
