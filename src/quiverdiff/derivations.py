@@ -10,34 +10,33 @@ replaced by s, which is the closed form of the defining recursion and
 stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
-Operators are stored as the sparse images of the basis paths, and the
-constructors fill those images in one pass instead of summing whole
-operators.  D_a on a single path is _inner_terms, and D_{r,s} on a
-single path is _splices, the list of its splices; d_rs_apply is the
-checked public form of the latter, while d_rs_element, the rebuild in
-canonical_coordinates and the HH1 brackets call _splices directly.  The canonical
-coordinates of an operator are read off as single coefficients, the
-coefficient of w in the image of the idempotent at the head of w for
-Inner(w) and the coefficient of s in the image of the arrow r for
-EdgePair(r, s), and accepted only if they rebuild the operator.  The
-inner subspace is written from its closed form and builds no operator.
-|P| x |P| matrices, which store only their nonzero entries, appear only at
-the edges: the CLI's matrix output, the matrix brackets of
+An operator stores only its nonzero images, each a sparse row {path
+index: Fraction}, the Row of the linear algebra; every constructor
+writes them through one builder that sums and prunes the terms of each
+basis path's image.  D_a on a single path is _inner_terms, and D_{r,s}
+on a single path is _splices, the list of its splices; d_rs_apply is
+the checked public form of the latter.  The canonical coordinates of
+an operator are read off as single coefficients, the coefficient of w
+in the image of the idempotent at the head of w for Inner(w) and the
+coefficient of s in the image of the arrow r for EdgePair(r, s), and
+accepted only if they rebuild the operator.  The inner subspace is
+written from its closed form and builds no operator.  |P| x |P|
+matrices, which store only their nonzero entries, appear only at the
+edges: the CLI's matrix output, the matrix brackets of
 verify_bracket_identities, and the flattened rows compared with a
-brute-force oracle.  The Leibniz and coefficient checks read each image
-as a {path index: coefficient} row and every product of basis paths off
-one table, q.products().  The matrix brackets are RationalMatrix products
-AB - BA, which never go through the sparse LinearOperator.bracket, so
-they remain an independent reference for it.  The oracle solves the raw
-Leibniz system in the n^2 matrix entries, knowing nothing about the
-structure theory, so its solution space is independent ground truth for
-the canonical basis.  It keeps each equation once, as a primitive
-integer row, and builds each solution's operator from its nonzero entries.
+brute-force oracle.  The Leibniz and coefficient checks read the rows
+and every product of basis paths off one table, q.products().  The
+matrix brackets are RationalMatrix products AB - BA, which never go
+through the sparse LinearOperator.bracket, so they remain an
+independent reference for it.  The oracle solves the raw Leibniz
+system in the n^2 matrix entries, knowing nothing about the structure
+theory, so its solution space is independent ground truth for the
+canonical basis.  It keeps each equation once, as a primitive integer
+row, and writes each solution's nonzero entries straight into rows.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -51,91 +50,119 @@ from .errors import (
     QuiverMismatchError,
     TooLargeError,
 )
-from .linalg import _ONE, _ZERO, RationalMatrix
+from .linalg import _ONE, _ZERO, RationalMatrix, Row, _merged
 from .quiver import Path, Quiver
 
 
 class LinearOperator:
-    """A linear self-map of kGamma, stored as the images of the basis paths.
+    """A linear self-map of kGamma, stored as its nonzero images.
 
-    ``images[j]`` is the sparse image of the j-th canonical basis path;
+    ``images[j]`` is the image of the j-th basis path as a sparse row
+    {path index: nonzero Fraction}, for each j whose image is not zero;
     ``matrix`` builds the matrix (column j = images[j]) on each read.
-    Build one with ``from_images`` (a function basis path ->
-    AlgebraElement), ``zero`` or ``identity``; sums, scalar multiples and
+    Constructors write the rows through ``_summed``; ``from_images`` takes
+    a function basis path -> AlgebraElement.  Sums, scalar multiples and
     brackets of operators are operators again.
     """
 
     __slots__ = ("quiver", "images")
 
     @classmethod
-    def _of(cls, quiver: Quiver, images) -> "LinearOperator":
+    def _of(cls, quiver: Quiver, images: dict[int, Row]) -> "LinearOperator":
+        # images: nonempty rows of nonzero Fractions, never mutated
         op = cls.__new__(cls)
         op.quiver = quiver
-        op.images = tuple(images)
+        op.images = images
         return op
 
     @classmethod
+    def _summed(cls, quiver: Quiver, terms) -> "LinearOperator":
+        """The operator p -> the sum of the (path, Fraction) pairs terms(p)."""
+        index = quiver.path_index
+        images = {}
+        for j, p in enumerate(quiver.paths()):
+            acc: Row = {}
+            for w, c in terms(p):
+                k = index(w)
+                acc[k] = acc.get(k, _ZERO) + c
+            row = {k: c for k, c in acc.items() if c}
+            if row:
+                images[j] = row
+        return cls._of(quiver, images)
+
+    @classmethod
     def zero(cls, quiver: Quiver) -> "LinearOperator":
-        return cls._of(quiver, [AlgebraElement.zero(quiver)] * len(quiver.paths()))
+        return cls._of(quiver, {})
 
     @classmethod
     def identity(cls, quiver: Quiver) -> "LinearOperator":
-        return cls._of(quiver, [AlgebraElement.from_path(quiver, p) for p in quiver.paths()])
+        return cls._of(quiver, {j: {j: _ONE} for j in range(len(quiver.paths()))})
 
     @classmethod
     def from_images(cls, quiver: Quiver, image) -> "LinearOperator":
         """Build an operator from a function basis path -> AlgebraElement."""
-        return cls._of(quiver, [image(p) for p in quiver.paths()])
+        return cls._summed(quiver, lambda p: image(p)._terms.items())
 
     @property
     def matrix(self) -> RationalMatrix:
-        q = self.quiver
-        n = len(self.images)
-        # the coefficients of an element are nonzero Fractions already
-        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for j, img in enumerate(self.images):
-            for p, c in img._terms.items():
-                rows[q.path_index(p)][j] = c
+        n = len(self.quiver.paths())
+        rows: list[Row] = [{} for _ in range(n)]
+        for j, image in self.images.items():
+            for k, c in image.items():
+                rows[k][j] = c
         return RationalMatrix._of(rows, n)
 
     def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
         if self.quiver is not other.quiver and self.quiver != other.quiver:
             raise QuiverMismatchError("operators live over different quivers")
-        return LinearOperator._of(self.quiver, map(combine, self.images, other.images))
+        images = {}
+        for j in sorted(self.images.keys() | other.images.keys()):
+            row = combine(self.images.get(j, {}), other.images.get(j, {}))
+            if row:
+                images[j] = row
+        return LinearOperator._of(self.quiver, images)
+
+    def _mapped(self, row: Row) -> Row:
+        """The image of the vector ``row``, pruned."""
+        acc: Row = {}
+        for j, c in row.items():
+            for k, x in self.images.get(j, {}).items():
+                acc[k] = acc.get(k, _ZERO) + c * x
+        return {k: x for k, x in acc.items() if x}
 
     def apply(self, a: AlgebraElement | Path) -> AlgebraElement:
         q = self.quiver
         if isinstance(a, Path):
-            return self.images[q.path_index(a)]
-        if q is not a.quiver and q != a.quiver:
+            a = AlgebraElement.from_path(q, a)
+        elif q is not a.quiver and q != a.quiver:
             raise QuiverMismatchError("operator and element live over different quivers")
-        acc: dict[Path, Fraction] = {}
-        for p, c in a._terms.items():
-            for w, x in self.images[q.path_index(p)]._terms.items():
-                acc[w] = acc.get(w, _ZERO) + c * x
-        return AlgebraElement._of(q, {w: c for w, c in acc.items() if c})
+        image = self._mapped({q.path_index(p): c for p, c in a._terms.items()})
+        return AlgebraElement._of(q, {q.paths()[k]: c for k, c in image.items()})
 
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
         # column j of [A, B] is A(B(p_j)) - B(A(p_j))
-        return self._zip(other, lambda a, b: self.apply(b) - other.apply(a))
+        minus = -other
+        return self._zip(other, lambda a, b: _merged(self._mapped(b), minus._mapped(a)))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._zip(other, operator.add)
+        return self._zip(other, _merged)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._zip(other, operator.sub)
+        return self + (-other)
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator._of(self.quiver, [-a for a in self.images])
+        return -1 * self
 
     def __rmul__(self, scalar) -> "LinearOperator":
-        if isinstance(scalar, Rational):
-            return LinearOperator._of(self.quiver, [scalar * a for a in self.images])
-        return NotImplemented
+        if not isinstance(scalar, Rational):
+            return NotImplemented
+        c = Fraction(scalar)
+        images = {j: {k: c * x for k, x in row.items()} for j, row in self.images.items() if c}
+        return LinearOperator._of(self.quiver, images)
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.images)
+        return not self.images
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.matrix.rows for x in row)
@@ -146,7 +173,7 @@ class LinearOperator:
         return self.quiver == other.quiver and self.images == other.images
 
     def __repr__(self):
-        return f"LinearOperator({len(self.images)}x{len(self.images)})"
+        return "LinearOperator({0}x{0})".format(len(self.quiver.paths()))
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +194,10 @@ def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Fraction]]:
 
 def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
     """The inner derivation b -> ab - ba."""
-    if isinstance(a, Path):
-        a = AlgebraElement.from_path(q, a)
-    elif a.quiver is not q and a.quiver != q:
+    if isinstance(a, AlgebraElement) and a.quiver is not q and a.quiver != q:
         raise QuiverMismatchError("element lives over a different quiver")
-    terms = a._terms.items()
-    return LinearOperator.from_images(q, lambda p: AlgebraElement(q, _inner_terms(q, terms, p)))
+    terms = [(a, _ONE)] if isinstance(a, Path) else a._terms.items()
+    return LinearOperator._summed(q, lambda p: _inner_terms(q, terms, p))
 
 
 def _splices(r: int, s: Path, p: Path) -> list[Path]:
@@ -182,27 +207,30 @@ def _splices(r: int, s: Path, p: Path) -> list[Path]:
     return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
 
 
+def _parallel_arrow(q: Quiver, r: int | str, s: Path) -> int:
+    """The index of the arrow r, once s is checked to be parallel to it."""
+    if isinstance(r, str):
+        r = q.arrow_index(r)
+    arrow = q.arrows[r]
+    if q.path_tail(s) != arrow.tail or q.path_head(s) != arrow.head:
+        raise NotParallelError(f"path {q.path_display(s)} is not parallel to arrow {arrow.name}")
+    return r
+
+
 def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
     """Apply D_{r,s} to a single path: replace one occurrence of r by s.
 
     Works on any quiver, cyclic or not, because it never enumerates the
     path basis.  Trivial paths and paths avoiding r map to zero.
     """
-    if isinstance(r, str):
-        r = q.arrow_index(r)
-    arrow = q.arrows[r]
-    if q.path_tail(s) != arrow.tail or q.path_head(s) != arrow.head:
-        raise NotParallelError(
-            f"path {q.path_display(s)} is not parallel to arrow {arrow.name}"
-        )
+    r = _parallel_arrow(q, r, s)
     return AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
     """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
-    if isinstance(r, str):
-        r = q.arrow_index(r)
-    return LinearOperator.from_images(q, lambda p: d_rs_apply(q, r, s, p))
+    r = _parallel_arrow(q, r, s)
+    return LinearOperator._summed(q, lambda p: [(u, _ONE) for u in _splices(r, s, p)])
 
 
 def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperator:
@@ -213,25 +241,15 @@ def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperato
     """
     if isinstance(r, str):
         r = q.arrow_index(r)
-    arrow = q.arrows[r]
-    terms = [
-        (s, c)
-        for s, c in elem._terms.items()
-        if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head
-    ]
-    return LinearOperator.from_images(
-        q, lambda p: AlgebraElement(q, [(u, c) for s, c in terms for u in _splices(r, s, p)])
+    ends = (q.arrows[r].tail, q.arrows[r].head)
+    terms = [(s, c) for s, c in elem._terms.items() if (q.path_tail(s), q.path_head(s)) == ends]
+    return LinearOperator._summed(
+        q, lambda p: [(u, c) for s, c in terms for u in _splices(r, s, p)]
     )
 
 
 # ----------------------------------------------------------------------
 # derivation tests
-
-
-def _indexed_images(op: LinearOperator) -> list[dict[int, Fraction]]:
-    """The image of each basis path as {path index: nonzero coefficient}."""
-    idx = op.quiver.path_index
-    return [{idx(w): c for w, c in img._terms.items()} for img in op.images]
 
 
 def _product_sum(products, left: dict, j: int, i: int, right: dict) -> dict[int, Fraction]:
@@ -259,12 +277,11 @@ def is_derivation(op: LinearOperator) -> bool:
     two basis paths read off q.products(); no element is multiplied.
     """
     products = op.quiver.products()
-    images = _indexed_images(op)
+    images = [op.images.get(j, {}) for j in range(len(products))]
     for i, image in enumerate(images):
         for j, other in enumerate(images):
-            k = products[i].get(j)
             rhs = _product_sum(products, image, j, i, other)
-            if (images[k] if k is not None else {}) != {w: c for w, c in rhs.items() if c}:
+            if op.images.get(products[i].get(j), {}) != {w: c for w, c in rhs.items() if c}:
                 return False
     return True
 
@@ -288,15 +305,15 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     terms forced by the vertex images (q.p and p.q) plus free terms
     parallel to p; and for every factorization p = p1 p2 the parallel
     coefficients are consistent with those of the factors.  Images are
-    read as {path index: coefficient} rows and products of basis paths
-    off q.products(); no matrix is built.  The list is empty exactly
+    read off the operator's rows and products of basis paths off
+    q.products(); no matrix is built.  The list is empty exactly
     when the operator is a derivation.
     """
     q = op.quiver
     paths = q.paths()
     idx = q.path_index
     products = q.products()
-    images = _indexed_images(op)
+    images = [op.images.get(j, {}) for j in range(len(paths))]
     violations = []
     disp = q.path_display
 
@@ -408,12 +425,10 @@ class DerivationBasis:
     def flat_rows(self) -> RationalMatrix:
         """Basis operators as stacked row vectors of length |P|^2."""
         n = len(self.quiver.paths())
-        # entry (w, j) of an operator's matrix goes to column w n + j
-        return RationalMatrix._of(
-            [{w * n + j: c for w, row in enumerate(op.matrix._entries) for j, c in row.items()}
-             for op in self.operators],
-            n * n,
-        )
+        # coefficient w of image j, entry (w, j) of the matrix, goes to column w n + j
+        rows = [{w * n + j: c for j, image in op.images.items() for w, c in image.items()}
+                for op in self.operators]
+        return RationalMatrix._of(rows, n * n)
 
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
@@ -465,14 +480,14 @@ def canonical_coordinates(
     inner = [(label.path, c) for label, c in coords.items() if label.kind == "inner"]
     pairs = [(label.arrow, label.path, c) for label, c in coords.items() if label.kind != "inner"]
 
-    def rebuilt(p: Path) -> AlgebraElement:
+    def rebuilt(p: Path) -> list[tuple[Path, Fraction]]:
         terms = _inner_terms(q, inner, p)
         for r, s, c in pairs:
             if r in p.arrows:
                 terms += [(u, c) for u in _splices(r, s, p)]
-        return AlgebraElement(q, terms)
+        return terms
 
-    return coords if LinearOperator.from_images(q, rebuilt) == op else None
+    return coords if LinearOperator._summed(q, rebuilt) == op else None
 
 
 def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
@@ -570,7 +585,6 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
     n = sum(map(sum, q.path_counts()))
     if n > max_paths:
         raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
-    paths = q.paths()
 
     # unit propagation: single-unknown equations force zeros
     active = [dict(r) for r in sorted(_leibniz_rows(q))]
@@ -605,12 +619,12 @@ def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperat
     solutions += [[(u, _ONE)] for u in range(n * n) if u not in zeroed and u not in touched_set]
     operators = []
     for solution in solutions:
-        # the operator straight from the nonzero entries: unknown w n + j
-        # is the coefficient of path w in the image of path j
-        images: list[dict[Path, Fraction]] = [{} for _ in range(n)]
+        # the rows straight from the nonzero entries: unknown w n + j is
+        # the coefficient of path w in the image of path j
+        images: dict[int, Row] = {}
         for u, x in solution:
-            images[u % n][paths[u // n]] = x
-        operators.append(LinearOperator._of(q, [AlgebraElement._of(q, t) for t in images]))
+            images.setdefault(u % n, {})[u // n] = x
+        operators.append(LinearOperator._of(q, images))
     return operators
 
 

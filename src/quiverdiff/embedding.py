@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import AlgebraElement
 from .derivations import LinearOperator
 from .errors import DisconnectedError, InternalCheckError, InvalidRotationError
 from .quiver import Quiver
@@ -199,6 +198,4 @@ def face_derivation(q: Quiver, face) -> LinearOperator:
     if len(coeffs) != q.num_arrows:
         raise ValueError(f"expected {q.num_arrows} face coefficients")
     weights = [Fraction(a) for a in coeffs]
-    return LinearOperator.from_images(
-        q, lambda p: AlgebraElement.from_path(q, p, sum(weights[x] for x in p.arrows))
-    )
+    return LinearOperator._summed(q, lambda p: [(p, sum(weights[x] for x in p.arrows))])

@@ -109,6 +109,7 @@ class Quiver:
         self._path_index: dict[Path, int] | None = None
         self._parallel: dict[tuple[int, int], tuple[Path, ...]] = {}
         self._products: tuple[dict[int, int], ...] | None = None
+        self._almost_oriented: tuple[tuple[int, Path], ...] | None = None
 
     # identity is structural; the display name is packaging metadata
     def __eq__(self, other):
@@ -301,8 +302,10 @@ class Quiver:
         return self._parallel.get((path.base, self.path_head(path)), ())
 
     def almost_oriented_cycles(self) -> tuple[tuple[int, Path], ...]:
-        """All pairs (arrow r, path s) with s parallel to r and s != r."""
-        return tuple(
-            (i, s) for i in range(self.num_arrows)
-            for s in self.parallel_paths(self.arrow_path(i)) if s.arrows != (i,)
-        )
+        """All pairs (arrow r, path s) with s parallel to r and s != r; cached."""
+        if self._almost_oriented is None:
+            self._almost_oriented = tuple(
+                (i, s) for i in range(self.num_arrows)
+                for s in self.parallel_paths(self.arrow_path(i)) if s.arrows != (i,)
+            )
+        return self._almost_oriented

@@ -4,11 +4,14 @@ among them), the library functions that only tests call (quiver file
 text, the dense operator constructor, the checked adjoint eigenvalue,
 the stacked connection matrix and the greedy quotient complement), the
 HH1 representatives as operators, the operator routes to the inner
-subspace and to the HH1 structure table, and the per-pair Leibniz and
-coefficient checks, all as independent references."""
+subspace and to the HH1 structure table, the per-pair Leibniz and
+coefficient checks, and the per-path operators and their constructors,
+all as independent references."""
 
+import operator
 import random
 from fractions import Fraction
+from numbers import Rational
 from pathlib import Path as FsPath
 
 from quiverdiff.quiver import Path, Quiver
@@ -27,12 +30,15 @@ from quiverdiff.derivations import (
     ConditionViolation,
     DerivationLabel,
     LinearOperator,
+    _inner_terms,
+    _splices,
     canonical_basis,
     canonical_coordinates,
     d_rs,
+    d_rs_apply,
     inner_derivation,
 )
-from quiverdiff.errors import InternalCheckError, NotAlmostCycleError
+from quiverdiff.errors import InternalCheckError, NotAlmostCycleError, QuiverMismatchError
 from quiverdiff.linalg import (
     _ONE,
     _ZERO,
@@ -221,6 +227,25 @@ def seeded(seed):
 
 # -- library functions that only tests call --------------------------------
 
+def differential_inputs():
+    """(name, (quiver, rotation)) pairs for the differential tests: the
+    embedded fixtures, seeded quivers of genus 0 and 1, K_2..K_8, T_2..T_5
+    and the 3x3 and 4x4 grids, planar and with a seeded rotation."""
+    inputs = [(name, fixture_embedded(name)) for name in EMBEDDED_FIXTURES]
+    inputs += [
+        (f"seed{seed}_genus{g}", seeded_embedded_quiver(seed, g))
+        for seed in range(10)
+        for g in (0, 1)
+    ]
+    inputs += [(f"k{m}", kronecker(m)) for m in range(2, 9)]
+    inputs += [(f"t{n}", tournament(n)) for n in range(2, 6)]
+    for k in (3, 4):
+        q, rot = checkerboard_grid(k)
+        inputs.append((f"grid{k}", (q, rot)))
+        inputs.append((f"grid{k}_rotated", (q, random_rotation(seeded(k), q))))
+    return inputs
+
+
 def serialize(qf: QuiverFile) -> str:
     """Canonical text for a QuiverFile; parse(serialize(x)) == x."""
     q = qf.quiver
@@ -244,15 +269,14 @@ def serialize(qf: QuiverFile) -> str:
 def operator_from_matrix(quiver, matrix):
     """The operator whose matrix is ``matrix``: column j is the image of
     the j-th basis path, read from its nonzero entries."""
-    paths = quiver.paths()
-    n = len(paths)
+    n = len(quiver.paths())
     if matrix.num_rows != n or matrix.num_cols != n:
         raise ValueError(f"operator matrix must be {n}x{n}")
-    images = [{} for _ in range(n)]
-    for w, row in zip(paths, matrix._entries):
+    images = {}
+    for w, row in enumerate(matrix._entries):
         for j, c in row.items():
-            images[j][w] = c
-    return LinearOperator._of(quiver, [AlgebraElement._of(quiver, t) for t in images])
+            images.setdefault(j, {})[w] = c
+    return LinearOperator._of(quiver, images)
 
 
 def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:
@@ -694,3 +718,156 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
                         )
                     )
     return violations
+
+
+# -- the per-path operators, as they were before the sparse rows -------------
+# Kept verbatim as references for LinearOperator and its constructors: one
+# AlgebraElement per basis path, zeros included, and the matrix, sums,
+# scalar multiples and brackets read off those elements.
+
+class ReferenceOperator:
+    """A linear self-map of kGamma, stored as the images of the basis paths.
+
+    ``images[j]`` is the sparse image of the j-th canonical basis path;
+    ``matrix`` builds the matrix (column j = images[j]) on each read.
+    Build one with ``from_images`` (a function basis path ->
+    AlgebraElement), ``zero`` or ``identity``; sums, scalar multiples and
+    brackets of operators are operators again.
+    """
+
+    __slots__ = ("quiver", "images")
+
+    @classmethod
+    def _of(cls, quiver: Quiver, images) -> "ReferenceOperator":
+        op = cls.__new__(cls)
+        op.quiver = quiver
+        op.images = tuple(images)
+        return op
+
+    @classmethod
+    def zero(cls, quiver: Quiver) -> "ReferenceOperator":
+        return cls._of(quiver, [AlgebraElement.zero(quiver)] * len(quiver.paths()))
+
+    @classmethod
+    def identity(cls, quiver: Quiver) -> "ReferenceOperator":
+        return cls._of(quiver, [AlgebraElement.from_path(quiver, p) for p in quiver.paths()])
+
+    @classmethod
+    def from_images(cls, quiver: Quiver, image) -> "ReferenceOperator":
+        """Build an operator from a function basis path -> AlgebraElement."""
+        return cls._of(quiver, [image(p) for p in quiver.paths()])
+
+    @property
+    def matrix(self) -> RationalMatrix:
+        q = self.quiver
+        n = len(self.images)
+        # the coefficients of an element are nonzero Fractions already
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for j, img in enumerate(self.images):
+            for p, c in img._terms.items():
+                rows[q.path_index(p)][j] = c
+        return RationalMatrix._of(rows, n)
+
+    def _zip(self, other: "ReferenceOperator", combine) -> "ReferenceOperator":
+        if self.quiver is not other.quiver and self.quiver != other.quiver:
+            raise QuiverMismatchError("operators live over different quivers")
+        return ReferenceOperator._of(self.quiver, map(combine, self.images, other.images))
+
+    def apply(self, a: AlgebraElement | Path) -> AlgebraElement:
+        q = self.quiver
+        if isinstance(a, Path):
+            return self.images[q.path_index(a)]
+        if q is not a.quiver and q != a.quiver:
+            raise QuiverMismatchError("operator and element live over different quivers")
+        acc: dict[Path, Fraction] = {}
+        for p, c in a._terms.items():
+            for w, x in self.images[q.path_index(p)]._terms.items():
+                acc[w] = acc.get(w, _ZERO) + c * x
+        return AlgebraElement._of(q, {w: c for w, c in acc.items() if c})
+
+    def bracket(self, other: "ReferenceOperator") -> "ReferenceOperator":
+        # column j of [A, B] is A(B(p_j)) - B(A(p_j))
+        return self._zip(other, lambda a, b: self.apply(b) - other.apply(a))
+
+    def __add__(self, other: "ReferenceOperator") -> "ReferenceOperator":
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other: "ReferenceOperator") -> "ReferenceOperator":
+        return self._zip(other, operator.sub)
+
+    def __neg__(self) -> "ReferenceOperator":
+        return ReferenceOperator._of(self.quiver, [-a for a in self.images])
+
+    def __rmul__(self, scalar) -> "ReferenceOperator":
+        if isinstance(scalar, Rational):
+            return ReferenceOperator._of(self.quiver, [scalar * a for a in self.images])
+        return NotImplemented
+
+    @property
+    def is_zero(self) -> bool:
+        return all(a.is_zero for a in self.images)
+
+    def flatten(self) -> tuple[Fraction, ...]:
+        return tuple(x for row in self.matrix.rows for x in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceOperator):
+            return NotImplemented
+        return self.quiver == other.quiver and self.images == other.images
+
+    def __repr__(self):
+        return f"ReferenceOperator({len(self.images)}x{len(self.images)})"
+
+
+def reference_inner_derivation(q: Quiver, a: Path | AlgebraElement) -> ReferenceOperator:
+    """The inner derivation b -> ab - ba."""
+    if isinstance(a, Path):
+        a = AlgebraElement.from_path(q, a)
+    elif a.quiver is not q and a.quiver != q:
+        raise QuiverMismatchError("element lives over a different quiver")
+    terms = a._terms.items()
+    return ReferenceOperator.from_images(q, lambda p: AlgebraElement(q, _inner_terms(q, terms, p)))
+
+
+def reference_d_rs(q: Quiver, r: int | str, s: Path) -> ReferenceOperator:
+    """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
+    if isinstance(r, str):
+        r = q.arrow_index(r)
+    return ReferenceOperator.from_images(q, lambda p: d_rs_apply(q, r, s, p))
+
+
+def reference_d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> ReferenceOperator:
+    """Bilinear extension of d_rs in its second slot.
+
+    Each basis path maps to the sum of its splices by the terms of
+    ``elem``; terms that are not parallel to r contribute nothing.
+    """
+    if isinstance(r, str):
+        r = q.arrow_index(r)
+    arrow = q.arrows[r]
+    terms = [
+        (s, c)
+        for s, c in elem._terms.items()
+        if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head
+    ]
+    return ReferenceOperator.from_images(
+        q, lambda p: AlgebraElement(q, [(u, c) for s, c in terms for u in _splices(r, s, p)])
+    )
+
+
+def reference_face_derivation(q: Quiver, face) -> ReferenceOperator:
+    """The signed sum of arrow-rescaling derivations along a face.
+
+    Accepts a FaceCycle or a bare coefficient vector over the arrows;
+    coefficient a_k multiplies the edge derivation D_{k,k}, which
+    multiplies each path by the number of times it runs along arrow k.
+    The sum is therefore diagonal on paths, p -> (sum of a_x over the
+    arrows x of p) p, and is built that way in one pass.
+    """
+    coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
+    if len(coeffs) != q.num_arrows:
+        raise ValueError(f"expected {q.num_arrows} face coefficients")
+    weights = [Fraction(a) for a in coeffs]
+    return ReferenceOperator.from_images(
+        q, lambda p: AlgebraElement.from_path(q, p, sum(weights[x] for x in p.arrows))
+    )

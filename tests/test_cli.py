@@ -490,8 +490,19 @@ def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, n
             calls[_fn] += 1
             return _orig(*args)
         monkeypatch.setattr(cohomology, fn, counted)
+    # the almost oriented cycles are enumerated once: one parallel_paths
+    # call per arrow, although hh1_basis and hh1_dimension both read them
+    asked = []
+    parallel_paths = Quiver.parallel_paths
+
+    def counted_parallel(self, path):
+        asked.append(path)
+        return parallel_paths(self, path)
+
+    monkeypatch.setattr(Quiver, "parallel_paths", counted_parallel)
     assert _run(capsys, ["hh1", _fixture(name)])[0] == 0
     assert calls == {"trace_faces": 1, "vertex_arrow_matrix": 1, "hh1_dimension": 1}
+    assert asked and len(asked) == len(set(asked))
 
 
 def _cli_env():

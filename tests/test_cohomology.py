@@ -102,6 +102,7 @@ from helpers import (
     checkerboard_grid,
     connection_matrix,
     dense_row,
+    differential_inputs,
     fixture_embedded,
     fixture_quiver,
     kronecker,
@@ -569,23 +570,7 @@ def test_hh1_is_stable_under_arrow_relabeling():
 
 # -- Edge-pair labels against the operator route ------------------------------
 
-def _differential_inputs():
-    inputs = [(name, fixture_embedded(name)) for name in EMBEDDED_FIXTURES]
-    inputs += [
-        (f"seed{seed}_genus{g}", seeded_embedded_quiver(seed, g))
-        for seed in range(10)
-        for g in (0, 1)
-    ]
-    inputs += [(f"k{m}", kronecker(m)) for m in range(2, 9)]
-    inputs += [(f"t{n}", tournament(n)) for n in range(2, 6)]
-    for k in (3, 4):
-        q, rot = checkerboard_grid(k)
-        inputs.append((f"grid{k}", (q, rot)))
-        inputs.append((f"grid{k}_rotated", (q, random_rotation(seeded(k), q))))
-    return inputs
-
-
-DIFFERENTIAL = _differential_inputs()
+DIFFERENTIAL = differential_inputs()
 
 
 @pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])

@@ -59,6 +59,7 @@ from quiverdiff.derivations import (
     verify_bracket_identities,
     verify_inner_expansion,
 )
+from quiverdiff.embedding import RotationSystem, face_derivation, trace_faces
 from quiverdiff.errors import NotACycleError, NotParallelError, TooLargeError
 from quiverdiff.linalg import EchelonBasis, RationalMatrix
 from quiverdiff.quiver import Path, Quiver
@@ -66,10 +67,13 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
+    ReferenceOperator,
     chain,
+    differential_inputs,
     fixture_quiver,
     fraction_leibniz_rows,
     is_valid_path,
+    kronecker,
     longest_path_length,
     mat_vec,
     operator_from_coordinates,
@@ -79,10 +83,15 @@ from helpers import (
     random_derivation,
     random_element,
     reference_coefficient_conditions,
+    reference_d_rs,
+    reference_d_rs_element,
+    reference_face_derivation,
+    reference_inner_derivation,
     reference_is_derivation,
     seeded,
     sized_acyclic_quiver,
     sparse_kernel,
+    tournament,
 )
 
 
@@ -219,6 +228,8 @@ def test_d_rs_apply_rejects_non_parallel():
     q = fixture_quiver("a3")
     with pytest.raises(NotParallelError):
         d_rs_apply(q, "p1", q.arrow_path("p2"), q.arrow_path("p1"))
+    with pytest.raises(NotParallelError):
+        d_rs(q, "p1", q.arrow_path("p2"))
 
 
 def test_d_rs_matrix_pinned_examples():
@@ -370,11 +381,16 @@ def product_quivers():
 def _bumped(rng, q, op):
     """op with 1-3 terms c w added to the images of random basis paths,
     c one of +-1, 2 and 1/3."""
-    paths = q.paths()
-    images = list(op.images)
+    n = len(q.paths())
+    images = {j: dict(row) for j, row in op.images.items()}
     for _ in range(rng.randint(1, 3)):
-        j, w = rng.randrange(len(paths)), paths[rng.randrange(len(paths))]
-        images[j] = images[j] + AlgebraElement.from_path(q, w, rng.choice(_BUMPS))
+        j, w = rng.randrange(n), rng.randrange(n)
+        row = images.setdefault(j, {})
+        row[w] = row.get(w, 0) + rng.choice(_BUMPS)
+        if not row[w]:
+            del row[w]
+        if not row:
+            del images[j]
     return LinearOperator._of(q, images)
 
 
@@ -577,8 +593,8 @@ def test_oracle_operators_equal_their_dense_rebuild(oracle_quivers):
     for q in oracle_quivers:
         for op in derivation_space_oracle(q):
             assert op == operator_from_matrix(q, op.matrix)
-            for image in op.images:
-                assert all(type(c) is Fraction and c for _, c in image.items())
+            for image in op.images.values():
+                assert image and all(type(c) is Fraction and c for c in image.values())
 
 
 # -- Inner subspace ----------------------------------------------------------
@@ -864,3 +880,99 @@ def test_coordinates_of_rejects_perturbed_non_derivations():
                 assert coords is None, name
                 rejected += 1
         assert rejected, name
+
+
+# -- One operator format: the nonzero images as sparse rows --------------------
+
+def _assert_sparse_rows(q, op):
+    """op stores only nonzero images, each a nonempty row of nonzero
+    Fractions keyed by path index, and the public bridge from its
+    AlgebraElement images rebuilds it."""
+    n = len(q.paths())
+    for j, row in op.images.items():
+        assert type(j) is int and 0 <= j < n
+        assert row and all(
+            type(k) is int and 0 <= k < n and type(c) is Fraction and c for k, c in row.items()
+        )
+    assert LinearOperator.from_images(q, op.apply) == op
+
+
+def _every_operator(rng, q):
+    """The canonical basis, one operator from each other constructor, and
+    brackets, sums, differences and scalar multiples of random members."""
+    ops = list(canonical_basis(q).operators)
+    elem = random_element(rng, q, size=4)
+    ops.append(inner_derivation(q, elem))
+    ops += [d_rs_element(q, r, elem + _elem(q, q.arrow_path(r))) for r in range(q.num_arrows)]
+    ops += [face_derivation(q, face) for face in trace_faces(RotationSystem.canonical(q))]
+    ops.append(face_derivation(q, [rand_frac(rng) for _ in range(q.num_arrows)]))
+    if len(q.paths()) <= 30:
+        ops += derivation_space_oracle(q)
+    for _ in range(6):
+        a, b = rng.choice(ops), rng.choice(ops)
+        ops += [a.bracket(b), a + b, a - b, rand_frac(rng) * a, a - a, 0 * a]
+    return ops
+
+
+def test_every_operator_stores_only_nonzero_rows(product_quivers):
+    rng = seeded(4121)
+    for q in product_quivers:
+        for op in _every_operator(rng, q):
+            _assert_sparse_rows(q, op)
+
+
+def test_canonical_basis_builds_no_algebra_element(monkeypatch, product_quivers):
+    calls = []
+    init = AlgebraElement.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    for q in product_quivers + [tournament(6)[0], kronecker(4)[0]]:
+        canonical_basis(q)
+    assert not calls
+
+
+# the DIFFERENTIAL inputs hold T_2..T_5 and K_2..K_8 already
+_REFERENCE_INPUTS = differential_inputs()
+_REFERENCE_INPUTS += [("t1", tournament(1)), ("t6", tournament(6)), ("k1", kronecker(1))]
+
+
+@pytest.mark.parametrize(
+    "embedded", [e for _, e in _REFERENCE_INPUTS], ids=[n for n, _ in _REFERENCE_INPUTS]
+)
+def test_operators_match_the_per_path_references(embedded):
+    q, rot = embedded
+    basis = canonical_basis(q)
+    refs = [
+        reference_inner_derivation(q, label.path) if label.kind == "inner"
+        else reference_d_rs(q, label.arrow, label.path)
+        for label in basis.labels
+    ]
+    for label, op, ref in zip(basis.labels, basis.operators, refs):
+        assert op.matrix == ref.matrix, label.display(q)
+    rng = seeded(4122)
+    elem = random_element(rng, q, size=4)
+    assert inner_derivation(q, elem).matrix == reference_inner_derivation(q, elem).matrix
+    for r in range(q.num_arrows):
+        bumped = elem + _elem(q, q.arrow_path(r))
+        assert d_rs_element(q, r, bumped).matrix == reference_d_rs_element(q, r, bumped).matrix
+    for face in trace_faces(rot):
+        assert face_derivation(q, face).matrix == reference_face_derivation(q, face).matrix
+    if not refs:
+        return
+    for _ in range(6):
+        # the same random combination of members on either side
+        picks = [(rng.randrange(len(refs)), rand_frac(rng)) for _ in range(4)]
+        a = sum((c * basis.operators[i] for i, c in picks[:2]), LinearOperator.zero(q))
+        b = sum((c * basis.operators[i] for i, c in picks[2:]), LinearOperator.zero(q))
+        ra = sum((c * refs[i] for i, c in picks[:2]), ReferenceOperator.zero(q))
+        rb = sum((c * refs[i] for i, c in picks[2:]), ReferenceOperator.zero(q))
+        assert a.matrix == ra.matrix
+        assert a.bracket(b).matrix == ra.bracket(rb).matrix
+        assert (a + b).matrix == (ra + rb).matrix
+        assert (a - b).matrix == (ra - rb).matrix
+        c = rand_frac(rng)
+        assert (c * a).matrix == (c * ra).matrix
