@@ -14,7 +14,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .errors import QuiverMismatchError
-from .linalg import _ZERO
+from .linalg import _ZERO, _merged
 from .quiver import Path, Quiver
 
 
@@ -76,15 +76,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        acc = dict(self._terms)
-        for p, c in other._terms.items():
-            a = acc.get(p)
-            c = c if a is None else a + c
-            if c:
-                acc[p] = c
-            else:
-                del acc[p]
-        return AlgebraElement._of(self.quiver, acc)
+        return AlgebraElement._of(self.quiver, _merged(self._terms, other._terms))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)

@@ -33,7 +33,7 @@ from .derivations import (
     verify_bracket_identities,
 )
 from .errors import InvalidRotationError, ParseError, QuiverError
-from .linalg import EchelonBasis, RationalMatrix
+from .linalg import LinearSolver, RationalMatrix
 from . import quiverfile
 
 
@@ -208,9 +208,10 @@ def cmd_derivations(qf, args) -> int:
         ],
     }
     if ops is not None:
-        ech = EchelonBasis.spanning(len(q.paths()) ** 2, basis.flat_rows()._entries)
+        # every oracle operator in the span of the basis: a solve with no subspace
+        solver = LinearSolver(RationalMatrix.zeros(0, len(q.paths()) ** 2), basis.flat_rows())
         spans_match = len(ops) == len(basis) and all(
-            ech.contains(op.flatten()) for op in ops
+            solver.solve(op.flat_row()) is not None for op in ops
         )
         payload["oracle"] = {"dim": len(ops), "spansMatch": spans_match}
     if args.verify:

@@ -25,13 +25,14 @@ the tests.  The face eigenvalues come from the net-coefficient formula.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
 from .derivations import LinearOperator, _splices, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
-from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, Row, intersect_row_spaces
+from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, Row, _merged, intersect_row_spaces
 from .quiver import Path, Quiver
 
 _MINUS_ONE = -_ONE
@@ -141,11 +142,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     if disjoint != (rank_stack == rank_va + rank_ca):
         raise InternalCheckError("subspace intersection disagrees with rank count")
 
-    column_sums: dict[int, Fraction] = {}
-    for row in c_ca._entries:
-        for k, x in row.items():
-            column_sums[k] = column_sums.get(k, _ZERO) + x
-    zero_sum = not any(column_sums.values())
+    zero_sum = not functools.reduce(_merged, c_ca._entries, {})
     return CombinatorialReport(
         num_vertices=q.num_vertices,
         num_arrows=q.num_arrows,

@@ -19,7 +19,9 @@ the checked public form of the latter.  The canonical coordinates of
 an operator are read off as single coefficients, the coefficient of w
 in the image of the idempotent at the head of w for Inner(w) and the
 coefficient of s in the image of the arrow r for EdgePair(r, s), and
-accepted only if they rebuild the operator.  The inner subspace is
+accepted only if they rebuild the operator: the sum of each coordinate
+times its member, built by inner_derivation or d_rs as in
+canonical_basis, must be the operator itself.  The inner subspace is
 written from its closed form and builds no operator.  |P| x |P|
 matrices, which store only their nonzero entries, appear only at the
 edges: the CLI's matrix output, the matrix brackets of
@@ -166,6 +168,11 @@ class LinearOperator:
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.matrix.rows for x in row)
+
+    def flat_row(self) -> Row:
+        """flatten() as a sparse row: entry (w, j) of the matrix at column w |P| + j."""
+        n = len(self.quiver.paths())
+        return {w * n + j: c for j, image in self.images.items() for w, c in image.items()}
 
     def __eq__(self, other):
         if not isinstance(other, LinearOperator):
@@ -425,10 +432,7 @@ class DerivationBasis:
     def flat_rows(self) -> RationalMatrix:
         """Basis operators as stacked row vectors of length |P|^2."""
         n = len(self.quiver.paths())
-        # coefficient w of image j, entry (w, j) of the matrix, goes to column w n + j
-        rows = [{w * n + j: c for j, image in op.images.items() for w, c in image.items()}
-                for op in self.operators]
-        return RationalMatrix._of(rows, n * n)
+        return RationalMatrix._of([op.flat_row() for op in self.operators], n * n)
 
     def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
@@ -462,8 +466,8 @@ def canonical_coordinates(
     are parallel to r only when u is a cycle), so its coordinate is the
     coefficient of s in op(r).  Only the |V| + |E| generator images are
     read.  The coordinates rebuild op exactly when op lies in the span;
-    the rebuild sums, at each basis path, the images of the members with
-    a nonzero coordinate, so no basis is built.
+    the rebuild is the sum of c * _member(label) over the nonzero
+    coordinates, so only those members are built, not the basis.
     """
     if op.quiver is not q and op.quiver != q:
         raise QuiverMismatchError("operator lives over a different quiver")
@@ -476,18 +480,15 @@ def canonical_coordinates(
         for s, c in op.apply(q.arrow_path(r))._terms.items():
             if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
                 coords[DerivationLabel("edge_pair", r, s)] = c
+    rebuilt = sum((c * _member(q, label) for label, c in coords.items()), LinearOperator.zero(q))
+    return coords if rebuilt == op else None
 
-    inner = [(label.path, c) for label, c in coords.items() if label.kind == "inner"]
-    pairs = [(label.arrow, label.path, c) for label, c in coords.items() if label.kind != "inner"]
 
-    def rebuilt(p: Path) -> list[tuple[Path, Fraction]]:
-        terms = _inner_terms(q, inner, p)
-        for r, s, c in pairs:
-            if r in p.arrows:
-                terms += [(u, c) for u in _splices(r, s, p)]
-        return terms
-
-    return coords if LinearOperator._summed(q, rebuilt) == op else None
+def _member(q: Quiver, label: DerivationLabel) -> LinearOperator:
+    """The canonical basis member named by ``label``: D_s or D_{r,s}."""
+    if label.kind == "inner":
+        return inner_derivation(q, label.path)
+    return d_rs(q, label.arrow, label.path)
 
 
 def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
@@ -498,15 +499,9 @@ def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
 def canonical_basis(q: Quiver) -> DerivationBasis:
     """Inner(s) for s acyclic in path order, then EdgePair(r, s) in
     (arrow, path) order; linearly independent and spanning."""
-    labels = []
-    operators = []
-    for s in q.acyclic_paths():
-        labels.append(DerivationLabel("inner", None, s))
-        operators.append(inner_derivation(q, s))
-    for r, s in _edge_pairs(q):
-        labels.append(DerivationLabel("edge_pair", r, s))
-        operators.append(d_rs(q, r, s))
-    return DerivationBasis(q, labels, operators)
+    labels = [DerivationLabel("inner", None, s) for s in q.acyclic_paths()]
+    labels += [DerivationLabel("edge_pair", r, s) for r, s in _edge_pairs(q)]
+    return DerivationBasis(q, labels, [_member(q, label) for label in labels])
 
 
 def inner_subspace(q: Quiver) -> RationalMatrix:
@@ -674,33 +669,25 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     it independently.
     """
     paths = q.paths()
-    inner = [inner_derivation(q, p).matrix for p in paths]
-    elems = [AlgebraElement.from_path(q, p) for p in paths]
+    inner = [(inner_derivation(q, p).matrix, AlgebraElement.from_path(q, p)) for p in paths]
     # most pairs of paths commute; their right-hand side is one shared zero
     zero = RationalMatrix.zeros(len(paths), len(paths))
-    inner_inner = True
-    for i, a in enumerate(inner):
-        for j, b in enumerate(inner):
-            commutator = elems[i].commutator(elems[j])
-            rhs = zero if commutator.is_zero else inner_derivation(q, commutator).matrix
-            if a * b - b * a != rhs:
-                inner_inner = False
-                break
-        if not inner_inner:
-            break
+
+    def inner_rhs(x: AlgebraElement, y: AlgebraElement) -> RationalMatrix:
+        commutator = x.commutator(y)
+        return zero if commutator.is_zero else inner_derivation(q, commutator).matrix
+
+    def edge_rhs(r: int, s: Path, p: int, t: Path) -> RationalMatrix:
+        left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
+        return (d_rs_element(q, p, left) - d_rs_element(q, r, right)).matrix
+
     pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in _edge_pairs(q)]
-    edge_edge = True
-    for r, s, a in pairs:
-        for p, t, b in pairs:
-            rhs = d_rs_element(q, p, d_rs_apply(q, r, s, t)) - d_rs_element(
-                q, r, d_rs_apply(q, p, t, s)
-            )
-            if a * b - b * a != rhs.matrix:
-                edge_edge = False
-                break
-        if not edge_edge:
-            break
-    return {"inner_inner": inner_inner, "edge_edge": edge_edge}
+    return {
+        "inner_inner": all(a * b - b * a == inner_rhs(x, y) for a, x in inner for b, y in inner),
+        "edge_edge": all(
+            a * b - b * a == edge_rhs(r, s, p, t) for r, s, a in pairs for p, t, b in pairs
+        ),
+    }
 
 
 def inner_edge_bracket_sign(q: Quiver) -> int | None:

@@ -130,4 +130,5 @@ def _check_name(token: str, lineno: int) -> None:
 
 def load(path) -> QuiverFile:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        # a leading byte-order mark is not part of the text
+        return parse(fh.read().removeprefix("\ufeff"))

@@ -30,12 +30,9 @@ from quiverdiff.derivations import (
     ConditionViolation,
     DerivationLabel,
     LinearOperator,
-    _inner_terms,
-    _splices,
     canonical_basis,
     canonical_coordinates,
     d_rs,
-    d_rs_apply,
     inner_derivation,
 )
 from quiverdiff.errors import InternalCheckError, NotAlmostCycleError, QuiverMismatchError
@@ -723,7 +720,9 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
 # -- the per-path operators, as they were before the sparse rows -------------
 # Kept verbatim as references for LinearOperator and its constructors: one
 # AlgebraElement per basis path, zeros included, and the matrix, sums,
-# scalar multiples and brackets read off those elements.
+# scalar multiples and brackets read off those elements.  The closed forms
+# on a single path, _inner_terms and _splices, are copies of the library's,
+# so a defect in the library's own shows up against them.
 
 class ReferenceOperator:
     """A linear self-map of kGamma, stored as the images of the basis paths.
@@ -819,6 +818,25 @@ class ReferenceOperator:
         return f"ReferenceOperator({len(self.images)}x{len(self.images)})"
 
 
+def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Fraction]]:
+    """The terms of D_a(p) = sum of c (wp - pw) over the terms (w, c) of a."""
+    out = []
+    for w, c in terms:
+        left, right = q.concat(w, p), q.concat(p, w)
+        if left is not None:
+            out.append((left, c))
+        if right is not None:
+            out.append((right, -c))
+    return out
+
+
+def _splices(r: int, s: Path, p: Path) -> list[Path]:
+    """The paths got from p by replacing one occurrence of the arrow r with
+    the path s parallel to r, once per occurrence: D_{r,s}(p) is their sum."""
+    a = p.arrows
+    return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
+
+
 def reference_inner_derivation(q: Quiver, a: Path | AlgebraElement) -> ReferenceOperator:
     """The inner derivation b -> ab - ba."""
     if isinstance(a, Path):
@@ -833,7 +851,9 @@ def reference_d_rs(q: Quiver, r: int | str, s: Path) -> ReferenceOperator:
     """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
     if isinstance(r, str):
         r = q.arrow_index(r)
-    return ReferenceOperator.from_images(q, lambda p: d_rs_apply(q, r, s, p))
+    return ReferenceOperator.from_images(
+        q, lambda p: AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
+    )
 
 
 def reference_d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> ReferenceOperator:

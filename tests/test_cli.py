@@ -21,6 +21,11 @@ Core claims:
       value that is negative, not a number or longer than int() converts
       is exit 2 with a message that names which
     - hh1 --oracle builds no canonical basis
+    - no command on any fixture builds a dense row or flattens an
+      operator; derivations --oracle finds spansMatch false when one
+      basis member is replaced by a multiple of another
+    - a leading UTF-8 byte-order mark changes no output, and the byte
+      offset of a non-UTF-8 file counts from the start of the file
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
       match the digests in cli_golden.json; hh1 on K_6, T_5, a seeded
@@ -51,6 +56,8 @@ import pytest
 from quiverdiff.cli import main
 
 from quiverdiff import cli, cohomology, quiverfile
+from quiverdiff.derivations import DerivationBasis, LinearOperator
+from quiverdiff.linalg import RationalMatrix
 from quiverdiff.quiver import Quiver
 
 from helpers import (
@@ -64,6 +71,9 @@ from helpers import (
 
 
 # -- Helpers ---------------------------------------------------------------
+
+_BOM = "\ufeff".encode("utf-8")
+
 
 def _fixture(name):
     return str(FIXTURE_DIR / f"{name}.quiver")
@@ -284,6 +294,37 @@ def test_derivations_oracle_block(capsys):
     assert payload["oracle"] == {"dim": 6, "spansMatch": True}
 
 
+@pytest.mark.parametrize("name", ["a3", "k2", "torus_k4"])
+def test_derivations_oracle_sees_a_basis_one_dimension_short(capsys, monkeypatch, name):
+    # the last member replaced by a multiple of the first: the dimensions
+    # still agree, but the last oracle operator lies outside the span
+    true_canonical_basis = cli.canonical_basis
+
+    def short(q):
+        basis = true_canonical_basis(q)
+        ops = basis.operators
+        return DerivationBasis(q, basis.labels, ops[:-1] + (2 * ops[0],))
+
+    monkeypatch.setattr(cli, "canonical_basis", short)
+    payload = _payload(capsys, ["derivations", "--oracle", _fixture(name)])
+    assert payload["oracle"]["spansMatch"] is False
+    assert payload["oracle"]["dim"] == payload["dim"]
+
+
+def test_no_command_builds_a_dense_row(capsys, monkeypatch):
+    # derivations --oracle compares the spans on sparse |P|^2-column rows;
+    # dense tuples are built only for tests
+    def dense(*args):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(RationalMatrix, "rows", property(dense))
+    monkeypatch.setattr(RationalMatrix, "row", dense)
+    monkeypatch.setattr(LinearOperator, "flatten", dense)
+    for path in sorted(FIXTURE_DIR.glob("*.quiver")):
+        for command in GOLDEN_COMMANDS:
+            _run(capsys, [*command, str(path)])
+
+
 def _tournament_file(tmp_path, n):
     q, rot = tournament(n)
     path = tmp_path / f"t{n}.quiver"
@@ -431,6 +472,23 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot read") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["a2", "torus_k4"])
+def test_a_leading_byte_order_mark_changes_no_output(tmp_path, capsys, name):
+    marked = tmp_path / f"{name}.quiver"
+    marked.write_bytes(_BOM + pathlib.Path(_fixture(name)).read_bytes())
+    for command in GOLDEN_COMMANDS:
+        assert _run(capsys, [*command, str(marked)]) == _run(capsys, [*command, _fixture(name)])
+
+
+def test_a_non_utf8_offset_counts_from_the_start_of_the_file(tmp_path, capsys):
+    # the bad byte is byte 14 of the text, and byte 17 behind a mark
+    f = tmp_path / "latin1.quiver"
+    for prefix, offset in ((b"", 14), (_BOM, 17)):
+        f.write_bytes(prefix + b"vertex u\n# caf\xe9\n")
+        code, out, err = _run(capsys, ["check", str(f)])
+        assert (code, out, err) == (2, "", f"cannot read {f}: not UTF-8 text (byte {offset})\n")
 
 
 @pytest.mark.parametrize("command", ["hh1", "derivations"])

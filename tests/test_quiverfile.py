@@ -8,6 +8,8 @@ Core claims:
       present or the quiver has no arrows
     - the outer directive requires rotation lines and a face index; an
       index with more digits than int() converts is a ParseError
+    - load drops one leading UTF-8 byte-order mark; a U+FEFF anywhere
+      else is text, and an unknown directive where it starts a line
     - any text built from directives, names, darts and digits (ASCII or
       not) parses or raises ParseError / InvalidRotationError, nothing else
 """
@@ -135,6 +137,29 @@ def test_outer_requires_rotation_and_an_index():
 def test_load_missing_file():
     with pytest.raises(OSError):
         load(FIXTURE_DIR / "does_not_exist.quiver")
+
+
+_BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["a2", "torus_k4"])
+def test_load_ignores_one_leading_byte_order_mark(tmp_path, name):
+    path = FIXTURE_DIR / f"{name}.quiver"
+    marked = tmp_path / path.name
+    marked.write_bytes(_BOM + path.read_bytes())
+    assert load(marked) == load(path)
+    # only one mark is dropped: a second one is text on line 1
+    marked.write_bytes(_BOM + _BOM + path.read_bytes())
+    with pytest.raises(ParseError, match=r"^line 1: unknown directive '\\ufeff"):
+        load(marked)
+
+
+def test_a_byte_order_mark_after_the_start_is_text(tmp_path):
+    path = tmp_path / "late.quiver"
+    path.write_bytes(b"vertex u\n" + _BOM + b"vertex v\n")
+    with pytest.raises(ParseError) as e:
+        load(path)
+    assert str(e.value) == "line 2: unknown directive '\\ufeffvertex'"
 
 
 # -- Fuzzing -------------------------------------------------------------------
