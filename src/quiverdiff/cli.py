@@ -24,6 +24,7 @@ from .cohomology import (
     hh1_structure,
 )
 from .derivations import (
+    ORACLE_MAX_PATHS,
     canonical_basis,
     check_coefficient_conditions,
     derivation_space_oracle,
@@ -289,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the dimension against the brute-force Leibniz solver",
     )
-    p.add_argument("--max-oracle-paths", type=_path_count, default=60, metavar="N")
+    p.add_argument("--max-oracle-paths", type=_path_count, default=ORACLE_MAX_PATHS, metavar="N")
     p.set_defaults(handler=cmd_hh1)
 
     p = sub.add_parser("derivations", help="canonical basis of the derivation algebra")
@@ -304,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-check the Leibniz rule, coefficient conditions, and bracket identities",
     )
-    p.add_argument("--max-oracle-paths", type=_path_count, default=60, metavar="N")
+    p.add_argument("--max-oracle-paths", type=_path_count, default=ORACLE_MAX_PATHS, metavar="N")
     p.set_defaults(handler=cmd_derivations)
     return parser
 
@@ -312,25 +313,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        qf = quiverfile.load(args.file)
+        return args.handler(quiverfile.load(args.file), args)
+    except _OutputError as e:
+        _fail(f"cannot write output: {e}")
+        return 2
     except OSError as e:
         _fail(f"cannot read {args.file}: {e.strerror or e}")
         return 2
     except UnicodeDecodeError as e:
         _fail(f"cannot read {args.file}: not UTF-8 text (byte {e.start})")
         return 2
-    except (ParseError, InvalidRotationError) as e:
-        _fail(str(e))
-        return 2
-    except MemoryError:
-        _fail("MemoryError: out of memory")
-        return 1
-    try:
-        return args.handler(qf, args)
-    except _OutputError as e:
-        _fail(f"cannot write output: {e}")
-        return 2
-    except ValueError as e:
+    except (ParseError, InvalidRotationError, ValueError) as e:
         _fail(str(e))
         return 2
     except QuiverError as e:

@@ -491,16 +491,11 @@ def _member(q: Quiver, label: DerivationLabel) -> LinearOperator:
     return d_rs(q, label.arrow, label.path)
 
 
-def _edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
-    """Every arrow r with every path s parallel to it, in (arrow, path) order."""
-    return [(r, s) for r in range(q.num_arrows) for s in q.parallel_paths(q.arrow_path(r))]
-
-
 def canonical_basis(q: Quiver) -> DerivationBasis:
     """Inner(s) for s acyclic in path order, then EdgePair(r, s) in
     (arrow, path) order; linearly independent and spanning."""
     labels = [DerivationLabel("inner", None, s) for s in q.acyclic_paths()]
-    labels += [DerivationLabel("edge_pair", r, s) for r, s in _edge_pairs(q)]
+    labels += [DerivationLabel("edge_pair", r, s) for r, s in q.edge_pairs()]
     return DerivationBasis(q, labels, [_member(q, label) for label in labels])
 
 
@@ -513,7 +508,7 @@ def inner_subspace(q: Quiver) -> RationalMatrix:
     quiver the rank is |P| - 1: the kernel of p -> D_p is the center k.
     """
     num_inner = len(q.paths()) - q.num_vertices
-    pairs = _edge_pairs(q)
+    pairs = q.edge_pairs()
     diagonal = {r: num_inner + i for i, (r, s) in enumerate(pairs) if s.arrows == (r,)}
     rows = [{} for _ in range(q.num_vertices)] + [{i: _ONE} for i in range(num_inner)]
     for k, a in enumerate(q.arrows):  # acyclic, so the tail and head rows differ
@@ -523,6 +518,8 @@ def inner_subspace(q: Quiver) -> RationalMatrix:
 
 # ----------------------------------------------------------------------
 # brute-force oracle
+
+ORACLE_MAX_PATHS = 60  # the oracle's default cap on |P|; it has |P|^2 unknowns
 
 
 def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
@@ -565,7 +562,7 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
     return rows
 
 
-def derivation_space_oracle(q: Quiver, max_paths: int = 60) -> list[LinearOperator]:
+def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> list[LinearOperator]:
     """Solve the raw Leibniz system in the n^2 unknown matrix entries.
 
     For every basis pair (x, y) and every potential image path w this
@@ -681,7 +678,7 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
         left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
         return (d_rs_element(q, p, left) - d_rs_element(q, r, right)).matrix
 
-    pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in _edge_pairs(q)]
+    pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in q.edge_pairs()]
     return {
         "inner_inner": all(a * b - b * a == inner_rhs(x, y) for a, x in inner for b, y in inner),
         "edge_edge": all(
@@ -698,8 +695,8 @@ def inner_edge_bracket_sign(q: Quiver) -> int | None:
     bracket is not proportional to the predicted inner derivation.
     Returns None when every instance degenerates to zero.
     """
-    edge_ops = [(r, s, d_rs(q, r, s)) for r, s in _edge_pairs(q)]
-    sign = None
+    edge_ops = [(r, s, d_rs(q, r, s)) for r, s in q.edge_pairs()]
+    signs = set()
     for p in q.acyclic_paths():
         dp = inner_derivation(q, p)
         for r, s, op in edge_ops:
@@ -710,17 +707,14 @@ def inner_edge_bracket_sign(q: Quiver) -> int | None:
                     raise InternalCheckError(
                         "bracket with an edge pair is nonzero on a central image"
                     )
-                continue
-            if br == target:
-                found = 1
+            elif br == target:
+                signs.add(1)
             elif br == -target:
-                found = -1
+                signs.add(-1)
             else:
                 raise InternalCheckError(
                     "bracket is not proportional to the inner derivation of the image"
                 )
-            if sign is None:
-                sign = found
-            elif sign != found:
-                raise InternalCheckError("bracket sign is not globally consistent")
-    return sign
+    if len(signs) > 1:
+        raise InternalCheckError("bracket sign is not globally consistent")
+    return signs.pop() if signs else None

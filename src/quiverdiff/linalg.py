@@ -15,13 +15,14 @@ leading column first (a fixed row order in the spirit of Markowitz,
 Management Sci. 3, 1957); caller order fills in on the row-major vertex
 and face rows of a planar grid.  rank reads the forward pivots; rref,
 kernel and row-space intersection (Zassenhaus) back-substitute once to
-the reduced row echelon form, and LinearSolver needs no back-substitution
-at all.  The reduced row echelon form of a row space is unique, so
-ranks, echelon forms, kernels and intersections do not depend on the
-order the rows are inserted in.  Forward-only rows matter for
-Zassenhaus: keeping every row fully reduced fills in the right half of
-the block [[A A], [B 0]], which for a report on a 112-arrow grid is
-114 x 224.
+the reduced row echelon form.  LinearSolver needs no back-substitution:
+a target carries a 1 in one more column, which no stored row reaches,
+so forward reduction leaves the answer's scale there.  The reduced row
+echelon form of a row space is unique, so ranks, echelon forms, kernels
+and intersections do not depend on the order the rows are inserted in.
+Forward-only rows matter for Zassenhaus: keeping every row fully reduced
+fills in the right half of the block [[A A], [B 0]], which for a report
+on a 112-arrow grid is 114 x 224.
 """
 
 from __future__ import annotations
@@ -242,28 +243,21 @@ class EchelonBasis:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivot_rows))
 
-    def _forward(self, v: dict[int, int]) -> tuple[int | None, int, int]:
-        """Reduce ``v`` in place until its leading column is not a pivot.
-
-        Returns that column (None once v vanishes) and (mul, div) with
-        v after = (mul / div) * v before - (a combination of the rows).
-        A pivot row only has entries at and after its pivot, so each
-        step moves the leading column of v strictly right.
-        """
-        mul = div = 1
+    def _forward(self, v: dict[int, int]) -> int | None:
+        """Reduce ``v`` in place until its leading column, returned (None
+        once v vanishes), is not a pivot.  A pivot row only has entries at
+        and after its pivot, so each step moves that column strictly right."""
         while v:
             p = min(v)
             row = self._pivot_rows.get(p)
             if row is None:
-                return p, mul, div
-            a, c = _eliminate(v, row, p)
-            mul *= a
-            div *= c
-        return None, mul, div
+                return p
+            _eliminate(v, row, p)
+        return None
 
     def _insert(self, row: Row) -> bool:
-        v = _integer_row(row)[0]
-        pivot = self._forward(v)[0]
+        v = _integer_row(row)
+        pivot = self._forward(v)
         if pivot is None:
             return False
         c = gcd(*v.values())
@@ -277,7 +271,7 @@ class EchelonBasis:
         return self._insert(_sparse(vec, self.num_cols))
 
     def contains(self, vec) -> bool:
-        return self._forward(_integer_row(_sparse(vec, self.num_cols))[0])[0] is None
+        return self._forward(_integer_row(_sparse(vec, self.num_cols))) is None
 
     def rows(self) -> RationalMatrix:
         """The unique reduced row echelon form of the span."""
@@ -317,17 +311,17 @@ def _merged(r: Row, s: Row) -> Row:
     return acc
 
 
-def _integer_row(row: Row) -> tuple[dict[int, int], int]:
+def _integer_row(row: Row) -> dict[int, int]:
     """The int row den * row, den the lcm of its denominators."""
     den = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
-def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> tuple[int, int]:
+def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> None:
     """Clear column ``col`` of ``v`` in place with ``row`` (nonzero there).
 
     v becomes (a v - b row) / c, a and b coprime and c the content of
-    the result; returns (a, c).  Entries that cancel are dropped.
+    the result.  Entries that cancel are dropped.
     """
     g = gcd(row[col], v[col])
     a, b = row[col] // g, v[col] // g
@@ -344,7 +338,6 @@ def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> tuple[int, i
     if c != 1:
         for j in v:
             v[j] //= c
-    return a, c
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -394,11 +387,12 @@ class LinearSolver:
         n, k = self.num_cols, self.num_rows
         if target and not 0 <= min(target) <= max(target) < n:
             raise DimensionMismatchError(f"a target with columns outside 0..{n - 1}")
-        # forward reduction leaves s [t | 0] - [y M + z | y reversed]; once
-        # its left half vanishes, y M + z = s t and x = y / s.  A stored
-        # zero is dropped first: it would pass for the leading entry
-        v, den = _integer_row({j: x for j, x in target.items() if x})
-        pivot, mul, div = self._basis._forward(v)
-        if pivot is not None and pivot < n:
+        # [t | 0 | 1] reduces forward to s [t | 0 | 1] - [y M + z | y reversed
+        # | 0], as no stored row reaches the scale column n + k; once its left
+        # half vanishes, y M + z = s t and x = y / s.  A stored zero is
+        # dropped first: it would pass for the leading entry
+        v = _integer_row({**{j: x for j, x in target.items() if x}, n + k: _ONE})
+        if self._basis._forward(v) < n:
             return None
-        return {n + k - 1 - j: Fraction(-y * div, mul * den) for j, y in v.items()}
+        s = v.pop(n + k)
+        return {n + k - 1 - j: Fraction(-c, s) for j, c in v.items()}

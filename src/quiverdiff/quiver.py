@@ -109,7 +109,7 @@ class Quiver:
         self._path_index: dict[Path, int] | None = None
         self._parallel: dict[tuple[int, int], tuple[Path, ...]] = {}
         self._products: tuple[dict[int, int], ...] | None = None
-        self._almost_oriented: tuple[tuple[int, Path], ...] | None = None
+        self._edge_pairs: tuple[tuple[int, Path], ...] | None = None
 
     # identity is structural; the display name is packaging metadata
     def __eq__(self, other):
@@ -301,11 +301,15 @@ class Quiver:
         self.paths()
         return self._parallel.get((path.base, self.path_head(path)), ())
 
-    def almost_oriented_cycles(self) -> tuple[tuple[int, Path], ...]:
-        """All pairs (arrow r, path s) with s parallel to r and s != r; cached."""
-        if self._almost_oriented is None:
-            self._almost_oriented = tuple(
-                (i, s) for i in range(self.num_arrows)
-                for s in self.parallel_paths(self.arrow_path(i)) if s.arrows != (i,)
+    def edge_pairs(self) -> tuple[tuple[int, Path], ...]:
+        """Each arrow r with each path s parallel to it, r too, in (arrow, path) order; cached."""
+        if self._edge_pairs is None:
+            self._edge_pairs = tuple(
+                (r, s) for r in range(self.num_arrows)
+                for s in self.parallel_paths(self.arrow_path(r))
             )
-        return self._almost_oriented
+        return self._edge_pairs
+
+    def almost_oriented_cycles(self) -> tuple[tuple[int, Path], ...]:
+        """The pairs of edge_pairs() with s != r, in the same order."""
+        return tuple((r, s) for r, s in self.edge_pairs() if s.arrows != (r,))

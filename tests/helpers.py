@@ -5,8 +5,8 @@ text, the dense operator constructor, the checked adjoint eigenvalue,
 the stacked connection matrix and the greedy quotient complement), the
 HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the per-pair Leibniz and
-coefficient checks, and the per-path operators and their constructors,
-all as independent references."""
+coefficient checks, the per-path operators and their constructors, and
+the list of edge pairs, all as independent references."""
 
 import operator
 import random
@@ -381,6 +381,11 @@ def is_valid_path(q, path):
             return False
         at = q.arrows[i].head
     return True
+
+
+def reference_edge_pairs(q: Quiver) -> list[tuple[int, Path]]:
+    """Every arrow r with every path s parallel to it, in (arrow, path) order."""
+    return [(r, s) for r in range(q.num_arrows) for s in q.parallel_paths(q.arrow_path(r))]
 
 
 def longest_path_length(q):

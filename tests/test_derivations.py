@@ -19,7 +19,9 @@ Core claims:
       its operators equal their dense rebuild, on every acyclic fixture
       and on seeded quivers of up to 40 paths
     - bracket identities: [D_p, D_r] = D_{[p,r]}, the edge-edge identity,
-      and a single consistent global sign for [D_p, D_{r,s}]; their check
+      and a single consistent global sign for [D_p, D_{r,s}], whose check
+      raises on a nonzero bracket at a central image, on a bracket off
+      the image and on disagreeing signs; the identities' check
       runs on A_6 and T_4, and each verdict turns False when only its
       right-hand side is wrong; on torus_k4 it makes under 20,000
       Fraction truth tests, so no operand is rescanned per product
@@ -60,7 +62,12 @@ from quiverdiff.derivations import (
     verify_inner_expansion,
 )
 from quiverdiff.embedding import RotationSystem, face_derivation, trace_faces
-from quiverdiff.errors import NotACycleError, NotParallelError, TooLargeError
+from quiverdiff.errors import (
+    InternalCheckError,
+    NotACycleError,
+    NotParallelError,
+    TooLargeError,
+)
 from quiverdiff.linalg import EchelonBasis, RationalMatrix
 from quiverdiff.quiver import Path, Quiver
 
@@ -754,6 +761,36 @@ def test_inner_edge_bracket_sign_is_globally_consistent():
         for name in ("a2", "a3", "k2", "k3", "triangle_tails")
     }
     assert signs == {-1}
+
+
+def test_inner_edge_bracket_sign_rejects_a_nonzero_bracket_on_a_central_image(monkeypatch):
+    # every image D_{r,s}(p) read as zero: [D_p1, D_{p1,p1}] = -D_p1 is not
+    monkeypatch.setattr(derivations, "d_rs_apply", lambda q, r, s, p: AlgebraElement.zero(q))
+    with pytest.raises(InternalCheckError, match="nonzero on a central image"):
+        inner_edge_bracket_sign(fixture_quiver("a3"))
+
+
+def test_inner_edge_bracket_sign_rejects_a_bracket_off_the_image(monkeypatch):
+    true_d_rs_apply = derivations.d_rs_apply
+    monkeypatch.setattr(
+        derivations, "d_rs_apply", lambda q, r, s, p: 2 * true_d_rs_apply(q, r, s, p)
+    )
+    with pytest.raises(InternalCheckError, match="not proportional"):
+        inner_edge_bracket_sign(fixture_quiver("a3"))
+
+
+def test_inner_edge_bracket_sign_rejects_signs_that_disagree(monkeypatch):
+    # the images of the first arrow's edge pairs negated: on k2 the
+    # instances (p1, p1, p1) and (p2, p2, p2) then give opposite signs
+    true_d_rs_apply = derivations.d_rs_apply
+
+    def flipped(q, r, s, p):
+        image = true_d_rs_apply(q, r, s, p)
+        return -image if r == 0 else image
+
+    monkeypatch.setattr(derivations, "d_rs_apply", flipped)
+    with pytest.raises(InternalCheckError, match="not globally consistent"):
+        inner_edge_bracket_sign(fixture_quiver("k2"))
 
 
 def test_brackets_of_derivations_are_derivations():

@@ -12,6 +12,10 @@ Core claims:
     - Path is an immutable value: equality, hash, repr and order are
       those of (base, arrows); the empty quiver is not connected
     - almost oriented cycle counts match the hand-checked fixtures
+    - edge_pairs() is every arrow with every path parallel to it, in
+      (arrow, path) order, built once, and the almost oriented cycles
+      are its pairs off the diagonal, in the same order, on the
+      fixtures, T_1..T_6, K_1..K_5 and seeded quivers
 """
 
 import copy
@@ -20,6 +24,7 @@ from collections import Counter
 
 import pytest
 
+from quiverdiff.errors import CyclicQuiverError
 from quiverdiff.quiver import Path, Quiver
 
 from helpers import (
@@ -28,9 +33,12 @@ from helpers import (
     chain,
     fixture_quiver,
     is_valid_path,
+    kronecker,
     longest_path_length,
     random_acyclic_quiver,
+    reference_edge_pairs,
     seeded,
+    tournament,
 )
 
 
@@ -303,6 +311,36 @@ def test_triangle_tails_almost_oriented_cycle_is_the_known_pair():
     ((r, s),) = q.almost_oriented_cycles()
     assert q.arrows[r].name == "p2"
     assert q.path_display(s) == "p1p3"
+
+
+def _edge_pair_inputs():
+    inputs = [(f.stem, fixture_quiver(f.stem)) for f in sorted(FIXTURE_DIR.glob("*.quiver"))]
+    inputs += [(f"t{n}", tournament(n)[0]) for n in range(1, 7)]
+    inputs += [(f"k{m}", kronecker(m)[0]) for m in range(1, 6)]
+    rng = seeded(2311)
+    for i in range(20):
+        inputs.append((f"seed{i}", random_acyclic_quiver(rng, max_vertices=7, max_extra=6)))
+    return inputs
+
+
+EDGE_PAIR_INPUTS = _edge_pair_inputs()
+
+
+@pytest.mark.parametrize(
+    "q", [q for _, q in EDGE_PAIR_INPUTS], ids=[name for name, _ in EDGE_PAIR_INPUTS]
+)
+def test_edge_pairs_are_every_arrow_with_every_parallel_path(q):
+    if not q.is_acyclic():
+        for listing in (q.edge_pairs, q.almost_oriented_cycles, lambda: reference_edge_pairs(q)):
+            with pytest.raises(CyclicQuiverError):
+                listing()
+        return
+    pairs = q.edge_pairs()
+    assert pairs == tuple(reference_edge_pairs(q))
+    assert q.edge_pairs() is pairs
+    off_diagonal = tuple((r, s) for r, s in pairs if s != q.arrow_path(r))
+    assert q.almost_oriented_cycles() == off_diagonal
+    assert len(pairs) - len(off_diagonal) == q.num_arrows
 
 
 def test_longest_path_length():
