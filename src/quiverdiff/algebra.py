@@ -28,7 +28,7 @@ class AlgebraElement:
         acc: dict[Path, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for path, coeff in items:
-            c = acc.get(path, _ZERO) + Fraction(coeff)
+            c = acc.get(path, _ZERO) + (coeff if type(coeff) is Fraction else Fraction(coeff))
             if c:
                 acc[path] = c
             else:

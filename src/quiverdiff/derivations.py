@@ -13,18 +13,19 @@ individual paths.
 An operator stores only its nonzero images, each a sparse row {path
 index: Fraction}, the Row of the linear algebra; every constructor
 writes them through one builder that sums and prunes the terms of each
-basis path's image.  D_a on a single path is _inner_terms, and D_{r,s}
-on a single path is _splices, the list of its splices; d_rs_apply is
-the checked public form of the latter.  The canonical coordinates of
-an operator are read off as single coefficients, the coefficient of w
-in the image of the idempotent at the head of w for Inner(w) and the
-coefficient of s in the image of the arrow r for EdgePair(r, s), and
-accepted only if they rebuild the operator: the sum of each coordinate
-times its member, built by inner_derivation or d_rs as in
-canonical_basis, must be the operator itself.  The inner subspace is
-written from its closed form and builds no operator.  |P| x |P|
-matrices, which store only their nonzero entries, appear only at the
-edges: the CLI's matrix output, the matrix brackets of
+image on the basis paths it is given, its support.  D_a on one path is
+_inner_terms, visited on the paths that start at h(w) or end at t(w)
+for a term w of a; D_{r,s} on one path is _splices, visited on the
+paths through r; d_rs_apply is the checked public form of the latter.
+The canonical coordinates of an operator are read off as single
+coefficients, the coefficient of w in the image of the idempotent at
+the head of w for Inner(w) and the coefficient of s in the image of
+the arrow r for EdgePair(r, s), and accepted only if they rebuild the
+operator: the sum of each coordinate times its member, built by
+inner_derivation or d_rs as in canonical_basis, is the operator.  The
+inner subspace is written from its closed form and builds no operator.
+|P| x |P| matrices, which store only their nonzero entries, appear
+only at the edges: the CLI's matrix output, the matrix brackets of
 verify_bracket_identities, and the flattened rows compared with a
 brute-force oracle.  The Leibniz and coefficient checks read the rows
 and every product of basis paths off one table, q.products().  The
@@ -78,15 +79,16 @@ class LinearOperator:
         return op
 
     @classmethod
-    def _summed(cls, quiver: Quiver, terms) -> "LinearOperator":
-        """The operator p -> the sum of the (path, Fraction) pairs terms(p)."""
-        index = quiver.path_index
+    def _summed(cls, quiver: Quiver, terms, support=None) -> "LinearOperator":
+        """The operator p -> the sum of the (path, Fraction) pairs terms(p) for the basis
+        paths p numbered in ``support`` (increasing; all when None), zero on the rest."""
+        paths, index = quiver.paths(), quiver.path_index
         images = {}
-        for j, p in enumerate(quiver.paths()):
+        for j in range(len(paths)) if support is None else support:
             acc: Row = {}
-            for w, c in terms(p):
+            for w, c in terms(paths[j]):
                 k = index(w)
-                acc[k] = acc.get(k, _ZERO) + c
+                acc[k] = acc[k] + c if k in acc else c
             row = {k: c for k, c in acc.items() if c}
             if row:
                 images[j] = row
@@ -200,11 +202,13 @@ def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Fraction]]:
 
 
 def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
-    """The inner derivation b -> ab - ba."""
+    """The inner derivation b -> ab - ba, built on the paths p starting at h(w)
+    or ending at t(w) for a term w of a: the others have wp = pw = 0."""
     if isinstance(a, AlgebraElement) and a.quiver is not q and a.quiver != q:
         raise QuiverMismatchError("element lives over a different quiver")
     terms = [(a, _ONE)] if isinstance(a, Path) else a._terms.items()
-    return LinearOperator._summed(q, lambda p: _inner_terms(q, terms, p))
+    moved = {j for w, _ in terms for j in q.paths_at(q.path_head(w))[0] + q.paths_at(w.base)[1]}
+    return LinearOperator._summed(q, lambda p: _inner_terms(q, terms, p), sorted(moved))
 
 
 def _splices(r: int, s: Path, p: Path) -> list[Path]:
@@ -224,6 +228,17 @@ def _parallel_arrow(q: Quiver, r: int | str, s: Path) -> int:
     return r
 
 
+def _spliced(q: Quiver, r: int, terms) -> LinearOperator:
+    """The sum of c D_{r,s} over the (s, c) of terms, s parallel to r, on the paths through r."""
+    paths, arrow = q.paths(), q.arrow_path(r)
+    before = [q.concat(paths[i], arrow) for i in q.paths_at(arrow.base)[1]] if terms else []
+    after = q.paths_at(q.path_head(arrow))[0]
+    through = sorted({q.path_index(q.concat(u, paths[j])) for u in before for j in after})
+    return LinearOperator._summed(
+        q, lambda p: [(u, c) for s, c in terms for u in _splices(r, s, p)], through
+    )
+
+
 def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
     """Apply D_{r,s} to a single path: replace one occurrence of r by s.
 
@@ -236,23 +251,20 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
     """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
-    r = _parallel_arrow(q, r, s)
-    return LinearOperator._summed(q, lambda p: [(u, _ONE) for u in _splices(r, s, p)])
+    return _spliced(q, _parallel_arrow(q, r, s), [(s, _ONE)])
 
 
 def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperator:
     """Bilinear extension of d_rs in its second slot.
 
-    Each basis path maps to the sum of its splices by the terms of
-    ``elem``; terms that are not parallel to r contribute nothing.
+    Each basis path through r maps to the sum of its splices by the terms
+    of ``elem``; terms that are not parallel to r contribute nothing.
     """
     if isinstance(r, str):
         r = q.arrow_index(r)
     ends = (q.arrows[r].tail, q.arrows[r].head)
     terms = [(s, c) for s, c in elem._terms.items() if (q.path_tail(s), q.path_head(s)) == ends]
-    return LinearOperator._summed(
-        q, lambda p: [(u, c) for s, c in terms for u in _splices(r, s, p)]
-    )
+    return _spliced(q, r, terms)
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +294,15 @@ def is_derivation(op: LinearOperator) -> bool:
     For every pair (p_i, p_j), D(p_i p_j) and D(p_i) p_j + p_i D(p_j)
     are compared as {path index: coefficient} rows, every product of
     two basis paths read off q.products(); no element is multiplied.
+    Pairs with D(p_i), D(p_j) and D(p_i p_j) all zero hold and are skipped.
     """
-    products = op.quiver.products()
-    images = [op.images.get(j, {}) for j in range(len(products))]
-    for i, image in enumerate(images):
-        for j, other in enumerate(images):
-            rhs = _product_sum(products, image, j, i, other)
-            if op.images.get(products[i].get(j), {}) != {w: c for w, c in rhs.items() if c}:
+    products, images = op.quiver.products(), op.images
+    for i, row in enumerate(products):
+        image = images.get(i, {})
+        moved = () if image else images.keys() | {j for j, z in row.items() if z in images}
+        for j in range(len(products)) if image else moved:
+            rhs = _product_sum(products, image, j, i, images.get(j, {}))
+            if images.get(row.get(j), {}) != {w: c for w, c in rhs.items() if c}:
                 return False
     return True
 
@@ -548,10 +562,10 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
                 d[key] = d.get(key, 0) + 1
             jz = product[jx].get(jy)
             if jz is not None:
-                for wi in range(n):
-                    d = per_w.setdefault(wi, {})
-                    key = wi * n + jz
-                    d[key] = d.get(key, 0) - 1
+                # d[w, z] = 0 alone, already primitive, for each w no other term touches
+                rows.update(((wi * n + jz, 1),) for wi in range(n) if wi not in per_w)
+                for wi, d in per_w.items():
+                    d[wi * n + jz] = d.get(wi * n + jz, 0) - 1
             for d in per_w.values():
                 entries = sorted((u, c) for u, c in d.items() if c)
                 if entries:

@@ -106,6 +106,8 @@ class Quiver:
         self._out = tuple(tuple(x) for x in out)
         self._in = tuple(tuple(x) for x in into)
         self._paths: tuple[Path, ...] | None = None
+        self._by_tail: tuple[list[int], ...] = tuple([] for _ in self.vertex_names)
+        self._by_head: tuple[list[int], ...] = tuple([] for _ in self.vertex_names)
         self._path_index: dict[Path, int] | None = None
         self._parallel: dict[tuple[int, int], tuple[Path, ...]] = {}
         self._products: tuple[dict[int, int], ...] | None = None
@@ -263,10 +265,17 @@ class Quiver:
             self._paths = tuple(collected)
             self._path_index = {p: i for i, p in enumerate(self._paths)}
             groups: dict[tuple[int, int], list[Path]] = {}
-            for p in self._paths:
+            for j, p in enumerate(self._paths):
                 groups.setdefault((p.base, self.path_head(p)), []).append(p)
+                self._by_tail[p.base].append(j)
+                self._by_head[self.path_head(p)].append(j)
             self._parallel = {ends: tuple(ps) for ends, ps in groups.items()}
         return self._paths
+
+    def paths_at(self, vertex: int) -> tuple[list[int], list[int]]:
+        """The indices of the paths with tail, and with head, ``vertex``, increasing; shared."""
+        self.paths()
+        return self._by_tail[vertex], self._by_head[vertex]
 
     def path_index(self, path: Path) -> int:
         self.paths()
@@ -282,12 +291,9 @@ class Quiver:
         of p_i is the tail of p_j, in increasing j.  Shared; do not mutate."""
         if self._products is None:
             paths = self.paths()
-            starting: list[list[int]] = [[] for _ in self.vertex_names]
-            for j, p in enumerate(paths):
-                starting[p.base].append(j)
             index = self._path_index
             self._products = tuple(
-                {j: index[self.concat(p, paths[j])] for j in starting[self.path_head(p)]}
+                {j: index[self.concat(p, paths[j])] for j in self._by_tail[self.path_head(p)]}
                 for p in paths
             )
         return self._products

@@ -9,6 +9,8 @@ Core claims:
       seeded elements, exact cancellation included, equal the element the
       public constructor builds from a dict-of-Fraction model, and store
       only nonzero Fraction coefficients
+    - int, Fraction and mixed coefficient terms build equal elements that
+      store only Fractions
 """
 
 from fractions import Fraction
@@ -231,6 +233,31 @@ def test_zero_coefficient_terms_not_stored():
     q = fixture_quiver("a2")
     a = AlgebraElement(q, [(q.arrow_path("p1"), Fraction(0))])
     assert a.is_zero
+
+
+def test_int_fraction_and_mixed_terms_give_equal_elements():
+    # a Fraction coefficient is kept as it is and any other is converted;
+    # either way the element stores the same nonzero Fractions
+    q = fixture_quiver("a3")
+    p1, p2, v1 = q.arrow_path("p1"), q.arrow_path("p2"), q.trivial_path("v1")
+    ints = AlgebraElement(q, [(p1, 2), (p2, -3), (p1, 1), (v1, 4), (v1, -4)])
+    fractions = AlgebraElement(
+        q, [(p1, Fraction(2)), (p2, Fraction(-3)), (p1, Fraction(1)), (v1, Fraction(4)),
+            (v1, Fraction(-4))]
+    )
+    mixed = AlgebraElement(q, [(p1, Fraction(5, 2)), (p2, -3), (p1, Fraction(1, 2)), (v1, 4),
+                               (v1, Fraction(-4))])
+    as_dict = AlgebraElement(q, {p1: 3, p2: Fraction(-3)})
+    assert ints == fractions == mixed == as_dict
+    for elem in (ints, fractions, mixed, as_dict):
+        assert elem._terms == {p1: Fraction(3), p2: Fraction(-3)}
+        assert all(type(c) is Fraction for c in elem._terms.values())
+    half = Fraction(1, 2)
+    assert AlgebraElement(q, [(p1, half), (p1, half)]) == AlgebraElement(q, [(p1, 1)])
+    # a float is converted exactly before it meets a Fraction
+    quarters = AlgebraElement(q, [(p1, 0.25), (p1, Fraction(1, 4))])._terms
+    assert quarters == {p1: half} and type(quarters[p1]) is Fraction
+    assert AlgebraElement(q, [(p1, half), (p1, -half)]).is_zero
 
 
 def test_quiver_mismatch_rejected():

@@ -37,6 +37,14 @@ Core claims:
       on the fixtures, T_5 and K_4
     - inner_subspace builds no operator and no algebra element on the
       acyclic fixtures
+    - canonical_basis on T_6, inner_derivation of seeded elements and
+      d_rs_element call _inner_terms and _splices once per path of their
+      support (per parallel term for _splices), in increasing order, and
+      on no other path; d_rs_element with no term parallel to r visits
+      no path
+    - is_derivation rejects an operator whose one Leibniz failure is a
+      pair of paths with zero images, and agrees with the per-pair
+      reference on every single-entry operator of a3, k2 and T_3
 """
 
 import math
@@ -970,6 +978,115 @@ def test_canonical_basis_builds_no_algebra_element(monkeypatch, product_quivers)
     for q in product_quivers + [tournament(6)[0], kronecker(4)[0]]:
         canonical_basis(q)
     assert not calls
+
+
+def _moved_by_inner(q, elem):
+    """The paths p with wp or pw nonzero for a term w of elem, by a full scan."""
+    return [
+        p for p in q.paths()
+        if any(q.concat(w, p) is not None or q.concat(p, w) is not None for w in elem.support())
+    ]
+
+
+def _through_arrow(q, r):
+    return [p for p in q.paths() if r in p.arrows]
+
+
+def _recorded_term_calls(monkeypatch):
+    """Patch _inner_terms and _splices to record the path of each call."""
+    calls = {"_inner_terms": [], "_splices": []}
+    for name, record in calls.items():
+        term_function = getattr(derivations, name)
+
+        def recorded(*args, _term_function=term_function, _record=record):
+            _record.append(args[-1])
+            return _term_function(*args)
+
+        monkeypatch.setattr(derivations, name, recorded)
+    return calls
+
+
+def test_canonical_basis_calls_the_term_functions_only_on_moved_paths(monkeypatch):
+    calls = _recorded_term_calls(monkeypatch)
+    q = tournament(6)[0]
+    basis = canonical_basis(q)
+    inner = [label.path for label in basis.labels if label.kind == "inner"]
+    arrows = [label.arrow for label in basis.labels if label.kind == "edge_pair"]
+    # each member visits its support once, in increasing path order
+    assert calls["_inner_terms"] == [
+        p for s in inner for p in _moved_by_inner(q, _elem(q, s))
+    ]
+    assert calls["_splices"] == [p for r in arrows for p in _through_arrow(q, r)]
+    visits = len(calls["_inner_terms"]) + len(calls["_splices"])
+    assert visits < len(basis) * len(q.paths()) // 4
+
+
+def test_inner_derivation_and_d_rs_element_call_the_term_functions_on_their_support(
+    monkeypatch,
+):
+    calls = _recorded_term_calls(monkeypatch)
+    rng = seeded(4124)
+    qs = [tournament(5)[0], kronecker(3)[0], fixture_quiver("triangle_tails")]
+    qs += [random_acyclic_quiver(rng, max_vertices=7, max_extra=6) for _ in range(10)]
+    for q in qs:
+        elem = random_element(rng, q, size=4)
+        calls["_inner_terms"].clear()
+        inner_derivation(q, elem)
+        assert calls["_inner_terms"] == _moved_by_inner(q, elem), q
+        for r in range(q.num_arrows):
+            # two parallel terms: each path through r is visited once per term
+            bumped = elem + _elem(q, q.arrow_path(r)) + 2 * _elem(q, q.arrow_path(r))
+            parallel = [s for s in bumped.support() if s in q.parallel_paths(q.arrow_path(r))]
+            calls["_splices"].clear()
+            d_rs_element(q, r, bumped)
+            expected = [p for p in _through_arrow(q, r) for _ in parallel]
+            assert calls["_splices"] == expected, q
+
+
+def test_d_rs_element_with_no_parallel_term_visits_no_path(monkeypatch):
+    supports = []
+    summed = LinearOperator._summed.__func__
+
+    def recorded(cls, quiver, terms, support=None):
+        supports.append(support)
+        return summed(cls, quiver, terms, support)
+
+    monkeypatch.setattr(LinearOperator, "_summed", classmethod(recorded))
+    for q in (tournament(4)[0], kronecker(3)[0], fixture_quiver("triangle_tails")):
+        for r, arrow in enumerate(q.arrows):
+            # a trivial path is parallel to no arrow of an acyclic quiver
+            assert d_rs_element(q, r, _elem(q, q.trivial_path(arrow.tail))).is_zero
+    assert len(supports) == 6 + 3 + 5 and all(s == [] for s in supports)
+
+
+def test_is_derivation_rejects_a_failure_on_a_pair_of_zero_images():
+    # D(p1 p2) = p1 p2 and every other image zero: the one pair where the
+    # Leibniz rule fails is (p1, p2), and D(p1) = D(p2) = 0
+    q = fixture_quiver("a3")
+    p12 = q.concat(q.arrow_path("p1"), q.arrow_path("p2"))
+    j = q.path_index(p12)
+    op = LinearOperator._of(q, {j: {j: Fraction(1)}})
+    failing = [
+        (x, y) for x in q.paths() for y in q.paths()
+        if op.apply(_elem(q, x) * _elem(q, y))
+        != op.apply(x) * _elem(q, y) + _elem(q, x) * op.apply(y)
+    ]
+    assert failing == [(q.arrow_path("p1"), q.arrow_path("p2"))]
+    assert not is_derivation(op)
+    assert not reference_is_derivation(op)
+
+
+def test_is_derivation_agrees_with_the_reference_on_every_single_entry_operator():
+    verdicts = set()
+    for q in (fixture_quiver("a3"), fixture_quiver("k2"), tournament(3)[0]):
+        n = len(q.paths())
+        for j in range(n):
+            for w in range(n):
+                op = LinearOperator._of(q, {j: {w: Fraction(-2)}})
+                verdict = is_derivation(op)
+                assert verdict == reference_is_derivation(op), (q, j, w)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # the DIFFERENTIAL inputs hold T_2..T_5 and K_2..K_8 already

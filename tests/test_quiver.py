@@ -16,6 +16,8 @@ Core claims:
       (arrow, path) order, built once, and the almost oriented cycles
       are its pairs off the diagonal, in the same order, on the
       fixtures, T_1..T_6, K_1..K_5 and seeded quivers
+    - paths_at(v) lists the indices of the paths with tail v and with
+      head v, increasing, on the same quivers
 """
 
 import copy
@@ -341,6 +343,21 @@ def test_edge_pairs_are_every_arrow_with_every_parallel_path(q):
     off_diagonal = tuple((r, s) for r, s in pairs if s != q.arrow_path(r))
     assert q.almost_oriented_cycles() == off_diagonal
     assert len(pairs) - len(off_diagonal) == q.num_arrows
+
+
+@pytest.mark.parametrize(
+    "q", [q for _, q in EDGE_PAIR_INPUTS], ids=[name for name, _ in EDGE_PAIR_INPUTS]
+)
+def test_paths_at_lists_the_paths_by_tail_and_by_head(q):
+    if not q.is_acyclic():
+        with pytest.raises(CyclicQuiverError):
+            q.paths_at(0)
+        return
+    paths = q.paths()
+    for v in range(q.num_vertices):
+        by_tail, by_head = q.paths_at(v)
+        assert by_tail == [j for j, p in enumerate(paths) if p.base == v]
+        assert by_head == [j for j, p in enumerate(paths) if q.path_head(p) == v]
 
 
 def test_longest_path_length():
