@@ -424,12 +424,13 @@ def hh1_structure(
     enforced = hb.genus == 0
     n = len(hb)
     table: dict[tuple[int, int], Row] = {}
+    zero: Row = {}  # one shared empty row for every zero bracket, not a dict each
     for i in range(n):
         for j in range(i + 1, n):
             coords = hb.class_coordinates(_bracket_pairs(q, hb.edge_pairs[i], hb.edge_pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
-            table[i, j] = coords
+            table[i, j] = coords or zero
 
     al = [i for i, lab in enumerate(hb.labels) if lab.kind == "al"]
     face = [i for i, lab in enumerate(hb.labels) if lab.kind == "face"]

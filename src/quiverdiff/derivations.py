@@ -35,7 +35,10 @@ independent reference for it.  The oracle solves the raw Leibniz
 system in the n^2 matrix entries, knowing nothing about the structure
 theory, so its solution space is independent ground truth for the
 canonical basis.  It keeps each equation once, as a primitive integer
-row, and writes each solution's nonzero entries straight into rows.
+row: single-unknown equations go straight to a set of zero unknowns,
+and where p_x p_y = 0 only the two-unknown rows are written, read off
+the factorizations of each path with no dict.  It writes each
+solution's nonzero entries straight into rows.
 """
 
 from __future__ import annotations
@@ -539,40 +542,53 @@ ORACLE_MAX_PATHS = 60  # the oracle's default cap on |P|; it has |P|^2 unknowns
 def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
     """The oracle's equations, as sparse primitive integer rows: sorted
     (unknown, coefficient) pairs over their gcd, the first one positive,
-    so that equations that are multiples of one another are one row."""
+    so that equations that are multiples of one another are one row.
+
+    Unknown u n + j is d[u, j].  The equation of (x, y, w) sums d[u, x]
+    over u p_y = w (by_head[y]) and d[v, y] over p_x v = w (by_tail[x]),
+    less d[w, xy] when p_x p_y is not zero.  A single-unknown equation
+    only adds its unknown to a set of zeros, written as rows at the end.
+    When p_x p_y = 0 the equations are read off the factorizations of w,
+    and only those with two unknowns, each with coefficient 1, are
+    written: d[u, x] = 0 alone is also the equation of (x, e_h(x), u),
+    and d[v, y] = 0 alone that of (e_t(y), y, v).  Their two unknowns
+    differ, as p_x u = u p_x would be a cycle.
+    """
     product = q.products()
     n = len(product)
-    # the nonzero products: left[j] holds (u, index of u p_j), product[j]
-    # maps u to the index of p_j u
-    left: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ja, row in enumerate(product):
-        for jb, jab in row.items():
-            left[jb].append((ja, jab))
+    by_tail = [{w: u for u, w in row.items()} for row in product]
+    by_head: list[dict[int, int]] = [{} for _ in range(n)]
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, row in enumerate(product):
+        for y, w in row.items():
+            by_head[y][w] = u
+            factors[w].append((u, y))
+    zeros: set[int] = set()
     rows: set[tuple[tuple[int, int], ...]] = set()
-    for jx in range(n):
-        for jy in range(n):
-            per_w: dict[int, dict[int, int]] = {}
-            for ju, w in left[jy]:
+    for jx, row in enumerate(product):
+        for jy, jz in row.items():
+            per_w = {w: {u * n + jx: 1} for w, u in by_head[jy].items()}
+            for w, v in by_tail[jx].items():
                 d = per_w.setdefault(w, {})
-                key = ju * n + jx
-                d[key] = d.get(key, 0) + 1
-            for ju, w in product[jx].items():
-                d = per_w.setdefault(w, {})
-                key = ju * n + jy
-                d[key] = d.get(key, 0) + 1
-            jz = product[jx].get(jy)
-            if jz is not None:
-                # d[w, z] = 0 alone, already primitive, for each w no other term touches
-                rows.update(((wi * n + jz, 1),) for wi in range(n) if wi not in per_w)
-                for wi, d in per_w.items():
-                    d[wi * n + jz] = d.get(wi * n + jz, 0) - 1
-            for d in per_w.values():
+                d[v * n + jy] = d.get(v * n + jy, 0) + 1
+            zeros.update(w * n + jz for w in range(n) if w not in per_w)
+            for w, d in per_w.items():
+                d[w * n + jz] = d.get(w * n + jz, 0) - 1
                 entries = sorted((u, c) for u, c in d.items() if c)
-                if entries:
+                if len(entries) == 1:
+                    zeros.add(entries[0][0])
+                elif entries:
                     g = gcd(*(c for _, c in entries))
                     if entries[0][1] < 0:
                         g = -g
                     rows.add(tuple((u, c // g) for u, c in entries))
+    for pairs in factors:  # w = p_x v = u p_y with p_x p_y = 0
+        for x, v in pairs:
+            for u, y in pairs:
+                if y not in product[x]:
+                    k, m = u * n + x, v * n + y
+                    rows.add(((k, 1), (m, 1)) if k < m else ((m, 1), (k, 1)))
+    rows.update(((u, 1),) for u in zeros)
     return rows
 
 
@@ -583,23 +599,25 @@ def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> lis
     imposes one linear equation relating the unknowns d[w, xy], d[u, x]
     (where u y = w) and d[u, y] (where x u = w), read off a table of
     the products of basis paths built once by concatenation.  The
-    system is pre-simplified by unit propagation (an equation with one
-    surviving unknown forces it to zero) and the residue is solved by
-    exact elimination.  Nothing here knows about the structure theory.
+    system is pre-simplified by unit propagation, seeded by the
+    single-unknown rows (an equation with one surviving unknown forces
+    it to zero); only the longer rows become dicts, and their residue
+    is solved by exact elimination.  Nothing here knows about the
+    structure theory.
     """
     # count the paths before enumerating them: T_40 has 2^40 - 1
     n = sum(map(sum, q.path_counts()))
     if n > max_paths:
         raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
 
-    # unit propagation: single-unknown equations force zeros
-    active = [dict(r) for r in sorted(_leibniz_rows(q))]
+    rows = _leibniz_rows(q)
+    queue = [row[0][0] for row in rows if len(row) == 1]
+    active = [dict(row) for row in sorted(row for row in rows if len(row) > 1)]
     by_var: dict[int, list[int]] = {}
     for i, row in enumerate(active):
         for u in row:
             by_var.setdefault(u, []).append(i)
     zeroed: set[int] = set()
-    queue = [next(iter(row)) for row in active if len(row) == 1]
     while queue:
         u = queue.pop()
         if u in zeroed:

@@ -150,6 +150,9 @@ class RationalMatrix:
         right = other._entries
         rows = []
         for r in self._entries:
+            if not r:  # an empty row of A: an empty row, no accumulator
+                rows.append(r)
+                continue
             acc: Row = {}
             for k, a in r.items():
                 for j, x in right[k].items():

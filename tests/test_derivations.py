@@ -17,7 +17,9 @@ Core claims:
     - the oracle's equations are the Fraction rows it used to build, as
       primitive integer rows, its solution space is their kernel, and
       its operators equal their dense rebuild, on every acyclic fixture
-      and on seeded quivers of up to 40 paths
+      and on seeded quivers of up to 40 paths; on A_10, T_5 and K_58,
+      near the oracle's path cap, the rows are the Fraction rows and the
+      oracle's dimension is that of the canonical basis
     - bracket identities: [D_p, D_r] = D_{[p,r]}, the edge-edge identity,
       and a single consistent global sign for [D_p, D_{r,s}], whose check
       raises on a nonzero bracket at a central image, on a bracket off
@@ -610,6 +612,20 @@ def test_oracle_operators_equal_their_dense_rebuild(oracle_quivers):
             assert op == operator_from_matrix(q, op.matrix)
             for image in op.images.values():
                 assert image and all(type(c) is Fraction and c for c in image.values())
+
+
+@pytest.mark.parametrize(
+    "q", [chain(10), tournament(5)[0], kronecker(58)[0]], ids=["A10", "T5", "K58"]
+)
+def test_oracle_near_its_cap_keeps_the_fraction_rows_and_the_basis_dimension(q):
+    # 55, 31 and 60 paths: the chain's products are dense, the tournament
+    # has many factorizations per path, and K_58 is at the cap
+    assert len(q.paths()) <= derivations.ORACLE_MAX_PATHS
+    rows = derivations._leibniz_rows(q)
+    scaled = {tuple((u, Fraction(c, row[0][1])) for u, c in row) for row in rows}
+    assert len(scaled) == len(rows)
+    assert scaled == fraction_leibniz_rows(q)
+    assert len(derivation_space_oracle(q)) == len(canonical_basis(q))
 
 
 # -- Inner subspace ----------------------------------------------------------

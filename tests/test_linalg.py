@@ -29,7 +29,9 @@ Core claims:
       Fraction entries; each result equals, and hashes like, the matrix
       built from its dense rows, zeros written out or not; a matrix reused
       as an operand of many of them, and the results and negations built
-      from it, give the same answers as fresh copies
+      from it, give the same answers as fresh copies; a product equals the
+      dense sum of entry products on matrices with empty rows, where a
+      nonzero row of A with a zero product gives an empty row
     - kernel() answers with a RationalMatrix, and LinearSolver.solve
       takes and answers with sparse rows: exact Fractions, no stored zero,
       every index in range, on the seeded matrices of the SymPy checks;
@@ -580,6 +582,33 @@ def test_products_with_empty_operands():
     assert RationalMatrix([], 3) * a == RationalMatrix([], 2)
     empty_inner = RationalMatrix([[], []], 0) * RationalMatrix([], 3)
     assert empty_inner == RationalMatrix.zeros(2, 3)
+
+
+def _dense_product(a, b):
+    return RationalMatrix(
+        [
+            [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.num_cols)), Fraction(0))
+             for j in range(b.num_cols)]
+            for i in range(a.num_rows)
+        ],
+        b.num_cols,
+    )
+
+
+def test_products_with_empty_rows_match_a_dense_product():
+    # rows 0 and 2 of a are empty; rows 1 and 3 are not, but their products are zero
+    a = RationalMatrix([[0, 0, 0], [1, -1, 0], [0, 0, 0], [0, 0, 2], [2, 0, 1]], 3)
+    b = RationalMatrix([[1, 2], [1, 2], [0, 0]], 2)
+    product = a * b
+    _assert_same_matrix(product, _dense_product(a, b))
+    assert product.rows == ((0, 0), (0, 0), (0, 0), (0, 0), (2, 4))
+    assert all(product._entries[i] == {} for i in range(4))
+    rng = seeded(3117)
+    for trial in range(60):
+        m, k, n = (rng.randint(1, 6) for _ in range(3))
+        a = _sparse_random(rng, m, k, (0.1, 0.3, 0.6)[trial % 3])
+        b = _sparse_random(rng, k, n, (0.1, 0.3, 0.6)[trial % 3])
+        _assert_same_matrix(a * b, _dense_product(a, b))
 
 
 def test_arithmetic_rejects_mismatched_shapes():
