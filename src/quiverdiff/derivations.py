@@ -39,6 +39,17 @@ row: single-unknown equations go straight to a set of zero unknowns,
 and where p_x p_y = 0 only the two-unknown rows are written, read off
 the factorizations of each path with no dict.  It writes each
 solution's nonzero entries straight into rows.
+
+The checks skip work only where their own operands show that it gives
+zero.  A matrix moves the columns where it has entries and hits the
+paths of its nonempty rows, so AB can be nonzero only where the paths
+B hits meet the columns A moves; both sets are read off the operands
+alone.  verify_bracket_identities decides every ordered pair, but
+forms a product only where the supports meet, and where both products
+are zero it requires the right-hand side to be zero.
+inner_edge_bracket_sign brackets only where the supports meet, and the
+coefficient checks skip a path or a split only where every image they
+read is empty.
 """
 
 from __future__ import annotations
@@ -338,30 +349,30 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     idx = q.path_index
     products = q.products()
     images = [op.images.get(j, {}) for j in range(len(paths))]
+    at_vertex = [images[idx(q.trivial_path(v))] for v in range(q.num_vertices)]
     violations = []
     disp = q.path_display
 
     # images of vertex idempotents live on acyclic paths touching the vertex
-    for v in (p for p in paths if p.is_trivial):
-        image = images[idx(v)]
+    for v, image in enumerate(at_vertex):
         for wi in sorted(image):
             w = paths[wi]
-            touches = q.path_tail(w) == v.base or q.path_head(w) == v.base
+            touches = q.path_tail(w) == v or q.path_head(w) == v
             if w.is_trivial or q.path_head(w) == q.path_tail(w) or not touches:
                 violations.append(
                     ConditionViolation(
                         RULE_VERTEX_SUPPORT,
-                        f"D({disp(v)}) has coefficient {image[wi]} on {disp(w)}",
+                        f"D({disp(q.trivial_path(v))}) has coefficient {image[wi]} on {disp(w)}",
                     )
                 )
 
     # for each acyclic path, the coefficients in the head and tail
-    # vertex images must cancel
-    for wi, w in enumerate(paths):
+    # vertex images must cancel; both are zero off the vertex images
+    for wi in sorted(set().union(*at_vertex)):
+        w = paths[wi]
         if w.is_trivial or q.path_head(w) == q.path_tail(w):
             continue
-        t, h = idx(Path(q.path_tail(w))), idx(Path(q.path_head(w)))
-        total = images[t].get(wi, _ZERO) + images[h].get(wi, _ZERO)
+        total = at_vertex[q.path_tail(w)].get(wi, _ZERO) + at_vertex[q.path_head(w)].get(wi, _ZERO)
         if total != 0:
             violations.append(
                 ConditionViolation(
@@ -371,15 +382,18 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
             )
 
     # image of a nontrivial path: forced prefix/suffix terms plus free
-    # parallel terms, nothing else
+    # parallel terms, nothing else; none where D(p) and the images of
+    # its end idempotents are all empty
     for pi, p in enumerate(paths):
         if p.is_trivial:
             continue
         tail, head = q.path_tail(p), q.path_head(p)
+        t_image, h_image, image = at_vertex[tail], at_vertex[head], images[pi]
+        if not (image or t_image or h_image):
+            continue
         # the terms w p and p w of the vertex images; on an acyclic quiver
         # every such w is acyclic but e_tail and e_head, which give p: parallel
-        forced = _product_sum(products, images[idx(Path(tail))], pi, pi, images[idx(Path(head))])
-        image = images[pi]
+        forced = _product_sum(products, t_image, pi, pi, h_image)
         for wi in sorted(image.keys() | forced.keys()):
             w = paths[wi]
             if q.path_tail(w) == tail and q.path_head(w) == head:
@@ -394,25 +408,33 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
                     )
                 )
 
-    # factorization consistency across every split p = p1 p2
-    for pi, p in enumerate(paths):
-        if len(p) < 2:
-            continue
-        parallel = [(idx(w), w) for w in q.parallel_paths(p)]
-        for k in range(1, len(p)):
-            p1 = Path(p.base, p.arrows[:k])
-            p2 = Path(q.path_head(p1), p.arrows[k:])
-            c1, c2 = idx(p1), idx(p2)
+    # factorization consistency across every split p = p1 p2; none where
+    # D(p), D(p1) and D(p2) are all empty.  The splits of p into nontrivial
+    # factors, read off the products, come by increasing index of p1, and
+    # so by increasing length: the prefixes of p share its tail
+    splits: list[list[tuple[int, int]]] = [[] for _ in paths]
+    for c1, row in enumerate(products):
+        if paths[c1].arrows:
+            for c2, pi in row.items():
+                if paths[c2].arrows:
+                    splits[pi].append((c1, c2))
+    for pi, factors in enumerate(splits):
+        image, parallel = images[pi], None
+        for c1, c2 in factors:
+            if not (image or images[c1] or images[c2]):
+                continue
+            if parallel is None:
+                parallel = [(idx(w), w) for w in q.parallel_paths(paths[pi])]
             # the terms w1 p2 of D(p1) p2 and p1 w2 of p1 D(p2)
             split = _product_sum(products, images[c1], c2, c1, images[c2])
             for wi, w in parallel:
-                actual, expected = images[pi].get(wi, _ZERO), split.get(wi, _ZERO)
+                actual, expected = image.get(wi, _ZERO), split.get(wi, _ZERO)
                 if actual != expected:
                     violations.append(
                         ConditionViolation(
                             RULE_FACTOR,
-                            f"coefficient of {disp(w)} in D({disp(p)}) is {actual}"
-                            f" but the split {disp(p1)}|{disp(p2)} forces {expected}",
+                            f"coefficient of {disp(w)} in D({disp(paths[pi])}) is {actual}"
+                            f" but the split {disp(paths[c1])}|{disp(paths[c2])} forces {expected}",
                         )
                     )
     return violations
@@ -548,6 +570,9 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
     over u p_y = w (by_head[y]) and d[v, y] over p_x v = w (by_tail[x]),
     less d[w, xy] when p_x p_y is not zero.  A single-unknown equation
     only adds its unknown to a set of zeros, written as rows at the end.
+    Where neither sum has a term the equation is d[w, xy] = 0; such a w
+    misses the w-set of some equation with product p_x p_y = p_z, so
+    those zeros are added once per z, off the intersection of its w-sets.
     When p_x p_y = 0 the equations are read off the factorizations of w,
     and only those with two unknowns, each with coefficient 1, are
     written: d[u, x] = 0 alone is also the equation of (x, e_h(x), u),
@@ -564,6 +589,8 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
             by_head[y][w] = u
             factors[w].append((u, y))
     zeros: set[int] = set()
+    # for each product path z, the w in the equations of every p_x p_y = p_z
+    touched: dict[int, set[int]] = {}
     rows: set[tuple[tuple[int, int], ...]] = set()
     for jx, row in enumerate(product):
         for jy, jz in row.items():
@@ -571,7 +598,10 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
             for w, v in by_tail[jx].items():
                 d = per_w.setdefault(w, {})
                 d[v * n + jy] = d.get(v * n + jy, 0) + 1
-            zeros.update(w * n + jz for w in range(n) if w not in per_w)
+            if jz in touched:
+                touched[jz].intersection_update(per_w)
+            else:
+                touched[jz] = set(per_w)
             for w, d in per_w.items():
                 d[w * n + jz] = d.get(w * n + jz, 0) - 1
                 entries = sorted((u, c) for u, c in d.items() if c)
@@ -588,6 +618,9 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
                 if y not in product[x]:
                     k, m = u * n + x, v * n + y
                     rows.add(((k, 1), (m, 1)) if k < m else ((m, 1), (k, 1)))
+    # d[w, z] = 0 alone is the equation of any p_x p_y = p_z whose w-set misses w
+    for jz, ws in touched.items():
+        zeros.update(w * n + jz for w in range(n) if w not in ws)
     rows.update(((u, 1),) for u in zeros)
     return rows
 
@@ -686,6 +719,13 @@ def verify_inner_expansion(q: Quiver, c: Path) -> bool:
     return True
 
 
+def _support(rows: dict[int, Row]) -> tuple[frozenset[int], frozenset[int]]:
+    """The indices of the nonempty rows and the union of their keys: for the
+    rows of a RationalMatrix, the paths it hits and the columns it moves;
+    for the images of an operator, the paths it moves and those it hits."""
+    return frozenset(k for k, row in rows.items() if row), frozenset().union(*rows.values())
+
+
 def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     """Spot-check the closed bracket formulas against matrix brackets.
 
@@ -695,28 +735,45 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     bilinearly, for all edge pairs.  The left-hand sides are
     RationalMatrix products AB - BA of the operators' matrices, which
     share no code with the sparse LinearOperator.bracket, so they check
-    it independently.
+    it independently.  Every ordered pair is decided against its own
+    right-hand side; the two products of an unordered pair are formed
+    once, and only where the operands' supports meet.
     """
     paths = q.paths()
-    inner = [(inner_derivation(q, p).matrix, AlgebraElement.from_path(q, p)) for p in paths]
-    # most pairs of paths commute; their right-hand side is one shared zero
+    # a product that is zero by support, and most right-hand sides, are one shared zero
     zero = RationalMatrix.zeros(len(paths), len(paths))
 
-    def inner_rhs(x: AlgebraElement, y: AlgebraElement) -> RationalMatrix:
+    def inner_rhs(x: AlgebraElement, y: AlgebraElement) -> LinearOperator:
         commutator = x.commutator(y)
-        return zero if commutator.is_zero else inner_derivation(q, commutator).matrix
+        return LinearOperator.zero(q) if commutator.is_zero else inner_derivation(q, commutator)
 
-    def edge_rhs(r: int, s: Path, p: int, t: Path) -> RationalMatrix:
+    def edge_rhs(x: tuple[int, Path], y: tuple[int, Path]) -> LinearOperator:
+        (r, s), (p, t) = x, y
         left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
-        return (d_rs_element(q, p, left) - d_rs_element(q, r, right)).matrix
+        return d_rs_element(q, p, left) - d_rs_element(q, r, right)
 
-    pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in q.edge_pairs()]
-    return {
-        "inner_inner": all(a * b - b * a == inner_rhs(x, y) for a, x in inner for b, y in inner),
-        "edge_edge": all(
-            a * b - b * a == edge_rhs(r, s, p, t) for r, s, a in pairs for p, t, b in pairs
-        ),
-    }
+    def holds(ab: RationalMatrix, ba: RationalMatrix, r: LinearOperator) -> bool:
+        # AB - BA == R as AB == BA + R; where both are zero by support, R must be zero
+        if ab is zero and ba is zero:
+            return r.is_zero
+        return ab == (ba if r.is_zero else ba + r.matrix)
+
+    def all_hold(operands, rhs) -> bool:
+        """AB - BA == rhs(x, y) for every ordered pair of operands (A, x), (B, y)."""
+        # AB can be nonzero only where the paths B hits meet the columns A moves
+        supported = [(a, *_support(dict(enumerate(a._entries))), x) for a, x in operands]
+        for i, (a, a_hits, a_moves, x) in enumerate(supported):
+            for j in range(i, len(supported)):
+                b, b_hits, b_moves, y = supported[j]
+                ab = zero if a_moves.isdisjoint(b_hits) else a * b
+                ba = ab if j == i else zero if b_moves.isdisjoint(a_hits) else b * a
+                if not holds(ab, ba, rhs(x, y)) or (j > i and not holds(ba, ab, rhs(y, x))):
+                    return False
+        return True
+
+    inner = [(inner_derivation(q, p).matrix, AlgebraElement.from_path(q, p)) for p in paths]
+    pairs = [(d_rs(q, r, s).matrix, (r, s)) for r, s in q.edge_pairs()]
+    return {"inner_inner": all_hold(inner, inner_rhs), "edge_edge": all_hold(pairs, edge_rhs)}
 
 
 def inner_edge_bracket_sign(q: Quiver) -> int | None:
@@ -727,12 +784,19 @@ def inner_edge_bracket_sign(q: Quiver) -> int | None:
     bracket is not proportional to the predicted inner derivation.
     Returns None when every instance degenerates to zero.
     """
-    edge_ops = [(r, s, d_rs(q, r, s)) for r, s in q.edge_pairs()]
+    # [D_p, D_{r,s}] is zero by support where neither operator hits a path the other moves
+    edge_ops = []
+    for r, s in q.edge_pairs():
+        op = d_rs(q, r, s)
+        edge_ops.append((r, s, op, *_support(op.images)))
+    zero = LinearOperator.zero(q)
     signs = set()
     for p in q.acyclic_paths():
         dp = inner_derivation(q, p)
-        for r, s, op in edge_ops:
-            br = dp.bracket(op)
+        dp_moves, dp_hits = _support(dp.images)
+        for r, s, op, moves, hits in edge_ops:
+            meets = not dp_moves.isdisjoint(hits) or not moves.isdisjoint(dp_hits)
+            br = dp.bracket(op) if meets else zero
             target = inner_derivation(q, d_rs_apply(q, r, s, p))
             if target.is_zero:
                 if not br.is_zero:

@@ -5,8 +5,9 @@ text, the dense operator constructor, the checked adjoint eigenvalue,
 the stacked connection matrix and the greedy quotient complement), the
 HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the per-pair Leibniz and
-coefficient checks, the per-path operators and their constructors, and
-the list of edge pairs, all as independent references."""
+coefficient checks, the all-pairs bracket checks, the per-path
+operators and their constructors, and the list of edge pairs, all as
+independent references."""
 
 import operator
 import random
@@ -33,6 +34,8 @@ from quiverdiff.derivations import (
     canonical_basis,
     canonical_coordinates,
     d_rs,
+    d_rs_apply,
+    d_rs_element,
     inner_derivation,
 )
 from quiverdiff.errors import InternalCheckError, NotAlmostCycleError, QuiverMismatchError
@@ -720,6 +723,79 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
                         )
                     )
     return violations
+
+
+# -- the all-pairs bracket checks, as they were before the support test ----
+# Kept verbatim as references for verify_bracket_identities and
+# inner_edge_bracket_sign: two matrix products for every ordered pair
+# of members, and a sparse bracket for every (path, edge pair).  They
+# look the constructors up in this module: a test that patches one in
+# quiverdiff.derivations patches it here as well.
+
+def reference_verify_bracket_identities(q: Quiver) -> dict[str, bool]:
+    """Spot-check the closed bracket formulas against matrix brackets.
+
+    inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
+    for all basis path pairs.  edge_edge: [D_{r,s}, D_{p,q}] equals
+    D_{p, D_{r,s}(q)} - D_{r, D_{p,q}(s)}, the second slot extended
+    bilinearly, for all edge pairs.  The left-hand sides are
+    RationalMatrix products AB - BA of the operators' matrices, which
+    share no code with the sparse LinearOperator.bracket, so they check
+    it independently.
+    """
+    paths = q.paths()
+    inner = [(inner_derivation(q, p).matrix, AlgebraElement.from_path(q, p)) for p in paths]
+    # most pairs of paths commute; their right-hand side is one shared zero
+    zero = RationalMatrix.zeros(len(paths), len(paths))
+
+    def inner_rhs(x: AlgebraElement, y: AlgebraElement) -> RationalMatrix:
+        commutator = x.commutator(y)
+        return zero if commutator.is_zero else inner_derivation(q, commutator).matrix
+
+    def edge_rhs(r: int, s: Path, p: int, t: Path) -> RationalMatrix:
+        left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
+        return (d_rs_element(q, p, left) - d_rs_element(q, r, right)).matrix
+
+    pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in q.edge_pairs()]
+    return {
+        "inner_inner": all(a * b - b * a == inner_rhs(x, y) for a, x in inner for b, y in inner),
+        "edge_edge": all(
+            a * b - b * a == edge_rhs(r, s, p, t) for r, s, a in pairs for p, t, b in pairs
+        ),
+    }
+
+
+def reference_inner_edge_bracket_sign(q: Quiver) -> int | None:
+    """The global sign in [D_p, D_{r,s}] = sign * D_{D_{r,s}(p)}.
+
+    Computed empirically over every acyclic path p and every edge pair
+    (r, s) of the quiver; raises when the instances disagree or when a
+    bracket is not proportional to the predicted inner derivation.
+    Returns None when every instance degenerates to zero.
+    """
+    edge_ops = [(r, s, d_rs(q, r, s)) for r, s in q.edge_pairs()]
+    signs = set()
+    for p in q.acyclic_paths():
+        dp = inner_derivation(q, p)
+        for r, s, op in edge_ops:
+            br = dp.bracket(op)
+            target = inner_derivation(q, d_rs_apply(q, r, s, p))
+            if target.is_zero:
+                if not br.is_zero:
+                    raise InternalCheckError(
+                        "bracket with an edge pair is nonzero on a central image"
+                    )
+            elif br == target:
+                signs.add(1)
+            elif br == -target:
+                signs.add(-1)
+            else:
+                raise InternalCheckError(
+                    "bracket is not proportional to the inner derivation of the image"
+                )
+    if len(signs) > 1:
+        raise InternalCheckError("bracket sign is not globally consistent")
+    return signs.pop() if signs else None
 
 
 # -- the per-path operators, as they were before the sparse rows -------------

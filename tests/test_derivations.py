@@ -47,6 +47,15 @@ Core claims:
     - is_derivation rejects an operator whose one Leibniz failure is a
       pair of paths with zero images, and agrees with the per-pair
       reference on every single-entry operator of a3, k2 and T_3
+    - verify_bracket_identities and inner_edge_bracket_sign, which form
+      a product or a bracket only where their operands' supports meet,
+      give the verdicts, signs and raised messages of the all-pairs
+      references on the acyclic fixtures, the DIFFERENTIAL inputs,
+      T_1..T_6 and seeded quivers; with every D_p and D_{r,s} perturbed
+      both checks fail, the same way as the references; with one
+      member built as zero they fail through the pairs they do not
+      multiply; and on torus_k4 the identities' check forms at most a
+      third of the 692 products of every ordered pair, on a3 at least one
 """
 
 import math
@@ -81,6 +90,7 @@ from quiverdiff.errors import (
 from quiverdiff.linalg import EchelonBasis, RationalMatrix
 from quiverdiff.quiver import Path, Quiver
 
+import helpers
 from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
@@ -104,7 +114,9 @@ from helpers import (
     reference_d_rs_element,
     reference_face_derivation,
     reference_inner_derivation,
+    reference_inner_edge_bracket_sign,
     reference_is_derivation,
+    reference_verify_bracket_identities,
     seeded,
     sized_acyclic_quiver,
     sparse_kernel,
@@ -1146,3 +1158,111 @@ def test_operators_match_the_per_path_references(embedded):
         assert (a - b).matrix == (ra - rb).matrix
         c = rand_frac(rng)
         assert (c * a).matrix == (c * ra).matrix
+
+
+# -- The support test of the --verify checks -----------------------------------
+
+def _bracket_inputs():
+    """The acyclic fixtures, the DIFFERENTIAL inputs, T_1..T_6 and ten
+    seeded quivers, each once by name."""
+    inputs = {f.stem: fixture_quiver(f.stem) for f in sorted(FIXTURE_DIR.glob("*.quiver"))}
+    inputs = {name: q for name, q in inputs.items() if q.is_acyclic()}
+    inputs.update((name, e[0]) for name, e in differential_inputs())
+    inputs.update((f"t{n}", tournament(n)[0]) for n in range(1, 7))
+    rng = seeded(4126)
+    inputs.update((f"random{i}", random_acyclic_quiver(rng)) for i in range(10))
+    return list(inputs.items())
+
+
+_BRACKET_INPUTS = _bracket_inputs()
+
+
+def _sign_outcome(check, q):
+    """The sign check's return value, or the message it raises."""
+    try:
+        return check(q)
+    except InternalCheckError as exc:
+        return f"raised: {exc}"
+
+
+@pytest.mark.parametrize("q", [q for _, q in _BRACKET_INPUTS], ids=[n for n, _ in _BRACKET_INPUTS])
+def test_bracket_checks_match_the_all_pairs_references(q):
+    verdict = verify_bracket_identities(q)
+    assert verdict == reference_verify_bracket_identities(q)
+    assert verdict == {"inner_inner": True, "edge_edge": True}
+    sign = _sign_outcome(inner_edge_bracket_sign, q)
+    assert sign == _sign_outcome(reference_inner_edge_bracket_sign, q)
+    assert sign == (-1 if q.num_arrows else None)
+
+
+@pytest.mark.parametrize("q", [q for _, q in _BRACKET_INPUTS], ids=[n for n, _ in _BRACKET_INPUTS])
+def test_bracket_checks_fail_as_the_references_do_on_perturbed_operands(monkeypatch, q):
+    # every D_p of a path p and every D_{r,s} gets 1-3 terms added, the
+    # same ones in both versions: each bump is drawn from its own argument
+    true_inner_derivation, true_d_rs = derivations.inner_derivation, derivations.d_rs
+
+    def bumped_inner(q, a):
+        op = true_inner_derivation(q, a)
+        return _bumped(seeded(f"inner {a!r}"), q, op) if isinstance(a, Path) else op
+
+    def bumped_d_rs(q, r, s):
+        return _bumped(seeded(f"edge {r} {s!r}"), q, true_d_rs(q, r, s))
+
+    for module in (derivations, helpers):
+        monkeypatch.setattr(module, "inner_derivation", bumped_inner)
+        monkeypatch.setattr(module, "d_rs", bumped_d_rs)
+    verdict = verify_bracket_identities(q)
+    sign = _sign_outcome(inner_edge_bracket_sign, q)
+    assert verdict == reference_verify_bracket_identities(q)
+    assert sign == _sign_outcome(reference_inner_edge_bracket_sign, q)
+    if q.num_arrows:
+        assert False in verdict.values() and str(sign).startswith("raised: ")
+
+
+def test_bracket_check_forms_products_only_where_supports_meet(monkeypatch):
+    products = 0
+    true_mul = RationalMatrix.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return true_mul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    holds = {"inner_inner": True, "edge_edge": True}
+    assert verify_bracket_identities(fixture_quiver("a3")) == holds
+    # the benchmark counts matrix multiply-adds on a3 and needs some
+    assert products >= 1
+    products = 0
+    q = fixture_quiver("torus_k4")
+    assert verify_bracket_identities(q) == holds
+    # two products for every ordered pair of members: 692 on torus_k4
+    every_pair = 2 * (len(q.paths()) ** 2 + len(q.edge_pairs()) ** 2)
+    assert every_pair == 692
+    assert products <= every_pair // 3
+
+
+@pytest.mark.parametrize("name", ["k2", "triangle_tails", "torus_k4"])
+def test_bracket_checks_decide_the_pairs_they_do_not_multiply(monkeypatch, name):
+    # D_p of the first arrow and the first D_{r,s} built as zero: every pair
+    # with one of them is zero by support, and only its right side, which
+    # is not zero for some of them, can fail it
+    q = fixture_quiver(name)
+    first_arrow, first_pair = q.arrow_path(0), q.edge_pairs()[0]
+    true_inner_derivation, true_d_rs = derivations.inner_derivation, derivations.d_rs
+
+    def zeroed_inner(q, a):
+        return LinearOperator.zero(q) if a == first_arrow else true_inner_derivation(q, a)
+
+    def zeroed_d_rs(q, r, s):
+        return LinearOperator.zero(q) if (r, s) == first_pair else true_d_rs(q, r, s)
+
+    for module in (derivations, helpers):
+        monkeypatch.setattr(module, "inner_derivation", zeroed_inner)
+        monkeypatch.setattr(module, "d_rs", zeroed_d_rs)
+    verdict = verify_bracket_identities(q)
+    assert verdict == reference_verify_bracket_identities(q)
+    assert verdict == {"inner_inner": False, "edge_edge": False}
+    sign = _sign_outcome(inner_edge_bracket_sign, q)
+    assert sign == _sign_outcome(reference_inner_edge_bracket_sign, q)
+    assert sign == "raised: bracket is not proportional to the inner derivation of the image"
