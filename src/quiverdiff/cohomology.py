@@ -14,8 +14,9 @@ HH1 is computed on edge-pair labels, following the semidirect sum
 decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
 Every representative is a sparse combination of EdgePair(r, s) labels,
 written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
-= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths, and
-the quotient by Inn is one solve on |E| columns.  A class is a sparse
+= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths by
+derivations._bracket_pairs, which --verify checks against matrix
+products, and the quotient by Inn is one solve on |E| columns.  A class is a sparse
 row {slot: Fraction} of its nonzero coordinates, as a RationalMatrix
 stores a row, so the zero structure constants cost nothing.  No
 operator, algebra element, canonical basis or inner subspace is built
@@ -29,7 +30,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .derivations import LinearOperator, _splices, canonical_coordinates
+from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
 from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, Row, _merged, intersect_row_spaces
@@ -367,22 +368,6 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
 def _eigenvalue(coeffs, r: int, s: Path) -> Fraction:
     # -a_r + sum of a_x over the arrows x of s, with multiplicity
     return sum((Fraction(coeffs[x]) for x in s.arrows), -Fraction(coeffs[r]))
-
-
-def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
-    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
-    [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
-    out: dict[tuple[int, Path], Fraction] = {}
-    for (r, s), c in left.items():
-        for (p, t), d in right.items():
-            # D_{r,s}(t) vanishes unless r runs along t
-            if r in t.arrows:
-                for u in _splices(r, s, t):
-                    out[p, u] = out.get((p, u), _ZERO) + c * d
-            if p in s.arrows:
-                for u in _splices(p, t, s):
-                    out[r, u] = out.get((r, u), _ZERO) - c * d
-    return {key: c for key, c in out.items() if c}
 
 
 _TABLE_FIELDS = """basis brackets eigenvalues enforced

@@ -17,21 +17,23 @@ image on the basis paths it is given, its support.  D_a on one path is
 _inner_terms, visited on the paths that start at h(w) or end at t(w)
 for a term w of a; D_{r,s} on one path is _splices, visited on the
 paths through r; d_rs_apply is the checked public form of the latter.
-The canonical coordinates of an operator are read off as single
-coefficients, the coefficient of w in the image of the idempotent at
-the head of w for Inner(w) and the coefficient of s in the image of
-the arrow r for EdgePair(r, s), and accepted only if they rebuild the
-operator: the sum of each coordinate times its member, built by
-inner_derivation or d_rs as in canonical_basis, is the operator.  The
-inner subspace is written from its closed form and builds no operator.
+_bracket_pairs, the one edge-edge bracket, splices single paths to
+write [D_{r,s}, D_{p,t}] on EdgePair labels; the HH1 structure table
+runs it and verify_bracket_identities checks it.  The canonical
+coordinates of an operator are read off as single coefficients, the
+coefficient of w in the image of the idempotent at the head of w for
+Inner(w) and the coefficient of s in the image of the arrow r for
+EdgePair(r, s), and accepted only if _combination, the sum of each
+coordinate times its member, rebuilds the operator.  The inner
+subspace is written from its closed form and builds no operator.
 |P| x |P| matrices, which store only their nonzero entries, appear
 only at the edges: the CLI's matrix output, the matrix brackets of
 verify_bracket_identities, and the flattened rows compared with a
 brute-force oracle.  The Leibniz and coefficient checks read the rows
 and every product of basis paths off one table, q.products().  The
 matrix brackets are RationalMatrix products AB - BA, which never go
-through the sparse LinearOperator.bracket, so they remain an
-independent reference for it.  The oracle solves the raw Leibniz
+through LinearOperator.bracket or a closed-form right side: an
+independent reference for both.  The oracle solves the raw Leibniz
 system in the n^2 matrix entries, knowing nothing about the structure
 theory, so its solution space is independent ground truth for the
 canonical basis.  It keeps each equation once, as a primitive integer
@@ -232,25 +234,29 @@ def _splices(r: int, s: Path, p: Path) -> list[Path]:
     return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
 
 
+def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
+    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
+    [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
+    out: dict[tuple[int, Path], Fraction] = {}
+    for (r, s), c in left.items():
+        for (p, t), d in right.items():
+            # D_{r,s}(t) vanishes unless r runs along t
+            if r in t.arrows:
+                for u in _splices(r, s, t):
+                    out[p, u] = out.get((p, u), _ZERO) + c * d
+            if p in s.arrows:
+                for u in _splices(p, t, s):
+                    out[r, u] = out.get((r, u), _ZERO) - c * d
+    return {key: c for key, c in out.items() if c}
+
+
 def _parallel_arrow(q: Quiver, r: int | str, s: Path) -> int:
     """The index of the arrow r, once s is checked to be parallel to it."""
-    if isinstance(r, str):
-        r = q.arrow_index(r)
+    r = q.arrow_path(r).arrows[0]  # a ValueError for a name or index that is no arrow
     arrow = q.arrows[r]
     if q.path_tail(s) != arrow.tail or q.path_head(s) != arrow.head:
         raise NotParallelError(f"path {q.path_display(s)} is not parallel to arrow {arrow.name}")
     return r
-
-
-def _spliced(q: Quiver, r: int, terms) -> LinearOperator:
-    """The sum of c D_{r,s} over the (s, c) of terms, s parallel to r, on the paths through r."""
-    paths, arrow = q.paths(), q.arrow_path(r)
-    before = [q.concat(paths[i], arrow) for i in q.paths_at(arrow.base)[1]] if terms else []
-    after = q.paths_at(q.path_head(arrow))[0]
-    through = sorted({q.path_index(q.concat(u, paths[j])) for u in before for j in after})
-    return LinearOperator._summed(
-        q, lambda p: [(u, c) for s, c in terms for u in _splices(r, s, p)], through
-    )
 
 
 def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
@@ -264,21 +270,13 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
-    """D_{r,s} as an operator on the path basis (acyclic quivers only)."""
-    return _spliced(q, _parallel_arrow(q, r, s), [(s, _ONE)])
-
-
-def d_rs_element(q: Quiver, r: int | str, elem: AlgebraElement) -> LinearOperator:
-    """Bilinear extension of d_rs in its second slot.
-
-    Each basis path through r maps to the sum of its splices by the terms
-    of ``elem``; terms that are not parallel to r contribute nothing.
-    """
-    if isinstance(r, str):
-        r = q.arrow_index(r)
-    ends = (q.arrows[r].tail, q.arrows[r].head)
-    terms = [(s, c) for s, c in elem._terms.items() if (q.path_tail(s), q.path_head(s)) == ends]
-    return _spliced(q, r, terms)
+    """D_{r,s} on the path basis, built on the paths through r (acyclic quivers only)."""
+    r = _parallel_arrow(q, r, s)
+    paths, arrow = q.paths(), q.arrow_path(r)
+    before = [q.concat(paths[i], arrow) for i in q.paths_at(arrow.base)[1]]
+    after = q.paths_at(q.path_head(arrow))[0]
+    through = sorted({q.path_index(q.concat(u, paths[j])) for u in before for j in after})
+    return LinearOperator._summed(q, lambda p: [(u, _ONE) for u in _splices(r, s, p)], through)
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +517,7 @@ def canonical_coordinates(
         for s, c in op.apply(q.arrow_path(r))._terms.items():
             if q.path_tail(s) == arrow.tail and q.path_head(s) == arrow.head:
                 coords[DerivationLabel("edge_pair", r, s)] = c
-    rebuilt = sum((c * _member(q, label) for label, c in coords.items()), LinearOperator.zero(q))
-    return coords if rebuilt == op else None
+    return coords if _combination(q, coords.items()) == op else None
 
 
 def _member(q: Quiver, label: DerivationLabel) -> LinearOperator:
@@ -528,6 +525,11 @@ def _member(q: Quiver, label: DerivationLabel) -> LinearOperator:
     if label.kind == "inner":
         return inner_derivation(q, label.path)
     return d_rs(q, label.arrow, label.path)
+
+
+def _combination(q: Quiver, coords) -> LinearOperator:
+    """The sum of c * _member(q, label) over the (label, c) pairs of ``coords``."""
+    return sum((c * _member(q, label) for label, c in coords), LinearOperator.zero(q))
 
 
 def canonical_basis(q: Quiver) -> DerivationBasis:
@@ -730,27 +732,30 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     """Spot-check the closed bracket formulas against matrix brackets.
 
     inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
-    for all basis path pairs.  edge_edge: [D_{r,s}, D_{p,q}] equals
-    D_{p, D_{r,s}(q)} - D_{r, D_{p,q}(s)}, the second slot extended
-    bilinearly, for all edge pairs.  The left-hand sides are
-    RationalMatrix products AB - BA of the operators' matrices, which
-    share no code with the sparse LinearOperator.bracket, so they check
-    it independently.  Every ordered pair is decided against its own
-    right-hand side; the two products of an unordered pair are formed
-    once, and only where the operands' supports meet.
+    for all basis path pairs, pr and rp read off q.products().  edge_edge:
+    [D_{r,s}, D_{p,t}] is the combination of members that _bracket_pairs,
+    the HH1 table's routine, writes for it, for all edge pairs.  The
+    left-hand sides are RationalMatrix products AB - BA of the operators'
+    matrices, which share no code with LinearOperator.bracket or a right
+    side, so they check both independently.  Every ordered pair is
+    decided against its own right-hand side; the two products of an
+    unordered pair are formed once, and only where the supports meet.
     """
-    paths = q.paths()
+    paths, products = q.paths(), q.products()
     # a product that is zero by support, and most right-hand sides, are one shared zero
     zero = RationalMatrix.zeros(len(paths), len(paths))
 
-    def inner_rhs(x: AlgebraElement, y: AlgebraElement) -> LinearOperator:
-        commutator = x.commutator(y)
-        return LinearOperator.zero(q) if commutator.is_zero else inner_derivation(q, commutator)
+    def inner_rhs(i: int, j: int) -> LinearOperator:
+        # on an acyclic quiver p_i p_j = p_j p_i only where both are zero or i = j
+        ij, ji = products[i].get(j), products[j].get(i)
+        if ij == ji:
+            return LinearOperator.zero(q)
+        terms = [(paths[k], c) for k, c in ((ij, _ONE), (ji, -_ONE)) if k is not None]
+        return inner_derivation(q, AlgebraElement(q, terms))
 
     def edge_rhs(x: tuple[int, Path], y: tuple[int, Path]) -> LinearOperator:
-        (r, s), (p, t) = x, y
-        left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
-        return d_rs_element(q, p, left) - d_rs_element(q, r, right)
+        pairs = _bracket_pairs(q, {x: _ONE}, {y: _ONE}).items()
+        return _combination(q, ((DerivationLabel("edge_pair", r, u), c) for (r, u), c in pairs))
 
     def holds(ab: RationalMatrix, ba: RationalMatrix, r: LinearOperator) -> bool:
         # AB - BA == R as AB == BA + R; where both are zero by support, R must be zero
@@ -771,7 +776,7 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
                     return False
         return True
 
-    inner = [(inner_derivation(q, p).matrix, AlgebraElement.from_path(q, p)) for p in paths]
+    inner = [(inner_derivation(q, p).matrix, i) for i, p in enumerate(paths)]
     pairs = [(d_rs(q, r, s).matrix, (r, s)) for r, s in q.edge_pairs()]
     return {"inner_inner": all_hold(inner, inner_rhs), "edge_edge": all_hold(pairs, edge_rhs)}
 

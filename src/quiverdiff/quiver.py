@@ -165,6 +165,8 @@ class Quiver:
     def arrow_path(self, arrow: int | str) -> Path:
         if isinstance(arrow, str):
             arrow = self.arrow_index(arrow)
+        if not 0 <= arrow < self.num_arrows:
+            raise ValueError(f"arrow index {arrow} out of range")
         return Path(self.arrows[arrow].tail, (arrow,))
 
     def path_tail(self, path: Path) -> int:

@@ -35,7 +35,6 @@ from quiverdiff.derivations import (
     canonical_coordinates,
     d_rs,
     d_rs_apply,
-    d_rs_element,
     inner_derivation,
 )
 from quiverdiff.errors import InternalCheckError, NotAlmostCycleError, QuiverMismatchError
@@ -726,9 +725,11 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
 
 
 # -- the all-pairs bracket checks, as they were before the support test ----
-# Kept verbatim as references for verify_bracket_identities and
+# Kept as references for verify_bracket_identities and
 # inner_edge_bracket_sign: two matrix products for every ordered pair
-# of members, and a sparse bracket for every (path, edge pair).  They
+# of members, and a sparse bracket for every (path, edge pair).  The
+# edge-edge right side extends D_{r,s} bilinearly in s with
+# reference_d_rs_element, so it does not run _bracket_pairs.  They
 # look the constructors up in this module: a test that patches one in
 # quiverdiff.derivations patches it here as well.
 
@@ -754,7 +755,7 @@ def reference_verify_bracket_identities(q: Quiver) -> dict[str, bool]:
 
     def edge_rhs(r: int, s: Path, p: int, t: Path) -> RationalMatrix:
         left, right = d_rs_apply(q, r, s, t), d_rs_apply(q, p, t, s)
-        return (d_rs_element(q, p, left) - d_rs_element(q, r, right)).matrix
+        return (reference_d_rs_element(q, p, left) - reference_d_rs_element(q, r, right)).matrix
 
     pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in q.edge_pairs()]
     return {

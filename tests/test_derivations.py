@@ -25,7 +25,9 @@ Core claims:
       raises on a nonzero bracket at a central image, on a bracket off
       the image and on disagreeing signs; the identities' check
       runs on A_6 and T_4, and each verdict turns False when only its
-      right-hand side is wrong; on torus_k4 it makes under 20,000
+      right-hand side is wrong: the edge-edge one is _bracket_pairs, the
+      routine the HH1 structure table runs, and a wrong term or a
+      dropped term of it is caught; on torus_k4 it makes under 20,000
       Fraction truth tests, so no operand is rescanned per product
     - the inner span of acyclic paths is nilpotent with depth bounded by
       the longest path, while ad D_{p,p} fixes D_p forever
@@ -34,16 +36,15 @@ Core claims:
     - the sparse operator arithmetic (bracket, sums, scalars, apply)
       agrees with dense matrix arithmetic, and coordinates_of rejects
       every operator that fails the Leibniz rule
-    - d_rs_element equals the sum of c * D_{r,s} over the parallel terms
-      c * s of its element, and coordinates read off directly round-trip
-      on the fixtures, T_5 and K_4
+    - coordinates read off directly round-trip on the fixtures, T_5 and
+      K_4
     - inner_subspace builds no operator and no algebra element on the
       acyclic fixtures
-    - canonical_basis on T_6, inner_derivation of seeded elements and
-      d_rs_element call _inner_terms and _splices once per path of their
-      support (per parallel term for _splices), in increasing order, and
-      on no other path; d_rs_element with no term parallel to r visits
-      no path
+    - canonical_basis on T_6 and inner_derivation of seeded elements
+      call _inner_terms and _splices once per path of their support, in
+      increasing order, and on no other path
+    - arrow indices -1 and |E| raise ValueError in arrow_path, d_rs and
+      d_rs_apply
     - is_derivation rejects an operator whose one Leibniz failure is a
       pair of paths with zero images, and agrees with the per-pair
       reference on every single-entry operator of a3, k2 and T_3
@@ -63,7 +64,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdiff import derivations
+from quiverdiff import cohomology, derivations
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.derivations import (
     LinearOperator,
@@ -71,7 +72,6 @@ from quiverdiff.derivations import (
     check_coefficient_conditions,
     d_rs,
     d_rs_apply,
-    d_rs_element,
     derivation_space_oracle,
     inner_derivation,
     inner_edge_bracket_sign,
@@ -261,6 +261,20 @@ def test_d_rs_apply_rejects_non_parallel():
         d_rs(q, "p1", q.arrow_path("p2"))
 
 
+@pytest.mark.parametrize("r", [-1, 2], ids=["minus_one", "num_arrows"])
+def test_arrow_indices_out_of_range_raise_value_error(r):
+    # on K_2, index -1 would otherwise read p2: p2 is parallel to it, but
+    # no path contains the arrow -1, so D_{-1,p2}(p2) came out zero
+    q = fixture_quiver("k2")
+    p2 = q.arrow_path("p2")
+    with pytest.raises(ValueError, match=f"arrow index {r} out of range"):
+        q.arrow_path(r)
+    with pytest.raises(ValueError, match=f"arrow index {r} out of range"):
+        d_rs(q, r, p2)
+    with pytest.raises(ValueError, match=f"arrow index {r} out of range"):
+        d_rs_apply(q, r, p2, p2)
+
+
 def test_d_rs_matrix_pinned_examples():
     a2 = fixture_quiver("a2")
     d = d_rs(a2, "p1", a2.arrow_path("p1"))
@@ -296,33 +310,6 @@ def test_d_rs_operators_are_derivations():
         for r in range(q.num_arrows):
             for s in q.parallel_paths(q.arrow_path(r)):
                 assert is_derivation(d_rs(q, r, s)), name
-
-
-def test_d_rs_element_extends_bilinearly():
-    q = fixture_quiver("k2")
-    p1, p2 = q.arrow_path("p1"), q.arrow_path("p2")
-    combo = d_rs_element(q, "p1", 2 * _elem(q, p1) - 3 * _elem(q, p2))
-    assert combo == 2 * d_rs(q, "p1", p1) + (-3) * d_rs(q, "p1", p2)
-    # non-parallel terms are dropped
-    skewed = d_rs_element(q, "p1", _elem(q, p2) + _elem(q, q.trivial_path("v1")))
-    assert skewed == d_rs(q, "p1", p2)
-
-
-def test_d_rs_element_is_the_sum_of_d_rs():
-    rng = seeded(4109)
-    for name in ("k2", "k3", "triangle_tails", "grid2x2", "torus_k4"):
-        q = fixture_quiver(name)
-        for r in range(q.num_arrows):
-            parallel = q.parallel_paths(q.arrow_path(r))
-            for _ in range(3):
-                elem = random_element(rng, q, size=3)
-                for s in parallel:
-                    elem = elem + AlgebraElement.from_path(q, s, rand_frac(rng))
-                expected = LinearOperator.zero(q)
-                for s, c in elem.items():
-                    if s in parallel:
-                        expected = expected + c * d_rs(q, r, s)
-                assert d_rs_element(q, r, elem) == expected, name
 
 
 # -- Leibniz test vs coefficient conditions ----------------------------------
@@ -743,18 +730,37 @@ def test_bracket_identities_at_baseline_sizes(q, num_paths):
     assert verify_bracket_identities(q) == {"inner_inner": True, "edge_edge": True}
 
 
+def _without_the_second_term(q, left, right):
+    """_bracket_pairs with the term of "p runs along s" dropped."""
+    out = {}
+    for (r, s), c in left.items():
+        for (p, t), d in right.items():
+            for u in derivations._splices(r, s, t):
+                out[p, u] = out.get((p, u), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
 def test_edge_edge_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
-    # adding D_{r,r} to d_rs_element(q, r, -) changes the right-hand side
-    # by D_{p,p} - D_{r,r}, which is nonzero whenever the arrows differ
-    true_d_rs_element = derivations.d_rs_element
+    # the HH1 table brackets with the very routine the verdict checks
+    assert cohomology._bracket_pairs is derivations._bracket_pairs
+    true_bracket_pairs = derivations._bracket_pairs
 
-    def skewed(q, r, elem):
-        return true_d_rs_element(q, r, elem) + d_rs(q, r, q.arrow_path(r))
+    def skewed(q, left, right):
+        # D_{r,r} added for each left label r: on the pair of (r, s) with
+        # itself the right-hand side is then D_{r,r}, not zero
+        out = dict(true_bracket_pairs(q, left, right))
+        for r, _ in left:
+            key = (r, q.arrow_path(r))
+            out[key] = out.get(key, 0) + 1
+        return out
 
-    monkeypatch.setattr(derivations, "d_rs_element", skewed)
-    for name in ("a3", "k2", "triangle_tails"):
-        verdict = verify_bracket_identities(fixture_quiver(name))
-        assert verdict == {"inner_inner": True, "edge_edge": False}, name
+    # without its second term the pair of (r, r) with itself gives
+    # D_{r, D_{r,r}(r)} = D_{r,r}, not zero
+    for mutant in (skewed, _without_the_second_term):
+        monkeypatch.setattr(derivations, "_bracket_pairs", mutant)
+        for name in ("a3", "k2", "triangle_tails"):
+            verdict = verify_bracket_identities(fixture_quiver(name))
+            assert verdict == {"inner_inner": True, "edge_edge": False}, (mutant, name)
 
 
 def test_inner_inner_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
@@ -970,13 +976,20 @@ def _assert_sparse_rows(q, op):
     assert LinearOperator.from_images(q, op.apply) == op
 
 
+def _d_rs_sum(q, r, elem):
+    """The sum of c D_{r,s} over the terms c s of elem with s parallel to r."""
+    parallel = q.parallel_paths(q.arrow_path(r))
+    terms = [c * d_rs(q, r, s) for s, c in elem.items() if s in parallel]
+    return sum(terms, LinearOperator.zero(q))
+
+
 def _every_operator(rng, q):
     """The canonical basis, one operator from each other constructor, and
     brackets, sums, differences and scalar multiples of random members."""
     ops = list(canonical_basis(q).operators)
     elem = random_element(rng, q, size=4)
     ops.append(inner_derivation(q, elem))
-    ops += [d_rs_element(q, r, elem + _elem(q, q.arrow_path(r))) for r in range(q.num_arrows)]
+    ops += [_d_rs_sum(q, r, elem + _elem(q, q.arrow_path(r))) for r in range(q.num_arrows)]
     ops += [face_derivation(q, face) for face in trace_faces(RotationSystem.canonical(q))]
     ops.append(face_derivation(q, [rand_frac(rng) for _ in range(q.num_arrows)]))
     if len(q.paths()) <= 30:
@@ -1061,30 +1074,6 @@ def test_inner_derivation_and_d_rs_element_call_the_term_functions_on_their_supp
         calls["_inner_terms"].clear()
         inner_derivation(q, elem)
         assert calls["_inner_terms"] == _moved_by_inner(q, elem), q
-        for r in range(q.num_arrows):
-            # two parallel terms: each path through r is visited once per term
-            bumped = elem + _elem(q, q.arrow_path(r)) + 2 * _elem(q, q.arrow_path(r))
-            parallel = [s for s in bumped.support() if s in q.parallel_paths(q.arrow_path(r))]
-            calls["_splices"].clear()
-            d_rs_element(q, r, bumped)
-            expected = [p for p in _through_arrow(q, r) for _ in parallel]
-            assert calls["_splices"] == expected, q
-
-
-def test_d_rs_element_with_no_parallel_term_visits_no_path(monkeypatch):
-    supports = []
-    summed = LinearOperator._summed.__func__
-
-    def recorded(cls, quiver, terms, support=None):
-        supports.append(support)
-        return summed(cls, quiver, terms, support)
-
-    monkeypatch.setattr(LinearOperator, "_summed", classmethod(recorded))
-    for q in (tournament(4)[0], kronecker(3)[0], fixture_quiver("triangle_tails")):
-        for r, arrow in enumerate(q.arrows):
-            # a trivial path is parallel to no arrow of an acyclic quiver
-            assert d_rs_element(q, r, _elem(q, q.trivial_path(arrow.tail))).is_zero
-    assert len(supports) == 6 + 3 + 5 and all(s == [] for s in supports)
 
 
 def test_is_derivation_rejects_a_failure_on_a_pair_of_zero_images():
@@ -1140,7 +1129,7 @@ def test_operators_match_the_per_path_references(embedded):
     assert inner_derivation(q, elem).matrix == reference_inner_derivation(q, elem).matrix
     for r in range(q.num_arrows):
         bumped = elem + _elem(q, q.arrow_path(r))
-        assert d_rs_element(q, r, bumped).matrix == reference_d_rs_element(q, r, bumped).matrix
+        assert _d_rs_sum(q, r, bumped).matrix == reference_d_rs_element(q, r, bumped).matrix
     for face in trace_faces(rot):
         assert face_derivation(q, face).matrix == reference_face_derivation(q, face).matrix
     if not refs:
