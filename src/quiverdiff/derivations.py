@@ -50,8 +50,8 @@ alone.  verify_bracket_identities decides every ordered pair, but
 forms a product only where the supports meet, and where both products
 are zero it requires the right-hand side to be zero.
 inner_edge_bracket_sign brackets only where the supports meet, and the
-coefficient checks skip a path or a split only where every image they
-read is empty.
+Leibniz and coefficient checks visit only the pairs of paths and the
+coefficients that an operator's nonzero images can make nonzero.
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
     or ending at t(w) for a term w of a: the others have wp = pw = 0."""
     if isinstance(a, AlgebraElement) and a.quiver is not q and a.quiver != q:
         raise QuiverMismatchError("element lives over a different quiver")
+    if isinstance(a, Path):
+        q.path_index(a)  # a ValueError for a path not of q
     terms = [(a, _ONE)] if isinstance(a, Path) else a._terms.items()
     moved = {j for w, _ in terms for j in q.paths_at(q.path_head(w))[0] + q.paths_at(w.base)[1]}
     return LinearOperator._summed(q, lambda p: _inner_terms(q, terms, p), sorted(moved))
@@ -250,9 +252,21 @@ def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
     return {key: c for key, c in out.items() if c}
 
 
+def _check_path(q: Quiver, p: Path) -> None:
+    """Raise ValueError unless p is a path of q: a vertex of q, then arrows of q
+    each leaving the head of the one before.  Enumerates no path, so it works on
+    cyclic quivers too."""
+    v = p.base if p.base in range(q.num_vertices) else None
+    for a in p.arrows:
+        v = q.arrows[a].head if a in range(q.num_arrows) and q.arrows[a].tail == v else None
+    if v is None:
+        raise ValueError(f"path {p!r} does not belong to this quiver")
+
+
 def _parallel_arrow(q: Quiver, r: int | str, s: Path) -> int:
-    """The index of the arrow r, once s is checked to be parallel to it."""
+    """The index of the arrow r, once s is checked to be a path parallel to it."""
     r = q.arrow_path(r).arrows[0]  # a ValueError for a name or index that is no arrow
+    _check_path(q, s)
     arrow = q.arrows[r]
     if q.path_tail(s) != arrow.tail or q.path_head(s) != arrow.head:
         raise NotParallelError(f"path {q.path_display(s)} is not parallel to arrow {arrow.name}")
@@ -266,6 +280,7 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
     path basis.  Trivial paths and paths avoiding r map to zero.
     """
     r = _parallel_arrow(q, r, s)
+    _check_path(q, p)
     return AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
 
 
@@ -303,19 +318,21 @@ def _product_sum(products, left: dict, j: int, i: int, right: dict) -> dict[int,
 def is_derivation(op: LinearOperator) -> bool:
     """Leibniz rule on all basis pairs, zero products included.
 
-    For every pair (p_i, p_j), D(p_i p_j) and D(p_i) p_j + p_i D(p_j)
-    are compared as {path index: coefficient} rows, every product of
-    two basis paths read off q.products(); no element is multiplied.
-    Pairs with D(p_i), D(p_j) and D(p_i p_j) all zero hold and are skipped.
+    D(p_i p_j) and D(p_i) p_j + p_i D(p_j) are compared as {path index:
+    coefficient} rows read off q.products(); no element is multiplied.
+    Only pairs where one can be nonzero are visited: p_i p_j moved by D,
+    p_j leaving the head or p_i entering the tail of a term of an image.
     """
-    products, images = op.quiver.products(), op.images
-    for i, row in enumerate(products):
-        image = images.get(i, {})
-        moved = () if image else images.keys() | {j for j, z in row.items() if z in images}
-        for j in range(len(products)) if image else moved:
-            rhs = _product_sum(products, image, j, i, images.get(j, {}))
-            if images.get(row.get(j), {}) != {w: c for w, c in rhs.items() if c}:
-                return False
+    q, images, products = op.quiver, op.images, op.quiver.products()
+    pairs = {(i, j) for i, row in enumerate(products) for j, z in row.items() if z in images}
+    for k, image in images.items():
+        for w in image:  # D(p_k) p_j and p_i D(p_k) vanish off these pairs
+            pairs.update((k, j) for j in products[w])
+            pairs.update((i, k) for i in q.paths_at(q.paths()[w].base)[1])
+    for i, j in pairs:
+        rhs = _product_sum(products, images.get(i, {}), j, i, images.get(j, {}))
+        if images.get(products[i].get(j), {}) != {w: c for w, c in rhs.items() if c}:
+            return False
     return True
 
 
@@ -339,15 +356,15 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     parallel to p; and for every factorization p = p1 p2 the parallel
     coefficients are consistent with those of the factors.  Images are
     read off the operator's rows and products of basis paths off
-    q.products(); no matrix is built.  The list is empty exactly
+    q.products(); no matrix is built, and only the coefficients on the
+    keys of the images read are compared.  The list is empty exactly
     when the operator is a derivation.
     """
     q = op.quiver
     paths = q.paths()
-    idx = q.path_index
     products = q.products()
     images = [op.images.get(j, {}) for j in range(len(paths))]
-    at_vertex = [images[idx(q.trivial_path(v))] for v in range(q.num_vertices)]
+    at_vertex = [images[q.path_index(q.trivial_path(v))] for v in range(q.num_vertices)]
     violations = []
     disp = q.path_display
 
@@ -417,15 +434,16 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
                 if paths[c2].arrows:
                     splits[pi].append((c1, c2))
     for pi, factors in enumerate(splits):
-        image, parallel = images[pi], None
+        image, tail, head = images[pi], q.path_tail(paths[pi]), q.path_head(paths[pi])
         for c1, c2 in factors:
             if not (image or images[c1] or images[c2]):
                 continue
-            if parallel is None:
-                parallel = [(idx(w), w) for w in q.parallel_paths(paths[pi])]
-            # the terms w1 p2 of D(p1) p2 and p1 w2 of p1 D(p2)
+            # the terms w1 p2 of D(p1) p2 and p1 w2 of p1 D(p2), compared where parallel to p
             split = _product_sum(products, images[c1], c2, c1, images[c2])
-            for wi, w in parallel:
+            for wi in sorted(image.keys() | split.keys()):  # both are zero off these keys
+                w = paths[wi]
+                if q.path_tail(w) != tail or q.path_head(w) != head:
+                    continue
                 actual, expected = image.get(wi, _ZERO), split.get(wi, _ZERO)
                 if actual != expected:
                     violations.append(
@@ -700,6 +718,7 @@ def verify_inner_expansion(q: Quiver, c: Path) -> bool:
     V union E only, which determines a derivation by the product rule,
     so this works on cyclic quivers where no matrix form exists.
     """
+    _check_path(q, c)
     if c.is_trivial or q.path_head(c) != q.path_tail(c):
         raise NotACycleError("the expansion is defined for nontrivial oriented cycles")
     v0 = q.path_tail(c)

@@ -27,10 +27,6 @@ class NotACycleError(QuiverError):
     """The given path is not a nontrivial oriented cycle."""
 
 
-class NotAlmostCycleError(QuiverError):
-    """The given (arrow, path) pair is not an almost oriented cycle."""
-
-
 class TooLargeError(QuiverError):
     """The brute-force oracle was asked for a system beyond its cap."""
 

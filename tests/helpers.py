@@ -37,7 +37,7 @@ from quiverdiff.derivations import (
     d_rs_apply,
     inner_derivation,
 )
-from quiverdiff.errors import InternalCheckError, NotAlmostCycleError, QuiverMismatchError
+from quiverdiff.errors import InternalCheckError, QuiverError, QuiverMismatchError
 from quiverdiff.linalg import (
     _ONE,
     _ZERO,
@@ -276,6 +276,10 @@ def operator_from_matrix(quiver, matrix):
         for j, c in row.items():
             images.setdefault(j, {})[w] = c
     return LinearOperator._of(quiver, images)
+
+
+class NotAlmostCycleError(QuiverError):
+    """The given (arrow, path) pair is not an almost oriented cycle."""
 
 
 def adjoint_eigenvalue(q: Quiver, face, r: int | str, s: Path) -> Fraction:

@@ -86,7 +86,6 @@ from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
     InternalCheckError,
-    NotAlmostCycleError,
 )
 from quiverdiff import linalg
 from quiverdiff.linalg import RationalMatrix
@@ -95,6 +94,7 @@ from quiverdiff.quiverfile import QuiverFile
 
 from helpers import (
     EMBEDDED_FIXTURES,
+    NotAlmostCycleError,
     ReferenceHH1,
     adjoint_eigenvalue,
     assert_sparse_row,

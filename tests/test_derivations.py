@@ -44,10 +44,16 @@ Core claims:
       call _inner_terms and _splices once per path of their support, in
       increasing order, and on no other path
     - arrow indices -1 and |E| raise ValueError in arrow_path, d_rs and
-      d_rs_apply
+      d_rs_apply; a Path that is not a path of the quiver (a vertex or
+      arrow out of range, or arrows that do not compose) raises
+      ValueError in inner_derivation, d_rs, d_rs_apply and
+      verify_inner_expansion, the last two on cyclic quivers too
     - is_derivation rejects an operator whose one Leibniz failure is a
       pair of paths with zero images, and agrees with the per-pair
       reference on every single-entry operator of a3, k2 and T_3
+    - on T_6's members, is_derivation forms at most 2,000 _product_sum
+      rows and check_coefficient_conditions looks up |V| path indices
+      per member: neither visits every partner or parallel path
     - verify_bracket_identities and inner_edge_bracket_sign, which form
       a product or a bracket only where their operands' supports meet,
       give the verdicts, signs and raised messages of the all-pairs
@@ -60,6 +66,7 @@ Core claims:
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,6 +280,39 @@ def test_arrow_indices_out_of_range_raise_value_error(r):
         d_rs(q, r, p2)
     with pytest.raises(ValueError, match=f"arrow index {r} out of range"):
         d_rs_apply(q, r, p2, p2)
+
+
+def _one_loop():
+    return Quiver(["a"], [("x", "a", "a")])
+
+
+# (quiver, a Path that is not one of its paths, the call that gets it); on the
+# two-cycle, b after the vertex v1 does not compose but ends where it starts
+_NOT_A_PATH = {
+    "inner_derivation_vertex": (lambda: fixture_quiver("a3"), Path(7), inner_derivation),
+    "inner_derivation_arrow": (lambda: fixture_quiver("a3"), Path(0, (9,)), inner_derivation),
+    "d_rs_parallel": (lambda: fixture_quiver("a3"), Path(0, (9,)), lambda q, s: d_rs(q, 0, s)),
+    "d_rs_apply_path": (
+        _one_loop, Path(9, (0,)), lambda q, p: d_rs_apply(q, 0, q.arrow_path(0), p)
+    ),
+    "d_rs_apply_parallel": (
+        _one_loop, Path(0, (3,)), lambda q, s: d_rs_apply(q, 0, s, q.arrow_path(0))
+    ),
+    "d_rs_apply_uncomposed": (
+        _two_cycle, Path(0, (1,)), lambda q, p: d_rs_apply(q, 1, q.arrow_path(1), p)
+    ),
+    "inner_expansion_arrow": (_one_loop, Path(0, (3,)), verify_inner_expansion),
+    "inner_expansion_uncomposed": (_two_cycle, Path(0, (1,)), verify_inner_expansion),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_A_PATH.values()), ids=list(_NOT_A_PATH))
+def test_paths_not_of_the_quiver_raise_value_error(case):
+    # each used to raise IndexError, return an element holding the
+    # non-path, or run the check on it as if it were a cycle
+    make, path, call = case
+    with pytest.raises(ValueError, match=re.escape(f"path {path!r} does not belong")):
+        call(make(), path)
 
 
 def test_d_rs_matrix_pinned_examples():
@@ -1104,6 +1144,32 @@ def test_is_derivation_agrees_with_the_reference_on_every_single_entry_operator(
                 assert verdict == reference_is_derivation(op), (q, j, w)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_member_checks_visit_only_what_the_images_can_make_nonzero(monkeypatch):
+    # T_6 (63 paths, 114 members): is_derivation forms 1,520 _product_sum
+    # rows, where visiting every partner of a path with a nonzero image
+    # formed 58,902; the bound is the measured count with a third more
+    # for headroom.  check_coefficient_conditions looks up the |V|
+    # idempotents of each member and nothing else, where listing the
+    # paths parallel to each checked split looked up 11,744 indices
+    q = tournament(6)[0]
+    ops = canonical_basis(q).operators
+    calls = {"_product_sum": 0, "path_index": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    product_sum = counted("_product_sum", derivations._product_sum)
+    monkeypatch.setattr(derivations, "_product_sum", product_sum)
+    assert all([is_derivation(op) for op in ops])
+    assert 0 < calls["_product_sum"] <= 2_000
+    monkeypatch.setattr(Quiver, "path_index", counted("path_index", Quiver.path_index))
+    assert not any([check_coefficient_conditions(op) for op in ops])
+    assert calls["path_index"] == q.num_vertices * len(ops)
 
 
 # the DIFFERENTIAL inputs hold T_2..T_5 and K_2..K_8 already
