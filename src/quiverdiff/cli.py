@@ -17,6 +17,7 @@ import os
 import sys
 
 from .cohomology import (
+    _dropped_face,
     _face_formula,
     _require_connected_acyclic,
     combinatorial_report,
@@ -33,6 +34,7 @@ from .derivations import (
     is_derivation,
     verify_bracket_identities,
 )
+from .embedding import trace_faces
 from .errors import InvalidRotationError, ParseError, QuiverError
 from .linalg import LinearSolver, RationalMatrix
 from . import quiverfile
@@ -152,8 +154,10 @@ def cmd_hh1(qf, args) -> int:
     oracle_dim = None
     if args.oracle:
         # the oracle refuses a quiver over its cap: ask it before the table,
-        # once the quiver has passed the checks hh1_structure makes first
+        # once the quiver and the outer index have passed the checks
+        # hh1_structure makes first
         _require_connected_acyclic(q)
+        _dropped_face(trace_faces(rot), outer)
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
         oracle_dim = len(ops) - inner_subspace(q).rank()
     st = hh1_structure(q, rot, outer)

@@ -308,6 +308,14 @@ class HH1Basis:
         return self.class_coordinates(pairs)
 
 
+def _dropped_face(faces, outer: int | None) -> int:
+    """The index of the face hh1 drops, ``outer`` or 0; a ValueError when it names no face."""
+    dropped = 0 if outer is None else outer
+    if not 0 <= dropped < len(faces):
+        raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
+    return dropped
+
+
 def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
     """Coset representatives: one AL(r, s) per almost oriented cycle,
     one face class per face except the dropped one, and 2g edge classes
@@ -328,9 +336,7 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     _require_connected_acyclic(q)
     faces = trace_faces(rot)
     g = surface_genus(q, len(faces))
-    dropped = 0 if outer is None else outer
-    if not 0 <= dropped < len(faces):
-        raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
+    dropped = _dropped_face(faces, outer)
 
     cycles = q.almost_oriented_cycles()
     c_va = vertex_arrow_matrix(q)

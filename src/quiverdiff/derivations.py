@@ -37,10 +37,11 @@ independent reference for both.  The oracle solves the raw Leibniz
 system in the n^2 matrix entries, knowing nothing about the structure
 theory, so its solution space is independent ground truth for the
 canonical basis.  It keeps each equation once, as a primitive integer
-row: single-unknown equations go straight to a set of zero unknowns,
-and where p_x p_y = 0 only the two-unknown rows are written, read off
-the factorizations of each path with no dict.  It writes each
-solution's nonzero entries straight into rows.
+row, and where p_x p_y = 0 writes only the two-unknown rows, read off
+the factorizations of each path with no dict.  _row_kernel merges the
+rows d[u] = 0 and d[u] = +-d[v] into signed classes of unknowns, zero
+where the signs disagree around a cycle, and only the few longer rows
+left on the class roots go through the kernel.
 
 The checks skip work only where their own operands show that it gives
 zero.  A matrix moves the columns where it has entries and hits the
@@ -48,14 +49,17 @@ paths of its nonempty rows, so AB can be nonzero only where the paths
 B hits meet the columns A moves; both sets are read off the operands
 alone.  verify_bracket_identities decides every ordered pair, but
 forms a product only where the supports meet, and where both products
-are zero it requires the right-hand side to be zero.
-inner_edge_bracket_sign brackets only where the supports meet, and the
+are zero it requires the right-hand side to be zero; each distinct
+right side and member is built once.  inner_edge_bracket_sign brackets
+only where the supports meet, builds D_{D_{r,s}(p)} only where r runs
+along p, and the
 Leibniz and coefficient checks visit only the pairs of paths and the
 coefficients that an operator's nonzero images can make nonzero.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -69,7 +73,7 @@ from .errors import (
     QuiverMismatchError,
     TooLargeError,
 )
-from .linalg import _ONE, _ZERO, RationalMatrix, Row, _merged
+from .linalg import _ONE, _ZERO, RationalMatrix, Row, _merged, _row_kernel
 from .quiver import Path, Quiver
 
 
@@ -125,12 +129,17 @@ class LinearOperator:
 
     @property
     def matrix(self) -> RationalMatrix:
-        n = len(self.quiver.paths())
-        rows: list[Row] = [{} for _ in range(n)]
+        n, rows = len(self.quiver.paths()), self._rows()
+        return RationalMatrix._of([rows.get(k, {}) for k in range(n)], n)
+
+    def _rows(self) -> dict[int, Row]:
+        """The nonempty rows of ``matrix`` by index: row k holds the
+        coefficients of path k in the images."""
+        rows: dict[int, Row] = {}
         for j, image in self.images.items():
             for k, c in image.items():
-                rows[k][j] = c
-        return RationalMatrix._of(rows, n)
+                rows.setdefault(k, {})[j] = c
+        return rows
 
     def _zip(self, other: "LinearOperator", combine) -> "LinearOperator":
         if self.quiver is not other.quiver and self.quiver != other.quiver:
@@ -160,9 +169,11 @@ class LinearOperator:
         return AlgebraElement._of(q, {q.paths()[k]: c for k, c in image.items()})
 
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
-        # column j of [A, B] is A(B(p_j)) - B(A(p_j))
-        minus = -other
-        return self._zip(other, lambda a, b: _merged(self._mapped(b), minus._mapped(a)))
+        # column j of [A, B] is A(B(p_j)) - B(A(p_j)); B maps -A(p_j), and -B is never built
+        def column(a: Row, b: Row) -> Row:
+            return _merged(self._mapped(b), other._mapped({k: -x for k, x in a.items()}))
+
+        return self._zip(other, column)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._zip(other, _merged)
@@ -545,9 +556,9 @@ def _member(q: Quiver, label: DerivationLabel) -> LinearOperator:
     return d_rs(q, label.arrow, label.path)
 
 
-def _combination(q: Quiver, coords) -> LinearOperator:
-    """The sum of c * _member(q, label) over the (label, c) pairs of ``coords``."""
-    return sum((c * _member(q, label) for label, c in coords), LinearOperator.zero(q))
+def _combination(q: Quiver, coords, member=_member) -> LinearOperator:
+    """The sum of c * member(q, label) over the (label, c) pairs of ``coords``."""
+    return sum((c * member(q, label) for label, c in coords), LinearOperator.zero(q))
 
 
 def canonical_basis(q: Quiver) -> DerivationBasis:
@@ -651,55 +662,23 @@ def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> lis
     For every basis pair (x, y) and every potential image path w this
     imposes one linear equation relating the unknowns d[w, xy], d[u, x]
     (where u y = w) and d[u, y] (where x u = w), read off a table of
-    the products of basis paths built once by concatenation.  The
-    system is pre-simplified by unit propagation, seeded by the
-    single-unknown rows (an equation with one surviving unknown forces
-    it to zero); only the longer rows become dicts, and their residue
-    is solved by exact elimination.  Nothing here knows about the
+    the products of basis paths built once by concatenation.  Almost
+    every equation says d[u] = 0 or d[u] = +-d[v]: _row_kernel merges
+    those into signed classes of unknowns, zeroes a class whose signs
+    disagree around a cycle, and sends only the rows left on the class
+    roots through exact elimination.  Nothing here knows about the
     structure theory.
     """
     # count the paths before enumerating them: T_40 has 2^40 - 1
     n = sum(map(sum, q.path_counts()))
     if n > max_paths:
         raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
-
-    rows = _leibniz_rows(q)
-    queue = [row[0][0] for row in rows if len(row) == 1]
-    active = [dict(row) for row in sorted(row for row in rows if len(row) > 1)]
-    by_var: dict[int, list[int]] = {}
-    for i, row in enumerate(active):
-        for u in row:
-            by_var.setdefault(u, []).append(i)
-    zeroed: set[int] = set()
-    while queue:
-        u = queue.pop()
-        if u in zeroed:
-            continue
-        zeroed.add(u)
-        for i in by_var.get(u, ()):
-            row = active[i]
-            if u in row:
-                del row[u]
-                if len(row) == 1:
-                    queue.append(next(iter(row)))
-
-    residual = [row for row in active if len(row) >= 2]
-    touched = sorted({u for row in residual for u in row})
-    solutions = []
-    if touched:
-        column = {u: k for k, u in enumerate(touched)}
-        matrix = RationalMatrix._of(
-            [{column[u]: Fraction(c) for u, c in row.items()} for row in residual], len(touched)
-        )
-        solutions = [[(touched[k], x) for k, x in row.items()] for row in matrix.kernel()._entries]
-    touched_set = set(touched)
-    solutions += [[(u, _ONE)] for u in range(n * n) if u not in zeroed and u not in touched_set]
     operators = []
-    for solution in solutions:
+    for solution in _row_kernel(_leibniz_rows(q), n * n):
         # the rows straight from the nonzero entries: unknown w n + j is
         # the coefficient of path w in the image of path j
         images: dict[int, Row] = {}
-        for u, x in solution:
+        for u, x in solution.items():
             images.setdefault(u % n, {})[u // n] = x
         operators.append(LinearOperator._of(q, images))
     return operators
@@ -759,28 +738,40 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
     side, so they check both independently.  Every ordered pair is
     decided against its own right-hand side; the two products of an
     unordered pair are formed once, and only where the supports meet.
+    AB is compared with BA plus R's nonempty rows, read off R's images,
+    so no matrix is built for R and no matrices are added.
     """
     paths, products = q.paths(), q.products()
-    # a product that is zero by support, and most right-hand sides, are one shared zero
+    # a product that is zero by support is one shared zero matrix
     zero = RationalMatrix.zeros(len(paths), len(paths))
+    # each right side R as the nonempty rows of its matrix; pairs that share
+    # p_i p_j and p_j p_i share one, and each member is built once
+    member = functools.cache(_member)
 
-    def inner_rhs(i: int, j: int) -> LinearOperator:
+    @functools.cache
+    def inner_side(ij: int | None, ji: int | None) -> dict[int, Row]:
+        terms = [(paths[k], c) for k, c in ((ij, _ONE), (ji, -_ONE)) if k is not None]
+        return inner_derivation(q, AlgebraElement(q, terms))._rows()
+
+    def inner_rhs(i: int, j: int) -> dict[int, Row]:
         # on an acyclic quiver p_i p_j = p_j p_i only where both are zero or i = j
         ij, ji = products[i].get(j), products[j].get(i)
-        if ij == ji:
-            return LinearOperator.zero(q)
-        terms = [(paths[k], c) for k, c in ((ij, _ONE), (ji, -_ONE)) if k is not None]
-        return inner_derivation(q, AlgebraElement(q, terms))
+        return {} if ij == ji else inner_side(ij, ji)
 
-    def edge_rhs(x: tuple[int, Path], y: tuple[int, Path]) -> LinearOperator:
+    def edge_rhs(x: tuple[int, Path], y: tuple[int, Path]) -> dict[int, Row]:
         pairs = _bracket_pairs(q, {x: _ONE}, {y: _ONE}).items()
-        return _combination(q, ((DerivationLabel("edge_pair", r, u), c) for (r, u), c in pairs))
+        labels = ((DerivationLabel("edge_pair", r, u), c) for (r, u), c in pairs)
+        return _combination(q, labels, member)._rows()
 
-    def holds(ab: RationalMatrix, ba: RationalMatrix, r: LinearOperator) -> bool:
-        # AB - BA == R as AB == BA + R; where both are zero by support, R must be zero
+    def holds(ab: RationalMatrix, ba: RationalMatrix, r: dict[int, Row]) -> bool:
+        # AB - BA == R as AB == BA + R, R added on its own rows only; where
+        # both are zero by support, R must be zero
         if ab is zero and ba is zero:
-            return r.is_zero
-        return ab == (ba if r.is_zero else ba + r.matrix)
+            return not r
+        expected = list(ba._entries)
+        for k, row in r.items():
+            expected[k] = _merged(expected[k], row)
+        return ab._entries == tuple(expected)
 
     def all_hold(operands, rhs) -> bool:
         """AB - BA == rhs(x, y) for every ordered pair of operands (A, x), (B, y)."""
@@ -821,7 +812,8 @@ def inner_edge_bracket_sign(q: Quiver) -> int | None:
         for r, s, op, moves, hits in edge_ops:
             meets = not dp_moves.isdisjoint(hits) or not moves.isdisjoint(dp_hits)
             br = dp.bracket(op) if meets else zero
-            target = inner_derivation(q, d_rs_apply(q, r, s, p))
+            # D_{r,s}(p) = 0, and with it the target, unless r runs along p
+            target = inner_derivation(q, d_rs_apply(q, r, s, p)) if r in p.arrows else zero
             if target.is_zero:
                 if not br.is_zero:
                     raise InternalCheckError(

@@ -22,12 +22,16 @@ echelon form of a row space is unique, so ranks, echelon forms, kernels
 and intersections do not depend on the order the rows are inserted in.
 Forward-only rows matter for Zassenhaus: keeping every row fully reduced
 fills in the right half of the block [[A A], [B 0]], which for a report
-on a 112-arrow grid is 114 x 224.
+on a 112-arrow grid is 114 x 224.  _row_kernel, the oracle's solver,
+puts a signed union-find in front of kernel() for systems that are
+almost all rows d[u] = 0 and d[u] = +-d[v].
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError
@@ -341,6 +345,75 @@ def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> None:
     if c != 1:
         for j in v:
             v[j] //= c
+
+
+def _row_kernel(rows, num_unknowns: int) -> Iterator[dict[int, Fraction]]:
+    """Yield a basis of the solutions of ``rows``, each a row of (unknown,
+    nonzero int) pairs over the unknowns 0 .. num_unknowns - 1; a solution
+    is {unknown: Fraction}, 1 at its least unknown.  A signed union-find
+    (Tarjan, J. ACM 22, 1975) takes the rows d[u] = 0 and d[u] = +-d[v],
+    rewriting every row on the class roots until none shrinks to one of
+    those; a class whose signs disagree around a cycle then has a row
+    2 d[root] = 0.  Only the rows left go through RationalMatrix.kernel,
+    and each solution is read back through the classes."""
+    # d[u] = sign[u] d[parent[u]]; a root is the least unknown of its class
+    parent, sign, zero = list(range(num_unknowns)), [1] * num_unknowns, set()
+
+    def find(u: int) -> tuple[int, int]:
+        s = 1
+        while parent[u] != u:  # halving the path: each u on it skips a level
+            p = parent[u]
+            parent[u], sign[u] = parent[p], sign[u] * sign[p]
+            s *= sign[u]
+            u = parent[u]
+        return u, s
+
+    longer, shrunk = rows, True
+    while shrunk:
+        shrunk, left, longer = False, longer, []
+        for row in left:
+            if len(row) == 1:  # d[u] = 0 as written
+                u = row[0][0]
+                zero.add(u if parent[u] == u else find(u)[0])
+                shrunk = True
+                continue
+            acc: dict[int, int] = {}
+            for u, c in row:
+                if parent[u] != u:
+                    u, s = find(u)
+                    c *= s
+                if u not in zero:
+                    acc[u] = acc.get(u, 0) + c
+            entries = [(r, c) for r, c in acc.items() if c]
+            if len(entries) > 2 or len(entries) == 2 and abs(entries[0][1]) != abs(entries[1][1]):
+                longer.append(entries)
+            elif len(entries) == 2:
+                (v, a), (u, b) = sorted(entries)  # a d[v] + b d[u] = 0 with v < u
+                parent[u], sign[u], shrunk = v, -a // b, True
+            elif entries:
+                zero.add(entries[0][0])
+                shrunk = True
+    roots = sorted({r for row in longer for r, _ in row})
+    column = {r: k for k, r in enumerate(roots)}
+    solutions = []
+    if longer:
+        matrix = [{column[r]: Fraction(c) for r, c in row} for row in longer]
+        kernel = RationalMatrix._of(matrix, len(roots)).kernel()._entries
+        solutions = [{roots[k]: x for k, x in row.items()} for row in kernel]
+    free, members = [], {}  # the roots in no row left, and the rest of each class
+    for u in range(num_unknowns):  # parent[u] < u points at its root already
+        r = parent[u]
+        if r == u:
+            if u not in zero and u not in column:
+                free.append(u)
+        else:
+            parent[u], sign[u] = parent[r], sign[u] * sign[r]
+            members.setdefault(parent[u], []).append((u, sign[u]))
+    for solution in chain(solutions, ({r: _ONE} for r in free)):
+        for r in [r for r in solution if r in members]:
+            x = solution[r]
+            solution.update((u, x if s == 1 else -x) for u, s in members[r])
+        yield solution
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

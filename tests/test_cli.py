@@ -20,7 +20,10 @@ Core claims:
       and one line under check, report and hh1; a --max-oracle-paths
       value that is negative, not a number or longer than int() converts
       is exit 2 with a message that names which
-    - hh1 --oracle builds no canonical basis
+    - hh1 --oracle builds no canonical basis, and an outer face index
+      that names no face, from the flag or the file, is the exit 2 and
+      the stderr line of plain hh1, before the oracle runs, also over
+      the oracle cap
     - no command on any fixture builds a dense row or flattens an
       operator; derivations --oracle finds spansMatch false when one
       basis member is replaced by a multiple of another
@@ -243,6 +246,26 @@ def test_hh1_outer_face_out_of_range(capsys):
     code, out, err = _run(capsys, ["hh1", "--outer-face", "2", _fixture("triangle_tails")])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_hh1_oracle_checks_the_outer_face_before_the_oracle(tmp_path, capsys, monkeypatch, where):
+    # a bad index is the usage error plain hh1 gives, found before any
+    # solve, also on T_7, which is over the oracle cap
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran for an outer index that names no face")
+
+    monkeypatch.setattr(cli, "derivation_space_oracle", unreachable)
+    for n in (4, 7):
+        q, rot = tournament(n)
+        path = tmp_path / f"t{n}.quiver"
+        outer = 99 if where == "file" else None
+        qf = quiverfile.QuiverFile(name=f"t{n}", quiver=q, rotation=rot, outer=outer)
+        path.write_text(serialize(qf), encoding="utf-8")
+        flag = ["--outer-face", "99"] if where == "flag" else []
+        plain = _run(capsys, ["hh1", *flag, str(path)])
+        assert plain[:2] == (2, "") and "outer face 99 out of range" in plain[2]
+        assert _run(capsys, ["hh1", "--oracle", *flag, str(path)]) == plain
 
 
 def test_hh1_empty_on_chain(capsys):

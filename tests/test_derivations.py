@@ -19,7 +19,10 @@ Core claims:
       its operators equal their dense rebuild, on every acyclic fixture
       and on seeded quivers of up to 40 paths; on A_10, T_5 and K_58,
       near the oracle's path cap, the rows are the Fraction rows and the
-      oracle's dimension is that of the canonical basis
+      oracle's dimension is that of the canonical basis; with the cap
+      raised, on T_8, A_20, K_200 and seeded quivers of 200 to 400 paths
+      (and T_9, marked slow), the oracle and the canonical basis have
+      equal dimensions and spans
     - bracket identities: [D_p, D_r] = D_{[p,r]}, the edge-edge identity,
       and a single consistent global sign for [D_p, D_{r,s}], whose check
       raises on a nonzero bracket at a central image, on a bracket off
@@ -63,6 +66,10 @@ Core claims:
       member built as zero they fail through the pairs they do not
       multiply; and on torus_k4 the identities' check forms at most a
       third of the 692 products of every ordered pair, on a3 at least one
+    - the identities' check adds no RationalMatrix, builds one inner right
+      side per distinct (p_i p_j, p_j p_i) and each member an edge right
+      side names once; the sign check applies d_rs_apply only where r is
+      on p; LinearOperator.bracket negates no operand
 """
 
 import math
@@ -665,6 +672,33 @@ def test_oracle_near_its_cap_keeps_the_fraction_rows_and_the_basis_dimension(q):
     assert len(scaled) == len(rows)
     assert scaled == fraction_leibniz_rows(q)
     assert len(derivation_space_oracle(q)) == len(canonical_basis(q))
+
+
+def _hundreds_of_paths():
+    """T_8, A_20, K_200 and four seeded quivers of 200 to 400 paths, then
+    T_9 (511 paths), which is marked slow."""
+    inputs = [("T8", tournament(8)[0]), ("A20", chain(20)), ("K200", kronecker(200)[0])]
+    rng = seeded(4417)
+    while len(inputs) < 7:
+        nv = rng.randint(8, 14)
+        q = sized_acyclic_quiver(rng, nv, nv + rng.randint(4, 10))
+        if 200 <= sum(map(sum, q.path_counts())) <= 400:
+            inputs.append((f"random{len(inputs) - 3}", q))
+    params = [pytest.param(q, id=name) for name, q in inputs]
+    return params + [pytest.param(tournament(9)[0], id="T9", marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("q", _hundreds_of_paths())
+def test_oracle_spans_the_canonical_basis_at_hundreds_of_paths(q):
+    # the cap raised as a library argument; the spans are equal when both
+    # sets are independent and stacking one on the other adds nothing
+    n = len(q.paths())
+    assert n >= 200
+    ops = derivation_space_oracle(q, max_paths=n)
+    oracle_rows = RationalMatrix._of([op.flat_row() for op in ops], n * n)
+    basis_rows = canonical_basis(q).flat_rows()
+    assert len(ops) == basis_rows.num_rows == oracle_rows.rank() == basis_rows.rank()
+    assert RationalMatrix.stack(oracle_rows, basis_rows).rank() == len(ops)
 
 
 # -- Inner subspace ----------------------------------------------------------
@@ -1321,3 +1355,69 @@ def test_bracket_checks_decide_the_pairs_they_do_not_multiply(monkeypatch, name)
     sign = _sign_outcome(inner_edge_bracket_sign, q)
     assert sign == _sign_outcome(reference_inner_edge_bracket_sign, q)
     assert sign == "raised: bracket is not proportional to the inner derivation of the image"
+
+
+@pytest.mark.parametrize("name", ["torus_k4", "triangle_tails"])
+def test_bracket_check_builds_each_right_side_once_and_adds_no_matrix(monkeypatch, name):
+    # R is compared row by row, so no RationalMatrix sum; the inner right
+    # side depends only on (p_i p_j, p_j p_i), and an edge right side names
+    # members that recur across pairs: each is built once per call
+    def no_sum(*args):
+        raise AssertionError("a RationalMatrix sum was formed")
+
+    inner_sides, labels = [], []
+    true_inner_derivation, true_member = derivations.inner_derivation, derivations._member
+
+    def recorded_inner(q, a):
+        if isinstance(a, AlgebraElement):
+            inner_sides.append(a)
+        return true_inner_derivation(q, a)
+
+    def recorded_member(q, label):
+        labels.append(label)
+        return true_member(q, label)
+
+    monkeypatch.setattr(RationalMatrix, "__add__", no_sum)
+    monkeypatch.setattr(derivations, "inner_derivation", recorded_inner)
+    monkeypatch.setattr(derivations, "_member", recorded_member)
+    q = fixture_quiver(name)
+    assert verify_bracket_identities(q) == {"inner_inner": True, "edge_edge": True}
+    products = q.products()
+    n = len(q.paths())
+    distinct = {(products[i].get(j), products[j].get(i)) for i in range(n) for j in range(n)}
+    distinct = {(ij, ji) for ij, ji in distinct if ij != ji}
+    assert 0 < len(inner_sides) <= len(distinct) < n * n
+    assert len({frozenset(a.items()) for a in inner_sides}) == len(inner_sides)
+    assert labels and len(set(labels)) == len(labels)
+
+
+def test_sign_check_applies_d_rs_only_where_r_runs_along_p(monkeypatch):
+    # D_{r,s}(p) = 0 unless the arrow r is on p: no target is built there
+    asked = []
+    true_d_rs_apply = derivations.d_rs_apply
+
+    def recorded(q, r, s, p):
+        asked.append((p, r, s))
+        return true_d_rs_apply(q, r, s, p)
+
+    monkeypatch.setattr(derivations, "d_rs_apply", recorded)
+    q = fixture_quiver("torus_k4")
+    assert inner_edge_bracket_sign(q) == -1
+    on_p = [(p, r, s) for p in q.acyclic_paths() for r, s in q.edge_pairs() if r in p.arrows]
+    assert asked == on_p
+    assert len(on_p) < len(q.acyclic_paths()) * len(q.edge_pairs())
+
+
+def test_operator_bracket_negates_no_operand(monkeypatch):
+    # [A, B] maps through B and A and negates only the rows it reads
+    def no_negation(self):
+        raise AssertionError("an operand was negated")
+
+    rng = seeded(4418)
+    q = fixture_quiver("torus_k4")
+    ops = list(canonical_basis(q).operators)
+    pairs = [(rng.choice(ops), rng.choice(ops)) for _ in range(40)]
+    monkeypatch.setattr(LinearOperator, "__neg__", no_negation)
+    for a, b in pairs:
+        matrix = a.matrix * b.matrix - b.matrix * a.matrix
+        assert a.bracket(b) == operator_from_matrix(q, matrix)
