@@ -4,17 +4,16 @@ Elements are finite rational linear combinations of paths.  The
 product of two basis paths is their concatenation when the head of the
 first meets the tail of the second and zero otherwise; everything else
 is bilinear extension.  Zero coefficients are pruned eagerly so
-equality is plain structural equality.  Arithmetic results are built
-from nonzero Fractions and stay pruned without a normalising pass.
+equality is plain structural equality.  A coefficient is an int when
+integral, else a Fraction; results stay pruned without a normalising pass.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Rational
 
 from .errors import QuiverMismatchError
-from .linalg import _ZERO, _merged
+from .linalg import _ZERO, Scalar, _exact, _merged
 from .quiver import Path, Quiver
 
 
@@ -25,10 +24,10 @@ class AlgebraElement:
 
     def __init__(self, quiver: Quiver, terms=()):
         self.quiver = quiver
-        acc: dict[Path, Fraction] = {}
+        acc: dict[Path, Scalar] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for path, coeff in items:
-            c = acc.get(path, _ZERO) + (coeff if type(coeff) is Fraction else Fraction(coeff))
+            c = _exact(acc.get(path, _ZERO) + _exact(coeff))
             if c:
                 acc[path] = c
             else:
@@ -36,8 +35,8 @@ class AlgebraElement:
         self._terms = acc
 
     @classmethod
-    def _of(cls, quiver: Quiver, terms: dict[Path, Fraction]) -> "AlgebraElement":
-        # terms already pruned, every coefficient a nonzero Fraction
+    def _of(cls, quiver: Quiver, terms: dict[Path, Scalar]) -> "AlgebraElement":
+        # terms already pruned, every coefficient nonzero and exact
         elem = cls.__new__(cls)
         elem.quiver = quiver
         elem._terms = terms
@@ -49,7 +48,7 @@ class AlgebraElement:
 
     @classmethod
     def from_path(cls, quiver: Quiver, path: Path, coeff=1) -> "AlgebraElement":
-        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        c = _exact(coeff)
         return cls._of(quiver, {path: c} if c else {})
 
     @classmethod
@@ -61,10 +60,10 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, path: Path) -> Fraction:
+    def coefficient(self, path: Path) -> Scalar:
         return self._terms.get(path, _ZERO)
 
-    def items(self) -> list[tuple[Path, Fraction]]:
+    def items(self) -> list[tuple[Path, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].key)
 
     def support(self) -> tuple[Path, ...]:
@@ -88,7 +87,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             concat = self.quiver.concat
-            acc: dict[Path, Fraction] = {}
+            acc: dict[Path, Scalar] = {}
             for p, cp in self._terms.items():
                 for r, cr in other._terms.items():
                     s = concat(p, r)
@@ -96,17 +95,12 @@ class AlgebraElement:
                         a = acc.get(s)
                         acc[s] = cp * cr if a is None else a + cp * cr
             return AlgebraElement._of(self.quiver, {s: c for s, c in acc.items() if c})
-        if isinstance(other, Rational):
-            return self._scaled(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, Rational):
-            return self._scaled(scalar)
-        return NotImplemented
-
-    def _scaled(self, scalar) -> "AlgebraElement":
-        c = Fraction(scalar)
+        if not isinstance(scalar, Rational):
+            return NotImplemented
+        c = _exact(scalar)
         terms = {p: c * v for p, v in self._terms.items()} if c else {}
         return AlgebraElement._of(self.quiver, terms)
 

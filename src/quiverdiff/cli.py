@@ -42,7 +42,7 @@ from . import quiverfile
 
 def _matrix(m) -> list[list[str]]:
     # the sparse rows written out dense, every all-zero row as one shared
-    # list; str of a Fraction is the output format: "n", or "n/d" in lowest terms
+    # list; str of a coefficient is the output format: "n", or "n/d" in lowest terms
     zero = ["0"] * m.num_cols
     rows = []
     for entries in m._entries:

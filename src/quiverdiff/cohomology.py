@@ -17,7 +17,7 @@ written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
 = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths by
 derivations._bracket_pairs, which --verify checks against matrix
 products, and the quotient by Inn is one solve on |E| columns.  A class is a sparse
-row {slot: Fraction} of its nonzero coordinates, as a RationalMatrix
+row {slot: coefficient} of its nonzero coordinates, as a RationalMatrix
 stores a row, so the zero structure constants cost nothing.  No
 operator, algebra element, canonical basis or inner subspace is built
 on that path; operators appear only in HH1Basis.coset_coordinates and
@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 
 from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
-from .linalg import _ONE, _ZERO, LinearSolver, RationalMatrix, Row, _merged, intersect_row_spaces
+from .linalg import _ONE, LinearSolver, RationalMatrix, Row, Scalar, _exact, _merged
+from .linalg import intersect_row_spaces
 from .quiver import Path, Quiver
-
-_MINUS_ONE = -_ONE
 
 
 def _require_connected_acyclic(q: Quiver) -> None:
@@ -64,15 +62,13 @@ def vertex_arrow_matrix(q: Quiver) -> RationalMatrix:
     # acyclic, so no arrow is a loop and its two ends are distinct rows
     for k, a in enumerate(q.arrows):
         rows[a.tail][k] = _ONE
-        rows[a.head][k] = _MINUS_ONE
+        rows[a.head][k] = -_ONE
     return RationalMatrix._of(rows, q.num_arrows)
 
 
 def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
     """|F| x |E| matrix whose row j is the net sign vector of face j."""
-    # a face walk leaves each dart at most once, so each net count is -1, 0 or 1
-    sign = {-1: _MINUS_ONE, 1: _ONE}
-    rows = [{k: sign[x] for k, x in enumerate(f.net) if x} for f in faces]
+    rows = [{k: x for k, x in enumerate(f.net) if x} for f in faces]  # net counts are ints
     return RationalMatrix._of(rows, q.num_arrows)
 
 
@@ -90,14 +86,14 @@ def boundary_matrix(faces) -> RationalMatrix:
     for j, f in enumerate(faces):
         for d in f.darts:
             owner[d] = j
-    rows: list[dict[int, Fraction]] = [{} for _ in faces]
+    rows: list[Row] = [{} for _ in faces]
     for k in range(num_arrows):
         j1, j2 = owner[2 * k], owner[2 * k + 1]
         if j1 != j2:
             # no entry cancels: diagonal ones only grow, cross ones only shrink
             for i, j in ((j1, j2), (j2, j1)):
-                rows[i][i] = rows[i].get(i, _ZERO) + _ONE
-                rows[i][j] = rows[i].get(j, _ZERO) - _ONE
+                rows[i][i] = rows[i].get(i, 0) + _ONE
+                rows[i][j] = rows[i].get(j, 0) - _ONE
     return RationalMatrix._of(rows, len(faces))
 
 
@@ -247,7 +243,7 @@ class HH1Basis:
     ):
         self.quiver = quiver
         self.labels: tuple[HH1Label, ...] = tuple(labels)
-        self.edge_pairs: tuple[dict[tuple[int, Path], Fraction], ...] = tuple(edge_pairs)
+        self.edge_pairs: tuple[dict[tuple[int, Path], Scalar], ...] = tuple(edge_pairs)
         self.faces: tuple[FaceCycle, ...] = tuple(faces)
         self.dropped_face = dropped_face
         self.genus = genus_
@@ -271,7 +267,7 @@ class HH1Basis:
     def class_coordinates(self, pairs) -> Row | None:
         """The class of a derivation whose nonzero EdgePair coordinates
         are ``pairs`` (its Inner ones do not matter), as a sparse row
-        {slot: Fraction} of its coordinates in this basis; no solve runs
+        {slot: coefficient} of its coordinates in this basis; no solve runs
         without a diagonal part.  None only if that part is outside the
         span of C_va and the Face and Extra rows, which a valid basis
         rules out."""
@@ -371,9 +367,9 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
 # adjoint action and structure constants
 
 
-def _eigenvalue(coeffs, r: int, s: Path) -> Fraction:
+def _eigenvalue(coeffs, r: int, s: Path) -> Scalar:
     # -a_r + sum of a_x over the arrows x of s, with multiplicity
-    return sum((Fraction(coeffs[x]) for x in s.arrows), -Fraction(coeffs[r]))
+    return sum((_exact(coeffs[x]) for x in s.arrows), -_exact(coeffs[r]))
 
 
 _TABLE_FIELDS = """basis brackets eigenvalues enforced
@@ -384,7 +380,7 @@ class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
     """Bracket table of the HH1 basis, reduced modulo inner derivations.
 
     brackets holds (i, j, coordinates of [b_i, b_j]) for i < j, the
-    coordinates a sparse row {slot: Fraction} of the nonzero ones; the
+    coordinates a sparse row {slot: coefficient} of the nonzero ones; the
     eigenvalues entries (i, j, lam) record the adjoint action of face
     b_j on AL member b_i, i.e. [b_j, b_i] = lam * b_i mod Inn.  When
     ``enforced`` is true (planar embedding) the face-commutation and

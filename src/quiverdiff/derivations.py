@@ -11,7 +11,7 @@ stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
 An operator stores only its nonzero images, each a sparse row {path
-index: Fraction}, the Row of the linear algebra; every constructor
+index: coefficient}, the Row of the linear algebra; every constructor
 writes them through one builder that sums and prunes the terms of each
 image on the basis paths it is given, its support.  D_a on one path is
 _inner_terms, visited on the paths that start at h(w) or end at t(w)
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
@@ -73,7 +72,7 @@ from .errors import (
     QuiverMismatchError,
     TooLargeError,
 )
-from .linalg import _ONE, _ZERO, RationalMatrix, Row, _merged, _row_kernel
+from .linalg import _ONE, _ZERO, RationalMatrix, Row, Scalar, _exact, _merged, _row_kernel
 from .quiver import Path, Quiver
 
 
@@ -81,7 +80,7 @@ class LinearOperator:
     """A linear self-map of kGamma, stored as its nonzero images.
 
     ``images[j]`` is the image of the j-th basis path as a sparse row
-    {path index: nonzero Fraction}, for each j whose image is not zero;
+    {path index: nonzero coefficient}, for each j whose image is not zero;
     ``matrix`` builds the matrix (column j = images[j]) on each read.
     Constructors write the rows through ``_summed``; ``from_images`` takes
     a function basis path -> AlgebraElement.  Sums, scalar multiples and
@@ -92,7 +91,7 @@ class LinearOperator:
 
     @classmethod
     def _of(cls, quiver: Quiver, images: dict[int, Row]) -> "LinearOperator":
-        # images: nonempty rows of nonzero Fractions, never mutated
+        # images: nonempty rows of nonzero exact coefficients, never mutated
         op = cls.__new__(cls)
         op.quiver = quiver
         op.images = images
@@ -100,7 +99,7 @@ class LinearOperator:
 
     @classmethod
     def _summed(cls, quiver: Quiver, terms, support=None) -> "LinearOperator":
-        """The operator p -> the sum of the (path, Fraction) pairs terms(p) for the basis
+        """The operator p -> the sum of the (path, coefficient) pairs terms(p) for the basis
         paths p numbered in ``support`` (increasing; all when None), zero on the rest."""
         paths, index = quiver.paths(), quiver.path_index
         images = {}
@@ -187,7 +186,7 @@ class LinearOperator:
     def __rmul__(self, scalar) -> "LinearOperator":
         if not isinstance(scalar, Rational):
             return NotImplemented
-        c = Fraction(scalar)
+        c = _exact(scalar)
         images = {j: {k: c * x for k, x in row.items()} for j, row in self.images.items() if c}
         return LinearOperator._of(self.quiver, images)
 
@@ -195,7 +194,7 @@ class LinearOperator:
     def is_zero(self) -> bool:
         return not self.images
 
-    def flatten(self) -> tuple[Fraction, ...]:
+    def flatten(self) -> tuple[Scalar, ...]:
         return tuple(x for row in self.matrix.rows for x in row)
 
     def flat_row(self) -> Row:
@@ -216,7 +215,7 @@ class LinearOperator:
 # constructors
 
 
-def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Fraction]]:
+def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Scalar]]:
     """The terms of D_a(p) = sum of c (wp - pw) over the terms (w, c) of a."""
     out = []
     for w, c in terms:
@@ -247,10 +246,10 @@ def _splices(r: int, s: Path, p: Path) -> list[Path]:
     return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
 
 
-def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
+def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Scalar]:
     """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
     [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
-    out: dict[tuple[int, Path], Fraction] = {}
+    out: dict[tuple[int, Path], Scalar] = {}
     for (r, s), c in left.items():
         for (p, t), d in right.items():
             # D_{r,s}(t) vanishes unless r runs along t
@@ -309,11 +308,11 @@ def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
 # derivation tests
 
 
-def _product_sum(products, left: dict, j: int, i: int, right: dict) -> dict[int, Fraction]:
+def _product_sum(products, left: dict, j: int, i: int, right: dict) -> Row:
     """left p_j + p_i right as a {path index: coefficient} row, left and
     right such rows too, each product of basis paths read off ``products``
     (q.products()); coefficients that cancel stay as zeros."""
-    acc: dict[int, Fraction] = {}
+    acc: Row = {}
     for w, c in left.items():
         k = products[w].get(j)
         if k is not None:
@@ -500,7 +499,7 @@ class DerivationBasis:
         n = len(self.quiver.paths())
         return RationalMatrix._of([op.flat_row() for op in self.operators], n * n)
 
-    def coordinates_of(self, op: LinearOperator) -> tuple[Fraction, ...] | None:
+    def coordinates_of(self, op: LinearOperator) -> tuple[Scalar, ...] | None:
         """Coordinates of ``op`` in this basis, or None if outside the span.
 
         The nonzero ones come from canonical_coordinates; every other
@@ -520,7 +519,7 @@ class DerivationBasis:
 
 def canonical_coordinates(
     q: Quiver, op: LinearOperator
-) -> dict[DerivationLabel, Fraction] | None:
+) -> dict[DerivationLabel, Scalar] | None:
     """The nonzero canonical coordinates of ``op`` over ``q``, or None
     outside the span of the canonical basis.
 
@@ -537,7 +536,7 @@ def canonical_coordinates(
     """
     if op.quiver is not q and op.quiver != q:
         raise QuiverMismatchError("operator lives over a different quiver")
-    coords: dict[DerivationLabel, Fraction] = {}
+    coords: dict[DerivationLabel, Scalar] = {}
     for v in range(q.num_vertices):
         for w, c in op.apply(q.trivial_path(v))._terms.items():
             if q.path_head(w) == v and q.path_tail(w) != v:

@@ -14,10 +14,10 @@ drawn leaving its tail vertex) and ``p1-`` the head-end dart.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .derivations import LinearOperator
 from .errors import DisconnectedError, InternalCheckError, InvalidRotationError
+from .linalg import _exact
 from .quiver import Quiver
 
 TAIL = 0
@@ -197,5 +197,5 @@ def face_derivation(q: Quiver, face) -> LinearOperator:
     coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
     if len(coeffs) != q.num_arrows:
         raise ValueError(f"expected {q.num_arrows} face coefficients")
-    weights = [Fraction(a) for a in coeffs]
-    return LinearOperator._summed(q, lambda p: [(p, sum(weights[x] for x in p.arrows))])
+    weights = [_exact(a) for a in coeffs]
+    return LinearOperator._summed(q, lambda p: [(p, _exact(sum(weights[x] for x in p.arrows)))])

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 A matrix stores only its nonzero entries: each row is a dict {column:
-Fraction}, and every routine here reads and writes those rows directly,
+coefficient}, and every routine here reads and writes those rows directly,
 so arithmetic and elimination cost in proportion to the nonzeros.  A
 product walks the nonzero entries of each row of A against those of the
 matching rows of B.  kernel() and LinearSolver answer in those sparse
@@ -36,16 +36,25 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
-Vector = tuple[Fraction, ...]
-Row = dict[int, Fraction]
+Scalar = int | Fraction  # an int when integral, else a Fraction
+Vector = tuple[Scalar, ...]
+Row = dict[int, Scalar]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _exact(x, den: Scalar = 1) -> Scalar:
+    """x / den, x anything Fraction accepts, as an int when integral and a
+    Fraction otherwise: every number the package makes goes through here."""
+    if type(x) is int and den == 1:
+        return x
+    x = Fraction(x) if den == 1 else Fraction(x, den)
+    return x.numerator if x.denominator == 1 else x
 
 
 def as_vector(entries) -> Vector:
-    # entries that are already exact Fractions are shared, not rebuilt
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
+    return tuple(map(_exact, entries))
 
 
 def _sparse(vec, n: int) -> Row:
@@ -60,11 +69,11 @@ def _sparse(vec, n: int) -> Row:
 class RationalMatrix:
     """Immutable rational matrix that stores only its nonzero entries.
 
-    Row i is a dict {column: Fraction} of its nonzero entries.  No zero
-    is stored, so two matrices are equal, and hash alike, exactly when
-    their entries are.  The public constructor takes dense rows of
-    anything Fraction accepts; ``rows`` and ``row(i)`` build dense
-    tuples on each read.
+    Row i is a dict {column: coefficient} of its nonzero entries, each an
+    int when integral and a Fraction otherwise.  No zero is stored, so two
+    matrices are equal, and hash alike, exactly when their entries are.
+    The public constructor takes dense rows of anything Fraction accepts;
+    ``rows`` and ``row(i)`` build dense tuples on each read.
     """
 
     __slots__ = ("num_rows", "num_cols", "_entries")
@@ -78,7 +87,7 @@ class RationalMatrix:
 
     @classmethod
     def _of(cls, rows, num_cols: int) -> "RationalMatrix":
-        # rows: one dict of nonzero Fraction entries per row, never mutated
+        # rows: one dict of nonzero exact entries per row, never mutated
         m = cls.__new__(cls)
         m._entries = tuple(rows)
         m.num_rows, m.num_cols = len(m._entries), num_cols
@@ -112,7 +121,7 @@ class RationalMatrix:
             out[j] = x
         return tuple(out)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         if not 0 <= i < self.num_rows:
             raise IndexError(f"row {i} outside 0..{self.num_rows - 1}")
         if not 0 <= j < self.num_cols:
@@ -199,7 +208,7 @@ class RationalMatrix:
         scaled = []
         for v in vectors.values():
             lead = v[min(v)]
-            scaled.append({j: x / lead for j, x in v.items()})
+            scaled.append({j: _exact(x, lead) for j, x in v.items()})
         return RationalMatrix._of(scaled, self.num_cols)
 
 
@@ -299,7 +308,7 @@ class EchelonBasis:
             for q in [j for j in v if j in done]:
                 _eliminate(v, done[q], q)
             done[p] = v
-            out.append({j: Fraction(x, v[p]) for j, x in v.items()})
+            out.append({j: _exact(x, v[p]) for j, x in v.items()})
         return out[::-1]
 
 
@@ -347,10 +356,10 @@ def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> None:
             v[j] //= c
 
 
-def _row_kernel(rows, num_unknowns: int) -> Iterator[dict[int, Fraction]]:
+def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
     """Yield a basis of the solutions of ``rows``, each a row of (unknown,
     nonzero int) pairs over the unknowns 0 .. num_unknowns - 1; a solution
-    is {unknown: Fraction}, 1 at its least unknown.  A signed union-find
+    is a Row {unknown: coefficient}, 1 at its least unknown.  A signed union-find
     (Tarjan, J. ACM 22, 1975) takes the rows d[u] = 0 and d[u] = +-d[v],
     rewriting every row on the class roots until none shrinks to one of
     those; a class whose signs disagree around a cycle then has a row
@@ -397,7 +406,7 @@ def _row_kernel(rows, num_unknowns: int) -> Iterator[dict[int, Fraction]]:
     column = {r: k for k, r in enumerate(roots)}
     solutions = []
     if longer:
-        matrix = [{column[r]: Fraction(c) for r, c in row} for row in longer]
+        matrix = [{column[r]: c for r, c in row} for row in longer]
         kernel = RationalMatrix._of(matrix, len(roots)).kernel()._entries
         solutions = [{roots[k]: x for k, x in row.items()} for row in kernel]
     free, members = [], {}  # the roots in no row left, and the rest of each class
@@ -440,8 +449,8 @@ class LinearSolver:
     Reduces once, then answers many queries: for a row matrix M, the row
     space S of ``modulo`` and a target t, ``solve(t)`` returns some x with
     t - x M in S, or None when t is outside S + row(M).  Both are sparse
-    rows, as a RationalMatrix stores them: t is {column: Fraction} and x
-    is {row index of M: Fraction}, nonzero entries only.  ``dependent``
+    rows, as a RationalMatrix stores them: t is {column: coefficient} and
+    x is {row index of M: coefficient}, nonzero entries only.  ``dependent``
     lists, in increasing order, the rows of M that lie in S plus the
     span of the rows before them; x is unique exactly when it is empty.
     """
@@ -471,4 +480,4 @@ class LinearSolver:
         if self._basis._forward(v) < n:
             return None
         s = v.pop(n + k)
-        return {n + k - 1 - j: Fraction(-c, s) for j, c in v.items()}
+        return {n + k - 1 - j: _exact(-c, s) for j, c in v.items()}

@@ -354,17 +354,24 @@ def sparse_row(vec):
 
 
 def dense_row(row, n):
-    """The sparse row {index: value} as a dense tuple of n Fractions."""
-    out = [Fraction(0)] * n
+    """The sparse row {index: value} as a dense tuple of n entries, the
+    values as they are and 0 elsewhere."""
+    out = [0] * n
     for j, x in row.items():
-        out[j] = Fraction(x)
+        out[j] = x
     return tuple(out)
 
 
+def is_exact(x):
+    """The coefficient contract: an int when integral, never a bool, and a
+    Fraction only when it is not integral; never a float."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
 def assert_sparse_row(row, n):
-    """The sparse-row contract: exact Fraction entries, no stored zero, and
-    every index in 0..n-1."""
-    assert all(type(x) is Fraction and x for x in row.values()), row
+    """The sparse-row contract: exact nonzero entries, each an int when
+    integral and a Fraction otherwise, and every index in 0..n-1."""
+    assert all(is_exact(x) and x for x in row.values()), row
     assert all(type(j) is int and 0 <= j < n for j in row), (row, n)
 
 
@@ -846,7 +853,7 @@ class ReferenceOperator:
     def matrix(self) -> RationalMatrix:
         q = self.quiver
         n = len(self.images)
-        # the coefficients of an element are nonzero Fractions already
+        # the coefficients of an element are nonzero and exact already
         rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for j, img in enumerate(self.images):
             for p, c in img._terms.items():

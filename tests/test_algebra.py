@@ -8,9 +8,10 @@ Core claims:
     - sums, differences, negations, products, multiples and commutators of
       seeded elements, exact cancellation included, equal the element the
       public constructor builds from a dict-of-Fraction model, and store
-      only nonzero Fraction coefficients
+      only nonzero exact coefficients, ints where every operand is integral
     - int, Fraction and mixed coefficient terms build equal elements that
-      store only Fractions
+      store an int for each integral coefficient and a Fraction only
+      otherwise; a bool or a float is converted exactly
 """
 
 from fractions import Fraction
@@ -163,9 +164,12 @@ def _cancelling_element(rng, q, paths):
     )
 
 
-def _assert_is_model(result, q, model):
+def _assert_is_model(result, q, model, integral):
+    """result is the element of ``model``, with nonzero exact coefficients,
+    ints where every operand was ``integral``."""
     assert result == AlgebraElement(q, model)
-    assert all(type(c) is Fraction and c for _, c in result.items())
+    kinds = (int,) if integral else (int, Fraction)
+    assert all(type(c) in kinds and c for _, c in result.items())
 
 
 def _cancelling_products(q):
@@ -181,7 +185,7 @@ def _cancelling_products(q):
 
 def test_arithmetic_matches_a_dict_model():
     rng = seeded(2107)
-    cancelled_sums = cancelled_products = 0
+    cancelled_sums = cancelled_products = integral_cases = 0
     for name in ("a2", "a3", "a5", "k2", "k3", "triangle_tails", "grid2x2", "torus_k4"):
         q = fixture_quiver(name)
         paths = q.paths()
@@ -204,12 +208,16 @@ def test_arithmetic_matches_a_dict_model():
                     (-1, AlgebraElement(q, _model_product(q, b, a))),
                 )),
             )
+            operands = [c for _, c in a.items() + b.items()] + [scalar]
+            integral = all(type(c) is int for c in operands)
+            integral_cases += integral
             for result, model in models:
-                _assert_is_model(result, q, model)
+                _assert_is_model(result, q, model, integral)
             cancelled_sums += any(c == 0 for c in models[0][1].values())
             cancelled_products += any(c == 0 for c in models[4][1].values())
-    # the draws reach exact cancellation in sums and in products
-    assert cancelled_sums >= 10 and cancelled_products >= 10
+    # the draws reach exact cancellation in sums and in products, and
+    # integral operands
+    assert cancelled_sums >= 10 and cancelled_products >= 10 and integral_cases >= 10
 
 
 # -- Normalization and errors ------------------------------------------------
@@ -236,8 +244,8 @@ def test_zero_coefficient_terms_not_stored():
 
 
 def test_int_fraction_and_mixed_terms_give_equal_elements():
-    # a Fraction coefficient is kept as it is and any other is converted;
-    # either way the element stores the same nonzero Fractions
+    # every coefficient is converted exactly, and the element stores an int
+    # for an integral sum, a Fraction only for another
     q = fixture_quiver("a3")
     p1, p2, v1 = q.arrow_path("p1"), q.arrow_path("p2"), q.trivial_path("v1")
     ints = AlgebraElement(q, [(p1, 2), (p2, -3), (p1, 1), (v1, 4), (v1, -4)])
@@ -250,13 +258,17 @@ def test_int_fraction_and_mixed_terms_give_equal_elements():
     as_dict = AlgebraElement(q, {p1: 3, p2: Fraction(-3)})
     assert ints == fractions == mixed == as_dict
     for elem in (ints, fractions, mixed, as_dict):
-        assert elem._terms == {p1: Fraction(3), p2: Fraction(-3)}
-        assert all(type(c) is Fraction for c in elem._terms.values())
+        assert elem._terms == {p1: 3, p2: -3}
+        assert all(type(c) is int for c in elem._terms.values())
+    converted = AlgebraElement(q, [(p1, True), (p2, 2.0)])._terms
+    assert converted == {p1: 1, p2: 2} and all(type(c) is int for c in converted.values())
     half = Fraction(1, 2)
     assert AlgebraElement(q, [(p1, half), (p1, half)]) == AlgebraElement(q, [(p1, 1)])
     # a float is converted exactly before it meets a Fraction
     quarters = AlgebraElement(q, [(p1, 0.25), (p1, Fraction(1, 4))])._terms
     assert quarters == {p1: half} and type(quarters[p1]) is Fraction
+    assert type(AlgebraElement.from_path(q, p1, Fraction(4, 2)).coefficient(p1)) is int
+    assert type((Fraction(3, 3) * AlgebraElement.from_path(q, p1)).coefficient(p1)) is int
     assert AlgebraElement(q, [(p1, half), (p1, -half)]).is_zero
 
 

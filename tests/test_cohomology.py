@@ -33,7 +33,8 @@ Core claims:
       helpers.ReferenceHH1 on every embedded fixture, on seeded quivers of
       genus 0 and >= 1, on K_m for m <= 8, on T_n for n <= 5 and on the
       3x3 and 4x4 checkerboard grids, planar and with seeded rotations
-    - every HH1 class is a sparse row, exact Fractions with no stored zero
+    - every HH1 class is a sparse row of exact entries, an int when
+      integral and a Fraction otherwise, with no stored zero
       and every slot in range: the bracket rows and class_coordinates of
       each representative, alone and with an AL class and an inner
       derivation added, on the differential inputs above
@@ -600,7 +601,7 @@ def test_structure_table_matches_the_operator_route(embedded):
 
 @pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
 def test_classes_are_sparse_rows(embedded):
-    # exact Fractions, no stored zero, every slot in range
+    # exact entries, ints where integral, no stored zero, every slot in range
     q, rot = embedded
     st = hh1_structure(q, rot)
     hb = st.basis

@@ -26,15 +26,16 @@ Core claims:
       matrices of checkerboard grids
     - products, sums and differences agree with SymPy on sparse and dense
       matrices of every shape, empty ones included, and store only exact
-      Fraction entries; each result equals, and hashes like, the matrix
+      entries, ints where every operand is integral; each result equals, and hashes like, the matrix
       built from its dense rows, zeros written out or not; a matrix reused
       as an operand of many of them, and the results and negations built
       from it, give the same answers as fresh copies; a product equals the
       dense sum of entry products on matrices with empty rows, where a
       nonzero row of A with a zero product gives an empty row
     - kernel() answers with a RationalMatrix, and LinearSolver.solve
-      takes and answers with sparse rows: exact Fractions, no stored zero,
-      every index in range, on the seeded matrices of the SymPy checks;
+      takes and answers with sparse rows: exact entries, an int when
+      integral and a Fraction otherwise, no stored zero, every index in
+      range, on the seeded matrices of the SymPy checks;
       solve rejects a target column outside its matrix, a zero entry's
       too, and answers for a target that stores zeros as for one without
     - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
@@ -42,8 +43,10 @@ Core claims:
       a column outside the matrix, and row() a row
     - _row_kernel, the oracle's signed union-find in front of kernel(),
       spans the kernel of 300 seeded sparse integer systems, puts a 1 at
-      each solution's least unknown, and zeroes a class whose signs
-      disagree around a cycle
+      each solution's least unknown, answers in sparse rows, and zeroes a
+      class whose signs disagree around a cycle
+    - the constructor stores an int for integral input, bool and float
+      included, and a Fraction only otherwise
 """
 
 import math
@@ -68,6 +71,7 @@ from helpers import (
     assert_sparse_row,
     checkerboard_grid,
     dense_row,
+    is_exact,
     mat_vec,
     rand_frac,
     seeded,
@@ -281,7 +285,7 @@ def _solve(solver, target):
 def _assert_solves_modulo(sympy, s, m, target, x):
     """x is a solution: t - x M lies in the row space of s."""
     assert x is not None and len(x) == m.num_rows
-    assert all(type(c) is Fraction for c in x)
+    assert all(is_exact(c) for c in x)
     residual = [t - sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
                 for j, t in enumerate(target)]
     ss = _to_sympy(sympy, s)
@@ -471,10 +475,14 @@ def test_matrix_arithmetic_shapes():
         RationalMatrix.stack(a, b)
 
 
-def test_constructor_stores_only_exact_fractions():
-    m = RationalMatrix([[True, 2, "1/3", 0.5, Fraction(-3, 4)]])
-    assert all(type(x) is Fraction for x in m.row(0))
-    assert m.row(0) == (1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(-3, 4))
+def test_constructor_stores_ints_where_integral_and_fractions_elsewhere():
+    m = RationalMatrix([[True, 2, "1/3", 0.5, Fraction(-3, 4), Fraction(6, 3), -2.0, "4/2", 0]])
+    kinds = [int, int, Fraction, Fraction, Fraction, int, int, int, int]
+    assert [type(x) for x in m.row(0)] == kinds
+    assert m.row(0) == (1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(-3, 4), 2, -2, 2, 0)
+    assert m._entries == ({0: 1, 1: 2, 2: Fraction(1, 3), 3: Fraction(1, 2), 4: Fraction(-3, 4),
+                           5: 2, 6: -2, 7: 2},)
+    assert all(is_exact(x) and x for x in m._entries[0].values())
 
 
 def test_entry_rejects_a_column_outside_the_matrix():
@@ -527,7 +535,9 @@ def _from_sympy(sm):
     )
 
 
-def _assert_same_matrix(result, expected):
+def _assert_same_matrix(result, expected, integral=False):
+    """result equals, and hashes like, expected and its own dense rebuilds;
+    its entries are exact, and ints where every operand was ``integral``."""
     rebuilt = RationalMatrix([list(row) for row in result.rows], result.num_cols)
     # dense rows whose zeros are spelled out as fresh Fraction(0)s
     spelled_out = RationalMatrix(
@@ -536,7 +546,8 @@ def _assert_same_matrix(result, expected):
     for other in (expected, rebuilt, spelled_out):
         assert result == other
         assert hash(result) == hash(other)
-    assert all(type(x) is Fraction for row in result.rows for x in row)
+    kinds = (int,) if integral else (int, Fraction)
+    assert all(type(x) in kinds for row in result.rows for x in row)
 
 
 def test_arithmetic_matches_sympy(sympy):
@@ -607,7 +618,7 @@ def test_products_with_empty_rows_match_a_dense_product():
     a = RationalMatrix([[0, 0, 0], [1, -1, 0], [0, 0, 0], [0, 0, 2], [2, 0, 1]], 3)
     b = RationalMatrix([[1, 2], [1, 2], [0, 0]], 2)
     product = a * b
-    _assert_same_matrix(product, _dense_product(a, b))
+    _assert_same_matrix(product, _dense_product(a, b), integral=True)
     assert product.rows == ((0, 0), (0, 0), (0, 0), (0, 0), (2, 4))
     assert all(product._entries[i] == {} for i in range(4))
     rng = seeded(3117)
@@ -841,7 +852,7 @@ def test_row_kernel_is_the_kernel_of_seeded_sparse_systems():
             rows.add(_primitive({u: rng.choice([1, -1, 1, -1, 2, -2]) for u in unknowns}))
         solutions = list(_row_kernel(rows, n))
         for solution in solutions:
-            assert all(type(x) is Fraction and x for x in solution.values())
+            assert_sparse_row(solution, n)
             assert solution[min(solution)] == 1
         found = RationalMatrix._of(solutions, n)
         kernel = sparse_kernel(rows, n)
