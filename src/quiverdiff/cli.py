@@ -228,8 +228,8 @@ def cmd_derivations(qf, args) -> int:
             }
             for label, op in zip(labels, basis.operators)
         ]
-        identities = verify_bracket_identities(q)
-        sign = inner_edge_bracket_sign(q)
+        identities = verify_bracket_identities(basis)
+        sign = inner_edge_bracket_sign(basis)
         payload["verify"] = {
             "members": members,
             "bracketChecks": {

@@ -47,12 +47,13 @@ The checks skip work only where their own operands show that it gives
 zero.  A matrix moves the columns where it has entries and hits the
 paths of its nonempty rows, so AB can be nonzero only where the paths
 B hits meet the columns A moves; both sets are read off the operands
-alone.  verify_bracket_identities decides every ordered pair, but
-forms a product only where the supports meet, and where both products
-are zero it requires the right-hand side to be zero; each distinct
-right side and member is built once.  inner_edge_bracket_sign brackets
-only where the supports meet, builds D_{D_{r,s}(p)} only where r runs
-along p, and the
+alone.  The bracket checks read the members of the basis they check,
+and build only right sides and the |V| operators D_{e_v}, no members.
+verify_bracket_identities decides every ordered pair, but forms a
+product only where the supports meet, and where both products are zero
+it requires the right-hand side to be zero; each distinct inner right
+side is built once.  inner_edge_bracket_sign brackets only where the
+supports meet and builds D_{D_{r,s}(p)} only where r runs along p.  The
 Leibniz and coefficient checks visit only the pairs of paths and the
 coefficients that an operator's nonzero images can make nonzero.
 """
@@ -65,13 +66,7 @@ from math import gcd
 from numbers import Rational
 
 from .algebra import AlgebraElement
-from .errors import (
-    InternalCheckError,
-    NotACycleError,
-    NotParallelError,
-    QuiverMismatchError,
-    TooLargeError,
-)
+from .errors import InternalCheckError, NotParallelError, QuiverMismatchError, TooLargeError
 from .linalg import _ONE, _ZERO, RationalMatrix, Row, Scalar, _exact, _merged, _row_kernel
 from .quiver import Path, Quiver
 
@@ -84,7 +79,9 @@ class LinearOperator:
     ``matrix`` builds the matrix (column j = images[j]) on each read.
     Constructors write the rows through ``_summed``; ``from_images`` takes
     a function basis path -> AlgebraElement.  Sums, scalar multiples and
-    brackets of operators are operators again.
+    brackets of operators are operators again.  Integral inputs give int
+    coefficients; non-integral operands may leave an integral Fraction, as
+    2 * (Fraction(1, 2) * op) does, which compares, hashes and prints as the int.
     """
 
     __slots__ = ("quiver", "images")
@@ -116,10 +113,6 @@ class LinearOperator:
     @classmethod
     def zero(cls, quiver: Quiver) -> "LinearOperator":
         return cls._of(quiver, {})
-
-    @classmethod
-    def identity(cls, quiver: Quiver) -> "LinearOperator":
-        return cls._of(quiver, {j: {j: _ONE} for j in range(len(quiver.paths()))})
 
     @classmethod
     def from_images(cls, quiver: Quiver, image) -> "LinearOperator":
@@ -176,9 +169,6 @@ class LinearOperator:
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._zip(other, _merged)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self + (-other)
 
     def __neg__(self) -> "LinearOperator":
         return -1 * self
@@ -373,6 +363,7 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     q = op.quiver
     paths = q.paths()
     products = q.products()
+    tails, heads = [p.base for p in paths], [q.path_head(p) for p in paths]
     images = [op.images.get(j, {}) for j in range(len(paths))]
     at_vertex = [images[q.path_index(q.trivial_path(v))] for v in range(q.num_vertices)]
     violations = []
@@ -382,8 +373,8 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     for v, image in enumerate(at_vertex):
         for wi in sorted(image):
             w = paths[wi]
-            touches = q.path_tail(w) == v or q.path_head(w) == v
-            if w.is_trivial or q.path_head(w) == q.path_tail(w) or not touches:
+            touches = tails[wi] == v or heads[wi] == v
+            if w.is_trivial or heads[wi] == tails[wi] or not touches:
                 violations.append(
                     ConditionViolation(
                         RULE_VERTEX_SUPPORT,
@@ -395,9 +386,9 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     # vertex images must cancel; both are zero off the vertex images
     for wi in sorted(set().union(*at_vertex)):
         w = paths[wi]
-        if w.is_trivial or q.path_head(w) == q.path_tail(w):
+        if w.is_trivial or heads[wi] == tails[wi]:
             continue
-        total = at_vertex[q.path_tail(w)].get(wi, _ZERO) + at_vertex[q.path_head(w)].get(wi, _ZERO)
+        total = at_vertex[tails[wi]].get(wi, _ZERO) + at_vertex[heads[wi]].get(wi, _ZERO)
         if total != 0:
             violations.append(
                 ConditionViolation(
@@ -412,7 +403,7 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
     for pi, p in enumerate(paths):
         if p.is_trivial:
             continue
-        tail, head = q.path_tail(p), q.path_head(p)
+        tail, head = tails[pi], heads[pi]
         t_image, h_image, image = at_vertex[tail], at_vertex[head], images[pi]
         if not (image or t_image or h_image):
             continue
@@ -420,15 +411,14 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
         # every such w is acyclic but e_tail and e_head, which give p: parallel
         forced = _product_sum(products, t_image, pi, pi, h_image)
         for wi in sorted(image.keys() | forced.keys()):
-            w = paths[wi]
-            if q.path_tail(w) == tail and q.path_head(w) == head:
+            if tails[wi] == tail and heads[wi] == head:
                 continue  # parallel coefficients are free here
             actual, expected = image.get(wi, _ZERO), forced.get(wi, _ZERO)
             if actual != expected:
                 violations.append(
                     ConditionViolation(
                         RULE_PATH_FORCED,
-                        f"D({disp(p)}) has coefficient {actual} on {disp(w)},"
+                        f"D({disp(p)}) has coefficient {actual} on {disp(paths[wi])},"
                         f" the vertex images force {expected}",
                     )
                 )
@@ -444,22 +434,21 @@ def check_coefficient_conditions(op: LinearOperator) -> list[ConditionViolation]
                 if paths[c2].arrows:
                     splits[pi].append((c1, c2))
     for pi, factors in enumerate(splits):
-        image, tail, head = images[pi], q.path_tail(paths[pi]), q.path_head(paths[pi])
+        image, tail, head = images[pi], tails[pi], heads[pi]
         for c1, c2 in factors:
             if not (image or images[c1] or images[c2]):
                 continue
             # the terms w1 p2 of D(p1) p2 and p1 w2 of p1 D(p2), compared where parallel to p
             split = _product_sum(products, images[c1], c2, c1, images[c2])
             for wi in sorted(image.keys() | split.keys()):  # both are zero off these keys
-                w = paths[wi]
-                if q.path_tail(w) != tail or q.path_head(w) != head:
+                if tails[wi] != tail or heads[wi] != head:
                     continue
                 actual, expected = image.get(wi, _ZERO), split.get(wi, _ZERO)
                 if actual != expected:
                     violations.append(
                         ConditionViolation(
                             RULE_FACTOR,
-                            f"coefficient of {disp(w)} in D({disp(paths[pi])}) is {actual}"
+                            f"coefficient of {disp(paths[wi])} in D({disp(paths[pi])}) is {actual}"
                             f" but the split {disp(paths[c1])}|{disp(paths[c2])} forces {expected}",
                         )
                     )
@@ -684,38 +673,7 @@ def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> lis
 
 
 # ----------------------------------------------------------------------
-# identities that hold on any quiver
-
-
-def verify_inner_expansion(q: Quiver, c: Path) -> bool:
-    """Check D_c against its edge-pair expansion on the generators.
-
-    For an oriented cycle c based at v0 the inner derivation D_c equals
-    sum of D_{p, cp} over arrows p leaving v0 minus sum of D_{r, rc}
-    over arrows r entering v0.  Both sides are evaluated lazily on
-    V union E only, which determines a derivation by the product rule,
-    so this works on cyclic quivers where no matrix form exists.
-    """
-    _check_path(q, c)
-    if c.is_trivial or q.path_head(c) != q.path_tail(c):
-        raise NotACycleError("the expansion is defined for nontrivial oriented cycles")
-    v0 = q.path_tail(c)
-    c_elem = AlgebraElement.from_path(q, c)
-    generators = [q.trivial_path(v) for v in range(q.num_vertices)]
-    generators += [q.arrow_path(a) for a in range(q.num_arrows)]
-    for g in generators:
-        g_elem = AlgebraElement.from_path(q, g)
-        lhs = c_elem * g_elem - g_elem * c_elem
-        rhs = AlgebraElement.zero(q)
-        for p in q.out_arrows(v0):
-            s = q.concat(c, q.arrow_path(p))
-            rhs = rhs + d_rs_apply(q, p, s, g)
-        for r in q.in_arrows(v0):
-            s = q.concat(q.arrow_path(r), c)
-            rhs = rhs - d_rs_apply(q, r, s, g)
-        if lhs != rhs:
-            return False
-    return True
+# bracket identities of the canonical basis
 
 
 def _support(rows: dict[int, Row]) -> tuple[frozenset[int], frozenset[int]]:
@@ -725,28 +683,32 @@ def _support(rows: dict[int, Row]) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(k for k, row in rows.items() if row), frozenset().union(*rows.values())
 
 
-def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
+def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
     """Spot-check the closed bracket formulas against matrix brackets.
 
     inner_inner: [D_p, D_r] is the inner derivation of the commutator pr - rp
     for all basis path pairs, pr and rp read off q.products().  edge_edge:
-    [D_{r,s}, D_{p,t}] is the combination of members that _bracket_pairs,
-    the HH1 table's routine, writes for it, for all edge pairs.  The
-    left-hand sides are RationalMatrix products AB - BA of the operators'
-    matrices, which share no code with LinearOperator.bracket or a right
-    side, so they check both independently.  Every ordered pair is
-    decided against its own right-hand side; the two products of an
-    unordered pair are formed once, and only where the supports meet.
-    AB is compared with BA plus R's nonempty rows, read off R's images,
-    so no matrix is built for R and no matrices are added.
+    [D_{r,s}, D_{p,t}] is the combination of members of ``basis`` that
+    _bracket_pairs, the HH1 table's routine, writes for it, for all edge
+    pairs.  The left-hand sides are RationalMatrix products AB - BA of the
+    matrices of the members and of D_{e_v}, the one operand built here:
+    they share no code with LinearOperator.bracket or a right side, so
+    they check both independently.  Every ordered pair is decided against
+    its own right-hand side; the two products of an unordered pair are
+    formed once, and only where the supports meet.  AB is compared with
+    BA plus R's nonempty rows, read off R's images, so no matrix is built
+    for R and no matrices are added.
     """
+    q = basis.quiver
     paths, products = q.paths(), q.products()
     # a product that is zero by support is one shared zero matrix
     zero = RationalMatrix.zeros(len(paths), len(paths))
-    # each right side R as the nonempty rows of its matrix; pairs that share
-    # p_i p_j and p_j p_i share one, and each member is built once
-    member = functools.cache(_member)
 
+    def member(q: Quiver, label: DerivationLabel) -> LinearOperator:
+        return basis.operators[basis._index[label]]
+
+    # each right side R as the nonempty rows of its matrix; pairs that share
+    # p_i p_j and p_j p_i share one inner right side
     @functools.cache
     def inner_side(ij: int | None, ji: int | None) -> dict[int, Row]:
         terms = [(paths[k], c) for k, c in ((ij, _ONE), (ji, -_ONE)) if k is not None]
@@ -785,29 +747,30 @@ def verify_bracket_identities(q: Quiver) -> dict[str, bool]:
                     return False
         return True
 
-    inner = [(inner_derivation(q, p).matrix, i) for i, p in enumerate(paths)]
-    pairs = [(d_rs(q, r, s).matrix, (r, s)) for r, s in q.edge_pairs()]
+    inner = []
+    for i, p in enumerate(paths):  # D_{e_v} is no member: the one operand built here
+        op = member(q, DerivationLabel("inner", None, p)) if p.arrows else inner_derivation(q, p)
+        inner.append((op.matrix, i))
+    members = zip(basis.labels, basis.operators)
+    pairs = [(op.matrix, (r, s)) for (kind, r, s), op in members if kind == "edge_pair"]
     return {"inner_inner": all_hold(inner, inner_rhs), "edge_edge": all_hold(pairs, edge_rhs)}
 
 
-def inner_edge_bracket_sign(q: Quiver) -> int | None:
+def inner_edge_bracket_sign(basis: DerivationBasis) -> int | None:
     """The global sign in [D_p, D_{r,s}] = sign * D_{D_{r,s}(p)}.
 
-    Computed empirically over every acyclic path p and every edge pair
-    (r, s) of the quiver; raises when the instances disagree or when a
-    bracket is not proportional to the predicted inner derivation.
-    Returns None when every instance degenerates to zero.
+    Computed empirically over the members D_p, p acyclic, and D_{r,s} of
+    ``basis``; raises when the instances disagree or when a bracket is not
+    proportional to the predicted inner derivation, the one operator built
+    here.  Returns None when every instance degenerates to zero.
     """
+    q, inner_ops, edge_ops = basis.quiver, [], []
     # [D_p, D_{r,s}] is zero by support where neither operator hits a path the other moves
-    edge_ops = []
-    for r, s in q.edge_pairs():
-        op = d_rs(q, r, s)
-        edge_ops.append((r, s, op, *_support(op.images)))
+    for (kind, r, s), op in zip(basis.labels, basis.operators):
+        (edge_ops if kind == "edge_pair" else inner_ops).append((r, s, op, *_support(op.images)))
     zero = LinearOperator.zero(q)
     signs = set()
-    for p in q.acyclic_paths():
-        dp = inner_derivation(q, p)
-        dp_moves, dp_hits = _support(dp.images)
+    for _, p, dp, dp_moves, dp_hits in inner_ops:
         for r, s, op, moves, hits in edge_ops:
             meets = not dp_moves.isdisjoint(hits) or not moves.isdisjoint(dp_hits)
             br = dp.bracket(op) if meets else zero

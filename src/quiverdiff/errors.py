@@ -23,10 +23,6 @@ class NotParallelError(QuiverError):
     """The given path is not parallel to the given arrow."""
 
 
-class NotACycleError(QuiverError):
-    """The given path is not a nontrivial oriented cycle."""
-
-
 class TooLargeError(QuiverError):
     """The brute-force oracle was asked for a system beyond its cap."""
 

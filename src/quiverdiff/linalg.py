@@ -36,9 +36,10 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
-Scalar = int | Fraction  # an int when integral, else a Fraction
+Scalar = int | Fraction  # an int from integral inputs, a Fraction otherwise
 Vector = tuple[Scalar, ...]
-Row = dict[int, Scalar]
+# non-integral operands may leave an integral Fraction: it compares, hashes, prints as the int
+Row = dict[int, Scalar]  # {column: nonzero coefficient}
 
 _ZERO = 0
 _ONE = 1
@@ -121,13 +122,6 @@ class RationalMatrix:
             out[j] = x
         return tuple(out)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        if not 0 <= i < self.num_rows:
-            raise IndexError(f"row {i} outside 0..{self.num_rows - 1}")
-        if not 0 <= j < self.num_cols:
-            raise IndexError(f"column {j} outside 0..{self.num_cols - 1}")
-        return self._entries[i].get(j, _ZERO)
-
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -148,13 +142,6 @@ class RationalMatrix:
         if (self.num_rows, self.num_cols) != (other.num_rows, other.num_cols):
             raise DimensionMismatchError("shape mismatch in addition")
         return RationalMatrix._of(map(_merged, self._entries, other._entries), self.num_cols)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalMatrix":
-        negated = [{j: -x for j, x in r.items()} for r in self._entries]
-        return RationalMatrix._of(negated, self.num_cols)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.num_cols != other.num_rows:
@@ -222,8 +209,8 @@ class EchelonBasis:
     leading entry at its pivot.  A new row is reduced forward only,
     against the pivots in increasing column order, and stored rows are
     never touched again, so an insert costs one pass over the pivots it
-    meets and nothing fills in behind it.  ``rows()`` turns the basis
-    into the unique RREF of the span by one back-substitution.
+    meets and nothing fills in behind it.  ``_reduced`` turns the pivot
+    rows into the unique RREF of the span by one back-substitution.
 
     ``insert`` and ``contains`` take dense vectors.  ``spanning`` builds
     the basis of a batch of sparse matrix rows: it inserts them latest
@@ -288,10 +275,6 @@ class EchelonBasis:
 
     def contains(self, vec) -> bool:
         return self._forward(_integer_row(_sparse(vec, self.num_cols))) is None
-
-    def rows(self) -> RationalMatrix:
-        """The unique reduced row echelon form of the span."""
-        return RationalMatrix._of(self._reduced(self.pivots), self.num_cols)
 
     def _reduced(self, pivots) -> list[Row]:
         """RREF rows of the given pivots, by one back-substitution.

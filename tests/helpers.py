@@ -2,7 +2,10 @@
 planar checkerboard grid, small operations only tests need (sparse rows
 among them), the library functions that only tests call (quiver file
 text, the dense operator constructor, the checked adjoint eigenvalue,
-the stacked connection matrix and the greedy quotient complement), the
+the stacked connection matrix, the greedy quotient complement, the
+edge-pair expansion of an inner derivation on a cyclic quiver, the
+identity operator, a matrix entry, negation and difference, and the
+RREF of an echelon basis), the
 HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the per-pair Leibniz and
 coefficient checks, the all-pairs bracket checks, the per-path
@@ -31,6 +34,7 @@ from quiverdiff.derivations import (
     ConditionViolation,
     DerivationLabel,
     LinearOperator,
+    _check_path,
     canonical_basis,
     canonical_coordinates,
     d_rs,
@@ -333,6 +337,66 @@ def quotient_complement(subspace: RationalMatrix) -> list[Vector]:
         if ech.insert(v):
             chosen.append(v)
     return chosen
+
+
+def verify_inner_expansion(q: Quiver, c: Path) -> bool:
+    """Check D_c against its edge-pair expansion on the generators.
+
+    For an oriented cycle c based at v0 the inner derivation D_c equals
+    sum of D_{p, cp} over arrows p leaving v0 minus sum of D_{r, rc}
+    over arrows r entering v0.  Both sides are evaluated lazily on
+    V union E only, which determines a derivation by the product rule,
+    so this works on cyclic quivers where no matrix form exists.  Raises
+    ValueError for a path not of q and for one that is no nontrivial
+    oriented cycle.
+    """
+    _check_path(q, c)
+    if c.is_trivial or q.path_head(c) != q.path_tail(c):
+        raise ValueError("the expansion is defined for nontrivial oriented cycles")
+    v0 = q.path_tail(c)
+    c_elem = AlgebraElement.from_path(q, c)
+    generators = [q.trivial_path(v) for v in range(q.num_vertices)]
+    generators += [q.arrow_path(a) for a in range(q.num_arrows)]
+    for g in generators:
+        g_elem = AlgebraElement.from_path(q, g)
+        lhs = c_elem * g_elem - g_elem * c_elem
+        rhs = AlgebraElement.zero(q)
+        for p in q.out_arrows(v0):
+            s = q.concat(c, q.arrow_path(p))
+            rhs = rhs + d_rs_apply(q, p, s, g)
+        for r in q.in_arrows(v0):
+            s = q.concat(q.arrow_path(r), c)
+            rhs = rhs - d_rs_apply(q, r, s, g)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def identity_operator(q: Quiver) -> LinearOperator:
+    """The identity map of kGamma."""
+    return LinearOperator._of(q, {j: {j: _ONE} for j in range(len(q.paths()))})
+
+
+def matrix_entry(m: RationalMatrix, i: int, j: int):
+    """Entry (i, j) of ``m``; IndexError outside its shape."""
+    if not 0 <= i < m.num_rows:
+        raise IndexError(f"row {i} outside 0..{m.num_rows - 1}")
+    if not 0 <= j < m.num_cols:
+        raise IndexError(f"column {j} outside 0..{m.num_cols - 1}")
+    return m._entries[i].get(j, _ZERO)
+
+
+def negated(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix._of([{j: -x for j, x in r.items()} for r in m._entries], m.num_cols)
+
+
+def matrix_difference(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    return a + negated(b)
+
+
+def echelon_rref(ech: EchelonBasis) -> RationalMatrix:
+    """The unique reduced row echelon form of the span of ``ech``."""
+    return RationalMatrix._of(ech._reduced(ech.pivots), ech.num_cols)
 
 
 # -- operations only tests need --------------------------------------------
@@ -643,7 +707,7 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
     for v in trivial:
         col = idx(v)
         for w in paths:
-            c = m.entry(idx(w), col)
+            c = matrix_entry(m, idx(w), col)
             if c == 0:
                 continue
             touches = q.path_tail(w) == v.base or q.path_head(w) == v.base
@@ -658,8 +722,8 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
     # for each acyclic path, the coefficients in the head and tail
     # vertex images must cancel
     for w in acyclic:
-        total = m.entry(idx(w), idx(Path(q.path_tail(w)))) + m.entry(
-            idx(w), idx(Path(q.path_head(w)))
+        total = matrix_entry(m, idx(w), idx(Path(q.path_tail(w)))) + matrix_entry(
+            m, idx(w), idx(Path(q.path_head(w)))
         )
         if total != 0:
             violations.append(
@@ -678,20 +742,20 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
         for w in acyclic:
             if q.path_head(w) == tail:
                 forced_path = q.concat(w, p)
-                c = m.entry(idx(w), idx(Path(tail)))
+                c = matrix_entry(m, idx(w), idx(Path(tail)))
                 if forced_path is not None:
                     k = idx(forced_path)
                     forced[k] = forced.get(k, _ZERO) + c
             if q.path_tail(w) == head:
                 forced_path = q.concat(p, w)
-                c = m.entry(idx(w), idx(Path(head)))
+                c = matrix_entry(m, idx(w), idx(Path(head)))
                 if forced_path is not None:
                     k = idx(forced_path)
                     forced[k] = forced.get(k, _ZERO) + c
         for w in paths:
             if q.path_tail(w) == tail and q.path_head(w) == head:
                 continue  # parallel coefficients are free here
-            actual = m.entry(idx(w), col)
+            actual = matrix_entry(m, idx(w), col)
             expected = forced.get(idx(w), _ZERO)
             if actual != expected:
                 violations.append(
@@ -719,11 +783,11 @@ def reference_coefficient_conditions(op: LinearOperator) -> list[ConditionViolat
                 expected = _ZERO
                 if ends:
                     w1 = Path(w.base, w.arrows[: len(w) - (len(p) - k)])
-                    expected += m.entry(idx(w1), c1)
+                    expected += matrix_entry(m, idx(w1), c1)
                 if starts:
                     w2 = Path(q.path_head(p1), w.arrows[k:])
-                    expected += m.entry(idx(w2), c2)
-                actual = m.entry(idx(w), col)
+                    expected += matrix_entry(m, idx(w2), c2)
+                actual = matrix_entry(m, idx(w), col)
                 if actual != expected:
                     violations.append(
                         ConditionViolation(
@@ -770,9 +834,13 @@ def reference_verify_bracket_identities(q: Quiver) -> dict[str, bool]:
 
     pairs = [(r, s, d_rs(q, r, s).matrix) for r, s in q.edge_pairs()]
     return {
-        "inner_inner": all(a * b - b * a == inner_rhs(x, y) for a, x in inner for b, y in inner),
+        "inner_inner": all(
+            matrix_difference(a * b, b * a) == inner_rhs(x, y) for a, x in inner for b, y in inner
+        ),
         "edge_edge": all(
-            a * b - b * a == edge_rhs(r, s, p, t) for r, s, a in pairs for p, t, b in pairs
+            matrix_difference(a * b, b * a) == edge_rhs(r, s, p, t)
+            for r, s, a in pairs
+            for p, t, b in pairs
         ),
     }
 

@@ -40,6 +40,9 @@ Core claims:
       between two runs changes neither run's bytes
     - one hh1 job traces its faces, builds C_va and calls hh1_dimension
       once each
+    - one derivations --verify job on torus_k4 and T_6 builds each
+      canonical member once: 11 and 57 d_rs calls, one _member call per
+      label, and D_p once per basis path
     - output that stdout refuses (a full device, a closed stdout, a reader
       that closes the pipe early, buffered or with PYTHONUNBUFFERED=1) ends
       in exit 2 and one stderr line, not a traceback
@@ -58,10 +61,10 @@ import pytest
 
 from quiverdiff.cli import main
 
-from quiverdiff import cli, cohomology, quiverfile
+from quiverdiff import cli, cohomology, derivations, quiverfile
 from quiverdiff.derivations import DerivationBasis, LinearOperator
 from quiverdiff.linalg import RationalMatrix
-from quiverdiff.quiver import Quiver
+from quiverdiff.quiver import Path, Quiver
 
 from helpers import (
     FIXTURE_DIR,
@@ -404,6 +407,27 @@ def test_derivations_verify_block(capsys):
         assert member["violations"] == 0
     assert verify["bracketChecks"] == {"innerInner": True, "edgeEdge": True}
     assert verify["innerEdgeBracketSign"] == -1
+
+
+@pytest.mark.parametrize("name, num_pairs", [("torus_k4", 11), ("t6", 57)])
+def test_derivations_verify_builds_each_member_once(tmp_path, capsys, monkeypatch, name, num_pairs):
+    # the checks read the members canonical_basis built: in the whole job
+    # one d_rs call per edge pair, one _member call per label, and D_p
+    # built once per basis path, the |V| vertex idempotents among them
+    calls = {"d_rs": [], "_member": [], "inner_derivation": []}
+    for fn in calls:
+        def recorded(q, *args, _fn=fn, _orig=getattr(derivations, fn)):
+            calls[_fn].append(args)
+            return _orig(q, *args)
+        monkeypatch.setattr(derivations, fn, recorded)
+    path = _fixture(name) if name == "torus_k4" else _tournament_file(tmp_path, 6)
+    payload = _payload(capsys, ["derivations", "--verify", path])
+    assert payload["verify"]["bracketChecks"] == {"innerInner": True, "edgeEdge": True}
+    assert len(calls["d_rs"]) == len(set(calls["d_rs"])) == num_pairs
+    assert len(calls["_member"]) == payload["dim"]
+    paths = [args[0] for args in calls["inner_derivation"] if isinstance(args[0], Path)]
+    q = quiverfile.load(path).quiver
+    assert sorted(paths) == sorted(q.paths())
 
 
 # -- Failure modes -----------------------------------------------------------------

@@ -13,6 +13,9 @@ Core claims:
       equal integral Fractions give equal products, ranks, echelon forms,
       kernels and solutions, with the same str of every entry; the
       eliminations answer both in the same types
+    - operator arithmetic on non-integral operands may store an integral
+      Fraction: 2 * (1/2 * D_{r,s}) equals D_{r,s}, and each of its
+      coefficients equals, hashes and prints like the int 1 of D_{r,s}
 """
 
 from fractions import Fraction
@@ -25,7 +28,7 @@ from quiverdiff.cohomology import (
     hh1_structure,
     vertex_arrow_matrix,
 )
-from quiverdiff.derivations import canonical_basis, derivation_space_oracle, inner_subspace
+from quiverdiff.derivations import canonical_basis, d_rs, derivation_space_oracle, inner_subspace
 from quiverdiff.embedding import face_derivation, trace_faces
 from quiverdiff.linalg import LinearSolver, RationalMatrix, _row_kernel, intersect_row_spaces
 
@@ -175,3 +178,18 @@ def test_int_and_fraction_inputs_agree():
             assert (x is None) == (y is None)
             if x is not None:
                 _assert_agree([x], [y])
+
+
+def test_an_integral_fraction_left_by_arithmetic_acts_as_the_int():
+    # LinearOperator arithmetic does not normalize its sums and products:
+    # this pins the weaker contract, not the type of the stored entry
+    q = kronecker(2)[0]
+    op = d_rs(q, 0, q.arrow_path(1))
+    doubled = 2 * (Fraction(1, 2) * op)
+    assert doubled == op and doubled.images.keys() == op.images.keys()
+    for j, row in op.images.items():
+        assert row.keys() == doubled.images[j].keys()
+        for k, one in row.items():
+            c = doubled.images[j][k]
+            assert type(one) is int and one == 1
+            assert (c == one, hash(c) == hash(one), str(c)) == (True, True, "1")

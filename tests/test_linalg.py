@@ -39,8 +39,8 @@ Core claims:
       solve rejects a target column outside its matrix, a zero entry's
       too, and answers for a target that stores zeros as for one without
     - a matrix stores only its nonzero entries: the 2000 x 2000 identity,
-      its rank and its square stay under 8 MiB; entry() rejects a row or
-      a column outside the matrix, and row() a row
+      its rank and its square stay under 8 MiB; the helpers' matrix_entry()
+      rejects a row or a column outside the matrix, and row() a row
     - _row_kernel, the oracle's signed union-find in front of kernel(),
       spans the kernel of 300 seeded sparse integer systems, puts a 1 at
       each solution's least unknown, answers in sparse rows, and zeroes a
@@ -71,8 +71,12 @@ from helpers import (
     assert_sparse_row,
     checkerboard_grid,
     dense_row,
+    echelon_rref,
     is_exact,
     mat_vec,
+    matrix_difference,
+    matrix_entry,
+    negated,
     rand_frac,
     seeded,
     sparse_kernel,
@@ -155,10 +159,10 @@ def test_rref_pivots_are_unit_columns():
         m = _random_matrix(rng, 4, 6)
         r, pivots = m.rref()
         for k, col in enumerate(pivots):
-            assert r.entry(k, col) == 1
+            assert matrix_entry(r, k, col) == 1
             for i in range(len(r.rows)):
                 if i != k:
-                    assert r.entry(i, col) == 0
+                    assert matrix_entry(r, i, col) == 0
 
 
 # -- Kernel ------------------------------------------------------------------
@@ -286,7 +290,7 @@ def _assert_solves_modulo(sympy, s, m, target, x):
     """x is a solution: t - x M lies in the row space of s."""
     assert x is not None and len(x) == m.num_rows
     assert all(is_exact(c) for c in x)
-    residual = [t - sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
+    residual = [t - sum(x[i] * matrix_entry(m, i, j) for i in range(m.num_rows))
                 for j, t in enumerate(target)]
     ss = _to_sympy(sympy, s)
     assert ss.col_join(_to_sympy(sympy, RationalMatrix([residual]))).rank() == ss.rank()
@@ -328,7 +332,7 @@ def test_echelon_basis_insert_and_contains():
     assert basis.rank == len(inserted)
     for v in inserted:
         assert basis.contains(v)
-    assert basis.rows().rank() == basis.rank
+    assert echelon_rref(basis).rank() == basis.rank
 
 
 def test_echelon_basis_rejects_dependent_vectors():
@@ -346,7 +350,7 @@ def test_linear_solver_expresses_row_combinations():
     x = _solve(solver, (2, 5, 3))
     assert x is not None
     combo = [
-        sum(x[i] * m.entry(i, j) for i in range(2)) for j in range(3)
+        sum(x[i] * matrix_entry(m, i, j) for i in range(2)) for j in range(3)
     ]
     assert combo == [2, 5, 3]
     assert _solve(solver, (1, 0, 1)) is None
@@ -378,13 +382,13 @@ def test_linear_solver_randomized_roundtrip():
         solver = LinearSolver(RationalMatrix.zeros(0, m.num_cols), m)
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(m.num_rows)]
         target = [
-            sum(coeffs[i] * m.entry(i, j) for i in range(m.num_rows))
+            sum(coeffs[i] * matrix_entry(m, i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
         x = _solve(solver, target)
         assert x is not None
         back = [
-            sum(x[i] * m.entry(i, j) for i in range(m.num_rows))
+            sum(x[i] * matrix_entry(m, i, j) for i in range(m.num_rows))
             for j in range(m.num_cols)
         ]
         assert back == target
@@ -468,7 +472,7 @@ def test_linear_solver_flags_dependent_later_rows(sympy):
 def test_matrix_arithmetic_shapes():
     a = RationalMatrix([[1, 2]], 2)
     b = RationalMatrix([[1], [1]], 1)
-    assert (a * b).entry(0, 0) == 3
+    assert matrix_entry(a * b, 0, 0) == 3
     with pytest.raises(DimensionMismatchError):
         a + b
     with pytest.raises(DimensionMismatchError):
@@ -487,11 +491,11 @@ def test_constructor_stores_ints_where_integral_and_fractions_elsewhere():
 
 def test_entry_rejects_a_column_outside_the_matrix():
     m = RationalMatrix([[1, 0, 2], [0, 0, 0]], 3)
-    assert [m.entry(1, j) for j in range(3)] == [0, 0, 0]
+    assert [matrix_entry(m, 1, j) for j in range(3)] == [0, 0, 0]
     # rows too: -1 must not read the last row
     for i, j in ((0, -1), (0, 3), (0, 7), (-1, 0), (2, 0), (5, 1)):
         with pytest.raises(IndexError):
-            m.entry(i, j)
+            matrix_entry(m, i, j)
     for i in (-1, 2, 5):
         with pytest.raises(IndexError):
             m.row(i)
@@ -561,9 +565,9 @@ def test_arithmetic_matches_sympy(sympy):
         sa, sa2, sb = (_to_sympy(sympy, x) for x in (a, a2, b))
         _assert_same_matrix(a * b, _from_sympy(sa * sb))
         _assert_same_matrix(a + a2, _from_sympy(sa + sa2))
-        _assert_same_matrix(a - a2, _from_sympy(sa - sa2))
-        _assert_same_matrix(-a, _from_sympy(-sa))
-        _assert_same_matrix(a - a, RationalMatrix.zeros(m, k))
+        _assert_same_matrix(matrix_difference(a, a2), _from_sympy(sa - sa2))
+        _assert_same_matrix(negated(a), _from_sympy(-sa))
+        _assert_same_matrix(matrix_difference(a, a), RationalMatrix.zeros(m, k))
 
 
 def _fresh(m):
@@ -575,23 +579,24 @@ def test_reused_operands_match_fresh_copies_and_sympy(sympy):
     # products, sums and differences: each answer is the one a fresh copy
     # of the operands gives, and the one SymPy gives
     rng = seeded(3116)
-    ops = (operator.mul, operator.add, operator.sub)
+    # each operation on RationalMatrix values, and on SymPy's
+    ops = ((operator.mul,) * 2, (operator.add,) * 2, (matrix_difference, operator.sub))
     for trial in range(6):
         n = rng.randint(1, 5)
         density = (0.1, 0.5, 1.0)[trial % 3]
         a = _sparse_random(rng, n, n, density)
-        operands = [a, -a, a * a]
+        operands = [a, negated(a), a * a]
         for _ in range(4):
             b = _sparse_random(rng, n, n, density)
             for x in list(operands):
                 for left, right in ((x, b), (b, x), (x, x)):
-                    for op in ops:
+                    for op, sympy_op in ops:
                         result = op(left, right)
                         _assert_same_matrix(result, op(_fresh(left), _fresh(right)))
-                        expected = op(_to_sympy(sympy, left), _to_sympy(sympy, right))
+                        expected = sympy_op(_to_sympy(sympy, left), _to_sympy(sympy, right))
                         _assert_same_matrix(result, _from_sympy(expected))
-            operands.append(operands[-1] * b - b)
-        _assert_same_matrix(a * a - operands[2], RationalMatrix.zeros(n, n))
+            operands.append(matrix_difference(operands[-1] * b, b))
+        _assert_same_matrix(matrix_difference(a * a, operands[2]), RationalMatrix.zeros(n, n))
 
 
 def test_products_with_empty_operands():
@@ -605,7 +610,7 @@ def test_products_with_empty_operands():
 def _dense_product(a, b):
     return RationalMatrix(
         [
-            [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.num_cols)), Fraction(0))
+            [sum((matrix_entry(a, i, k) * matrix_entry(b, k, j) for k in range(a.num_cols)), Fraction(0))
              for j in range(b.num_cols)]
             for i in range(a.num_rows)
         ],
@@ -633,7 +638,7 @@ def test_arithmetic_rejects_mismatched_shapes():
     rng = seeded(3115)
     a = _sparse_random(rng, 2, 3, 0.5)
     for other in (_sparse_random(rng, 3, 2, 0.5), _sparse_random(rng, 2, 4, 0.5)):
-        for op in (operator.add, operator.sub):
+        for op in (operator.add, matrix_difference):
             with pytest.raises(DimensionMismatchError):
                 op(a, other)
     with pytest.raises(DimensionMismatchError):
