@@ -15,6 +15,8 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
+from types import GeneratorType
 
 from .cohomology import (
     _dropped_face,
@@ -40,6 +42,9 @@ from .linalg import LinearSolver, RationalMatrix
 from . import quiverfile
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _matrix(m) -> list[list[str]]:
     # the sparse rows written out dense, every all-zero row as one shared
     # list; str of a coefficient is the output format: "n", or "n/d" in lowest terms
@@ -53,25 +58,77 @@ def _matrix(m) -> list[list[str]]:
     return rows
 
 
+class _Dense(str):
+    """The JSON text of the dense matrix of the sparse ``rows``, as _matrix
+    writes it, which a payload holds as written (see _pieces): no cell
+    needs escaping, and every zero row is one text."""
+
+    def __new__(cls, rows, num_cols: int):
+        cells = ['"0"'] * num_cols
+        zero, texts = "[" + ",".join(cells) + "]", []
+        for entries in rows:
+            for j, x in entries.items():
+                cells[j] = f'"{x}"'
+            texts.append("[" + ",".join(cells) + "]" if entries else zero)
+            for j in entries:
+                cells[j] = '"0"'
+        return super().__new__(cls, "[" + ",".join(texts) + "]")
+
+
+def _pieces(value):
+    """The canonical JSON text of ``value`` in pieces: a dict key by key in
+    sorted order, a generator as an array item by item, a _Dense as it stands,
+    anything else in one encoder call."""
+    if type(value) is dict:
+        yield "{"
+        for k, (key, item) in enumerate(sorted(value.items())):
+            yield ("," if k else "") + _ENCODER.encode(key) + ":"
+            yield from _pieces(item)
+        yield "}"
+    elif type(value) is GeneratorType:
+        yield "["
+        for k, item in enumerate(value):
+            yield "," if k else ""
+            yield from _pieces(item)
+        yield "]"
+    elif type(value) is _Dense:
+        yield value
+    else:
+        yield _ENCODER.encode(value)
+
+
 class _OutputError(Exception):
     """stdout refused the output."""
 
 
-def _emit(payload) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def _emit(pieces) -> None:
+    """Write the text ``pieces`` and a newline to stdout, joined into
+    writes of 64 KiB or more (the last one aside): unbuffered, each write
+    is a system call."""
     out = sys.stdout
     if out is None:
         raise _OutputError("stdout is closed")
     try:
+        write = out.write
         if hasattr(out, "buffer"):
             # unbuffered (python -u), the text layer drops the rest of a
             # short write unseen: write the bytes until all are taken
             out.flush()
-            out, data = out.buffer, memoryview(text.encode(out.encoding))
-            while data:
-                data = data[out.write(data):]
-        else:
-            out.write(text)
+            encoding, out = out.encoding, out.buffer
+
+            def write(text):
+                data = memoryview(text.encode(encoding))
+                while data:
+                    data = data[out.write(data):]
+
+        held, size = [], 0
+        for text in pieces:
+            held.append(text)
+            size += len(text)
+            if size >= 1 << 16:
+                write("".join(held))
+                held, size = [], 0
+        write("".join(held) + "\n")
         out.flush()
     except OSError as e:
         # the interpreter flushes stdout once more on exit: point it at
@@ -105,7 +162,7 @@ def cmd_check(qf, args) -> int:
     if args.require_acyclic and not acyclic:
         failures.append("CyclicQuiver: the quiver contains a directed cycle")
     payload["ok"] = not failures
-    _emit(payload)
+    _emit([_ENCODER.encode(payload)])
     for f in failures:
         _fail(f)
     return 0 if not failures else 1
@@ -114,7 +171,8 @@ def cmd_check(qf, args) -> int:
 def cmd_report(qf, args) -> int:
     rot = _require_rotation(qf)
     rep = combinatorial_report(qf.quiver, rot)
-    _emit(
+    matrices = {"Cva": rep.c_va, "Cca": rep.c_ca, "Cgamma": rep.c_gamma, "Bgamma": rep.b_gamma}
+    _emit(_pieces(
         {
             "quiver": qf.name,
             "numVertices": rep.num_vertices,
@@ -135,15 +193,10 @@ def cmd_report(qf, args) -> int:
                 "Cgamma": rep.rank_c_gamma,
                 "Bgamma": rep.rank_b_gamma,
             },
-            "matrices": {
-                "Cva": _matrix(rep.c_va),
-                "Cca": _matrix(rep.c_ca),
-                "Cgamma": _matrix(rep.c_gamma),
-                "Bgamma": _matrix(rep.b_gamma),
-            },
+            "matrices": {k: _Dense(m._entries, m.num_cols) for k, m in matrices.items()},
             "faces": [list(f.display(qf.quiver)) for f in rep.faces],
         }
-    )
+    ))
     return 0
 
 
@@ -165,7 +218,7 @@ def cmd_hh1(qf, args) -> int:
     labels = hb.display_labels()
     coords = _matrix(RationalMatrix._of((row for _, _, row in st.brackets), hb.dimension))
     num_al = sum(label.kind == "al" for label in hb.labels)
-    _emit(
+    _emit([_ENCODER.encode(
         {
             "quiver": qf.name,
             "dim": hb.dimension,
@@ -192,7 +245,7 @@ def cmd_hh1(qf, args) -> int:
                 },
             },
         }
-    )
+    )])
     return 0
 
 
@@ -202,19 +255,21 @@ def cmd_derivations(qf, args) -> int:
     ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths) if args.oracle else None
     basis = canonical_basis(q)
     labels = basis.display_labels()
+    n = len(q.paths())
     payload = {
         "quiver": qf.name,
         "dim": len(basis),
         "innerRank": inner_subspace(q).rank(),
         "labels": list(labels),
-        "basis": [
-            {"label": label, "matrix": _matrix(op.matrix)}
+        # each member's matrix text is built as it is written, from its images
+        "basis": (
+            {"label": label, "matrix": _Dense(map(op._rows().get, range(n), repeat({})), n)}
             for label, op in zip(labels, basis.operators)
-        ],
+        ),
     }
     if ops is not None:
         # every oracle operator in the span of the basis: a solve with no subspace
-        solver = LinearSolver(RationalMatrix.zeros(0, len(q.paths()) ** 2), basis.flat_rows())
+        solver = LinearSolver(RationalMatrix.zeros(0, n * n), basis.flat_rows())
         spans_match = len(ops) == len(basis) and all(
             solver.solve(op.flat_row()) is not None for op in ops
         )
@@ -238,7 +293,7 @@ def cmd_derivations(qf, args) -> int:
             },
             "innerEdgeBracketSign": sign,
         }
-    _emit(payload)
+    _emit(_pieces(payload))
     return 0
 
 

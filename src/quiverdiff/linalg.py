@@ -10,25 +10,26 @@ tuples are built only for ``rows`` and ``row(i)``.  Every elimination
 runs through one kernel, EchelonBasis:
 sparse primitive integer rows, reduced forward only (fraction-free, as
 in Bareiss, Math. Comp. 22, 1968), with no floating point.  Batches of
-rows, LinearSolver's tagged ones too, go in through ``spanning``, latest
-leading column first (a fixed row order in the spirit of Markowitz,
-Management Sci. 3, 1957); caller order fills in on the row-major vertex
-and face rows of a planar grid.  rank reads the forward pivots; rref,
-kernel and row-space intersection (Zassenhaus) back-substitute once to
-the reduced row echelon form.  LinearSolver needs no back-substitution:
-a target carries a 1 in one more column, which no stored row reaches,
-so forward reduction leaves the answer's scale there.  The reduced row
-echelon form of a row space is unique, so ranks, echelon forms, kernels
-and intersections do not depend on the order the rows are inserted in.
-Forward-only rows matter for Zassenhaus: keeping every row fully reduced
-fills in the right half of the block [[A A], [B 0]], which for a report
-on a 112-arrow grid is 114 x 224.  _row_kernel, the oracle's solver,
-puts a signed union-find in front of kernel() for systems that are
-almost all rows d[u] = 0 and d[u] = +-d[v].
+rows go in through ``spanning``, latest leading column first (a fixed
+row order in the spirit of Markowitz, Management Sci. 3, 1957).  rank
+relabels the sparse columns first, as its answer alone does not depend
+on column order; rref, kernel and intersect_row_spaces back-substitute
+once to the reduced row echelon form, which is unique, so none of them
+depends on the order the rows go in.  Tags keep the books: LinearSolver
+and intersect_row_spaces give each row of M, or of B, a 1 in a column
+of its own, so a basis row whose data half vanishes names the
+combination it came from.  Tagging B halves the elimination of
+Zassenhaus's doubled block [[A A], [B 0]] (25,502 entries touched
+instead of 50,365 on the 8 x 8 grid's report).  A solver target
+carries a 1 in one more column, which no stored row reaches, so its
+answer's scale is read there.  _row_kernel, the oracle's solver, puts a
+signed union-find in front of kernel() for systems that are almost all
+rows d[u] = 0 and d[u] = +-d[v].
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
@@ -166,15 +167,16 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        ech = self._echelon()
+        ech = EchelonBasis.spanning(self.num_cols, self._entries)
         padding = [{} for _ in range(self.num_rows - ech.rank)]
         return RationalMatrix._of(ech._reduced(ech.pivots) + padding, self.num_cols), ech.pivots
 
     def rank(self) -> int:
-        return self._echelon().rank
-
-    def _echelon(self) -> "EchelonBasis":
-        return EchelonBasis.spanning(self.num_cols, self._entries)
+        # sparse columns first (fewest nonzeros, ties by index) fill in less
+        count = Counter(j for row in self._entries for j in row)
+        label = {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+        relabelled = [{label[j]: x for j, x in row.items()} for row in self._entries]
+        return EchelonBasis.spanning(self.num_cols, relabelled).rank
 
     def kernel(self) -> "RationalMatrix":
         """Exact kernel basis as the rows of a matrix, one row per free
@@ -311,7 +313,10 @@ def _merged(r: Row, s: Row) -> Row:
 
 
 def _integer_row(row: Row) -> dict[int, int]:
-    """The int row den * row, den the lcm of its denominators."""
+    """The int row den * row, den the lcm of its denominators: a copy
+    when every entry is an int already."""
+    if all(type(x) is int for x in row.values()):
+        return dict(row)
     den = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
@@ -409,21 +414,23 @@ def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Echelon basis of rowspace(a) and rowspace(b) intersected.
+    """Reduced row echelon basis of rowspace(a) and rowspace(b) intersected.
 
-    Zassenhaus: row reduce the block matrix [[A A], [B 0]]; the rows
-    whose pivot lies in the right half have a vanishing left half, and
-    their right halves are the RREF of the intersection.  Only those
-    rows are back-substituted.
+    Row reduce [A | 0; B | I], row i of B tagged by a 1 in column n + i.
+    A basis row whose pivot lies in the tags has a vanishing left half,
+    x A + y B = 0, so it carries a y with y B in row(A), and those y span
+    every such y.  The intersection is the span of their y B, returned
+    in RREF.
     """
     if a.num_cols != b.num_cols:
         raise DimensionMismatchError("row spaces live in different dimensions")
     n = a.num_cols
-    # the right half of [A A] is each row of A shifted n columns on
-    doubled = [{**row, **{j + n: x for j, x in row.items()}} for row in a._entries]
-    ech = EchelonBasis.spanning(2 * n, doubled + list(b._entries))
-    found = ech._reduced([p for p in ech.pivots if p >= n])
-    return RationalMatrix._of([{j - n: x for j, x in row.items()} for row in found], n)
+    tagged = [{**row, n + i: _ONE} for i, row in enumerate(b._entries)]
+    ech = EchelonBasis.spanning(n + b.num_rows, list(a._entries) + tagged)
+    # a stored row starts at its pivot, so one pivoted in the tags is [0 | y]
+    ys = [{i - n: y for i, y in ech._pivot_rows[p].items()} for p in ech.pivots if p >= n]
+    found = EchelonBasis.spanning(n, (RationalMatrix._of(ys, b.num_rows) * b)._entries)
+    return RationalMatrix._of(found._reduced(found.pivots), n)
 
 
 class LinearSolver:

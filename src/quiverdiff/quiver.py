@@ -15,6 +15,7 @@ a first-class value, never an exception.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import CyclicQuiverError
 
@@ -197,7 +198,8 @@ class Quiver:
     # ------------------------------------------------------------------
     # global structure
 
-    def _topological_order(self) -> list[int]:
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
         """The vertices, each after the tails of its incoming arrows; those
         on or after a directed cycle are left out."""
         indegree = [0] * self.num_vertices
@@ -213,13 +215,17 @@ class Quiver:
                 indegree[h] -= 1
                 if indegree[h] == 0:
                     stack.append(h)
-        return order
+        return tuple(order)
 
     def is_acyclic(self) -> bool:
-        return len(self._topological_order()) == self.num_vertices
+        return len(self._topological_order) == self.num_vertices
 
     def is_connected(self) -> bool:
         """True when the underlying graph is one component; the empty quiver has none."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if self.num_vertices <= 1:
             return self.num_vertices == 1
         seen = {0}
@@ -237,7 +243,7 @@ class Quiver:
         """counts[u][v] is the number of paths from u to v, the trivial path
         included when u == v, found without enumerating any path: a DP in
         reverse topological order with exact ints, O(|V| |E|)."""
-        order = self._topological_order()
+        order = self._topological_order
         if len(order) != self.num_vertices:
             raise CyclicQuiverError("path enumeration requires an acyclic quiver")
         counts = [[0] * self.num_vertices for _ in self.vertex_names]

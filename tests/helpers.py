@@ -4,8 +4,8 @@ among them), the library functions that only tests call (quiver file
 text, the dense operator constructor, the checked adjoint eigenvalue,
 the stacked connection matrix, the greedy quotient complement, the
 edge-pair expansion of an inner derivation on a cyclic quiver, the
-identity operator, a matrix entry, negation and difference, and the
-RREF of an echelon basis), the
+identity operator, a matrix entry, negation and difference, the RREF
+of an echelon basis and the doubled-block Zassenhaus intersection), the
 HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the per-pair Leibniz and
 coefficient checks, the all-pairs bracket checks, the per-path
@@ -397,6 +397,20 @@ def matrix_difference(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 def echelon_rref(ech: EchelonBasis) -> RationalMatrix:
     """The unique reduced row echelon form of the span of ``ech``."""
     return RationalMatrix._of(ech._reduced(ech.pivots), ech.num_cols)
+
+
+def zassenhaus_intersection(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The RREF of rowspace(a) and rowspace(b) intersected, by the doubled
+    block [[A A], [B 0]]: the rows whose pivot lies in the right half have
+    a vanishing left half, and their right halves are the RREF of the
+    intersection (Zassenhaus).  The package's route before it tagged the
+    rows of B instead."""
+    n = a.num_cols
+    # the right half of [A A] is each row of A shifted n columns on
+    doubled = [{**row, **{j + n: x for j, x in row.items()}} for row in a._entries]
+    ech = EchelonBasis.spanning(2 * n, doubled + list(b._entries))
+    found = ech._reduced([p for p in ech.pivots if p >= n])
+    return RationalMatrix._of([{j - n: x for j, x in row.items()} for row in found], n)
 
 
 # -- operations only tests need --------------------------------------------

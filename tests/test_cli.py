@@ -43,6 +43,11 @@ Core claims:
     - one derivations --verify job on torus_k4 and T_6 builds each
       canonical member once: 11 and 57 d_rs calls, one _member call per
       label, and D_p once per basis path
+    - report and derivations, which write each matrix from its sparse
+      rows piece by piece, print json.dumps of the dense payload on the
+      fixtures, planar and rotated grids, T_n (n <= 6) and K_m (m <= 5);
+      derivations reads no member's op.matrix for it; the writer matches
+      json.dumps on n/d coefficients, escaped names and empty values
     - output that stdout refuses (a full device, a closed stdout, a reader
       that closes the pipe early, buffered or with PYTHONUNBUFFERED=1) ends
       in exit 2 and one stderr line, not a traceback
@@ -70,6 +75,9 @@ from helpers import (
     FIXTURE_DIR,
     checkerboard_grid,
     kronecker,
+    rand_frac,
+    random_rotation,
+    seeded,
     seeded_embedded_quiver,
     serialize,
     tournament,
@@ -682,6 +690,127 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = _run(capsys, argv)
         second = _run(capsys, argv)
         assert first == second
+
+
+# -- The piecewise writer ----------------------------------------------------------------
+
+def _dense_rows(m):
+    return [[str(x) for x in row] for row in m.rows]
+
+
+def _report_payload(qf):
+    """The report payload with every matrix written out dense."""
+    rep = cohomology.combinatorial_report(qf.quiver, qf.rotation)
+    ranks = (rep.rank_c_va, rep.rank_c_ca, rep.rank_c_gamma, rep.rank_b_gamma)
+    matrices = (rep.c_va, rep.c_ca, rep.c_gamma, rep.b_gamma)
+    return {
+        "quiver": qf.name,
+        "numVertices": rep.num_vertices,
+        "numArrows": rep.num_arrows,
+        "numFaces": rep.num_faces,
+        "genus": rep.genus,
+        "dimDV": rep.dim_dv,
+        "dimDE": rep.dim_de,
+        "dimDF": rep.dim_df,
+        "dimSum": rep.dim_sum,
+        "eulerHolds": rep.euler_holds,
+        "spacesDisjoint": rep.spaces_disjoint,
+        "rankTheoremsHold": rep.rank_theorems_hold,
+        "facesSumToZero": rep.faces_sum_to_zero,
+        "ranks": dict(zip(("Cva", "Cca", "Cgamma", "Bgamma"), ranks)),
+        "matrices": dict(zip(("Cva", "Cca", "Cgamma", "Bgamma"), map(_dense_rows, matrices))),
+        "faces": [list(f.display(qf.quiver)) for f in rep.faces],
+    }
+
+
+def _dense_basis(q):
+    basis = derivations.canonical_basis(q)
+    return [
+        {"label": label, "matrix": _dense_rows(op.matrix)}
+        for label, op in zip(basis.display_labels(), basis.operators)
+    ]
+
+
+def _writer_inputs():
+    """(name, QuiverFile) pairs: the fixtures, planar and randomly rotated
+    grids, T_n for n <= 6 and K_m for m <= 5."""
+    inputs = [(path.stem, quiverfile.load(path)) for path in sorted(FIXTURE_DIR.glob("*.quiver"))]
+    built = [(f"t{n}", tournament(n)) for n in range(1, 7)]
+    built += [(f"k{m}", kronecker(m)) for m in range(1, 6)]
+    for k in (3, 5):
+        q, rot = checkerboard_grid(k)
+        built += [(f"grid{k}", (q, rot)), (f"grid{k}_rotated", (q, random_rotation(seeded(k), q)))]
+    for name, (q, rot) in built:
+        inputs.append((name, quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)))
+    return inputs
+
+
+_WRITER_INPUTS = _writer_inputs()
+
+
+@pytest.mark.parametrize("qf", [qf for _, qf in _WRITER_INPUTS], ids=[n for n, _ in _WRITER_INPUTS])
+def test_report_and_derivations_bytes_are_the_json_dumps_of_the_dense_payload(
+    tmp_path, capsys, monkeypatch, qf
+):
+    # report and derivations write each matrix from its sparse rows, and
+    # derivations builds no matrix of a member for it
+    path = tmp_path / "input.quiver"
+    path.write_text(serialize(qf), encoding="utf-8")
+    q = qf.quiver
+    connected = q.num_vertices > 0 and q.is_connected() and q.is_acyclic()
+    if qf.rotation is not None and connected:
+        code, out, _ = _run(capsys, ["report", str(path)])
+        assert code == 0
+        assert out == _canonical(_report_payload(qf))
+    if not q.is_acyclic():
+        return
+    basis = _dense_basis(q)
+    matrix = LinearOperator.matrix
+    monkeypatch.setattr(LinearOperator, "matrix", property(lambda op: pytest.fail("op.matrix read")))
+    code, out, _ = _run(capsys, ["derivations", str(path)])
+    monkeypatch.setattr(LinearOperator, "matrix", matrix)
+    assert code == 0
+    assert out == _canonical({**json.loads(out), "basis": basis})
+    assert json.loads(out)["dim"] == len(basis)
+    if len(q.paths()) <= 40:
+        code, out, _ = _run(capsys, ["derivations", "--oracle", "--verify", str(path)])
+        assert code == 0
+        assert out == _canonical({**json.loads(out), "basis": basis})
+        assert set(json.loads(out)) == {
+            "quiver", "dim", "innerRank", "labels", "basis", "oracle", "verify"
+        }
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_the_writer_is_json_dumps_on_fractions_escapes_and_empty_values():
+    # the coefficients print as n/d, a name needs escaping, and the matrices,
+    # objects and arrays are empty or not
+    rng = seeded(3140)
+    matrices = [
+        RationalMatrix([[rand_frac(rng) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                        for _ in range(rows)], cols)
+        for rows, cols in ((0, 0), (0, 3), (2, 0), (1, 1), (3, 4), (5, 2))
+    ]
+    assert any("/" in str(x) for m in matrices for row in m._entries for x in row.values())
+    payload = {
+        "n\u00e4me \"q\"\n": ["\u2603", None, True, 1.5],
+        "empty": {},
+        "nested": {"z": 1, "a": {"b": []}},
+        "matrices": {str(i): m for i, m in enumerate(matrices)},
+    }
+    dense = {**payload, "matrices": {k: _dense_rows(m) for k, m in payload["matrices"].items()}}
+    pieces = {**payload, "matrices": {k: cli._Dense(m._entries, m.num_cols)
+                                      for k, m in payload["matrices"].items()}}
+    assert "".join(cli._pieces(pieces)) + "\n" == _canonical(dense)
+    for items in ([], [{"m": matrices[4]}], [{"m": m, "i": i} for i, m in enumerate(matrices)]):
+        written = {"items": ({k: cli._Dense(v._entries, v.num_cols) if k == "m" else v
+                              for k, v in item.items()} for item in items)}
+        expected = {"items": [{k: _dense_rows(v) if k == "m" else v for k, v in item.items()}
+                              for item in items]}
+        assert "".join(cli._pieces(written)) + "\n" == _canonical(expected)
 
 
 # -- Golden bytes ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ Core claims:
     - the vertex and face subspaces are linearly disjoint, and a report
       whose intersection disagrees with the rank count raises
     - the report reaches the planar 12x12 checkerboard grid with every
-      verdict true, touching fewer than 600,000 entries in its
-      elimination steps (caller row order touched about 1.2 million)
+      verdict true, touching fewer than 300,000 entries in its
+      elimination steps (caller row order touched about 1.2 million, the
+      doubled Zassenhaus block and caller column order 511,723)
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
     - Happel's count reads the path counts: on T_40 it enumerates no path
@@ -257,10 +258,8 @@ def test_report_reaches_the_planar_12x12_grid():
     assert rep.faces_sum_to_zero
 
 
-def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
-    # entries touched by the elimination steps of one report: 1,194,992 when
-    # the rows went in caller order (row-major vertices and faces), 511,723
-    # latest leading column first
+def _entries_touched(monkeypatch, q, rot) -> int:
+    """The entries the elimination steps of one report touch."""
     touched = 0
     eliminate = linalg._eliminate
 
@@ -270,8 +269,22 @@ def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
         return eliminate(v, row, col)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    combinatorial_report(*checkerboard_grid(12))
-    assert 0 < touched < 600_000
+    combinatorial_report(q, rot)
+    return touched
+
+
+def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
+    # entries touched by the elimination steps of one report: 1,194,992 when
+    # the rows went in caller order (row-major vertices and faces), 511,723
+    # latest leading column first
+    assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 600_000
+
+
+def test_report_on_the_planar_12x12_grid_tags_rows_and_ranks_sparse_columns_first(monkeypatch):
+    # 269,337 entries touched with the rows of C_ca tagged in the intersection
+    # and rank() eliminating sparse columns first; 435,909 with the doubled
+    # Zassenhaus block and 345,151 in caller column order
+    assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 300_000
 
 
 def test_report_torus_dimensions():

@@ -19,6 +19,13 @@ Core claims:
     - rref, rank, kernel and LinearSolver.solve agree with SymPy on rows
       with non-unit denominators and entries past 2**64
     - the intersection is in RREF and equals the RREF of SymPy's meet
+    - the tagged intersection equals the doubled Zassenhaus block of
+      helpers.zassenhaus_intersection and SymPy's meet on seeded int,
+      Fraction and large-entry matrices with nonzero meets, and the
+      doubled block on the relation matrices of the differential inputs,
+      where C_va and C_ca meet in 0 and each meets C_gamma in itself
+    - rank, which eliminates the sparse columns first, agrees with SymPy
+      on sparse matrices with one dense column and dependent rows
     - EchelonBasis.spanning inserts latest leading column first, ties in
       caller order, and seeded row shuffles change none of rank, rref,
       kernel, the intersection or the length of that complement, on
@@ -71,6 +78,7 @@ from helpers import (
     assert_sparse_row,
     checkerboard_grid,
     dense_row,
+    differential_inputs,
     echelon_rref,
     is_exact,
     mat_vec,
@@ -82,6 +90,7 @@ from helpers import (
     sparse_kernel,
     sparse_row,
     transpose,
+    zassenhaus_intersection,
 )
 
 
@@ -723,16 +732,95 @@ def test_intersection_is_the_rref_of_the_sympy_meet(sympy):
             return RationalMatrix(rows, cols)
 
         a, b = with_shared(), with_shared()
-        sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
-        # u A = w B exactly when (u, w) is in the kernel of [A^T  -B^T]
-        meet = [
-            (v[: a.num_rows, :].T * sa) for v in sympy.Matrix.hstack(sa.T, -sb.T).nullspace()
-        ]
-        expected = _from_sympy(sympy.Matrix.vstack(*meet).rref()[0]).rows if meet else ()
         inter = intersect_row_spaces(a, b)
         assert inter.num_rows > 0
         assert inter.rref()[0] == inter
-        assert inter.rows == tuple(row for row in expected if any(row))
+        assert inter.rows == _sympy_meet(sympy, a, b)
+
+
+def _sympy_meet(sympy, a, b):
+    """The nonzero rows of the RREF of rowspace(a) and rowspace(b)
+    intersected, by SymPy."""
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    # u A = w B exactly when (u, w) is in the kernel of [A^T  -B^T]
+    meet = [(v[: a.num_rows, :].T * sa) for v in sympy.Matrix.hstack(sa.T, -sb.T).nullspace()]
+    expected = _from_sympy(sympy.Matrix.vstack(*meet).rref()[0]).rows if meet else ()
+    return tuple(row for row in expected if any(row))
+
+
+def _meeting_pair(rng, cols, entry):
+    """Two matrices whose row spaces share the span of one to three shared
+    rows: each holds a nonzero multiple of every shared row, rows of its
+    own, combinations of its rows and maybe a zero row, shuffled."""
+    shared = [[entry(rng) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+    shared[0][rng.randrange(cols)] = 1  # so the meet is not zero
+
+    def side():
+        scales = [rng.choice((1, -2, Fraction(3, 5))) for _ in shared]
+        rows = [[c * x for x in r] for c, r in zip(scales, shared)]
+        rows += [[entry(rng) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            c, r = rng.randint(-3, 3), rng.choice(rows)
+            rows.append([x + c * y for x, y in zip(rng.choice(rows), r)])
+        rows += [[0] * cols] * rng.randint(0, 1)
+        rng.shuffle(rows)
+        return RationalMatrix(rows, cols)
+
+    return side(), side()
+
+
+@pytest.mark.parametrize(
+    "seed, entry",
+    [(3130, lambda rng: rng.randint(-3, 3)), (3131, rand_frac), (3132, lambda rng: _big_entry(rng))],
+    ids=["int", "fraction", "large"],
+)
+def test_intersection_matches_the_doubled_block_and_sympy_on_nonempty_meets(sympy, seed, entry):
+    # the tagged block [A | 0; B | I] against the doubled one [[A A], [B 0]]
+    rng = seeded(seed)
+    for _ in range(40):
+        a, b = _meeting_pair(rng, rng.randint(2, 8), entry)
+        inter = intersect_row_spaces(a, b)
+        assert inter.num_rows > 0
+        assert inter == zassenhaus_intersection(a, b)
+        assert inter.rows == _sympy_meet(sympy, a, b)
+
+
+_DIFFERENTIAL = differential_inputs()
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in _DIFFERENTIAL], ids=[n for n, _ in _DIFFERENTIAL])
+def test_intersection_matches_the_doubled_block_on_relation_matrices(embedded):
+    # by Euler the vertex and face spaces meet in 0, and each meets
+    # row(C_gamma) in itself, whose RREF the echelon basis gives
+    q, rot = embedded
+    c_va, c_ca = vertex_arrow_matrix(q), cycle_arrow_matrix(q, trace_faces(rot))
+    c_gamma = RationalMatrix.stack(c_va, c_ca)
+    for a, b in ((c_va, c_ca), (c_ca, c_va)):
+        assert intersect_row_spaces(a, b) == zassenhaus_intersection(a, b)
+        assert intersect_row_spaces(a, b).num_rows == 0
+    for m in (c_va, c_ca):
+        own = echelon_rref(EchelonBasis.spanning(m.num_cols, m._entries))
+        for a, b in ((m, c_gamma), (c_gamma, m)):
+            assert intersect_row_spaces(a, b) == zassenhaus_intersection(a, b) == own
+
+
+def test_rank_with_a_dense_column_matches_sympy(sympy):
+    # rank() eliminates the sparse columns first: a sparse matrix with one
+    # dense column and dependent rows, against SymPy
+    rng = seeded(3133)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(2, 9)
+        dense = rng.randrange(cols)
+        base = [
+            [rand_frac(rng) or 1 if j == dense else rand_frac(rng) if rng.random() < 0.3 else 0
+             for j in range(cols)]
+            for _ in range(rows)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            c = rng.randint(-2, 2)
+            base.append([x + c * y for x, y in zip(rng.choice(base), rng.choice(base))])
+        m = RationalMatrix(base, cols)
+        assert m.rank() == _to_sympy(sympy, m).rank()
 
 
 # -- The sparse-row contract ---------------------------------------------------

@@ -11,6 +11,8 @@ Core claims:
       equals a full scan of the path list
     - Path is an immutable value: equality, hash, repr and order are
       those of (base, arrows); the empty quiver is not connected
+    - a quiver finds its topological order and its connectedness once,
+      however often is_acyclic, path_counts and is_connected ask
     - almost oriented cycle counts match the hand-checked fixtures
     - edge_pairs() is every arrow with every path parallel to it, in
       (arrow, path) order, built once, and the almost oriented cycles
@@ -243,6 +245,24 @@ def test_acyclic_and_connected_flags():
     assert not fixture_quiver("disconnected").is_connected()
     assert fixture_quiver("single_vertex").is_connected()
     assert not Quiver([], []).is_connected()
+
+
+def test_acyclicity_and_connectedness_are_found_once(monkeypatch):
+    # the quiver is immutable: one topological sort and one component search
+    # answer every later is_acyclic, path_counts and is_connected
+    calls = []
+    for name in ("_topological_order", "_connected"):
+        found = Quiver.__dict__[name]
+        monkeypatch.setattr(found, "func", lambda q, _f=found.func, _n=name: calls.append(_n) or _f(q))
+    for name, acyclic, connected in (("torus_k4", True, True), ("loop", False, True),
+                                     ("disconnected", True, False)):
+        q = fixture_quiver(name)
+        for _ in range(3):
+            assert (q.is_acyclic(), q.is_connected()) == (acyclic, connected)
+            if acyclic:
+                assert sum(map(sum, q.path_counts())) == len(q.paths())
+        assert sorted(calls) == ["_connected", "_topological_order"], name
+        calls.clear()
 
 
 def test_acyclic_paths_partition():
