@@ -2,7 +2,8 @@
 
 Every command reads one quiver file and writes a single line of
 canonical JSON (sorted keys, no whitespace, rationals as exact
-"num/den" strings) so that identical inputs produce identical bytes.
+"num/den" strings) so that identical inputs produce identical bytes,
+all through one writer: _emit writes a payload as its _pieces, in order.
 Exit codes: 0 success, 1 semantic failure or an input too large for the
 memory at hand, 2 usage or parse error, or output that stdout refused (a
 full disk, a reader that closed the pipe).
@@ -45,39 +46,32 @@ from . import quiverfile
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _matrix(m) -> list[list[str]]:
-    # the sparse rows written out dense, every all-zero row as one shared
-    # list; str of a coefficient is the output format: "n", or "n/d" in lowest terms
-    zero = ["0"] * m.num_cols
-    rows = []
-    for entries in m._entries:
-        row = zero.copy() if entries else zero
+class _Json(str):
+    """JSON text that a payload holds as written (see _pieces)."""
+
+
+def _dense_rows(rows, num_cols: int):
+    """The JSON text of each sparse row of ``rows`` written out dense, from
+    pre-quoted "0" cells, every zero row as one shared text; str of a
+    coefficient is the output format: "n", or "n/d" in lowest terms."""
+    cells = ['"0"'] * num_cols
+    zero = "[" + ",".join(cells) + "]"
+    for entries in rows:
         for j, x in entries.items():
-            row[j] = str(x)
-        rows.append(row)
-    return rows
+            cells[j] = f'"{x}"'
+        yield "[" + ",".join(cells) + "]" if entries else zero
+        for j in entries:
+            cells[j] = '"0"'
 
 
-class _Dense(str):
-    """The JSON text of the dense matrix of the sparse ``rows``, as _matrix
-    writes it, which a payload holds as written (see _pieces): no cell
-    needs escaping, and every zero row is one text."""
-
-    def __new__(cls, rows, num_cols: int):
-        cells = ['"0"'] * num_cols
-        zero, texts = "[" + ",".join(cells) + "]", []
-        for entries in rows:
-            for j, x in entries.items():
-                cells[j] = f'"{x}"'
-            texts.append("[" + ",".join(cells) + "]" if entries else zero)
-            for j in entries:
-                cells[j] = '"0"'
-        return super().__new__(cls, "[" + ",".join(texts) + "]")
+def _dense(rows, num_cols: int) -> _Json:
+    """The JSON text of the dense matrix of the sparse ``rows``, joined from _dense_rows."""
+    return _Json("[" + ",".join(_dense_rows(rows, num_cols)) + "]")
 
 
 def _pieces(value):
     """The canonical JSON text of ``value`` in pieces: a dict key by key in
-    sorted order, a generator as an array item by item, a _Dense as it stands,
+    sorted order, a generator as an array item by item, a _Json as it stands,
     anything else in one encoder call."""
     if type(value) is dict:
         yield "{"
@@ -91,7 +85,7 @@ def _pieces(value):
             yield "," if k else ""
             yield from _pieces(item)
         yield "]"
-    elif type(value) is _Dense:
+    elif type(value) is _Json:
         yield value
     else:
         yield _ENCODER.encode(value)
@@ -101,10 +95,10 @@ class _OutputError(Exception):
     """stdout refused the output."""
 
 
-def _emit(pieces) -> None:
-    """Write the text ``pieces`` and a newline to stdout, joined into
-    writes of 64 KiB or more (the last one aside): unbuffered, each write
-    is a system call."""
+def _emit(payload) -> None:
+    """Write the canonical JSON text of ``payload`` and a newline to
+    stdout, its _pieces joined into writes of 64 KiB or more (the last one
+    aside): unbuffered, each write is a system call."""
     out = sys.stdout
     if out is None:
         raise _OutputError("stdout is closed")
@@ -122,7 +116,7 @@ def _emit(pieces) -> None:
                     data = data[out.write(data):]
 
         held, size = [], 0
-        for text in pieces:
+        for text in _pieces(payload):
             held.append(text)
             size += len(text)
             if size >= 1 << 16:
@@ -150,29 +144,28 @@ def _require_rotation(qf):
 def cmd_check(qf, args) -> int:
     q = qf.quiver
     acyclic = q.is_acyclic()
-    payload = {
-        "quiver": qf.name,
-        "numVertices": q.num_vertices,
-        "numArrows": q.num_arrows,
-        "acyclic": acyclic,
-        "connected": q.is_connected(),
-        "rotation": "absent" if qf.rotation is None else "valid",
-    }
-    failures = []
-    if args.require_acyclic and not acyclic:
-        failures.append("CyclicQuiver: the quiver contains a directed cycle")
-    payload["ok"] = not failures
-    _emit([_ENCODER.encode(payload)])
-    for f in failures:
-        _fail(f)
-    return 0 if not failures else 1
+    failed = args.require_acyclic and not acyclic
+    _emit(
+        {
+            "quiver": qf.name,
+            "numVertices": q.num_vertices,
+            "numArrows": q.num_arrows,
+            "acyclic": acyclic,
+            "connected": q.is_connected(),
+            "rotation": "absent" if qf.rotation is None else "valid",
+            "ok": not failed,
+        }
+    )
+    if failed:
+        _fail("CyclicQuiver: the quiver contains a directed cycle")
+    return 1 if failed else 0
 
 
 def cmd_report(qf, args) -> int:
     rot = _require_rotation(qf)
     rep = combinatorial_report(qf.quiver, rot)
     matrices = {"Cva": rep.c_va, "Cca": rep.c_ca, "Cgamma": rep.c_gamma, "Bgamma": rep.b_gamma}
-    _emit(_pieces(
+    _emit(
         {
             "quiver": qf.name,
             "numVertices": rep.num_vertices,
@@ -193,10 +186,10 @@ def cmd_report(qf, args) -> int:
                 "Cgamma": rep.rank_c_gamma,
                 "Bgamma": rep.rank_b_gamma,
             },
-            "matrices": {k: _Dense(m._entries, m.num_cols) for k, m in matrices.items()},
+            "matrices": {k: _dense(m._entries, m.num_cols) for k, m in matrices.items()},
             "faces": [list(f.display(qf.quiver)) for f in rep.faces],
         }
-    ))
+    )
     return 0
 
 
@@ -204,21 +197,23 @@ def cmd_hh1(qf, args) -> int:
     q = qf.quiver
     rot = _require_rotation(qf)
     outer = args.outer_face if args.outer_face is not None else qf.outer
+    faces = trace_faces(rot)
     oracle_dim = None
     if args.oracle:
-        # the oracle refuses a quiver over its cap: ask it before the table,
-        # once the quiver and the outer index have passed the checks
-        # hh1_structure makes first
+        # the oracle refuses a quiver over its cap: ask it before the table, once
+        # the quiver and the outer index pass the checks hh1_structure makes first
         _require_connected_acyclic(q)
-        _dropped_face(trace_faces(rot), outer)
+        _dropped_face(faces, outer)
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
         oracle_dim = len(ops) - inner_subspace(q).rank()
-    st = hh1_structure(q, rot, outer)
+    st = hh1_structure(q, rot, outer, _faces=faces)
     hb = st.basis
     labels = hb.display_labels()
-    coords = _matrix(RationalMatrix._of((row for _, _, row in st.brackets), hb.dimension))
     num_al = sum(label.kind == "al" for label in hb.labels)
-    _emit([_ENCODER.encode(
+    # one text per bracket record, its keys in sorted order, the labels encoded once
+    names = [_ENCODER.encode(label) for label in labels]
+    rows = _dense_rows((row for _, _, row in st.brackets), hb.dimension)
+    _emit(
         {
             "quiver": qf.name,
             "dim": hb.dimension,
@@ -230,10 +225,10 @@ def cmd_hh1(qf, args) -> int:
             "basis": list(labels),
             "structure": {
                 "enforced": st.enforced,
-                "brackets": [
-                    {"left": labels[i], "right": labels[j], "coords": text}
-                    for (i, j, _), text in zip(st.brackets, coords)
-                ],
+                "brackets": (
+                    _Json(f'{{"coords":{text},"left":{names[i]},"right":{names[j]}}}')
+                    for (i, j, _), text in zip(st.brackets, rows)
+                ),
                 "eigenvalues": [
                     {"al": labels[i], "face": labels[j], "value": str(lam)}
                     for i, j, lam in st.eigenvalues
@@ -245,7 +240,7 @@ def cmd_hh1(qf, args) -> int:
                 },
             },
         }
-    )])
+    )
     return 0
 
 
@@ -263,7 +258,7 @@ def cmd_derivations(qf, args) -> int:
         "labels": list(labels),
         # each member's matrix text is built as it is written, from its images
         "basis": (
-            {"label": label, "matrix": _Dense(map(op._rows().get, range(n), repeat({})), n)}
+            {"label": label, "matrix": _dense(map(op._rows().get, range(n), repeat({})), n)}
             for label, op in zip(labels, basis.operators)
         ),
     }
@@ -293,7 +288,7 @@ def cmd_derivations(qf, args) -> int:
             },
             "innerEdgeBracketSign": sign,
         }
-    _emit(_pieces(payload))
+    _emit(payload)
     return 0
 
 

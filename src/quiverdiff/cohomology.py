@@ -27,10 +27,11 @@ the tests.  The face eigenvalues come from the net-coefficient formula.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
-from .embedding import FaceCycle, RotationSystem, surface_genus, trace_faces
+from .embedding import TAIL, FaceCycle, RotationSystem, dart_arrow, dart_end, surface_genus
+from .embedding import trace_faces
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
 from .linalg import _ONE, LinearSolver, RationalMatrix, Row, Scalar, _exact, _merged
 from .linalg import intersect_row_spaces
@@ -67,8 +68,12 @@ def vertex_arrow_matrix(q: Quiver) -> RationalMatrix:
 
 
 def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
-    """|F| x |E| matrix whose row j is the net sign vector of face j."""
-    rows = [{k: x for k, x in enumerate(f.net) if x} for f in faces]  # net counts are ints
+    """|F| x |E| matrix whose row j is the net sign vector of face j, read
+    off its darts (+1 a tail dart, -1 a head dart), the zeros dropped."""
+    nets = [Counter(dart_arrow(d) for d in f.darts if dart_end(d) == TAIL) for f in faces]
+    for net, f in zip(nets, faces):
+        net.subtract(dart_arrow(d) for d in f.darts if dart_end(d) != TAIL)
+    rows = [{k: x for k, x in sorted(net.items()) if x} for net in nets]
     return RationalMatrix._of(rows, q.num_arrows)
 
 
@@ -81,13 +86,12 @@ def boundary_matrix(faces) -> RationalMatrix:
     symmetric with zero row sums.
     """
     faces = tuple(faces)
-    num_arrows = len(faces[0].net) if faces else 0
     owner: dict[int, int] = {}
     for j, f in enumerate(faces):
         for d in f.darts:
             owner[d] = j
     rows: list[Row] = [{} for _ in faces]
-    for k in range(num_arrows):
+    for k in range(len(owner) // 2):  # the darts of arrow k are 2k and 2k + 1
         j1, j2 = owner[2 * k], owner[2 * k + 1]
         if j1 != j2:
             # no entry cancels: diagonal ones only grow, cross ones only shrink
@@ -312,7 +316,7 @@ def _dropped_face(faces, outer: int | None) -> int:
     return dropped
 
 
-def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
+def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None, *, _faces=None) -> HH1Basis:
     """Coset representatives: one AL(r, s) per almost oriented cycle,
     one face class per face except the dropped one, and 2g edge classes
     completing the quotient.
@@ -327,10 +331,10 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     exactly when no AL pair is listed twice and that solver lists no row
     as dependent; the first representative that breaks this is named.
     The count is cross-checked against both dimension formulas on the
-    faces traced here.
+    faces traced here (``_faces``: those a caller traced from ``rot``).
     """
     _require_connected_acyclic(q)
-    faces = trace_faces(rot)
+    faces = trace_faces(rot) if _faces is None else _faces
     g = surface_genus(q, len(faces))
     dropped = _dropped_face(faces, outer)
 
@@ -392,7 +396,7 @@ class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
 
 
 def hh1_structure(
-    q: Quiver, rot: RotationSystem, outer: int | None = None
+    q: Quiver, rot: RotationSystem, outer: int | None = None, *, _faces=None
 ) -> StructureTable:
     """Full bracket table of the HH1 basis with face eigenvalues.
 
@@ -405,9 +409,9 @@ def hh1_structure(
     and act diagonally on the AL representatives; those two facts are
     asserted.  Whether AL brackets stay inside the AL span is only
     reported (it can genuinely fail, e.g. for the double arrow, where
-    an AL bracket lands on a face class).
+    an AL bracket lands on a face class).  ``_faces`` goes to hh1_basis.
     """
-    hb = hh1_basis(q, rot, outer)
+    hb = hh1_basis(q, rot, outer, _faces=_faces)
     enforced = hb.genus == 0
     n = len(hb)
     table: dict[tuple[int, int], Row] = {}

@@ -38,16 +38,21 @@ Core claims:
       ``python -S -m quiverdiff.cli --help`` exits 0
     - the argument parser is built once per process, and a usage error
       between two runs changes neither run's bytes
-    - one hh1 job traces its faces, builds C_va and calls hh1_dimension
+    - one hh1 job, with or without --oracle, traces its faces (in the CLI
+      and in cohomology together), builds C_va and calls hh1_dimension
       once each
     - one derivations --verify job on torus_k4 and T_6 builds each
       canonical member once: 11 and 57 d_rs calls, one _member call per
       label, and D_p once per basis path
-    - report and derivations, which write each matrix from its sparse
-      rows piece by piece, print json.dumps of the dense payload on the
-      fixtures, planar and rotated grids, T_n (n <= 6) and K_m (m <= 5);
+    - check, report, hh1 and derivations, which all write through one
+      piecewise writer (matrices from their sparse rows, hh1 one text per
+      bracket record), print json.dumps of the dense payload on the
+      fixtures, planar and rotated grids, T_n (n <= 6), K_m (m <= 5) and
+      seeded genus-1 quivers, the hh1 table rebuilt from hh1_structure;
       derivations reads no member's op.matrix for it; the writer matches
       json.dumps on n/d coefficients, escaped names and empty values
+    - hh1 on K_12 into a stdout that keeps no text peaks (tracemalloc)
+      within 1 MB of hh1_structure's own peak
     - output that stdout refuses (a full device, a closed stdout, a reader
       that closes the pipe early, buffered or with PYTHONUNBUFFERED=1) ends
       in exit 2 and one stderr line, not a traceback
@@ -61,6 +66,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -603,6 +609,9 @@ def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, n
             calls[_fn] += 1
             return _orig(*args)
         monkeypatch.setattr(cohomology, fn, counted)
+    # the CLI's trace_faces counts too: hh1 --oracle checks the outer index
+    # on the faces it traced before the oracle runs
+    monkeypatch.setattr(cli, "trace_faces", cohomology.trace_faces)
     # the almost oriented cycles are enumerated once: one parallel_paths
     # call per arrow, although hh1_basis and hh1_dimension both read them
     asked = []
@@ -613,9 +622,12 @@ def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, n
         return parallel_paths(self, path)
 
     monkeypatch.setattr(Quiver, "parallel_paths", counted_parallel)
-    assert _run(capsys, ["hh1", _fixture(name)])[0] == 0
-    assert calls == {"trace_faces": 1, "vertex_arrow_matrix": 1, "hh1_dimension": 1}
-    assert asked and len(asked) == len(set(asked))
+    for command in (["hh1"], ["hh1", "--oracle"]):
+        calls.update(dict.fromkeys(calls, 0))
+        asked.clear()
+        assert _run(capsys, [*command, _fixture(name)])[0] == 0
+        assert calls == {"trace_faces": 1, "vertex_arrow_matrix": 1, "hh1_dimension": 1}, command
+        assert asked and len(asked) == len(set(asked)), command
 
 
 def _cli_env():
@@ -731,15 +743,63 @@ def _dense_basis(q):
     ]
 
 
+def _hh1_payload(qf, out):
+    """The hh1 payload with the basis, the dimension and the structure
+    rebuilt from hh1_structure, every bracket's coordinates written out
+    dense; the other fields are read from ``out``."""
+    st = cohomology.hh1_structure(qf.quiver, qf.rotation, qf.outer)
+    labels = st.basis.display_labels()
+    dim = len(labels)
+    return {
+        **json.loads(out),
+        "dim": dim,
+        "happel": cohomology.happel_dimension(qf.quiver),
+        "genus": st.basis.genus,
+        "droppedFace": st.basis.dropped_face,
+        "basis": list(labels),
+        "structure": {
+            "enforced": st.enforced,
+            "brackets": [
+                {"left": labels[i], "right": labels[j],
+                 "coords": [str(row.get(k, 0)) for k in range(dim)]}
+                for i, j, row in st.brackets
+            ],
+            "eigenvalues": [
+                {"al": labels[i], "face": labels[j], "value": str(lam)}
+                for i, j, lam in st.eigenvalues
+            ],
+            "verdicts": {
+                "facesCommute": st.faces_commute,
+                "faceActsDiagonally": st.face_acts_diagonally,
+                "alBracketsInAlSpan": st.al_brackets_in_al_span,
+            },
+        },
+    }
+
+
+def _check_payload(qf):
+    q = qf.quiver
+    return {
+        "quiver": qf.name,
+        "numVertices": q.num_vertices,
+        "numArrows": q.num_arrows,
+        "acyclic": q.is_acyclic(),
+        "connected": q.is_connected(),
+        "rotation": "absent" if qf.rotation is None else "valid",
+        "ok": True,
+    }
+
+
 def _writer_inputs():
     """(name, QuiverFile) pairs: the fixtures, planar and randomly rotated
-    grids, T_n for n <= 6 and K_m for m <= 5."""
+    grids, T_n for n <= 6, K_m for m <= 5 and seeded quivers of genus 1."""
     inputs = [(path.stem, quiverfile.load(path)) for path in sorted(FIXTURE_DIR.glob("*.quiver"))]
     built = [(f"t{n}", tournament(n)) for n in range(1, 7)]
     built += [(f"k{m}", kronecker(m)) for m in range(1, 6)]
     for k in (3, 5):
         q, rot = checkerboard_grid(k)
         built += [(f"grid{k}", (q, rot)), (f"grid{k}_rotated", (q, random_rotation(seeded(k), q)))]
+    built += [(f"genus1_seed{s}", seeded_embedded_quiver(s, 1)) for s in range(3)]
     for name, (q, rot) in built:
         inputs.append((name, quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)))
     return inputs
@@ -752,16 +812,23 @@ _WRITER_INPUTS = _writer_inputs()
 def test_report_and_derivations_bytes_are_the_json_dumps_of_the_dense_payload(
     tmp_path, capsys, monkeypatch, qf
 ):
-    # report and derivations write each matrix from its sparse rows, and
-    # derivations builds no matrix of a member for it
+    # every command writes through the one piecewise writer: report and
+    # derivations each matrix from its sparse rows, derivations with no
+    # matrix of a member built for it, hh1 each bracket record as one text
     path = tmp_path / "input.quiver"
     path.write_text(serialize(qf), encoding="utf-8")
     q = qf.quiver
+    code, out, _ = _run(capsys, ["check", str(path)])
+    assert code == 0
+    assert out == _canonical(_check_payload(qf))
     connected = q.num_vertices > 0 and q.is_connected() and q.is_acyclic()
     if qf.rotation is not None and connected:
         code, out, _ = _run(capsys, ["report", str(path)])
         assert code == 0
         assert out == _canonical(_report_payload(qf))
+        code, out, _ = _run(capsys, ["hh1", str(path)])
+        assert code == 0
+        assert out == _canonical(_hh1_payload(qf, out))
     if not q.is_acyclic():
         return
     basis = _dense_basis(q)
@@ -802,15 +869,50 @@ def test_the_writer_is_json_dumps_on_fractions_escapes_and_empty_values():
         "matrices": {str(i): m for i, m in enumerate(matrices)},
     }
     dense = {**payload, "matrices": {k: _dense_rows(m) for k, m in payload["matrices"].items()}}
-    pieces = {**payload, "matrices": {k: cli._Dense(m._entries, m.num_cols)
+    pieces = {**payload, "matrices": {k: cli._dense(m._entries, m.num_cols)
                                       for k, m in payload["matrices"].items()}}
     assert "".join(cli._pieces(pieces)) + "\n" == _canonical(dense)
     for items in ([], [{"m": matrices[4]}], [{"m": m, "i": i} for i, m in enumerate(matrices)]):
-        written = {"items": ({k: cli._Dense(v._entries, v.num_cols) if k == "m" else v
+        written = {"items": ({k: cli._dense(v._entries, v.num_cols) if k == "m" else v
                               for k, v in item.items()} for item in items)}
         expected = {"items": [{k: _dense_rows(v) if k == "m" else v for k, v in item.items()}
                               for item in items]}
         assert "".join(cli._pieces(written)) + "\n" == _canonical(expected)
+
+
+class _Sink:
+    """A stdout that keeps no text."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_hh1_writes_in_the_memory_of_its_table(tmp_path):
+    # hh1 on K_12 (143 classes, 10,153 brackets, 5.8 MB of JSON) holds one
+    # bracket record and 64 KiB of text at a time: its tracemalloc peak stays
+    # within 1 MB of hh1_structure's own (about 2.4 against 2.0 MB), where a
+    # whole-payload json.dumps peaked at about 19 MB
+    q, rot = kronecker(12)
+    path = tmp_path / "k12.quiver"
+    qf = quiverfile.QuiverFile(name="k12", quiver=q, rotation=rot, outer=None)
+    path.write_text(serialize(qf), encoding="utf-8")
+    with contextlib.redirect_stdout(_Sink()):
+        assert main(["hh1", str(path)]) == 0  # imports and first-use caches
+    loaded = quiverfile.load(str(path))
+    tracemalloc.start()
+    try:
+        cohomology.hh1_structure(loaded.quiver, loaded.rotation)
+        table = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(_Sink()):
+            assert main(["hh1", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table + 1_000_000, (peak, table)
 
 
 # -- Golden bytes ----------------------------------------------------------------------

@@ -4,6 +4,9 @@ Core claims:
     - the relation matrices C_va, C_ca, C_gamma, B_gamma match the
       hand-computed fixtures and satisfy rank(C_va) = |V|-1,
       rank(C_ca) = rank(B_gamma) = |F|-1
+    - the rows of C_ca, read off each face's darts, are the nonzero
+      entries of its net vector on the 3x3 and 5x5 grids, planar and
+      rotated, and on seeded quivers of genus 1 and 2
     - |E| - rank(C_gamma) = 2g on every embedded fixture, torus included
     - the vertex and face subspaces are linearly disjoint, and a report
       whose intersection disagrees with the rank count raises
@@ -83,7 +86,8 @@ from quiverdiff.derivations import (
     inner_derivation,
     inner_subspace,
 )
-from quiverdiff.embedding import FaceCycle, RotationSystem, trace_faces
+from quiverdiff.embedding import HEAD, TAIL, FaceCycle, RotationSystem, dart, surface_genus
+from quiverdiff.embedding import trace_faces
 from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
@@ -118,6 +122,7 @@ from helpers import (
     representative_operators,
     seeded,
     seeded_embedded_quiver,
+    sized_acyclic_quiver,
     tournament,
     transpose,
 )
@@ -163,6 +168,33 @@ def test_cycle_arrow_matrix_pinned():
     rows = _ints(cycle_arrow_matrix(qf, trace_faces(rotf)))
     assert rows[0] == [-x for x in rows[1]]
     assert rows[1] in ([-1, 1, -1, 0, 0], [1, -1, 1, 0, 0])
+
+
+def _genus2_quiver(seed):
+    """The first seeded quiver with 5-6 vertices and 5 more arrows whose
+    random rotation has genus 2."""
+    rng = seeded(seed)
+    while True:
+        nv = rng.randint(5, 6)
+        q = sized_acyclic_quiver(rng, nv, nv + 5)
+        rot = random_rotation(rng, q)
+        if surface_genus(q, len(trace_faces(rot))) == 2:
+            return q, rot
+
+
+def test_cycle_arrow_matrix_from_darts_is_the_net_of_each_face():
+    # rows read off the darts equal the nonzero entries of the dense nets
+    inputs = []
+    for k in (3, 5):
+        q, rot = checkerboard_grid(k)
+        inputs += [(f"grid{k}", q, rot), (f"grid{k}_rotated", q, random_rotation(seeded(k), q))]
+    inputs += [(f"genus1_seed{s}", *seeded_embedded_quiver(s, 1)) for s in range(20)]
+    inputs += [(f"genus2_seed{s}", *_genus2_quiver(s)) for s in range(20)]
+    assert any(name.startswith("genus2") for name, _, _ in inputs)
+    for name, q, rot in inputs:
+        faces = trace_faces(rot)
+        expected = [{k: x for k, x in enumerate(f.net) if x} for f in faces]
+        assert list(cycle_arrow_matrix(q, faces)._entries) == expected, name
 
 
 def test_boundary_matrix_pinned():
@@ -389,12 +421,15 @@ def test_non_derivation_has_no_coset():
 
 
 def _with_face_net(monkeypatch, net, face=1):
-    """Make trace_faces give ``face`` the net coefficients ``net``."""
+    """Make trace_faces give ``face`` the net coefficients ``net``, walked
+    as |net[k]| darts of arrow k: tail darts where net[k] > 0, head darts
+    where it is negative."""
     true_trace_faces = cohomology.trace_faces
+    darts = tuple(dart(k, TAIL if x > 0 else HEAD) for k, x in enumerate(net) for _ in range(abs(x)))
 
     def traced(rot):
         faces = list(true_trace_faces(rot))
-        faces[face] = faces[face]._replace(net=tuple(net))
+        faces[face] = FaceCycle(darts, tuple(net))
         return tuple(faces)
 
     monkeypatch.setattr(cohomology, "trace_faces", traced)
