@@ -22,9 +22,7 @@ from types import GeneratorType
 from .cohomology import (
     _dropped_face,
     _face_formula,
-    _require_connected_acyclic,
     combinatorial_report,
-    happel_dimension,
     hh1_structure,
 )
 from .derivations import (
@@ -37,7 +35,6 @@ from .derivations import (
     is_derivation,
     verify_bracket_identities,
 )
-from .embedding import trace_faces
 from .errors import InvalidRotationError, ParseError, QuiverError
 from .linalg import LinearSolver, RationalMatrix
 from . import quiverfile
@@ -197,16 +194,14 @@ def cmd_hh1(qf, args) -> int:
     q = qf.quiver
     rot = _require_rotation(qf)
     outer = args.outer_face if args.outer_face is not None else qf.outer
-    faces = trace_faces(rot)
     oracle_dim = None
     if args.oracle:
         # the oracle refuses a quiver over its cap: ask it before the table, once
         # the quiver and the outer index pass the checks hh1_structure makes first
-        _require_connected_acyclic(q)
-        _dropped_face(faces, outer)
+        _dropped_face(q, rot, outer)
         ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
         oracle_dim = len(ops) - inner_subspace(q).rank()
-    st = hh1_structure(q, rot, outer, _faces=faces)
+    st = hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
     num_al = sum(label.kind == "al" for label in hb.labels)
@@ -218,7 +213,7 @@ def cmd_hh1(qf, args) -> int:
             "quiver": qf.name,
             "dim": hb.dimension,
             "faceFormula": _face_formula(len(hb.faces), num_al, hb.genus),
-            "happel": happel_dimension(q),
+            "happel": hb.dimension,  # hh1_basis checked it equals happel_dimension(q)
             "oracle": oracle_dim,
             "genus": hb.genus,
             "droppedFace": hb.dropped_face,

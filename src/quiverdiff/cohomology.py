@@ -27,11 +27,10 @@ the tests.  The face eigenvalues come from the net-coefficient formula.
 from __future__ import annotations
 
 import functools
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
-from .embedding import TAIL, FaceCycle, RotationSystem, dart_arrow, dart_end, surface_genus
-from .embedding import trace_faces
+from .embedding import FaceCycle, RotationSystem, dart_arrow, surface_genus
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
 from .linalg import _ONE, LinearSolver, RationalMatrix, Row, Scalar, _exact, _merged
 from .linalg import intersect_row_spaces
@@ -69,11 +68,9 @@ def vertex_arrow_matrix(q: Quiver) -> RationalMatrix:
 
 def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
     """|F| x |E| matrix whose row j is the net sign vector of face j, read
-    off its darts (+1 a tail dart, -1 a head dart), the zeros dropped."""
-    nets = [Counter(dart_arrow(d) for d in f.darts if dart_end(d) == TAIL) for f in faces]
-    for net, f in zip(nets, faces):
-        net.subtract(dart_arrow(d) for d in f.darts if dart_end(d) != TAIL)
-    rows = [{k: x for k, x in sorted(net.items()) if x} for net in nets]
+    off its net at the arrows of its darts only: |darts| work, not |E|."""
+    arrows = [sorted({dart_arrow(d) for d in f.darts}) for f in faces]
+    rows = [{k: f.net[k] for k in ks if f.net[k]} for f, ks in zip(faces, arrows)]
     return RationalMatrix._of(rows, q.num_arrows)
 
 
@@ -127,7 +124,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     would falsify a theorem, and the caller decides how loudly to fail.
     """
     _require_connected_acyclic(q)
-    faces = trace_faces(rot)
+    faces = rot.faces()
     g = surface_genus(q, len(faces))
     c_va = vertex_arrow_matrix(q)
     c_ca = cycle_arrow_matrix(q, faces)
@@ -308,15 +305,17 @@ class HH1Basis:
         return self.class_coordinates(pairs)
 
 
-def _dropped_face(faces, outer: int | None) -> int:
-    """The index of the face hh1 drops, ``outer`` or 0; a ValueError when it names no face."""
+def _dropped_face(q: Quiver, rot: RotationSystem, outer: int | None) -> int:
+    """The index of the face hh1 drops, ``outer`` or 0, once ``q`` is connected
+    and acyclic; a ValueError when it names no face of ``rot``."""
+    _require_connected_acyclic(q)
     dropped = 0 if outer is None else outer
-    if not 0 <= dropped < len(faces):
-        raise ValueError(f"outer face {dropped} out of range ({len(faces)} faces)")
+    if not 0 <= dropped < len(rot.faces()):
+        raise ValueError(f"outer face {dropped} out of range ({len(rot.faces())} faces)")
     return dropped
 
 
-def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None, *, _faces=None) -> HH1Basis:
+def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Basis:
     """Coset representatives: one AL(r, s) per almost oriented cycle,
     one face class per face except the dropped one, and 2g edge classes
     completing the quotient.
@@ -331,12 +330,11 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None, *, _face
     exactly when no AL pair is listed twice and that solver lists no row
     as dependent; the first representative that breaks this is named.
     The count is cross-checked against both dimension formulas on the
-    faces traced here (``_faces``: those a caller traced from ``rot``).
+    faces of ``rot``.
     """
-    _require_connected_acyclic(q)
-    faces = trace_faces(rot) if _faces is None else _faces
+    dropped = _dropped_face(q, rot, outer)
+    faces = rot.faces()
     g = surface_genus(q, len(faces))
-    dropped = _dropped_face(faces, outer)
 
     cycles = q.almost_oriented_cycles()
     c_va = vertex_arrow_matrix(q)
@@ -396,7 +394,7 @@ class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
 
 
 def hh1_structure(
-    q: Quiver, rot: RotationSystem, outer: int | None = None, *, _faces=None
+    q: Quiver, rot: RotationSystem, outer: int | None = None
 ) -> StructureTable:
     """Full bracket table of the HH1 basis with face eigenvalues.
 
@@ -409,9 +407,9 @@ def hh1_structure(
     and act diagonally on the AL representatives; those two facts are
     asserted.  Whether AL brackets stay inside the AL span is only
     reported (it can genuinely fail, e.g. for the double arrow, where
-    an AL bracket lands on a face class).  ``_faces`` goes to hh1_basis.
+    an AL bracket lands on a face class).
     """
-    hb = hh1_basis(q, rot, outer, _faces=_faces)
+    hb = hh1_basis(q, rot, outer)
     enforced = hb.genus == 0
     n = len(hb)
     table: dict[tuple[int, int], Row] = {}

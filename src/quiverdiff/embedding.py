@@ -64,7 +64,7 @@ class RotationSystem:
     darts must appear exactly once, at the vertex it is attached to.
     """
 
-    __slots__ = ("quiver", "orders", "_next")
+    __slots__ = ("quiver", "orders", "_next", "_faces")
 
     def __init__(self, quiver: Quiver, orders):
         orders = tuple(tuple(o) for o in orders)
@@ -100,6 +100,7 @@ class RotationSystem:
         self.quiver = quiver
         self.orders = orders
         self._next = nxt
+        self._faces = None
 
     @classmethod
     def canonical(cls, quiver: Quiver) -> "RotationSystem":
@@ -111,6 +112,12 @@ class RotationSystem:
 
     def successor(self, d: int) -> int:
         return self._next[d]
+
+    def faces(self) -> tuple["FaceCycle", ...]:
+        """trace_faces(self), traced on first use and kept."""
+        if self._faces is None:
+            self._faces = trace_faces(self)
+        return self._faces
 
     def display(self) -> tuple[tuple[str, ...], ...]:
         q = self.quiver
@@ -167,7 +174,7 @@ def trace_faces(rot: RotationSystem) -> tuple[FaceCycle, ...]:
 
 def genus(rot: RotationSystem) -> int:
     """Genus of the embedding surface via Euler's formula."""
-    return surface_genus(rot.quiver, len(trace_faces(rot)))
+    return surface_genus(rot.quiver, len(rot.faces()))
 
 
 def surface_genus(q: Quiver, num_faces: int) -> int:

@@ -72,7 +72,7 @@ import pytest
 
 from quiverdiff.cli import main
 
-from quiverdiff import cli, cohomology, derivations, quiverfile
+from quiverdiff import cli, cohomology, derivations, embedding, quiverfile
 from quiverdiff.derivations import DerivationBasis, LinearOperator
 from quiverdiff.linalg import RationalMatrix
 from quiverdiff.quiver import Path, Quiver
@@ -603,15 +603,20 @@ def test_the_parser_is_built_once_and_reused(capsys):
 
 @pytest.mark.parametrize("name", ["torus_k4", "k2"])
 def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, name):
-    calls = dict.fromkeys(("trace_faces", "vertex_arrow_matrix", "hh1_dimension"), 0)
+    # happel_dimension runs once too: the payload prints the checked dimension
+    names = ("trace_faces", "vertex_arrow_matrix", "hh1_dimension", "happel_dimension")
+    calls = dict.fromkeys(names, 0)
     for fn in calls:
-        def counted(*args, _fn=fn, _orig=getattr(cohomology, fn)):
+        orig = getattr(embedding if fn == "trace_faces" else cohomology, fn)
+
+        def counted(*args, _fn=fn, _orig=orig):
             calls[_fn] += 1
             return _orig(*args)
-        monkeypatch.setattr(cohomology, fn, counted)
-    # the CLI's trace_faces counts too: hh1 --oracle checks the outer index
-    # on the faces it traced before the oracle runs
-    monkeypatch.setattr(cli, "trace_faces", cohomology.trace_faces)
+        # every binding counts: hh1 --oracle checks the outer index on the
+        # faces before the oracle runs, and hh1_basis reads them
+        for module in (embedding, cohomology, cli):
+            if getattr(module, fn, None) is orig:
+                monkeypatch.setattr(module, fn, counted)
     # the almost oriented cycles are enumerated once: one parallel_paths
     # call per arrow, although hh1_basis and hh1_dimension both read them
     asked = []
@@ -626,7 +631,7 @@ def test_an_hh1_job_traces_its_faces_and_builds_c_va_once(capsys, monkeypatch, n
         calls.update(dict.fromkeys(calls, 0))
         asked.clear()
         assert _run(capsys, [*command, _fixture(name)])[0] == 0
-        assert calls == {"trace_faces": 1, "vertex_arrow_matrix": 1, "hh1_dimension": 1}, command
+        assert calls == dict.fromkeys(calls, 1), command
         assert asked and len(asked) == len(set(asked)), command
 
 
@@ -743,16 +748,18 @@ def _dense_basis(q):
     ]
 
 
-def _hh1_payload(qf, out):
-    """The hh1 payload with the basis, the dimension and the structure
-    rebuilt from hh1_structure, every bracket's coordinates written out
-    dense; the other fields are read from ``out``."""
+def _hh1_payload(qf):
+    """The hh1 payload (no oracle) rebuilt from hh1_structure, every
+    bracket's coordinates written out dense."""
     st = cohomology.hh1_structure(qf.quiver, qf.rotation, qf.outer)
     labels = st.basis.display_labels()
     dim = len(labels)
+    num_al = sum(label.kind == "al" for label in st.basis.labels)
     return {
-        **json.loads(out),
+        "quiver": qf.name,
         "dim": dim,
+        "faceFormula": cohomology._face_formula(len(st.basis.faces), num_al, st.basis.genus),
+        "oracle": None,
         "happel": cohomology.happel_dimension(qf.quiver),
         "genus": st.basis.genus,
         "droppedFace": st.basis.dropped_face,
@@ -828,7 +835,7 @@ def test_report_and_derivations_bytes_are_the_json_dumps_of_the_dense_payload(
         assert out == _canonical(_report_payload(qf))
         code, out, _ = _run(capsys, ["hh1", str(path)])
         assert code == 0
-        assert out == _canonical(_hh1_payload(qf, out))
+        assert out == _canonical(_hh1_payload(qf))
     if not q.is_acyclic():
         return
     basis = _dense_basis(q)
@@ -837,8 +844,10 @@ def test_report_and_derivations_bytes_are_the_json_dumps_of_the_dense_payload(
     code, out, _ = _run(capsys, ["derivations", str(path)])
     monkeypatch.setattr(LinearOperator, "matrix", matrix)
     assert code == 0
-    assert out == _canonical({**json.loads(out), "basis": basis})
-    assert json.loads(out)["dim"] == len(basis)
+    labels = list(derivations.canonical_basis(q).display_labels())
+    rank = derivations.inner_subspace(q).rank()
+    expected = {"quiver": qf.name, "dim": len(basis), "innerRank": rank, "labels": labels}
+    assert out == _canonical({**expected, "basis": basis})
     if len(q.paths()) <= 40:
         code, out, _ = _run(capsys, ["derivations", "--oracle", "--verify", str(path)])
         assert code == 0

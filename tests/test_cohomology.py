@@ -4,9 +4,9 @@ Core claims:
     - the relation matrices C_va, C_ca, C_gamma, B_gamma match the
       hand-computed fixtures and satisfy rank(C_va) = |V|-1,
       rank(C_ca) = rank(B_gamma) = |F|-1
-    - the rows of C_ca, read off each face's darts, are the nonzero
-      entries of its net vector on the 3x3 and 5x5 grids, planar and
-      rotated, and on seeded quivers of genus 1 and 2
+    - the rows of C_ca, read at the arrows of each face's darts, are the
+      nonzero entries of its net vector on the 3x3 and 5x5 grids, planar
+      and rotated, and on seeded quivers of genus 1 and 2
     - |E| - rank(C_gamma) = 2g on every embedded fixture, torus included
     - the vertex and face subspaces are linearly disjoint, and a report
       whose intersection disagrees with the rank count raises
@@ -182,8 +182,8 @@ def _genus2_quiver(seed):
             return q, rot
 
 
-def test_cycle_arrow_matrix_from_darts_is_the_net_of_each_face():
-    # rows read off the darts equal the nonzero entries of the dense nets
+def test_cycle_arrow_matrix_rows_are_the_nonzero_net_of_each_face():
+    # rows read at the arrows of the darts equal the nonzero entries of the dense nets
     inputs = []
     for k in (3, 5):
         q, rot = checkerboard_grid(k)
@@ -420,19 +420,15 @@ def test_non_derivation_has_no_coset():
     assert basis.coset_coordinates(identity_operator(q)) is None
 
 
-def _with_face_net(monkeypatch, net, face=1):
-    """Make trace_faces give ``face`` the net coefficients ``net``, walked
-    as |net[k]| darts of arrow k: tail darts where net[k] > 0, head darts
-    where it is negative."""
-    true_trace_faces = cohomology.trace_faces
-    darts = tuple(dart(k, TAIL if x > 0 else HEAD) for k, x in enumerate(net) for _ in range(abs(x)))
-
-    def traced(rot):
-        faces = list(true_trace_faces(rot))
-        faces[face] = FaceCycle(darts, tuple(net))
-        return tuple(faces)
-
-    monkeypatch.setattr(cohomology, "trace_faces", traced)
+def _with_face_net(monkeypatch, rot, net, face=1):
+    """Make the faces ``rot`` keeps give ``face`` the net coefficients
+    ``net``, walked as |net[k]| darts of arrow k: tail darts where
+    net[k] > 0, head darts where it is negative."""
+    ends = [(k, TAIL if x > 0 else HEAD) for k, x in enumerate(net) for _ in range(abs(x))]
+    darts = tuple(dart(k, end) for k, end in ends)
+    faces = list(trace_faces(rot))
+    faces[face] = FaceCycle(darts, tuple(net))
+    monkeypatch.setattr(rot, "_faces", tuple(faces))
 
 
 @pytest.mark.parametrize("injected", ["zero", "inner", "al_copy"])
@@ -441,10 +437,10 @@ def test_dependent_representative_raises(monkeypatch, injected):
     basis = hh1_basis(q, rot)
     assert basis.display_labels() == ("AL(p2,p1p3)", "Face(1)")
     if injected == "zero":
-        _with_face_net(monkeypatch, [0] * q.num_arrows)
+        _with_face_net(monkeypatch, rot, [0] * q.num_arrows)
     elif injected == "inner":
         # the vertex derivation of v1, a signed sum of edge derivations
-        _with_face_net(monkeypatch, [int(x) for x in vertex_arrow_matrix(q).rows[0]])
+        _with_face_net(monkeypatch, rot, [int(x) for x in vertex_arrow_matrix(q).rows[0]])
     else:
         pairs = q.almost_oriented_cycles()
         monkeypatch.setattr(q, "almost_oriented_cycles", lambda: pairs + pairs)
@@ -458,7 +454,7 @@ def test_a_copied_face_net_names_the_later_face(monkeypatch, copied, onto, named
     q, rot = checkerboard_grid(3)
     labels = hh1_basis(q, rot).display_labels()
     assert labels == ("Face(1)", "Face(2)", "Face(3)", "Face(4)")
-    _with_face_net(monkeypatch, trace_faces(rot)[copied].net, face=onto)
+    _with_face_net(monkeypatch, rot, trace_faces(rot)[copied].net, face=onto)
     with pytest.raises(InternalCheckError, match=rf"Face\({named}\) is dependent"):
         hh1_basis(q, rot)
 

@@ -5,6 +5,8 @@ Core claims:
     - face tracing consumes every dart exactly once and the per-arrow
       signed occurrences over all faces cancel
     - the fixture embeddings have the hand-traced face counts and nets
+    - a rotation traces its faces once and keeps them: genus and the
+      combinatorial report read the same tuple
     - genus is 0 for trees and planar fixtures, 1 for the K4 torus
       rotation, and invariant under mirroring; a disconnected quiver and
       the quiver with no vertices have no genus
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdiff import embedding
+from quiverdiff.cohomology import combinatorial_report
 from quiverdiff.derivations import LinearOperator, d_rs, is_derivation
 from quiverdiff.embedding import (
     HEAD,
@@ -200,6 +204,22 @@ def test_isolated_vertex_bounds_one_empty_face():
     assert len(faces) == 1
     assert faces[0].darts == ()
     assert genus(rot) == 0
+
+
+def test_a_rotation_traces_its_faces_once(monkeypatch):
+    traced = []
+
+    def counted(rot):
+        traced.append(rot)
+        return trace_faces(rot)
+
+    monkeypatch.setattr(embedding, "trace_faces", counted)
+    q, rot = fixture_embedded("torus_k4")
+    faces = rot.faces()
+    assert faces == trace_faces(rot)
+    assert genus(rot) == 1
+    assert combinatorial_report(q, rot).faces is faces and rot.faces() is faces
+    assert traced == [rot]
 
 
 # -- Genus -------------------------------------------------------------------
