@@ -36,12 +36,9 @@ through LinearOperator.bracket or a closed-form right side: an
 independent reference for both.  The oracle solves the raw Leibniz
 system in the n^2 matrix entries, knowing nothing about the structure
 theory, so its solution space is independent ground truth for the
-canonical basis.  It keeps each equation once, as a primitive integer
-row, and where p_x p_y = 0 writes only the two-unknown rows, read off
-the factorizations of each path with no dict.  _row_kernel merges the
-rows d[u] = 0 and d[u] = +-d[v] into signed classes of unknowns, zero
-where the signs disagree around a cycle, and only the few longer rows
-left on the class roots go through the kernel.
+canonical basis.  It streams its equations, of at most three unknowns
+each, into _row_kernel, which merges d[u] = 0 and d[u] = +-d[v] into
+signed classes as they come and stores only the few longer rows.
 
 The checks skip work only where their own operands show that it gives
 zero.  A matrix moves the columns where it has entries and hits the
@@ -62,7 +59,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from math import gcd
+from collections.abc import Iterator
 from numbers import Rational
 
 from .algebra import AlgebraElement
@@ -580,23 +577,18 @@ def inner_subspace(q: Quiver) -> RationalMatrix:
 ORACLE_MAX_PATHS = 60  # the oracle's default cap on |P|; it has |P|^2 unknowns
 
 
-def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
-    """The oracle's equations, as sparse primitive integer rows: sorted
-    (unknown, coefficient) pairs over their gcd, the first one positive,
-    so that equations that are multiples of one another are one row.
+def _leibniz_rows(q: Quiver) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the oracle's equations as tuples of at most three (unknown,
+    coefficient) pairs, unknown u n + j being d[u, j]; one may repeat.
 
-    Unknown u n + j is d[u, j].  The equation of (x, y, w) sums d[u, x]
-    over u p_y = w (by_head[y]) and d[v, y] over p_x v = w (by_tail[x]),
-    less d[w, xy] when p_x p_y is not zero.  A single-unknown equation
-    only adds its unknown to a set of zeros, written as rows at the end.
-    Where neither sum has a term the equation is d[w, xy] = 0; such a w
-    misses the w-set of some equation with product p_x p_y = p_z, so
-    those zeros are added once per z, off the intersection of its w-sets.
-    When p_x p_y = 0 the equations are read off the factorizations of w,
-    and only those with two unknowns, each with coefficient 1, are
-    written: d[u, x] = 0 alone is also the equation of (x, e_h(x), u),
-    and d[v, y] = 0 alone that of (e_t(y), y, v).  Their two unknowns
-    differ, as p_x u = u p_x would be a cycle.
+    The equation of (x, y, w) is d[u, x] + d[v, y] = d[w, xy], each term
+    there only when u p_y = w (by_head[y]), p_x v = w (by_tail[x]) or p_x
+    p_y is not zero; d[u, x] is d[w, xy] when p_y is an idempotent, as is
+    d[v, y] when p_x is.  With neither u nor v it is d[w, xy] = 0, written
+    once per product z for the w that miss the w-set of some p_x p_y = p_z.
+    When p_x p_y = 0 only the equations of two unknowns are written, off
+    the factorizations of w: d[u, x] = 0 alone is also the equation of (x,
+    e_h(x), u), and d[v, y] = 0 that of (e_t(y), y, v).
     """
     product = q.products()
     n = len(product)
@@ -607,55 +599,47 @@ def _leibniz_rows(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
         for y, w in row.items():
             by_head[y][w] = u
             factors[w].append((u, y))
-    zeros: set[int] = set()
     # for each product path z, the w in the equations of every p_x p_y = p_z
     touched: dict[int, set[int]] = {}
-    rows: set[tuple[tuple[int, int], ...]] = set()
     for jx, row in enumerate(product):
+        tail = by_tail[jx]
         for jy, jz in row.items():
-            per_w = {w: {u * n + jx: 1} for w, u in by_head[jy].items()}
-            for w, v in by_tail[jx].items():
-                d = per_w.setdefault(w, {})
-                d[v * n + jy] = d.get(v * n + jy, 0) + 1
-            if jz in touched:
-                touched[jz].intersection_update(per_w)
-            else:
-                touched[jz] = set(per_w)
-            for w, d in per_w.items():
-                d[w * n + jz] = d.get(w * n + jz, 0) - 1
-                entries = sorted((u, c) for u, c in d.items() if c)
-                if len(entries) == 1:
-                    zeros.add(entries[0][0])
-                elif entries:
-                    g = gcd(*(c for _, c in entries))
-                    if entries[0][1] < 0:
-                        g = -g
-                    rows.add(tuple((u, c // g) for u, c in entries))
+            head = by_head[jy]
+            ws = head.keys() | tail.keys()
+            touched[jz] = touched[jz] & ws if jz in touched else ws
+            for w, u in head.items():
+                v = tail.get(w)
+                if u == w:  # p_y = e_h(x): d[u, x] is d[w, xy]
+                    if v is not None:
+                        yield ((v * n + jy, 1),)
+                elif v == w:  # p_x = e_t(y): d[v, y] is d[w, xy]
+                    yield ((u * n + jx, 1),)
+                elif v is None:
+                    yield ((u * n + jx, 1), (w * n + jz, -1))
+                else:
+                    yield ((u * n + jx, 1), (v * n + jy, 1), (w * n + jz, -1))
+            for w, v in tail.items():
+                if v != w and w not in head:
+                    yield ((v * n + jy, 1), (w * n + jz, -1))
     for pairs in factors:  # w = p_x v = u p_y with p_x p_y = 0
         for x, v in pairs:
             for u, y in pairs:
                 if y not in product[x]:
-                    k, m = u * n + x, v * n + y
-                    rows.add(((k, 1), (m, 1)) if k < m else ((m, 1), (k, 1)))
+                    yield ((u * n + x, 1), (v * n + y, 1))
     # d[w, z] = 0 alone is the equation of any p_x p_y = p_z whose w-set misses w
     for jz, ws in touched.items():
-        zeros.update(w * n + jz for w in range(n) if w not in ws)
-    rows.update(((u, 1),) for u in zeros)
-    return rows
+        yield from (((w * n + jz, 1),) for w in range(n) if w not in ws)
 
 
 def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> list[LinearOperator]:
     """Solve the raw Leibniz system in the n^2 unknown matrix entries.
 
     For every basis pair (x, y) and every potential image path w this
-    imposes one linear equation relating the unknowns d[w, xy], d[u, x]
-    (where u y = w) and d[u, y] (where x u = w), read off a table of
-    the products of basis paths built once by concatenation.  Almost
-    every equation says d[u] = 0 or d[u] = +-d[v]: _row_kernel merges
-    those into signed classes of unknowns, zeroes a class whose signs
-    disagree around a cycle, and sends only the rows left on the class
-    roots through exact elimination.  Nothing here knows about the
-    structure theory.
+    imposes one equation in d[w, xy], d[u, x] (u y = w) and d[u, y] (x u
+    = w), read off q.products() and streamed into _row_kernel.  Almost
+    every one says d[u] = 0 or d[u] = +-d[v], which merge signed classes
+    of unknowns as they come; only the rest are eliminated exactly.
+    Nothing here knows about the structure theory.
     """
     # count the paths before enumerating them: T_40 has 2^40 - 1
     n = sum(map(sum, q.path_counts()))

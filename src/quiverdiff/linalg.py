@@ -22,9 +22,9 @@ combination it came from.  Tagging B halves the elimination of
 Zassenhaus's doubled block [[A A], [B 0]] (25,502 entries touched
 instead of 50,365 on the 8 x 8 grid's report).  A solver target
 carries a 1 in one more column, which no stored row reaches, so its
-answer's scale is read there.  _row_kernel, the oracle's solver, puts a
-signed union-find in front of kernel() for systems that are almost all
-rows d[u] = 0 and d[u] = +-d[v].
+answer's scale is read there.  _row_kernel, the oracle's solver, takes
+the rows d[u] = 0 and d[u] = +-d[v], almost all of its system, into a
+signed union-find as they stream in, and only the rest through kernel().
 """
 
 from __future__ import annotations
@@ -345,16 +345,17 @@ def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> None:
 
 
 def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
-    """Yield a basis of the solutions of ``rows``, each a row of (unknown,
-    nonzero int) pairs over the unknowns 0 .. num_unknowns - 1; a solution
-    is a Row {unknown: coefficient}, 1 at its least unknown.  A signed union-find
-    (Tarjan, J. ACM 22, 1975) takes the rows d[u] = 0 and d[u] = +-d[v],
-    rewriting every row on the class roots until none shrinks to one of
-    those; a class whose signs disagree around a cycle then has a row
-    2 d[root] = 0.  Only the rows left go through RationalMatrix.kernel,
-    and each solution is read back through the classes."""
+    """Yield a basis of the solutions of ``rows``, any iterable of rows of
+    (unknown, nonzero int) pairs over the unknowns 0 .. num_unknowns - 1; a
+    solution is a Row {unknown: coefficient}, 1 at its least unknown.  A
+    signed union-find (Tarjan, J. ACM 22, 1975) takes each row as it comes:
+    d[u] = 0 zeroes the class of u, and a d[u] + b d[v] = 0 with |a| = |b|
+    merges two classes (zero if either was) or zeroes one whose signs
+    disagree.  The other rows are stored, rewritten on the class roots
+    until none shrinks to one of those forms, and go through
+    RationalMatrix.kernel; each solution is read back through the classes."""
     # d[u] = sign[u] d[parent[u]]; a root is the least unknown of its class
-    parent, sign, zero = list(range(num_unknowns)), [1] * num_unknowns, set()
+    parent, sign, zero = list(range(num_unknowns)), [1] * num_unknowns, bytearray(num_unknowns)
 
     def find(u: int) -> tuple[int, int]:
         s = 1
@@ -365,31 +366,45 @@ def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
             u = parent[u]
         return u, s
 
-    longer, shrunk = rows, True
-    while shrunk:
-        shrunk, left, longer = False, longer, []
-        for row in left:
-            if len(row) == 1:  # d[u] = 0 as written
+    def settle(rows) -> None:  # apply d[u] = 0 and d[u] = +-d[v], store the rest
+        for row in rows:
+            if len(row) == 1:
                 u = row[0][0]
-                zero.add(u if parent[u] == u else find(u)[0])
-                shrunk = True
-                continue
-            acc: dict[int, int] = {}
-            for u, c in row:
+                zero[u if parent[u] == u else find(u)[0]] = 1
+            elif len(row) == 2 and row[0][1] in (row[1][1], -row[1][1]):
+                (u, a), (v, b) = row
                 if parent[u] != u:
                     u, s = find(u)
-                    c *= s
-                if u not in zero:
-                    acc[u] = acc.get(u, 0) + c
-            entries = [(r, c) for r, c in acc.items() if c]
-            if len(entries) > 2 or len(entries) == 2 and abs(entries[0][1]) != abs(entries[1][1]):
-                longer.append(entries)
-            elif len(entries) == 2:
-                (v, a), (u, b) = sorted(entries)  # a d[v] + b d[u] = 0 with v < u
-                parent[u], sign[u], shrunk = v, -a // b, True
-            elif entries:
-                zero.add(entries[0][0])
-                shrunk = True
+                    a *= s
+                if parent[v] != v:
+                    v, s = find(v)
+                    b *= s
+                if u != v:  # d[high] = -+d[low], and the class is zero if either was
+                    low, high = (u, v) if u < v else (v, u)
+                    parent[high], sign[high] = low, -1 if a == b else 1
+                    zero[low] |= zero[high]
+                elif a == b:  # 2 a d[u] = 0; a == -b sums to nothing
+                    zero[u] = 1
+            elif row:
+                longer.append(row)
+
+    def rewritten(row) -> list[tuple[int, int]]:
+        acc: dict[int, int] = {}
+        for u, c in row:
+            if parent[u] != u:
+                u, s = find(u)
+                c *= s
+            if not zero[u]:
+                acc[u] = acc.get(u, 0) + c
+        return [(r, c) for r, c in acc.items() if c]
+
+    longer: list = []
+    settle(rows)
+    while True:  # each row rewritten as it is read; a pass that applies none keeps all
+        left, longer = longer, []
+        settle(map(rewritten, left))
+        if len(longer) == len(left):
+            break
     roots = sorted({r for row in longer for r, _ in row})
     column = {r: k for k, r in enumerate(roots)}
     solutions = []
@@ -401,7 +416,7 @@ def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
     for u in range(num_unknowns):  # parent[u] < u points at its root already
         r = parent[u]
         if r == u:
-            if u not in zero and u not in column:
+            if not zero[u] and u not in column:
                 free.append(u)
         else:
             parent[u], sign[u] = parent[r], sign[u] * sign[r]

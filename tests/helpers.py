@@ -7,14 +7,18 @@ edge-pair expansion of an inner derivation on a cyclic quiver, the
 identity operator, a matrix entry, negation and difference, the RREF
 of an echelon basis and the doubled-block Zassenhaus intersection), the
 HH1 representatives as operators, the operator routes to the inner
-subspace and to the HH1 structure table, the per-pair Leibniz and
-coefficient checks, the all-pairs bracket checks, the per-path
-operators and their constructors, and the list of edge pairs, all as
-independent references."""
+subspace and to the HH1 structure table, the oracle's route through one
+set of primitive integer rows, the per-pair Leibniz and coefficient
+checks, the all-pairs bracket checks, the per-path operators and their
+constructors, and the list of edge pairs, all as independent
+references."""
 
+import itertools
 import operator
 import random
+from collections.abc import Iterator
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 from pathlib import Path as FsPath
 
@@ -48,6 +52,7 @@ from quiverdiff.linalg import (
     EchelonBasis,
     LinearSolver,
     RationalMatrix,
+    Row,
     Vector,
     as_vector,
 )
@@ -572,6 +577,159 @@ def sparse_kernel(rows, num_cols):
                 vec[p] = -prow[f]
         kernel.append(vec)
     return RationalMatrix(kernel, num_cols)
+
+
+# -- the oracle's route before it streamed its equations ------------------------
+# leibniz_row_set and row_set_kernel are the oracle's _leibniz_rows and
+# _row_kernel as they were when every equation went through a dict, a sort,
+# a gcd and a set, kept unchanged (itertools.chain spelt out, as chain here
+# builds a quiver) as the reference the streamed route is compared with.
+
+def leibniz_row_set(q: Quiver) -> set[tuple[tuple[int, int], ...]]:
+    """The oracle's equations, as sparse primitive integer rows: sorted
+    (unknown, coefficient) pairs over their gcd, the first one positive,
+    so that equations that are multiples of one another are one row.
+
+    Unknown u n + j is d[u, j].  The equation of (x, y, w) sums d[u, x]
+    over u p_y = w (by_head[y]) and d[v, y] over p_x v = w (by_tail[x]),
+    less d[w, xy] when p_x p_y is not zero.  A single-unknown equation
+    only adds its unknown to a set of zeros, written as rows at the end.
+    Where neither sum has a term the equation is d[w, xy] = 0; such a w
+    misses the w-set of some equation with product p_x p_y = p_z, so
+    those zeros are added once per z, off the intersection of its w-sets.
+    When p_x p_y = 0 the equations are read off the factorizations of w,
+    and only those with two unknowns, each with coefficient 1, are
+    written: d[u, x] = 0 alone is also the equation of (x, e_h(x), u),
+    and d[v, y] = 0 alone that of (e_t(y), y, v).  Their two unknowns
+    differ, as p_x u = u p_x would be a cycle.
+    """
+    product = q.products()
+    n = len(product)
+    by_tail = [{w: u for u, w in row.items()} for row in product]
+    by_head: list[dict[int, int]] = [{} for _ in range(n)]
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, row in enumerate(product):
+        for y, w in row.items():
+            by_head[y][w] = u
+            factors[w].append((u, y))
+    zeros: set[int] = set()
+    # for each product path z, the w in the equations of every p_x p_y = p_z
+    touched: dict[int, set[int]] = {}
+    rows: set[tuple[tuple[int, int], ...]] = set()
+    for jx, row in enumerate(product):
+        for jy, jz in row.items():
+            per_w = {w: {u * n + jx: 1} for w, u in by_head[jy].items()}
+            for w, v in by_tail[jx].items():
+                d = per_w.setdefault(w, {})
+                d[v * n + jy] = d.get(v * n + jy, 0) + 1
+            if jz in touched:
+                touched[jz].intersection_update(per_w)
+            else:
+                touched[jz] = set(per_w)
+            for w, d in per_w.items():
+                d[w * n + jz] = d.get(w * n + jz, 0) - 1
+                entries = sorted((u, c) for u, c in d.items() if c)
+                if len(entries) == 1:
+                    zeros.add(entries[0][0])
+                elif entries:
+                    g = gcd(*(c for _, c in entries))
+                    if entries[0][1] < 0:
+                        g = -g
+                    rows.add(tuple((u, c // g) for u, c in entries))
+    for pairs in factors:  # w = p_x v = u p_y with p_x p_y = 0
+        for x, v in pairs:
+            for u, y in pairs:
+                if y not in product[x]:
+                    k, m = u * n + x, v * n + y
+                    rows.add(((k, 1), (m, 1)) if k < m else ((m, 1), (k, 1)))
+    # d[w, z] = 0 alone is the equation of any p_x p_y = p_z whose w-set misses w
+    for jz, ws in touched.items():
+        zeros.update(w * n + jz for w in range(n) if w not in ws)
+    rows.update(((u, 1),) for u in zeros)
+    return rows
+
+
+
+def row_set_kernel(rows, num_unknowns: int) -> Iterator[Row]:
+    """Yield a basis of the solutions of ``rows``, each a row of (unknown,
+    nonzero int) pairs over the unknowns 0 .. num_unknowns - 1; a solution
+    is a Row {unknown: coefficient}, 1 at its least unknown.  A signed union-find
+    (Tarjan, J. ACM 22, 1975) takes the rows d[u] = 0 and d[u] = +-d[v],
+    rewriting every row on the class roots until none shrinks to one of
+    those; a class whose signs disagree around a cycle then has a row
+    2 d[root] = 0.  Only the rows left go through RationalMatrix.kernel,
+    and each solution is read back through the classes."""
+    # d[u] = sign[u] d[parent[u]]; a root is the least unknown of its class
+    parent, sign, zero = list(range(num_unknowns)), [1] * num_unknowns, set()
+
+    def find(u: int) -> tuple[int, int]:
+        s = 1
+        while parent[u] != u:  # halving the path: each u on it skips a level
+            p = parent[u]
+            parent[u], sign[u] = parent[p], sign[u] * sign[p]
+            s *= sign[u]
+            u = parent[u]
+        return u, s
+
+    longer, shrunk = rows, True
+    while shrunk:
+        shrunk, left, longer = False, longer, []
+        for row in left:
+            if len(row) == 1:  # d[u] = 0 as written
+                u = row[0][0]
+                zero.add(u if parent[u] == u else find(u)[0])
+                shrunk = True
+                continue
+            acc: dict[int, int] = {}
+            for u, c in row:
+                if parent[u] != u:
+                    u, s = find(u)
+                    c *= s
+                if u not in zero:
+                    acc[u] = acc.get(u, 0) + c
+            entries = [(r, c) for r, c in acc.items() if c]
+            if len(entries) > 2 or len(entries) == 2 and abs(entries[0][1]) != abs(entries[1][1]):
+                longer.append(entries)
+            elif len(entries) == 2:
+                (v, a), (u, b) = sorted(entries)  # a d[v] + b d[u] = 0 with v < u
+                parent[u], sign[u], shrunk = v, -a // b, True
+            elif entries:
+                zero.add(entries[0][0])
+                shrunk = True
+    roots = sorted({r for row in longer for r, _ in row})
+    column = {r: k for k, r in enumerate(roots)}
+    solutions = []
+    if longer:
+        matrix = [{column[r]: c for r, c in row} for row in longer]
+        kernel = RationalMatrix._of(matrix, len(roots)).kernel()._entries
+        solutions = [{roots[k]: x for k, x in row.items()} for row in kernel]
+    free, members = [], {}  # the roots in no row left, and the rest of each class
+    for u in range(num_unknowns):  # parent[u] < u points at its root already
+        r = parent[u]
+        if r == u:
+            if u not in zero and u not in column:
+                free.append(u)
+        else:
+            parent[u], sign[u] = parent[r], sign[u] * sign[r]
+            members.setdefault(parent[u], []).append((u, sign[u]))
+    for solution in itertools.chain(solutions, ({r: _ONE} for r in free)):
+        for r in [r for r in solution if r in members]:
+            x = solution[r]
+            solution.update((u, x if s == 1 else -x) for u, s in members[r])
+        yield solution
+
+
+
+def row_set_oracle(q: Quiver) -> list[LinearOperator]:
+    """derivation_space_oracle(q) by the row-set route, cap lifted."""
+    n = len(q.paths())
+    operators = []
+    for solution in row_set_kernel(leibniz_row_set(q), n * n):
+        images: dict[int, Row] = {}
+        for u, x in solution.items():
+            images.setdefault(u % n, {})[u // n] = x
+        operators.append(LinearOperator._of(q, images))
+    return operators
 
 
 def operator_inner_subspace(q, basis):

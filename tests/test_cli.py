@@ -48,9 +48,12 @@ Core claims:
       piecewise writer (matrices from their sparse rows, hh1 one text per
       bracket record), print json.dumps of the dense payload on the
       fixtures, planar and rotated grids, T_n (n <= 6), K_m (m <= 5) and
-      seeded genus-1 quivers, the hh1 table rebuilt from hh1_structure;
-      derivations reads no member's op.matrix for it; the writer matches
-      json.dumps on n/d coefficients, escaped names and empty values
+      seeded genus-1 quivers, the hh1 table rebuilt from hh1_structure
+      and the oracle and verify fields of derivations --oracle --verify
+      from the library, spansMatch by a dense rref of the flattened
+      operators; derivations reads no member's op.matrix for it; the
+      writer matches json.dumps on n/d coefficients, escaped names and
+      empty values
     - hh1 on K_12 into a stdout that keeps no text peaks (tracemalloc)
       within 1 MB of hh1_structure's own peak
     - output that stdout refuses (a full device, a closed stdout, a reader
@@ -851,10 +854,39 @@ def test_report_and_derivations_bytes_are_the_json_dumps_of_the_dense_payload(
     if len(q.paths()) <= 40:
         code, out, _ = _run(capsys, ["derivations", "--oracle", "--verify", str(path)])
         assert code == 0
-        assert out == _canonical({**json.loads(out), "basis": basis})
-        assert set(json.loads(out)) == {
-            "quiver", "dim", "innerRank", "labels", "basis", "oracle", "verify"
+        assert out == _canonical({**expected, "basis": basis, **_oracle_and_verify(q)})
+
+
+def _oracle_and_verify(q):
+    """The oracle and verify fields of derivations --oracle --verify from
+    the library, spansMatch by a dense rref of the flattened operators."""
+    basis = derivations.canonical_basis(q)
+    oracle = derivations.derivation_space_oracle(q)
+    n = len(q.paths())
+
+    def flat_rref(ops):
+        return RationalMatrix([op.flatten() for op in ops], n * n).rref()
+
+    identities = derivations.verify_bracket_identities(basis)
+    members = [
+        {
+            "label": label,
+            "isDerivation": derivations.is_derivation(op),
+            "violations": len(derivations.check_coefficient_conditions(op)),
         }
+        for label, op in zip(basis.display_labels(), basis.operators)
+    ]
+    return {
+        "oracle": {"dim": len(oracle), "spansMatch": flat_rref(oracle) == flat_rref(basis.operators)},
+        "verify": {
+            "members": members,
+            "bracketChecks": {
+                "innerInner": identities["inner_inner"],
+                "edgeEdge": identities["edge_edge"],
+            },
+            "innerEdgeBracketSign": derivations.inner_edge_bracket_sign(basis),
+        },
+    }
 
 
 def _canonical(payload):

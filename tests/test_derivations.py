@@ -14,12 +14,16 @@ Core claims:
       make no more than |P|^2 concatenations
     - the canonical basis is independent, spans the oracle's solution
       space, and carries the expected labels
-    - the oracle's equations are the Fraction rows it used to build, as
-      primitive integer rows, its solution space is their kernel, and
-      its operators equal their dense rebuild, on every acyclic fixture
-      and on seeded quivers of up to 40 paths; on A_10, T_5 and K_58,
-      near the oracle's path cap, the rows are the Fraction rows and the
-      oracle's dimension is that of the canonical basis; with the cap
+    - the oracle's streamed equations have one to three unknowns each
+      and, summed and scaled to a leading 1, are the Fraction rows it
+      used to build; its solution space is their kernel, its operators
+      equal their dense rebuild and, operator for operator, those of the
+      row-set route it replaced (tests/helpers.py), on every acyclic
+      fixture and on seeded quivers of up to 40 paths; on A_10, T_5 and
+      K_58, near the oracle's path cap, the rows are the Fraction rows
+      and the oracle's dimension is that of the canonical basis; there
+      and on two seeded quivers of 100 to 200 paths the oracle gives the
+      row-set route's operators; with the cap
       raised, on T_8, A_20, K_200 and seeded quivers of 200 to 400 paths
       (and T_9, marked slow), the oracle and the canonical basis have
       equal dimensions and spans
@@ -75,7 +79,6 @@ Core claims:
       negates no operand
 """
 
-import math
 import re
 import sys
 from fractions import Fraction
@@ -134,6 +137,7 @@ from helpers import (
     reference_inner_edge_bracket_sign,
     reference_is_derivation,
     reference_verify_bracket_identities,
+    row_set_oracle,
     seeded,
     sized_acyclic_quiver,
     sparse_kernel,
@@ -629,19 +633,27 @@ def oracle_quivers():
     return qs
 
 
+def _streamed_rows(q):
+    """The oracle's streamed equations as the Fraction rows write them:
+    repeated unknowns summed, empty rows dropped, each row sorted and
+    scaled to a leading 1; every equation has one to three unknowns."""
+    rows = set()
+    for row in derivations._leibniz_rows(q):
+        assert 1 <= len({u for u, _ in row}) <= len(row) <= 3
+        assert all(type(c) is int and c for _, c in row)
+        summed = {}
+        for u, c in row:
+            summed[u] = summed.get(u, 0) + c
+        entries = sorted((u, c) for u, c in summed.items() if c)
+        if entries:
+            rows.add(tuple((u, Fraction(c, entries[0][1])) for u, c in entries))
+    return rows
+
+
 def test_oracle_rows_are_the_fraction_rows_as_primitive_integer_rows(oracle_quivers):
+    # the same lines as the Fraction rows, however often each one streams
     for q in oracle_quivers:
-        rows = derivations._leibniz_rows(q)
-        for row in rows:
-            unknowns = [u for u, _ in row]
-            coeffs = [c for _, c in row]
-            assert unknowns == sorted(set(unknowns))
-            assert all(type(c) is int and c for c in coeffs)
-            assert math.gcd(*coeffs) == 1 and coeffs[0] > 0
-        # one integer row per line, and the same lines as the Fraction rows
-        scaled = {tuple((u, Fraction(c, row[0][1])) for u, c in row) for row in rows}
-        assert len(scaled) == len(rows)
-        assert scaled == fraction_leibniz_rows(q)
+        assert _streamed_rows(q) == fraction_leibniz_rows(q)
 
 
 def test_oracle_solution_space_is_the_kernel_of_the_fraction_rows(oracle_quivers):
@@ -671,11 +683,32 @@ def test_oracle_near_its_cap_keeps_the_fraction_rows_and_the_basis_dimension(q):
     # 55, 31 and 60 paths: the chain's products are dense, the tournament
     # has many factorizations per path, and K_58 is at the cap
     assert len(q.paths()) <= derivations.ORACLE_MAX_PATHS
-    rows = derivations._leibniz_rows(q)
-    scaled = {tuple((u, Fraction(c, row[0][1])) for u, c in row) for row in rows}
-    assert len(scaled) == len(rows)
-    assert scaled == fraction_leibniz_rows(q)
+    assert _streamed_rows(q) == fraction_leibniz_rows(q)
     assert len(derivation_space_oracle(q)) == len(canonical_basis(q))
+
+
+def test_oracle_is_the_row_set_route_operator_for_operator(oracle_quivers):
+    for q in oracle_quivers:
+        assert derivation_space_oracle(q) == row_set_oracle(q)
+
+
+def _row_set_inputs():
+    """A_10, T_5, K_58 and two seeded quivers of 100 to 200 paths."""
+    inputs = [("A10", chain(10)), ("T5", tournament(5)[0]), ("K58", kronecker(58)[0])]
+    rng = seeded(4421)
+    while len(inputs) < 5:
+        nv = rng.randint(7, 11)
+        q = sized_acyclic_quiver(rng, nv, nv + rng.randint(2, 8))
+        if 100 <= sum(map(sum, q.path_counts())) <= 200:
+            inputs.append((f"random{len(inputs) - 2}", q))
+    return [pytest.param(q, id=name) for name, q in inputs]
+
+
+@pytest.mark.parametrize("q", _row_set_inputs())
+def test_oracle_is_the_row_set_route_near_and_past_its_cap(q):
+    # the same operators in the same order as the route that kept every
+    # equation once, as a primitive integer row in one set
+    assert derivation_space_oracle(q, max_paths=len(q.paths())) == row_set_oracle(q)
 
 
 def _hundreds_of_paths():

@@ -51,7 +51,11 @@ Core claims:
     - _row_kernel, the oracle's signed union-find in front of kernel(),
       spans the kernel of 300 seeded sparse integer systems, puts a 1 at
       each solution's least unknown, answers in sparse rows, and zeroes a
-      class whose signs disagree around a cycle
+      class whose signs disagree around a cycle; fed 200 seeded systems
+      with repeated rows and repeated unknowns, as one-pass iterators in
+      shuffled orders, it gives one solution list, and a repeated unknown
+      that cancels or not, rows 2 d[u] = d[v], and a zero row before or
+      after the union that reaches its unknown each give the kernel
     - the constructor stores an int for integral input, bool and float
       included, and a Fraction only otherwise
 """
@@ -951,3 +955,64 @@ def test_row_kernel_is_the_kernel_of_seeded_sparse_systems():
         kernel = sparse_kernel(rows, n)
         assert found.num_rows == kernel.num_rows
         assert found.rref() == kernel.rref()
+
+
+def _assert_row_kernel(rows, n):
+    """_row_kernel of ``rows`` fed once, as an iterator, checked against
+    sparse_kernel of the rows with their repeated unknowns summed."""
+    solutions = list(_row_kernel(iter(rows), n))
+    summed = []
+    for row in rows:
+        acc = {}
+        for u, c in row:
+            acc[u] = acc.get(u, 0) + c
+        summed.append(tuple(acc.items()))
+    found, kernel = RationalMatrix._of(solutions, n), sparse_kernel(summed, n)
+    assert found.num_rows == kernel.num_rows
+    assert found.rref() == kernel.rref()
+    return solutions
+
+
+def test_row_kernel_gives_one_solution_list_in_any_row_order():
+    # rows as the oracle streams them: repeated, not primitive, and with an
+    # unknown more than once, so that some cancel and some sum to 2 d[u]
+    rng = seeded(4423)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rows = [
+            tuple((rng.randrange(n), rng.choice([1, -1, 1, -1, 2, -2])) for _ in range(size))
+            for size in (rng.choice([1, 2, 2, 2, 2, 3, 3, 4]) for _ in range(rng.randint(0, 16)))
+        ]
+        rows += rng.sample(rows, len(rows) // 3)
+        expected = _assert_row_kernel(rows, n)
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert _assert_row_kernel(rows, n) == expected
+
+
+def test_row_kernel_sums_a_repeated_unknown_and_keeps_unequal_pairs():
+    cases = [
+        ([((0, 1), (0, -1))], 2, [{0: 1}, {1: 1}]),  # cancels: skipped
+        ([((0, 1), (0, 1))], 2, [{1: 1}]),  # 2 d0 = 0
+        ([((0, 1), (1, 1), (0, -1))], 2, [{0: 1}]),  # d1 = 0
+        ([((0, 1), (1, 1), (0, 1))], 2, [{0: 1, 1: -2}]),  # 2 d0 + d1 = 0
+        ([((0, 2), (1, -1))], 2, [{0: 1, 1: 2}]),  # 2 d0 = d1, kept for kernel()
+        ([((0, 2), (1, -1)), ((1, 1), (2, -1))], 3, [{0: 1, 1: 2, 2: 2}]),
+        ([((0, 2), (1, -1)), ((0, 1), (1, -1))], 2, []),  # d0 = d1 = 2 d0
+        ([((0, 1), (1, -1)), ((0, 2), (1, -1))], 2, []),
+    ]
+    for rows, n, expected in cases:
+        assert _assert_row_kernel(rows, n) == expected, rows
+
+
+def test_row_kernel_zeroes_a_class_whatever_the_order_of_its_zero_row():
+    # d2 = 0, d1 = d2 and d0 = -d1 make the class {0, 1, 2} zero: the zero
+    # row before the unions reaches the class through them, and after them
+    # it zeroes the class at its root 0, not at the unknown 2
+    unions = [((1, 1), (2, -1)), ((0, 1), (1, 1))]
+    for rows in ([((2, 1),), *unions], [*unions, ((2, 1),)], [unions[0], ((2, 1),), unions[1]]):
+        assert _assert_row_kernel(rows, 4) == [{3: 1}], rows
+    # a zero row that reaches a longer row's unknown through a union
+    rows = [((0, 1), (1, 1), (3, 1)), ((2, 1),), ((1, 1), (2, -1))]
+    for order in (rows, rows[::-1]):
+        assert _assert_row_kernel(order, 4) == [{0: 1, 3: -1}], order
