@@ -48,22 +48,18 @@ class _Json(str):
 
 
 def _dense_rows(rows, num_cols: int):
-    """The JSON text of each sparse row of ``rows`` written out dense, from
-    pre-quoted "0" cells, every zero row as one shared text; str of a
-    coefficient is the output format: "n", or "n/d" in lowest terms."""
+    """The JSON text of each sparse row of ``rows`` written out dense, as a
+    _Json, from pre-quoted "0" cells, every zero row as one shared text; str
+    of a coefficient is the output format: "n", or "n/d" in lowest terms.
+    Passed to _emit, the generator writes the dense matrix row by row."""
     cells = ['"0"'] * num_cols
-    zero = "[" + ",".join(cells) + "]"
+    zero = _Json("[" + ",".join(cells) + "]")
     for entries in rows:
         for j, x in entries.items():
             cells[j] = f'"{x}"'
-        yield "[" + ",".join(cells) + "]" if entries else zero
+        yield _Json("[" + ",".join(cells) + "]") if entries else zero
         for j in entries:
             cells[j] = '"0"'
-
-
-def _dense(rows, num_cols: int) -> _Json:
-    """The JSON text of the dense matrix of the sparse ``rows``, joined from _dense_rows."""
-    return _Json("[" + ",".join(_dense_rows(rows, num_cols)) + "]")
 
 
 def _pieces(value):
@@ -183,7 +179,7 @@ def cmd_report(qf, args) -> int:
                 "Cgamma": rep.rank_c_gamma,
                 "Bgamma": rep.rank_b_gamma,
             },
-            "matrices": {k: _dense(m._entries, m.num_cols) for k, m in matrices.items()},
+            "matrices": {k: _dense_rows(m._entries, m.num_cols) for k, m in matrices.items()},
             "faces": [list(f.display(qf.quiver)) for f in rep.faces],
         }
     )
@@ -251,9 +247,9 @@ def cmd_derivations(qf, args) -> int:
         "dim": len(basis),
         "innerRank": inner_subspace(q).rank(),
         "labels": list(labels),
-        # each member's matrix text is built as it is written, from its images
+        # each member's matrix is written row by row, from its images
         "basis": (
-            {"label": label, "matrix": _dense(map(op._rows().get, range(n), repeat({})), n)}
+            {"label": label, "matrix": _dense_rows(map(op._rows().get, range(n), repeat({})), n)}
             for label, op in zip(labels, basis.operators)
         ),
     }

@@ -133,8 +133,10 @@ class RotationSystem:
 
 
 class FaceCycle(namedtuple("FaceCycle", "darts net")):
-    """One face boundary: the exit darts in walk order, plus the net
-    traversal count of every arrow (+forward, -backward)."""
+    """One face boundary: the exit darts in walk order, plus its net, the
+    sparse row of net traversal counts (+forward, -backward) as a tuple of
+    (arrow, nonzero count) pairs in increasing arrow order; an arrow the
+    walk crosses as often forward as backward, or not at all, is absent."""
 
     __slots__ = ()
 
@@ -147,7 +149,8 @@ def trace_faces(rot: RotationSystem) -> tuple[FaceCycle, ...]:
 
     Walking out along a dart traverses its arrow forward when the dart
     is a tail end; the walk continues from the rotation successor of the
-    opposite dart.  Isolated vertices each bound one empty face.
+    opposite dart.  Isolated vertices each bound one empty face.  Each net
+    is counted over the walk's own darts: |darts| work, not |E|.
     """
     q = rot.quiver
     faces = []
@@ -156,19 +159,20 @@ def trace_faces(rot: RotationSystem) -> tuple[FaceCycle, ...]:
         if start in visited:
             continue
         darts = []
-        net = [0] * q.num_arrows
+        net: dict[int, int] = {}
         d = start
         while True:
             visited.add(d)
             darts.append(d)
-            net[dart_arrow(d)] += 1 if dart_end(d) == TAIL else -1
+            k = dart_arrow(d)
+            net[k] = net.get(k, 0) + (1 if dart_end(d) == TAIL else -1)
             d = rot.successor(dart_opposite(d))
             if d == start:
                 break
-        faces.append(FaceCycle(tuple(darts), tuple(net)))
+        faces.append(FaceCycle(tuple(darts), tuple(sorted((k, c) for k, c in net.items() if c))))
     for order in rot.orders:
         if not order:
-            faces.append(FaceCycle((), (0,) * q.num_arrows))
+            faces.append(FaceCycle((), ()))
     return tuple(faces)
 
 
@@ -195,14 +199,20 @@ def surface_genus(q: Quiver, num_faces: int) -> int:
 def face_derivation(q: Quiver, face) -> LinearOperator:
     """The signed sum of arrow-rescaling derivations along a face.
 
-    Accepts a FaceCycle or a bare coefficient vector over the arrows;
-    coefficient a_k multiplies the edge derivation D_{k,k}, which
-    multiplies each path by the number of times it runs along arrow k.
-    The sum is therefore diagonal on paths, p -> (sum of a_x over the
-    arrows x of p) p, and is built that way in one pass.
+    Accepts a FaceCycle, whose sparse net it reads, or a bare dense
+    coefficient vector over the arrows; coefficient a_k multiplies the
+    edge derivation D_{k,k}, which multiplies each path by the number of
+    times it runs along arrow k.  The sum is therefore diagonal on paths,
+    p -> (sum of a_x over the arrows x of p) p, and is built that way in
+    one pass.
     """
-    coeffs = face.net if isinstance(face, FaceCycle) else tuple(face)
-    if len(coeffs) != q.num_arrows:
-        raise ValueError(f"expected {q.num_arrows} face coefficients")
-    weights = [_exact(a) for a in coeffs]
-    return LinearOperator._summed(q, lambda p: [(p, _exact(sum(weights[x] for x in p.arrows)))])
+    if isinstance(face, FaceCycle):
+        weights = dict(face.net)
+    else:
+        coeffs = tuple(face)
+        if len(coeffs) != q.num_arrows:
+            raise ValueError(f"expected {q.num_arrows} face coefficients")
+        weights = {k: _exact(a) for k, a in enumerate(coeffs) if a}
+    return LinearOperator._summed(
+        q, lambda p: [(p, _exact(sum(weights.get(x, 0) for x in p.arrows)))]
+    )

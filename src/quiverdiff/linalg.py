@@ -13,18 +13,15 @@ in Bareiss, Math. Comp. 22, 1968), with no floating point.  Batches of
 rows go in through ``spanning``, latest leading column first (a fixed
 row order in the spirit of Markowitz, Management Sci. 3, 1957).  rank
 relabels the sparse columns first, as its answer alone does not depend
-on column order; rref, kernel and intersect_row_spaces back-substitute
-once to the reduced row echelon form, which is unique, so none of them
-depends on the order the rows go in.  Tags keep the books: LinearSolver
-and intersect_row_spaces give each row of M, or of B, a 1 in a column
-of its own, so a basis row whose data half vanishes names the
-combination it came from.  Tagging B halves the elimination of
-Zassenhaus's doubled block [[A A], [B 0]] (25,502 entries touched
-instead of 50,365 on the 8 x 8 grid's report).  A solver target
-carries a 1 in one more column, which no stored row reaches, so its
-answer's scale is read there.  _row_kernel, the oracle's solver, takes
-the rows d[u] = 0 and d[u] = +-d[v], almost all of its system, into a
-signed union-find as they stream in, and only the rest through kernel().
+on column order; rref and kernel back-substitute once to the reduced
+row echelon form, which is unique, so neither depends on the order the
+rows go in.  Tags keep the books: LinearSolver gives each row of M a 1
+in a column of its own, so a basis row whose data half vanishes names
+the combination it came from.  A solver target carries a 1 in one more
+column, which no stored row reaches, so its answer's scale is read
+there.  _row_kernel, the oracle's solver, takes the rows d[u] = 0 and
+d[u] = +-d[v], almost all of its system, into a signed union-find as
+they stream in, and only the rest through kernel().
 """
 
 from __future__ import annotations
@@ -204,8 +201,8 @@ class RationalMatrix:
 class EchelonBasis:
     """Incrementally maintained echelon basis of a row space.
 
-    The package's one elimination kernel: rref, rank, intersections and
-    the solver are all built on it.  Each row is stored sparsely
+    The package's one elimination kernel: rref, rank, kernel and the
+    solver are all built on it.  Each row is stored sparsely
     (column -> nonzero int) as a primitive integer row: scaled by the
     lcm of its denominators, divided by its content, with a positive
     leading entry at its pivot.  A new row is reduced forward only,
@@ -426,26 +423,6 @@ def _row_kernel(rows, num_unknowns: int) -> Iterator[Row]:
             x = solution[r]
             solution.update((u, x if s == 1 else -x) for u, s in members[r])
         yield solution
-
-
-def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon basis of rowspace(a) and rowspace(b) intersected.
-
-    Row reduce [A | 0; B | I], row i of B tagged by a 1 in column n + i.
-    A basis row whose pivot lies in the tags has a vanishing left half,
-    x A + y B = 0, so it carries a y with y B in row(A), and those y span
-    every such y.  The intersection is the span of their y B, returned
-    in RREF.
-    """
-    if a.num_cols != b.num_cols:
-        raise DimensionMismatchError("row spaces live in different dimensions")
-    n = a.num_cols
-    tagged = [{**row, n + i: _ONE} for i, row in enumerate(b._entries)]
-    ech = EchelonBasis.spanning(n + b.num_rows, list(a._entries) + tagged)
-    # a stored row starts at its pivot, so one pivoted in the tags is [0 | y]
-    ys = [{i - n: y for i, y in ech._pivot_rows[p].items()} for p in ech.pivots if p >= n]
-    found = EchelonBasis.spanning(n, (RationalMatrix._of(ys, b.num_rows) * b)._entries)
-    return RationalMatrix._of(found._reduced(found.pivots), n)
 
 
 class LinearSolver:

@@ -60,6 +60,7 @@ from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
     adjoint_eigenvalue,
+    dense_net,
     fixture_embedded,
     fixture_quiver,
     longest_path_length,
@@ -164,8 +165,9 @@ def test_bounded_triangle_reproduction():
         faces = trace_faces(rot)
         assert len(faces) == 2
         bounded = faces[1]
-        assert bounded.net[q.arrow_index("p4")] == 0
-        assert bounded.net[q.arrow_index("p5")] == 0
+        net = dense_net(bounded, q.num_arrows)
+        assert net[q.arrow_index("p4")] == 0
+        assert net[q.arrow_index("p5")] == 0
 
         signed = (
             Fraction(-1) * d_rs(q, "p1", q.arrow_path("p1"))

@@ -6,8 +6,9 @@ Core claims:
       derivations (with halves on every arrow, ints where integral), the HH1
       representatives, structure-table rows and face eigenvalues, and the
       oracle's operators, on the embedded fixtures, T_2..T_6 and K_1..K_6
-    - no float ever appears: rref, kernel, intersect_row_spaces,
-      LinearSolver.solve and _row_kernel answer seeded int-entry inputs in
+    - no float ever appears: rref, kernel, the reference
+      intersect_row_spaces, LinearSolver.solve and _row_kernel answer
+      seeded int-entry inputs in
       exact entries only, an int when integral and a Fraction otherwise
     - int and Fraction inputs agree: the same seeded matrices given as
       equal integral Fractions give equal products, ranks, echelon forms,
@@ -30,9 +31,17 @@ from quiverdiff.cohomology import (
 )
 from quiverdiff.derivations import canonical_basis, d_rs, derivation_space_oracle, inner_subspace
 from quiverdiff.embedding import face_derivation, trace_faces
-from quiverdiff.linalg import LinearSolver, RationalMatrix, _row_kernel, intersect_row_spaces
+from quiverdiff.linalg import LinearSolver, RationalMatrix, _row_kernel
 
-from helpers import EMBEDDED_FIXTURES, fixture_embedded, is_exact, kronecker, seeded, tournament
+from helpers import (
+    EMBEDDED_FIXTURES,
+    fixture_embedded,
+    intersect_row_spaces,
+    is_exact,
+    kronecker,
+    seeded,
+    tournament,
+)
 
 
 INTEGRAL = [(name, fixture_embedded(name)) for name in EMBEDDED_FIXTURES]

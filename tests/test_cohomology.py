@@ -4,16 +4,25 @@ Core claims:
     - the relation matrices C_va, C_ca, C_gamma, B_gamma match the
       hand-computed fixtures and satisfy rank(C_va) = |V|-1,
       rank(C_ca) = rank(B_gamma) = |F|-1
-    - the rows of C_ca, read at the arrows of each face's darts, are the
-      nonzero entries of its net vector on the 3x3 and 5x5 grids, planar
-      and rotated, and on seeded quivers of genus 1 and 2
+    - the rows of C_ca are the nonzero entries of each face's dense net
+      on the 3x3 and 5x5 grids, planar and rotated, and on seeded
+      quivers of genus 1 and 2
     - |E| - rank(C_gamma) = 2g on every embedded fixture, torus included
-    - the vertex and face subspaces are linearly disjoint, and a report
-      whose intersection disagrees with the rank count raises
+    - the vertex and face subspaces are linearly disjoint; a report whose
+      stacked rank disagrees with that raises, and so does one with a
+      face net that is no closed walk (an entry with its sign flipped, a
+      walk that skips a dart), naming the face and a vertex
+    - spacesDisjoint and the circulation check agree with the tagged and
+      the doubled-block Zassenhaus intersections and with C_va C_ca^T on
+      the differential fixtures, seeded quivers of genus 1 to 3 and
+      random rotations of the 3x3 to 6x6 grids; with a vector added to
+      one face's net there, the report raises exactly when that product
+      is not zero
     - the report reaches the planar 12x12 checkerboard grid with every
       verdict true, touching fewer than 300,000 entries in its
       elimination steps (caller row order touched about 1.2 million, the
-      doubled Zassenhaus block and caller column order 511,723)
+      doubled Zassenhaus block and caller column order 511,723; its four
+      ranks, now its only eliminations, touch 103,178)
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
     - Happel's count reads the path counts: on T_40 it enumerates no path
@@ -87,7 +96,7 @@ from quiverdiff.derivations import (
     inner_subspace,
 )
 from quiverdiff.embedding import HEAD, TAIL, FaceCycle, RotationSystem, dart, surface_genus
-from quiverdiff.embedding import trace_faces
+from quiverdiff.embedding import dart_arrow, dart_end, trace_faces
 from quiverdiff.errors import (
     CyclicQuiverError,
     DisconnectedError,
@@ -99,6 +108,7 @@ from quiverdiff.quiver import Arrow, Path, Quiver
 from quiverdiff.quiverfile import QuiverFile
 
 from helpers import (
+    DIFFERENTIAL_FIXTURES,
     EMBEDDED_FIXTURES,
     NotAlmostCycleError,
     ReferenceHH1,
@@ -107,11 +117,13 @@ from helpers import (
     chain,
     checkerboard_grid,
     connection_matrix,
+    dense_net,
     dense_row,
     differential_inputs,
     fixture_embedded,
     fixture_quiver,
     identity_operator,
+    intersect_row_spaces,
     kronecker,
     load_fixture,
     matrix_entry,
@@ -123,8 +135,10 @@ from helpers import (
     seeded,
     seeded_embedded_quiver,
     sized_acyclic_quiver,
+    sparse_net,
     tournament,
     transpose,
+    zassenhaus_intersection,
 )
 
 HAPPEL_TABLE = {
@@ -170,30 +184,30 @@ def test_cycle_arrow_matrix_pinned():
     assert rows[1] in ([-1, 1, -1, 0, 0], [1, -1, 1, 0, 0])
 
 
-def _genus2_quiver(seed):
-    """The first seeded quiver with 5-6 vertices and 5 more arrows whose
-    random rotation has genus 2."""
+def _seeded_genus_quiver(seed, g):
+    """The first seeded quiver with 5-6 vertices and 2g + 1 more arrows
+    whose random rotation has genus g."""
     rng = seeded(seed)
     while True:
         nv = rng.randint(5, 6)
-        q = sized_acyclic_quiver(rng, nv, nv + 5)
+        q = sized_acyclic_quiver(rng, nv, nv + 2 * g + 1)
         rot = random_rotation(rng, q)
-        if surface_genus(q, len(trace_faces(rot))) == 2:
+        if surface_genus(q, len(trace_faces(rot))) == g:
             return q, rot
 
 
 def test_cycle_arrow_matrix_rows_are_the_nonzero_net_of_each_face():
-    # rows read at the arrows of the darts equal the nonzero entries of the dense nets
+    # the rows equal the nonzero entries of the dense nets
     inputs = []
     for k in (3, 5):
         q, rot = checkerboard_grid(k)
         inputs += [(f"grid{k}", q, rot), (f"grid{k}_rotated", q, random_rotation(seeded(k), q))]
     inputs += [(f"genus1_seed{s}", *seeded_embedded_quiver(s, 1)) for s in range(20)]
-    inputs += [(f"genus2_seed{s}", *_genus2_quiver(s)) for s in range(20)]
+    inputs += [(f"genus2_seed{s}", *_seeded_genus_quiver(s, 2)) for s in range(20)]
     assert any(name.startswith("genus2") for name, _, _ in inputs)
     for name, q, rot in inputs:
         faces = trace_faces(rot)
-        expected = [{k: x for k, x in enumerate(f.net) if x} for f in faces]
+        expected = [{k: x for k, x in enumerate(dense_net(f, q.num_arrows)) if x} for f in faces]
         assert list(cycle_arrow_matrix(q, faces)._entries) == expected, name
 
 
@@ -265,16 +279,106 @@ def test_report_verdicts_hold_everywhere():
 
 
 def test_report_cross_check_bites_on_a_nonempty_intersection(monkeypatch):
-    # the rank count says the spaces are disjoint; a meet that is not
-    # empty must make the report refuse rather than pick one answer
-    def nonempty(a, b):
-        return RationalMatrix([[1] + [0] * (a.num_cols - 1)], a.num_cols)
+    # every face row is a circulation, so the spaces are disjoint; a stacked
+    # rank short of rank C_va + rank C_ca says they meet, and must make the
+    # report refuse rather than pick one answer
+    stack = RationalMatrix.stack
 
-    monkeypatch.setattr(cohomology, "intersect_row_spaces", nonempty)
+    def c_va_twice(c_va, c_ca):  # the stack of C_va over itself: rank C_va
+        return stack(c_va, c_va)
+
+    monkeypatch.setattr(RationalMatrix, "stack", staticmethod(c_va_twice))
     for name in ("k2", "grid2x2", "torus_k4"):
         q, rot = fixture_embedded(name)
         with pytest.raises(InternalCheckError, match="intersection disagrees"):
             combinatorial_report(q, rot)
+
+
+def _walk_net(q, darts):
+    """The dense net of a walk along ``darts``: +1 for a tail dart, -1 for a head dart."""
+    net = [0] * q.num_arrows
+    for d in darts:
+        net[dart_arrow(d)] += 1 if dart_end(d) == TAIL else -1
+    return net
+
+
+@pytest.mark.parametrize("name", ["k2", "grid2x2", "torus_k4", "grid3"])
+def test_a_face_net_with_a_sign_flipped_is_refused(monkeypatch, name):
+    q, rot = checkerboard_grid(3) if name == "grid3" else fixture_embedded(name)
+    face = 1
+    net = list(dense_net(trace_faces(rot)[face], q.num_arrows))
+    k = next(k for k, x in enumerate(net) if x)
+    net[k] = -net[k]
+    _with_face_net(monkeypatch, rot, net, face=face)
+    ends = "|".join(q.vertex_names[v] for v in (q.arrows[k].tail, q.arrows[k].head))
+    with pytest.raises(InternalCheckError, match=rf"face {face} is not a closed walk.* ({ends})$"):
+        combinatorial_report(q, rot)
+
+
+@pytest.mark.parametrize("name", ["k2", "grid2x2", "torus_k4", "grid3"])
+def test_a_face_walk_that_skips_a_dart_is_refused(monkeypatch, name):
+    q, rot = checkerboard_grid(3) if name == "grid3" else fixture_embedded(name)
+    face = 1
+    darts = trace_faces(rot)[face].darts
+    for skipped in range(len(darts)):
+        walk = darts[:skipped] + darts[skipped + 1:]
+        _with_face_net(monkeypatch, rot, _walk_net(q, walk), face=face)
+        with pytest.raises(InternalCheckError, match=rf"face {face} is not a closed walk"):
+            combinatorial_report(q, rot)
+
+
+def _orthogonality_inputs():
+    inputs = [(name, *fixture_embedded(name)) for name in DIFFERENTIAL_FIXTURES]
+    inputs += [(f"genus1_seed{s}", *seeded_embedded_quiver(s, 1)) for s in range(4)]
+    inputs += [(f"genus{g}_seed{s}", *_seeded_genus_quiver(s, g)) for g in (2, 3) for s in range(4)]
+    for k in range(3, 7):
+        q, _ = checkerboard_grid(k)
+        inputs += [(f"grid{k}_rotated{i}", q, random_rotation(seeded(10 * k + i), q)) for i in range(2)]
+    return inputs
+
+
+ORTHOGONALITY = _orthogonality_inputs()
+
+
+def test_spaces_disjoint_matches_the_intersections_and_the_product():
+    # the circulation check stands for C_va C_ca^T = 0, and spacesDisjoint
+    # for an empty meet of the row spaces, which two eliminations compute
+    assert {surface_genus(q, len(trace_faces(rot))) for _, q, rot in ORTHOGONALITY} >= {0, 1, 2, 3}
+    for name, q, rot in ORTHOGONALITY:
+        rep = combinatorial_report(q, rot)
+        assert not any((rep.c_va * transpose(rep.c_ca))._entries), name
+        meet = intersect_row_spaces(rep.c_va, rep.c_ca)
+        assert meet == zassenhaus_intersection(rep.c_va, rep.c_ca), name
+        assert meet.num_rows == 0, name
+        assert rep.spaces_disjoint, name
+
+
+@pytest.mark.parametrize("q, rot", [e[1:] for e in ORTHOGONALITY], ids=[e[0] for e in ORTHOGONALITY])
+def test_the_circulation_check_refuses_exactly_a_nonzero_product(monkeypatch, q, rot):
+    # face 0 keeps its walk but gets a net with a vector added: another
+    # face's net (closed), a unit vector (open) or a difference of two
+    # (closed exactly when the arrows are parallel); the report must raise
+    # exactly when C_va C_ca^T is then nonzero
+    faces = trace_faces(rot)
+    n = q.num_arrows
+    nets = [dense_net(f, n) for f in faces]
+    units = [[int(j == k) for j in range(n)] for k in range(n)]
+    few = min(n, 8)
+    pairs = [[a - b for a, b in zip(units[k], units[m])] for k in range(few) for m in range(k + 1, few)]
+    c_va = vertex_arrow_matrix(q)
+    outcomes = set()
+    for delta in nets + units + pairs:
+        net = [a + b for a, b in zip(nets[0], delta)]
+        changed = (FaceCycle(faces[0].darts, sparse_net(net)),) + faces[1:]
+        monkeypatch.setattr(rot, "_faces", changed)
+        closed = not any((c_va * transpose(cycle_arrow_matrix(q, changed)))._entries)
+        outcomes.add(closed)
+        if closed:
+            assert combinatorial_report(q, rot).spaces_disjoint
+        else:
+            with pytest.raises(InternalCheckError, match="face 0 is not a closed walk"):
+                combinatorial_report(q, rot)
+    assert outcomes == {True, False}
 
 
 def test_report_reaches_the_planar_12x12_grid():
@@ -308,14 +412,16 @@ def _entries_touched(monkeypatch, q, rot) -> int:
 def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
     # entries touched by the elimination steps of one report: 1,194,992 when
     # the rows went in caller order (row-major vertices and faces), 511,723
-    # latest leading column first
+    # latest leading column first, 103,178 with its four ranks as its only
+    # eliminations
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 600_000
 
 
 def test_report_on_the_planar_12x12_grid_tags_rows_and_ranks_sparse_columns_first(monkeypatch):
-    # 269,337 entries touched with the rows of C_ca tagged in the intersection
-    # and rank() eliminating sparse columns first; 435,909 with the doubled
-    # Zassenhaus block and 345,151 in caller column order
+    # 103,178 entries touched by the four ranks, rank() eliminating sparse
+    # columns first, with no intersection run; 269,337 with the rows of C_ca
+    # tagged in an intersection as well, 435,909 with the doubled Zassenhaus
+    # block there, and 345,151 in caller column order
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 300_000
 
 
@@ -421,13 +527,13 @@ def test_non_derivation_has_no_coset():
 
 
 def _with_face_net(monkeypatch, rot, net, face=1):
-    """Make the faces ``rot`` keeps give ``face`` the net coefficients
+    """Make the faces ``rot`` keeps give ``face`` the dense net coefficients
     ``net``, walked as |net[k]| darts of arrow k: tail darts where
     net[k] > 0, head darts where it is negative."""
     ends = [(k, TAIL if x > 0 else HEAD) for k, x in enumerate(net) for _ in range(abs(x))]
     darts = tuple(dart(k, end) for k, end in ends)
     faces = list(trace_faces(rot))
-    faces[face] = FaceCycle(darts, tuple(net))
+    faces[face] = FaceCycle(darts, sparse_net(net))
     monkeypatch.setattr(rot, "_faces", tuple(faces))
 
 
@@ -454,7 +560,7 @@ def test_a_copied_face_net_names_the_later_face(monkeypatch, copied, onto, named
     q, rot = checkerboard_grid(3)
     labels = hh1_basis(q, rot).display_labels()
     assert labels == ("Face(1)", "Face(2)", "Face(3)", "Face(4)")
-    _with_face_net(monkeypatch, rot, trace_faces(rot)[copied].net, face=onto)
+    _with_face_net(monkeypatch, rot, dense_net(trace_faces(rot)[copied], q.num_arrows), face=onto)
     with pytest.raises(InternalCheckError, match=rf"Face\({named}\) is dependent"):
         hh1_basis(q, rot)
 
@@ -525,7 +631,8 @@ def test_face_disjoint_from_the_pair_gives_zero():
     )
     rot = RotationSystem.canonical(q)
     faces = trace_faces(rot)
-    far = next(f for f in faces if f.net[0] == 0 and f.net[1] == 0 and any(f.net))
+    nets = [dense_net(f, q.num_arrows) for f in faces]
+    far = next(f for f, net in zip(faces, nets) if net[0] == 0 and net[1] == 0 and any(net))
     assert adjoint_eigenvalue(q, far, "p1", q.arrow_path("p2")) == 0
 
 
@@ -639,7 +746,7 @@ def test_structure_table_matches_the_operator_route(embedded):
         if label.kind == "al":
             assert pairs == {(label.arrow, label.path): 1}
         elif label.kind == "face":
-            net = hb.faces[label.face].net
+            net = dense_net(hb.faces[label.face], q.num_arrows)
             assert pairs == {(k, q.arrow_path(k)): a for k, a in enumerate(net) if a}
         else:
             assert pairs == {(label.arrow, q.arrow_path(label.arrow)): 1}

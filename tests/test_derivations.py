@@ -107,6 +107,7 @@ from quiverdiff.quiver import Path, Quiver
 
 import helpers
 from helpers import (
+    DIFFERENTIAL_FIXTURES,
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
     ReferenceOperator,
@@ -1030,12 +1031,9 @@ def test_inner_ideal_and_edge_subalgebra():
 
 # -- Sparse operators against dense matrices -----------------------------------
 
-_DIFFERENTIAL_FIXTURES = ("a3", "k2", "triangle_tails", "grid2x2", "torus_k4")
-
-
 def test_sparse_arithmetic_matches_dense_matrices():
     rng = seeded(4106)
-    for name in _DIFFERENTIAL_FIXTURES:
+    for name in DIFFERENTIAL_FIXTURES:
         q = fixture_quiver(name)
         basis = canonical_basis(q)
         for _ in range(4):
@@ -1054,7 +1052,7 @@ def test_sparse_arithmetic_matches_dense_matrices():
 
 def test_sparse_apply_matches_mat_vec():
     rng = seeded(4107)
-    for name in _DIFFERENTIAL_FIXTURES:
+    for name in DIFFERENTIAL_FIXTURES:
         q = fixture_quiver(name)
         basis = canonical_basis(q)
         for _ in range(4):
@@ -1066,7 +1064,7 @@ def test_sparse_apply_matches_mat_vec():
 
 def test_coordinates_of_rejects_perturbed_non_derivations():
     rng = seeded(4108)
-    for name in _DIFFERENTIAL_FIXTURES:
+    for name in DIFFERENTIAL_FIXTURES:
         q = fixture_quiver(name)
         basis = canonical_basis(q)
         rejected = 0

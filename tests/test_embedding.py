@@ -2,8 +2,10 @@
 
 Core claims:
     - dart encoding/decoding and the opposite involution are consistent
-    - face tracing consumes every dart exactly once and the per-arrow
-      signed occurrences over all faces cancel
+    - face tracing consumes every dart exactly once, each face's net is
+      the sparse (arrow, nonzero count) pairs of its darts in increasing
+      arrow order, and the per-arrow signed occurrences over all faces
+      cancel
     - the fixture embeddings have the hand-traced face counts and nets
     - a rotation traces its faces once and keeps them: genus and the
       combinatorial report read the same tuple
@@ -42,6 +44,7 @@ from quiverdiff.quiver import Quiver
 
 from helpers import (
     EMBEDDED_FIXTURES,
+    dense_net,
     fixture_embedded,
     fixture_quiver,
     matrix_entry,
@@ -60,8 +63,14 @@ def _assert_valid_tracing(q, faces):
     for f in faces:
         seen.extend(f.darts)
     assert sorted(seen) == list(range(2 * q.num_arrows))
+    for f in faces:
+        counts = [0] * q.num_arrows
+        for d in f.darts:
+            counts[dart_arrow(d)] += 1 if dart_end(d) == TAIL else -1
+        assert f.net == tuple((k, c) for k, c in enumerate(counts) if c)
+    nets = [dense_net(f, q.num_arrows) for f in faces]
     for k in range(q.num_arrows):
-        assert sum(f.net[k] for f in faces) == 0
+        assert sum(net[k] for net in nets) == 0
 
 
 # -- Darts -------------------------------------------------------------------
@@ -148,7 +157,7 @@ def test_k2_faces():
     q, rot = fixture_embedded("k2")
     faces = trace_faces(rot)
     assert len(faces) == 2
-    assert {f.net for f in faces} == {(1, -1), (-1, 1)}
+    assert {dense_net(f, q.num_arrows) for f in faces} == {(1, -1), (-1, 1)}
     _assert_valid_tracing(q, faces)
 
 
@@ -156,7 +165,7 @@ def test_tree_has_one_face_with_zero_net():
     q, rot = fixture_embedded("a3")
     faces = trace_faces(rot)
     assert len(faces) == 1
-    assert faces[0].net == (0, 0)
+    assert dense_net(faces[0], q.num_arrows) == (0, 0)
     assert len(faces[0].darts) == 2 * q.num_arrows
 
 
@@ -165,8 +174,10 @@ def test_triangle_tails_faces():
     faces = trace_faces(rot)
     assert len(faces) == 2
     bounded = faces[1]  # face 0 is designated outer in the fixture
-    assert bounded.net in {(-1, 1, -1, 0, 0), (1, -1, 1, 0, 0)}
-    assert faces[0].net == tuple(-c for c in bounded.net)
+    assert dense_net(bounded, q.num_arrows) in {(-1, 1, -1, 0, 0), (1, -1, 1, 0, 0)}
+    assert dense_net(faces[0], q.num_arrows) == tuple(
+        -c for c in dense_net(bounded, q.num_arrows)
+    )
     _assert_valid_tracing(q, faces)
 
 
@@ -259,8 +270,8 @@ def test_mirror_preserves_face_count_and_genus():
         mirrored_faces = trace_faces(mirror(rot))
         assert len(faces) == len(mirrored_faces), name
         assert genus(rot) == genus(mirror(rot)), name
-        assert sorted(f.net for f in mirrored_faces) == sorted(
-            tuple(-c for c in f.net) for f in faces
+        assert sorted(dense_net(f, q.num_arrows) for f in mirrored_faces) == sorted(
+            tuple(-c for c in dense_net(f, q.num_arrows)) for f in faces
         ), name
 
 
@@ -328,7 +339,8 @@ def test_face_derivation_is_the_sum_of_edge_derivations():
         q, rot = fixture_embedded(name)
         faces = trace_faces(rot)
         vectors = [tuple(rand_frac(rng) for _ in range(q.num_arrows)) for _ in range(3)]
-        for face, coeffs in [(f, f.net) for f in faces] + [(v, v) for v in vectors]:
+        nets = [(f, dense_net(f, q.num_arrows)) for f in faces]
+        for face, coeffs in nets + [(v, v) for v in vectors]:
             expected = LinearOperator.zero(q)
             for k, a in enumerate(coeffs):
                 expected = expected + Fraction(a) * d_rs(q, k, q.arrow_path(k))

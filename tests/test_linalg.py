@@ -75,7 +75,6 @@ from quiverdiff.linalg import (
     LinearSolver,
     RationalMatrix,
     _row_kernel,
-    intersect_row_spaces,
 )
 
 from helpers import (
@@ -84,6 +83,7 @@ from helpers import (
     dense_row,
     differential_inputs,
     echelon_rref,
+    intersect_row_spaces,
     is_exact,
     mat_vec,
     matrix_difference,
