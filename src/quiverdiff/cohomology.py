@@ -192,17 +192,14 @@ def happel_dimension(q: Quiver) -> int:
     return 1 - q.num_vertices + sum(counts[a.tail][a.head] for a in q.arrows)
 
 
-def _face_formula(num_faces: int, num_al: int, g: int) -> int:
-    """dim HH1 = |F| + |almost oriented cycles| - 1 + 2g."""
-    return num_faces + num_al - 1 + 2 * g
-
-
 def hh1_dimension(q: Quiver, faces) -> int:
     """|F| + |almost oriented cycles| - 1 + 2g over the traced ``faces``,
-    cross-checked against the path-counting formula."""
+    cross-checked against the path-counting formula.  The almost oriented
+    cycles are the edge pairs less the |E| pairs (r, r) of each arrow with
+    itself, so they are counted, not listed."""
     _require_connected_acyclic(q)
     g = surface_genus(q, len(faces))
-    dim = _face_formula(len(faces), len(q.almost_oriented_cycles()), g)
+    dim = len(faces) + len(q.edge_pairs()) - q.num_arrows - 1 + 2 * g
     happel = happel_dimension(q)
     if dim != happel:
         raise InternalCheckError(

@@ -11,12 +11,13 @@ stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
 An operator stores only its nonzero images, each a sparse row {path
-index: coefficient}, the Row of the linear algebra; every constructor
-writes them through one builder that sums and prunes the terms of each
-image on the basis paths it is given, its support.  D_a on one path is
-_inner_terms, visited on the paths that start at h(w) or end at t(w)
-for a term w of a; D_{r,s} on one path is _splices, visited on the
-paths through r; d_rs_apply is the checked public form of the latter.
+index: coefficient}, the Row of the linear algebra.  The members of the
+canonical basis write them off q.products(), the one table of basis
+products, on the paths they move and no other: D_a writes a p_j - p_j a
+with _product_sum for the paths p_j that start at h(w) or end at t(w)
+for a term w of a, and D_{r,s} writes u s v at u r v, the one way a
+path of an acyclic quiver runs along r.  _splices is D_{r,s} on one
+path of any quiver, listed, and d_rs_apply is its checked public form.
 _bracket_pairs, the one edge-edge bracket, splices single paths to
 write [D_{r,s}, D_{p,t}] on EdgePair labels; the HH1 structure table
 runs it and verify_bracket_identities checks it.  The canonical
@@ -74,11 +75,11 @@ class LinearOperator:
     ``images[j]`` is the image of the j-th basis path as a sparse row
     {path index: nonzero coefficient}, for each j whose image is not zero;
     ``matrix`` builds the matrix (column j = images[j]) on each read.
-    Constructors write the rows through ``_summed``; ``from_images`` takes
-    a function basis path -> AlgebraElement.  Sums, scalar multiples and
-    brackets of operators are operators again.  Integral inputs give int
-    coefficients; non-integral operands may leave an integral Fraction, as
-    2 * (Fraction(1, 2) * op) does, which compares, hashes and prints as the int.
+    ``from_images`` takes a function basis path -> AlgebraElement.  Sums,
+    scalar multiples and brackets of operators are operators again.
+    Integral inputs give int coefficients; non-integral operands may leave
+    an integral Fraction, as 2 * (Fraction(1, 2) * op) does, which
+    compares, hashes and prints as the int.
     """
 
     __slots__ = ("quiver", "images")
@@ -92,29 +93,19 @@ class LinearOperator:
         return op
 
     @classmethod
-    def _summed(cls, quiver: Quiver, terms, support=None) -> "LinearOperator":
-        """The operator p -> the sum of the (path, coefficient) pairs terms(p) for the basis
-        paths p numbered in ``support`` (increasing; all when None), zero on the rest."""
-        paths, index = quiver.paths(), quiver.path_index
-        images = {}
-        for j in range(len(paths)) if support is None else support:
-            acc: Row = {}
-            for w, c in terms(paths[j]):
-                k = index(w)
-                acc[k] = acc[k] + c if k in acc else c
-            row = {k: c for k, c in acc.items() if c}
-            if row:
-                images[j] = row
-        return cls._of(quiver, images)
-
-    @classmethod
     def zero(cls, quiver: Quiver) -> "LinearOperator":
         return cls._of(quiver, {})
 
     @classmethod
     def from_images(cls, quiver: Quiver, image) -> "LinearOperator":
         """Build an operator from a function basis path -> AlgebraElement."""
-        return cls._summed(quiver, lambda p: image(p)._terms.items())
+        index, images = quiver.path_index, {}
+        for j, p in enumerate(quiver.paths()):
+            # an element's terms are distinct paths with nonzero coefficients
+            row = {index(w): c for w, c in image(p)._terms.items()}
+            if row:
+                images[j] = row
+        return cls._of(quiver, images)
 
     @property
     def matrix(self) -> RationalMatrix:
@@ -202,28 +193,22 @@ class LinearOperator:
 # constructors
 
 
-def _inner_terms(q: Quiver, terms, p: Path) -> list[tuple[Path, Scalar]]:
-    """The terms of D_a(p) = sum of c (wp - pw) over the terms (w, c) of a."""
-    out = []
-    for w, c in terms:
-        left, right = q.concat(w, p), q.concat(p, w)
-        if left is not None:
-            out.append((left, c))
-        if right is not None:
-            out.append((right, -c))
-    return out
-
-
 def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
-    """The inner derivation b -> ab - ba, built on the paths p starting at h(w)
-    or ending at t(w) for a term w of a: the others have wp = pw = 0."""
+    """The inner derivation b -> ab - ba, its image of p_j the row a p_j - p_j a
+    read off q.products() for the paths p_j starting at h(w) or ending at t(w)
+    for a term w of a: the others have w p_j = p_j w = 0."""
     if isinstance(a, AlgebraElement) and a.quiver is not q and a.quiver != q:
         raise QuiverMismatchError("element lives over a different quiver")
-    if isinstance(a, Path):
-        q.path_index(a)  # a ValueError for a path not of q
     terms = [(a, _ONE)] if isinstance(a, Path) else a._terms.items()
+    left = {q.path_index(w): c for w, c in terms}  # a ValueError for a path not of q
+    right = {w: -c for w, c in left.items()}
     moved = {j for w, _ in terms for j in q.paths_at(q.path_head(w))[0] + q.paths_at(w.base)[1]}
-    return LinearOperator._summed(q, lambda p: _inner_terms(q, terms, p), sorted(moved))
+    products, images = q.products(), {}
+    for j in sorted(moved):
+        row = {k: c for k, c in _product_sum(products, left, j, j, right).items() if c}
+        if row:
+            images[j] = row
+    return LinearOperator._of(q, images)
 
 
 def _splices(r: int, s: Path, p: Path) -> list[Path]:
@@ -282,13 +267,18 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
-    """D_{r,s} on the path basis, built on the paths through r (acyclic quivers only)."""
+    """D_{r,s} on the path basis (acyclic quivers only): a path through r runs
+    along it once, so D_{r,s}(p_i r p_j) = p_i s p_j, both read off q.products()
+    for the p_i ending at t(r) and the p_j starting at h(r)."""
     r = _parallel_arrow(q, r, s)
-    paths, arrow = q.paths(), q.arrow_path(r)
-    before = [q.concat(paths[i], arrow) for i in q.paths_at(arrow.base)[1]]
-    after = q.paths_at(q.path_head(arrow))[0]
-    through = sorted({q.path_index(q.concat(u, paths[j])) for u in before for j in after})
-    return LinearOperator._summed(q, lambda p: [(u, _ONE) for u in _splices(r, s, p)], through)
+    products, arrow = q.products(), q.arrow_path(r)
+    ri, si = q.path_index(arrow), q.path_index(s)
+    after, images = q.paths_at(q.path_head(arrow))[0], {}
+    for i in q.paths_at(arrow.base)[1]:
+        through, spliced = products[products[i][ri]], products[products[i][si]]
+        for j in after:
+            images[through[j]] = {spliced[j]: _ONE}
+    return LinearOperator._of(q, dict(sorted(images.items())))
 
 
 # ----------------------------------------------------------------------

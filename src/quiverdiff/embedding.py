@@ -213,6 +213,5 @@ def face_derivation(q: Quiver, face) -> LinearOperator:
         if len(coeffs) != q.num_arrows:
             raise ValueError(f"expected {q.num_arrows} face coefficients")
         weights = {k: _exact(a) for k, a in enumerate(coeffs) if a}
-    return LinearOperator._summed(
-        q, lambda p: [(p, _exact(sum(weights.get(x, 0) for x in p.arrows)))]
-    )
+    sums = ((j, _exact(sum(weights.get(x, 0) for x in p.arrows))) for j, p in enumerate(q.paths()))
+    return LinearOperator._of(q, {j: {j: c} for j, c in sums if c})

@@ -1100,8 +1100,9 @@ def reference_inner_edge_bracket_sign(q: Quiver) -> int | None:
 # Kept verbatim as references for LinearOperator and its constructors: one
 # AlgebraElement per basis path, zeros included, and the matrix, sums,
 # scalar multiples and brackets read off those elements.  The closed forms
-# on a single path, _inner_terms and _splices, are copies of the library's,
-# so a defect in the library's own shows up against them.
+# on a single path are _inner_terms, which concatenates the paths the
+# library reads off its product table, and _splices, a copy of the
+# library's, so a defect in the library's own shows up against them.
 
 class ReferenceOperator:
     """A linear self-map of kGamma, stored as the images of the basis paths.

@@ -761,7 +761,7 @@ def _hh1_payload(qf):
     return {
         "quiver": qf.name,
         "dim": dim,
-        "faceFormula": cohomology._face_formula(len(st.basis.faces), num_al, st.basis.genus),
+        "faceFormula": len(st.basis.faces) + num_al - 1 + 2 * st.basis.genus,
         "oracle": None,
         "happel": cohomology.happel_dimension(qf.quiver),
         "genus": st.basis.genus,

@@ -10,8 +10,9 @@ Core claims:
       verdicts and the same violations, in order, as the per-pair
       references on the acyclic fixtures and 30 seeded quivers, for the
       basis members, the oracle solutions and seeded perturbations; on
-      torus_k4 they multiply no element, build no operator matrix and
-      make no more than |P|^2 concatenations
+      torus_k4 the members and the checks multiply no element, build no
+      operator matrix and make no more than |P|^2 concatenations, all of
+      them building the table
     - the canonical basis is independent, spans the oracle's solution
       space, and carries the expected labels
     - the oracle's streamed equations have one to three unknowns each
@@ -48,8 +49,9 @@ Core claims:
     - inner_subspace builds no operator and no algebra element on the
       acyclic fixtures
     - canonical_basis on T_6 and inner_derivation of seeded elements
-      call _inner_terms and _splices once per path of their support, in
-      increasing order, and on no other path
+      read each row of an inner member off _product_sum once per path it
+      moves, in increasing order, and on no other path; each D_{r,s}
+      writes the paths through r and no other
     - arrow indices -1 and |E| raise ValueError in arrow_path, d_rs and
       d_rs_apply; a Path that is not a path of the quiver (a vertex or
       arrow out of range, or arrows that do not compose) raises
@@ -502,10 +504,10 @@ def test_checks_match_the_per_pair_references(product_quivers):
 
 
 def test_derivation_checks_multiply_no_element_and_build_no_matrix(monkeypatch):
-    # the basis products come from one table: at most |P|^2 concatenations
-    # build it, and no AlgebraElement product or operator matrix is formed
-    q = fixture_quiver("torus_k4")
-    ops = canonical_basis(q).operators
+    # the basis products come from one table, which the members read too: at
+    # most |P|^2 concatenations build it, counted from a fresh quiver, and
+    # neither the members nor the checks form an AlgebraElement product or
+    # an operator matrix
     counts = {"mul": 0, "concat": 0}
 
     def counted(name, method):
@@ -520,10 +522,12 @@ def test_derivation_checks_multiply_no_element_and_build_no_matrix(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__", counted("mul", AlgebraElement.__mul__))
     monkeypatch.setattr(Quiver, "concat", counted("concat", Quiver.concat))
     monkeypatch.setattr(LinearOperator, "matrix", property(refuse))
-    assert all([is_derivation(op) for op in ops])
+    q = fixture_quiver("torus_k4")
+    ops = canonical_basis(q).operators
     assert counts["mul"] == 0
     assert 0 < counts["concat"] <= len(q.paths()) ** 2
     built = counts["concat"]
+    assert all([is_derivation(op) for op in ops])
     assert not any(check_coefficient_conditions(op) for op in ops)
     assert counts == {"mul": 0, "concat": built}
 
@@ -1154,47 +1158,51 @@ def _through_arrow(q, r):
     return [p for p in q.paths() if r in p.arrows]
 
 
-def _recorded_term_calls(monkeypatch):
-    """Patch _inner_terms and _splices to record the path of each call."""
-    calls = {"_inner_terms": [], "_splices": []}
-    for name, record in calls.items():
-        term_function = getattr(derivations, name)
+def _recorded_product_sums(monkeypatch):
+    """Patch _product_sum to record the path p_j of each call: an inner
+    derivation reads a p_j - p_j a off it once per path p_j it moves."""
+    calls = []
+    product_sum = derivations._product_sum
 
-        def recorded(*args, _term_function=term_function, _record=record):
-            _record.append(args[-1])
-            return _term_function(*args)
+    def recorded(products, left, j, i, right):
+        calls.append(j)
+        return product_sum(products, left, j, i, right)
 
-        monkeypatch.setattr(derivations, name, recorded)
+    monkeypatch.setattr(derivations, "_product_sum", recorded)
     return calls
 
 
 def test_canonical_basis_calls_the_term_functions_only_on_moved_paths(monkeypatch):
-    calls = _recorded_term_calls(monkeypatch)
+    calls = _recorded_product_sums(monkeypatch)
     q = tournament(6)[0]
+    paths = q.paths()
     basis = canonical_basis(q)
     inner = [label.path for label in basis.labels if label.kind == "inner"]
-    arrows = [label.arrow for label in basis.labels if label.kind == "edge_pair"]
-    # each member visits its support once, in increasing path order
-    assert calls["_inner_terms"] == [
+    # each inner member reads its moved paths once, in increasing path order
+    assert [paths[j] for j in calls] == [
         p for s in inner for p in _moved_by_inner(q, _elem(q, s))
     ]
-    assert calls["_splices"] == [p for r in arrows for p in _through_arrow(q, r)]
-    visits = len(calls["_inner_terms"]) + len(calls["_splices"])
-    assert visits < len(basis) * len(q.paths()) // 4
+    # each D_{r,s} writes the paths through r, and only those
+    written = 0
+    for label, op in zip(basis.labels, basis.operators):
+        if label.kind == "edge_pair":
+            assert [paths[j] for j in op.images] == _through_arrow(q, label.arrow), label
+            written += len(op.images)
+    assert len(calls) + written < len(basis) * len(paths) // 4
 
 
 def test_inner_derivation_and_d_rs_element_call_the_term_functions_on_their_support(
     monkeypatch,
 ):
-    calls = _recorded_term_calls(monkeypatch)
+    calls = _recorded_product_sums(monkeypatch)
     rng = seeded(4124)
     qs = [tournament(5)[0], kronecker(3)[0], fixture_quiver("triangle_tails")]
     qs += [random_acyclic_quiver(rng, max_vertices=7, max_extra=6) for _ in range(10)]
     for q in qs:
         elem = random_element(rng, q, size=4)
-        calls["_inner_terms"].clear()
+        calls.clear()
         inner_derivation(q, elem)
-        assert calls["_inner_terms"] == _moved_by_inner(q, elem), q
+        assert [q.paths()[j] for j in calls] == _moved_by_inner(q, elem), q
 
 
 def test_is_derivation_rejects_a_failure_on_a_pair_of_zero_images():
@@ -1253,9 +1261,18 @@ def test_member_checks_visit_only_what_the_images_can_make_nonzero(monkeypatch):
     assert calls["path_index"] == q.num_vertices * len(ops)
 
 
+def _canonically_embedded(q):
+    return q, RotationSystem.canonical(q)
+
+
 # the DIFFERENTIAL inputs hold T_2..T_5 and K_2..K_8 already
 _REFERENCE_INPUTS = differential_inputs()
 _REFERENCE_INPUTS += [("t1", tournament(1)), ("t6", tournament(6)), ("k1", kronecker(1))]
+_REFERENCE_INPUTS += [(f"chain{n}", _canonically_embedded(chain(n))) for n in range(2, 9)]
+_REFERENCE_INPUTS += [
+    (f"random{seed}", _canonically_embedded(random_acyclic_quiver(seeded(seed), 7, 6)))
+    for seed in range(4130, 4135)
+]
 
 
 @pytest.mark.parametrize(
