@@ -199,7 +199,7 @@ def cmd_hh1(qf, args) -> int:
     st = hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
-    # one text per bracket record, its keys in sorted order, the labels encoded once
+    # one text per record, its keys in sorted order, the labels encoded once
     names = [_ENCODER.encode(label) for label in labels]
     rows = _dense_rows((row for _, _, row in st.brackets), hb.dimension)
     _emit(
@@ -220,10 +220,10 @@ def cmd_hh1(qf, args) -> int:
                     _Json(f'{{"coords":{text},"left":{names[i]},"right":{names[j]}}}')
                     for (i, j, _), text in zip(st.brackets, rows)
                 ),
-                "eigenvalues": [
-                    {"al": labels[i], "face": labels[j], "value": str(lam)}
+                "eigenvalues": (
+                    _Json(f'{{"al":{names[i]},"face":{names[j]},"value":"{lam}"}}')
                     for i, j, lam in st.eigenvalues
-                ],
+                ),
                 "verdicts": {
                     "facesCommute": st.faces_commute,
                     "faceActsDiagonally": st.face_acts_diagonally,

@@ -32,7 +32,7 @@ from collections import Counter, namedtuple
 from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
-from .linalg import _ONE, LinearSolver, RationalMatrix, Row, Scalar, _merged
+from .linalg import _ONE, EchelonBasis, LinearSolver, RationalMatrix, Row, Scalar, _merged
 from .quiver import Path, Quiver
 
 
@@ -333,8 +333,8 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     No operator is built.  AL(r, s) is {(r, s): 1}; the Face and Extra
     classes are rows in k^E, read as EdgePair(k, k) coefficients: Face(f)
     is row f of C_ca, and Extra(k) is the unit row e_k for each k whose
-    e_k is not in row(C_gamma) plus the span of e_j for j < k, in
-    increasing k.  One LinearSolver modulo row(C_va) holds those rows and
+    e_k, inserted in increasing k into one echelon basis of row(C_gamma),
+    grows its span.  One LinearSolver modulo row(C_va) holds those rows and
     goes to HH1Basis.  The representatives are independent modulo Inn
     exactly when no AL pair is listed twice and that solver lists no row
     as dependent; the first representative that breaks this is named.
@@ -352,12 +352,12 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     labels += [HH1Label("face", face=f) for f in range(len(faces)) if f != dropped]
     rows = [row for f, row in enumerate(c_ca._entries) if f != dropped]
     if g:
-        unit = RationalMatrix.identity(q.num_arrows)
-        covered = set(LinearSolver(RationalMatrix.stack(c_va, c_ca), unit).dependent)
+        span = EchelonBasis.spanning(q.num_arrows, c_va._entries + c_ca._entries)
         for k in range(q.num_arrows):
-            if k not in covered:
+            unit = {k: _ONE}
+            if span._insert(unit):
                 labels.append(HH1Label("extra", arrow=k))
-                rows.append({k: _ONE})
+                rows.append(unit)
     quotient = LinearSolver(c_va, RationalMatrix._of(rows, q.num_arrows))
 
     first_seen: dict[tuple[int, Path], int] = {}
@@ -392,8 +392,8 @@ _TABLE_FIELDS = """basis brackets eigenvalues enforced
 class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
     """Bracket table of the HH1 basis, reduced modulo inner derivations.
 
-    brackets holds (i, j, coordinates of [b_i, b_j]) for i < j, the
-    coordinates a sparse row {slot: coefficient} of the nonzero ones; the
+    brackets holds (i, j, coordinates of [b_i, b_j]) for every i < j in (i, j)
+    order, zero ones included, as sparse rows {slot: coefficient}; the
     eigenvalues entries (i, j, lam) record the adjoint action of face
     b_j on AL member b_i, i.e. [b_j, b_i] = lam * b_i mod Inn.  When
     ``enforced`` is true (planar embedding) the face-commutation and
@@ -423,38 +423,37 @@ def hh1_structure(
     hb = hh1_basis(q, rot, outer)
     enforced = hb.genus == 0
     n = len(hb)
-    table: dict[tuple[int, int], Row] = {}
+    # the labels run AL, face, extra: slots below num_al span the AL classes
+    num_al = sum(1 for lab in hb.labels if lab.kind == "al")
+    end_face = num_al + len(hb.faces) - 1
+    brackets: list[tuple[int, int, Row]] = []
+    eigenvalues = []
+    faces_commute = diagonal = al_closed = True
     zero: Row = {}  # one shared empty row for every zero bracket, not a dict each
-    for i in range(n):
+    for i, (lab, left) in enumerate(zip(hb.labels, hb.edge_pairs)):
+        start = len(brackets) - i - 1  # row i's run: (i, j) sits at start + j
         for j in range(i + 1, n):
-            coords = hb.class_coordinates(_bracket_pairs(q, hb.edge_pairs[i], hb.edge_pairs[j]))
+            coords = hb.class_coordinates(_bracket_pairs(q, left, hb.edge_pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
-            table[i, j] = coords or zero
-
-    al = [i for i, lab in enumerate(hb.labels) if lab.kind == "al"]
-    face = [i for i, lab in enumerate(hb.labels) if lab.kind == "face"]
-
-    # AL members come first, so the slots from len(al) on are the face and
-    # extra classes
-    faces_commute = not any(table[i, j] for i in face for j in face if i < j)
-    eigenvalues = []
-    diagonal = True
-    for i in al:
-        lab = hb.labels[i]
-        for j in face:
-            lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
-            eigenvalues.append((i, j, lam))
-            if table[i, j] != ({i: -lam} if lam else {}):
-                diagonal = False
-    al_closed = all(max(table[i, j], default=0) < len(al) for i in al for j in al if i < j)
+            brackets.append((i, j, coords or zero))
+        if i < num_al:
+            al_run = brackets[start + i + 1 : start + num_al]
+            al_closed = al_closed and all(max(c, default=0) < num_al for _, _, c in al_run)
+            for _, j, coords in brackets[start + num_al : start + end_face]:
+                lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
+                eigenvalues.append((i, j, lam))
+                diagonal = diagonal and coords == ({i: -lam} if lam else zero)
+        elif i < end_face:
+            face_run = brackets[start + i + 1 : start + end_face]
+            faces_commute = faces_commute and not any(c for _, _, c in face_run)
     if enforced and not faces_commute:
         raise InternalCheckError("face representatives do not commute on a planar embedding")
     if enforced and not diagonal:
         raise InternalCheckError("face action is not diagonal on a planar embedding")
     return StructureTable(
         basis=hb,
-        brackets=tuple((i, j, coords) for (i, j), coords in table.items()),
+        brackets=tuple(brackets),
         eigenvalues=tuple(eigenvalues),
         enforced=enforced,
         faces_commute=faces_commute,

@@ -933,9 +933,9 @@ class _Sink:
 
 def test_hh1_writes_in_the_memory_of_its_table(tmp_path):
     # hh1 on K_12 (143 classes, 10,153 brackets, 5.8 MB of JSON) holds one
-    # bracket record and 64 KiB of text at a time: its tracemalloc peak stays
-    # within 1 MB of hh1_structure's own (about 2.4 against 2.0 MB), where a
-    # whole-payload json.dumps peaked at about 19 MB
+    # bracket or eigenvalue record and 64 KiB of text at a time: its
+    # tracemalloc peak stays within 1 MB of hh1_structure's own (about 1.7
+    # against 1.3 MB), where a whole-payload json.dumps peaked at about 19 MB
     q, rot = kronecker(12)
     path = tmp_path / "k12.quiver"
     qf = quiverfile.QuiverFile(name="k12", quiver=q, rotation=rot, outer=None)

@@ -798,6 +798,11 @@ def test_extra_labels_are_the_greedy_unit_complement():
     for k in (3, 4):
         q, _ = checkerboard_grid(k)
         inputs += [(f"grid{k}_{i}", (q, random_rotation(seeded(100 * k + i), q))) for i in range(3)]
+    for k in (8, 12):
+        q, _ = checkerboard_grid(k)
+        inputs += [(f"grid{k}_{i}", (q, random_rotation(seeded(100 * k + i), q))) for i in range(2)]
+    for name, (q, _) in (("k6", kronecker(6)), ("t6", tournament(6))):
+        inputs += [(f"{name}_{i}", (q, random_rotation(seeded(600 + i), q))) for i in range(3)]
     for name, (q, rot) in inputs:
         hb = hh1_basis(q, rot)
         extra = [label.arrow for label in hb.labels if label.kind == "extra"]
@@ -842,6 +847,9 @@ def _reach(name, q, rot):
     st = hh1_structure(q, rot)
     assert len(st.basis) == dim, name
     assert len(st.brackets) == dim * (dim - 1) // 2, name
+    # the verdicts read each row i's pairs by position: every pair, in (i, j) order
+    pairs = [(i, j) for i, j, _ in st.brackets]
+    assert pairs == [(i, j) for i in range(dim) for j in range(i + 1, dim)], name
     assert (
         st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span
     ) == verdicts, name

@@ -1172,7 +1172,7 @@ def _recorded_product_sums(monkeypatch):
     return calls
 
 
-def test_canonical_basis_calls_the_term_functions_only_on_moved_paths(monkeypatch):
+def test_canonical_basis_visits_only_the_paths_each_member_moves(monkeypatch):
     calls = _recorded_product_sums(monkeypatch)
     q = tournament(6)[0]
     paths = q.paths()
@@ -1191,9 +1191,7 @@ def test_canonical_basis_calls_the_term_functions_only_on_moved_paths(monkeypatc
     assert len(calls) + written < len(basis) * len(paths) // 4
 
 
-def test_inner_derivation_and_d_rs_element_call_the_term_functions_on_their_support(
-    monkeypatch,
-):
+def test_inner_derivation_reads_the_products_of_exactly_the_paths_it_moves(monkeypatch):
     calls = _recorded_product_sums(monkeypatch)
     rng = seeded(4124)
     qs = [tournament(5)[0], kronecker(3)[0], fixture_quiver("triangle_tails")]
