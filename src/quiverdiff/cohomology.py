@@ -27,7 +27,7 @@ the tests.  The face eigenvalues come from the net-coefficient formula.
 from __future__ import annotations
 
 import functools
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
 from .embedding import FaceCycle, RotationSystem, surface_genus
@@ -72,27 +72,17 @@ def cycle_arrow_matrix(q: Quiver, faces) -> RationalMatrix:
 
 
 def boundary_matrix(faces) -> RationalMatrix:
-    """Face-by-face arrow sharing counts.
+    """Face-by-face arrow sharing counts, B_gamma = N N^T for N the matrix
+    of face nets, as wide as the arrows on them.
 
-    Every arrow has one dart in exactly two face walks (possibly the
-    same walk twice); an arrow on two distinct faces adds 1 to both
-    diagonal entries and -1 to both cross entries, so the matrix is
-    symmetric with zero row sums.
+    A net counts +1 for an arrow's tail dart and -1 for its head dart on
+    the walk, and every dart lies on exactly one walk.  So diagonal entry
+    i counts the arrows with exactly one dart on face i, entry (i, j) is
+    minus the number shared by faces i and j, and each row sums to zero.
     """
-    faces = tuple(faces)
-    owner: dict[int, int] = {}
-    for j, f in enumerate(faces):
-        for d in f.darts:
-            owner[d] = j
-    rows: list[Row] = [{} for _ in faces]
-    for k in range(len(owner) // 2):  # the darts of arrow k are 2k and 2k + 1
-        j1, j2 = owner[2 * k], owner[2 * k + 1]
-        if j1 != j2:
-            # no entry cancels: diagonal ones only grow, cross ones only shrink
-            for i, j in ((j1, j2), (j2, j1)):
-                rows[i][i] = rows[i].get(i, 0) + _ONE
-                rows[i][j] = rows[i].get(j, 0) - _ONE
-    return RationalMatrix._of(rows, len(faces))
+    nets = [dict(f.net) for f in faces]
+    n = RationalMatrix._of(nets, 1 + max((k for net in nets for k in net), default=-1))
+    return n * n.transpose()
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +97,9 @@ _REPORT_FIELDS = """num_vertices num_arrows num_faces genus dim_dv dim_de dim_df
 class CombinatorialReport(namedtuple("CombinatorialReport", _REPORT_FIELDS)):
     """Dimensions, matrices (c_*, b_gamma), ranks, and theorem verdicts in one place.
 
-    Every verdict is recomputable from the stored matrices; none of
-    them is assumed in the computation of the others.
+    Every verdict is recomputable from the stored matrices.  rank_b_gamma
+    is rank_c_ca, as B_gamma = C_ca C_ca^T (see combinatorial_report);
+    no other rank or verdict is assumed in the computation of another.
     """
 
     __slots__ = ()
@@ -122,31 +113,29 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     The vertex and face spaces are disjoint: a face row c is the net of a
     closed walk, so C_va c = 0 (cuts are orthogonal to cycles; Biggs,
     Algebraic Graph Theory, 1993), and over Q a vector x in both spaces
-    has x . x = 0.  C_va c = 0 is checked on every face; a face that
-    fails is a tracing defect and raises.
+    has x . x = 0.  The product C_ca C_va^T is formed once, and a nonzero
+    entry, a face that is not a closed walk, is a tracing defect and
+    raises.  B_gamma is C_ca C_ca^T, and over Q B x = 0 gives |C_ca^T x|^2
+    = x^T B x = 0, so rank B_gamma = rank C_ca: the ranks of C_va, C_ca
+    and C_gamma are the report's three eliminations.
     """
     _require_connected_acyclic(q)
     faces = rot.faces()
     g = surface_genus(q, len(faces))
     c_va = vertex_arrow_matrix(q)
     c_ca = cycle_arrow_matrix(q, faces)
-    for j, row in enumerate(c_ca._entries):
-        balance: Counter[int] = Counter()  # C_va c: + at each tail, - at each head
-        for k, c in row.items():
-            balance[q.arrows[k].tail] += c
-            balance[q.arrows[k].head] -= c
-        v = min((v for v, x in balance.items() if x), default=None)
-        if v is not None:
+    # row j is C_va c for the net c of face j: + at each tail, - at each head
+    for j, balance in enumerate((c_ca * c_va.transpose())._entries):
+        if balance:
+            v = min(balance)
             raise InternalCheckError(
                 f"face {j} is not a closed walk: its net is off by {balance[v]}"
                 f" at vertex {q.vertex_names[v]}"
             )
     c_gamma = RationalMatrix.stack(c_va, c_ca)
-    b_gamma = boundary_matrix(faces)
     rank_va = c_va.rank()
     rank_ca = c_ca.rank()
     rank_stack = c_gamma.rank()
-    rank_b = b_gamma.rank()
 
     # the circulation check above showed the spaces disjoint: the ranks must add up
     if rank_stack != rank_va + rank_ca:
@@ -165,16 +154,12 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
         c_va=c_va,
         c_ca=c_ca,
         c_gamma=c_gamma,
-        b_gamma=b_gamma,
+        b_gamma=boundary_matrix(faces),
         rank_c_va=rank_va,
         rank_c_ca=rank_ca,
         rank_c_gamma=rank_stack,
-        rank_b_gamma=rank_b,
-        rank_theorems_hold=(
-            rank_va == q.num_vertices - 1
-            and rank_ca == len(faces) - 1
-            and rank_b == len(faces) - 1
-        ),
+        rank_b_gamma=rank_ca,
+        rank_theorems_hold=rank_va == q.num_vertices - 1 and rank_ca == len(faces) - 1,
         spaces_disjoint=True,
         euler_holds=(q.num_arrows - rank_stack == 2 * g),
         faces_sum_to_zero=zero_sum,
@@ -332,12 +317,14 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     ``outer`` picks the dropped face (default: the first traced face).
     No operator is built.  AL(r, s) is {(r, s): 1}; the Face and Extra
     classes are rows in k^E, read as EdgePair(k, k) coefficients: Face(f)
-    is row f of C_ca, and Extra(k) is the unit row e_k for each k whose
-    e_k, inserted in increasing k into one echelon basis of row(C_gamma),
-    grows its span.  One LinearSolver modulo row(C_va) holds those rows and
-    goes to HH1Basis.  The representatives are independent modulo Inn
-    exactly when no AL pair is listed twice and that solver lists no row
-    as dependent; the first representative that breaks this is named.
+    is row f of C_ca, and Extra(k) is the unit row e_k for each k outside
+    row(C_gamma) + span(e_j, j < k): the k at which no vector of
+    row(C_gamma) ends, read off the pivots of one echelon basis of its
+    rows over reversed columns.  One LinearSolver modulo row(C_va) holds
+    those rows and goes to HH1Basis.  The representatives are independent
+    modulo Inn exactly when no AL pair is listed twice and that solver
+    lists no row as dependent; the first representative that breaks this
+    is named.
     The count is cross-checked against both dimension formulas on the
     faces of ``rot``.
     """
@@ -352,12 +339,13 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     labels += [HH1Label("face", face=f) for f in range(len(faces)) if f != dropped]
     rows = [row for f, row in enumerate(c_ca._entries) if f != dropped]
     if g:
-        span = EchelonBasis.spanning(q.num_arrows, c_va._entries + c_ca._entries)
-        for k in range(q.num_arrows):
-            unit = {k: _ONE}
-            if span._insert(unit):
-                labels.append(HH1Label("extra", arrow=k))
-                rows.append(unit)
+        # over reversed columns the pivots are where the vectors of row(C_gamma) end
+        n = q.num_arrows
+        flipped = [{n - 1 - k: x for k, x in row.items()} for row in c_va._entries + c_ca._entries]
+        last = {n - 1 - p for p in EchelonBasis.spanning(n, flipped).pivots}
+        extra = [k for k in range(n) if k not in last]
+        labels += [HH1Label("extra", arrow=k) for k in extra]
+        rows += [{k: _ONE} for k in extra]
     quotient = LinearSolver(c_va, RationalMatrix._of(rows, q.num_arrows))
 
     first_seen: dict[tuple[int, Path], int] = {}

@@ -159,6 +159,13 @@ class RationalMatrix:
             rows.append({j: x for j, x in acc.items() if x})
         return RationalMatrix._of(rows, other.num_cols)
 
+    def transpose(self) -> "RationalMatrix":
+        rows: list[Row] = [{} for _ in range(self.num_cols)]
+        for i, r in enumerate(self._entries):
+            for j, x in r.items():
+                rows[j][i] = x
+        return RationalMatrix._of(rows, self.num_rows)
+
     # ------------------------------------------------------------------
     # elimination
 

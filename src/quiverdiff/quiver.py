@@ -261,6 +261,7 @@ class Quiver:
             if not self.is_acyclic():
                 raise CyclicQuiverError("path enumeration requires an acyclic quiver")
             collected: list[Path] = []
+            # key order: layers grow by length, each in (base, arrows) order as _out[v] increases
             layer = [Path(v) for v in range(self.num_vertices)]
             while layer:
                 collected.extend(layer)
@@ -269,7 +270,6 @@ class Quiver:
                     for p in layer
                     for i in self._out[self.path_head(p)]
                 ]
-            collected.sort(key=lambda p: p.key)
             self._paths = tuple(collected)
             self._path_index = {p: i for i, p in enumerate(self._paths)}
             groups: dict[tuple[int, int], list[Path]] = {}

@@ -6,7 +6,8 @@ the stacked connection matrix, the greedy quotient complement, the
 edge-pair expansion of an inner derivation on a cyclic quiver, the
 identity operator, a matrix entry, negation and difference, the RREF
 of an echelon basis, the tagged and the doubled-block Zassenhaus
-intersections, the dense and sparse views of a face net), the
+intersections, the dense and sparse views of a face net, the boundary
+matrix from dart ownership), the
 HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the oracle's route through one
 set of primitive integer rows, the per-pair Leibniz and coefficient
@@ -461,6 +462,27 @@ def mat_vec(m, vec):
 
 def transpose(m):
     return RationalMatrix([[row[j] for row in m.rows] for j in range(m.num_cols)], m.num_rows)
+
+
+def reference_boundary_matrix(faces) -> RationalMatrix:
+    """B_gamma from dart ownership, the reference for boundary_matrix's
+    N N^T: every arrow has one dart in exactly two face walks (possibly the
+    same walk twice), and an arrow on two distinct faces adds 1 to both
+    diagonal entries and -1 to both cross entries."""
+    faces = tuple(faces)
+    owner: dict[int, int] = {}
+    for j, f in enumerate(faces):
+        for d in f.darts:
+            owner[d] = j
+    rows: list[Row] = [{} for _ in faces]
+    for k in range(len(owner) // 2):  # the darts of arrow k are 2k and 2k + 1
+        j1, j2 = owner[2 * k], owner[2 * k + 1]
+        if j1 != j2:
+            # no entry cancels: diagonal ones only grow, cross ones only shrink
+            for i, j in ((j1, j2), (j2, j1)):
+                rows[i][i] = rows[i].get(i, 0) + _ONE
+                rows[i][j] = rows[i].get(j, 0) - _ONE
+    return RationalMatrix._of(rows, len(faces))
 
 
 def sparse_row(vec):

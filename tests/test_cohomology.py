@@ -131,6 +131,7 @@ from helpers import (
     quotient_complement,
     random_derivation,
     random_rotation,
+    reference_boundary_matrix,
     representative_operators,
     seeded,
     seeded_embedded_quiver,
@@ -334,6 +335,11 @@ def _orthogonality_inputs():
     for k in range(3, 7):
         q, _ = checkerboard_grid(k)
         inputs += [(f"grid{k}_rotated{i}", q, random_rotation(seeded(10 * k + i), q)) for i in range(2)]
+    inputs += [(f"grid{k}", *checkerboard_grid(k)) for k in range(3, 9)]
+    graphs = [(f"k{m}", kronecker(m)[0]) for m in (3, 5, 7)]
+    graphs += [(f"t{n}", tournament(n)[0]) for n in (4, 5, 6)]
+    for name, q in graphs:
+        inputs += [(f"{name}_rotated{i}", q, random_rotation(seeded(700 + i), q)) for i in range(2)]
     return inputs
 
 
@@ -342,11 +348,15 @@ ORTHOGONALITY = _orthogonality_inputs()
 
 def test_spaces_disjoint_matches_the_intersections_and_the_product():
     # the circulation check stands for C_va C_ca^T = 0, and spacesDisjoint
-    # for an empty meet of the row spaces, which two eliminations compute
+    # for an empty meet of the row spaces, which two eliminations compute;
+    # B_gamma = C_ca C_ca^T is the dart-ownership matrix, and its rank is
+    # the rank of C_ca that the report gives for it
     assert {surface_genus(q, len(trace_faces(rot))) for _, q, rot in ORTHOGONALITY} >= {0, 1, 2, 3}
     for name, q, rot in ORTHOGONALITY:
         rep = combinatorial_report(q, rot)
         assert not any((rep.c_va * transpose(rep.c_ca))._entries), name
+        assert rep.b_gamma == reference_boundary_matrix(rep.faces), name
+        assert rep.rank_b_gamma == rep.b_gamma.rank(), name
         meet = intersect_row_spaces(rep.c_va, rep.c_ca)
         assert meet == zassenhaus_intersection(rep.c_va, rep.c_ca), name
         assert meet.num_rows == 0, name
@@ -413,7 +423,7 @@ def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
     # entries touched by the elimination steps of one report: 1,194,992 when
     # the rows went in caller order (row-major vertices and faces), 511,723
     # latest leading column first, 103,178 with its four ranks as its only
-    # eliminations
+    # eliminations, and 67,560 with three, rank B_gamma being rank C_ca
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 600_000
 
 

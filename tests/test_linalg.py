@@ -149,10 +149,15 @@ def test_rank_examples():
 
 
 def test_rank_equals_transpose_rank_randomized():
+    # RationalMatrix.transpose is the dense reference's, on empty shapes too
     rng = seeded(3101)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert m.transpose() == transpose(m)
         assert m.rank() == transpose(m).rank()
+    for shape in ((0, 0), (0, 3), (3, 0), (3, 2)):
+        m = RationalMatrix.zeros(*shape)
+        assert m.transpose() == transpose(m) == RationalMatrix.zeros(*shape[::-1])
 
 
 def test_rref_idempotent_and_deterministic():

@@ -35,6 +35,7 @@ from helpers import (
     EMBEDDED_FIXTURES,
     FIXTURE_DIR,
     chain,
+    checkerboard_grid,
     fixture_quiver,
     is_valid_path,
     kronecker,
@@ -163,8 +164,14 @@ def test_canonical_order_on_a3():
 
 
 def test_path_order_is_sorted_by_key():
-    for name in EMBEDDED_FIXTURES:
-        q = fixture_quiver(name)
+    # paths() lists the paths as it enumerates them, with no sort
+    inputs = [(name, fixture_quiver(name)) for name in EMBEDDED_FIXTURES]
+    rng = seeded(1650)
+    inputs += [(f"random{i}", random_acyclic_quiver(rng, 7, 6)) for i in range(60)]
+    inputs += [(f"t{n}", tournament(n)[0]) for n in range(2, 8)]
+    inputs += [(f"k{m}", kronecker(m)[0]) for m in range(1, 7)]
+    inputs += [(f"grid{k}", checkerboard_grid(k)[0]) for k in range(2, 7)]
+    for name, q in inputs:
         keys = [p.key for p in q.paths()]
         assert keys == sorted(keys), name
 
