@@ -19,24 +19,8 @@ import sys
 from itertools import repeat
 from types import GeneratorType
 
-from .cohomology import (
-    _dropped_face,
-    combinatorial_report,
-    hh1_structure,
-)
-from .derivations import (
-    ORACLE_MAX_PATHS,
-    canonical_basis,
-    check_coefficient_conditions,
-    derivation_space_oracle,
-    inner_edge_bracket_sign,
-    inner_subspace,
-    is_derivation,
-    verify_bracket_identities,
-)
-from .errors import InvalidRotationError, ParseError, QuiverError
-from .linalg import LinearSolver, RationalMatrix
-from . import quiverfile
+from . import cohomology, derivations, linalg, quiverfile
+from .errors import ORACLE_MAX_PATHS, InvalidRotationError, ParseError, QuiverError
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -155,7 +139,7 @@ def cmd_check(qf, args) -> int:
 
 def cmd_report(qf, args) -> int:
     rot = _require_rotation(qf)
-    rep = combinatorial_report(qf.quiver, rot)
+    rep = cohomology.combinatorial_report(qf.quiver, rot)
     matrices = {"Cva": rep.c_va, "Cca": rep.c_ca, "Cgamma": rep.c_gamma, "Bgamma": rep.b_gamma}
     _emit(
         {
@@ -193,10 +177,10 @@ def cmd_hh1(qf, args) -> int:
     if args.oracle:
         # the oracle refuses a quiver over its cap: ask it before the table, once
         # the quiver and the outer index pass the checks hh1_structure makes first
-        _dropped_face(q, rot, outer)
-        ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths)
-        oracle_dim = len(ops) - inner_subspace(q).rank()
-    st = hh1_structure(q, rot, outer)
+        cohomology._dropped_face(q, rot, outer)
+        ops = derivations.derivation_space_oracle(q, max_paths=args.max_oracle_paths)
+        oracle_dim = len(ops) - derivations.inner_subspace(q).rank()
+    st = cohomology.hh1_structure(q, rot, outer)
     hb = st.basis
     labels = hb.display_labels()
     # one text per record, its keys in sorted order, the labels encoded once
@@ -238,14 +222,16 @@ def cmd_hh1(qf, args) -> int:
 def cmd_derivations(qf, args) -> int:
     q = qf.quiver
     # the oracle refuses a quiver over its cap: ask it before building anything
-    ops = derivation_space_oracle(q, max_paths=args.max_oracle_paths) if args.oracle else None
-    basis = canonical_basis(q)
+    ops = None
+    if args.oracle:
+        ops = derivations.derivation_space_oracle(q, max_paths=args.max_oracle_paths)
+    basis = derivations.canonical_basis(q)
     labels = basis.display_labels()
     n = len(q.paths())
     payload = {
         "quiver": qf.name,
         "dim": len(basis),
-        "innerRank": inner_subspace(q).rank(),
+        "innerRank": derivations.inner_subspace(q).rank(),
         "labels": list(labels),
         # each member's matrix is written row by row, from its images
         "basis": (
@@ -255,7 +241,7 @@ def cmd_derivations(qf, args) -> int:
     }
     if ops is not None:
         # every oracle operator in the span of the basis: a solve with no subspace
-        solver = LinearSolver(RationalMatrix.zeros(0, n * n), basis.flat_rows())
+        solver = linalg.LinearSolver(linalg.RationalMatrix.zeros(0, n * n), basis.flat_rows())
         spans_match = len(ops) == len(basis) and all(
             solver.solve(op.flat_row()) is not None for op in ops
         )
@@ -264,13 +250,13 @@ def cmd_derivations(qf, args) -> int:
         members = [
             {
                 "label": label,
-                "isDerivation": is_derivation(op),
-                "violations": len(check_coefficient_conditions(op)),
+                "isDerivation": derivations.is_derivation(op),
+                "violations": len(derivations.check_coefficient_conditions(op)),
             }
             for label, op in zip(labels, basis.operators)
         ]
-        identities = verify_bracket_identities(basis)
-        sign = inner_edge_bracket_sign(basis)
+        identities = derivations.verify_bracket_identities(basis)
+        sign = derivations.inner_edge_bracket_sign(basis)
         payload["verify"] = {
             "members": members,
             "bracketChecks": {

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .derivations import LinearOperator, _bracket_pairs, canonical_coordinates
+from . import derivations
 from .embedding import FaceCycle, RotationSystem, surface_genus
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
 from .linalg import _ONE, EchelonBasis, LinearSolver, RationalMatrix, Row, Scalar, _merged
@@ -172,9 +172,9 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
 
 
 def happel_dimension(q: Quiver) -> int:
-    """1 - |V| + sum over arrows a of #paths parallel to a, from the path counts."""
-    counts = q.path_counts()
-    return 1 - q.num_vertices + sum(counts[a.tail][a.head] for a in q.arrows)
+    """1 - |V| + sum over arrows a of #paths parallel to a, from one count of
+    the paths leaving each arrow tail; no path is enumerated."""
+    return 1 - q.num_vertices + sum(q.parallel_path_counts())
 
 
 def hh1_dimension(q: Quiver, faces) -> int:
@@ -281,14 +281,14 @@ class HH1Basis:
             out.update((num_al + i, x) for i, x in y.items())
         return out
 
-    def coset_coordinates(self, op: LinearOperator) -> Row | None:
+    def coset_coordinates(self, op: derivations.LinearOperator) -> Row | None:
         """Coordinates of the class of ``op`` in this basis, as the
         sparse row class_coordinates gives.
 
         None when op is not a derivation-span member at all; otherwise
         the unique coefficients modulo the inner subspace.
         """
-        coords = canonical_coordinates(self.quiver, op)
+        coords = derivations.canonical_coordinates(self.quiver, op)
         if coords is None:
             return None
         pairs = {
@@ -421,7 +421,7 @@ def hh1_structure(
     for i, (lab, left) in enumerate(zip(hb.labels, hb.edge_pairs)):
         start = len(brackets) - i - 1  # row i's run: (i, j) sits at start + j
         for j in range(i + 1, n):
-            coords = hb.class_coordinates(_bracket_pairs(q, left, hb.edge_pairs[j]))
+            coords = hb.class_coordinates(derivations._bracket_pairs(q, left, hb.edge_pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
             brackets.append((i, j, coords or zero))

@@ -63,8 +63,14 @@ from collections import namedtuple
 from collections.abc import Iterator
 from numbers import Rational
 
-from .algebra import AlgebraElement
-from .errors import InternalCheckError, NotParallelError, QuiverMismatchError, TooLargeError
+from . import algebra
+from .errors import (
+    ORACLE_MAX_PATHS,
+    InternalCheckError,
+    NotParallelError,
+    QuiverMismatchError,
+    TooLargeError,
+)
 from .linalg import _ONE, _ZERO, RationalMatrix, Row, Scalar, _exact, _merged, _row_kernel
 from .quiver import Path, Quiver
 
@@ -139,14 +145,14 @@ class LinearOperator:
                 acc[k] = acc.get(k, _ZERO) + c * x
         return {k: x for k, x in acc.items() if x}
 
-    def apply(self, a: AlgebraElement | Path) -> AlgebraElement:
+    def apply(self, a: algebra.AlgebraElement | Path) -> algebra.AlgebraElement:
         q = self.quiver
         if isinstance(a, Path):
-            a = AlgebraElement.from_path(q, a)
+            a = algebra.AlgebraElement.from_path(q, a)
         elif q is not a.quiver and q != a.quiver:
             raise QuiverMismatchError("operator and element live over different quivers")
         image = self._mapped({q.path_index(p): c for p, c in a._terms.items()})
-        return AlgebraElement._of(q, {q.paths()[k]: c for k, c in image.items()})
+        return algebra.AlgebraElement._of(q, {q.paths()[k]: c for k, c in image.items()})
 
     def bracket(self, other: "LinearOperator") -> "LinearOperator":
         # column j of [A, B] is A(B(p_j)) - B(A(p_j)); B maps -A(p_j), and -B is never built
@@ -193,13 +199,16 @@ class LinearOperator:
 # constructors
 
 
-def inner_derivation(q: Quiver, a: Path | AlgebraElement) -> LinearOperator:
+def inner_derivation(q: Quiver, a: Path | algebra.AlgebraElement) -> LinearOperator:
     """The inner derivation b -> ab - ba, its image of p_j the row a p_j - p_j a
     read off q.products() for the paths p_j starting at h(w) or ending at t(w)
     for a term w of a: the others have w p_j = p_j w = 0."""
-    if isinstance(a, AlgebraElement) and a.quiver is not q and a.quiver != q:
+    if isinstance(a, Path):
+        terms = [(a, _ONE)]
+    elif a.quiver is not q and a.quiver != q:
         raise QuiverMismatchError("element lives over a different quiver")
-    terms = [(a, _ONE)] if isinstance(a, Path) else a._terms.items()
+    else:
+        terms = a._terms.items()
     left = {q.path_index(w): c for w, c in terms}  # a ValueError for a path not of q
     right = {w: -c for w, c in left.items()}
     moved = {j for w, _ in terms for j in q.paths_at(q.path_head(w))[0] + q.paths_at(w.base)[1]}
@@ -255,7 +264,7 @@ def _parallel_arrow(q: Quiver, r: int | str, s: Path) -> int:
     return r
 
 
-def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
+def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> algebra.AlgebraElement:
     """Apply D_{r,s} to a single path: replace one occurrence of r by s.
 
     Works on any quiver, cyclic or not, because it never enumerates the
@@ -263,7 +272,7 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> AlgebraElement:
     """
     r = _parallel_arrow(q, r, s)
     _check_path(q, p)
-    return AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
+    return algebra.AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
@@ -564,8 +573,6 @@ def inner_subspace(q: Quiver) -> RationalMatrix:
 # ----------------------------------------------------------------------
 # brute-force oracle
 
-ORACLE_MAX_PATHS = 60  # the oracle's default cap on |P|; it has |P|^2 unknowns
-
 
 def _leibniz_rows(q: Quiver) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the oracle's equations as tuples of at most three (unknown,
@@ -632,7 +639,7 @@ def derivation_space_oracle(q: Quiver, max_paths: int = ORACLE_MAX_PATHS) -> lis
     Nothing here knows about the structure theory.
     """
     # count the paths before enumerating them: T_40 has 2^40 - 1
-    n = sum(map(sum, q.path_counts()))
+    n = q.num_paths()
     if n > max_paths:
         raise TooLargeError(f"{n} paths exceed the oracle cap of {max_paths}")
     operators = []
@@ -686,7 +693,7 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
     @functools.cache
     def inner_side(ij: int | None, ji: int | None) -> dict[int, Row]:
         terms = [(paths[k], c) for k, c in ((ij, _ONE), (ji, -_ONE)) if k is not None]
-        return inner_derivation(q, AlgebraElement(q, terms))._rows()
+        return inner_derivation(q, algebra.AlgebraElement(q, terms))._rows()
 
     def inner_rhs(i: int, j: int) -> dict[int, Row]:
         # on an acyclic quiver p_i p_j = p_j p_i only where both are zero or i = j

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .derivations import LinearOperator
+from . import derivations, linalg
 from .errors import DisconnectedError, InternalCheckError, InvalidRotationError
-from .linalg import _exact
 from .quiver import Quiver
 
 TAIL = 0
@@ -196,7 +195,7 @@ def surface_genus(q: Quiver, num_faces: int) -> int:
     return g
 
 
-def face_derivation(q: Quiver, face) -> LinearOperator:
+def face_derivation(q: Quiver, face) -> derivations.LinearOperator:
     """The signed sum of arrow-rescaling derivations along a face.
 
     Accepts a FaceCycle, whose sparse net it reads, or a bare dense
@@ -206,12 +205,13 @@ def face_derivation(q: Quiver, face) -> LinearOperator:
     p -> (sum of a_x over the arrows x of p) p, and is built that way in
     one pass.
     """
+    exact = linalg._exact
     if isinstance(face, FaceCycle):
         weights = dict(face.net)
     else:
         coeffs = tuple(face)
         if len(coeffs) != q.num_arrows:
             raise ValueError(f"expected {q.num_arrows} face coefficients")
-        weights = {k: _exact(a) for k, a in enumerate(coeffs) if a}
-    sums = ((j, _exact(sum(weights.get(x, 0) for x in p.arrows))) for j, p in enumerate(q.paths()))
-    return LinearOperator._of(q, {j: {j: c} for j, c in sums if c})
+        weights = {k: exact(a) for k, a in enumerate(coeffs) if a}
+    sums = ((j, exact(sum(weights.get(x, 0) for x in p.arrows))) for j, p in enumerate(q.paths()))
+    return derivations.LinearOperator._of(q, {j: {j: c} for j, c in sums if c})

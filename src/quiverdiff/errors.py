@@ -1,4 +1,5 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the oracle's
+default cap, which the CLI reads without loading the oracle."""
 
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ class NotParallelError(QuiverError):
 
 class TooLargeError(QuiverError):
     """The brute-force oracle was asked for a system beyond its cap."""
+
+
+ORACLE_MAX_PATHS = 60  # the oracle's default cap on |P|; it has |P|^2 unknowns
 
 
 class InvalidRotationError(QuiverError):

@@ -239,21 +239,45 @@ class Quiver:
                         stack.append(w)
         return len(seen) == self.num_vertices
 
-    def path_counts(self) -> list[list[int]]:
-        """counts[u][v] is the number of paths from u to v, the trivial path
-        included when u == v, found without enumerating any path: a DP in
-        reverse topological order with exact ints, O(|V| |E|)."""
-        order = self._topological_order
-        if len(order) != self.num_vertices:
+    def num_paths(self) -> int:
+        """|P|, found without enumerating any path: the paths leaving u number
+        1 + the sum over the arrows u -> w of those leaving w, a DP in reverse
+        topological order with exact ints, O(|V| + |E|)."""
+        if not self.is_acyclic():
             raise CyclicQuiverError("path enumeration requires an acyclic quiver")
-        counts = [[0] * self.num_vertices for _ in self.vertex_names]
-        for u in reversed(order):
-            row = counts[u]
-            row[u] = 1
-            for i in self._out[u]:
-                for v, c in enumerate(counts[self.arrows[i].head]):
-                    row[v] += c
-        return counts
+        leaving = [0] * self.num_vertices
+        for u in reversed(self._topological_order):
+            leaving[u] = 1 + sum(leaving[self.arrows[i].head] for i in self._out[u])
+        return sum(leaving)
+
+    def parallel_path_counts(self) -> list[int]:
+        """The number of paths parallel to each arrow, the arrow included,
+        found without enumerating any path: for each arrow tail u, the
+        vertices u reaches, then one DP over them in topological order that
+        counts the paths from u with exact ints; per tail O(R log R + A) for
+        the R vertices it reaches and the A arrows they leave by."""
+        if not self.is_acyclic():
+            raise CyclicQuiverError("path enumeration requires an acyclic quiver")
+        arrows, out = self.arrows, self._out
+        rank = {v: k for k, v in enumerate(self._topological_order)}.__getitem__
+        parallel = [0] * len(arrows)
+        for u, leaving in enumerate(out):
+            if not leaving:
+                continue
+            counts, stack = {u: 1}, [u]
+            while stack:
+                for i in out[stack.pop()]:
+                    w = arrows[i].head
+                    if w not in counts:
+                        counts[w] = 0
+                        stack.append(w)
+            for v in sorted(counts, key=rank):
+                c = counts[v]
+                for i in out[v]:
+                    counts[arrows[i].head] += c
+            for i in leaving:
+                parallel[i] = counts[arrows[i].head]
+        return parallel
 
     def paths(self) -> tuple[Path, ...]:
         """Every path of the quiver in the canonical basis order."""

@@ -12,8 +12,8 @@ HH1 representatives as operators, the operator routes to the inner
 subspace and to the HH1 structure table, the oracle's route through one
 set of primitive integer rows, the per-pair Leibniz and coefficient
 checks, the all-pairs bracket checks, the per-path operators and their
-constructors, and the list of edge pairs, all as independent
-references."""
+constructors, the list of edge pairs and the dense table of path counts,
+all as independent references."""
 
 import itertools
 import operator
@@ -48,6 +48,7 @@ from quiverdiff.derivations import (
     inner_derivation,
 )
 from quiverdiff.errors import (
+    CyclicQuiverError,
     DimensionMismatchError,
     InternalCheckError,
     QuiverError,
@@ -545,6 +546,23 @@ def is_valid_path(q, path):
             return False
         at = q.arrows[i].head
     return True
+
+
+def path_counts(q: Quiver) -> list[list[int]]:
+    """counts[u][v] is the number of paths from u to v, the trivial path
+    included when u == v, found without enumerating any path: a DP in
+    reverse topological order over dense |V|-entry rows, O(|V| |E|)."""
+    order = q._topological_order
+    if len(order) != q.num_vertices:
+        raise CyclicQuiverError("path enumeration requires an acyclic quiver")
+    counts = [[0] * q.num_vertices for _ in q.vertex_names]
+    for u in reversed(order):
+        row = counts[u]
+        row[u] = 1
+        for i in q.out_arrows(u):
+            for v, c in enumerate(counts[q.arrows[i].head]):
+                row[v] += c
+    return counts
 
 
 def reference_edge_pairs(q: Quiver) -> list[tuple[int, Path]]:

@@ -36,6 +36,14 @@ Core claims:
       and derivations on T_5, built by the test, match pinned digests
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
+    - in a fresh ``python -S`` process, --help runs only the cli and errors
+      modules, check adds quiverfile, quiver and embedding, report adds
+      cohomology and linalg but no derivation code, derivations adds
+      derivations and linalg but not cohomology, hh1 and hh1 --oracle run
+      all but algebra, and derivations --oracle --verify adds algebra to
+      what derivations runs; ``import quiverdiff`` runs no submodule, and
+      every name of its __all__, the star import, dir() and a submodule
+      reached as an attribute resolve on first use
     - the argument parser is built once per process, and a usage error
       between two runs changes neither run's bytes
     - one hh1 job, with or without --oracle, traces its faces (in the CLI
@@ -239,7 +247,7 @@ def test_hh1_k2_with_oracle(capsys, monkeypatch):
         raise AssertionError("hh1 --oracle built the canonical basis")
 
     # the inner rank is read from its closed form, not from a basis
-    monkeypatch.setattr(cli, "canonical_basis", unreachable)
+    monkeypatch.setattr(derivations, "canonical_basis", unreachable)
     payload = _payload(capsys, ["hh1", "--oracle", _fixture("k2")])
     assert payload["dim"] == 3
     assert payload["oracle"] == 3
@@ -275,7 +283,7 @@ def test_hh1_oracle_checks_the_outer_face_before_the_oracle(tmp_path, capsys, mo
     def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran for an outer index that names no face")
 
-    monkeypatch.setattr(cli, "derivation_space_oracle", unreachable)
+    monkeypatch.setattr(derivations, "derivation_space_oracle", unreachable)
     for n in (4, 7):
         q, rot = tournament(n)
         path = tmp_path / f"t{n}.quiver"
@@ -341,14 +349,14 @@ def test_derivations_oracle_block(capsys):
 def test_derivations_oracle_sees_a_basis_one_dimension_short(capsys, monkeypatch, name):
     # the last member replaced by a multiple of the first: the dimensions
     # still agree, but the last oracle operator lies outside the span
-    true_canonical_basis = cli.canonical_basis
+    true_canonical_basis = derivations.canonical_basis
 
     def short(q):
         basis = true_canonical_basis(q)
         ops = basis.operators
         return DerivationBasis(q, basis.labels, ops[:-1] + (2 * ops[0],))
 
-    monkeypatch.setattr(cli, "canonical_basis", short)
+    monkeypatch.setattr(derivations, "canonical_basis", short)
     payload = _payload(capsys, ["derivations", "--oracle", _fixture(name)])
     assert payload["oracle"]["spansMatch"] is False
     assert payload["oracle"]["dim"] == payload["dim"]
@@ -380,7 +388,7 @@ def test_running_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "canonical_basis", exhausted)
+    monkeypatch.setattr(derivations, "canonical_basis", exhausted)
     code, out, err = _run(capsys, ["derivations", _fixture("k2")])
     assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
 
@@ -403,8 +411,8 @@ def test_derivations_oracle_over_the_cap_fails_before_the_basis(tmp_path, capsys
 
     # the oracle counts the paths before it enumerates any, and hh1 asks
     # it before building the bracket table
-    monkeypatch.setattr(cli, "canonical_basis", unreachable)
-    monkeypatch.setattr(cli, "hh1_structure", unreachable)
+    monkeypatch.setattr(derivations, "canonical_basis", unreachable)
+    monkeypatch.setattr(cohomology, "hh1_structure", unreachable)
     monkeypatch.setattr(Quiver, "paths", unreachable)
     # T_n has 2^n - 1 paths, over the default cap of 60
     for n in (7, 40):
@@ -501,6 +509,78 @@ def test_cli_start_up_skips_the_introspection_modules():
     proc = _bare_python("-m", "quiverdiff.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+# a lazily registered module is a plain module once its code has run
+_RAN_PROBE = """
+import sys, types
+from quiverdiff import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+ran = sorted(name.split(".")[1] for name, module in sys.modules.items()
+             if name.startswith("quiverdiff.") and type(module) is types.ModuleType)
+sys.stderr.write(f"{code} {' '.join(ran)}")
+"""
+
+# what every command that reads a quiver file runs
+_FILE_MODULES = ("cli", "embedding", "errors", "quiver", "quiverfile")
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["--help"], ("cli", "errors")),
+        (["check", _fixture("a3")], _FILE_MODULES),
+        (["report", _fixture("torus_k4")], (*_FILE_MODULES, "cohomology", "linalg")),
+        (["derivations", _fixture("a5")], (*_FILE_MODULES, "derivations", "linalg")),
+        (["hh1", _fixture("k2")], (*_FILE_MODULES, "cohomology", "derivations", "linalg")),
+        (["hh1", "--oracle", _fixture("k2")], (*_FILE_MODULES, "cohomology", "derivations", "linalg")),
+        (
+            ["derivations", "--oracle", "--verify", _fixture("a3")],
+            (*_FILE_MODULES, "algebra", "derivations", "linalg"),
+        ),
+    ],
+)
+def test_each_command_runs_only_the_modules_it_uses(argv, ran):
+    # --help builds the parser, the oracle's cap among its defaults, from
+    # cli and errors alone; report runs no derivation code, derivations none
+    # of the HH1 code, and only --verify builds algebra elements
+    proc = _bare_python("-c", _RAN_PROBE, *argv)
+    assert proc.stdout.startswith("usage:" if argv == ["--help"] else "{"), proc.stderr
+    assert proc.stderr == f"0 {' '.join(sorted(ran))}"
+
+
+def test_the_library_surface_resolves_on_first_use():
+    probe = """
+import sys, types, quiverdiff
+print(sorted(name for name, module in sys.modules.items()
+             if name.startswith("quiverdiff.") and type(module) is types.ModuleType))
+print(quiverdiff.linalg.RationalMatrix([[1, 2]]).rank())
+names = {}
+exec("from quiverdiff import *", names)
+del names["__builtins__"]
+print(sorted(names) == quiverdiff.__all__ and set(names) <= set(dir(quiverdiff)))
+homes = {name: sys.modules[getattr(quiverdiff, name).__module__] for name in quiverdiff.__all__}
+print(all(names[n] is getattr(quiverdiff, n) is getattr(homes[n], n) for n in names))
+print(sorted({module.__name__ for module in homes.values()}))
+try:
+    quiverdiff.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+    proc = _bare_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    modules = ["algebra", "cohomology", "derivations", "embedding", "errors", "quiver", "quiverfile"]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "1",
+        "True",
+        "True",
+        str([f"quiverdiff.{name}" for name in modules]),
+        "module 'quiverdiff' has no attribute 'no_such_name'",
+    ]
 
 
 def test_missing_file_is_a_usage_error(capsys):

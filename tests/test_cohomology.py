@@ -25,7 +25,12 @@ Core claims:
       ranks, now its only eliminations, touch 103,178)
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
-    - Happel's count reads the path counts: on T_40 it enumerates no path
+    - Happel's count reads one count of the paths leaving each arrow
+      tail: on T_40 it enumerates no path and lists no edge pair, and it
+      equals the formula read off the reference table of path counts, as
+      does the face-count dimension, on the embedded fixtures, T_n (n <=
+      8), K_m (m <= 8), the 2x2 to 8x8 grids, planar and rotated, and
+      seeded quivers of genus 0 and >= 1
     - the HH1 basis carries the expected labels, its face representative
       on the double arrow is D_{p1,p1} - D_{p2,p2} up to sign mod inner,
       and the span does not depend on the dropped face
@@ -128,6 +133,7 @@ from helpers import (
     load_fixture,
     matrix_entry,
     operator_inner_subspace,
+    path_counts,
     quotient_complement,
     random_derivation,
     random_rotation,
@@ -465,7 +471,25 @@ def test_happel_dimension_enumerates_no_path(monkeypatch):
 
     # T_40 has 2^40 - 1 paths; each of its 780 arrows a_ij has 2^(j-i-1) parallel paths
     monkeypatch.setattr(Quiver, "paths", unreachable)
+    monkeypatch.setattr(Quiver, "edge_pairs", unreachable)
     assert happel_dimension(tournament(40)[0]) == 2**40 - 80
+
+
+def test_happel_dimension_matches_the_path_count_table():
+    # 1 - |V| + the sum over arrows of the reference table's entry at its
+    # ends, and the face-count dimension, which reads the traced faces
+    inputs = [fixture_embedded(name) for name in EMBEDDED_FIXTURES]
+    inputs += [tournament(n) for n in range(2, 9)]
+    inputs += [kronecker(m) for m in range(2, 9)]
+    for k in range(2, 9):
+        q, rot = checkerboard_grid(k)
+        inputs += [(q, rot), (q, random_rotation(seeded(k), q))]
+    inputs += [seeded_embedded_quiver(seed, g) for seed in range(20) for g in (0, 1)]
+    for q, rot in inputs:
+        table = path_counts(q)
+        dim = 1 - q.num_vertices + sum(table[a.tail][a.head] for a in q.arrows)
+        assert happel_dimension(q) == dim, q
+        assert hh1_dimension(q, rot.faces()) == dim, q
 
 
 def test_hh1_dimension_agrees_with_happel():

@@ -2,8 +2,11 @@
 
 Core claims:
     - path counts agree with an independent adjacency-power walk count,
-      and the DP's per-pair counts with the enumerated paths, on every
-      acyclic fixture and on seeded quivers
+      and the reference table's per-pair counts with the enumerated
+      paths, on every acyclic fixture and on seeded quivers; num_paths
+      and parallel_path_counts give what that table gives, with no path
+      enumerated, on the fixtures, T_n (n <= 8), K_m, grids and seeded
+      quivers
     - the canonical path order is (length, base vertex, arrow sequence)
     - concat implements the delta rule with None as the absorbing zero
     - acyclic paths partition the basis together with the trivial paths
@@ -12,7 +15,8 @@ Core claims:
     - Path is an immutable value: equality, hash, repr and order are
       those of (base, arrows); the empty quiver is not connected
     - a quiver finds its topological order and its connectedness once,
-      however often is_acyclic, path_counts and is_connected ask
+      however often is_acyclic, num_paths, parallel_path_counts and
+      is_connected ask
     - almost oriented cycle counts match the hand-checked fixtures
     - edge_pairs() is every arrow with every path parallel to it, in
       (arrow, path) order, built once, and the almost oriented cycles
@@ -40,6 +44,7 @@ from helpers import (
     is_valid_path,
     kronecker,
     longest_path_length,
+    path_counts,
     random_acyclic_quiver,
     reference_edge_pairs,
     seeded,
@@ -188,8 +193,9 @@ def test_paths_requires_acyclic():
     q = fixture_quiver("loop")
     with pytest.raises(CyclicQuiverError):
         q.paths()
-    with pytest.raises(CyclicQuiverError, match="path enumeration requires an acyclic quiver"):
-        q.path_counts()
+    for count in (q.num_paths, q.parallel_path_counts):
+        with pytest.raises(CyclicQuiverError, match="path enumeration requires an acyclic quiver"):
+            count()
 
 
 def test_path_counts_equal_enumeration():
@@ -199,11 +205,31 @@ def test_path_counts_equal_enumeration():
     quivers = [fixture_quiver(name) for name in names] + [chain(12)]
     quivers += [random_acyclic_quiver(rng) for _ in range(25)]
     for q in quivers:
-        counts = q.path_counts()
+        counts = path_counts(q)
         assert sum(map(sum, counts)) == len(q.paths())
         ends = Counter((p.base, q.path_head(p)) for p in q.paths())
         n = q.num_vertices
         assert {(u, v): counts[u][v] for u in range(n) for v in range(n) if counts[u][v]} == ends
+
+
+def test_path_counts_without_the_table_match_it(monkeypatch):
+    # the 1-D counts against the dense reference table, with no path enumerated
+    rng = seeded(4040)
+    names = EMBEDDED_FIXTURES + ("single_vertex", "disconnected")
+    quivers = [fixture_quiver(name) for name in names]
+    quivers += [tournament(n)[0] for n in range(1, 9)]
+    quivers += [kronecker(m)[0] for m in range(1, 9)]
+    quivers += [checkerboard_grid(k)[0] for k in range(2, 9)]
+    quivers += [random_acyclic_quiver(rng, 9, 12) for _ in range(40)]
+    tables = [path_counts(q) for q in quivers]
+
+    def unreachable(*args):
+        raise AssertionError("a path was enumerated")
+
+    monkeypatch.setattr(Quiver, "paths", unreachable)
+    for q, table in zip(quivers, tables):
+        assert q.num_paths() == sum(map(sum, table)), q
+        assert q.parallel_path_counts() == [table[a.tail][a.head] for a in q.arrows], q
 
 
 # -- Concatenation -----------------------------------------------------------
@@ -256,7 +282,7 @@ def test_acyclic_and_connected_flags():
 
 def test_acyclicity_and_connectedness_are_found_once(monkeypatch):
     # the quiver is immutable: one topological sort and one component search
-    # answer every later is_acyclic, path_counts and is_connected
+    # answer every later is_acyclic, num_paths, parallel_path_counts and is_connected
     calls = []
     for name in ("_topological_order", "_connected"):
         found = Quiver.__dict__[name]
@@ -267,7 +293,8 @@ def test_acyclicity_and_connectedness_are_found_once(monkeypatch):
         for _ in range(3):
             assert (q.is_acyclic(), q.is_connected()) == (acyclic, connected)
             if acyclic:
-                assert sum(map(sum, q.path_counts())) == len(q.paths())
+                assert q.num_paths() == len(q.paths())
+                assert len(q.parallel_path_counts()) == q.num_arrows
         assert sorted(calls) == ["_connected", "_topological_order"], name
         calls.clear()
 
