@@ -15,19 +15,19 @@ decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
 Every representative is a sparse combination of EdgePair(r, s) labels,
 written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
 = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths by
-derivations._bracket_pairs, which --verify checks against matrix
-products, and the quotient by Inn is one solve on |E| columns.  A class is a sparse
-row {slot: coefficient} of its nonzero coordinates, as a RationalMatrix
-stores a row, so the zero structure constants cost nothing.  No
-operator, algebra element, canonical basis or inner subspace is built
-on that path; operators appear only in HH1Basis.coset_coordinates and
-the tests.  The face eigenvalues come from the net-coefficient formula.
+derivations._bracket_pairs, which --verify checks against matrix products.
+The quotient by Inn is one solve on |E| columns, by a solver built on the
+first solve; independence needs none: closed faces and one face rank.  A
+class is a sparse row {slot: coefficient}, so a zero bracket costs nothing.
+No operator, algebra element, canonical basis or inner subspace is built
+on that path; operators appear only in HH1Basis.coset_coordinates and the
+tests.  The face eigenvalues come from the net-coefficient formula.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import derivations
 from .embedding import FaceCycle, RotationSystem, surface_genus
@@ -85,6 +85,20 @@ def boundary_matrix(faces) -> RationalMatrix:
     return n * n.transpose()
 
 
+def _open_face(q: Quiver, faces) -> str | None:
+    """What is wrong with the first face that is no closed walk, at its least vertex, or None.
+    Face j's balance at v, its net counted + at tails and - at heads, is C_ca C_va^T at (j, v)."""
+    for j, f in enumerate(faces):
+        balance: Counter = Counter()
+        for k, x in f.net:
+            balance[q.arrows[k].tail] += x
+            balance[q.arrows[k].head] -= x
+        v = min((u for u, b in balance.items() if b), default=None)
+        if v is not None:
+            name = q.vertex_names[v]
+            return f"face {j} is not a closed walk: its net is off by {balance[v]} at vertex {name}"
+
+
 # ----------------------------------------------------------------------
 # the combinatorial report
 
@@ -113,25 +127,19 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     The vertex and face spaces are disjoint: a face row c is the net of a
     closed walk, so C_va c = 0 (cuts are orthogonal to cycles; Biggs,
     Algebraic Graph Theory, 1993), and over Q a vector x in both spaces
-    has x . x = 0.  The product C_ca C_va^T is formed once, and a nonzero
-    entry, a face that is not a closed walk, is a tracing defect and
-    raises.  B_gamma is C_ca C_ca^T, and over Q B x = 0 gives |C_ca^T x|^2
-    = x^T B x = 0, so rank B_gamma = rank C_ca: the ranks of C_va, C_ca
-    and C_gamma are the report's three eliminations.
+    has x . x = 0.  A face whose row of C_ca C_va^T, read off its net, is
+    not zero is no closed walk, a tracing defect, and raises.  B_gamma is
+    C_ca C_ca^T, and over Q B x = 0 gives |C_ca^T x|^2 = x^T B x = 0, so
+    rank B_gamma = rank C_ca: the ranks of C_va, C_ca and C_gamma are the
+    report's three eliminations.
     """
     _require_connected_acyclic(q)
     faces = rot.faces()
     g = surface_genus(q, len(faces))
     c_va = vertex_arrow_matrix(q)
     c_ca = cycle_arrow_matrix(q, faces)
-    # row j is C_va c for the net c of face j: + at each tail, - at each head
-    for j, balance in enumerate((c_ca * c_va.transpose())._entries):
-        if balance:
-            v = min(balance)
-            raise InternalCheckError(
-                f"face {j} is not a closed walk: its net is off by {balance[v]}"
-                f" at vertex {q.vertex_names[v]}"
-            )
+    if open_face := _open_face(q, faces):
+        raise InternalCheckError(open_face)
     c_gamma = RationalMatrix.stack(c_va, c_ca)
     rank_va = c_va.rank()
     rank_ca = c_ca.rank()
@@ -220,10 +228,10 @@ class HH1Basis:
     therefore depends only on its EdgePair coordinates: the AL(r, s)
     coordinates are read off as they are, and the diagonal vector of the
     EdgePair(k, k) coordinates is solved in k^E modulo the row space of
-    C_va against the Face and Extra rows, a solve on |E| columns, by the
-    ``quotient`` LinearSolver that hh1_basis built from them and checked.
-    ``edge_pairs[i]`` is representative i as a sparse combination of
-    EdgePair labels, {(r, s): coefficient}; no operator is stored.
+    ``c_va`` against the Face and Extra rows, a solve on |E| columns, by
+    one LinearSolver built on the first solve.  ``edge_pairs[i]`` is
+    representative i as a sparse combination of EdgePair labels,
+    {(r, s): coefficient}; no operator is stored.
     """
 
     def __init__(
@@ -231,7 +239,7 @@ class HH1Basis:
         quiver: Quiver,
         labels,
         edge_pairs,
-        quotient: LinearSolver,
+        c_va: RationalMatrix,
         faces,
         dropped_face: int,
         genus_: int,
@@ -243,11 +251,14 @@ class HH1Basis:
         self.dropped_face = dropped_face
         self.genus = genus_
         self._al_slot = {
-            (label.arrow, label.path): i
-            for i, label in enumerate(self.labels)
-            if label.kind == "al"
+            (lab.arrow, lab.path): i for i, lab in enumerate(self.labels) if lab.kind == "al"
         }
-        self._quotient = quotient  # over the Face and Extra rows, in label order
+        self._c_va = c_va
+
+    @functools.cached_property
+    def _quotient(self) -> LinearSolver:  # the Face and Extra rows, in label order
+        rows = [{r: c for (r, _), c in p.items()} for p in self.edge_pairs[len(self._al_slot) :]]
+        return LinearSolver(self._c_va, RationalMatrix._of(rows, self.quiver.num_arrows))
 
     @property
     def dimension(self) -> int:
@@ -320,11 +331,12 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     is row f of C_ca, and Extra(k) is the unit row e_k for each k outside
     row(C_gamma) + span(e_j, j < k): the k at which no vector of
     row(C_gamma) ends, read off the pivots of one echelon basis of its
-    rows over reversed columns.  One LinearSolver modulo row(C_va) holds
-    those rows and goes to HH1Basis.  The representatives are independent
-    modulo Inn exactly when no AL pair is listed twice and that solver
-    lists no row as dependent; the first representative that breaks this
-    is named.
+    rows over reversed columns, so they are triangular against it.  The
+    representatives are independent modulo Inn when no AL pair is listed
+    twice, every face is a closed walk (whose rows meet row(C_va) only in
+    zero; see combinatorial_report), the kept face rows have rank |F| - 1
+    and 2g units are read.  Otherwise the basis's quotient solver, built
+    then, lists the dependent rows; the first dependent one is named.
     The count is cross-checked against both dimension formulas on the
     faces of ``rot``.
     """
@@ -346,20 +358,23 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
         extra = [k for k in range(n) if k not in last]
         labels += [HH1Label("extra", arrow=k) for k in extra]
         rows += [{k: _ONE} for k in extra]
-    quotient = LinearSolver(c_va, RationalMatrix._of(rows, q.num_arrows))
+    edge_pairs = [{pair: _ONE} for pair in cycles]
+    edge_pairs += [{(k, q.arrow_path(k)): c for k, c in row.items()} for row in rows]
+    basis = HH1Basis(q, labels, edge_pairs, c_va, faces, dropped, g)
 
     first_seen: dict[tuple[int, Path], int] = {}
     dependent = [k for k, pair in enumerate(cycles) if first_seen.setdefault(pair, k) != k]
-    dependent += [len(cycles) + i for i in quotient.dependent]
+    face_rank = EchelonBasis.spanning(q.num_arrows, rows[: len(faces) - 1]).rank
+    certified = face_rank == len(faces) - 1 == len(rows) - 2 * g and not _open_face(q, faces)
+    if not dependent and not certified:
+        dependent = [len(cycles) + i for i in basis._quotient.dependent]
     if dependent:
         name = labels[dependent[0]].display(q)
         raise InternalCheckError(f"representative {name} is dependent modulo the inner subspace")
     dim = hh1_dimension(q, faces)
     if len(labels) != dim:
         raise InternalCheckError(f"{len(labels)} representatives for HH1 of dimension {dim}")
-    edge_pairs = [{pair: _ONE} for pair in cycles]
-    edge_pairs += [{(k, q.arrow_path(k)): c for k, c in row.items()} for row in rows]
-    return HH1Basis(q, labels, edge_pairs, quotient, faces, dropped, g)
+    return basis
 
 
 # ----------------------------------------------------------------------

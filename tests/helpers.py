@@ -186,9 +186,11 @@ def tournament(n):
     return q, RotationSystem.canonical(q)
 
 
-def checkerboard_grid(k):
+def checkerboard_grid(k, torus=False):
     """k x k grid, every arrow from a vertex with i + j even to one with
-    i + j odd, darts in counter-clockwise order: a planar embedding."""
+    i + j odd, darts in counter-clockwise order: a planar embedding.  With
+    ``torus`` (k even and at least 4) the last row and column also step
+    around to the first, which keeps the parity rule: a genus-1 embedding."""
     name = "v{}_{}".format
     vertices = [name(i, j) for i in range(k) for j in range(k)]
     arrows, around = [], {v: [] for v in vertices}
@@ -196,16 +198,16 @@ def checkerboard_grid(k):
         for j in range(k):
             # (step, position of the dart at each end in east, north, west, south)
             for di, dj, pos in ((0, 1, 0), (1, 0, 1)):
-                if i + di == k or j + dj == k:
+                if not torus and (i + di == k or j + dj == k):
                     continue
-                u, w, u_pos, w_pos = name(i, j), name(i + di, j + dj), pos, pos + 2
+                u, w, u_pos, w_pos = name(i, j), name((i + di) % k, (j + dj) % k), pos, pos + 2
                 if (i + j) % 2:
                     u, w, u_pos, w_pos = w, u, w_pos, u_pos
                 a = len(arrows)
                 arrows.append((f"a{a}", u, w))
                 around[u].append((u_pos, dart(a, TAIL)))
                 around[w].append((w_pos, dart(a, HEAD)))
-    q = Quiver(vertices, arrows, name=f"grid{k}")
+    q = Quiver(vertices, arrows, name=f"torus{k}" if torus else f"grid{k}")
     return q, RotationSystem(q, [[d for _, d in sorted(around[v])] for v in vertices])
 
 

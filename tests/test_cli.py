@@ -32,8 +32,10 @@ Core claims:
     - exit code, stdout and stderr of every fixture under check, report,
       hh1, hh1 --oracle, derivations and derivations --oracle --verify
       match the digests in cli_golden.json; hh1 on K_6, T_5, a seeded
-      genus-1 quiver and the 4x4 checkerboard grid, report on that grid
-      and derivations on T_5, built by the test, match pinned digests
+      genus-1 quiver, the 4x4 checkerboard grid, the 6x6 torus grid and a
+      seeded rotation of the 10x10 grid, report on the 4x4 and 12x12
+      grids, a rotated 8x8 grid and that genus-1 quiver, and derivations
+      on T_5, built by the test, match pinned digests
     - a CLI process imports none of dataclasses, inspect, ast or dis, and
       ``python -S -m quiverdiff.cli --help`` exits 0
     - in a fresh ``python -S`` process, --help runs only the cli and errors
@@ -1085,6 +1087,8 @@ GENERATED_GOLDEN = {
     "report genus1_seed0": "7c9432a009a05cf0d4318a5bc2095d3949c940d01c320e528e51471305c30b57",
     "report grid12": "094411c88b4744eb159259ac43e2af2619d8b1ddbf0cc3c8c3849ad4a6c451d3",
     "report grid8_rotated": "3d1a9e75e5d9d5811df1d3df9a74c19f7a2b91fd20197aa0f4bbccfc1928737b",
+    "hh1 torus6": "7bcfcb77ac1f5ffc5be76d62d022a013ff5f91786463723c2bf9558a0865d359",
+    "hh1 grid10_rotated": "6cf7032dcb8ed2949474d1151811390b74147fb8da85a9ecdadb4e17f94edf01",
 }
 
 def _generated_digests(directory):
@@ -1097,6 +1101,9 @@ def _generated_digests(directory):
     }
     q, _ = checkerboard_grid(8)
     built["grid8_rotated"] = q, random_rotation(seeded(8), q)
+    q, _ = checkerboard_grid(10)
+    built["grid10_rotated"] = q, random_rotation(seeded(10), q)
+    built["torus6"] = checkerboard_grid(6, torus=True)
     for name, (q, rot) in built.items():
         qf = quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)
         (directory / f"{name}.quiver").write_text(serialize(qf), encoding="utf-8")

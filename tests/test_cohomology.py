@@ -60,6 +60,14 @@ Core claims:
       the greedy unit-vector complement of row(C_gamma)
       (helpers.quotient_complement) on torus_k4, T_4 to T_8, 120 seeded
       quivers of genus >= 1 and seeded rotations of the 3x3 and 4x4 grids
+    - hh1_basis certifies its independence with no LinearSolver on the
+      differential inputs, seeded quivers of genus 1 to 3, torus grids
+      4x4 to 8x8 and seeded rotations of the 5x5 and 6x6 grids, where the
+      solver lists no dependent row; with a face row copied, a face-net
+      entry's sign flipped or an Extra unit put on a pivot column, it
+      gives the message the solver's list gave before; it builds no
+      solver on the planar 16x16 and torus 8x8 grids, and hh1_structure
+      builds exactly one on K_4
     - the result records keep their field names, defaults, hashes and
       reprs, and refuse assignment
     - the inner subspace, the Inner(w) unit vectors and the rows of C_va
@@ -79,6 +87,7 @@ from quiverdiff import cohomology
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.cohomology import (
     CombinatorialReport,
+    HH1Basis,
     HH1Label,
     StructureTable,
     boundary_matrix,
@@ -845,7 +854,142 @@ def test_extra_labels_are_the_greedy_unit_complement():
         assert len(extra) == 2 * hb.genus, name
 
 
-INNER_INPUTS = [(name, q) for name, (q, _) in DIFFERENTIAL]
+# -- Independence without the quotient solver ---------------------------------
+
+def _count_solver_builds(monkeypatch):
+    """A list that gains one entry per LinearSolver built from here on."""
+    built = []
+    init = linalg.LinearSolver.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.LinearSolver, "__init__", counted)
+    return built
+
+
+def _solver_verdict(q, hb):
+    """The message hh1_basis gave before it certified independence itself,
+    with no AL pair listed twice: the first Face or Extra row of ``hb``
+    that LinearSolver lists as dependent modulo row(C_va), then a count
+    that differs from the dimension, or None."""
+    rows = [
+        {r: c for (r, _), c in pairs.items()}
+        for label, pairs in zip(hb.labels, hb.edge_pairs)
+        if label.kind != "al"
+    ]
+    solver = linalg.LinearSolver(vertex_arrow_matrix(q), RationalMatrix._of(rows, q.num_arrows))
+    if not solver.dependent:
+        dim = hh1_dimension(q, hb.faces)
+        return None if len(hb) == dim else f"{len(hb)} representatives for HH1 of dimension {dim}"
+    label = hb.labels[len(hb.labels) - len(rows) + solver.dependent[0]]
+    return f"representative {label.display(q)} is dependent modulo the inner subspace"
+
+
+def _hh1_basis_outcome(monkeypatch, q, rot):
+    """(hh1_basis's error message, or None when it returns; the basis it
+    built before its checks, either way)."""
+    made = []
+
+    def recorded(*args):
+        made.append(HH1Basis(*args))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "HH1Basis", recorded)
+        try:
+            hh1_basis(q, rot)
+            message = None
+        except InternalCheckError as exc:
+            message = str(exc)
+    (hb,) = made
+    return message, hb
+
+
+def _independence_inputs():
+    inputs = DIFFERENTIAL + [
+        (f"genus{g}_seed{s}", _seeded_genus_quiver(s, g)) for g in (1, 2, 3) for s in range(4)
+    ]
+    inputs += [(f"torus{k}", checkerboard_grid(k, torus=True)) for k in (4, 6, 8)]
+    for k in (5, 6):
+        q, _ = checkerboard_grid(k)
+        inputs.append((f"grid{k}_rotated", (q, random_rotation(seeded(k), q))))
+    return inputs
+
+
+INDEPENDENCE = _independence_inputs()
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in INDEPENDENCE], ids=[n for n, _ in INDEPENDENCE])
+def test_independence_is_certified_where_the_solver_lists_no_dependent_row(monkeypatch, embedded):
+    # every face closed, the kept face rows of rank |F| - 1 and 2g Extra
+    # units certify the basis with no solver; the solver agrees
+    q, rot = embedded
+    built = _count_solver_builds(monkeypatch)
+    hb = hh1_basis(q, rot)
+    assert built == []
+    assert _solver_verdict(q, hb) is None
+
+
+INJECTED = [
+    (name, embedded) for name, embedded in INDEPENDENCE
+    if name in ("k2", "k4", "k6", "torus_k4", "grid3", "grid4_rotated")
+    or name.startswith(("seed1_", "seed2_", "genus2_", "torus4"))
+]
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in INJECTED], ids=[n for n, _ in INJECTED])
+def test_injected_dependence_names_the_solver_s_row(monkeypatch, embedded):
+    # a face row copied onto the next face, one face-net entry with its sign
+    # flipped, and one Extra unit on a pivot column (a pivot left out of the
+    # reading): hh1_basis names the row the solver lists first, as before
+    q, rot = embedded
+    nets = [dense_net(face, q.num_arrows) for face in trace_faces(rot)]
+    injections = []
+    if len(nets) > 2:
+        injections.append((2, nets[1]))
+    for f in range(1, len(nets)):
+        for k in (k for k, x in enumerate(nets[f]) if x):
+            injections.append((f, [-x if j == k else x for j, x in enumerate(nets[f])]))
+    named = 0
+    for f, net in injections:
+        with monkeypatch.context() as m:
+            _with_face_net(m, rot, net, face=f)
+            message, hb = _hh1_basis_outcome(m, q, rot)
+            assert message == _solver_verdict(q, hb), (f, net)
+            named += "is dependent" in (message or "")
+
+    class OnePivotShort(linalg.EchelonBasis):
+        @property
+        def pivots(self):
+            return super().pivots[1:]
+
+    if surface_genus(q, len(nets)):
+        with monkeypatch.context() as m:
+            m.setattr(cohomology, "EchelonBasis", OnePivotShort)
+            message, hb = _hh1_basis_outcome(m, q, rot)
+            assert "is dependent" in message and message == _solver_verdict(q, hb)
+            named += 1
+    assert named
+
+
+def test_hh1_basis_builds_no_solver_on_grids(monkeypatch):
+    built = _count_solver_builds(monkeypatch)
+    assert len(hh1_basis(*checkerboard_grid(16))) == 225
+    assert len(hh1_basis(*checkerboard_grid(8, torus=True))) == 65
+    assert built == []
+
+
+def test_hh1_structure_builds_the_quotient_solver_once(monkeypatch):
+    # K_4's AL brackets have diagonal parts: the first one builds the solver
+    built = _count_solver_builds(monkeypatch)
+    table = hh1_structure(*kronecker(4))
+    assert len(table.basis) == 15
+    assert len(built) == 1
+
+
+INNER_INPUTS =[(name, q) for name, (q, _) in DIFFERENTIAL]
 INNER_INPUTS += [(name, fixture_quiver(name)) for name in ("disconnected", "single_vertex")]
 INNER_INPUTS += [("empty", Quiver([], [])), ("t6", tournament(6)[0])]
 INNER_INPUTS += [(f"a{n}", chain(n)) for n in (1, 6, 9, 12)]
