@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import combinations, repeat
 from types import GeneratorType
 
 from . import cohomology, derivations, linalg, quiverfile
@@ -185,7 +185,9 @@ def cmd_hh1(qf, args) -> int:
     labels = hb.display_labels()
     # one text per record, its keys in sorted order, the labels encoded once
     names = [_ENCODER.encode(label) for label in labels]
-    rows = _dense_rows((row for _, _, row in st.brackets), hb.dimension)
+    # every pair i < j in (i, j) order; one that st.brackets leaves out is zero
+    stored, n = {(i, j): row for i, j, row in st.brackets}, hb.dimension
+    rows = _dense_rows(map(stored.get, combinations(range(n), 2), repeat({})), n)
     _emit(
         {
             "quiver": qf.name,
@@ -202,7 +204,7 @@ def cmd_hh1(qf, args) -> int:
                 "enforced": st.enforced,
                 "brackets": (
                     _Json(f'{{"coords":{text},"left":{names[i]},"right":{names[j]}}}')
-                    for (i, j, _), text in zip(st.brackets, rows)
+                    for (i, j), text in zip(combinations(range(n), 2), rows)
                 ),
                 "eigenvalues": (
                     _Json(f'{{"al":{names[i]},"face":{names[j]},"value":"{lam}"}}')

@@ -12,13 +12,13 @@ bracket structure constants with the face eigenvalues.
 
 HH1 is computed on edge-pair labels, following the semidirect sum
 decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
-Every representative is a sparse combination of EdgePair(r, s) labels,
-written straight from its label; brackets follow from [D_{r,s}, D_{p,t}]
-= D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on single paths by
-derivations._bracket_pairs, which --verify checks against matrix products.
-The quotient by Inn is one solve on |E| columns, by a solver built on the
-first solve; independence needs none: closed faces and one face rank.  A
-class is a sparse row {slot: coefficient}, so a zero bracket costs nothing.
+Every representative is a sparse combination of EdgePair labels (r, arrows
+of s), written straight from its label; brackets follow from [D_{r,s},
+D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on arrow tuples by
+derivations._bracket_pairs, which --verify checks against matrix products,
+and only on the pairs its arrow index lists.  The quotient by Inn is one
+solve on |E| columns, by a solver built on the first solve; independence
+needs none: closed faces and one face rank.  A class is a sparse row.
 No operator, algebra element, canonical basis or inner subspace is built
 on that path; operators appear only in HH1Basis.coset_coordinates and the
 tests.  The face eigenvalues come from the net-coefficient formula.
@@ -230,8 +230,8 @@ class HH1Basis:
     EdgePair(k, k) coordinates is solved in k^E modulo the row space of
     ``c_va`` against the Face and Extra rows, a solve on |E| columns, by
     one LinearSolver built on the first solve.  ``edge_pairs[i]`` is
-    representative i as a sparse combination of EdgePair labels,
-    {(r, s): coefficient}; no operator is stored.
+    representative i as a sparse combination of EdgePair labels, {(r, tuple
+    of the arrow indices of s): coefficient}; no operator is stored.
     """
 
     def __init__(
@@ -246,12 +246,12 @@ class HH1Basis:
     ):
         self.quiver = quiver
         self.labels: tuple[HH1Label, ...] = tuple(labels)
-        self.edge_pairs: tuple[dict[tuple[int, Path], Scalar], ...] = tuple(edge_pairs)
+        self.edge_pairs: tuple[dict[tuple[int, tuple[int, ...]], Scalar], ...] = tuple(edge_pairs)
         self.faces: tuple[FaceCycle, ...] = tuple(faces)
         self.dropped_face = dropped_face
         self.genus = genus_
         self._al_slot = {
-            (lab.arrow, lab.path): i for i, lab in enumerate(self.labels) if lab.kind == "al"
+            (lab.arrow, lab.path.arrows): i for i, lab in enumerate(self.labels) if lab.kind == "al"
         }
         self._c_va = c_va
 
@@ -280,7 +280,7 @@ class HH1Basis:
         out: Row = {}
         diagonal: Row = {}
         for (r, s), c in pairs.items():
-            if s.arrows == (r,):
+            if s == (r,):
                 diagonal[r] = c
             else:
                 out[self._al_slot[r, s]] = c
@@ -303,7 +303,7 @@ class HH1Basis:
         if coords is None:
             return None
         pairs = {
-            (label.arrow, label.path): c
+            (label.arrow, label.path.arrows): c
             for label, c in coords.items()
             if label.kind == "edge_pair"
         }
@@ -326,8 +326,8 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     completing the quotient.
 
     ``outer`` picks the dropped face (default: the first traced face).
-    No operator is built.  AL(r, s) is {(r, s): 1}; the Face and Extra
-    classes are rows in k^E, read as EdgePair(k, k) coefficients: Face(f)
+    No operator is built.  AL(r, s) is {(r, arrows of s): 1}; the Face and
+    Extra classes are rows in k^E, written on the labels (k, (k,)): Face(f)
     is row f of C_ca, and Extra(k) is the unit row e_k for each k outside
     row(C_gamma) + span(e_j, j < k): the k at which no vector of
     row(C_gamma) ends, read off the pivots of one echelon basis of its
@@ -358,8 +358,8 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
         extra = [k for k in range(n) if k not in last]
         labels += [HH1Label("extra", arrow=k) for k in extra]
         rows += [{k: _ONE} for k in extra]
-    edge_pairs = [{pair: _ONE} for pair in cycles]
-    edge_pairs += [{(k, q.arrow_path(k)): c for k, c in row.items()} for row in rows]
+    edge_pairs = [{(r, s.arrows): _ONE} for r, s in cycles]
+    edge_pairs += [{(k, (k,)): c for k, c in row.items()} for row in rows]
     basis = HH1Basis(q, labels, edge_pairs, c_va, faces, dropped, g)
 
     first_seen: dict[tuple[int, Path], int] = {}
@@ -395,13 +395,13 @@ _TABLE_FIELDS = """basis brackets eigenvalues enforced
 class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
     """Bracket table of the HH1 basis, reduced modulo inner derivations.
 
-    brackets holds (i, j, coordinates of [b_i, b_j]) for every i < j in (i, j)
-    order, zero ones included, as sparse rows {slot: coefficient}; the
-    eigenvalues entries (i, j, lam) record the adjoint action of face
-    b_j on AL member b_i, i.e. [b_j, b_i] = lam * b_i mod Inn.  When
-    ``enforced`` is true (planar embedding) the face-commutation and
-    diagonal-action verdicts are guaranteed; the AL-span verdict is
-    always informational.
+    brackets holds (i, j, coordinates of [b_i, b_j]) in (i, j) order for
+    the i < j whose bracket is not zero, as sparse rows {slot: coefficient};
+    every pair it leaves out is zero.  The eigenvalues entries (i, j, lam)
+    record the adjoint action of face b_j on AL member b_i, i.e. [b_j, b_i]
+    = lam * b_i mod Inn.  When ``enforced`` is true (planar embedding) the
+    face-commutation and diagonal-action verdicts are guaranteed; the
+    AL-span verdict is always informational.
     """
 
     __slots__ = ()
@@ -410,46 +410,48 @@ class StructureTable(namedtuple("StructureTable", _TABLE_FIELDS)):
 def hh1_structure(
     q: Quiver, rot: RotationSystem, outer: int | None = None
 ) -> StructureTable:
-    """Full bracket table of the HH1 basis with face eigenvalues.
+    """The nonzero brackets of the HH1 basis with face eigenvalues.
 
     Each bracket is computed on the representatives' EdgePair labels by
-    the bracket identity and reduced by class_coordinates; no operator
-    is bracketed.  The eigenvalue of face f on AL(r, s) comes from the
-    net-coefficient formula, so the diagonal-action verdict compares two
-    independent computations: the table entry against the formula.  On
-    a planar embedding the face representatives commute with each other
-    and act diagonally on the AL representatives; those two facts are
-    asserted.  Whether AL brackets stay inside the AL span is only
-    reported (it can genuinely fail, e.g. for the double arrow, where
-    an AL bracket lands on a face class).
+    the bracket identity and reduced by class_coordinates, only on the
+    pairs that the arrow index of derivations._bracket_partners lists:
+    every other bracket is zero.  No operator is bracketed.  The verdicts
+    read every pair, an unlisted one as zero.  The eigenvalue of face f on
+    AL(r, s) comes from the net-coefficient formula, so the diagonal-action
+    verdict compares two independent computations: the table entry
+    against the formula.  On a planar embedding the face representatives
+    commute with each other and act diagonally on the AL representatives;
+    those two facts are asserted.  Whether AL brackets stay inside the AL
+    span is only reported (it can genuinely fail, e.g. for the double
+    arrow, where an AL bracket lands on a face class).
     """
     hb = hh1_basis(q, rot, outer)
     enforced = hb.genus == 0
-    n = len(hb)
     # the labels run AL, face, extra: slots below num_al span the AL classes
     num_al = sum(1 for lab in hb.labels if lab.kind == "al")
     end_face = num_al + len(hb.faces) - 1
+    nets = [hb.faces[lab.face].net for lab in hb.labels[num_al:end_face]]
     brackets: list[tuple[int, int, Row]] = []
     eigenvalues = []
     faces_commute = diagonal = al_closed = True
-    zero: Row = {}  # one shared empty row for every zero bracket, not a dict each
-    for i, (lab, left) in enumerate(zip(hb.labels, hb.edge_pairs)):
-        start = len(brackets) - i - 1  # row i's run: (i, j) sits at start + j
-        for j in range(i + 1, n):
-            coords = hb.class_coordinates(derivations._bracket_pairs(q, left, hb.edge_pairs[j]))
+    pairs, bracket, classes = hb.edge_pairs, derivations._bracket_pairs, hb.class_coordinates
+    for i, (lab, partners) in enumerate(zip(hb.labels, derivations._bracket_partners(pairs))):
+        row: dict[int, Row] = {}  # the nonzero [b_i, b_j], j > i, in j order
+        for j in sorted(j for j in partners if j > i):
+            coords = classes(bracket(pairs[i], pairs[j]))
             if coords is None:
                 raise InternalCheckError("bracket of representatives left the span")
-            brackets.append((i, j, coords or zero))
+            if coords:
+                row[j] = coords
+        brackets += ((i, j, coords) for j, coords in row.items())
         if i < num_al:
-            al_run = brackets[start + i + 1 : start + num_al]
-            al_closed = al_closed and all(max(c, default=0) < num_al for _, _, c in al_run)
-            for _, j, coords in brackets[start + num_al : start + end_face]:
-                lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
+            al_closed = al_closed and all(max(c) < num_al for j, c in row.items() if j < num_al)
+            for j, net in enumerate(nets, num_al):
+                lam = _eigenvalue(net, lab.arrow, lab.path)
                 eigenvalues.append((i, j, lam))
-                diagonal = diagonal and coords == ({i: -lam} if lam else zero)
+                diagonal = diagonal and row.get(j) == ({i: -lam} if lam else None)
         elif i < end_face:
-            face_run = brackets[start + i + 1 : start + end_face]
-            faces_commute = faces_commute and not any(c for _, _, c in face_run)
+            faces_commute = faces_commute and all(j >= end_face for j in row)
     if enforced and not faces_commute:
         raise InternalCheckError("face representatives do not commute on a planar embedding")
     if enforced and not diagonal:

@@ -10,56 +10,37 @@ replaced by s, which is the closed form of the defining recursion and
 stays meaningful on cyclic quivers as long as it is applied lazily to
 individual paths.
 
-An operator stores only its nonzero images, each a sparse row {path
-index: coefficient}, the Row of the linear algebra.  The members of the
-canonical basis write them off q.products(), the one table of basis
-products, on the paths they move and no other: D_a writes a p_j - p_j a
-with _product_sum for the paths p_j that start at h(w) or end at t(w)
-for a term w of a, and D_{r,s} writes u s v at u r v, the one way a
-path of an acyclic quiver runs along r.  _splices is D_{r,s} on one
-path of any quiver, listed, and d_rs_apply is its checked public form.
-_bracket_pairs, the one edge-edge bracket, splices single paths to
-write [D_{r,s}, D_{p,t}] on EdgePair labels; the HH1 structure table
-runs it and verify_bracket_identities checks it.  The canonical
-coordinates of an operator are read off as single coefficients, the
-coefficient of w in the image of the idempotent at the head of w for
-Inner(w) and the coefficient of s in the image of the arrow r for
-EdgePair(r, s), and accepted only if _combination, the sum of each
-coordinate times its member, rebuilds the operator.  The inner
-subspace is written from its closed form and builds no operator.
-|P| x |P| matrices, which store only their nonzero entries, appear
-only at the edges: the CLI's matrix output, the matrix brackets of
-verify_bracket_identities, and the flattened rows compared with a
-brute-force oracle.  The Leibniz and coefficient checks read the rows
-and every product of basis paths off one table, q.products().  The
-matrix brackets are RationalMatrix products AB - BA, which never go
-through LinearOperator.bracket or a closed-form right side: an
-independent reference for both.  The oracle solves the raw Leibniz
-system in the n^2 matrix entries, knowing nothing about the structure
-theory, so its solution space is independent ground truth for the
-canonical basis.  It streams its equations, of at most three unknowns
-each, into _row_kernel, which merges d[u] = 0 and d[u] = +-d[v] into
-signed classes as they come and stores only the few longer rows.
+An operator stores only its nonzero images, sparse rows {path index:
+coefficient}, written off q.products(), the one table of basis products,
+on the paths it moves: D_a writes a p_j - p_j a where p_j starts at h(w)
+or ends at t(w) for a term w of a, and D_{r,s} writes u s v at u r v.
+_splices is D_{r,s} on the arrow tuple of one path; d_rs_apply is its
+checked public form.  _bracket_pairs, the one edge-edge bracket, splices
+arrow tuples to write [D_{r,s}, D_{p,t}] on EdgePair labels (r, arrow
+tuple of s), with no Path: on an acyclic quiver s starts at r's tail.  It
+is zero unless an arrow of one side runs along a path of the other, and
+one arrow index, _bracket_partners, lists those pairs: the HH1 table
+brackets only them, and verify_bracket_identities builds an edge right
+side only for them.  Canonical coordinates are single coefficients,
+accepted only if _combination, the sum of each coordinate times its
+member, rebuilds the operator.  |P| x |P| matrices appear only at the
+edges: the CLI's matrix output, the matrix brackets of
+verify_bracket_identities, and the rows compared with a brute-force
+oracle.  The matrix brackets, products AB - BA, never go through
+LinearOperator.bracket, a right side or the arrow index: an independent
+reference for all three.  The oracle solves the raw Leibniz system in the
+n^2 matrix entries, knowing nothing of the structure theory.
 
-The checks skip work only where their own operands show that it gives
-zero.  A matrix moves the columns where it has entries and hits the
-paths of its nonempty rows, so AB can be nonzero only where the paths
-B hits meet the columns A moves; both sets are read off the operands
-alone.  The bracket checks read the members of the basis they check,
-and build only right sides and the |V| operators D_{e_v}, no members.
-verify_bracket_identities decides every ordered pair, but forms a
-product only where the supports meet, and where both products are zero
-it requires the right-hand side to be zero; each distinct inner right
-side is built once.  inner_edge_bracket_sign brackets only where the
-supports meet and builds D_{D_{r,s}(p)} only where r runs along p.  The
-Leibniz and coefficient checks visit only the pairs of paths and the
-coefficients that an operator's nonzero images can make nonzero.
+The checks work only where their own operands show that the result can
+be nonzero: a product AB where the paths B hits meet the columns A moves,
+D_{D_{r,s}(p)} where r runs along p, and in the Leibniz and coefficient
+checks the pairs and coefficients an operator's nonzero images can reach.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from numbers import Rational
 
@@ -220,27 +201,47 @@ def inner_derivation(q: Quiver, a: Path | algebra.AlgebraElement) -> LinearOpera
     return LinearOperator._of(q, images)
 
 
-def _splices(r: int, s: Path, p: Path) -> list[Path]:
-    """The paths got from p by replacing one occurrence of the arrow r with
-    the path s parallel to r, once per occurrence: D_{r,s}(p) is their sum."""
-    a = p.arrows
-    return [Path(p.base, a[:i] + s.arrows + a[i + 1 :]) for i, x in enumerate(a) if x == r]
+def _splices(r: int, s: tuple[int, ...], p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The arrow tuples of the terms of D_{r,s}(p), p and s arrow tuples: p with
+    one occurrence of the arrow r replaced by s, once per occurrence."""
+    return [p[:i] + s + p[i + 1 :] for i, x in enumerate(p) if x == r]
 
 
-def _bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Scalar]:
-    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
-    [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
-    out: dict[tuple[int, Path], Scalar] = {}
+def _bracket_pairs(left, right) -> dict[tuple[int, tuple[int, ...]], Scalar]:
+    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels (r, arrows of s), by
+    the identity [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
+    out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
     for (r, s), c in left.items():
         for (p, t), d in right.items():
             # D_{r,s}(t) vanishes unless r runs along t
-            if r in t.arrows:
+            if r in t:
                 for u in _splices(r, s, t):
                     out[p, u] = out.get((p, u), _ZERO) + c * d
-            if p in s.arrows:
+            if p in s:
                 for u in _splices(p, t, s):
                     out[r, u] = out.get((r, u), _ZERO) - c * d
     return {key: c for key, c in out.items() if c}
+
+
+def _bracket_partners(labels) -> list[set[int]]:
+    """For each i, the j for which the bracket of the EdgePair combinations
+    labels[i] and labels[j] can be nonzero, read off one arrow index: an
+    arrow of one runs along a path of the other."""
+    arrow_of, along = defaultdict(list), defaultdict(list)
+    for i, pairs in enumerate(labels):
+        for r, s in pairs:
+            arrow_of[r].append(i)
+            for x in s:
+                along[x].append(i)
+    partners = []
+    for pairs in labels:
+        js: set[int] = set()
+        for r, s in pairs:
+            js.update(along[r])
+            for x in s:
+                js.update(arrow_of[x])
+        partners.append(js)
+    return partners
 
 
 def _check_path(q: Quiver, p: Path) -> None:
@@ -272,7 +273,8 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> algebra.AlgebraElem
     """
     r = _parallel_arrow(q, r, s)
     _check_path(q, p)
-    return algebra.AlgebraElement(q, [(u, _ONE) for u in _splices(r, s, p)])
+    terms = [(Path(p.base, u), _ONE) for u in _splices(r, s.arrows, p.arrows)]
+    return algebra.AlgebraElement(q, terms)
 
 
 def d_rs(q: Quiver, r: int | str, s: Path) -> LinearOperator:
@@ -671,22 +673,24 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
     for all basis path pairs, pr and rp read off q.products().  edge_edge:
     [D_{r,s}, D_{p,t}] is the combination of members of ``basis`` that
     _bracket_pairs, the HH1 table's routine, writes for it, for all edge
-    pairs.  The left-hand sides are RationalMatrix products AB - BA of the
-    matrices of the members and of D_{e_v}, the one operand built here:
-    they share no code with LinearOperator.bracket or a right side, so
-    they check both independently.  Every ordered pair is decided against
-    its own right-hand side; the two products of an unordered pair are
-    formed once, and only where the supports meet.  AB is compared with
-    BA plus R's nonempty rows, read off R's images, so no matrix is built
-    for R and no matrices are added.
+    pairs, and zero off the pairs _bracket_partners lists.  The left-hand
+    sides are RationalMatrix products AB - BA of the matrices of the members
+    and of D_{e_v}, the one operand built here: they share no code with
+    LinearOperator.bracket, a right side or the arrow index, so they check
+    all three.  Every ordered pair is decided against its own right side;
+    the two products of an unordered pair are formed once, and only where
+    the supports meet.  AB is compared with BA plus R's nonempty rows, so
+    no matrix is built for R and no matrices are added.
     """
     q = basis.quiver
     paths, products = q.paths(), q.products()
     # a product that is zero by support is one shared zero matrix
     zero = RationalMatrix.zeros(len(paths), len(paths))
-
-    def member(q: Quiver, label: DerivationLabel) -> LinearOperator:
-        return basis.operators[basis._index[label]]
+    members = dict(zip(basis.labels, basis.operators))
+    # the EdgePair members by their labels (r, arrow tuple of s)
+    edge = {(r, s.arrows): op for (kind, r, s), op in members.items() if kind == "edge_pair"}
+    labels = list(edge)
+    partners = _bracket_partners([(x,) for x in labels])
 
     # each right side R as the nonempty rows of its matrix; pairs that share
     # p_i p_j and p_j p_i share one inner right side
@@ -700,10 +704,11 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
         ij, ji = products[i].get(j), products[j].get(i)
         return {} if ij == ji else inner_side(ij, ji)
 
-    def edge_rhs(x: tuple[int, Path], y: tuple[int, Path]) -> dict[int, Row]:
-        pairs = _bracket_pairs(q, {x: _ONE}, {y: _ONE}).items()
-        labels = ((DerivationLabel("edge_pair", r, u), c) for (r, u), c in pairs)
-        return _combination(q, labels, member)._rows()
+    def edge_rhs(i: int, j: int) -> dict[int, Row]:
+        if j not in partners[i]:  # zero off the pairs the arrow index lists
+            return {}
+        pairs = _bracket_pairs({labels[i]: _ONE}, {labels[j]: _ONE}).items()
+        return _combination(q, pairs, lambda q, x: edge[x])._rows()
 
     def holds(ab: RationalMatrix, ba: RationalMatrix, r: dict[int, Row]) -> bool:
         # AB - BA == R as AB == BA + R, R added on its own rows only; where
@@ -716,25 +721,24 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
         return ab._entries == tuple(expected)
 
     def all_hold(operands, rhs) -> bool:
-        """AB - BA == rhs(x, y) for every ordered pair of operands (A, x), (B, y)."""
+        """AB - BA == rhs(i, j) for every ordered pair A = operands[i], B = operands[j]."""
         # AB can be nonzero only where the paths B hits meet the columns A moves
-        supported = [(a, *_support(dict(enumerate(a._entries))), x) for a, x in operands]
-        for i, (a, a_hits, a_moves, x) in enumerate(supported):
+        supported = [(a, *_support(dict(enumerate(a._entries)))) for a in operands]
+        for i, (a, a_hits, a_moves) in enumerate(supported):
             for j in range(i, len(supported)):
-                b, b_hits, b_moves, y = supported[j]
+                b, b_hits, b_moves = supported[j]
                 ab = zero if a_moves.isdisjoint(b_hits) else a * b
                 ba = ab if j == i else zero if b_moves.isdisjoint(a_hits) else b * a
-                if not holds(ab, ba, rhs(x, y)) or (j > i and not holds(ba, ab, rhs(y, x))):
+                if not holds(ab, ba, rhs(i, j)) or (j > i and not holds(ba, ab, rhs(j, i))):
                     return False
         return True
 
-    inner = []
-    for i, p in enumerate(paths):  # D_{e_v} is no member: the one operand built here
-        op = member(q, DerivationLabel("inner", None, p)) if p.arrows else inner_derivation(q, p)
-        inner.append((op.matrix, i))
-    members = zip(basis.labels, basis.operators)
-    pairs = [(op.matrix, (r, s)) for (kind, r, s), op in members if kind == "edge_pair"]
-    return {"inner_inner": all_hold(inner, inner_rhs), "edge_edge": all_hold(pairs, edge_rhs)}
+    # D_{e_v} of the |V| trivial paths, first in path order, is no member: the one operand built
+    inner = [inner_derivation(q, p) for p in paths[: q.num_vertices]]
+    inner += [members[DerivationLabel("inner", None, p)] for p in paths[q.num_vertices :]]
+    inner_inner = all_hold([op.matrix for op in inner], inner_rhs)
+    edge_edge = all_hold([op.matrix for op in edge.values()], edge_rhs)
+    return {"inner_inner": inner_inner, "edge_edge": edge_edge}
 
 
 def inner_edge_bracket_sign(basis: DerivationBasis) -> int | None:

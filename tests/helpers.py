@@ -27,6 +27,7 @@ from pathlib import Path as FsPath
 from quiverdiff.quiver import Path, Quiver
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.cohomology import (
+    StructureTable,
     _eigenvalue,
     cycle_arrow_matrix,
     hh1_basis,
@@ -868,7 +869,10 @@ class ReferenceHH1:
         self.basis = hb = hh1_basis(q, rot, outer)
         ops = representative_operators(q, hb)
         for label, op, pairs in zip(hb.labels, ops, hb.edge_pairs):
-            expected = {DerivationLabel("edge_pair", r, s): c for (r, s), c in pairs.items()}
+            expected = {
+                DerivationLabel("edge_pair", r, Path(q.arrows[r].tail, s)): c
+                for (r, s), c in pairs.items()
+            }
             assert canonical_coordinates(q, op) == expected, label.display(q)
         self.derivations = canonical_basis(q)
         self.inner = operator_inner_subspace(q, self.derivations)
@@ -917,6 +921,89 @@ class ReferenceHH1:
         if coords is None:
             return None
         return self.solver.solve(sparse_row(coords))
+
+
+def dense_brackets(st):
+    """``st.brackets`` with the zero brackets it leaves out put back: (i, j,
+    coordinates of [b_i, b_j]) for every i < j in (i, j) order, {} when zero."""
+    stored = {(i, j): row for i, j, row in st.brackets}
+    n = len(st.basis)
+    return tuple((i, j, stored.get((i, j), {})) for i in range(n) for j in range(i + 1, n))
+
+
+# -- the all-pairs HH1 structure table, as it was before the arrow index -----
+# Kept verbatim as the reference for hh1_structure: EdgePair labels keyed by
+# Path, _bracket_pairs on every pair i < j, zero brackets stored, and the
+# verdicts read off slices of the one list.  Only the class reduction turns
+# the labels into the (arrow, arrow tuple) keys that class_coordinates reads.
+
+def reference_bracket_pairs(q: Quiver, left, right) -> dict[tuple[int, Path], Fraction]:
+    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels, by the identity
+    [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
+    out: dict[tuple[int, Path], Fraction] = {}
+    for (r, s), c in left.items():
+        for (p, t), d in right.items():
+            # D_{r,s}(t) vanishes unless r runs along t
+            if r in t.arrows:
+                for u in _splices(r, s, t):
+                    out[p, u] = out.get((p, u), _ZERO) + c * d
+            if p in s.arrows:
+                for u in _splices(p, t, s):
+                    out[r, u] = out.get((r, u), _ZERO) - c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_hh1_structure(q: Quiver, rot: RotationSystem, outer=None) -> StructureTable:
+    """hh1_structure bracketing every pair i < j of the basis of hh1_basis."""
+    hb = hh1_basis(q, rot, outer)
+    # a path parallel to an arrow of an acyclic quiver starts at the arrow's tail
+    edge_pairs = [
+        {(r, Path(q.arrows[r].tail, s)): c for (r, s), c in pairs.items()}
+        for pairs in hb.edge_pairs
+    ]
+
+    def class_coordinates(pairs):
+        return hb.class_coordinates({(r, s.arrows): c for (r, s), c in pairs.items()})
+
+    enforced = hb.genus == 0
+    n = len(hb)
+    # the labels run AL, face, extra: slots below num_al span the AL classes
+    num_al = sum(1 for lab in hb.labels if lab.kind == "al")
+    end_face = num_al + len(hb.faces) - 1
+    brackets: list[tuple[int, int, Row]] = []
+    eigenvalues = []
+    faces_commute = diagonal = al_closed = True
+    zero: Row = {}  # one shared empty row for every zero bracket, not a dict each
+    for i, (lab, left) in enumerate(zip(hb.labels, edge_pairs)):
+        start = len(brackets) - i - 1  # row i's run: (i, j) sits at start + j
+        for j in range(i + 1, n):
+            coords = class_coordinates(reference_bracket_pairs(q, left, edge_pairs[j]))
+            if coords is None:
+                raise InternalCheckError("bracket of representatives left the span")
+            brackets.append((i, j, coords or zero))
+        if i < num_al:
+            al_run = brackets[start + i + 1 : start + num_al]
+            al_closed = al_closed and all(max(c, default=0) < num_al for _, _, c in al_run)
+            for _, j, coords in brackets[start + num_al : start + end_face]:
+                lam = _eigenvalue(hb.faces[hb.labels[j].face].net, lab.arrow, lab.path)
+                eigenvalues.append((i, j, lam))
+                diagonal = diagonal and coords == ({i: -lam} if lam else zero)
+        elif i < end_face:
+            face_run = brackets[start + i + 1 : start + end_face]
+            faces_commute = faces_commute and not any(c for _, _, c in face_run)
+    if enforced and not faces_commute:
+        raise InternalCheckError("face representatives do not commute on a planar embedding")
+    if enforced and not diagonal:
+        raise InternalCheckError("face action is not diagonal on a planar embedding")
+    return StructureTable(
+        basis=hb,
+        brackets=tuple(brackets),
+        eigenvalues=tuple(eigenvalues),
+        enforced=enforced,
+        faces_commute=faces_commute,
+        face_acts_diagonally=diagonal,
+        al_brackets_in_al_span=al_closed,
+    )
 
 
 # -- the per-pair derivation checks, as they were before q.products() --------

@@ -35,8 +35,17 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name file snippet replacement tests reason")
 
 _COHOMOLOGY = "quiverdiff/cohomology.py"
+_DERIVATIONS = "quiverdiff/derivations.py"
 _EMBEDDING = "quiverdiff/embedding.py"
 _T = "tests/test_cohomology.py::"
+_D = "tests/test_derivations.py::"
+# the checks of the edge-edge bracket: the --verify identities against matrix
+# products, and the HH1 table against the all-pairs loop on Path-keyed labels
+_BRACKET_CHECKS = (
+    _D + "test_bracket_identities_on_fixtures",
+    _D + "test_bracket_checks_match_the_all_pairs_references",
+    _T + "test_structure_table_matches_the_all_pairs_loop",
+)
 
 MUTANTS = (
     Mutant(
@@ -136,6 +145,44 @@ MUTANTS = (
             _T + "test_the_circulation_check_refuses_exactly_a_nonzero_product",
         ),
         "a face that is no closed walk is a tracing defect the report must refuse",
+    ),
+    Mutant(
+        "bracket-pairs-second-term-doubled",
+        _DERIVATIONS,
+        "out[r, u] = out.get((r, u), _ZERO) - c * d",
+        "out[r, u] = out.get((r, u), _ZERO) - 2 * c * d",
+        _BRACKET_CHECKS,
+        "[D_{r,s}, D_{p,t}] has D_{r, D_{p,t}(s)} once, not twice",
+    ),
+    Mutant(
+        "bracket-pairs-sign-flipped",
+        _DERIVATIONS,
+        "out[p, u] = out.get((p, u), _ZERO) + c * d\n"
+        "            if p in s:\n"
+        "                for u in _splices(p, t, s):\n"
+        "                    out[r, u] = out.get((r, u), _ZERO) - c * d",
+        "out[p, u] = out.get((p, u), _ZERO) - c * d\n"
+        "            if p in s:\n"
+        "                for u in _splices(p, t, s):\n"
+        "                    out[r, u] = out.get((r, u), _ZERO) + c * d",
+        _BRACKET_CHECKS,
+        "the edge-edge bracket written as [D_{p,t}, D_{r,s}]",
+    ),
+    Mutant(
+        "bracket-index-without-arrows",
+        _DERIVATIONS,
+        "arrow_of[r].append(i)",
+        "pass",
+        _BRACKET_CHECKS,
+        "a pair where only an arrow of the right side runs along the left's path can be nonzero",
+    ),
+    Mutant(
+        "bracket-index-without-paths",
+        _DERIVATIONS,
+        "along[x].append(i)",
+        "pass",
+        _BRACKET_CHECKS,
+        "a pair where only an arrow of the left side runs along the right's path can be nonzero",
     ),
     Mutant(
         "report-rank-count-cross-check-removed",

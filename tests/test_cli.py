@@ -93,6 +93,7 @@ from quiverdiff.quiver import Path, Quiver
 from helpers import (
     FIXTURE_DIR,
     checkerboard_grid,
+    dense_brackets,
     kronecker,
     rand_frac,
     random_rotation,
@@ -854,7 +855,7 @@ def _hh1_payload(qf):
             "brackets": [
                 {"left": labels[i], "right": labels[j],
                  "coords": [str(row.get(k, 0)) for k in range(dim)]}
-                for i, j, row in st.brackets
+                for i, j, row in dense_brackets(st)
             ],
             "eigenvalues": [
                 {"al": labels[i], "face": labels[j], "value": str(lam)}

@@ -131,6 +131,7 @@ from helpers import (
     chain,
     checkerboard_grid,
     connection_matrix,
+    dense_brackets,
     dense_net,
     dense_row,
     differential_inputs,
@@ -147,6 +148,7 @@ from helpers import (
     random_derivation,
     random_rotation,
     reference_boundary_matrix,
+    reference_hh1_structure,
     representative_operators,
     seeded,
     seeded_embedded_quiver,
@@ -729,7 +731,7 @@ def test_structure_torus_is_reported_not_enforced():
     st = hh1_structure(q, rot)
     assert not st.enforced
     assert len(st.basis) == 8
-    for _, _, coords in st.brackets:
+    for _, _, coords in dense_brackets(st):
         assert coords is not None
     assert isinstance(st.al_brackets_in_al_span, bool)
 
@@ -738,7 +740,7 @@ def test_structure_closed_under_bracket_everywhere():
     for name in EMBEDDED_FIXTURES:
         q, rot = fixture_embedded(name)
         st = hh1_structure(q, rot)
-        for _, _, coords in st.brackets:
+        for _, _, coords in dense_brackets(st):
             assert coords is not None, name
 
 
@@ -777,7 +779,7 @@ def test_structure_table_matches_the_operator_route(embedded):
     ref = ReferenceHH1(q, rot)
     assert ref.independent
     assert len(ref.derivations) - ref.inner.rank() == len(st.basis)
-    assert st.brackets == ref.brackets
+    assert dense_brackets(st) == ref.brackets
     assert st.eigenvalues == ref.eigenvalues
     assert (st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span) == (
         ref.faces_commute, ref.face_acts_diagonally, ref.al_brackets_in_al_span,
@@ -787,12 +789,51 @@ def test_structure_table_matches_the_operator_route(embedded):
     hb = st.basis
     for label, pairs in zip(hb.labels, hb.edge_pairs):
         if label.kind == "al":
-            assert pairs == {(label.arrow, label.path): 1}
+            assert pairs == {(label.arrow, label.path.arrows): 1}
         elif label.kind == "face":
             net = dense_net(hb.faces[label.face], q.num_arrows)
-            assert pairs == {(k, q.arrow_path(k)): a for k, a in enumerate(net) if a}
+            assert pairs == {(k, (k,)): a for k, a in enumerate(net) if a}
         else:
-            assert pairs == {(label.arrow, q.arrow_path(label.arrow)): 1}
+            assert pairs == {(label.arrow, (label.arrow,)): 1}
+
+
+def _all_pairs_inputs():
+    """The DIFFERENTIAL inputs, K_m (m <= 12), T_n (n <= 8), seeded quivers
+    of genus 0 to 3 and the torus grids 4x4 to 8x8, each once by name."""
+    inputs = dict(DIFFERENTIAL)
+    inputs.update((f"k{m}", kronecker(m)) for m in range(1, 13))
+    inputs.update((f"t{n}", tournament(n)) for n in range(1, 9))
+    inputs.update(
+        (f"genus{g}_seed{s}", _seeded_genus_quiver(s, g)) for g in range(4) for s in range(4)
+    )
+    inputs.update((f"torus{k}", checkerboard_grid(k, torus=True)) for k in (4, 6, 8))
+    return list(inputs.items())
+
+
+ALL_PAIRS = _all_pairs_inputs()
+
+
+@pytest.mark.parametrize("embedded", [e for _, e in ALL_PAIRS], ids=[n for n, _ in ALL_PAIRS])
+def test_structure_table_matches_the_all_pairs_loop(embedded):
+    # the pairs the arrow index leaves out are zero: densified, the table
+    # is the one the all-pairs loop on Path-keyed labels writes
+    q, rot = embedded
+    st, ref = hh1_structure(q, rot), reference_hh1_structure(q, rot)
+    assert dense_brackets(st) == ref.brackets
+    assert st.brackets == tuple(entry for entry in ref.brackets if entry[2])
+    assert st.eigenvalues == ref.eigenvalues
+    verdicts = (st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span)
+    assert verdicts == (
+        ref.enforced, ref.faces_commute, ref.face_acts_diagonally, ref.al_brackets_in_al_span
+    )
+
+
+def test_all_pairs_inputs_cover_each_genus_and_nonzero_brackets():
+    genera = {hh1_basis(q, rot).genus for _, (q, rot) in ALL_PAIRS}
+    assert genera >= {0, 1, 2, 3}
+    q, rot = tournament(8)
+    st = hh1_structure(q, rot)
+    assert 0 < len(st.brackets) < len(dense_brackets(st))
 
 
 @pytest.mark.parametrize("embedded", [e for _, e in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
@@ -811,7 +852,7 @@ def test_classes_are_sparse_rows(embedded):
     # a Face or Extra class with an AL class and the vertex derivation of
     # vertex 0, an inner one, added
     al = [pairs for label, pairs in zip(hb.labels, hb.edge_pairs) if label.kind == "al"]
-    inner = {(k, q.arrow_path(k)): x for k, x in enumerate(vertex_arrow_matrix(q).row(0)) if x}
+    inner = {(k, (k,)): x for k, x in enumerate(vertex_arrow_matrix(q).row(0)) if x}
     for i in range(len(al), len(hb)):
         pairs = {**hb.edge_pairs[i], **(al[0] if al else {})}
         for key, x in inner.items():
@@ -1024,14 +1065,14 @@ def _reach(name, q, rot):
     dim, verdicts, pinned = REACH[name]
     st = hh1_structure(q, rot)
     assert len(st.basis) == dim, name
-    assert len(st.brackets) == dim * (dim - 1) // 2, name
-    # the verdicts read each row i's pairs by position: every pair, in (i, j) order
-    pairs = [(i, j) for i, j, _ in st.brackets]
-    assert pairs == [(i, j) for i in range(dim) for j in range(i + 1, dim)], name
+    dense = dense_brackets(st)
+    assert len(dense) == dim * (dim - 1) // 2, name
+    # the table stores the nonzero brackets alone, in (i, j) order
+    assert st.brackets == tuple(entry for entry in dense if entry[2]), name
     assert (
         st.enforced, st.faces_commute, st.face_acts_diagonally, st.al_brackets_in_al_span
     ) == verdicts, name
-    table = {(i, j): coords for i, j, coords in st.brackets}
+    table = {(i, j): coords for i, j, coords in dense}
     for key, nonzero in pinned.items():
         assert table[key] == nonzero, (name, key)
     return st
@@ -1048,7 +1089,8 @@ def test_hh1_structure_reaches_the_planar_16x16_grid():
     # about 0.2 s; inserting the face rows of the class solver in caller
     # order took 2.2 s
     st = _reach("grid16", *checkerboard_grid(16))
-    assert all(not any(coords) for _, _, coords in st.brackets)
+    assert all(not any(coords) for _, _, coords in dense_brackets(st))
+    assert st.brackets == ()
 
 
 # -- Result records ----------------------------------------------------------

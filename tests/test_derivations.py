@@ -846,7 +846,7 @@ def test_bracket_identities_at_baseline_sizes(q, num_paths):
     assert verify_bracket_identities(canonical_basis(q)) == {"inner_inner": True, "edge_edge": True}
 
 
-def _without_the_second_term(q, left, right):
+def _without_the_second_term(left, right):
     """_bracket_pairs with the term of "p runs along s" dropped."""
     out = {}
     for (r, s), c in left.items():
@@ -862,12 +862,12 @@ def test_edge_edge_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
     assert not hasattr(cohomology, "_bracket_pairs")
     true_bracket_pairs = derivations._bracket_pairs
 
-    def skewed(q, left, right):
+    def skewed(left, right):
         # D_{r,r} added for each left label r: on the pair of (r, s) with
         # itself the right-hand side is then D_{r,r}, not zero
-        out = dict(true_bracket_pairs(q, left, right))
+        out = dict(true_bracket_pairs(left, right))
         for r, _ in left:
-            key = (r, q.arrow_path(r))
+            key = (r, (r,))
             out[key] = out.get(key, 0) + 1
         return out
 
