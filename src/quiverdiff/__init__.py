@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 # every submodule but cli, with the public names it defines
 _PUBLIC = {
+    "_brackets": (),
     "algebra": ("AlgebraElement",),
     "cohomology": ("combinatorial_report", "happel_dimension", "hh1_basis", "hh1_structure"),
     "derivations": ("canonical_basis", "derivation_space_oracle"),

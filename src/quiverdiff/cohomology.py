@@ -15,10 +15,11 @@ decomposition Der / Inn = (almost oriented cycles) + k^E / row(C_va).
 Every representative is a sparse combination of EdgePair labels (r, arrows
 of s), written straight from its label; brackets follow from [D_{r,s},
 D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}, spliced on arrow tuples by
-derivations._bracket_pairs, which --verify checks against matrix products,
+_brackets._bracket_pairs, which --verify checks against matrix products,
 and only on the pairs its arrow index lists.  The quotient by Inn is one
 solve on |E| columns, by a solver built on the first solve; independence
-needs none: closed faces and one face rank.  A class is a sparse row.
+needs none: closed faces and one face rank, certified mod a prime.  The
+report's ranks are certified the same way.  A class is a sparse row.
 No operator, algebra element, canonical basis or inner subspace is built
 on that path; operators appear only in HH1Basis.coset_coordinates and the
 tests.  The face eigenvalues come from the net-coefficient formula.
@@ -29,10 +30,19 @@ from __future__ import annotations
 import functools
 from collections import Counter, namedtuple
 
-from . import derivations
+from . import _brackets, derivations
 from .embedding import FaceCycle, RotationSystem, surface_genus
 from .errors import CyclicQuiverError, DisconnectedError, InternalCheckError
-from .linalg import _ONE, EchelonBasis, LinearSolver, RationalMatrix, Row, Scalar, _merged
+from .linalg import (
+    _ONE,
+    EchelonBasis,
+    LinearSolver,
+    RationalMatrix,
+    Row,
+    Scalar,
+    _certified_rank,
+    _sums_to_zero,
+)
 from .quiver import Path, Quiver
 
 
@@ -131,7 +141,13 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     not zero is no closed walk, a tracing defect, and raises.  B_gamma is
     C_ca C_ca^T, and over Q B x = 0 gives |C_ca^T x|^2 = x^T B x = 0, so
     rank B_gamma = rank C_ca: the ranks of C_va, C_ca and C_gamma are the
-    report's three eliminations.
+    report's three eliminations.  Each runs mod a prime, by
+    linalg._certified_rank: each arrow has one tail and one head, so the
+    vertex rows sum to zero, and each of its two darts lies on one face,
+    so the face rows do too; a rank mod p that reaches the row count less
+    those sums is the rank, and any other is redone exactly.  Every rank
+    is proved, none assumed, and the rank-count check uses no
+    orthogonality.
     """
     _require_connected_acyclic(q)
     faces = rot.faces()
@@ -141,15 +157,16 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     if open_face := _open_face(q, faces):
         raise InternalCheckError(open_face)
     c_gamma = RationalMatrix.stack(c_va, c_ca)
-    rank_va = c_va.rank()
-    rank_ca = c_ca.rank()
-    rank_stack = c_gamma.rank()
+    # all-ones on the vertex rows, and on the face rows, are left-kernel vectors
+    nv = q.num_vertices
+    rank_va = _certified_rank(c_va, [range(nv)])
+    rank_ca = _certified_rank(c_ca, [range(len(faces))])
+    rank_stack = _certified_rank(c_gamma, [range(nv), range(nv, c_gamma.num_rows)])
 
     # the circulation check above showed the spaces disjoint: the ranks must add up
     if rank_stack != rank_va + rank_ca:
         raise InternalCheckError("subspace intersection disagrees with rank count")
 
-    zero_sum = not functools.reduce(_merged, c_ca._entries, {})
     return CombinatorialReport(
         num_vertices=q.num_vertices,
         num_arrows=q.num_arrows,
@@ -170,7 +187,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
         rank_theorems_hold=rank_va == q.num_vertices - 1 and rank_ca == len(faces) - 1,
         spaces_disjoint=True,
         euler_holds=(q.num_arrows - rank_stack == 2 * g),
-        faces_sum_to_zero=zero_sum,
+        faces_sum_to_zero=_sums_to_zero(c_ca._entries),
         faces=faces,
     )
 
@@ -334,8 +351,9 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
     rows over reversed columns, so they are triangular against it.  The
     representatives are independent modulo Inn when no AL pair is listed
     twice, every face is a closed walk (whose rows meet row(C_va) only in
-    zero; see combinatorial_report), the kept face rows have rank |F| - 1
-    and 2g units are read.  Otherwise the basis's quotient solver, built
+    zero; see combinatorial_report), the kept face rows have rank |F| - 1,
+    certified mod a prime with the row count as its bound, and 2g units
+    are read.  Otherwise the basis's quotient solver, built
     then, lists the dependent rows; the first dependent one is named.
     The count is cross-checked against both dimension formulas on the
     faces of ``rot``.
@@ -364,7 +382,7 @@ def hh1_basis(q: Quiver, rot: RotationSystem, outer: int | None = None) -> HH1Ba
 
     first_seen: dict[tuple[int, Path], int] = {}
     dependent = [k for k, pair in enumerate(cycles) if first_seen.setdefault(pair, k) != k]
-    face_rank = EchelonBasis.spanning(q.num_arrows, rows[: len(faces) - 1]).rank
+    face_rank = _certified_rank(RationalMatrix._of(rows[: len(faces) - 1], q.num_arrows))
     certified = face_rank == len(faces) - 1 == len(rows) - 2 * g and not _open_face(q, faces)
     if not dependent and not certified:
         dependent = [len(cycles) + i for i in basis._quotient.dependent]
@@ -414,7 +432,7 @@ def hh1_structure(
 
     Each bracket is computed on the representatives' EdgePair labels by
     the bracket identity and reduced by class_coordinates, only on the
-    pairs that the arrow index of derivations._bracket_partners lists:
+    pairs that the arrow index of _brackets._bracket_partners lists:
     every other bracket is zero.  No operator is bracketed.  The verdicts
     read every pair, an unlisted one as zero.  The eigenvalue of face f on
     AL(r, s) comes from the net-coefficient formula, so the diagonal-action
@@ -434,8 +452,8 @@ def hh1_structure(
     brackets: list[tuple[int, int, Row]] = []
     eigenvalues = []
     faces_commute = diagonal = al_closed = True
-    pairs, bracket, classes = hb.edge_pairs, derivations._bracket_pairs, hb.class_coordinates
-    for i, (lab, partners) in enumerate(zip(hb.labels, derivations._bracket_partners(pairs))):
+    pairs, bracket, classes = hb.edge_pairs, _brackets._bracket_pairs, hb.class_coordinates
+    for i, (lab, partners) in enumerate(zip(hb.labels, _brackets._bracket_partners(pairs))):
         row: dict[int, Row] = {}  # the nonzero [b_i, b_j], j > i, in j order
         for j in sorted(j for j in partners if j > i):
             coords = classes(bracket(pairs[i], pairs[j]))

@@ -14,16 +14,15 @@ An operator stores only its nonzero images, sparse rows {path index:
 coefficient}, written off q.products(), the one table of basis products,
 on the paths it moves: D_a writes a p_j - p_j a where p_j starts at h(w)
 or ends at t(w) for a term w of a, and D_{r,s} writes u s v at u r v.
-_splices is D_{r,s} on the arrow tuple of one path; d_rs_apply is its
-checked public form.  _bracket_pairs, the one edge-edge bracket, splices
-arrow tuples to write [D_{r,s}, D_{p,t}] on EdgePair labels (r, arrow
-tuple of s), with no Path: on an acyclic quiver s starts at r's tail.  It
-is zero unless an arrow of one side runs along a path of the other, and
-one arrow index, _bracket_partners, lists those pairs: the HH1 table
-brackets only them, and verify_bracket_identities builds an edge right
-side only for them.  Canonical coordinates are single coefficients,
-accepted only if _combination, the sum of each coordinate times its
-member, rebuilds the operator.  |P| x |P| matrices appear only at the
+d_rs_apply is the checked public form of _brackets._splices, D_{r,s} on
+the arrow tuple of one path.  _brackets._bracket_pairs, the one edge-edge
+bracket, writes [D_{r,s}, D_{p,t}] on EdgePair labels (r, arrow tuple of
+s), and the arrow index _brackets._bracket_partners lists the pairs where
+it can be nonzero: the HH1 table brackets only them, and
+verify_bracket_identities builds an edge right side only for them.
+Canonical coordinates are single coefficients, accepted only if
+_combination, the sum of each coordinate times its member, rebuilds the
+operator.  |P| x |P| matrices appear only at the
 edges: the CLI's matrix output, the matrix brackets of
 verify_bracket_identities, and the rows compared with a brute-force
 oracle.  The matrix brackets, products AB - BA, never go through
@@ -40,11 +39,11 @@ checks the pairs and coefficients an operator's nonzero images can reach.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from numbers import Rational
 
-from . import algebra
+from . import _brackets, algebra
 from .errors import (
     ORACLE_MAX_PATHS,
     InternalCheckError,
@@ -201,49 +200,6 @@ def inner_derivation(q: Quiver, a: Path | algebra.AlgebraElement) -> LinearOpera
     return LinearOperator._of(q, images)
 
 
-def _splices(r: int, s: tuple[int, ...], p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The arrow tuples of the terms of D_{r,s}(p), p and s arrow tuples: p with
-    one occurrence of the arrow r replaced by s, once per occurrence."""
-    return [p[:i] + s + p[i + 1 :] for i, x in enumerate(p) if x == r]
-
-
-def _bracket_pairs(left, right) -> dict[tuple[int, tuple[int, ...]], Scalar]:
-    """[sum c D_{r,s}, sum d D_{p,t}] on EdgePair labels (r, arrows of s), by
-    the identity [D_{r,s}, D_{p,t}] = D_{p, D_{r,s}(t)} - D_{r, D_{p,t}(s)}."""
-    out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-    for (r, s), c in left.items():
-        for (p, t), d in right.items():
-            # D_{r,s}(t) vanishes unless r runs along t
-            if r in t:
-                for u in _splices(r, s, t):
-                    out[p, u] = out.get((p, u), _ZERO) + c * d
-            if p in s:
-                for u in _splices(p, t, s):
-                    out[r, u] = out.get((r, u), _ZERO) - c * d
-    return {key: c for key, c in out.items() if c}
-
-
-def _bracket_partners(labels) -> list[set[int]]:
-    """For each i, the j for which the bracket of the EdgePair combinations
-    labels[i] and labels[j] can be nonzero, read off one arrow index: an
-    arrow of one runs along a path of the other."""
-    arrow_of, along = defaultdict(list), defaultdict(list)
-    for i, pairs in enumerate(labels):
-        for r, s in pairs:
-            arrow_of[r].append(i)
-            for x in s:
-                along[x].append(i)
-    partners = []
-    for pairs in labels:
-        js: set[int] = set()
-        for r, s in pairs:
-            js.update(along[r])
-            for x in s:
-                js.update(arrow_of[x])
-        partners.append(js)
-    return partners
-
-
 def _check_path(q: Quiver, p: Path) -> None:
     """Raise ValueError unless p is a path of q: a vertex of q, then arrows of q
     each leaving the head of the one before.  Enumerates no path, so it works on
@@ -273,7 +229,7 @@ def d_rs_apply(q: Quiver, r: int | str, s: Path, p: Path) -> algebra.AlgebraElem
     """
     r = _parallel_arrow(q, r, s)
     _check_path(q, p)
-    terms = [(Path(p.base, u), _ONE) for u in _splices(r, s.arrows, p.arrows)]
+    terms = [(Path(p.base, u), _ONE) for u in _brackets._splices(r, s.arrows, p.arrows)]
     return algebra.AlgebraElement(q, terms)
 
 
@@ -690,7 +646,7 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
     # the EdgePair members by their labels (r, arrow tuple of s)
     edge = {(r, s.arrows): op for (kind, r, s), op in members.items() if kind == "edge_pair"}
     labels = list(edge)
-    partners = _bracket_partners([(x,) for x in labels])
+    partners = _brackets._bracket_partners([(x,) for x in labels])
 
     # each right side R as the nonempty rows of its matrix; pairs that share
     # p_i p_j and p_j p_i share one inner right side
@@ -707,7 +663,7 @@ def verify_bracket_identities(basis: DerivationBasis) -> dict[str, bool]:
     def edge_rhs(i: int, j: int) -> dict[int, Row]:
         if j not in partners[i]:  # zero off the pairs the arrow index lists
             return {}
-        pairs = _bracket_pairs({labels[i]: _ONE}, {labels[j]: _ONE}).items()
+        pairs = _brackets._bracket_pairs({labels[i]: _ONE}, {labels[j]: _ONE}).items()
         return _combination(q, pairs, lambda q, x: edge[x])._rows()
 
     def holds(ab: RationalMatrix, ba: RationalMatrix, r: dict[int, Row]) -> bool:

@@ -6,8 +6,8 @@ so arithmetic and elimination cost in proportion to the nonzeros.  A
 product walks the nonzero entries of each row of A against those of the
 matching rows of B.  kernel() and LinearSolver answer in those sparse
 rows too.  Dense vectors enter through one function, ``_sparse``; dense
-tuples are built only for ``rows`` and ``row(i)``.  Every elimination
-runs through one kernel, EchelonBasis:
+tuples are built only for ``rows`` and ``row(i)``.  Every exact
+elimination runs through one kernel, EchelonBasis:
 sparse primitive integer rows, reduced forward only (fraction-free, as
 in Bareiss, Math. Comp. 22, 1968), with no floating point.  Batches of
 rows go in through ``spanning``, latest leading column first (a fixed
@@ -21,7 +21,10 @@ the combination it came from.  A solver target carries a 1 in one more
 column, which no stored row reaches, so its answer's scale is read
 there.  _row_kernel, the oracle's solver, takes the rows d[u] = 0 and
 d[u] = +-d[v], almost all of its system, into a signed union-find as
-they stream in, and only the rest through kernel().
+they stream in, and only the rest through kernel().  _certified_rank
+ranks int rows mod a prime first, on rank's column labels and row order,
+and keeps that rank only when left-kernel vectors the caller names prove
+it; otherwise it ranks them exactly, through EchelonBasis.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
@@ -176,9 +180,7 @@ class RationalMatrix:
         return RationalMatrix._of(ech._reduced(ech.pivots) + padding, self.num_cols), ech.pivots
 
     def rank(self) -> int:
-        # sparse columns first (fewest nonzeros, ties by index) fill in less
-        count = Counter(j for row in self._entries for j in row)
-        label = {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+        label = _column_labels(self._entries)
         relabelled = [{label[j]: x for j, x in row.items()} for row in self._entries]
         return EchelonBasis.spanning(self.num_cols, relabelled).rank
 
@@ -314,6 +316,88 @@ def _merged(r: Row, s: Row) -> Row:
         else:
             del acc[j]
     return acc
+
+
+def _column_labels(rows) -> dict[int, int]:
+    """New column labels, sparsest first (fewest nonzeros, ties by index),
+    which fill in less: the order rank eliminates in."""
+    count = Counter(chain.from_iterable(rows))
+    return {j: k for k, j in enumerate(sorted(sorted(count), key=count.__getitem__))}
+
+
+def _sums_to_zero(rows) -> bool:
+    """Whether ``rows``, sparse rows, add up to the zero row."""
+    total: Row = {}
+    for row in rows:
+        for j, x in row.items():
+            total[j] = total.get(j, 0) + x
+    return not any(total.values())
+
+
+# the largest prime below 2**30, so that every residue is one CPython digit
+_PRIME = 1073741789
+
+
+def _certified_rank(m: RationalMatrix, groups=()) -> int:
+    """m.rank(), proved from the rank mod _PRIME where it can be.
+
+    ``groups`` are disjoint sets of row indices.  A nonempty group whose
+    rows sum to zero gives a vector of the left kernel, so the rank is at
+    most the row count less the number of such groups.  A minor that is
+    nonzero mod p is nonzero over the integers, so the rank mod p is at
+    most the rank: when it reaches that bound, it is the rank.  Otherwise,
+    or when an entry is not an int, m.rank() runs.  Both eliminate on the
+    same column labels, latest leading column first (Wiedemann, IEEE
+    Trans. Inf. Theory 32, 1986; Dumas, Saunders and Villard, J. Symbolic
+    Comput. 32, 2001).  A row mod p holds any int of a residue until a step
+    reduces it; a pivot row is 1 or -1 mod p, its own inverse, at its column.
+    A heap of the row's columns gives each step's leading column, as the
+    row is long and the pivot rows that reduce it are short.
+    """
+    rows = m._entries
+    bound = m.num_rows - sum(1 for g in groups if g and _sums_to_zero(rows[i] for i in g))
+    label = _column_labels(rows)
+    if {*map(type, chain.from_iterable(map(dict.values, rows)))} <= {int}:
+        pivots: dict[int, Row] = {}
+        relabelled = [{label[j]: x for j, x in row.items()} for row in rows if row]
+        for v in sorted(relabelled, key=min, reverse=True):
+            leads = sorted(v)  # a heap of v's columns
+            while leads:
+                p = heappop(leads)
+                if p not in v:  # cancelled since it was pushed
+                    continue
+                pivot = pivots.get(p)
+                if pivot is None:
+                    lead = v[p] % _PRIME
+                    if not lead:  # a multiple of the prime
+                        del v[p]
+                        continue
+                    if lead != 1 and lead != _PRIME - 1:
+                        inverse = pow(lead, -1, _PRIME)
+                        v = {j: x * inverse % _PRIME for j, x in v.items()}
+                    pivots[p] = v
+                    break
+                _eliminate_mod(v, pivot, p, leads)
+        if len(pivots) == bound:
+            return bound
+    return m.rank()
+
+
+def _eliminate_mod(v: Row, row: Row, col: int, heap: list[int]) -> None:
+    """Clear column ``col`` of ``v`` in place mod _PRIME with ``row``, which
+    is 1 or -1 mod p there; each entry it meets is reduced, and dropped
+    when it cancels, and each column it adds to v is pushed onto ``heap``."""
+    b = v[col] * row[col]
+    for j, x in row.items():
+        y = v.get(j)
+        if y is None:
+            if y := -b * x % _PRIME:
+                v[j] = y
+                heappush(heap, j)
+        elif y := (y - b * x) % _PRIME:
+            v[j] = y
+        else:
+            del v[j]
 
 
 def _integer_row(row: Row) -> dict[int, int]:

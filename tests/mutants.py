@@ -34,11 +34,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name file snippet replacement tests reason")
 
+_BRACKETS = "quiverdiff/_brackets.py"
 _COHOMOLOGY = "quiverdiff/cohomology.py"
-_DERIVATIONS = "quiverdiff/derivations.py"
 _EMBEDDING = "quiverdiff/embedding.py"
+_LINALG = "quiverdiff/linalg.py"
+_QUIVER = "quiverdiff/quiver.py"
 _T = "tests/test_cohomology.py::"
 _D = "tests/test_derivations.py::"
+_L = "tests/test_linalg.py::"
+_Q = "tests/test_quiver.py::"
 # the checks of the edge-edge bracket: the --verify identities against matrix
 # products, and the HH1 table against the all-pairs loop on Path-keyed labels
 _BRACKET_CHECKS = (
@@ -148,7 +152,7 @@ MUTANTS = (
     ),
     Mutant(
         "bracket-pairs-second-term-doubled",
-        _DERIVATIONS,
+        _BRACKETS,
         "out[r, u] = out.get((r, u), _ZERO) - c * d",
         "out[r, u] = out.get((r, u), _ZERO) - 2 * c * d",
         _BRACKET_CHECKS,
@@ -156,7 +160,7 @@ MUTANTS = (
     ),
     Mutant(
         "bracket-pairs-sign-flipped",
-        _DERIVATIONS,
+        _BRACKETS,
         "out[p, u] = out.get((p, u), _ZERO) + c * d\n"
         "            if p in s:\n"
         "                for u in _splices(p, t, s):\n"
@@ -170,7 +174,7 @@ MUTANTS = (
     ),
     Mutant(
         "bracket-index-without-arrows",
-        _DERIVATIONS,
+        _BRACKETS,
         "arrow_of[r].append(i)",
         "pass",
         _BRACKET_CHECKS,
@@ -178,7 +182,7 @@ MUTANTS = (
     ),
     Mutant(
         "bracket-index-without-paths",
-        _DERIVATIONS,
+        _BRACKETS,
         "along[x].append(i)",
         "pass",
         _BRACKET_CHECKS,
@@ -192,6 +196,54 @@ MUTANTS = (
         "",
         (_T + "test_report_cross_check_bites_on_a_nonempty_intersection",),
         "disjoint spaces make the ranks add up; a stack that says otherwise must raise",
+    ),
+    Mutant(
+        "certified-rank-row-sum-check-dropped",
+        _LINALG,
+        "1 for g in groups if g and _sums_to_zero(rows[i] for i in g)",
+        "1 for g in groups if g",
+        (_L + "test_certified_rank_falls_back_when_the_rank_drops_mod_p",),
+        "only a group whose rows sum to zero gives a vector of the left kernel",
+    ),
+    Mutant(
+        "certified-rank-trusted-below-the-bound",
+        _LINALG,
+        "        if len(pivots) == bound:\n            return bound\n",
+        "        if len(pivots) <= bound:\n            return len(pivots)\n",
+        (_L + "test_certified_rank_falls_back_when_the_rank_drops_mod_p",),
+        "the rank mod p is only a lower bound: below the left-kernel bound it proves nothing",
+    ),
+    Mutant(
+        "parallel-path-counts-without-topological-sort",
+        _QUIVER,
+        "for v in sorted(counts, key=rank):",
+        "for v in counts:",
+        (
+            _Q + "test_path_counts_without_the_table_match_it",
+            _T + "test_happel_dimension_matches_the_path_count_table",
+        ),
+        "a vertex passes its count on only once every path into it has been counted",
+    ),
+    Mutant(
+        "num-paths-one-short",
+        _QUIVER,
+        "return sum(leaving)",
+        "return sum(leaving) - 1",
+        (_Q + "test_path_counts_without_the_table_match_it",),
+        "|P| counts every path leaving every vertex, the trivial ones included",
+    ),
+    Mutant(
+        "happel-dimension-skips-vertex-0",
+        _COHOMOLOGY,
+        "return 1 - q.num_vertices + sum(q.parallel_path_counts())",
+        "return 1 - q.num_vertices + sum(\n"
+        "        c for a, c in zip(q.arrows, q.parallel_path_counts()) if a.tail\n"
+        "    )",
+        (
+            _T + "test_happel_dimension_table",
+            _T + "test_happel_dimension_matches_the_path_count_table",
+        ),
+        "Happel's count sums the parallel paths of every arrow, those leaving vertex 0 too",
     ),
 )
 

@@ -538,18 +538,22 @@ _FILE_MODULES = ("cli", "embedding", "errors", "quiver", "quiverfile")
         (["check", _fixture("a3")], _FILE_MODULES),
         (["report", _fixture("torus_k4")], (*_FILE_MODULES, "cohomology", "linalg")),
         (["derivations", _fixture("a5")], (*_FILE_MODULES, "derivations", "linalg")),
-        (["hh1", _fixture("k2")], (*_FILE_MODULES, "cohomology", "derivations", "linalg")),
-        (["hh1", "--oracle", _fixture("k2")], (*_FILE_MODULES, "cohomology", "derivations", "linalg")),
+        (["hh1", _fixture("k2")], (*_FILE_MODULES, "_brackets", "cohomology", "linalg")),
+        (
+            ["hh1", "--oracle", _fixture("k2")],
+            (*_FILE_MODULES, "_brackets", "cohomology", "derivations", "linalg"),
+        ),
         (
             ["derivations", "--oracle", "--verify", _fixture("a3")],
-            (*_FILE_MODULES, "algebra", "derivations", "linalg"),
+            (*_FILE_MODULES, "_brackets", "algebra", "derivations", "linalg"),
         ),
     ],
 )
 def test_each_command_runs_only_the_modules_it_uses(argv, ran):
     # --help builds the parser, the oracle's cap among its defaults, from
     # cli and errors alone; report runs no derivation code, derivations none
-    # of the HH1 code, and only --verify builds algebra elements
+    # of the HH1 code, plain hh1 only the shared edge-edge bracket of it, and
+    # only --verify builds algebra elements
     proc = _bare_python("-c", _RAN_PROBE, *argv)
     assert proc.stdout.startswith("usage:" if argv == ["--help"] else "{"), proc.stderr
     assert proc.stderr == f"0 {' '.join(sorted(ran))}"
@@ -1075,9 +1079,10 @@ def _golden_digests():
 # recorded before HH1 was computed from edge-pair labels, so they pin the
 # output of the operator route; the next three were recorded while brackets
 # and matrices were still formatted from dense tuples, and pin long runs of
-# zero rows beyond the fixtures; the last three were recorded while report
+# zero rows beyond the fixtures; the next three were recorded while report
 # decided spacesDisjoint by a row-space intersection, and pin it off the
-# fixtures, in genus 0 and above
+# fixtures, in genus 0 and above; the two torus reports were recorded while
+# report ran its three ranks as exact eliminations
 GENERATED_GOLDEN = {
     "hh1 k6": "86936f0d889cfc0a6971449ae2db00c63976c2a2adfa9366e7a7316cc0d43a50",
     "hh1 t5": "1267d53a68e05667a977c6d41edb471f3837dfaf7eb363e3f3dc066c95746193",
@@ -1090,6 +1095,8 @@ GENERATED_GOLDEN = {
     "report grid8_rotated": "3d1a9e75e5d9d5811df1d3df9a74c19f7a2b91fd20197aa0f4bbccfc1928737b",
     "hh1 torus6": "7bcfcb77ac1f5ffc5be76d62d022a013ff5f91786463723c2bf9558a0865d359",
     "hh1 grid10_rotated": "6cf7032dcb8ed2949474d1151811390b74147fb8da85a9ecdadb4e17f94edf01",
+    "report torus6": "de6e8e84bdd03c465f3414b40c439d0d3320cf303cc3a1bf1a4c484e1d20d7ad",
+    "report torus8": "43c6ae64fe64dfa18f355243387c2e16a87af992b30edd6ae7b95626e910cd14",
 }
 
 def _generated_digests(directory):
@@ -1105,6 +1112,7 @@ def _generated_digests(directory):
     q, _ = checkerboard_grid(10)
     built["grid10_rotated"] = q, random_rotation(seeded(10), q)
     built["torus6"] = checkerboard_grid(6, torus=True)
+    built["torus8"] = checkerboard_grid(8, torus=True)
     for name, (q, rot) in built.items():
         qf = quiverfile.QuiverFile(name=name, quiver=q, rotation=rot, outer=None)
         (directory / f"{name}.quiver").write_text(serialize(qf), encoding="utf-8")

@@ -22,7 +22,12 @@ Core claims:
       verdict true, touching fewer than 300,000 entries in its
       elimination steps (caller row order touched about 1.2 million, the
       doubled Zassenhaus block and caller column order 511,723; its four
-      ranks, now its only eliminations, touch 103,178)
+      ranks, now its only eliminations, touch 103,178), counted in the
+      modular kernel and the exact one
+    - the report's three ranks and hh1_basis's face rank are certified mod
+      p with no exact elimination, and equal rank() on the planar 4x4 to
+      16x16 and torus 4x4 to 12x12 grids, seeded rotations of the 4x4 to
+      8x8 grids and seeded quivers of genus 0 to 3
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
     - Happel's count reads one count of the paths leaving each arrow
@@ -422,16 +427,20 @@ def test_report_reaches_the_planar_12x12_grid():
 
 
 def _entries_touched(monkeypatch, q, rot) -> int:
-    """The entries the elimination steps of one report touch."""
+    """The entries the elimination steps of one report touch, in the
+    modular kernel and in the exact one."""
     touched = 0
-    eliminate = linalg._eliminate
 
-    def counting(v, row, col):
-        nonlocal touched
-        touched += len(v) + len(row)
-        return eliminate(v, row, col)
+    def counting(eliminate):
+        def step(v, row, col, *heap):
+            nonlocal touched
+            touched += len(v) + len(row)
+            return eliminate(v, row, col, *heap)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+        return step
+
+    for name in ("_eliminate", "_eliminate_mod"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
     combinatorial_report(q, rot)
     return touched
 
@@ -440,7 +449,8 @@ def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
     # entries touched by the elimination steps of one report: 1,194,992 when
     # the rows went in caller order (row-major vertices and faces), 511,723
     # latest leading column first, 103,178 with its four ranks as its only
-    # eliminations, and 67,560 with three, rank B_gamma being rank C_ca
+    # eliminations, and 67,560 with three, rank B_gamma being rank C_ca;
+    # 67,560 still with the three ranks certified mod p, in the same order
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 600_000
 
 
@@ -450,6 +460,39 @@ def test_report_on_the_planar_12x12_grid_tags_rows_and_ranks_sparse_columns_firs
     # tagged in an intersection as well, 435,909 with the doubled Zassenhaus
     # block there, and 345,151 in caller column order
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 300_000
+
+
+def _certified_rank_inputs():
+    inputs = [(f"grid{k}", *checkerboard_grid(k)) for k in (4, 8, 12, 16)]
+    inputs += [(f"torus{k}", *checkerboard_grid(k, torus=True)) for k in (4, 6, 8, 10, 12)]
+    for k in (4, 6, 8):
+        q, _ = checkerboard_grid(k)
+        inputs.append((f"grid{k}_rotated", q, random_rotation(seeded(43 * k), q)))
+    inputs += [
+        (f"genus{g}_seed{s}", *_seeded_genus_quiver(s, g)) for g in range(4) for s in range(3)
+    ]
+    return inputs
+
+
+@pytest.mark.parametrize("name, q, rot", _certified_rank_inputs())
+def test_certified_ranks_equal_the_exact_ranks(monkeypatch, name, q, rot):
+    # the report's three ranks and hh1_basis's face rank, certified mod p
+    # with no exact elimination, are the ranks rank() eliminates exactly
+    def unreachable(*args):
+        raise AssertionError("an exact elimination ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg.EchelonBasis, "spanning", unreachable)
+        rep = combinatorial_report(q, rot)
+        kept = RationalMatrix._of(rep.c_ca._entries[1:], q.num_arrows)
+        face_rank = linalg._certified_rank(kept)
+    assert (rep.rank_c_va, rep.rank_c_ca, rep.rank_c_gamma, face_rank) == (
+        rep.c_va.rank(),
+        rep.c_ca.rank(),
+        rep.c_gamma.rank(),
+        kept.rank(),
+    )
+    assert rep.genus == surface_genus(q, rep.num_faces) and rep.euler_holds
 
 
 def test_report_torus_dimensions():

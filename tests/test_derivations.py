@@ -87,7 +87,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdiff import cohomology, derivations, linalg
+from quiverdiff import _brackets, cohomology, derivations, linalg
 from quiverdiff.algebra import AlgebraElement
 from quiverdiff.derivations import (
     LinearOperator,
@@ -851,16 +851,17 @@ def _without_the_second_term(left, right):
     out = {}
     for (r, s), c in left.items():
         for (p, t), d in right.items():
-            for u in derivations._splices(r, s, t):
+            for u in _brackets._splices(r, s, t):
                 out[p, u] = out.get((p, u), 0) + c * d
     return {key: c for key, c in out.items() if c}
 
 
 def test_edge_edge_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
-    # the HH1 table brackets with the very routine the verdict checks: it
-    # reads derivations._bracket_pairs and binds no copy of its own
+    # the HH1 table brackets with the very routine the verdict checks: both
+    # read _brackets._bracket_pairs and bind no copy of their own
     assert not hasattr(cohomology, "_bracket_pairs")
-    true_bracket_pairs = derivations._bracket_pairs
+    assert not hasattr(derivations, "_bracket_pairs")
+    true_bracket_pairs = _brackets._bracket_pairs
 
     def skewed(left, right):
         # D_{r,r} added for each left label r: on the pair of (r, s) with
@@ -874,7 +875,7 @@ def test_edge_edge_verdict_fails_on_a_wrong_right_hand_side(monkeypatch):
     # without its second term the pair of (r, r) with itself gives
     # D_{r, D_{r,r}(r)} = D_{r,r}, not zero
     for mutant in (skewed, _without_the_second_term):
-        monkeypatch.setattr(derivations, "_bracket_pairs", mutant)
+        monkeypatch.setattr(_brackets, "_bracket_pairs", mutant)
         for name in ("a3", "k2", "triangle_tails"):
             verdict = verify_bracket_identities(canonical_basis(fixture_quiver(name)))
             assert verdict == {"inner_inner": True, "edge_edge": False}, (mutant, name)

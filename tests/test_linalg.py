@@ -58,6 +58,14 @@ Core claims:
       after the union that reaches its unknown each give the kernel
     - the constructor stores an int for integral input, bool and float
       included, and a Fraction only otherwise
+    - _certified_rank, the rank mod a prime below 2**30 proved by the
+      left-kernel bound of its row groups, equals rank() on 300 seeded int
+      matrices with multiples of the prime and zero-sum groups; it runs no
+      exact elimination when the certificate closes, gives the exact rank
+      of a matrix whose rank drops mod p (an entry a multiple of p, a
+      determinant equal to p, or a pivot row that keeps a multiple of p),
+      counts no vector for a group that does not sum to zero or is
+      empty, and ranks Fraction entries exactly
 """
 
 import math
@@ -67,6 +75,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdiff import linalg
 from quiverdiff.cohomology import boundary_matrix, cycle_arrow_matrix, vertex_arrow_matrix
 from quiverdiff.embedding import trace_faces
 from quiverdiff.errors import DimensionMismatchError
@@ -830,6 +839,79 @@ def test_rank_with_a_dense_column_matches_sympy(sympy):
             base.append([x + c * y for x, y in zip(rng.choice(base), rng.choice(base))])
         m = RationalMatrix(base, cols)
         assert m.rank() == _to_sympy(sympy, m).rank()
+
+
+# -- The certified modular rank ---------------------------------------------------
+
+P = linalg._PRIME
+
+
+def _exact_runs(monkeypatch) -> list:
+    """A list that gets one entry per EchelonBasis.spanning call from here on."""
+    runs, spanning = [], EchelonBasis.spanning
+
+    def counted(num_cols, rows):
+        runs.append(num_cols)
+        return spanning(num_cols, rows)
+
+    monkeypatch.setattr(EchelonBasis, "spanning", counted)
+    return runs
+
+
+def test_certified_rank_equals_rank_on_seeded_integer_matrices():
+    # small ints and multiples of the prime, some rows combinations of
+    # others, in groups of which some sum to zero
+    rng = seeded(4301)
+    entries = (0, 0, 0, 1, -1, 2, -3, P, -P, 2 * P, P + 1)
+    for _ in range(300):
+        cols = rng.randint(1, 8)
+        rows = [[rng.choice(entries) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 2)):
+            c = rng.choice((1, -1, P))
+            rows.append([x + c * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+        groups, start = [], 0
+        while start < len(rows) and rng.random() < 0.7:
+            size = rng.randint(1, min(3, len(rows) - start))
+            group = list(range(start, start + size))
+            if rng.random() < 0.5:  # the group's last row cancels the rest
+                rows.insert(start + size, [-sum(c) for c in zip(*rows[start : start + size])])
+                group.append(start + size)
+            groups.append(range(group[0], group[-1] + 1))
+            start = group[-1] + 1
+        m = RationalMatrix(rows, cols)
+        assert linalg._certified_rank(m, groups) == m.rank(), (rows, groups)
+
+
+def test_certified_rank_closes_without_the_exact_kernel(monkeypatch):
+    # the rows of each group sum to zero and the rank mod p reaches the bound
+    runs = _exact_runs(monkeypatch)
+    m = RationalMatrix([[1, P, 0], [-1, -P, 0], [0, 2, 3], [0, -2, -3]])
+    assert linalg._certified_rank(m, [range(2), range(2, 4)]) == 2
+    assert linalg._certified_rank(RationalMatrix([[2, 1], [1, 3]])) == 2
+    assert runs == []
+
+
+def test_certified_rank_falls_back_when_the_rank_drops_mod_p(monkeypatch):
+    # 32768^2 - 35 is the prime: the first matrix has rank 2 over Q and 1
+    # mod p, though no entry is a multiple of p
+    runs = _exact_runs(monkeypatch)
+    for m in (RationalMatrix([[32768, 1], [35, 32768]]), RationalMatrix([[P, 0], [0, 1]])):
+        assert linalg._certified_rank(m) == 2
+        # rows that do not sum to zero give no left-kernel vector
+        assert linalg._certified_rank(m, [range(2)]) == 2
+    # rows that sum to zero, bound 2, and rank 1 mod p: the pivot row of the
+    # first keeps p where the second, which it reduces, has no entry
+    assert linalg._certified_rank(RationalMatrix([[1, P], [-1, 0], [0, -P]]), [range(3)]) == 2
+    # an empty group gives no left-kernel vector either
+    assert linalg._certified_rank(RationalMatrix([[P]]), [range(0)]) == 1
+    assert len(runs) == 6
+
+
+def test_certified_rank_takes_the_exact_path_on_fractions(monkeypatch):
+    runs = _exact_runs(monkeypatch)
+    m = RationalMatrix([[Fraction(1, 2), 1], [1, 2], [Fraction(P, 3), 0]])
+    assert linalg._certified_rank(m) == m.rank() == 2
+    assert len(runs) == 2
 
 
 # -- The sparse-row contract ---------------------------------------------------
