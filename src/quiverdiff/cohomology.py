@@ -19,7 +19,8 @@ _brackets._bracket_pairs, which --verify checks against matrix products,
 and only on the pairs its arrow index lists.  The quotient by Inn is one
 solve on |E| columns, by a solver built on the first solve; independence
 needs none: closed faces and one face rank, certified mod a prime.  The
-report's ranks are certified the same way.  A class is a sparse row.
+report's three ranks come from one rank of C_gamma mod that prime, proved
+by subadditivity and the two left-kernel sums.  A class is a sparse row.
 No operator, algebra element, canonical basis or inner subspace is built
 on that path; operators appear only in HH1Basis.coset_coordinates and the
 tests.  The face eigenvalues come from the net-coefficient formula.
@@ -41,6 +42,7 @@ from .linalg import (
     Row,
     Scalar,
     _certified_rank,
+    _modular_rank,
     _sums_to_zero,
 )
 from .quiver import Path, Quiver
@@ -122,11 +124,39 @@ class CombinatorialReport(namedtuple("CombinatorialReport", _REPORT_FIELDS)):
     """Dimensions, matrices (c_*, b_gamma), ranks, and theorem verdicts in one place.
 
     Every verdict is recomputable from the stored matrices.  rank_b_gamma
-    is rank_c_ca, as B_gamma = C_ca C_ca^T (see combinatorial_report);
-    no other rank or verdict is assumed in the computation of another.
+    is rank_c_ca, as B_gamma = C_ca C_ca^T, and rank_c_va, rank_c_ca and
+    rank_c_gamma come from one elimination of c_gamma mod a prime, proved
+    by bounds on each block (see combinatorial_report); no rank or verdict
+    is assumed in the computation of another.
     """
 
     __slots__ = ()
+
+
+def _report_ranks(
+    c_va: RationalMatrix, c_ca: RationalMatrix, c_gamma: RationalMatrix
+) -> tuple[int, int, int, bool]:
+    """rank C_va, rank C_ca and rank C_gamma, their stack, proved from one
+    rank of C_gamma mod a prime where it can be, and whether the rows of
+    C_ca sum to zero.
+
+    Each block's rows are summed once.  A nonempty block whose rows sum
+    to zero has a vector in its left kernel, so its rank is at most its
+    bound, the row count less one; otherwise the bound is the row count.
+    Rank is subadditive and the rank mod p is at most the rank, so
+    rank_p C_gamma <= rank C_gamma <= rank C_va + rank C_ca <= bound_va +
+    bound_ca.  When the first reaches the last, each of these is an
+    equality, and each block's rank is its bound.  Otherwise the blocks go
+    through _certified_rank and the stack through the exact rank().
+    """
+    faces_cancel = _sums_to_zero(c_ca._entries)
+    bound_va = c_va.num_rows - bool(c_va.num_rows and _sums_to_zero(c_va._entries))
+    bound_ca = c_ca.num_rows - bool(c_ca.num_rows and faces_cancel)
+    if _modular_rank(c_gamma._entries) == bound_va + bound_ca:
+        return bound_va, bound_ca, bound_va + bound_ca, faces_cancel
+    rank_va = _certified_rank(c_va, [range(c_va.num_rows)])
+    rank_ca = _certified_rank(c_ca, [range(c_ca.num_rows)])
+    return rank_va, rank_ca, c_gamma.rank(), faces_cancel
 
 
 def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
@@ -140,14 +170,15 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     has x . x = 0.  A face whose row of C_ca C_va^T, read off its net, is
     not zero is no closed walk, a tracing defect, and raises.  B_gamma is
     C_ca C_ca^T, and over Q B x = 0 gives |C_ca^T x|^2 = x^T B x = 0, so
-    rank B_gamma = rank C_ca: the ranks of C_va, C_ca and C_gamma are the
-    report's three eliminations.  Each runs mod a prime, by
-    linalg._certified_rank: each arrow has one tail and one head, so the
-    vertex rows sum to zero, and each of its two darts lies on one face,
-    so the face rows do too; a rank mod p that reaches the row count less
-    those sums is the rank, and any other is redone exactly.  Every rank
-    is proved, none assumed, and the rank-count check uses no
-    orthogonality.
+    rank B_gamma = rank C_ca.  One elimination, of C_gamma mod a prime,
+    proves the ranks of C_va, C_ca and C_gamma (_report_ranks): each arrow
+    has one tail and one head, so the vertex rows sum to zero, and each of
+    its two darts lies on one face, so the face rows do too, and the ranks
+    of C_va and C_ca are at most |V| - 1 and |F| - 1.  Every rank is
+    proved, none assumed, and the rank-count check uses no orthogonality.
+    That check cannot fail when the certificate closes, as the stack's
+    bound is the sum of the blocks' bounds, so it bites only on the exact
+    path.
     """
     _require_connected_acyclic(q)
     faces = rot.faces()
@@ -157,11 +188,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
     if open_face := _open_face(q, faces):
         raise InternalCheckError(open_face)
     c_gamma = RationalMatrix.stack(c_va, c_ca)
-    # all-ones on the vertex rows, and on the face rows, are left-kernel vectors
-    nv = q.num_vertices
-    rank_va = _certified_rank(c_va, [range(nv)])
-    rank_ca = _certified_rank(c_ca, [range(len(faces))])
-    rank_stack = _certified_rank(c_gamma, [range(nv), range(nv, c_gamma.num_rows)])
+    rank_va, rank_ca, rank_stack, faces_cancel = _report_ranks(c_va, c_ca, c_gamma)
 
     # the circulation check above showed the spaces disjoint: the ranks must add up
     if rank_stack != rank_va + rank_ca:
@@ -187,7 +214,7 @@ def combinatorial_report(q: Quiver, rot: RotationSystem) -> CombinatorialReport:
         rank_theorems_hold=rank_va == q.num_vertices - 1 and rank_ca == len(faces) - 1,
         spaces_disjoint=True,
         euler_holds=(q.num_arrows - rank_stack == 2 * g),
-        faces_sum_to_zero=_sums_to_zero(c_ca._entries),
+        faces_sum_to_zero=faces_cancel,
         faces=faces,
     )
 

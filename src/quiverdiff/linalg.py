@@ -21,10 +21,11 @@ the combination it came from.  A solver target carries a 1 in one more
 column, which no stored row reaches, so its answer's scale is read
 there.  _row_kernel, the oracle's solver, takes the rows d[u] = 0 and
 d[u] = +-d[v], almost all of its system, into a signed union-find as
-they stream in, and only the rest through kernel().  _certified_rank
-ranks int rows mod a prime first, on rank's column labels and row order,
-and keeps that rank only when left-kernel vectors the caller names prove
-it; otherwise it ranks them exactly, through EchelonBasis.
+they stream in, and only the rest through kernel().  _modular_rank
+ranks int rows mod a prime, on rank's column labels and row order: a
+lower bound on the rank.  _certified_rank keeps it only when left-kernel
+vectors the caller names prove it; otherwise it ranks them exactly,
+through EchelonBasis.
 """
 
 from __future__ import annotations
@@ -346,41 +347,51 @@ def _certified_rank(m: RationalMatrix, groups=()) -> int:
     most the row count less the number of such groups.  A minor that is
     nonzero mod p is nonzero over the integers, so the rank mod p is at
     most the rank: when it reaches that bound, it is the rank.  Otherwise,
-    or when an entry is not an int, m.rank() runs.  Both eliminate on the
-    same column labels, latest leading column first (Wiedemann, IEEE
-    Trans. Inf. Theory 32, 1986; Dumas, Saunders and Villard, J. Symbolic
-    Comput. 32, 2001).  A row mod p holds any int of a residue until a step
-    reduces it; a pivot row is 1 or -1 mod p, its own inverse, at its column.
-    A heap of the row's columns gives each step's leading column, as the
-    row is long and the pivot rows that reduce it are short.
+    or when an entry is not an int, m.rank() runs (Wiedemann, IEEE Trans.
+    Inf. Theory 32, 1986; Dumas, Saunders and Villard, J. Symbolic Comput.
+    32, 2001).
     """
     rows = m._entries
     bound = m.num_rows - sum(1 for g in groups if g and _sums_to_zero(rows[i] for i in g))
-    label = _column_labels(rows)
-    if {*map(type, chain.from_iterable(map(dict.values, rows)))} <= {int}:
-        pivots: dict[int, Row] = {}
-        relabelled = [{label[j]: x for j, x in row.items()} for row in rows if row]
-        for v in sorted(relabelled, key=min, reverse=True):
-            leads = sorted(v)  # a heap of v's columns
-            while leads:
-                p = heappop(leads)
-                if p not in v:  # cancelled since it was pushed
-                    continue
-                pivot = pivots.get(p)
-                if pivot is None:
-                    lead = v[p] % _PRIME
-                    if not lead:  # a multiple of the prime
-                        del v[p]
-                        continue
-                    if lead != 1 and lead != _PRIME - 1:
-                        inverse = pow(lead, -1, _PRIME)
-                        v = {j: x * inverse % _PRIME for j, x in v.items()}
-                    pivots[p] = v
-                    break
-                _eliminate_mod(v, pivot, p, leads)
-        if len(pivots) == bound:
-            return bound
+    if _modular_rank(rows) == bound:
+        return bound
     return m.rank()
+
+
+def _modular_rank(rows) -> int | None:
+    """The rank mod _PRIME of ``rows``, sparse rows, or None when an entry
+    is not an int: a lower bound on their rank over Q.
+
+    It eliminates on rank()'s column labels, latest leading column first.
+    A row mod p holds any int of a residue until a step reduces it; a
+    pivot row is 1 or -1 mod p, its own inverse, at its column.  A heap of
+    the row's columns gives each step's leading column, as the row is
+    long and the pivot rows that reduce it are short.
+    """
+    if not {*map(type, chain.from_iterable(map(dict.values, rows)))} <= {int}:
+        return None
+    label = _column_labels(rows)
+    pivots: dict[int, Row] = {}
+    relabelled = [{label[j]: x for j, x in row.items()} for row in rows if row]
+    for v in sorted(relabelled, key=min, reverse=True):
+        leads = sorted(v)  # a heap of v's columns
+        while leads:
+            p = heappop(leads)
+            if p not in v:  # cancelled since it was pushed
+                continue
+            pivot = pivots.get(p)
+            if pivot is None:
+                lead = v[p] % _PRIME
+                if not lead:  # a multiple of the prime
+                    del v[p]
+                    continue
+                if lead != 1 and lead != _PRIME - 1:
+                    inverse = pow(lead, -1, _PRIME)
+                    v = {j: x * inverse % _PRIME for j, x in v.items()}
+                pivots[p] = v
+                break
+            _eliminate_mod(v, pivot, p, leads)
+    return len(pivots)
 
 
 def _eliminate_mod(v: Row, row: Row, col: int, heap: list[int]) -> None:

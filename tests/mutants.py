@@ -198,6 +198,22 @@ MUTANTS = (
         "disjoint spaces make the ranks add up; a stack that says otherwise must raise",
     ),
     Mutant(
+        "report-stack-certificate-trusted-one-below-the-bound",
+        _COHOMOLOGY,
+        "if _modular_rank(c_gamma._entries) == bound_va + bound_ca:",
+        "if _modular_rank(c_gamma._entries) >= bound_va + bound_ca - 1:",
+        (_T + "test_report_ranks_equal_three_exact_ranks_on_two_block_stacks",),
+        "one short of the blocks' bounds, the stack's rank mod p proves none of the three ranks",
+    ),
+    Mutant(
+        "report-vertex-row-sum-check-dropped",
+        _COHOMOLOGY,
+        "bool(c_va.num_rows and _sums_to_zero(c_va._entries))",
+        "bool(c_va.num_rows)",
+        (_T + "test_report_ranks_equal_three_exact_ranks_on_two_block_stacks",),
+        "a block bounds its rank by one below its row count only when its rows sum to zero",
+    ),
+    Mutant(
         "certified-rank-row-sum-check-dropped",
         _LINALG,
         "1 for g in groups if g and _sums_to_zero(rows[i] for i in g)",
@@ -208,8 +224,8 @@ MUTANTS = (
     Mutant(
         "certified-rank-trusted-below-the-bound",
         _LINALG,
-        "        if len(pivots) == bound:\n            return bound\n",
-        "        if len(pivots) <= bound:\n            return len(pivots)\n",
+        "    if _modular_rank(rows) == bound:\n        return bound\n",
+        "    rank = _modular_rank(rows)\n    if rank is not None and rank <= bound:\n        return rank\n",
         (_L + "test_certified_rank_falls_back_when_the_rank_drops_mod_p",),
         "the rank mod p is only a lower bound: below the left-kernel bound it proves nothing",
     ),

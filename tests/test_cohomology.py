@@ -21,13 +21,20 @@ Core claims:
     - the report reaches the planar 12x12 checkerboard grid with every
       verdict true, touching fewer than 300,000 entries in its
       elimination steps (caller row order touched about 1.2 million, the
-      doubled Zassenhaus block and caller column order 511,723; its four
-      ranks, now its only eliminations, touch 103,178), counted in the
-      modular kernel and the exact one
+      doubled Zassenhaus block and caller column order 511,723; four exact
+      ranks touched 103,178, and its one modular elimination of C_gamma
+      touches 60,865), counted in the modular kernel and the exact one
     - the report's three ranks and hh1_basis's face rank are certified mod
       p with no exact elimination, and equal rank() on the planar 4x4 to
       16x16 and torus 4x4 to 12x12 grids, seeded rotations of the 4x4 to
-      8x8 grids and seeded quivers of genus 0 to 3
+      8x8 grids and seeded quivers of genus 0 to 3; the report runs one
+      modular elimination there, of C_gamma, and no rank()
+    - the report's ranks from one rank of the stack mod p, bounded by the
+      two blocks' row sums, equal three exact rank() calls on seeded
+      two-block int stacks: rows that do and do not sum to zero, blocks
+      whose row spaces meet, entries that are multiples of the prime, and
+      a Fraction entry; with that rank one short, or no rank mod p at all,
+      the report falls back to exact ranks and is unchanged
     - dim HH1 agrees between the face-count formula and path counting,
       and equals (derivation dimension - inner rank)
     - Happel's count reads one count of the paths leaving each arrow
@@ -450,13 +457,15 @@ def test_report_on_the_planar_12x12_grid_does_not_fill_in(monkeypatch):
     # the rows went in caller order (row-major vertices and faces), 511,723
     # latest leading column first, 103,178 with its four ranks as its only
     # eliminations, and 67,560 with three, rank B_gamma being rank C_ca;
-    # 67,560 still with the three ranks certified mod p, in the same order
+    # 67,560 still with the three ranks certified mod p, in the same order,
+    # and 60,865 with C_gamma's rank mod p alone proving all three
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 600_000
 
 
 def test_report_on_the_planar_12x12_grid_tags_rows_and_ranks_sparse_columns_first(monkeypatch):
-    # 103,178 entries touched by the four ranks, rank() eliminating sparse
-    # columns first, with no intersection run; 269,337 with the rows of C_ca
+    # 60,865 entries touched by the one modular elimination of C_gamma, on
+    # rank()'s sparse-columns-first labels, with no intersection run (103,178
+    # by four exact ranks); 269,337 with the rows of C_ca
     # tagged in an intersection as well, 435,909 with the doubled Zassenhaus
     # block there, and 345,151 in caller column order
     assert 0 < _entries_touched(monkeypatch, *checkerboard_grid(12)) < 300_000
@@ -474,6 +483,33 @@ def _certified_rank_inputs():
     return inputs
 
 
+def _modular_calls(monkeypatch, kernel=None) -> list:
+    """A list that gets the row count of each modular rank from here on,
+    through cohomology's name for it and linalg's; ``kernel``, when given,
+    answers in its place."""
+    calls, kernel = [], kernel or linalg._modular_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    for module in (cohomology, linalg):
+        monkeypatch.setattr(module, "_modular_rank", counted)
+    return calls
+
+
+def _rank_calls(monkeypatch) -> list:
+    """A list that gets the row count of each RationalMatrix.rank call from here on."""
+    calls, rank = [], RationalMatrix.rank
+
+    def counted(m):
+        calls.append(m.num_rows)
+        return rank(m)
+
+    monkeypatch.setattr(RationalMatrix, "rank", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name, q, rot", _certified_rank_inputs())
 def test_certified_ranks_equal_the_exact_ranks(monkeypatch, name, q, rot):
     # the report's three ranks and hh1_basis's face rank, certified mod p
@@ -483,7 +519,10 @@ def test_certified_ranks_equal_the_exact_ranks(monkeypatch, name, q, rot):
 
     with monkeypatch.context() as m:
         m.setattr(linalg.EchelonBasis, "spanning", unreachable)
+        modular, exact = _modular_calls(m), _rank_calls(m)
         rep = combinatorial_report(q, rot)
+        # C_gamma's rank mod p proves all three: one modular elimination, no rank()
+        assert (modular, exact) == ([rep.c_gamma.num_rows], [])
         kept = RationalMatrix._of(rep.c_ca._entries[1:], q.num_arrows)
         face_rank = linalg._certified_rank(kept)
     assert (rep.rank_c_va, rep.rank_c_ca, rep.rank_c_gamma, face_rank) == (
@@ -493,6 +532,79 @@ def test_certified_ranks_equal_the_exact_ranks(monkeypatch, name, q, rot):
         kept.rank(),
     )
     assert rep.genus == surface_genus(q, rep.num_faces) and rep.euler_holds
+
+
+def _two_block_stacks():
+    """Seeded pairs (top, bottom) of dense int blocks with one column count:
+    blocks whose rows do and do not sum to zero, bottoms with a row in the
+    top's row space, entries that are multiples of the prime, and by hand
+    the cases where a bound one short, or a block's row sum left unread,
+    would give a wrong rank."""
+    P = linalg._PRIME
+    rng = seeded(4401)
+    entries = (0, 0, 0, 1, -1, 2, -3, P, -P, 2 * P)
+    stacks = [
+        # the top does not sum to zero and has full rank, the bottom does and
+        # meets it in one dimension: rank mod p 3 against the bound 2 + 2
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1], [-1, 0, -1]]),
+        # both sum to zero and meet in one dimension
+        ([[1, -1, 0], [-1, 1, 0]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]),
+        # rank 2 over Q, 1 mod p, though no entry is a multiple of p
+        ([[32768, 1], [35, 32768]], [[1, 0], [-1, 0]]),
+        ([[1, P], [-1, -P]], [[P, 0], [-P, 0]]),
+        ([[Fraction(1, 2), 1], [1, 2]], [[Fraction(P, 3), 0], [-1, 5]]),
+    ]
+    for _ in range(300):
+        cols = rng.randint(1, 7)
+        top = [[rng.choice(entries) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        bottom = [[rng.choice(entries) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:  # a row in the top's row space: the spaces meet
+            c = rng.choice((1, -1, 2, P))
+            bottom.append([x + c * y for x, y in zip(rng.choice(top), rng.choice(top))])
+        for block in (top, bottom):
+            if block and rng.random() < 0.6:  # a last row that cancels the rest
+                block.append([-sum(c) for c in zip(*block)])
+        stacks.append((top, bottom))
+    return stacks
+
+
+def test_report_ranks_equal_three_exact_ranks_on_two_block_stacks():
+    # one rank of the stack mod p, bounded by the blocks' row sums, proves
+    # all three ranks; where it cannot, the answer is still three exact ranks
+    seen = set()
+    for top, bottom in _two_block_stacks():
+        cols = len(top[0])
+        t, b = RationalMatrix(top, cols), RationalMatrix(bottom, cols)
+        stack = RationalMatrix.stack(t, b)
+        cancels = all(sum(c) == 0 for c in zip(*bottom))
+        expected = (t.rank(), b.rank(), stack.rank(), cancels)
+        assert cohomology._report_ranks(t, b, stack) == expected, (top, bottom)
+        seen.add((all(sum(c) == 0 for c in zip(*top)), cancels, expected[2] < expected[0] + expected[1]))
+    # every pairing of row sums, with the spaces meeting and not
+    assert seen == {(a, b, meet) for a in (True, False) for b in (True, False) for meet in (True, False)}
+
+
+@pytest.mark.parametrize("name", ["k2", "grid2x2", "torus_k4", "grid4", "torus4", "grid4_rotated"])
+def test_a_forced_fallback_gives_an_equal_report(monkeypatch, name):
+    if name.startswith(("grid4", "torus4")):
+        q, rot = checkerboard_grid(4, torus=name == "torus4")
+        if name.endswith("rotated"):
+            rot = random_rotation(seeded(44), q)
+    else:
+        q, rot = fixture_embedded(name)
+    expected = combinatorial_report(q, rot)
+    modular = linalg._modular_rank
+    with monkeypatch.context() as m:
+        # the stack's rank mod p one short: the blocks are certified, the stack ranked exactly
+        m.setattr(cohomology, "_modular_rank", lambda rows: modular(rows) - 1)
+        exact = _rank_calls(m)
+        assert combinatorial_report(q, rot) == expected
+        assert exact == [expected.c_gamma.num_rows]
+    with monkeypatch.context() as m:
+        # no modular rank at all, as for a Fraction entry: three exact ranks
+        calls, exact = _modular_calls(m, lambda rows: None), _rank_calls(m)
+        assert combinatorial_report(q, rot) == expected
+        assert (len(calls), len(exact)) == (3, 3)
 
 
 def test_report_torus_dimensions():
